@@ -3,9 +3,9 @@
 //! MiCS §4 overlaps gradient synchronization with computation; the simulator
 //! backend has always charged that overlap. This experiment shows the real
 //! thread-rank backend now earns it: the fig15-class transformer LM is
-//! trained under the MiCS 2-hop schedule twice — once with the historical
-//! inline interpreter (`prefetch_depth = 0`) and once with the async
-//! executor (`prefetch_depth = 2`, reduce-scatters in flight across the next
+//! trained under the MiCS 2-hop schedule twice — once with every collective
+//! inline on the rank thread (`prefetch_depth = 0`) and once asynchronously
+//! (`prefetch_depth = 2`, reduce-scatters in flight across the next
 //! micro-step's forward plus cross-iteration gather prefetch) — and the
 //! per-lane spans the executor records are compared.
 //!
@@ -29,10 +29,9 @@ use mics_bench::{f2, write_json, Json, Table, ToJson};
 use mics_cluster::{ClusterSpec, InstanceType};
 use mics_core::ops::SimCluster;
 use mics_core::schedule::execute_on_sim;
-use mics_minidl::train::step_program_with_flops;
+use mics_minidl::train::step_spec_with_flops;
 use mics_minidl::{
-    overlappable_wire_ops, train_lm, ExecLane, LmSetup, ScheduleHyper, SyncSchedule,
-    TinyTransformer, TrainOutcome,
+    overlappable_wire_ops, train_lm, ExecLane, LmSetup, SyncSchedule, TinyTransformer, TrainOutcome,
 };
 
 const ROUNDS: usize = 3;
@@ -77,7 +76,7 @@ fn main() {
     for round in 0..ROUNDS {
         let i = best_run(&inline_setup);
         let a = best_run(&async_setup);
-        assert_eq!(i, a, "async executor must be bit-identical to the inline interpreter");
+        assert_eq!(i, a, "the executor must be bit-identical across prefetch depths");
         let win = a.lane_stats.wall_ns < i.lane_stats.wall_ns;
         println!(
             "round {round}: inline {:.1} ms, async {:.1} ms ({})",
@@ -187,25 +186,10 @@ fn main() {
     // The simulator backend charges overlap for exactly the reduce ops the
     // executor defers; report its makespan gain over the serialized bound
     // alongside the measured numbers.
-    let hp = ScheduleHyper {
-        world: async_setup.world,
-        partition_size: async_setup.partition_size,
-        accum_steps: async_setup.accum_steps,
-        iterations: async_setup.iterations,
-        lr: async_setup.lr,
-        quantize: false,
-        loss_scale: mics_minidl::LossScale::None,
-        clip_grad_norm: None,
-        comm_quant: None,
-        prefetch_depth: 2,
-    };
-    let prog = step_program_with_flops(
-        &hp,
-        SyncSchedule::TwoHop,
-        async_setup.model.num_params(),
-        4e9,
-        8e9,
-    );
+    let hp = async_setup.hyper();
+    let spec =
+        step_spec_with_flops(&hp, SyncSchedule::TwoHop, async_setup.model.num_params(), 4e9, 8e9);
+    let prog = spec.program();
     let overlappable = overlappable_wire_ops(&prog).len();
     let mut inst = InstanceType::p3dn_24xlarge();
     inst.gpus_per_node = hp.world;

@@ -32,8 +32,8 @@
 use mics_bench::{write_json, Json, Table, ToJson};
 use mics_dataplane::TransportKind;
 use mics_minidl::{
-    flops_total, train_generic_on, LossScale, ScheduleHyper, SyncSchedule, TinyTransformer,
-    TrainOutcome,
+    flops_total, LossScale, ScheduleHyper, Start, SyncSchedule, TinyTransformer, TrainOutcome,
+    TrainRun,
 };
 use std::time::Instant;
 
@@ -154,13 +154,17 @@ fn run(
         comm_quant: None,
         prefetch_depth: 0,
     };
-    let m = model.clone();
-    let t = table.to_vec();
-    let init = model.init_params(SEED);
     let data_seed = SEED ^ 0xda7a_57e4;
-    train_generic_on(TransportKind::Local, &hp, schedule, init, move |params, iter, micro, rank| {
-        let toks = token_batch(&t, data_seed, iter, micro, rank, MICRO_BATCH);
-        m.loss_and_grad(params, &toks)
+    let run = TrainRun {
+        transport: TransportKind::Local,
+        hyper: hp,
+        schedule,
+        start: Start::Fresh(model.init_params(SEED)),
+        checkpoint: None,
+    };
+    run.run(&|params: &[f32], iter: usize, micro: usize, rank: usize| {
+        let toks = token_batch(table, data_seed, iter, micro, rank, MICRO_BATCH);
+        model.loss_and_grad(params, &toks)
     })
 }
 

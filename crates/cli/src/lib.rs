@@ -77,8 +77,8 @@ impl Default for JobArgs {
 pub struct FidelityArgs {
     /// Training iterations to run.
     pub iterations: usize,
-    /// Collective look-ahead: `0` = inline interpreter, `≥ 1` = async
-    /// executor with overlapped reduces and gather prefetch.
+    /// Collective look-ahead: `0` = every collective on the rank thread,
+    /// `≥ 1` = overlapped reduces and gather prefetch.
     pub prefetch_depth: usize,
     /// Write a chrome-trace JSON combining the backend's *measured* lane
     /// spans with the simulator's *charged* timeline for the same program.
@@ -376,7 +376,7 @@ pub fn execute(cmd: &Command) -> Result<String, CliError> {
             if let Some(path) = &args.trace {
                 rec.disable();
                 let live = rec.drain();
-                std::fs::write(path, fidelity_trace(args, &setup, s, live))
+                std::fs::write(path, fidelity_trace(&setup, s, live))
                     .map_err(|e| err(format!("cannot write trace to '{path}': {e}")))?;
                 text.push_str(&format!(" | trace written to {path}"));
             }
@@ -439,30 +439,19 @@ fn fig15_setup(args: &FidelityArgs) -> mics_minidl::LmSetup {
 /// counters and fault instants (further pids). Load it in Perfetto to
 /// compare charged vs measured side by side.
 fn fidelity_trace(
-    args: &FidelityArgs,
     setup: &mics_minidl::LmSetup,
     measured: &mics_minidl::LaneStats,
     live: mics_trace::Trace,
 ) -> String {
-    let hp = mics_minidl::ScheduleHyper {
-        world: setup.world,
-        partition_size: setup.partition_size,
-        accum_steps: setup.accum_steps,
-        iterations: setup.iterations,
-        lr: setup.lr,
-        quantize: setup.quantize,
-        loss_scale: setup.loss_scale,
-        clip_grad_norm: setup.clip_grad_norm,
-        comm_quant: setup.comm_quant,
-        prefetch_depth: args.prefetch_depth,
-    };
-    let prog = mics_minidl::step_program_with_flops(
+    let hp = setup.hyper();
+    let spec = mics_minidl::train::step_spec_with_flops(
         &hp,
         mics_minidl::SyncSchedule::TwoHop,
         setup.model.num_params(),
         4e9,
         8e9,
     );
+    let prog = spec.program();
     let mut inst = InstanceType::p3dn_24xlarge();
     inst.gpus_per_node = hp.world;
     let mut sc = mics_core::ops::SimCluster::new(ClusterSpec::new(inst, 1));

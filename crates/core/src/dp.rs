@@ -126,7 +126,7 @@ fn dp_spec(job: JobView<'_>) -> Result<(ScheduleSpec, MemoryEstimate), OomError>
 }
 
 /// Lower `job` to its [`StepProgram`] — the exact op sequence both the
-/// simulator backend and the minidl interpreter execute. Fails with
+/// simulator backend and the minidl executor run. Fails with
 /// [`OomError`] when the memory model rejects the job, like [`simulate_dp`].
 pub fn dp_program(job: &TrainingJob) -> Result<StepProgram, OomError> {
     dp_spec(job.view()).map(|(spec, _)| spec.program())

@@ -13,7 +13,7 @@
 //!   push-for-push identical to the historical inline lowering in
 //!   `dp.rs`, so every simulated number is bit-identical to what that
 //!   lowering produced.
-//! * the `mics-minidl` interpreter walks the same program and drives the
+//! * the `mics-minidl` executor walks the same program and drives the
 //!   real `mics-dataplane` communicators, making the fidelity claim
 //!   structural: the dataplane executes the *same program* the simulator
 //!   costs.

@@ -86,10 +86,7 @@ pub use hierarchical::{
     hierarchical_all_gather, hierarchical_reduce_scatter, naive_two_stage_all_gather,
     try_hierarchical_all_gather, try_hierarchical_reduce_scatter,
 };
-pub use nonblocking::{
-    start_hierarchical_all_gather, start_hierarchical_reduce_scatter, CollectiveHandle,
-    ASYNC_QUEUE_DEPTH,
-};
+pub use nonblocking::{start_hierarchical_all_gather, CollectiveHandle, ASYNC_QUEUE_DEPTH};
 pub use quantized::{
     quantized_all_gather, quantized_all_reduce, quantized_hierarchical_all_gather,
     quantized_hierarchical_reduce_scatter, quantized_reduce_scatter,

@@ -28,15 +28,15 @@
 //! the background and exits; see [`Communicator::quiesce`] for a
 //! deterministic shutdown.
 //!
-//! Quantized and hierarchical collectives compose: the `start_quantized_*`
-//! methods wrap the [`crate::quantized`] wire formats, and
+//! Quantized and hierarchical collectives compose: any fallible collective
+//! can be submitted through [`Communicator::start_collective`] (the only
+//! entry the training executor uses), the `start_quantized_*` methods wrap
+//! the [`crate::quantized`] all-gather and all-reduce wire formats, and
 //! [`start_hierarchical_all_gather`] runs the 3-stage §3.3 algorithm on the
 //! progress thread of the inter-node channel.
 
-use crate::hierarchical::{try_hierarchical_all_gather, try_hierarchical_reduce_scatter};
-use crate::quantized::{
-    try_quantized_all_gather, try_quantized_all_reduce, try_quantized_reduce_scatter,
-};
+use crate::hierarchical::try_hierarchical_all_gather;
+use crate::quantized::{try_quantized_all_gather, try_quantized_all_reduce};
 use crate::{CommError, Communicator};
 use mics_collectives::HierarchicalLayout;
 use mics_compress::QuantScheme;
@@ -183,22 +183,6 @@ impl Communicator {
         self.start_collective(move |c| c.try_all_gather(&data))
     }
 
-    /// Non-blocking all-gather into a caller-provided buffer: `out` travels
-    /// to the progress thread, is filled with the gathered result, and
-    /// returns through the handle — no per-call result allocation, which is
-    /// what lets a training loop double-buffer parameter gathers.
-    pub fn start_all_gather_into(
-        &mut self,
-        contribution: &[f32],
-        mut out: Vec<f32>,
-    ) -> CollectiveHandle<Vec<f32>> {
-        let data = contribution.to_vec();
-        self.start_collective(move |c| {
-            c.try_all_gather_into(&data, &mut out)?;
-            Ok(out)
-        })
-    }
-
     /// Non-blocking [`Communicator::try_reduce_scatter`].
     pub fn start_reduce_scatter(&mut self, contribution: &[f32]) -> CollectiveHandle<Vec<f32>> {
         let data = contribution.to_vec();
@@ -219,16 +203,6 @@ impl Communicator {
     ) -> CollectiveHandle<Vec<f32>> {
         let data = contribution.to_vec();
         self.start_collective(move |c| try_quantized_all_gather(c, &data, scheme))
-    }
-
-    /// Non-blocking quantized reduce-scatter.
-    pub fn start_quantized_reduce_scatter(
-        &mut self,
-        contribution: &[f32],
-        scheme: QuantScheme,
-    ) -> CollectiveHandle<Vec<f32>> {
-        let data = contribution.to_vec();
-        self.start_collective(move |c| try_quantized_reduce_scatter(c, &data, scheme))
     }
 
     /// Non-blocking quantized all-reduce.
@@ -276,20 +250,6 @@ pub fn start_hierarchical_all_gather(
         }
         None => try_hierarchical_all_gather(ch, &node, &layout, &data),
     })
-}
-
-/// Non-blocking hierarchical reduce-scatter — the gradient-direction dual,
-/// on the node communicator's progress thread (stage 1 runs intra-node).
-pub fn start_hierarchical_reduce_scatter(
-    node: &mut Communicator,
-    channel: &Communicator,
-    layout: &HierarchicalLayout,
-    full: &[f32],
-) -> CollectiveHandle<Vec<f32>> {
-    let channel = channel.fork();
-    let layout = *layout;
-    let data = full.to_vec();
-    node.start_collective(move |nd| try_hierarchical_reduce_scatter(&channel, nd, &layout, &data))
 }
 
 #[cfg(test)]

@@ -1,20 +1,23 @@
-//! Lane accounting and dependency analysis for the asynchronous training
-//! executor.
+//! The one executor of the real backend: a per-rank walker that runs any
+//! [`StepProgram`] over real `mics-dataplane` communicators, plus the lane
+//! accounting and static overlap analysis that make its concurrency
+//! observable.
 //!
-//! Since the async-engine refactor, [`mod@crate::train`]'s engine is no longer a
-//! purely inline interpreter: with `prefetch_depth ≥ 1` it walks the
-//! [`StepProgram`] issuing reduce-lane collectives onto the per-communicator
-//! progress threads (`mics_dataplane::nonblocking`) and retiring them at the
-//! points the program's dependency edges demand — the WAR edge from a
-//! micro-step's reduce batch to the *next* micro-step's backward compute,
-//! the [`OpKind::MicroBarrier`] drains of the ZeRO-3 schedule, and the
-//! implicit read of the accumulated gradient by the boundary collectives
-//! and the optimizer. Between issue and retire, forward compute runs — the
-//! real-backend realization of the overlap MiCS §4 describes and the
-//! simulator backend already charges.
+//! `Executor` holds one rank's communicators, parameter shard, optimizer
+//! state, span log, in-flight queue and gather double buffer, and walks the
+//! program once per iteration. A flat program is the `pp = 1` case; the
+//! model enters only through [`StepCompute`]. Every wire op is described
+//! once, as a closure over a communicator, and handed to `Executor::issue`,
+//! which runs it on the calling thread or submits it to the communicator's
+//! progress thread (`mics_dataplane::nonblocking`); `Executor::retire` waits
+//! for submitted work where the program's dependency edges demand — the WAR
+//! edge from a micro-step's reduce batch to the *next* micro-step's backward
+//! compute, the [`OpKind::MicroBarrier`] drains of the ZeRO-3 schedule, and
+//! the implicit read of the accumulated gradient by the boundary collectives
+//! and the optimizer. Results fold in issue order either way, so
+//! `prefetch_depth` changes when collectives run, never what they compute.
 //!
-//! This module holds the pieces of that executor that are observable from
-//! outside the engine:
+//! Observable from outside:
 //!
 //! * [`LaneSpan`] / [`LaneStats`] — wall-clock spans measured per execution
 //!   lane, aggregated into per-lane busy time and a measured overlap
@@ -22,15 +25,29 @@
 //! * [`overlappable_wire_ops`] — a *static* analysis of a [`StepProgram`]
 //!   answering "which wire ops admit compute between their issue point and
 //!   their first dependent?". The executor independently records which ops
-//!   it actually retired later than it issued them
+//!   it retired later than it issued them
 //!   ([`LaneStats::deferred_wire_ops`]); the cross-check tests assert the
-//!   two derivations agree, op id for op id, which is what ties the
-//!   executor's measured concurrency to the concurrency `execute_on_sim`
-//!   charges for the same program.
+//!   two derivations agree, op id for op id, which ties the executor's
+//!   measured concurrency to the concurrency `execute_on_sim` charges for
+//!   the same program.
 
-use mics_core::schedule::{GradSource, OpKind, StepProgram};
+use crate::adam::Adam;
+use crate::checkpoint::TrainState;
+use crate::scaler::{has_overflow, ScalerState};
+use crate::train::{CheckpointSink, ScheduleHyper, TrainCheckpoint, TrainOutcome};
+use mics_cluster::Rank;
+use mics_compress::QuantScheme;
+use mics_core::ops::Lane;
+use mics_core::schedule::{GradSource, GroupRef, OpKind, Pass, StepProgram, WireOp};
+use mics_dataplane::quantized::{
+    try_quantized_all_gather, try_quantized_all_reduce, try_quantized_reduce_scatter,
+};
+use mics_dataplane::{CollectiveHandle, CommError, Communicator};
+use mics_tensor::dtype::quantize_f16;
+use mics_tensor::{GatherBuffers, ShardSpec};
 use mics_trace::{Arg, Trace};
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, VecDeque};
+use std::ops::Range;
 use std::time::Instant;
 
 /// Execution lanes of the real backend, mirroring the schedule IR's lane
@@ -225,61 +242,753 @@ const LANE_NAMES: [(ExecLane, &str); 4] = [
     (ExecLane::Control, "control"),
 ];
 
-/// Wall-clock span recorder for one rank: a shared epoch plus an append log.
-/// The epoch `Instant` is `Copy`, so async collectives capture it into their
-/// progress-thread closures and report spans on the same clock.
+/// Wall-clock recorder for one rank: the [`LaneStats`] being measured plus
+/// their epoch, which is `Copy` so that submitted collectives capture it
+/// into their progress-thread closures and report on the same clock.
 #[derive(Debug)]
 pub(crate) struct SpanRecorder {
     epoch: Instant,
-    spans: Vec<LaneSpan>,
-    samples: Vec<CounterSample>,
+    /// The iteration new spans are stamped with.
+    iteration: usize,
+    stats: LaneStats,
 }
 
 impl SpanRecorder {
-    pub(crate) fn new() -> Self {
-        SpanRecorder { epoch: Instant::now(), spans: Vec::new(), samples: Vec::new() }
-    }
-
-    /// The shared clock epoch, for measuring inside async closures.
-    pub(crate) fn epoch(&self) -> Instant {
-        self.epoch
+    fn new(iteration: usize) -> Self {
+        SpanRecorder { epoch: Instant::now(), iteration, stats: LaneStats::default() }
     }
 
     /// Nanoseconds since the epoch.
-    pub(crate) fn now_ns(&self) -> u64 {
+    fn now_ns(&self) -> u64 {
         self.epoch.elapsed().as_nanos() as u64
     }
 
-    pub(crate) fn push(
-        &mut self,
-        lane: ExecLane,
-        label: &'static str,
-        iteration: usize,
-        start_ns: u64,
-        end_ns: u64,
-    ) {
-        self.spans.push(LaneSpan { lane, label, iteration, start_ns, end_ns });
+    fn push(&mut self, lane: ExecLane, label: &'static str, start_ns: u64, end_ns: u64) {
+        self.stats.spans.push(LaneSpan {
+            lane,
+            label,
+            iteration: self.iteration,
+            start_ns,
+            end_ns,
+        });
+    }
+
+    /// Record a span that began at `start_ns` and ends now.
+    fn close(&mut self, lane: ExecLane, label: &'static str, start_ns: u64) {
+        self.push(lane, label, start_ns, self.now_ns());
     }
 
     /// Record a cumulative counter sample stamped now.
-    pub(crate) fn sample(&mut self, name: &'static str, value: f64) {
+    fn sample(&mut self, name: &'static str, value: f64) {
         let ts_ns = self.now_ns();
-        self.samples.push(CounterSample { name, ts_ns, value });
+        self.stats.counters.push(CounterSample { name, ts_ns, value });
     }
 
-    pub(crate) fn finish(
-        self,
-        deferred_wire_ops: Vec<usize>,
-        prefetched_gathers: u32,
-    ) -> LaneStats {
-        let wall_ns = self.epoch.elapsed().as_nanos() as u64;
-        LaneStats {
-            spans: self.spans,
-            counters: self.samples,
-            wall_ns,
-            deferred_wire_ops,
-            prefetched_gathers,
+    fn finish(mut self) -> LaneStats {
+        self.stats.wall_ns = self.now_ns();
+        self.stats
+    }
+}
+
+/// Where in the run a [`StepCompute`] call sits.
+#[derive(Debug, Clone, Copy)]
+pub struct MicroStep {
+    /// Training iteration.
+    pub iteration: usize,
+    /// Micro-step within the iteration.
+    pub micro: usize,
+    /// Pipeline stage of the calling rank (`0` for a flat model).
+    pub stage: usize,
+    /// Data-parallel index within the stage (the world rank at `pp = 1`).
+    pub rank: usize,
+}
+
+/// What one backward pass over one stage produces.
+#[derive(Debug)]
+pub struct StageGrad {
+    /// This micro-step's loss (exactly `0.0` on every stage but the last).
+    pub loss: f32,
+    /// Gradient of the stage's parameters, in their layout.
+    pub grad: Vec<f32>,
+    /// Gradient w.r.t. the stage input (`None` on stage 0).
+    pub dinput: Option<Vec<f32>>,
+}
+
+/// The part of a training step that differs per model. A flat model is any
+/// `Fn(params, iteration, micro_step, rank) → (loss, grad)` closure; a
+/// pipelined one splits its parameters with [`StepCompute::stages`].
+pub trait StepCompute: Sync {
+    /// Per-rank scratch carried from a micro-step's forward to its backward.
+    type Saved: Default;
+
+    /// The parameter range each pipeline stage owns, in stage order.
+    fn stages(&self, numel: usize) -> Vec<Range<usize>> {
+        std::iter::once(0..numel).collect()
+    }
+
+    /// Bytes of the largest stage-boundary tensor, which the IR's
+    /// `StageSend` ops are costed at.
+    fn act_bytes(&self) -> u64 {
+        0
+    }
+
+    /// Forward one micro-batch through a stage: from the previous stage's
+    /// activation (`None` on stage 0) to the next's (`None` on the last).
+    fn forward(
+        &self,
+        saved: &mut Self::Saved,
+        params: &[f32],
+        at: MicroStep,
+        input: Option<Vec<f32>>,
+    ) -> Option<Vec<f32>>;
+
+    /// Backward the same micro-batch, from the next stage's input gradient
+    /// (`None` on the last stage, which owns the loss head).
+    fn backward(
+        &self,
+        saved: &mut Self::Saved,
+        params: &[f32],
+        at: MicroStep,
+        dout: Option<Vec<f32>>,
+    ) -> StageGrad;
+}
+
+/// The closure computes loss and gradient in one call: the forward op runs
+/// it, the backward op hands the result over.
+impl<F> StepCompute for F
+where
+    F: Fn(&[f32], usize, usize, usize) -> (f32, Vec<f32>) + Sync,
+{
+    type Saved = Option<(f32, Vec<f32>)>;
+
+    fn forward(
+        &self,
+        saved: &mut Self::Saved,
+        params: &[f32],
+        at: MicroStep,
+        _input: Option<Vec<f32>>,
+    ) -> Option<Vec<f32>> {
+        *saved = Some(self(params, at.iteration, at.micro, at.rank));
+        None
+    }
+
+    fn backward(
+        &self,
+        saved: &mut Self::Saved,
+        _params: &[f32],
+        _at: MicroStep,
+        _dout: Option<Vec<f32>>,
+    ) -> StageGrad {
+        let (loss, grad) = saved.take().expect("backward before forward");
+        StageGrad { loss, grad, dinput: None }
+    }
+}
+
+/// The rank-independent inputs of a run, validated and lowered once by
+/// [`crate::train::TrainRun`] and shared by every rank's [`Executor`].
+pub(crate) struct Plan<'a> {
+    pub(crate) hp: &'a ScheduleHyper,
+    /// The one lowering of the step — the IR the simulator backend costs.
+    /// Its emitter owns all wire decisions: which collectives exist
+    /// (single-rank groups fold locally) and which carry a codec.
+    pub(crate) prog: StepProgram,
+    /// Parameter range per pipeline stage.
+    pub(crate) stages: Vec<Range<usize>>,
+    /// Full starting parameters (the checkpoint's, when resuming).
+    pub(crate) init: &'a [f32],
+    pub(crate) resume: Option<&'a TrainCheckpoint>,
+    pub(crate) start_iter: usize,
+    pub(crate) checkpoint: Option<(usize, &'a CheckpointSink)>,
+}
+
+/// A wire op's result plus its span (ns since the [`SpanRecorder`] epoch).
+type TimedVec = (Vec<f32>, u64, u64);
+
+/// Where a wire op's result lands — which also says when the walker needs
+/// it, and so which thread runs the op (see `Executor::issue`).
+#[derive(Clone, Copy)]
+enum Then {
+    /// A micro-step reduction, added to the accumulation at a retire point.
+    Fold,
+    /// The gathered forward parameters, landed at a retire point.
+    Params,
+    /// A boundary reduction: the total gradient, for the very next op.
+    Total,
+    /// A boundary tensor from the adjacent stage, for the very next op.
+    Inbox(Pass),
+    /// A boundary send: nothing lands and no span is recorded. It must
+    /// never block this rank — 1F1B would deadlock on the receiver.
+    Sent,
+}
+
+/// An issued wire op, as its settle point needs to know it.
+struct Issued {
+    op_id: usize,
+    /// Span name, and the op kind a failure names.
+    label: &'static str,
+    lane: ExecLane,
+    then: Then,
+    /// Compute ops executed at issue; more by settle time means overlap.
+    computes_at_issue: u64,
+}
+
+/// Walker state that lives for one iteration.
+#[derive(Default)]
+struct StepState {
+    /// Accumulated gradient of this rank's shard (the total, once a
+    /// boundary reduction landed), and accumulated loss.
+    accum: Vec<f32>,
+    loss: f32,
+    /// The stage's materialized forward parameters, and the in-flight
+    /// micro-step gradient.
+    params: Option<Vec<f32>>,
+    grad: Option<Vec<f32>>,
+    /// Boundary tensors by [`dir`]: received, awaiting their compute;
+    /// produced, awaiting their send. Single-slot because the emitter keeps
+    /// each stage action's ops contiguous.
+    inbox: [Option<Vec<f32>>; 2],
+    outbox: [Option<Vec<f32>>; 2],
+}
+
+/// Index of a pass in the per-direction arrays — also the broadcast root on
+/// a pair communicator, whose split key puts the lower stage at rank 0.
+fn dir(pass: Pass) -> usize {
+    (pass == Pass::Backward) as usize
+}
+
+fn cast_params(src: &[f32], quantize: bool) -> Vec<f32> {
+    if quantize {
+        src.iter().map(|&x| quantize_f16(x)).collect()
+    } else {
+        src.to_vec()
+    }
+}
+
+fn add_into(acc: &mut [f32], x: &[f32]) {
+    debug_assert_eq!(acc.len(), x.len());
+    for (a, b) in acc.iter_mut().zip(x.iter()) {
+        *a += *b;
+    }
+}
+
+fn pad_to(mut v: Vec<f32>, len: usize) -> Vec<f32> {
+    debug_assert!(v.len() <= len);
+    v.resize(len, 0.0);
+    v
+}
+
+type Reduced = Result<Vec<f32>, CommError>;
+
+fn all_reduce(c: &Communicator, x: &[f32], scheme: Option<QuantScheme>) -> Reduced {
+    match scheme {
+        Some(s) => try_quantized_all_reduce(c, x, s),
+        None => c.try_all_reduce(x),
+    }
+}
+
+/// One rank's executor: see the module docs.
+pub(crate) struct Executor<'a, C: StepCompute> {
+    plan: &'a Plan<'a>,
+    compute: &'a C,
+    saved: C::Saved,
+    /// Pipeline stage, and dp index within it.
+    stage: usize,
+    d: usize,
+    world: Communicator,
+    /// This stage's dp ranks, keyed in `d` order — the IR's `All { stage }`
+    /// group. `None` at `pp = 1`, where the stage *is* the world.
+    stage_comm: Option<Communicator>,
+    /// Partition group: `p` consecutive dp ranks. Replication group: dp
+    /// ranks with equal partition-local rank (Figure 2).
+    part: Communicator,
+    repl: Communicator,
+    /// `pairs[dir][boundary]`, for the boundaries this rank sits on. The
+    /// sender submits to the comm's progress thread, the receiver blocks
+    /// on its rank thread; each side drives the comm from one thread in
+    /// emission order, so the SPMD contract holds per communicator.
+    pairs: [Vec<Option<Communicator>>; 2],
+    /// The stage's sharding over the partition group, and this rank's fp32
+    /// master shard.
+    spec: ShardSpec,
+    owned: Vec<f32>,
+    opt: Adam,
+    scaler: ScalerState,
+    rec: SpanRecorder,
+    /// Submitted ops awaiting a retire point, in issue order; and submitted
+    /// sends, which only the end of the iteration waits for.
+    in_flight: VecDeque<(Issued, CollectiveHandle<TimedVec>)>,
+    sends: Vec<(Issued, CollectiveHandle<TimedVec>)>,
+    /// Gathered parameters, double-buffered: this iteration's and the next's.
+    pool: GatherBuffers,
+    /// The gather op last issued, which the prefetch re-issues (every gather
+    /// in a program shares its scheme).
+    gather_op: Option<usize>,
+    prefetching: bool,
+    computes_done: u64,
+    st: StepState,
+    losses: Vec<f32>,
+    wire_log: Vec<usize>,
+}
+
+impl<'a, C: StepCompute> Executor<'a, C> {
+    pub(crate) fn new(mut world: Communicator, plan: &'a Plan<'a>, compute: &'a C) -> Self {
+        let (hp, geo) = (plan.hp, plan.prog.geo);
+        let rank = world.rank();
+        let (stage, d) = (geo.stage_of(Rank(rank)), geo.dp_index(Rank(rank)));
+        let mut stage_comm = (geo.pp > 1).then(|| world.split(stage as i64, rank as i64));
+        let within = stage_comm.as_mut().unwrap_or(&mut world);
+        let part = within.split((d / geo.p) as i64, d as i64);
+        let repl = within.split((d % geo.p) as i64, d as i64);
+        // Non-members split into throwaway solo groups (split is collective).
+        let mut pair_comms = || -> Vec<Option<Communicator>> {
+            (0..geo.pp - 1)
+                .map(|lv| {
+                    let member = stage == lv || stage == lv + 1;
+                    let color = if member { d as i64 } else { -(1 + rank as i64) };
+                    let c = world.split(color, rank as i64);
+                    member.then_some(c)
+                })
+                .collect()
+        };
+        let pairs = [pair_comms(), pair_comms()];
+
+        // Parameter and optimizer state: fresh, or rebuilt (and re-sharded
+        // to this run's shape) from the checkpoint.
+        let range = plan.stages[stage].clone();
+        let spec = ShardSpec::new(range.len(), geo.p);
+        let local = part.rank();
+        let shard = |full: &[f32]| spec.extract_padded(&full[range.clone()], local);
+        let (opt, scaler) = match plan.resume {
+            None => (Adam::new(spec.shard_len(), hp.lr), ScalerState::new(hp.loss_scale)),
+            Some(c) => (
+                Adam::from_state(shard(&c.state.m), shard(&c.state.v), c.state.step, hp.lr),
+                ScalerState::resume(hp.loss_scale, c.scaler),
+            ),
+        };
+        Executor {
+            plan,
+            compute,
+            saved: C::Saved::default(),
+            stage,
+            d,
+            owned: shard(plan.init),
+            world,
+            stage_comm,
+            part,
+            repl,
+            pairs,
+            spec,
+            opt,
+            scaler,
+            rec: SpanRecorder::new(plan.start_iter),
+            in_flight: VecDeque::new(),
+            sends: Vec::new(),
+            pool: GatherBuffers::new(spec.padded_len(), 2).expect("double-buffer reservation"),
+            gather_op: None,
+            prefetching: false,
+            computes_done: 0,
+            st: StepState::default(),
+            losses: Vec::with_capacity(hp.iterations - plan.start_iter),
+            wire_log: Vec::new(),
         }
+    }
+
+    /// Run every remaining iteration and assemble this rank's outcome.
+    pub(crate) fn run(mut self) -> TrainOutcome {
+        let (plan, geo) = (self.plan, self.plan.prog.geo);
+        for iter in plan.start_iter..plan.hp.iterations {
+            self.iteration(iter);
+        }
+        // A snapshot may also be requested at the very end of the run.
+        self.rec.iteration = plan.hp.iterations;
+        self.capture();
+
+        // Materialize the full parameters: the partition group reassembles
+        // its stage, then every rank contributes it padded to the widest
+        // stage and each stage's d = 0 copy is taken (dp copies are equal).
+        let all_gather = |ex: &Self, comm: &Communicator, x: &[f32]| {
+            comm.try_all_gather(x).unwrap_or_else(|e| ex.abort("final-gather", None, e))
+        };
+        let mut final_params = std::mem::take(&mut self.owned);
+        if geo.p > 1 {
+            final_params = all_gather(&self, &self.part, &final_params);
+            final_params.truncate(self.spec.numel());
+        }
+        if geo.pp > 1 {
+            let max_len = plan.stages.iter().map(|r| r.len()).max().expect("pp ≥ 1");
+            let gathered = all_gather(&self, &self.world, &pad_to(final_params, max_len));
+            final_params = Vec::with_capacity(plan.init.len());
+            for (s, range) in plan.stages.iter().enumerate() {
+                let off = s * geo.dp * max_len;
+                final_params.extend_from_slice(&gathered[off..off + range.len()]);
+            }
+        }
+        // Deterministic shutdown: join any comm-progress threads before the
+        // communicators unwind.
+        let scoped = self.pairs.iter_mut().flatten().flatten().chain(&mut self.stage_comm);
+        for c in scoped.chain([&mut self.part, &mut self.repl, &mut self.world]) {
+            c.quiesce();
+        }
+        TrainOutcome {
+            losses: self.losses,
+            final_params,
+            skipped_steps: self.scaler.skipped_steps(),
+            final_loss_scale: self.scaler.scale(),
+            wire_ops: self.wire_log,
+            lane_stats: self.rec.finish(),
+        }
+    }
+
+    /// Walk the program once — the single place ops meet communicators.
+    fn iteration(&mut self, iter: usize) {
+        let (plan, me) = (self.plan, Rank(self.world.rank()));
+        let (hp, prog, geo) = (plan.hp, &plan.prog, plan.prog.geo);
+        self.rec.iteration = iter;
+        self.capture();
+        let log_wire = iter == plan.start_iter;
+        let cur_scale = self.scaler.scale();
+        self.st = StepState { accum: vec![0.0; self.spec.shard_len()], ..StepState::default() };
+
+        for (op_id, op) in prog.ops.iter().enumerate() {
+            if prog.wire_of(op_id).is_some() {
+                if !prog.executes_wire(op_id, me) {
+                    continue;
+                }
+                if log_wire {
+                    self.wire_log.push(op_id);
+                }
+            }
+            match &op.kind {
+                // Collectives already rendezvous, so the barrier is purely
+                // a drain, as in the sim — which keeps the ZeRO-3
+                // schedule's reductions serialized (§3.4) at every depth.
+                OpKind::MicroBarrier => self.retire(),
+                OpKind::GatherShards { wire, .. } => {
+                    // The master weights do not change within an iteration,
+                    // so one materialization — prefetched after the
+                    // previous optimizer step, or gathered now — serves
+                    // every gather op: MiCS's cached decisions (§4).
+                    if self.st.params.is_none() {
+                        if !std::mem::take(&mut self.prefetching) {
+                            self.gather(op_id, wire, "gather");
+                        }
+                        self.retire();
+                    }
+                }
+                OpKind::Compute { layer, pass, .. } => {
+                    if geo.stage_of_layer(*layer, prog.num_layers) != self.stage {
+                        continue;
+                    }
+                    let (micro, stage) = (op.micro, self.stage);
+                    let at = MicroStep { iteration: iter, micro, stage, rank: self.d };
+                    if *pass == Pass::Forward {
+                        // No gather reached this rank (p = 1): it owns the stage.
+                        let params = self
+                            .st
+                            .params
+                            .get_or_insert_with(|| cast_params(&self.owned, hp.quantize));
+                        let input = self.st.inbox[0].take();
+                        let start_ns = self.rec.now_ns();
+                        self.st.outbox[0] =
+                            self.compute.forward(&mut self.saved, params, at, input);
+                        self.rec.close(ExecLane::Compute, "fwd", start_ns);
+                    } else {
+                        // The WAR edge from a micro-step's reduce batch to
+                        // the next backward: in-flight reductions own the
+                        // gradient buffer until here, and overlapped all
+                        // that ran since their issue — notably this forward.
+                        self.retire();
+                        let params = self.st.params.as_deref().expect("backward before forward");
+                        let dout = self.st.inbox[1].take();
+                        let start_ns = self.rec.now_ns();
+                        let mut out = self.compute.backward(&mut self.saved, params, at, dout);
+                        assert_eq!(out.grad.len(), self.spec.numel(), "wrong-sized gradient");
+                        if cur_scale != 1.0 {
+                            // Backward on the scaled loss.
+                            for g in &mut out.grad {
+                                *g *= cur_scale;
+                            }
+                        }
+                        self.rec.close(ExecLane::Compute, "bwd", start_ns);
+                        self.st.loss += out.loss;
+                        self.st.grad = Some(out.grad);
+                        self.st.outbox[1] = out.dinput;
+                    }
+                    self.computes_done += 1;
+                }
+                OpKind::AccumGrads { .. } => {
+                    // No wire annotation: ownership follows the backward
+                    // compute this op drains.
+                    let OpKind::Compute { layer, .. } = prog.ops[op.deps[0]].kind else {
+                        unreachable!("accumulate must depend on a backward compute")
+                    };
+                    if geo.stage_of_layer(layer, prog.num_layers) == self.stage {
+                        let g = self.take_grad();
+                        let mine = self.spec.range(self.part.rank());
+                        add_into(&mut self.st.accum[..mine.len()], &g[mine]);
+                    }
+                }
+                OpKind::ReduceScatterGrads { source: GradSource::MicroGrad, wire, .. } => {
+                    // Hop 1: reduce-scatter within the partition group (the
+                    // qgZ direction when quantized). At depth ≥ 1 the next
+                    // micro-step's forward overlaps it (§4).
+                    let padded = pad_to(self.take_grad(), self.spec.padded_len());
+                    let scheme = wire.scheme;
+                    self.issue(op_id, wire, "grad-reduce", Then::Fold, move |c| match scheme {
+                        Some(s) => try_quantized_reduce_scatter(c, &padded, s),
+                        None => c.try_reduce_scatter(&padded),
+                    });
+                }
+                OpKind::AllReduceGrads { source: GradSource::MicroGrad, wire, .. } => {
+                    // Global synchronization every micro-step — the cost
+                    // §3.4 calls redundant. The next op is a micro barrier
+                    // (or the optimizer), so it stays serialized even when
+                    // submitted — exactly what the sim charges.
+                    let g = self.take_grad();
+                    let (scheme, spec, local) = (wire.scheme, self.spec, self.part.rank());
+                    self.issue(op_id, wire, "grad-reduce", Then::Fold, move |c| {
+                        Ok(spec.extract_padded(&all_reduce(c, &g, scheme)?, local))
+                    });
+                }
+                // DDP's boundary all-reduce, and MiCS hop 2 across the
+                // replication group (intra-group-only compression keeps it
+                // exact). Both read the accumulation, so in-flight
+                // reductions retire first — the hazard the IR leaves
+                // implicit; see [`overlappable_wire_ops`].
+                OpKind::AllReduceGrads { source: GradSource::Accum, wire, .. }
+                | OpKind::CrossGroupAllReduce { wire, .. } => {
+                    self.retire();
+                    let accum = std::mem::take(&mut self.st.accum);
+                    let hop2 = matches!(op.kind, OpKind::CrossGroupAllReduce { .. });
+                    let (label, scheme) = (if hop2 { "hop2" } else { "grad-reduce" }, wire.scheme);
+                    self.issue(op_id, wire, label, Then::Total, move |c| {
+                        all_reduce(c, &accum, scheme)
+                    });
+                }
+                OpKind::OptimizerUpdate { .. } => self.optimizer_update(cur_scale),
+                OpKind::StageRecv { pass, wire, .. } => {
+                    let root = dir(*pass);
+                    self.issue(op_id, wire, "stage-recv", Then::Inbox(*pass), move |c| {
+                        c.try_broadcast(root, &[])
+                    });
+                }
+                OpKind::StageSend { pass, wire, .. } => {
+                    let root = dir(*pass);
+                    let data = self.st.outbox[root].take().expect("stage send before its compute");
+                    self.issue(op_id, wire, "stage-send", Then::Sent, move |c| {
+                        c.try_broadcast(root, &data)
+                    });
+                }
+                OpKind::ReduceScatterGrads { source: GradSource::Accum, .. }
+                | OpKind::ParamRefresh { .. } => {
+                    unreachable!("ZeRO-1/2 boundary ops are not a minidl schedule")
+                }
+            }
+        }
+
+        // Every send was consumed by its blocking receiver, so these waits
+        // only surface errors and bound the submission queue.
+        for (tag, handle) in std::mem::take(&mut self.sends) {
+            let done = handle.wait();
+            self.settle(tag, done);
+        }
+        debug_assert!(self.st.inbox.iter().all(Option::is_none) && self.st.grad.is_none());
+
+        // Cross-iteration gather prefetch — the one overlap the
+        // single-virtual-layer program cannot express as an edge. The next
+        // forward's parameters exist the moment the optimizer ran: gather
+        // them on the partition group's progress thread, into the other
+        // half of the double buffer, while the loss all-reduce runs.
+        let ahead = hp.prefetch_depth >= 1 && iter + 1 < hp.iterations;
+        if let Some(id) = self.gather_op.filter(|_| ahead) {
+            self.gather(id, prog.wire_of(id).expect("a gather op"), "gather-prefetch");
+            self.prefetching = true;
+            self.rec.stats.prefetched_gathers += 1;
+            self.rec.sample("prefetched gathers (cum)", self.rec.stats.prefetched_gathers as f64);
+        }
+
+        // Global mean loss; the non-last stages contribute exact zeros.
+        let scale = 1.0 / (hp.accum_steps as f32 * geo.dp as f32);
+        let mean = self.world_sum("loss-sync", self.st.loss, true) * scale;
+        self.losses.push(mean);
+
+        // Retire this iteration's gathered parameters into the pool.
+        if let Some(buf) = self.st.params.take().filter(|_| self.gather_op.is_some()) {
+            self.pool.checkin(buf);
+        }
+    }
+
+    fn take_grad(&mut self) -> Vec<f32> {
+        self.st.grad.take().expect("gradient consumed before its backward")
+    }
+
+    /// Cast the fp32 master shard down and all-gather it within the partition
+    /// group — what MiCS and ZeRO-3 both do before forward.
+    fn gather(&mut self, op_id: usize, wire: &WireOp, label: &'static str) {
+        let cast = cast_params(&self.owned, self.plan.hp.quantize);
+        let mut buf = self.pool.checkout().expect("gather buffer");
+        let scheme = wire.scheme;
+        self.gather_op = Some(op_id);
+        self.issue(op_id, wire, label, Then::Params, move |c| {
+            match scheme {
+                Some(s) => {
+                    buf.clear();
+                    buf.extend_from_slice(&try_quantized_all_gather(c, &cast, s)?);
+                }
+                None => c.try_all_gather_into(&cast, &mut buf)?,
+            }
+            Ok(buf)
+        });
+    }
+
+    fn optimizer_update(&mut self, cur_scale: f32) {
+        let (hp, geo) = (self.plan.hp, self.plan.prog.geo);
+        // The update reads the accumulation.
+        self.retire();
+        // Already the total if no boundary collective ran (solo groups).
+        let total = std::mem::take(&mut self.st.accum);
+        // Overflow agreement: every rank checks its portion; the all-reduce
+        // makes all ranks skip (or apply) the step together.
+        let local_flag = if has_overflow(&total) { 1.0 } else { 0.0 };
+        let overflowed = self.world_sum("overflow-sync", local_flag, true) > 0.0;
+        if !self.scaler.update(overflowed) {
+            return;
+        }
+        let inv = 1.0 / (hp.accum_steps as f32 * geo.dp as f32) / cur_scale;
+        let mut scaled: Vec<f32> = total.iter().map(|&g| g * inv).collect();
+        if let Some(max_norm) = hp.clip_grad_norm {
+            // Global L2 norm: each gradient shard is held once per partition
+            // group of its stage, so divide the world's sum of squares.
+            let copies = (geo.dp / geo.p) as f32;
+            let local_sumsq: f32 = scaled.iter().map(|g| g * g).sum();
+            let norm = (self.world_sum("clip-norm", local_sumsq, false) / copies).sqrt();
+            if norm > max_norm {
+                let coef = max_norm / (norm + 1e-6);
+                for g in &mut scaled {
+                    *g *= coef;
+                }
+            }
+        }
+        let step_ns = self.rec.now_ns();
+        self.opt.step(&mut self.owned, &scaled);
+        self.rec.close(ExecLane::Compute, "optimizer", step_ns);
+    }
+
+    /// Deposit this rank's shard of a snapshot due now: partition group 0
+    /// holds one full replica between its ranks.
+    fn capture(&self) {
+        let due = self.plan.checkpoint.filter(|&(at, _)| at == self.rec.iteration);
+        if let Some((at, sink)) = due.filter(|_| self.d < self.spec.shards()) {
+            let state = TrainState::capture(&self.owned, &self.opt);
+            sink.deposit(self.part.rank(), self.spec, state, at, self.scaler.snapshot());
+        }
+    }
+
+    /// The communicator that realizes an IR group for this rank.
+    fn comm_of(&mut self, group: &GroupRef) -> &mut Communicator {
+        let geo = self.plan.prog.geo;
+        match *group {
+            GroupRef::Partition { .. } => &mut self.part,
+            GroupRef::Replication { .. } => &mut self.repl,
+            GroupRef::All { .. } => self.stage_comm.as_mut().unwrap_or(&mut self.world),
+            GroupRef::Pair { from, to } => {
+                let (a, b) = (geo.stage_of(from), geo.stage_of(to));
+                self.pairs[(a > b) as usize][a.min(b)].as_mut().expect("rank is on the boundary")
+            }
+        }
+    }
+
+    /// The one place a wire op meets a communicator. An op the walker needs
+    /// before its next one runs on the calling thread and settles at once
+    /// (a progress-thread hop could overlap nothing); one that lands at a
+    /// retire point does the same at depth 0 and is submitted at depth ≥ 1;
+    /// a send is always submitted.
+    fn issue<F>(&mut self, op_id: usize, wire: &WireOp, label: &'static str, then: Then, op: F)
+    where
+        F: FnOnce(&Communicator) -> Reduced + Send + 'static,
+    {
+        let lane = match wire.lane {
+            Lane::Gather => ExecLane::Gather,
+            Lane::Reduce => ExecLane::Reduce,
+        };
+        let tag = Issued { op_id, label, lane, then, computes_at_issue: self.computes_done };
+        let epoch = self.rec.epoch;
+        let timed = move |c: &Communicator| {
+            let start_ns = epoch.elapsed().as_nanos() as u64;
+            let v = op(c)?;
+            Ok((v, start_ns, epoch.elapsed().as_nanos() as u64))
+        };
+        let overlap = self.plan.hp.prefetch_depth >= 1;
+        let comm = self.comm_of(&wire.group);
+        match then {
+            Then::Sent => {
+                let handle = comm.start_collective(timed);
+                self.sends.push((tag, handle));
+            }
+            Then::Fold | Then::Params if overlap => {
+                let handle = comm.start_collective(timed);
+                self.in_flight.push_back((tag, handle));
+            }
+            _ => {
+                let done = timed(comm);
+                self.settle(tag, done);
+            }
+        }
+    }
+
+    /// Settle every submitted op in issue order — the summation order of
+    /// depth 0, so accumulation stays bit-identical.
+    fn retire(&mut self) {
+        while let Some((tag, handle)) = self.in_flight.pop_front() {
+            let done = handle.wait();
+            self.settle(tag, done);
+        }
+    }
+
+    /// Land a finished wire op: the executor's single failure site, span
+    /// record and fold point.
+    fn settle(&mut self, tag: Issued, done: Result<TimedVec, CommError>) {
+        let (mut v, start_ns, end_ns) =
+            done.unwrap_or_else(|e| self.abort(tag.label, Some(tag.op_id), e));
+        if !matches!(tag.then, Then::Sent) {
+            self.rec.push(tag.lane, tag.label, start_ns, end_ns);
+        }
+        match tag.then {
+            Then::Fold => {
+                let first = self.rec.iteration == self.plan.start_iter;
+                if first && self.computes_done > tag.computes_at_issue {
+                    self.rec.stats.deferred_wire_ops.push(tag.op_id);
+                    let total = self.rec.stats.deferred_wire_ops.len();
+                    self.rec.sample("deferred reduces (cum)", total as f64);
+                }
+                add_into(&mut self.st.accum, &v);
+            }
+            Then::Total => self.st.accum = v,
+            Then::Params => {
+                v.truncate(self.spec.numel());
+                self.st.params = Some(v);
+            }
+            Then::Inbox(pass) => self.st.inbox[dir(pass)] = Some(v),
+            Then::Sent => {}
+        }
+    }
+
+    /// Sum a scalar across the world on the calling thread: the
+    /// control-plane collectives, outside the costed program, always exact.
+    fn world_sum(&mut self, label: &'static str, x: f32, traced: bool) -> f32 {
+        let start_ns = self.rec.now_ns();
+        let sum = self.world.try_all_reduce(&[x]).unwrap_or_else(|e| self.abort(label, None, e))[0];
+        if traced {
+            self.rec.close(ExecLane::Control, label, start_ns);
+        }
+        sum
+    }
+
+    /// Every collective failure ends here, with the ids trace events carry.
+    fn abort(&self, label: &str, op_id: Option<usize>, e: CommError) -> ! {
+        let (rank, iter) = (self.world.rank(), self.rec.iteration);
+        let op = op_id.map_or("-".to_string(), |id| id.to_string());
+        panic!("rank {rank} iteration {iter} op {op} ({label}): collective aborted: {e}")
     }
 }
 

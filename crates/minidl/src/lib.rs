@@ -15,8 +15,9 @@
 //!   operating on an arbitrary shard of the parameter space;
 //! * mixed-precision emulation (fp32 master weights, f16-quantized forward
 //!   copies) via `mics_tensor`'s converters;
-//! * [`train::train`] — data-parallel training loops over the real
-//!   `mics-dataplane` communicator under three schedules:
+//! * [`train::TrainRun`] / [`train::train`] — data-parallel training over
+//!   the real `mics-dataplane` communicator, one executor walking one
+//!   lowered step program, under three schedules:
 //!   [`train::SyncSchedule::Ddp`] (classic data parallelism),
 //!   [`train::SyncSchedule::PerMicroStepAllReduce`] (DeepSpeed ZeRO-3's
 //!   default, the "alternative schedule" of §3.4), and
@@ -37,7 +38,10 @@ pub mod transformer;
 
 pub use adam::Adam;
 pub use checkpoint::{load as load_checkpoint, save as save_checkpoint, TrainState};
-pub use executor::{overlappable_wire_ops, CounterSample, ExecLane, LaneSpan, LaneStats};
+pub use executor::{
+    overlappable_wire_ops, CounterSample, ExecLane, LaneSpan, LaneStats, MicroStep, StageGrad,
+    StepCompute,
+};
 pub use kernels::{
     flops_total, kernel_stats, kernel_threads, set_kernel_threads, set_simd, simd_active,
     simd_available,
@@ -47,8 +51,7 @@ pub use mics_compress::{CompressionConfig, CompressionScope, QuantScheme};
 pub use nn::Mlp;
 pub use scaler::{LossScale, ScalerSnapshot};
 pub use train::{
-    resume_from, step_program, step_program_with_flops, train, train_elastic, train_elastic_on,
-    train_generic_on, train_pipeline, train_pipeline_on, train_resumable, CheckpointSink,
-    ElasticPhase, ScheduleHyper, SyncSchedule, TrainCheckpoint, TrainOutcome, TrainSetup,
+    step_program, train, train_elastic_on, train_pipeline, CheckpointSink, ElasticPhase,
+    ScheduleHyper, Start, SyncSchedule, TrainCheckpoint, TrainOutcome, TrainRun, TrainSetup,
 };
 pub use transformer::TinyTransformer;

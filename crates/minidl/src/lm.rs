@@ -9,43 +9,13 @@
 //! the cross-entropy toward zero — and any synchronization bug between the
 //! schedules shows up as diverging loss curves.
 
-use crate::scaler::LossScale;
-use crate::train::{train_generic_on, ScheduleHyper, SyncSchedule, TrainOutcome};
+use crate::train::{Start, SyncSchedule, TrainOutcome, TrainRun, TrainSetup};
 use crate::transformer::TinyTransformer;
 use mics_dataplane::TransportKind;
 
-/// Configuration of a language-model fidelity run.
-#[derive(Debug, Clone)]
-pub struct LmSetup {
-    /// The transformer to train.
-    pub model: TinyTransformer,
-    /// Data-parallel ranks.
-    pub world: usize,
-    /// Partition group size (ignored by DDP).
-    pub partition_size: usize,
-    /// Sequences per rank per micro-step.
-    pub micro_batch: usize,
-    /// Micro-steps per iteration.
-    pub accum_steps: usize,
-    /// Optimizer steps.
-    pub iterations: usize,
-    /// Adam learning rate.
-    pub lr: f32,
-    /// Seed for initialization and data.
-    pub seed: u64,
-    /// f16-quantize forward parameter copies.
-    pub quantize: bool,
-    /// Loss-scaling policy.
-    pub loss_scale: LossScale,
-    /// Optional global-norm gradient clip.
-    pub clip_grad_norm: Option<f32>,
-    /// Quantized-communication configuration (`None` = exact wire).
-    pub comm_quant: Option<mics_compress::CompressionConfig>,
-    /// Collective look-ahead: `0` runs the historical inline interpreter;
-    /// `≥ 1` enables the async executor (overlapped reduces + cross-iteration
-    /// gather prefetch). Results are bit-identical either way.
-    pub prefetch_depth: usize,
-}
+/// Configuration of a language-model fidelity run: a [`TrainSetup`] whose
+/// model is the transformer and whose micro-batch counts sequences.
+pub type LmSetup = TrainSetup<TinyTransformer>;
 
 /// Deterministic micro-batch of token sequences for
 /// (`iteration`, `micro_step`, `rank`): row-major
@@ -95,31 +65,21 @@ pub fn train_lm_on(
     setup: &LmSetup,
     schedule: SyncSchedule,
 ) -> TrainOutcome {
-    let model = setup.model.clone();
-    let init = model.init_params(setup.seed);
+    let model = &setup.model;
     let seed = setup.seed ^ 0x00c0_ffee_1234_5678;
-    let micro_batch = setup.micro_batch;
-    let hp = ScheduleHyper {
-        world: setup.world,
-        partition_size: setup.partition_size,
-        accum_steps: setup.accum_steps,
-        iterations: setup.iterations,
-        lr: setup.lr,
-        quantize: setup.quantize,
-        loss_scale: setup.loss_scale,
-        clip_grad_norm: setup.clip_grad_norm,
-        comm_quant: setup.comm_quant,
-        prefetch_depth: setup.prefetch_depth,
-    };
-    train_generic_on(transport, &hp, schedule, init, move |params, iter, micro, rank| {
-        let toks = token_batch(&model, seed, iter, micro, rank, micro_batch);
-        model.loss_and_grad(params, &toks)
-    })
+    let start = Start::Fresh(model.init_params(setup.seed));
+    TrainRun { transport, hyper: setup.hyper(), schedule, start, checkpoint: None }.run(
+        &|params: &[f32], iter: usize, micro: usize, rank: usize| {
+            let toks = token_batch(model, seed, iter, micro, rank, setup.micro_batch);
+            model.loss_and_grad(params, &toks)
+        },
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scaler::LossScale;
 
     fn setup() -> LmSetup {
         LmSetup {

@@ -1,40 +1,33 @@
-//! Data-parallel training loops over the real data plane, under the three
+//! Data-parallel training over the real data plane, under the three
 //! gradient-synchronization schedules the paper compares (§3.4, §5.4).
 //!
-//! Since the schedule-IR refactor the engine is an *interpreter*: each run
-//! lowers its schedule to the same [`StepProgram`] the simulator backend
-//! costs (see [`step_program`] and `mics-core::schedule`), and every rank
-//! walks that program each iteration, executing the ops whose group
-//! contains it with the real `mics-dataplane` communicators. The codec
-//! annotations on the ops carry the compression-scope rules, so no
+//! Each run lowers its schedule to the same [`StepProgram`] the simulator
+//! backend costs (see [`step_program`] and `mics-core::schedule`), and every
+//! rank's [`crate::executor`] walks that program each iteration, executing
+//! the ops whose group contains it over real `mics-dataplane` communicators.
+//! The codec annotations on the ops carry the compression-scope rules, so no
 //! schedule-specific wire logic lives here — the fidelity claim is
-//! structural: the dataplane executes the exact op sequence the simulator
-//! prices.
+//! structural: the dataplane executes the op sequence the simulator prices.
+//!
+//! [`TrainRun`] is the one way to start a run, for any [`StepCompute`]
+//! model; [`train`], [`train_pipeline`] and [`train_elastic_on`] call it for
+//! the [`Mlp`] fidelity model, [`crate::lm::train_lm_on`] for the transformer.
 
-use crate::adam::Adam;
 use crate::checkpoint::TrainState;
 use crate::data::TeacherDataset;
-use crate::executor::{ExecLane, LaneStats, SpanRecorder};
+use crate::executor::{Executor, LaneStats, MicroStep, Plan, StageGrad, StepCompute};
 use crate::nn::Mlp;
-use crate::scaler::{has_overflow, LossScale, ScalerSnapshot, ScalerState};
-use mics_cluster::Rank;
-use mics_compress::{CompressionConfig, QuantScheme};
+use crate::scaler::{LossScale, ScalerSnapshot};
+use mics_compress::CompressionConfig;
 use mics_core::config::MicroSync;
 use mics_core::schedule::{
-    reshape, Geometry, GradSource, LayerSchedule, OpKind, Pass, PipelineSpec, ScheduleSpec,
-    StepProgram,
+    reshape, Geometry, LayerSchedule, PipelineSpec, ScheduleSpec, StepProgram,
 };
-use mics_dataplane::quantized::{
-    quantized_all_reduce, quantized_reduce_scatter, try_quantized_all_gather,
-    try_quantized_all_reduce, try_quantized_reduce_scatter,
-};
-use mics_dataplane::{
-    quantized_all_gather, run_ranks_on, CollectiveHandle, Communicator, TransportKind,
-};
+use mics_dataplane::{run_ranks_on, TransportKind};
 use mics_simnet::SimTime;
-use mics_tensor::dtype::quantize_f16;
-use mics_tensor::{GatherBuffers, ShardSpec};
-use std::collections::VecDeque;
+use mics_tensor::ShardSpec;
+use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::Mutex;
 
 /// Which gradient-synchronization schedule to run.
@@ -53,17 +46,18 @@ pub enum SyncSchedule {
     TwoHop,
 }
 
-/// Configuration of a fidelity training run.
+/// Configuration of a fidelity training run of model `M`: the [`Mlp`]
+/// student of [`train`], or the transformer of [`crate::lm::LmSetup`].
 #[derive(Debug, Clone)]
-pub struct TrainSetup {
-    /// The student model being trained.
-    pub model: Mlp,
+pub struct TrainSetup<M = Mlp> {
+    /// The model being trained.
+    pub model: M,
     /// Number of data-parallel ranks (`n`).
     pub world: usize,
     /// Partition group size (`p`). Must divide `world`. Ignored by
     /// [`SyncSchedule::Ddp`].
     pub partition_size: usize,
-    /// Samples per rank per micro-step.
+    /// Samples (sequences, for a language model) per rank per micro-step.
     pub micro_batch: usize,
     /// Micro-steps per iteration (`s`, the gradient-accumulation depth).
     pub accum_steps: usize,
@@ -85,15 +79,14 @@ pub struct TrainSetup {
     /// Control-plane collectives (overflow flag, loss, clip norm) and the
     /// final parameter gather always stay exact.
     pub comm_quant: Option<CompressionConfig>,
-    /// Comm/compute overlap depth (§4). `0` executes every collective
-    /// inline and blocking on the rank thread (the historical interpreter).
-    /// `≥ 1` turns on the asynchronous executor: micro-step gradient
-    /// reductions run on the comm-progress threads and retire at the
-    /// program's dependency edges, and the next iteration's parameter
-    /// gather is issued ahead into a double buffer. Results are
-    /// bit-identical either way — only concurrency changes. The
-    /// single-virtual-layer program caps the effective pipeline depth at 1,
-    /// so every depth `≥ 1` behaves the same.
+    /// Comm/compute overlap depth (§4). `0` executes every collective on
+    /// the rank thread, blocking. At `≥ 1` micro-step gradient reductions
+    /// run on the comm-progress threads and retire at the program's
+    /// dependency edges, and the next iteration's parameter gather is
+    /// issued ahead into a double buffer. Results are bit-identical either
+    /// way — only concurrency changes. The single-virtual-layer program
+    /// caps the effective pipeline depth at 1, so every depth `≥ 1` behaves
+    /// the same.
     pub prefetch_depth: usize,
 }
 
@@ -134,7 +127,7 @@ impl PartialEq for TrainOutcome {
 /// A point-in-time snapshot of a whole training job — the unsharded
 /// model/optimizer state plus the loss scaler — sufficient to resume a run
 /// bit-exactly from the iteration where the snapshot was taken, under any
-/// partition-group size (the state is full; [`resume_from`] re-shards it
+/// partition-group size (the state is full; [`Start::Resume`] re-shards it
 /// for the resuming world).
 #[derive(Debug, Clone, PartialEq)]
 pub struct TrainCheckpoint {
@@ -171,20 +164,20 @@ impl CheckpointSink {
         Self::default()
     }
 
-    fn deposit(
+    /// Land shard `local` of a snapshot whose state shards as `spec`.
+    pub(crate) fn deposit(
         &self,
         local: usize,
-        p: usize,
-        numel: usize,
+        spec: ShardSpec,
         shard: TrainState,
         iterations_done: usize,
         scaler: ScalerSnapshot,
     ) {
         let mut slots = self.inner.lock().unwrap();
-        if slots.shards.len() != p {
-            slots.shards = vec![None; p];
+        if slots.shards.len() != spec.shards() {
+            slots.shards = vec![None; spec.shards()];
         }
-        slots.numel = numel;
+        slots.numel = spec.numel();
         slots.iterations_done = iterations_done;
         slots.scaler = Some(scaler);
         slots.shards[local] = Some(shard);
@@ -207,36 +200,22 @@ impl CheckpointSink {
 }
 
 /// Lower one iteration of `schedule` on `hp.world` thread-ranks to the
-/// shared schedule IR — the exact program the training engine's interpreter
-/// walks, and the one the cross-backend tests feed to the simulator's
+/// shared schedule IR — the exact program every rank's executor walks, and
+/// the one the cross-backend tests feed to the simulator's
 /// `execute_on_sim`. The fidelity model is a single "layer" of
 /// `numel` fp32 parameters; timing fields (FLOPs, prefetch, decision
-/// overhead) are zero because the interpreter executes real arithmetic,
-/// not costs.
+/// overhead) are zero because the executor runs real arithmetic, not
+/// costs.
 pub fn step_program(hp: &ScheduleHyper, schedule: SyncSchedule, numel: usize) -> StepProgram {
-    step_program_with_flops(hp, schedule, numel, 0.0, 0.0)
+    step_spec_with_flops(hp, schedule, numel, 0.0, 0.0).program()
 }
 
-/// Like [`step_program`], but attaching per-micro-step forward/backward
-/// FLOP costs to the virtual layer. The wire structure and dependency
-/// edges are identical to [`step_program`]'s; only the simulator backend
-/// reads the FLOPs, so this is what the overlap cross-checks and the
-/// `ext_overlap` experiment feed to `execute_on_sim` to make compute
-/// occupy nonzero virtual time.
-pub fn step_program_with_flops(
-    hp: &ScheduleHyper,
-    schedule: SyncSchedule,
-    numel: usize,
-    fwd_flops: f64,
-    bwd_flops: f64,
-) -> StepProgram {
-    step_spec_with_flops(hp, schedule, numel, fwd_flops, bwd_flops).program()
-}
-
-/// The [`ScheduleSpec`] behind [`step_program_with_flops`], exposed so
-/// callers can transform it before lowering — [`mics_core::schedule::reshape`]
-/// re-emits a spec at a new geometry, and the elastic tests need the spec
-/// the original program was emitted from to drive that transition.
+/// The [`ScheduleSpec`] behind [`step_program`], with per-micro-step
+/// forward/backward FLOP costs on the virtual layer. Only the simulator
+/// backend reads the FLOPs (wire structure and edges do not depend on them),
+/// so this is what the overlap cross-checks lower to make compute occupy
+/// virtual time — and what [`mics_core::schedule::reshape`] re-emits at a
+/// new geometry.
 pub fn step_spec_with_flops(
     hp: &ScheduleHyper,
     schedule: SyncSchedule,
@@ -280,63 +259,28 @@ pub fn step_spec_with_flops(
     }
 }
 
-fn cast_params(src: &[f32], quantize: bool) -> Vec<f32> {
-    if quantize {
-        src.iter().map(|&x| quantize_f16(x)).collect()
-    } else {
-        src.to_vec()
+impl<M> TrainSetup<M> {
+    /// The schedule-level half: all but the model, data and micro-batch size.
+    pub fn hyper(&self) -> ScheduleHyper {
+        ScheduleHyper {
+            world: self.world,
+            partition_size: self.partition_size,
+            accum_steps: self.accum_steps,
+            iterations: self.iterations,
+            lr: self.lr,
+            quantize: self.quantize,
+            loss_scale: self.loss_scale,
+            clip_grad_norm: self.clip_grad_norm,
+            comm_quant: self.comm_quant,
+            prefetch_depth: self.prefetch_depth,
+        }
     }
-}
-
-fn add_into(acc: &mut [f32], x: &[f32]) {
-    debug_assert_eq!(acc.len(), x.len());
-    for (a, b) in acc.iter_mut().zip(x.iter()) {
-        *a += *b;
-    }
-}
-
-fn pad_to(mut v: Vec<f32>, len: usize) -> Vec<f32> {
-    debug_assert!(v.len() <= len);
-    v.resize(len, 0.0);
-    v
-}
-
-/// Run the configured training job under `schedule` on `setup.world`
-/// thread-ranks and return the (rank-identical) outcome.
-///
-/// # Panics
-/// Panics if `partition_size` does not divide `world` (for the sharded
-/// schedules), or if any dimension is zero.
-pub fn train(setup: &TrainSetup, schedule: SyncSchedule) -> TrainOutcome {
-    let model = setup.model.clone();
-    let dataset = TeacherDataset::new(
-        &[model.input_dim(), 8, model.output_dim()],
-        setup.seed ^ 0x51ab_0c1d_22ee_9f73,
-    );
-    let init = model.init_params(setup.seed);
-    let micro_batch = setup.micro_batch;
-    let hp = ScheduleHyper {
-        world: setup.world,
-        partition_size: setup.partition_size,
-        accum_steps: setup.accum_steps,
-        iterations: setup.iterations,
-        lr: setup.lr,
-        quantize: setup.quantize,
-        loss_scale: setup.loss_scale,
-        clip_grad_norm: setup.clip_grad_norm,
-        comm_quant: setup.comm_quant,
-        prefetch_depth: setup.prefetch_depth,
-    };
-    train_generic(&hp, schedule, init, move |params, iter, micro, rank| {
-        let (xs, ys) = dataset.micro_batch(iter, micro, rank, micro_batch);
-        model.loss_and_grad(params, &xs, &ys)
-    })
 }
 
 /// Schedule-level hyper-parameters shared by every model family.
 #[derive(Debug, Clone, Copy)]
 pub struct ScheduleHyper {
-    /// Data-parallel ranks.
+    /// Data-parallel ranks (per pipeline stage).
     pub world: usize,
     /// Partition group size.
     pub partition_size: usize,
@@ -354,117 +298,266 @@ pub struct ScheduleHyper {
     pub clip_grad_norm: Option<f32>,
     /// Quantized communication configuration (`None` = exact wire).
     pub comm_quant: Option<CompressionConfig>,
-    /// Comm/compute overlap depth: `0` = inline blocking collectives,
-    /// `≥ 1` = asynchronous executor (see [`TrainSetup::prefetch_depth`]).
+    /// Comm/compute overlap depth (see [`TrainSetup::prefetch_depth`]).
     pub prefetch_depth: usize,
 }
 
-/// The schedule engine behind [`train`] (and the language-model trainer in
-/// [`crate::lm`]): runs any model whose gradients come from `grad_fn
-/// (params, iteration, micro_step, rank) → (loss, grad)`.
-pub fn train_generic<F>(
-    hp: &ScheduleHyper,
-    schedule: SyncSchedule,
-    init: Vec<f32>,
-    grad_fn: F,
-) -> TrainOutcome
-where
-    F: Fn(&[f32], usize, usize, usize) -> (f32, Vec<f32>) + Sync,
-{
-    train_generic_on(TransportKind::Local, hp, schedule, init, grad_fn)
+/// Where a run begins.
+#[derive(Debug)]
+pub enum Start<'a> {
+    /// From scratch, with these full initial parameters.
+    Fresh(Vec<f32>),
+    /// From a snapshot: iterations `iterations_done .. hyper.iterations`
+    /// are (re)executed and [`TrainOutcome::losses`] covers that tail. The
+    /// checkpoint holds full state, so `partition_size` (and even `world`)
+    /// may differ from the run that took it — resuming re-shards.
+    Resume(&'a TrainCheckpoint),
 }
 
-/// [`train_generic`] with an explicit data-plane transport: `Local` runs the
-/// ranks as threads over shared memory; `Socket` stands up an in-process
-/// rendezvous hub and runs every collective over real framed connections —
-/// same schedules, same arithmetic, bit-identical results.
-pub fn train_generic_on<F>(
+/// The one way to start a training run.
+#[derive(Debug)]
+pub struct TrainRun<'a> {
+    /// `Local`: rank threads over shared memory. `Socket`: every collective
+    /// over framed connections to an in-process hub — bit-identical.
+    pub transport: TransportKind,
+    /// Schedule-level hyper-parameters.
+    pub hyper: ScheduleHyper,
+    /// Gradient-synchronization schedule.
+    pub schedule: SyncSchedule,
+    /// Fresh start or resume.
+    pub start: Start<'a>,
+    /// Deposit a [`TrainCheckpoint`] into the sink as this iteration begins
+    /// (or as the run ends, for `hyper.iterations`). The sink outlives the
+    /// run, so the snapshot survives a rank dying later.
+    pub checkpoint: Option<(usize, &'a CheckpointSink)>,
+}
+
+impl TrainRun<'_> {
+    /// Run the job on `hyper.world` ranks per pipeline stage of `compute`
+    /// and return the (rank-identical) outcome of rank 0.
+    ///
+    /// # Panics
+    /// Panics if `partition_size` does not divide `world` (for the sharded
+    /// schedules), a dimension is zero, the checkpoint or resume point lies
+    /// outside the run, or `pp > 1` is asked for more than it supports.
+    pub fn run<C: StepCompute>(self, compute: &C) -> TrainOutcome {
+        let plan = self.plan(compute);
+        let mut results = run_ranks_on(self.transport, plan.prog.geo.world(), |comm| {
+            Executor::new(comm, &plan, compute).run()
+        });
+        // Sanity: every rank must agree bit-for-bit on what was trained.
+        for (r, out) in results.iter().enumerate().skip(1) {
+            assert_eq!(out.losses, results[0].losses, "rank {r} diverged");
+            assert_eq!(out.final_params, results[0].final_params, "rank {r} params diverged");
+        }
+        results.swap_remove(0)
+    }
+
+    /// Validate the run and lower its step once, for every rank.
+    pub(crate) fn plan<C: StepCompute>(&self, compute: &C) -> Plan<'_> {
+        let hp = &self.hyper;
+        assert!(hp.world > 0 && hp.accum_steps > 0);
+        // Resolve the kernel knobs and warm the worker pool before rank
+        // threads spawn: they contend for the pool via try-lock and fall
+        // back to inline execution, so it must not be built mid-step.
+        crate::kernels::init();
+        let (init, resume) = match &self.start {
+            Start::Fresh(init) => (&init[..], None),
+            Start::Resume(ckpt) => {
+                assert!(
+                    ckpt.iterations_done <= hp.iterations,
+                    "checkpoint at iteration {} is beyond the configured {} iterations",
+                    ckpt.iterations_done,
+                    hp.iterations
+                );
+                assert_eq!(
+                    ckpt.state.params.len(),
+                    ckpt.state.m.len(),
+                    "corrupt checkpoint: optimizer does not match parameters"
+                );
+                (&ckpt.state.params[..], Some(*ckpt))
+            }
+        };
+        let start_iter = resume.map_or(0, |c| c.iterations_done);
+        if let Some((at, _)) = self.checkpoint {
+            assert!(
+                (start_iter..=hp.iterations).contains(&at),
+                "checkpoint iteration {at} outside the run's [{start_iter}, {}] range",
+                hp.iterations
+            );
+        }
+        assert!(
+            matches!(self.schedule, SyncSchedule::Ddp)
+                || (hp.partition_size > 0 && hp.world.is_multiple_of(hp.partition_size)),
+            "partition size {} must divide world {}",
+            hp.partition_size,
+            hp.world
+        );
+        let stages = compute.stages(init.len());
+        let prog = match &stages[..] {
+            [all] => step_program(hp, self.schedule, all.len()),
+            _ => {
+                assert!(
+                    !hp.quantize
+                        && matches!(hp.loss_scale, LossScale::None)
+                        && hp.clip_grad_norm.is_none()
+                        && hp.comm_quant.is_none()
+                        && hp.prefetch_depth == 0
+                        && resume.is_none()
+                        && self.checkpoint.is_none()
+                        && !matches!(self.schedule, SyncSchedule::TwoHop),
+                    "pp > 1 runs the exact fp32 path only, from a fresh start, without \
+                     checkpoints, under DDP or ZeRO-3 synchronization"
+                );
+                let numels: Vec<usize> = stages.iter().map(|r| r.len()).collect();
+                pipeline_step_program(hp, self.schedule, &numels, compute.act_bytes())
+            }
+        };
+        Plan { hp, prog, stages, init, resume, start_iter, checkpoint: self.checkpoint }
+    }
+}
+
+/// An [`Mlp`] on the teacher dataset, its layers split contiguously over
+/// `pp` pipeline stages. Per-sample arithmetic and float-op order are those
+/// of [`Mlp::loss_and_grad`] and the stage slices compose bit-exactly (see
+/// [`Mlp::stage_forward`]), so every `pp` trains the same bits.
+struct MlpStages {
+    model: Mlp,
+    dataset: TeacherDataset,
+    micro_batch: usize,
+    pp: usize,
+}
+
+impl MlpStages {
+    fn new(setup: &TrainSetup, pp: usize) -> Self {
+        assert!(pp >= 1, "need at least one pipeline stage");
+        let model = setup.model.clone();
+        let nl = model.num_layers();
+        assert!(nl.is_multiple_of(pp), "pp={pp} must evenly split the model's {nl} layers");
+        let dataset = TeacherDataset::new(
+            &[model.input_dim(), 8, model.output_dim()],
+            setup.seed ^ 0x51ab_0c1d_22ee_9f73,
+        );
+        MlpStages { model, dataset, micro_batch: setup.micro_batch, pp }
+    }
+
+    /// The layer slice `lo..hi` of `stage`.
+    fn layers(&self, stage: usize) -> (usize, usize) {
+        let per = self.model.num_layers() / self.pp;
+        (stage * per, (stage + 1) * per)
+    }
+}
+
+impl StepCompute for MlpStages {
+    /// Per in-flight micro-step: forward activations (per sample, per
+    /// layer), and the targets if this stage read the data.
+    type Saved = HashMap<usize, (Vec<Vec<Vec<f32>>>, Option<Vec<f32>>)>;
+
+    fn stages(&self, _numel: usize) -> Vec<Range<usize>> {
+        (0..self.pp)
+            .map(|s| {
+                let (lo, hi) = self.layers(s);
+                self.model.stage_param_range(lo, hi)
+            })
+            .collect()
+    }
+
+    fn act_bytes(&self) -> u64 {
+        let widest = (1..self.pp).map(|s| self.model.boundary_dim(self.layers(s).0)).max();
+        widest.unwrap_or(0) as u64 * self.micro_batch as u64 * 4
+    }
+
+    fn forward(
+        &self,
+        saved: &mut Self::Saved,
+        params: &[f32],
+        at: MicroStep,
+        input: Option<Vec<f32>>,
+    ) -> Option<Vec<f32>> {
+        let (lo, hi) = self.layers(at.stage);
+        let in_dim = self.model.boundary_dim(lo);
+        let (xs, ys) = input.map(|xs| (xs, None)).unwrap_or_else(|| {
+            assert_eq!(lo, 0, "forward before boundary recv");
+            let (xs, ys) =
+                self.dataset.micro_batch(at.iteration, at.micro, at.rank, self.micro_batch);
+            (xs, Some(ys))
+        });
+        assert_eq!(xs.len(), self.micro_batch * in_dim, "boundary tensor shape");
+        let acts: Vec<Vec<Vec<f32>>> =
+            xs.chunks(in_dim).map(|x| self.model.stage_forward(params, lo, hi, x)).collect();
+        let out = (hi < self.model.num_layers())
+            .then(|| acts.iter().flat_map(|a| a.last().unwrap().iter().copied()).collect());
+        saved.insert(at.micro, (acts, ys));
+        out
+    }
+
+    fn backward(
+        &self,
+        saved: &mut Self::Saved,
+        params: &[f32],
+        at: MicroStep,
+        dout: Option<Vec<f32>>,
+    ) -> StageGrad {
+        let (lo, hi) = self.layers(at.stage);
+        let (acts, ys) = saved.remove(&at.micro).expect("backward before forward");
+        let out_dim = self.model.boundary_dim(hi);
+        let mut loss = 0.0f32;
+        let dout = dout.unwrap_or_else(|| {
+            // The loss head, in `Mlp::loss_and_grad`'s float-op order. The
+            // loss folds into a per-micro subtotal first, exactly like
+            // `loss_and_grad` — the iteration total must sum micro
+            // subtotals to stay bit-equal.
+            assert_eq!(hi, self.model.num_layers(), "backward before boundary recv");
+            let ys = ys.unwrap_or_else(|| {
+                self.dataset.micro_batch(at.iteration, at.micro, at.rank, self.micro_batch).1
+            });
+            let scale = 1.0 / (self.micro_batch as f32 * out_dim as f32);
+            let mut buf = Vec::with_capacity(ys.len());
+            for (a, y) in acts.iter().zip(ys.chunks(out_dim)) {
+                for (&ov, &yv) in a.last().unwrap().iter().zip(y) {
+                    let err = ov - yv;
+                    loss += 0.5 * err * err * scale;
+                    buf.push(err * scale);
+                }
+            }
+            buf
+        });
+        let mut grad = vec![0.0f32; params.len()];
+        // `stage_backward` returns nothing on stage 0.
+        let mut dinput = Vec::new();
+        for (a, d) in acts.iter().zip(dout.chunks(out_dim)) {
+            dinput.extend(self.model.stage_backward(params, lo, hi, a, d, &mut grad));
+        }
+        StageGrad { loss, grad, dinput: (lo > 0).then_some(dinput) }
+    }
+}
+
+/// Run the configured training job under `schedule` on `setup.world`
+/// thread-ranks and return the (rank-identical) outcome.
+///
+/// # Panics
+/// Panics if `partition_size` does not divide `world` (for the sharded
+/// schedules), or if any dimension is zero.
+pub fn train(setup: &TrainSetup, schedule: SyncSchedule) -> TrainOutcome {
+    train_pipeline(TransportKind::Local, setup, 1, schedule)
+}
+
+/// Run the configured training job as a `dp × pp` 1F1B pipeline on
+/// `setup.world · pp` ranks: the model's layers split contiguously over
+/// `pp` stages, activations and boundary gradients travel as real
+/// point-to-point broadcasts, and gradients synchronize per stage under
+/// `schedule`. `pp = 1` is [`train`] on an explicit transport; `pp ≥ 2`
+/// supports [`SyncSchedule::Ddp`] and [`SyncSchedule::PerMicroStepAllReduce`]
+/// on the exact fp32 path, bit-identically to `pp = 1`.
+pub fn train_pipeline(
     transport: TransportKind,
-    hp: &ScheduleHyper,
+    setup: &TrainSetup,
+    pp: usize,
     schedule: SyncSchedule,
-    init: Vec<f32>,
-    grad_fn: F,
-) -> TrainOutcome
-where
-    F: Fn(&[f32], usize, usize, usize) -> (f32, Vec<f32>) + Sync,
-{
-    run_engine(transport, hp, schedule, Start::Fresh(init), grad_fn, None)
-}
-
-/// Like [`train_generic`], but deposits a [`TrainCheckpoint`] into `sink` as
-/// iteration `checkpoint_at` begins (state after `checkpoint_at` completed
-/// iterations). The sink outlives the run, so the snapshot survives even if
-/// a rank later dies mid-training.
-pub fn train_resumable<F>(
-    hp: &ScheduleHyper,
-    schedule: SyncSchedule,
-    init: Vec<f32>,
-    grad_fn: F,
-    checkpoint_at: usize,
-    sink: &CheckpointSink,
-) -> TrainOutcome
-where
-    F: Fn(&[f32], usize, usize, usize) -> (f32, Vec<f32>) + Sync,
-{
-    run_engine(
-        TransportKind::Local,
-        hp,
-        schedule,
-        Start::Fresh(init),
-        grad_fn,
-        Some((checkpoint_at, sink)),
-    )
-}
-
-/// Resume a run from a [`TrainCheckpoint`]: iterations
-/// `ckpt.iterations_done .. hp.iterations` are (re)executed and the returned
-/// [`TrainOutcome::losses`] covers exactly that tail. The checkpoint holds
-/// full state, so `hp.partition_size` (and even `hp.world`) may differ from
-/// the run that took the snapshot — resuming re-shards on the fly.
-pub fn resume_from<F>(
-    hp: &ScheduleHyper,
-    schedule: SyncSchedule,
-    ckpt: &TrainCheckpoint,
-    grad_fn: F,
-) -> TrainOutcome
-where
-    F: Fn(&[f32], usize, usize, usize) -> (f32, Vec<f32>) + Sync,
-{
-    run_engine(TransportKind::Local, hp, schedule, Start::Resume(ckpt), grad_fn, None)
-}
-
-/// [`resume_from`] with an explicit data-plane transport and an optional
-/// snapshot deposit at `checkpoint` — the building block of the elastic
-/// driver, which chains resumed phases at changing geometries, each phase a
-/// fresh world that ends by depositing the next phase's starting state.
-pub fn resume_resumable_on<F>(
-    transport: TransportKind,
-    hp: &ScheduleHyper,
-    schedule: SyncSchedule,
-    ckpt: &TrainCheckpoint,
-    grad_fn: F,
-    checkpoint: Option<(usize, &CheckpointSink)>,
-) -> TrainOutcome
-where
-    F: Fn(&[f32], usize, usize, usize) -> (f32, Vec<f32>) + Sync,
-{
-    run_engine(transport, hp, schedule, Start::Resume(ckpt), grad_fn, checkpoint)
-}
-
-/// [`train_resumable`] with an explicit data-plane transport.
-pub fn train_resumable_on<F>(
-    transport: TransportKind,
-    hp: &ScheduleHyper,
-    schedule: SyncSchedule,
-    init: Vec<f32>,
-    grad_fn: F,
-    checkpoint_at: usize,
-    sink: &CheckpointSink,
-) -> TrainOutcome
-where
-    F: Fn(&[f32], usize, usize, usize) -> (f32, Vec<f32>) + Sync,
-{
-    run_engine(transport, hp, schedule, Start::Fresh(init), grad_fn, Some((checkpoint_at, sink)))
+) -> TrainOutcome {
+    let start = Start::Fresh(setup.model.init_params(setup.seed));
+    TrainRun { transport, hyper: setup.hyper(), schedule, start, checkpoint: None }
+        .run(&MlpStages::new(setup, pp))
 }
 
 /// One phase of an elastic run: a flat (pp = 1) geometry and how many
@@ -482,13 +575,13 @@ pub struct ElasticPhase {
 }
 
 /// Train `setup`'s job through a sequence of geometries — the elastic
-/// grow/shrink path. Each phase is a fresh `run_ranks` world at that
-/// phase's geometry; transitions go checkpoint → [`reshape`] → resume, so
-/// the schedule is re-emitted for the new geometry and the state re-sharded
-/// through the resharding-checkpoint path. Every transition asserts, at the
-/// IR level, that `reshape(old, new)` reproduces the program the resumed
-/// phase runs — the program is a function of the geometry, nothing is baked
-/// in at emit time.
+/// grow/shrink path. Each phase is a fresh world at that phase's geometry;
+/// transitions go checkpoint → [`reshape`] → resume, so the schedule is
+/// re-emitted for the new geometry and the state re-sharded through the
+/// resharding-checkpoint path. Every transition asserts, at the IR level,
+/// that `reshape(old, new)` reproduces the program the resumed phase runs —
+/// the program is a function of the geometry, nothing is baked in at emit
+/// time.
 ///
 /// The returned outcome spans the whole run: `losses` concatenates the
 /// phases, `final_params` is the last phase's state, `wire_ops` is the
@@ -498,7 +591,7 @@ pub struct ElasticPhase {
 /// Continuity contract (asserted by the tests, not here): a zero-iteration
 /// reshape round-trip `[G t | →G′ | →G | G t′]` is bit-identical to the
 /// uninterrupted `[G t+t′]` run, and a grow transition is bit-identical to
-/// a direct [`resume_from`] at the destination geometry.
+/// a direct [`Start::Resume`] at the destination geometry.
 pub fn train_elastic_on(
     transport: TransportKind,
     setup: &TrainSetup,
@@ -506,66 +599,38 @@ pub fn train_elastic_on(
     phases: &[ElasticPhase],
 ) -> TrainOutcome {
     assert!(!phases.is_empty(), "an elastic run needs at least one phase");
-    let model = setup.model.clone();
-    let dataset = TeacherDataset::new(
-        &[model.input_dim(), 8, model.output_dim()],
-        setup.seed ^ 0x51ab_0c1d_22ee_9f73,
-    );
-    let init = model.init_params(setup.seed);
-    let numel = model.num_params();
-    let micro_batch = setup.micro_batch;
-    let grad_fn = |params: &[f32], iter: usize, micro: usize, rank: usize| {
-        let (xs, ys) = dataset.micro_batch(iter, micro, rank, micro_batch);
-        model.loss_and_grad(params, &xs, &ys)
-    };
+    let compute = MlpStages::new(setup, 1);
+    let numel = setup.model.num_params();
     let hp_at = |ph: &ElasticPhase, end: usize| ScheduleHyper {
         world: ph.world,
         partition_size: ph.partition_size,
-        accum_steps: setup.accum_steps,
         iterations: end,
-        lr: setup.lr,
-        quantize: setup.quantize,
-        loss_scale: setup.loss_scale,
-        clip_grad_norm: setup.clip_grad_norm,
-        comm_quant: setup.comm_quant,
-        prefetch_depth: setup.prefetch_depth,
-    };
-    // The minidl worlds are single-"node": every thread-rank shares memory.
-    let geo_of = |ph: &ElasticPhase| {
-        let p = match schedule {
-            SyncSchedule::Ddp => 1,
-            _ => ph.partition_size,
-        };
-        Geometry::flat(ph.world, ph.world, p)
+        ..setup.hyper()
     };
 
     let sink = CheckpointSink::new();
+    let phase = |hyper: ScheduleHyper, start: Start<'_>| {
+        let checkpoint = Some((hyper.iterations, &sink));
+        TrainRun { transport, hyper, schedule, start, checkpoint }.run(&compute)
+    };
     let mut done = phases[0].iterations;
-    let mut out = train_resumable_on(
-        transport,
-        &hp_at(&phases[0], done),
-        schedule,
-        init,
-        grad_fn,
-        done,
-        &sink,
-    );
+    let mut out = phase(hp_at(&phases[0], done), Start::Fresh(setup.model.init_params(setup.seed)));
     for (prev, ph) in phases.iter().zip(&phases[1..]) {
         let ckpt = sink.take().expect("previous phase must deposit its snapshot");
         assert_eq!(ckpt.iterations_done, done, "phase boundary drifted");
         // IR-level transition: re-emitting via `reshape` must produce
         // exactly the program the resumed phase interprets.
         let end = done + ph.iterations;
-        let old_spec = step_spec_with_flops(&hp_at(prev, done), schedule, numel, 0.0, 0.0);
+        let old = step_spec_with_flops(&hp_at(prev, done), schedule, numel, 0.0, 0.0);
         let hp = hp_at(ph, end);
-        let reshaped = reshape(&old_spec, &geo_of(prev), &geo_of(ph));
+        let fresh = step_program(&hp, schedule, numel);
+        let reshaped = reshape(&old, &Geometry::flat(old.n, old.k, old.p_params), &fresh.geo);
         assert_eq!(
             reshaped.dump(),
-            step_program(&hp, schedule, numel).dump(),
+            fresh.dump(),
             "reshape must re-emit the destination phase's program"
         );
-        let tail =
-            resume_resumable_on(transport, &hp, schedule, &ckpt, grad_fn, Some((end, &sink)));
+        let tail = phase(hp, Start::Resume(&ckpt));
         out.losses.extend_from_slice(&tail.losses);
         out.skipped_steps += tail.skipped_steps;
         out.final_params = tail.final_params;
@@ -576,1126 +641,49 @@ pub fn train_elastic_on(
     out
 }
 
-/// [`train_elastic_on`] on the in-process local transport.
-pub fn train_elastic(
-    setup: &TrainSetup,
-    schedule: SyncSchedule,
-    phases: &[ElasticPhase],
-) -> TrainOutcome {
-    train_elastic_on(TransportKind::Local, setup, schedule, phases)
-}
-
-/// Where a run begins: from scratch, or from a snapshot.
-enum Start<'a> {
-    Fresh(Vec<f32>),
-    Resume(&'a TrainCheckpoint),
-}
-
-/// Payload of an async collective: the result plus the span it occupied on
-/// the progress thread (ns since the rank's [`SpanRecorder`] epoch).
-type TimedVec = (Vec<f32>, u64, u64);
-
-/// How a retired micro-step reduction folds into the gradient accumulation.
-enum FoldKind {
-    /// A reduce-scatter result: already this rank's shard.
-    Shard,
-    /// A global all-reduce result: full-length, extract this rank's shard.
-    Full,
-}
-
-/// An in-flight micro-step gradient reduction on a comm-progress thread.
-struct PendingReduce {
-    handle: CollectiveHandle<TimedVec>,
-    fold: FoldKind,
-    op_id: usize,
-    /// Compute ops executed when the collective was issued — if more have
-    /// run by retirement, the op genuinely overlapped compute.
-    computes_at_issue: u64,
-}
-
-/// Retire every in-flight reduction in issue order, folding each result
-/// into `accum` exactly where the inline interpreter would have — same
-/// summation order, bit-identical accumulation. Called at the program's
-/// drain points: the WAR edge into the next micro-step's backward compute,
-/// micro barriers, the boundary collectives and optimizer (which read the
-/// accumulation), and end of iteration.
-#[allow(clippy::too_many_arguments)]
-fn drain_reduces(
-    pending: &mut VecDeque<PendingReduce>,
-    accum: &mut [f32],
-    spec: &ShardSpec,
-    local: usize,
-    computes_done: u64,
-    mut log_deferred: Option<&mut Vec<usize>>,
-    rec: &mut SpanRecorder,
-    iter: usize,
-) {
-    while let Some(p) = pending.pop_front() {
-        let (v, start_ns, end_ns) =
-            p.handle.wait().unwrap_or_else(|e| panic!("collective aborted: {e}"));
-        rec.push(ExecLane::Reduce, "grad-reduce", iter, start_ns, end_ns);
-        if computes_done > p.computes_at_issue {
-            if let Some(d) = log_deferred.as_deref_mut() {
-                d.push(p.op_id);
-                let total = d.len();
-                rec.sample("deferred reduces (cum)", total as f64);
-            }
-        }
-        match p.fold {
-            FoldKind::Shard => add_into(accum, &v),
-            FoldKind::Full => add_into(accum, &spec.extract_padded(&v, local)),
-        }
-    }
-}
-
-fn run_engine<F>(
-    transport: TransportKind,
-    hp: &ScheduleHyper,
-    schedule: SyncSchedule,
-    start: Start<'_>,
-    grad_fn: F,
-    checkpoint: Option<(usize, &CheckpointSink)>,
-) -> TrainOutcome
-where
-    F: Fn(&[f32], usize, usize, usize) -> (f32, Vec<f32>) + Sync,
-{
-    let setup = hp;
-    assert!(setup.world > 0 && setup.accum_steps > 0);
-    // Resolve the kernel knobs (env, SIMD detection) and warm the worker
-    // pool before rank threads spawn: rank threads contend for the pool
-    // via try-lock and fall back to inline execution, so the pool must
-    // not be lazily constructed mid-step under a rank's foot.
-    crate::kernels::init();
-    let (init, start_iter, resume): (Vec<f32>, usize, Option<&TrainCheckpoint>) = match start {
-        Start::Fresh(init) => (init, 0, None),
-        Start::Resume(ckpt) => {
-            assert!(
-                ckpt.iterations_done <= setup.iterations,
-                "checkpoint at iteration {} is beyond the configured {} iterations",
-                ckpt.iterations_done,
-                setup.iterations
-            );
-            assert_eq!(
-                ckpt.state.params.len(),
-                ckpt.state.m.len(),
-                "corrupt checkpoint: optimizer does not match parameters"
-            );
-            (ckpt.state.params.clone(), ckpt.iterations_done, Some(ckpt))
-        }
-    };
-    if let Some((at, _)) = checkpoint {
-        assert!(
-            (start_iter..=setup.iterations).contains(&at),
-            "checkpoint iteration {at} outside the run's [{start_iter}, {}] range",
-            setup.iterations
-        );
-    }
-    let p = match schedule {
-        SyncSchedule::Ddp => setup.world, // unused, but keeps ShardSpec happy
-        _ => {
-            assert!(
-                setup.partition_size > 0 && setup.world.is_multiple_of(setup.partition_size),
-                "partition size {} must divide world {}",
-                setup.partition_size,
-                setup.world
-            );
-            setup.partition_size
-        }
-    };
-    let numel = init.len();
-    let spec = ShardSpec::new(numel, p);
-    let s = setup.accum_steps;
-    let world = setup.world;
-    let global_scale = 1.0 / (s as f32 * world as f32);
-    let grad_fn = &grad_fn;
-
-    // One lowering of the training step — the same IR the simulator backend
-    // costs. The emitter owns all wire decisions: which collectives exist
-    // (single-rank groups fold locally and must not pay quantization
-    // error), and which carry a codec (weight gathers and hop-1 reductions
-    // stay inside the partition group; collectives that leave it compress
-    // only under `CompressionScope::Everywhere`).
-    let prog = step_program(setup, schedule, numel);
-    let ir_geo = prog.geo;
-    let prog = &prog;
-
-    // Asynchronous-executor configuration, identical on every rank. The
-    // gather scheme is hoisted so the cross-iteration prefetch can issue
-    // without re-inspecting ops; every gather in a program shares it.
-    let async_mode = setup.prefetch_depth >= 1;
-    let sharded = !matches!(schedule, SyncSchedule::Ddp);
-    let gather_scheme: Option<QuantScheme> = prog
-        .ops
-        .iter()
-        .find_map(|op| match &op.kind {
-            OpKind::GatherShards { wire, .. } => Some(wire.scheme),
-            _ => None,
-        })
-        .flatten();
-    let has_gathers = prog.ops.iter().any(|op| matches!(op.kind, OpKind::GatherShards { .. }));
-
-    let mut results = run_ranks_on(transport, world, |mut comm| {
-        let rank = comm.rank();
-        // Partition group: p consecutive ranks. Replication group: ranks
-        // with equal local group rank (Figure 2).
-        let mut part = comm.split((rank / p) as i64, rank as i64);
-        let repl = comm.split((rank % p) as i64, rank as i64);
-        let local = part.rank();
-
-        // Executor state: the wall-clock span log, the in-flight micro-step
-        // reductions (retired in issue order at the program's drain
-        // points), the double-buffer pool for gathered parameters, and the
-        // cross-iteration gather prefetch handle.
-        let mut rec = SpanRecorder::new();
-        let mut pending: VecDeque<PendingReduce> = VecDeque::new();
-        let mut pool = (async_mode && sharded && p > 1)
-            .then(|| GatherBuffers::new(spec.padded_len(), 2).expect("double-buffer reservation"));
-        let mut prefetched: Option<CollectiveHandle<TimedVec>> = None;
-        let mut deferred: Vec<usize> = Vec::new();
-        let mut prefetched_gathers: u32 = 0;
-        let mut computes_done: u64 = 0;
-
-        // Per-schedule parameter/optimizer state: fresh, or rebuilt (and
-        // re-sharded to this run's shape) from the checkpoint.
-        let mut master_full = init.clone(); // used by DDP only
-        let mut master_shard = spec.extract_padded(&init, local); // sharded schedules
-        let mut opt = match (schedule, resume) {
-            (SyncSchedule::Ddp, None) => Adam::new(numel, setup.lr),
-            (SyncSchedule::Ddp, Some(c)) => {
-                Adam::from_state(c.state.m.clone(), c.state.v.clone(), c.state.step, setup.lr)
-            }
-            (_, None) => Adam::new(spec.shard_len(), setup.lr),
-            (_, Some(c)) => Adam::from_state(
-                spec.extract_padded(&c.state.m, local),
-                spec.extract_padded(&c.state.v, local),
-                c.state.step,
-                setup.lr,
-            ),
-        };
-
-        let mut scaler = match resume {
-            None => ScalerState::new(setup.loss_scale),
-            Some(c) => ScalerState::resume(setup.loss_scale, c.scaler),
-        };
-
-        // Deposit this rank's shard of a snapshot: partition group 0 holds
-        // one full replica between its ranks (rank 0 alone, for DDP).
-        let capture = |iter: usize, full: &[f32], shard: &[f32], opt: &Adam, sc: &ScalerState| {
-            let (at, sink) = match checkpoint {
-                Some((at, sink)) if at == iter => (at, sink),
-                _ => return,
-            };
-            match schedule {
-                SyncSchedule::Ddp if rank == 0 => {
-                    sink.deposit(0, 1, numel, TrainState::capture(full, opt), at, sc.snapshot());
-                }
-                SyncSchedule::Ddp => {}
-                _ if rank < p => {
-                    sink.deposit(
-                        local,
-                        p,
-                        numel,
-                        TrainState::capture(shard, opt),
-                        at,
-                        sc.snapshot(),
-                    );
-                }
-                _ => {}
-            }
-        };
-
-        let mut losses = Vec::with_capacity(setup.iterations - start_iter);
-        let mut wire_log: Vec<usize> = Vec::new();
-        for iter in start_iter..setup.iterations {
-            capture(iter, &master_full, &master_shard, &opt, &scaler);
-            let log_wire = iter == start_iter;
-            let cur_scale = scaler.scale();
-            let accum_len = match schedule {
-                SyncSchedule::Ddp => numel,
-                _ => spec.shard_len(),
-            };
-            let mut accum = vec![0.0f32; accum_len];
-            let mut loss_acc = 0.0f32;
-            // Interpreter state: the materialized forward parameters, the
-            // in-flight micro-step gradient, and the boundary-reduced total.
-            let mut fwd: Option<Vec<f32>> = None;
-            let mut fwd_from_pool = false;
-            let mut grad: Option<Vec<f32>> = None;
-            let mut total: Option<Vec<f32>> = None;
-
-            for (op_id, op) in prog.ops.iter().enumerate() {
-                match &op.kind {
-                    // This engine interprets flat (pp = 1) programs; the
-                    // pipeline engine owns the cross-stage boundary ops.
-                    OpKind::StageSend { .. } | OpKind::StageRecv { .. } => {
-                        unreachable!("pipeline ops in a flat program")
-                    }
-                    // Thread collectives already rendezvous, so the barrier
-                    // is purely a drain: the sim makes every lane wait
-                    // here, and the executor retires all in-flight work to
-                    // match — this is what keeps the ZeRO-3 schedule's
-                    // reductions serialized (§3.4) even in async mode.
-                    OpKind::MicroBarrier => {
-                        drain_reduces(
-                            &mut pending,
-                            &mut accum,
-                            &spec,
-                            local,
-                            computes_done,
-                            log_wire.then_some(&mut deferred),
-                            &mut rec,
-                            iter,
-                        );
-                    }
-                    OpKind::GatherShards { wire, .. } => {
-                        if !wire.group.contains(Rank(rank), &ir_geo) {
-                            continue;
-                        }
-                        if log_wire {
-                            wire_log.push(op_id);
-                        }
-                        // The master weights do not change within an
-                        // iteration, so one materialization serves every
-                        // gather op (forward, backward, all micro-steps) —
-                        // the interpreter's analogue of MiCS's cached
-                        // communication decisions (§4).
-                        if fwd.is_none() {
-                            if let Some(handle) = prefetched.take() {
-                                // Gathered ahead, right after the previous
-                                // optimizer step, into the other half of
-                                // the double buffer.
-                                let (mut full, start_ns, end_ns) = handle
-                                    .wait()
-                                    .unwrap_or_else(|e| panic!("collective aborted: {e}"));
-                                rec.push(
-                                    ExecLane::Gather,
-                                    "gather-prefetch",
-                                    iter,
-                                    start_ns,
-                                    end_ns,
-                                );
-                                full.truncate(numel);
-                                fwd = Some(full);
-                                fwd_from_pool = true;
-                            } else {
-                                // Cast the fp32 master shard down, then
-                                // all-gather the f16 shards within the
-                                // partition group (what MiCS and ZeRO-3
-                                // both do before forward).
-                                let cast = cast_params(&master_shard, setup.quantize);
-                                let start_ns = rec.now_ns();
-                                let mut full = match (wire.scheme, pool.as_mut()) {
-                                    (Some(scheme), _) => quantized_all_gather(&part, &cast, scheme),
-                                    (None, Some(pl)) => {
-                                        let mut buf = pl.checkout().expect("gather buffer");
-                                        buf.clear();
-                                        part.try_all_gather_into(&cast, &mut buf)
-                                            .unwrap_or_else(|e| panic!("collective aborted: {e}"));
-                                        fwd_from_pool = true;
-                                        buf
-                                    }
-                                    (None, None) => part.all_gather(&cast),
-                                };
-                                rec.push(ExecLane::Gather, "gather", iter, start_ns, rec.now_ns());
-                                full.truncate(numel);
-                                fwd = Some(full);
-                            }
-                        }
-                    }
-                    OpKind::Compute { pass: Pass::Forward, .. } => {
-                        if fwd.is_none() {
-                            // No gather ops in the program (DDP, or p = 1):
-                            // the parameters materialize locally.
-                            fwd = Some(match schedule {
-                                SyncSchedule::Ddp => cast_params(&master_full, setup.quantize),
-                                _ => {
-                                    let cast = cast_params(&master_shard, setup.quantize);
-                                    let mut full = part.all_gather(&cast);
-                                    full.truncate(numel);
-                                    full
-                                }
-                            });
-                        }
-                        let start_ns = rec.now_ns();
-                        let (loss, g) = grad_fn(fwd.as_deref().unwrap(), iter, op.micro, rank);
-                        rec.push(ExecLane::Compute, "fwd", iter, start_ns, rec.now_ns());
-                        computes_done += 1;
-                        assert_eq!(g.len(), numel, "grad_fn returned a wrong-sized gradient");
-                        loss_acc += loss;
-                        grad = Some(g);
-                    }
-                    OpKind::Compute { pass: Pass::Backward, .. } => {
-                        // The WAR edge the emitter draws from a micro-step's
-                        // reduce batch to the *next* micro-step's backward
-                        // compute: the in-flight reductions own the grads
-                        // buffer until here, so retire them (in issue
-                        // order — the accumulation stays bit-identical)
-                        // before producing new gradients. Everything that
-                        // ran since issue — notably this micro-step's
-                        // forward — overlapped them.
-                        drain_reduces(
-                            &mut pending,
-                            &mut accum,
-                            &spec,
-                            local,
-                            computes_done,
-                            log_wire.then_some(&mut deferred),
-                            &mut rec,
-                            iter,
-                        );
-                        let start_ns = rec.now_ns();
-                        if cur_scale != 1.0 {
-                            // Backward on the scaled loss (mixed-precision
-                            // practice).
-                            for g in grad.as_mut().expect("backward before forward") {
-                                *g *= cur_scale;
-                            }
-                        }
-                        rec.push(ExecLane::Compute, "bwd", iter, start_ns, rec.now_ns());
-                        computes_done += 1;
-                    }
-                    OpKind::AccumGrads { .. } => {
-                        let g = grad.take().expect("accumulate before backward");
-                        match schedule {
-                            SyncSchedule::Ddp => add_into(&mut accum, &g),
-                            _ => add_into(&mut accum, &spec.extract_padded(&g, local)),
-                        }
-                    }
-                    OpKind::ReduceScatterGrads { source: GradSource::MicroGrad, wire, .. } => {
-                        if !wire.group.contains(Rank(rank), &ir_geo) {
-                            continue;
-                        }
-                        if log_wire {
-                            wire_log.push(op_id);
-                        }
-                        // Hop 1: reduce-scatter within the partition group
-                        // (the qgZ direction when quantized).
-                        let g = grad.take().expect("reduce before backward");
-                        let padded = pad_to(g, spec.padded_len());
-                        if async_mode {
-                            // Issue onto the partition group's progress
-                            // thread and keep walking: the next micro-step's
-                            // forward overlaps this reduction (§4). The
-                            // result folds into `accum` at the WAR drain.
-                            let scheme = wire.scheme;
-                            let epoch = rec.epoch();
-                            let handle = part.start_collective(move |c| {
-                                let start_ns = epoch.elapsed().as_nanos() as u64;
-                                let v = match scheme {
-                                    Some(sch) => try_quantized_reduce_scatter(c, &padded, sch)?,
-                                    None => c.try_reduce_scatter(&padded)?,
-                                };
-                                Ok((v, start_ns, epoch.elapsed().as_nanos() as u64))
-                            });
-                            pending.push_back(PendingReduce {
-                                handle,
-                                fold: FoldKind::Shard,
-                                op_id,
-                                computes_at_issue: computes_done,
-                            });
-                        } else {
-                            let start_ns = rec.now_ns();
-                            let mine = match wire.scheme {
-                                Some(scheme) => quantized_reduce_scatter(&part, &padded, scheme),
-                                None => part.reduce_scatter(&padded),
-                            };
-                            rec.push(ExecLane::Reduce, "grad-reduce", iter, start_ns, rec.now_ns());
-                            add_into(&mut accum, &mine);
-                        }
-                    }
-                    OpKind::ReduceScatterGrads { source: GradSource::Accum, .. } => {
-                        unreachable!("boundary reduce-scatter (ZeRO-2) is not a minidl schedule")
-                    }
-                    OpKind::AllReduceGrads { source, wire, .. } => {
-                        if log_wire {
-                            wire_log.push(op_id);
-                        }
-                        match source {
-                            GradSource::MicroGrad => {
-                                // Global synchronization barrier every
-                                // micro-step — the cost §3.4 calls
-                                // redundant. Async mode still issues it on
-                                // the progress thread, but the very next op
-                                // is a micro barrier (or the optimizer), so
-                                // the schedule stays serialized — exactly
-                                // what the sim charges for it.
-                                let g = grad.take().expect("reduce before backward");
-                                if async_mode {
-                                    let scheme = wire.scheme;
-                                    let epoch = rec.epoch();
-                                    let handle = comm.start_collective(move |c| {
-                                        let start_ns = epoch.elapsed().as_nanos() as u64;
-                                        let v = match scheme {
-                                            Some(sch) => try_quantized_all_reduce(c, &g, sch)?,
-                                            None => c.try_all_reduce(&g)?,
-                                        };
-                                        Ok((v, start_ns, epoch.elapsed().as_nanos() as u64))
-                                    });
-                                    pending.push_back(PendingReduce {
-                                        handle,
-                                        fold: FoldKind::Full,
-                                        op_id,
-                                        computes_at_issue: computes_done,
-                                    });
-                                } else {
-                                    let start_ns = rec.now_ns();
-                                    let g = match wire.scheme {
-                                        Some(scheme) => quantized_all_reduce(&comm, &g, scheme),
-                                        None => comm.all_reduce(&g),
-                                    };
-                                    rec.push(
-                                        ExecLane::Reduce,
-                                        "grad-reduce",
-                                        iter,
-                                        start_ns,
-                                        rec.now_ns(),
-                                    );
-                                    add_into(&mut accum, &spec.extract_padded(&g, local));
-                                }
-                            }
-                            GradSource::Accum => {
-                                // DDP's boundary all-reduce of the
-                                // accumulated gradient. The optimizer is
-                                // the very next op, so there is nothing to
-                                // overlap — run it inline.
-                                drain_reduces(
-                                    &mut pending,
-                                    &mut accum,
-                                    &spec,
-                                    local,
-                                    computes_done,
-                                    log_wire.then_some(&mut deferred),
-                                    &mut rec,
-                                    iter,
-                                );
-                                let start_ns = rec.now_ns();
-                                total = Some(match wire.scheme {
-                                    Some(scheme) => quantized_all_reduce(&comm, &accum, scheme),
-                                    None => comm.all_reduce(&accum),
-                                });
-                                rec.push(
-                                    ExecLane::Reduce,
-                                    "grad-reduce",
-                                    iter,
-                                    start_ns,
-                                    rec.now_ns(),
-                                );
-                            }
-                        }
-                    }
-                    OpKind::CrossGroupAllReduce { wire, .. } => {
-                        if !wire.group.contains(Rank(rank), &ir_geo) {
-                            continue;
-                        }
-                        if log_wire {
-                            wire_log.push(op_id);
-                        }
-                        // Hop 2: all-reduce across the replication group —
-                        // the emitter's scope rules decide whether it
-                        // compresses (beyond the partition group, so
-                        // intra-group-only compression keeps it exact). It
-                        // reads the accumulation, so every in-flight
-                        // reduction retires first (the data hazard the IR
-                        // leaves implicit; see `overlappable_wire_ops`).
-                        drain_reduces(
-                            &mut pending,
-                            &mut accum,
-                            &spec,
-                            local,
-                            computes_done,
-                            log_wire.then_some(&mut deferred),
-                            &mut rec,
-                            iter,
-                        );
-                        let start_ns = rec.now_ns();
-                        total = Some(match wire.scheme {
-                            Some(scheme) => quantized_all_reduce(&repl, &accum, scheme),
-                            None => repl.all_reduce(&accum),
-                        });
-                        rec.push(ExecLane::Reduce, "hop2", iter, start_ns, rec.now_ns());
-                    }
-                    OpKind::OptimizerUpdate { .. } => {
-                        // The update reads the accumulation: retire every
-                        // in-flight reduction first.
-                        drain_reduces(
-                            &mut pending,
-                            &mut accum,
-                            &spec,
-                            local,
-                            computes_done,
-                            log_wire.then_some(&mut deferred),
-                            &mut rec,
-                            iter,
-                        );
-                        // No boundary collective ran (single-rank groups):
-                        // the accumulated gradient is already the total.
-                        let total = total.take().unwrap_or_else(|| std::mem::take(&mut accum));
-                        // Overflow agreement: every rank checks its portion;
-                        // a max-style all-reduce makes the decision global,
-                        // so all ranks skip (or apply) the step together.
-                        let local_flag = if has_overflow(&total) { 1.0 } else { 0.0 };
-                        let sync_ns = rec.now_ns();
-                        let overflowed = comm.all_reduce(&[local_flag])[0] > 0.0;
-                        rec.push(ExecLane::Control, "overflow-sync", iter, sync_ns, rec.now_ns());
-                        let apply = scaler.update(overflowed);
-                        if apply {
-                            let inv = global_scale / cur_scale;
-                            let mut scaled: Vec<f32> = total.iter().map(|&g| g * inv).collect();
-                            if let Some(max_norm) = setup.clip_grad_norm {
-                                // Global L2 norm: each full copy of the
-                                // gradient is held `copies` times across the
-                                // cluster, so divide the all-reduced sum of
-                                // squares accordingly.
-                                let copies = match schedule {
-                                    SyncSchedule::Ddp => world as f32,
-                                    _ => (world / p) as f32,
-                                };
-                                let local_sumsq: f32 = scaled.iter().map(|g| g * g).sum();
-                                let global_sumsq = comm.all_reduce(&[local_sumsq])[0] / copies;
-                                let norm = global_sumsq.sqrt();
-                                if norm > max_norm {
-                                    let coef = max_norm / (norm + 1e-6);
-                                    for g in &mut scaled {
-                                        *g *= coef;
-                                    }
-                                }
-                            }
-                            let step_ns = rec.now_ns();
-                            match schedule {
-                                SyncSchedule::Ddp => opt.step(&mut master_full, &scaled),
-                                _ => opt.step(&mut master_shard, &scaled),
-                            }
-                            rec.push(ExecLane::Compute, "optimizer", iter, step_ns, rec.now_ns());
-                        }
-                    }
-                    OpKind::ParamRefresh { .. } => {
-                        unreachable!("param refresh needs p_opt > p_params; minidl shards both")
-                    }
-                }
-            }
-
-            // Cross-iteration gather prefetch — the one overlap the
-            // single-virtual-layer program cannot express as an
-            // intra-iteration edge. The next iteration's forward needs the
-            // post-update parameters, which exist the moment the optimizer
-            // ran: gather them now, on the partition group's progress
-            // thread and into the other half of the double buffer, while
-            // the loss all-reduce and iteration bookkeeping run.
-            if iter + 1 < setup.iterations && has_gathers {
-                if let Some(pl) = pool.as_mut() {
-                    let cast = cast_params(&master_shard, setup.quantize);
-                    let mut buf = pl.checkout().expect("gather buffer");
-                    let scheme = gather_scheme;
-                    let epoch = rec.epoch();
-                    let handle = part.start_collective(move |c| {
-                        let start_ns = epoch.elapsed().as_nanos() as u64;
-                        buf.clear();
-                        match scheme {
-                            Some(sch) => {
-                                let v = try_quantized_all_gather(c, &cast, sch)?;
-                                buf.extend_from_slice(&v);
-                            }
-                            None => c.try_all_gather_into(&cast, &mut buf)?,
-                        }
-                        Ok((buf, start_ns, epoch.elapsed().as_nanos() as u64))
-                    });
-                    prefetched = Some(handle);
-                    prefetched_gathers += 1;
-                    rec.sample("prefetched gathers (cum)", prefetched_gathers as f64);
-                }
-            }
-
-            // Global mean loss for reporting.
-            let loss_ns = rec.now_ns();
-            let mean = comm.all_reduce(&[loss_acc])[0] * global_scale;
-            rec.push(ExecLane::Control, "loss-sync", iter, loss_ns, rec.now_ns());
-            losses.push(mean);
-
-            // Retire this iteration's forward buffer into the pool.
-            if fwd_from_pool {
-                if let (Some(pl), Some(buf)) = (pool.as_mut(), fwd.take()) {
-                    pl.checkin(buf);
-                }
-            }
-        }
-        // A snapshot may also be requested at the very end of the run.
-        capture(setup.iterations, &master_full, &master_shard, &opt, &scaler);
-
-        // Materialize final full parameters.
-        let final_params = match schedule {
-            SyncSchedule::Ddp => master_full,
-            _ => {
-                let mut full = part.all_gather(&master_shard);
-                full.truncate(numel);
-                full
-            }
-        };
-        // Deterministic engine shutdown: join any comm-progress threads the
-        // async mode spawned before the communicators unwind.
-        part.quiesce();
-        comm.quiesce();
-        TrainOutcome {
-            losses,
-            final_params,
-            skipped_steps: scaler.skipped_steps(),
-            final_loss_scale: scaler.scale(),
-            wire_ops: wire_log,
-            lane_stats: rec.finish(deferred, prefetched_gathers),
-        }
-    });
-
-    // Sanity: every rank must agree bit-for-bit on the reported losses.
-    let first = results[0].clone();
-    for (r, out) in results.iter().enumerate() {
-        assert_eq!(out.losses, first.losses, "rank {r} diverged");
-    }
-    results.swap_remove(0)
-}
-
 /// Lower one iteration of a pipelined run to the schedule IR: one virtual
-/// layer per stage (each holding that stage's parameter count), `hp.world`
-/// data-parallel ranks per stage, every thread-rank on one shared-memory
-/// "node". The returned program is what [`train_pipeline`] interprets over
+/// layer per stage (each holding that stage's entry of `stage_numels`),
+/// `hp.world` data-parallel ranks per stage, every thread-rank on one
+/// shared-memory "node". The returned program is what [`train_pipeline`] executes over
 /// real communicators and what the cross-backend tests feed to the
 /// simulator's `execute_on_sim` — the same lowering contract as
 /// [`step_program`], extended with the 1F1B stage dimension.
 pub fn pipeline_step_program(
     hp: &ScheduleHyper,
     schedule: SyncSchedule,
-    pp: usize,
     stage_numels: &[usize],
     act_bytes: u64,
 ) -> StepProgram {
-    assert_eq!(stage_numels.len(), pp, "one virtual layer per stage");
-    let dp = hp.world;
+    let pp = stage_numels.len();
+    // Stages stay unsharded (the stage split is the model partitioning), on
+    // the exact wire, with nothing prefetched.
+    let unsharded = ScheduleHyper { partition_size: 1, comm_quant: None, prefetch_depth: 0, ..*hp };
     let total: usize = stage_numels.iter().sum();
-    let inner = ScheduleSpec {
-        n: dp,
-        k: dp * pp,
-        // The pipeline engine keeps each stage's dp-world unsharded; the
-        // stage split itself is the model partitioning.
-        p_params: 1,
-        p_grads: 1,
-        p_opt: 1,
-        micro_sync: match schedule {
-            SyncSchedule::Ddp => MicroSync::LocalAccumulate,
-            SyncSchedule::PerMicroStepAllReduce => MicroSync::GlobalAllReduce,
-            SyncSchedule::TwoHop => {
-                panic!("pipeline stages sync with dp collectives only; TwoHop needs p > 1")
-            }
-        },
-        accum_steps: hp.accum_steps,
-        hierarchical: false,
-        coalesced: false,
-        prefetch_depth: 0,
-        decision_overhead: SimTime::ZERO,
-        layers: stage_numels
-            .iter()
-            .map(|&numel| LayerSchedule {
-                param_bytes: numel as u64 * 4,
-                fwd_flops: 0.0,
-                bwd_flops: 0.0,
-            })
-            .collect(),
-        bucket_bytes: stage_numels.iter().map(|&n| n as u64 * 4).max().unwrap_or(1).max(1),
-        total_param_bytes: total as u64 * 4,
-        optimizer_bytes: total as u64 * 24,
-        compression: None,
-        elem_bytes: 4,
-    };
+    let mut inner = step_spec_with_flops(&unsharded, schedule, total, 0.0, 0.0);
+    inner.k = hp.world * pp;
+    inner.layers = stage_numels
+        .iter()
+        .map(|&numel| LayerSchedule {
+            param_bytes: numel as u64 * 4,
+            fwd_flops: 0.0,
+            bwd_flops: 0.0,
+        })
+        .collect();
+    inner.bucket_bytes = inner.layers.iter().map(|l| l.param_bytes).max().unwrap_or(1).max(1);
     PipelineSpec { inner, pp, act_bytes }.program()
-}
-
-/// [`train_pipeline`] with an explicit data-plane transport.
-pub fn train_pipeline_on(
-    transport: TransportKind,
-    setup: &TrainSetup,
-    pp: usize,
-    schedule: SyncSchedule,
-) -> TrainOutcome {
-    assert!(pp >= 1, "need at least one pipeline stage");
-    let model = setup.model.clone();
-    let dataset = TeacherDataset::new(
-        &[model.input_dim(), 8, model.output_dim()],
-        setup.seed ^ 0x51ab_0c1d_22ee_9f73,
-    );
-    let init = model.init_params(setup.seed);
-    let micro_batch = setup.micro_batch;
-    let hp = ScheduleHyper {
-        world: setup.world,
-        partition_size: setup.partition_size,
-        accum_steps: setup.accum_steps,
-        iterations: setup.iterations,
-        lr: setup.lr,
-        quantize: setup.quantize,
-        loss_scale: setup.loss_scale,
-        clip_grad_norm: setup.clip_grad_norm,
-        comm_quant: setup.comm_quant,
-        prefetch_depth: setup.prefetch_depth,
-    };
-    if pp == 1 {
-        // A one-stage pipeline *is* the flat program ([`PipelineSpec`]
-        // delegates to the flat emitter at pp = 1), so delegate to the flat
-        // engine — bit-exact with [`train`] by construction.
-        return train_generic_on(
-            transport,
-            &hp,
-            schedule,
-            init,
-            move |params, iter, micro, rank| {
-                let (xs, ys) = dataset.micro_batch(iter, micro, rank, micro_batch);
-                model.loss_and_grad(params, &xs, &ys)
-            },
-        );
-    }
-    assert!(
-        !setup.quantize
-            && matches!(setup.loss_scale, LossScale::None)
-            && setup.clip_grad_norm.is_none()
-            && setup.comm_quant.is_none()
-            && setup.prefetch_depth == 0,
-        "the pipeline engine runs the exact fp32 path only"
-    );
-    let dp = setup.world;
-    assert!(dp > 0 && setup.accum_steps > 0 && setup.iterations > 0);
-    let nl = model.num_layers();
-    assert!(nl.is_multiple_of(pp), "pp={pp} must evenly split the model's {nl} layers");
-    let per = nl / pp;
-    let stage_numels: Vec<usize> =
-        (0..pp).map(|s| model.stage_num_params(s * per, (s + 1) * per)).collect();
-    let act_bytes =
-        (1..pp).map(|s| model.boundary_dim(s * per)).max().unwrap() as u64 * micro_batch as u64 * 4;
-    let prog = pipeline_step_program(&hp, schedule, pp, &stage_numels, act_bytes);
-    let geo = prog.geo;
-    let world = geo.world();
-    let m = setup.accum_steps;
-    let global_scale = 1.0 / (m as f32 * dp as f32);
-    let (prog, model, dataset, init, stage_numels) =
-        (&prog, &model, &dataset, &init, &stage_numels);
-
-    let mut results = run_ranks_on(transport, world, |mut comm| {
-        let rank = comm.rank();
-        let s_idx = geo.stage_of(Rank(rank));
-        let d = geo.dp_index(Rank(rank));
-        let (lo, hi) = (s_idx * per, (s_idx + 1) * per);
-        // Stage communicator: this stage's dp ranks, keyed in d order — the
-        // realization of the IR's `All { stage }` groups.
-        let mut stage = comm.split(s_idx as i64, rank as i64);
-        // One communicator per (boundary, direction). The sender issues its
-        // broadcasts asynchronously on the comm's progress thread while the
-        // receiver blocks on the matching sequence from its rank thread;
-        // each side drives the comm from exactly one thread and both walk
-        // the program in emission order, so the SPMD ordering contract
-        // holds per communicator. Non-members split into throwaway solo
-        // groups (split is collective). The global-rank key puts the lower
-        // stage at pair rank 0: forward broadcasts root at 0, backward at 1.
-        let pair_comms = |comm: &mut Communicator| -> Vec<Option<Communicator>> {
-            (0..pp - 1)
-                .map(|lv| {
-                    let member = s_idx == lv || s_idx == lv + 1;
-                    let color = if member { d as i64 } else { -(1 + rank as i64) };
-                    let c = comm.split(color, rank as i64);
-                    member.then_some(c)
-                })
-                .collect()
-        };
-        let mut fwd_pairs = pair_comms(&mut comm);
-        let mut bwd_pairs = pair_comms(&mut comm);
-
-        let mut rec = SpanRecorder::new();
-        let mut stage_params: Vec<f32> = init[model.stage_param_range(lo, hi)].to_vec();
-        let stage_len = stage_params.len();
-        let mut opt = Adam::new(stage_len, setup.lr);
-        let mut scaler = ScalerState::new(setup.loss_scale);
-        let mut pending: Vec<CollectiveHandle<Vec<f32>>> = Vec::new();
-        let mut losses = Vec::with_capacity(setup.iterations);
-        let mut wire_log: Vec<usize> = Vec::new();
-
-        for iter in 0..setup.iterations {
-            let log_wire = iter == 0;
-            let mut accum = vec![0.0f32; stage_len];
-            let mut loss_acc = 0.0f32;
-            let mut total: Option<Vec<f32>> = None;
-            let mut grad: Option<Vec<f32>> = None;
-            // 1F1B keeps up to `pp - s_idx` micro-batches in flight, so the
-            // forward activations are stored per micro-step (per sample,
-            // per layer); the boundary buffers are single-slot because the
-            // emitter keeps each stage action's ops contiguous.
-            let mut acts_of: Vec<Option<Vec<Vec<Vec<f32>>>>> = vec![None; m];
-            let mut recv_act: Option<Vec<f32>> = None;
-            let mut recv_grad: Option<Vec<f32>> = None;
-            let mut fwd_out: Option<Vec<f32>> = None;
-            let mut bwd_out: Option<Vec<f32>> = None;
-
-            for (op_id, op) in prog.ops.iter().enumerate() {
-                match &op.kind {
-                    OpKind::StageRecv { pass, .. } => {
-                        if !prog.executes_wire(op_id, Rank(rank)) {
-                            continue;
-                        }
-                        if log_wire {
-                            wire_log.push(op_id);
-                        }
-                        let start_ns = rec.now_ns();
-                        let data = match pass {
-                            // The activation arrives over the boundary
-                            // below this stage; the gradient over the one
-                            // above. Executing ranks are never at the
-                            // pipeline's edge for the respective direction.
-                            Pass::Forward => {
-                                fwd_pairs[s_idx - 1].as_ref().unwrap().broadcast(0, &[])
-                            }
-                            Pass::Backward => bwd_pairs[s_idx].as_ref().unwrap().broadcast(1, &[]),
-                        };
-                        match pass {
-                            Pass::Forward => {
-                                rec.push(
-                                    ExecLane::Gather,
-                                    "stage-recv",
-                                    iter,
-                                    start_ns,
-                                    rec.now_ns(),
-                                );
-                                recv_act = Some(data);
-                            }
-                            Pass::Backward => {
-                                rec.push(
-                                    ExecLane::Reduce,
-                                    "stage-recv",
-                                    iter,
-                                    start_ns,
-                                    rec.now_ns(),
-                                );
-                                recv_grad = Some(data);
-                            }
-                        }
-                    }
-                    OpKind::StageSend { pass, .. } => {
-                        if !prog.executes_wire(op_id, Rank(rank)) {
-                            continue;
-                        }
-                        if log_wire {
-                            wire_log.push(op_id);
-                        }
-                        let (pair, root, payload) = match pass {
-                            Pass::Forward => (fwd_pairs[s_idx].as_mut().unwrap(), 0, &mut fwd_out),
-                            Pass::Backward => {
-                                (bwd_pairs[s_idx - 1].as_mut().unwrap(), 1, &mut bwd_out)
-                            }
-                        };
-                        let data = payload.take().expect("stage send before its compute");
-                        let handle = pair.start_collective(move |c| c.try_broadcast(root, &data));
-                        pending.push(handle);
-                    }
-                    OpKind::Compute { layer, pass: Pass::Forward, .. } => {
-                        if geo.stage_of_layer(*layer, prog.num_layers) != s_idx {
-                            continue;
-                        }
-                        let j = op.micro;
-                        let in_dim = model.boundary_dim(lo);
-                        let xs = if s_idx == 0 {
-                            dataset.micro_batch(iter, j, d, micro_batch).0
-                        } else {
-                            recv_act.take().expect("forward before boundary recv")
-                        };
-                        assert_eq!(xs.len(), micro_batch * in_dim, "boundary tensor shape");
-                        let start_ns = rec.now_ns();
-                        let mut acts = Vec::with_capacity(micro_batch);
-                        for smp in 0..micro_batch {
-                            let x = &xs[smp * in_dim..(smp + 1) * in_dim];
-                            acts.push(model.stage_forward(&stage_params, lo, hi, x));
-                        }
-                        rec.push(ExecLane::Compute, "fwd", iter, start_ns, rec.now_ns());
-                        if s_idx + 1 < pp {
-                            let out_dim = model.boundary_dim(hi);
-                            let mut out = Vec::with_capacity(micro_batch * out_dim);
-                            for a in &acts {
-                                out.extend_from_slice(a.last().unwrap());
-                            }
-                            fwd_out = Some(out);
-                        }
-                        acts_of[j] = Some(acts);
-                    }
-                    OpKind::Compute { layer, pass: Pass::Backward, .. } => {
-                        if geo.stage_of_layer(*layer, prog.num_layers) != s_idx {
-                            continue;
-                        }
-                        let i = op.micro;
-                        let acts = acts_of[i].take().expect("backward before forward");
-                        let out_dim = model.boundary_dim(hi);
-                        let start_ns = rec.now_ns();
-                        let dout = if s_idx == pp - 1 {
-                            // The loss head: same arithmetic (and float-op
-                            // order) as `Mlp::loss_and_grad`, fed by the
-                            // activations that crossed the boundaries.
-                            let (_, ys) = dataset.micro_batch(iter, i, d, micro_batch);
-                            let scale = 1.0 / (micro_batch as f32 * out_dim as f32);
-                            let mut buf = Vec::with_capacity(micro_batch * out_dim);
-                            // Fold into a per-micro subtotal first, exactly
-                            // like `loss_and_grad` — the iteration total
-                            // must sum micro subtotals to stay bit-equal.
-                            let mut micro_loss = 0.0f32;
-                            for smp in 0..micro_batch {
-                                let out = acts[smp].last().unwrap();
-                                let y = &ys[smp * out_dim..(smp + 1) * out_dim];
-                                for (&ov, &yv) in out.iter().zip(y) {
-                                    let err = ov - yv;
-                                    micro_loss += 0.5 * err * err * scale;
-                                    buf.push(err * scale);
-                                }
-                            }
-                            loss_acc += micro_loss;
-                            buf
-                        } else {
-                            recv_grad.take().expect("backward before boundary recv")
-                        };
-                        let mut g = vec![0.0f32; stage_len];
-                        let mut deltas = Vec::new();
-                        for smp in 0..micro_batch {
-                            let dsmp = &dout[smp * out_dim..(smp + 1) * out_dim];
-                            let delta = model.stage_backward(
-                                &stage_params,
-                                lo,
-                                hi,
-                                &acts[smp],
-                                dsmp,
-                                &mut g,
-                            );
-                            if lo > 0 {
-                                deltas.extend_from_slice(&delta);
-                            }
-                        }
-                        rec.push(ExecLane::Compute, "bwd", iter, start_ns, rec.now_ns());
-                        if lo > 0 {
-                            bwd_out = Some(deltas);
-                        }
-                        grad = Some(g);
-                    }
-                    OpKind::AccumGrads { .. } => {
-                        // No wire annotation: ownership follows the backward
-                        // compute this op drains.
-                        let owner = match prog.ops[op.deps[0]].kind {
-                            OpKind::Compute { layer, .. } => {
-                                geo.stage_of_layer(layer, prog.num_layers)
-                            }
-                            _ => unreachable!("accumulate must depend on a backward compute"),
-                        };
-                        if owner != s_idx {
-                            continue;
-                        }
-                        add_into(&mut accum, &grad.take().expect("accumulate before backward"));
-                    }
-                    OpKind::AllReduceGrads { source, wire, .. } => {
-                        if !wire.group.contains(Rank(rank), &geo) {
-                            continue;
-                        }
-                        if log_wire {
-                            wire_log.push(op_id);
-                        }
-                        let start_ns = rec.now_ns();
-                        match source {
-                            GradSource::MicroGrad => {
-                                let g = grad.take().expect("reduce before backward");
-                                let red = stage.all_reduce(&g);
-                                add_into(&mut accum, &red);
-                            }
-                            GradSource::Accum => {
-                                total = Some(stage.all_reduce(&accum));
-                            }
-                        }
-                        rec.push(ExecLane::Reduce, "grad-reduce", iter, start_ns, rec.now_ns());
-                    }
-                    OpKind::OptimizerUpdate { .. } => {
-                        let total = total.take().unwrap_or_else(|| std::mem::take(&mut accum));
-                        // Overflow agreement across the whole world, exactly
-                        // as the flat engine does it.
-                        let local_flag = if has_overflow(&total) { 1.0 } else { 0.0 };
-                        let sync_ns = rec.now_ns();
-                        let overflowed = comm.all_reduce(&[local_flag])[0] > 0.0;
-                        rec.push(ExecLane::Control, "overflow-sync", iter, sync_ns, rec.now_ns());
-                        if scaler.update(overflowed) {
-                            let scaled: Vec<f32> =
-                                total.iter().map(|&g| g * global_scale).collect();
-                            let step_ns = rec.now_ns();
-                            opt.step(&mut stage_params, &scaled);
-                            rec.push(ExecLane::Compute, "optimizer", iter, step_ns, rec.now_ns());
-                        }
-                    }
-                    OpKind::MicroBarrier
-                    | OpKind::GatherShards { .. }
-                    | OpKind::ReduceScatterGrads { .. }
-                    | OpKind::CrossGroupAllReduce { .. }
-                    | OpKind::ParamRefresh { .. } => {
-                        unreachable!("op not emitted for a p = 1 pipeline program")
-                    }
-                }
-            }
-
-            // Retire this iteration's boundary sends — every one was
-            // consumed by its blocking receiver, so the waits only surface
-            // errors and bound the submission queue.
-            for h in pending.drain(..) {
-                h.wait().unwrap_or_else(|e| panic!("collective aborted: {e}"));
-            }
-            debug_assert!(recv_act.is_none() && recv_grad.is_none() && grad.is_none());
-
-            // Global mean loss: the non-last stages contribute exact zeros,
-            // so the world fold reduces to the flat engine's per-rank sum.
-            let loss_ns = rec.now_ns();
-            let mean = comm.all_reduce(&[loss_acc])[0] * global_scale;
-            rec.push(ExecLane::Control, "loss-sync", iter, loss_ns, rec.now_ns());
-            losses.push(mean);
-        }
-
-        // Assemble the full parameter vector: every rank contributes its
-        // stage slice padded to the widest stage; stage s's d = 0 copy is
-        // taken (all dp copies are bit-identical after sync).
-        let max_len = stage_numels.iter().copied().max().unwrap();
-        let gathered = comm.all_gather(&pad_to(stage_params, max_len));
-        let mut final_params = Vec::with_capacity(model.num_params());
-        for (s, &numel) in stage_numels.iter().enumerate() {
-            let off = s * dp * max_len;
-            final_params.extend_from_slice(&gathered[off..off + numel]);
-        }
-
-        for c in fwd_pairs.iter_mut().chain(bwd_pairs.iter_mut()).flatten() {
-            c.quiesce();
-        }
-        stage.quiesce();
-        comm.quiesce();
-        TrainOutcome {
-            losses,
-            final_params,
-            skipped_steps: scaler.skipped_steps(),
-            final_loss_scale: scaler.scale(),
-            wire_ops: wire_log,
-            lane_stats: rec.finish(Vec::new(), 0),
-        }
-    });
-
-    let first = results[0].clone();
-    for (r, out) in results.iter().enumerate() {
-        assert_eq!(out.losses, first.losses, "rank {r} diverged");
-        assert_eq!(out.final_params, first.final_params, "rank {r} assembled different params");
-    }
-    results.swap_remove(0)
-}
-
-/// Run the configured training job as a `dp × pp` 1F1B pipeline on
-/// `setup.world · pp` thread-ranks: the model's layers split contiguously
-/// over `pp` stages (each stage a [`Mlp`] slice), activations and boundary
-/// gradients travel as real point-to-point broadcasts, and gradients
-/// synchronize per stage under `schedule`. `pp = 1` delegates to the flat
-/// engine bit-exactly; `pp ≥ 2` supports [`SyncSchedule::Ddp`] and
-/// [`SyncSchedule::PerMicroStepAllReduce`] on the exact fp32 path.
-pub fn train_pipeline(setup: &TrainSetup, pp: usize, schedule: SyncSchedule) -> TrainOutcome {
-    train_pipeline_on(TransportKind::Local, setup, pp, schedule)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::executor::ExecLane;
+    use mics_cluster::Rank;
+    use mics_core::schedule::OpKind;
+    use mics_dataplane::try_run_ranks_on;
     use proptest::prelude::*;
+    use std::collections::BTreeSet;
+
+    const BOTH: [TransportKind; 2] = [TransportKind::Local, TransportKind::Socket];
 
     fn setup(world: usize, p: usize, s: usize) -> TrainSetup {
         TrainSetup {
@@ -1731,19 +719,24 @@ mod tests {
     fn async_executor_is_bit_identical_to_inline() {
         // The overlap machinery must change *when* collectives run, never
         // what they compute: same losses, same final parameters, same wire
-        // op sequence, for every schedule.
+        // op sequence, for every schedule, on either transport.
         for schedule in
             [SyncSchedule::Ddp, SyncSchedule::PerMicroStepAllReduce, SyncSchedule::TwoHop]
         {
             let inline = train(&setup(4, 2, 3), schedule);
             let mut cfg = setup(4, 2, 3);
             cfg.prefetch_depth = 2;
-            let overlapped = train(&cfg, schedule);
-            assert_eq!(inline, overlapped, "{schedule:?} diverged under the async executor");
-            assert_eq!(
-                inline.losses, overlapped.losses,
-                "{schedule:?} losses must match bit-for-bit"
-            );
+            for transport in BOTH {
+                let overlapped = train_pipeline(transport, &cfg, 1, schedule);
+                assert_eq!(
+                    inline, overlapped,
+                    "{schedule:?} diverged under the async executor on {transport}"
+                );
+                assert_eq!(
+                    inline.losses, overlapped.losses,
+                    "{schedule:?} losses must match bit-for-bit on {transport}"
+                );
+            }
         }
     }
 
@@ -1786,10 +779,10 @@ mod tests {
         cfg.prefetch_depth = 1;
         let out = train(&cfg, SyncSchedule::TwoHop);
         let stats = &out.lane_stats;
-        assert!(stats.busy_ns(crate::executor::ExecLane::Compute) > 0);
-        assert!(stats.busy_ns(crate::executor::ExecLane::Gather) > 0);
-        assert!(stats.busy_ns(crate::executor::ExecLane::Reduce) > 0);
-        assert!(stats.wall_ns >= stats.busy_ns(crate::executor::ExecLane::Compute));
+        assert!(stats.busy_ns(ExecLane::Compute) > 0);
+        assert!(stats.busy_ns(ExecLane::Gather) > 0);
+        assert!(stats.busy_ns(ExecLane::Reduce) > 0);
+        assert!(stats.wall_ns >= stats.busy_ns(ExecLane::Compute));
         // Spans are well-formed and stamped with their iteration.
         for s in &stats.spans {
             assert!(s.end_ns >= s.start_ns);
@@ -1988,46 +981,74 @@ mod tests {
     type GradFn = dyn Fn(&[f32], usize, usize, usize) -> (f32, Vec<f32>) + Sync;
 
     /// Shared scaffolding for the resume tests: an Mlp + teacher dataset
-    /// grad_fn equivalent to what [`train`] builds internally.
+    /// grad_fn equivalent to the compute [`train`] builds internally.
     fn resume_rig() -> (ScheduleHyper, Vec<f32>, Box<GradFn>) {
         let cfg = setup(4, 2, 2);
         let model = Mlp::new(&[6, 12, 2]);
         let dataset = TeacherDataset::new(&[6, 8, 2], cfg.seed ^ 0x51ab_0c1d_22ee_9f73);
         let init = model.init_params(cfg.seed);
-        let hp = ScheduleHyper {
-            world: cfg.world,
-            partition_size: cfg.partition_size,
-            accum_steps: cfg.accum_steps,
-            iterations: cfg.iterations,
-            lr: cfg.lr,
-            quantize: false,
-            loss_scale: LossScale::None,
-            clip_grad_norm: None,
-            comm_quant: None,
-            prefetch_depth: 0,
-        };
         let micro_batch = cfg.micro_batch;
         let grad = move |params: &[f32], iter: usize, micro: usize, rank: usize| {
             let (xs, ys) = dataset.micro_batch(iter, micro, rank, micro_batch);
             model.loss_and_grad(params, &xs, &ys)
         };
-        (hp, init, Box::new(grad))
+        (cfg.hyper(), init, Box::new(grad))
+    }
+
+    /// A local-transport run from `init`, depositing a snapshot at
+    /// `checkpoint_at`.
+    fn run_with_snapshot(
+        hp: &ScheduleHyper,
+        schedule: SyncSchedule,
+        init: Vec<f32>,
+        grad: &impl StepCompute,
+        checkpoint_at: usize,
+        sink: &CheckpointSink,
+    ) -> TrainOutcome {
+        TrainRun {
+            transport: TransportKind::Local,
+            hyper: *hp,
+            schedule,
+            start: Start::Fresh(init),
+            checkpoint: Some((checkpoint_at, sink)),
+        }
+        .run(grad)
+    }
+
+    /// A local-transport run resumed from `ckpt`.
+    fn resume(
+        hp: &ScheduleHyper,
+        schedule: SyncSchedule,
+        ckpt: &TrainCheckpoint,
+        grad: &impl StepCompute,
+    ) -> TrainOutcome {
+        TrainRun {
+            transport: TransportKind::Local,
+            hyper: *hp,
+            schedule,
+            start: Start::Resume(ckpt),
+            checkpoint: None,
+        }
+        .run(grad)
     }
 
     #[test]
     fn resume_mid_run_is_bit_exact() {
-        let (hp, init, grad) = resume_rig();
-        for schedule in
-            [SyncSchedule::Ddp, SyncSchedule::PerMicroStepAllReduce, SyncSchedule::TwoHop]
-        {
-            let sink = CheckpointSink::new();
-            let full = train_resumable(&hp, schedule, init.clone(), &grad, 7, &sink);
-            let ckpt = sink.take().expect("snapshot must be deposited");
-            assert_eq!(ckpt.iterations_done, 7);
-            let resumed = resume_from(&hp, schedule, &ckpt, &grad);
-            assert_eq!(resumed.losses, full.losses[7..], "{schedule:?} loss tail");
-            assert_eq!(resumed.final_params, full.final_params, "{schedule:?} params");
-            assert_eq!(resumed.final_loss_scale, full.final_loss_scale);
+        let (mut hp, init, grad) = resume_rig();
+        for depth in [0, 1] {
+            hp.prefetch_depth = depth;
+            for schedule in
+                [SyncSchedule::Ddp, SyncSchedule::PerMicroStepAllReduce, SyncSchedule::TwoHop]
+            {
+                let sink = CheckpointSink::new();
+                let full = run_with_snapshot(&hp, schedule, init.clone(), &grad, 7, &sink);
+                let ckpt = sink.take().expect("snapshot must be deposited");
+                assert_eq!(ckpt.iterations_done, 7);
+                let resumed = resume(&hp, schedule, &ckpt, &grad);
+                assert_eq!(resumed.losses, full.losses[7..], "{schedule:?} depth {depth} tail");
+                assert_eq!(resumed.final_params, full.final_params, "{schedule:?} depth {depth}");
+                assert_eq!(resumed.final_loss_scale, full.final_loss_scale);
+            }
         }
     }
 
@@ -2035,27 +1056,37 @@ mod tests {
     fn checkpoint_at_start_reproduces_whole_run() {
         let (hp, init, grad) = resume_rig();
         let sink = CheckpointSink::new();
-        let full = train_resumable(&hp, SyncSchedule::TwoHop, init.clone(), &grad, 0, &sink);
+        let full = run_with_snapshot(&hp, SyncSchedule::TwoHop, init.clone(), &grad, 0, &sink);
         let ckpt = sink.take().unwrap();
         // The iteration-0 snapshot is the init state with a zero optimizer.
         assert_eq!(ckpt.state.params, init);
         assert_eq!(ckpt.state.step, 0);
-        let replay = resume_from(&hp, SyncSchedule::TwoHop, &ckpt, &grad);
+        let replay = resume(&hp, SyncSchedule::TwoHop, &ckpt, &grad);
         assert_eq!(replay, full);
     }
 
     #[test]
     fn checkpoint_at_end_captures_final_state() {
-        let (hp, init, grad) = resume_rig();
-        let sink = CheckpointSink::new();
-        let full = train_resumable(&hp, SyncSchedule::TwoHop, init, &grad, hp.iterations, &sink);
-        let ckpt = sink.take().unwrap();
-        assert_eq!(ckpt.iterations_done, hp.iterations);
-        assert_eq!(ckpt.state.params, full.final_params);
-        // Resuming at the end runs zero iterations.
-        let tail = resume_from(&hp, SyncSchedule::TwoHop, &ckpt, &grad);
-        assert!(tail.losses.is_empty());
-        assert_eq!(tail.final_params, full.final_params);
+        let (mut hp, init, grad) = resume_rig();
+        for depth in [0, 1] {
+            hp.prefetch_depth = depth;
+            let sink = CheckpointSink::new();
+            let full = run_with_snapshot(
+                &hp,
+                SyncSchedule::TwoHop,
+                init.clone(),
+                &grad,
+                hp.iterations,
+                &sink,
+            );
+            let ckpt = sink.take().unwrap();
+            assert_eq!(ckpt.iterations_done, hp.iterations);
+            assert_eq!(ckpt.state.params, full.final_params, "depth {depth}");
+            // Resuming at the end runs zero iterations.
+            let tail = resume(&hp, SyncSchedule::TwoHop, &ckpt, &grad);
+            assert!(tail.losses.is_empty());
+            assert_eq!(tail.final_params, full.final_params, "depth {depth}");
+        }
     }
 
     #[test]
@@ -2063,15 +1094,69 @@ mod tests {
         let (mut hp, init, grad) = resume_rig();
         hp.loss_scale = LossScale::Dynamic { init: 256.0, growth_interval: 4 };
         let sink = CheckpointSink::new();
-        let full = train_resumable(&hp, SyncSchedule::TwoHop, init, &grad, 6, &sink);
+        let full = run_with_snapshot(&hp, SyncSchedule::TwoHop, init, &grad, 6, &sink);
         let ckpt = sink.take().unwrap();
         // 6 clean iterations → one doubling already happened; the growth
         // window is mid-flight and must be restored, not reset.
         assert_eq!(ckpt.scaler.scale, 512.0);
         assert_eq!(ckpt.scaler.good_steps, 2);
-        let resumed = resume_from(&hp, SyncSchedule::TwoHop, &ckpt, &grad);
+        let resumed = resume(&hp, SyncSchedule::TwoHop, &ckpt, &grad);
         assert_eq!(resumed.losses, full.losses[6..]);
         assert_eq!(resumed.final_loss_scale, full.final_loss_scale);
+    }
+
+    #[test]
+    fn collective_failures_name_rank_iteration_op_and_kind() {
+        // Rank 1 dies entering iteration 2; `try_run_ranks_on` poisons the
+        // world on its behalf (`mark_failed`). Every survivor's next
+        // collective with a dead peer must abort through the executor's one
+        // failure site, whose message carries the ids trace events carry.
+        let (hp, init, grad) = resume_rig();
+        let killer = |params: &[f32], iter: usize, micro: usize, rank: usize| {
+            assert!(iter < 2 || rank != 1, "injected fault: rank 1 lost at iteration 2");
+            grad(params, iter, micro, rank)
+        };
+        for transport in BOTH {
+            let run = TrainRun {
+                transport,
+                hyper: hp,
+                schedule: SyncSchedule::TwoHop,
+                start: Start::Fresh(init.clone()),
+                checkpoint: None,
+            };
+            let plan = run.plan(&killer);
+            let prog = &plan.prog;
+            let outcomes = try_run_ranks_on(transport, hp.world, |comm| {
+                comm.set_timeout(std::time::Duration::from_secs(10));
+                Executor::new(comm, &plan, &killer).run()
+            });
+            for (rank, outcome) in outcomes.iter().enumerate() {
+                let msg = &outcome.as_ref().expect_err("no rank survives a lost peer").message;
+                if rank == 1 {
+                    assert!(msg.contains("injected fault"), "{transport}: {msg}");
+                    continue;
+                }
+                assert!(
+                    msg.starts_with(&format!("rank {rank} iteration 2 op ")),
+                    "{transport} rank {rank}: {msg}"
+                );
+                // The poison is conservative (it reaches every sub-group),
+                // so which of the rank's wire ops meets it first is a race;
+                // whichever does is named by id and by kind.
+                let op_id: usize = msg.split(' ').nth(5).unwrap().parse().expect(msg);
+                assert!(prog.executes_wire(op_id, Rank(rank)), "{transport} rank {rank}: {msg}");
+                let kind = match prog.ops[op_id].kind {
+                    OpKind::GatherShards { .. } => "gather",
+                    OpKind::ReduceScatterGrads { .. } => "grad-reduce",
+                    OpKind::CrossGroupAllReduce { .. } => "hop2",
+                    ref other => panic!("{transport} rank {rank}: {msg} names {other:?}"),
+                };
+                assert!(
+                    msg.contains(&format!("op {op_id} ({kind}): collective aborted: ")),
+                    "{transport} rank {rank}: {msg}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -2085,10 +1170,10 @@ mod tests {
     fn resume_past_the_horizon_rejected() {
         let (mut hp, init, grad) = resume_rig();
         let sink = CheckpointSink::new();
-        let _ = train_resumable(&hp, SyncSchedule::TwoHop, init, &grad, 7, &sink);
+        let _ = run_with_snapshot(&hp, SyncSchedule::TwoHop, init, &grad, 7, &sink);
         let ckpt = sink.take().unwrap();
         hp.iterations = 3; // shorter than the snapshot's 7 completed iterations
-        let _ = resume_from(&hp, SyncSchedule::TwoHop, &ckpt, &grad);
+        let _ = resume(&hp, SyncSchedule::TwoHop, &ckpt, &grad);
     }
 
     /// A 4-layer model so the pipeline has real stage slices to split.
@@ -2114,8 +1199,8 @@ mod tests {
     fn pipeline_at_pp1_is_bit_identical_to_flat_training() {
         for schedule in [SyncSchedule::Ddp, SyncSchedule::PerMicroStepAllReduce] {
             let flat = train(&pipe_setup(2, 3), schedule);
-            let piped = train_pipeline(&pipe_setup(2, 3), 1, schedule);
-            assert_eq!(flat, piped, "{schedule:?}: pp = 1 must delegate bit-exactly");
+            let piped = train_pipeline(TransportKind::Local, &pipe_setup(2, 3), 1, schedule);
+            assert_eq!(flat, piped, "{schedule:?}: pp = 1 must be the flat run bit-exactly");
         }
     }
 
@@ -2133,7 +1218,7 @@ mod tests {
             (4, 2, 4, SyncSchedule::PerMicroStepAllReduce),
         ] {
             let flat = train(&pipe_setup(dp, s), schedule);
-            let piped = train_pipeline(&pipe_setup(dp, s), pp, schedule);
+            let piped = train_pipeline(TransportKind::Local, &pipe_setup(dp, s), pp, schedule);
             assert_eq!(
                 flat.losses, piped.losses,
                 "{schedule:?} pp={pp} dp={dp}: pipelined losses diverged"
@@ -2143,12 +1228,27 @@ mod tests {
                 "{schedule:?} pp={pp} dp={dp}: pipelined parameters diverged"
             );
             assert_eq!(piped.skipped_steps, 0);
+            // Rank 0 sits on stage 0: it computes, receives boundary
+            // gradients on the reduce lane, reduces its stage's gradients
+            // when it has dp peers, and joins both control-plane syncs.
+            let labels = |lane: ExecLane| -> BTreeSet<&'static str> {
+                let spans = piped.lane_stats.spans.iter();
+                spans.filter(|s| s.lane == lane).map(|s| s.label).collect()
+            };
+            assert_eq!(labels(ExecLane::Compute), BTreeSet::from(["fwd", "bwd", "optimizer"]));
+            assert_eq!(labels(ExecLane::Gather), BTreeSet::new());
+            let mut reduce = BTreeSet::from(["stage-recv"]);
+            if dp > 1 {
+                reduce.insert("grad-reduce");
+            }
+            assert_eq!(labels(ExecLane::Reduce), reduce);
+            assert_eq!(labels(ExecLane::Control), BTreeSet::from(["overflow-sync", "loss-sync"]));
         }
     }
 
     #[test]
     fn pipeline_converges() {
-        let out = train_pipeline(&pipe_setup(2, 2), 2, SyncSchedule::Ddp);
+        let out = train_pipeline(TransportKind::Local, &pipe_setup(2, 2), 2, SyncSchedule::Ddp);
         let first = out.losses[0];
         let last = *out.losses.last().unwrap();
         assert!(last < first * 0.7, "pipeline loss {first} → {last} did not converge");
@@ -2157,9 +1257,8 @@ mod tests {
     #[test]
     fn pipeline_runs_on_the_socket_transport() {
         // Same schedules, same arithmetic over real framed connections.
-        let local = train_pipeline(&pipe_setup(2, 2), 2, SyncSchedule::Ddp);
-        let socket =
-            train_pipeline_on(TransportKind::Socket, &pipe_setup(2, 2), 2, SyncSchedule::Ddp);
+        let [local, socket] =
+            BOTH.map(|kind| train_pipeline(kind, &pipe_setup(2, 2), 2, SyncSchedule::Ddp));
         assert_eq!(local, socket, "socket transport must be bit-identical");
     }
 
@@ -2168,26 +1267,15 @@ mod tests {
         // Rank 0 (stage 0, d 0) of the interpreter must execute exactly the
         // wire ops `executes_wire` assigns it, in program order.
         let cfg = pipe_setup(2, 3);
-        let hp = ScheduleHyper {
-            world: cfg.world,
-            partition_size: 1,
-            accum_steps: cfg.accum_steps,
-            iterations: cfg.iterations,
-            lr: cfg.lr,
-            quantize: false,
-            loss_scale: LossScale::None,
-            clip_grad_norm: None,
-            comm_quant: None,
-            prefetch_depth: 0,
-        };
+        let hp = cfg.hyper();
         let model = cfg.model.clone();
         let per = model.num_layers() / 2;
         let stage_numels =
             [model.stage_num_params(0, per), model.stage_num_params(per, model.num_layers())];
-        let prog = pipeline_step_program(&hp, SyncSchedule::Ddp, 2, &stage_numels, 64);
+        let prog = pipeline_step_program(&hp, SyncSchedule::Ddp, &stage_numels, 64);
         let expected: Vec<usize> =
             prog.wire_ops().into_iter().filter(|&id| prog.executes_wire(id, Rank(0))).collect();
-        let out = train_pipeline(&cfg, 2, SyncSchedule::Ddp);
+        let out = train_pipeline(TransportKind::Local, &cfg, 2, SyncSchedule::Ddp);
         assert!(!expected.is_empty());
         assert_eq!(out.wire_ops, expected);
     }
@@ -2195,7 +1283,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "evenly split")]
     fn pipeline_rejects_uneven_stage_split() {
-        let _ = train_pipeline(&pipe_setup(2, 2), 3, SyncSchedule::Ddp);
+        let _ = train_pipeline(TransportKind::Local, &pipe_setup(2, 2), 3, SyncSchedule::Ddp);
     }
 
     fn elastic_setup(world: usize, p: usize, iters: usize) -> TrainSetup {
@@ -2229,7 +1317,7 @@ mod tests {
                 ElasticPhase { world: w, partition_size: p, iterations: 0 },
                 ElasticPhase { world: 4, partition_size: 2, iterations: 4 },
             ];
-            let el = train_elastic(&base, SyncSchedule::TwoHop, &phases);
+            let el = train_elastic_on(TransportKind::Local, &base, SyncSchedule::TwoHop, &phases);
             assert_eq!(el.losses, flat.losses, "round trip through {w}/{p} drifted");
             assert_eq!(el.final_params, flat.final_params);
         }
@@ -2245,7 +1333,7 @@ mod tests {
             ElasticPhase { world: 2, partition_size: 1, iterations: 5 },
             ElasticPhase { world: 4, partition_size: 2, iterations: 3 },
         ];
-        let el = train_elastic(&base, SyncSchedule::TwoHop, &phases);
+        let el = train_elastic_on(TransportKind::Local, &base, SyncSchedule::TwoHop, &phases);
 
         let model = base.model.clone();
         let dataset = TeacherDataset::new(
@@ -2256,26 +1344,15 @@ mod tests {
             let (xs, ys) = dataset.micro_batch(iter, micro, rank, base.micro_batch);
             model.loss_and_grad(params, &xs, &ys)
         };
-        let mut hp = ScheduleHyper {
-            world: 2,
-            partition_size: 1,
-            accum_steps: base.accum_steps,
-            iterations: 5,
-            lr: base.lr,
-            quantize: false,
-            loss_scale: LossScale::None,
-            clip_grad_norm: None,
-            comm_quant: None,
-            prefetch_depth: 0,
-        };
+        let mut hp = ScheduleHyper { iterations: 5, ..base.hyper() };
         let sink = CheckpointSink::new();
         let init = base.model.init_params(base.seed);
-        let head = train_resumable(&hp, SyncSchedule::TwoHop, init, grad, 5, &sink);
+        let head = run_with_snapshot(&hp, SyncSchedule::TwoHop, init, &grad, 5, &sink);
         let ckpt = sink.take().unwrap();
         hp.world = 4;
         hp.partition_size = 2;
         hp.iterations = 8;
-        let tail = resume_from(&hp, SyncSchedule::TwoHop, &ckpt, grad);
+        let tail = resume(&hp, SyncSchedule::TwoHop, &ckpt, &grad);
 
         assert_eq!(el.losses[..5], head.losses[..]);
         assert_eq!(el.losses[5..], tail.losses[..]);
@@ -2289,15 +1366,16 @@ mod tests {
             ElasticPhase { world: 2, partition_size: 2, iterations: 3 },
             ElasticPhase { world: 4, partition_size: 2, iterations: 3 },
         ];
-        let local = train_elastic_on(TransportKind::Local, &base, SyncSchedule::TwoHop, &phases);
-        let socket = train_elastic_on(TransportKind::Socket, &base, SyncSchedule::TwoHop, &phases);
+        let [local, socket] =
+            BOTH.map(|kind| train_elastic_on(kind, &base, SyncSchedule::TwoHop, &phases));
         assert_eq!(local, socket, "elastic run must be transport-invariant");
     }
 
     #[test]
     #[should_panic(expected = "at least one phase")]
     fn elastic_rejects_an_empty_phase_list() {
-        let _ = train_elastic(&elastic_setup(2, 1, 2), SyncSchedule::Ddp, &[]);
+        let _ =
+            train_elastic_on(TransportKind::Local, &elastic_setup(2, 1, 2), SyncSchedule::Ddp, &[]);
     }
 
     proptest! {
@@ -2328,7 +1406,7 @@ mod tests {
                 },
                 ElasticPhase { world, partition_size: base_p, iterations: t2 },
             ];
-            for transport in [TransportKind::Local, TransportKind::Socket] {
+            for transport in BOTH {
                 let el = train_elastic_on(transport, &base, SyncSchedule::TwoHop, &phases);
                 prop_assert_eq!(&el.losses, &flat.losses);
                 prop_assert_eq!(&el.final_params, &flat.final_params);

@@ -16,6 +16,12 @@ cargo test -q --workspace
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+# benchmark/ is a workspace of its own that pins public names of crates/*
+# (BENCHMARK.json's pipeline builds it from source): its tests type-check
+# every pinned call, so an API break fails here and not only there.
+echo "==> benchmark package: cargo test"
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
+
 echo "==> cargo bench --no-run (benches must always compile)"
 cargo bench --workspace --no-run
 
@@ -105,6 +111,15 @@ cargo run --release -q -p mics-bench --bin ext_elastic >/dev/null
 # artifact. A wedged rank thread must fail the gate, not hang it.
 echo "==> ext_sweep (smoke, capped wall clock)"
 timeout 120 cargo run --release -q -p mics-bench --bin ext_sweep -- --smoke >/dev/null
+
+# The repo benchmark in miniature: one short traced round per workload,
+# every registered metric reported, finite and in its unit, every unit equal
+# to its reference run (~25 s after the build).
+echo "==> benchmark/run.sh --smoke (capped wall clock)"
+# (built first, where run.sh will look, so the cap times the run alone)
+cargo build --release --offline -q --manifest-path benchmark/Cargo.toml \
+    --target-dir "${CARGO_TARGET_DIR:-benchmark/target}"
+timeout 120 bash benchmark/run.sh --smoke >/dev/null
 
 # The multi-process recovery bench spawns real rank processes over the
 # socket transport and SIGKILLs one mid-all-gather; survivors must detect

@@ -4,12 +4,13 @@
 //! checkpoint is bit-exact, the training-loop half of the recovery story
 //! (`mics-core::recovery` costs it; this proves it loses nothing).
 
+use mics::dataplane::TransportKind;
 use mics::minidl::checkpoint::{load, save, TrainState};
 use mics::minidl::data::TeacherDataset;
 use mics::minidl::train::ScheduleHyper;
 use mics::minidl::{
-    resume_from, train, train_resumable, CheckpointSink, LossScale, Mlp, SyncSchedule,
-    TrainCheckpoint, TrainSetup,
+    train, CheckpointSink, LossScale, Mlp, Start, StepCompute, SyncSchedule, TrainCheckpoint,
+    TrainOutcome, TrainRun, TrainSetup,
 };
 
 fn setup(world: usize, p: usize, s: usize, iters: usize) -> TrainSetup {
@@ -125,6 +126,22 @@ fn rig(world: usize, p: usize, iters: usize) -> Rig {
 }
 
 impl Rig {
+    /// Run this rig's job on the local transport with `compute`.
+    fn run(
+        &self,
+        schedule: SyncSchedule,
+        start: Start<'_>,
+        checkpoint: Option<(usize, &CheckpointSink)>,
+        compute: &impl StepCompute,
+    ) -> TrainOutcome {
+        TrainRun { transport: TransportKind::Local, hyper: self.hp, schedule, start, checkpoint }
+            .run(compute)
+    }
+
+    fn fresh(&self) -> Start<'static> {
+        Start::Fresh(self.init.clone())
+    }
+
     fn grad(&self) -> impl Fn(&[f32], usize, usize, usize) -> (f32, Vec<f32>) + Sync + '_ {
         move |params, iter, micro, rank| {
             let (xs, ys) = self.dataset.micro_batch(iter, micro, rank, self.micro_batch);
@@ -156,8 +173,7 @@ fn through_shard_blobs(ckpt: &TrainCheckpoint, p: usize) -> TrainCheckpoint {
 #[test]
 fn killed_run_resumes_bit_exact_from_checkpoint() {
     let r = rig(4, 2, 12);
-    let uninterrupted =
-        mics::minidl::train::train_generic(&r.hp, SyncSchedule::TwoHop, r.init.clone(), r.grad());
+    let uninterrupted = r.run(SyncSchedule::TwoHop, r.fresh(), None, &r.grad());
 
     // Same run, but rank 1 dies at iteration 8 — after the iteration-5
     // snapshot, losing the work since. The surviving ranks abort their
@@ -173,7 +189,7 @@ fn killed_run_resumes_bit_exact_from_checkpoint() {
         grad(params, iter, micro, rank)
     };
     let died = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        train_resumable(&r.hp, SyncSchedule::TwoHop, r.init.clone(), killer, 5, &sink)
+        r.run(SyncSchedule::TwoHop, r.fresh(), Some((5, &sink)), &killer)
     }));
     assert!(died.is_err(), "the killed run must not complete");
 
@@ -181,7 +197,7 @@ fn killed_run_resumes_bit_exact_from_checkpoint() {
     let ckpt = sink.take().expect("checkpoint must survive the kill");
     assert_eq!(ckpt.iterations_done, 5);
     let ckpt = through_shard_blobs(&ckpt, 2);
-    let resumed = resume_from(&r.hp, SyncSchedule::TwoHop, &ckpt, r.grad());
+    let resumed = r.run(SyncSchedule::TwoHop, Start::Resume(&ckpt), None, &r.grad());
     assert_eq!(resumed.losses, uninterrupted.losses[5..], "loss tail must be bit-exact");
     assert_eq!(resumed.final_params, uninterrupted.final_params, "params must be bit-exact");
 }
@@ -194,22 +210,11 @@ fn killed_run_resumes_bit_exact_from_checkpoint() {
 #[test]
 fn resharded_resume_is_bit_exact() {
     let r4 = rig(4, 4, 10);
-    let uninterrupted = mics::minidl::train::train_generic(
-        &r4.hp,
-        SyncSchedule::PerMicroStepAllReduce,
-        r4.init.clone(),
-        r4.grad(),
-    );
+    let zero3 = SyncSchedule::PerMicroStepAllReduce;
+    let uninterrupted = r4.run(zero3, r4.fresh(), None, &r4.grad());
 
     let sink = CheckpointSink::new();
-    let full = train_resumable(
-        &r4.hp,
-        SyncSchedule::PerMicroStepAllReduce,
-        r4.init.clone(),
-        r4.grad(),
-        4,
-        &sink,
-    );
+    let full = r4.run(zero3, r4.fresh(), Some((4, &sink)), &r4.grad());
     assert_eq!(full, uninterrupted, "taking a snapshot must not perturb training");
 
     // 4-way shard blobs from the old shape, resharded to the new one.
@@ -226,7 +231,7 @@ fn resharded_resume_is_bit_exact() {
 
     let mut r2 = rig(4, 2, 10);
     r2.hp.partition_size = 2;
-    let resumed = resume_from(&r2.hp, SyncSchedule::PerMicroStepAllReduce, &ckpt2, r2.grad());
+    let resumed = r2.run(zero3, Start::Resume(&ckpt2), None, &r2.grad());
     assert_eq!(resumed.losses, uninterrupted.losses[4..]);
     assert_eq!(resumed.final_params, uninterrupted.final_params);
 }

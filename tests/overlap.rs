@@ -24,7 +24,7 @@ use mics::core::ops::SimCluster;
 use mics::core::schedule::execute_on_sim;
 use mics::minidl::scaler::LossScale;
 use mics::minidl::train::{
-    step_program, step_program_with_flops, train, ScheduleHyper, SyncSchedule, TrainSetup,
+    step_program, step_spec_with_flops, train, ScheduleHyper, SyncSchedule, TrainSetup,
 };
 use mics::minidl::{overlappable_wire_ops, Mlp};
 use std::collections::BTreeSet;
@@ -108,7 +108,8 @@ fn executor_defers_exactly_the_statically_overlappable_ops() {
 fn sim_charges_the_concurrency_the_executor_realizes() {
     let world = 4;
     let gain = |schedule: SyncSchedule, p: usize| {
-        let prog = step_program_with_flops(&hyper(world, p, 1), schedule, 2_000_000, 4e9, 8e9);
+        let prog =
+            step_spec_with_flops(&hyper(world, p, 1), schedule, 2_000_000, 4e9, 8e9).program();
         let mut inst = InstanceType::p3dn_24xlarge();
         inst.gpus_per_node = world;
         let mut sc = SimCluster::new(ClusterSpec::new(inst, 1));

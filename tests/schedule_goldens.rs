@@ -17,6 +17,7 @@ use mics::core::ops::SimCluster;
 use mics::core::schedule::{execute_on_sim, reshape, Geometry};
 use mics::core::{dp_pipeline_program, dp_program};
 use mics::core::{MicsConfig, Strategy, TrainingJob, ZeroStage};
+use mics::dataplane::TransportKind;
 use mics::minidl::scaler::LossScale;
 use mics::minidl::train::{
     pipeline_step_program, step_program, step_spec_with_flops, train, train_pipeline,
@@ -143,30 +144,8 @@ fn minidl_executes_the_op_sequence_the_sim_costs() {
         (SyncSchedule::PerMicroStepAllReduce, 4, 4),
         (SyncSchedule::TwoHop, 8, 4),
     ] {
-        let model = Mlp::new(&[6, 12, 2]);
-        let hp = ScheduleHyper {
-            world,
-            partition_size: p,
-            accum_steps: 3,
-            iterations: 2,
-            lr: 0.02,
-            quantize: false,
-            loss_scale: LossScale::None,
-            clip_grad_norm: None,
-            comm_quant: None,
-            prefetch_depth: 0,
-        };
-        let prog = step_program(&hp, schedule, model.num_params());
-
-        // Sim backend: all thread-ranks sit on one shared-memory "node".
-        let mut inst = InstanceType::p3dn_24xlarge();
-        inst.gpus_per_node = world;
-        let mut sc = SimCluster::new(ClusterSpec::new(inst, 1));
-        let exec = execute_on_sim(&prog, &mut sc, 1e12);
-
-        // Real backend: thread-ranks over the actual dataplane.
         let setup = TrainSetup {
-            model,
+            model: Mlp::new(&[6, 12, 2]),
             world,
             partition_size: p,
             micro_batch: 4,
@@ -180,6 +159,15 @@ fn minidl_executes_the_op_sequence_the_sim_costs() {
             comm_quant: None,
             prefetch_depth: 0,
         };
+        let prog = step_program(&setup.hyper(), schedule, setup.model.num_params());
+
+        // Sim backend: all thread-ranks sit on one shared-memory "node".
+        let mut inst = InstanceType::p3dn_24xlarge();
+        inst.gpus_per_node = world;
+        let mut sc = SimCluster::new(ClusterSpec::new(inst, 1));
+        let exec = execute_on_sim(&prog, &mut sc, 1e12);
+
+        // Real backend: thread-ranks over the actual dataplane.
         let out = train(&setup, schedule);
 
         let sim_rank0: Vec<usize> =
@@ -199,32 +187,8 @@ fn minidl_executes_the_op_sequence_the_sim_costs() {
 #[test]
 fn pipeline_minidl_executes_the_op_sequence_the_sim_costs() {
     let (dp, pp, accum) = (2, 2, 3);
-    let model = Mlp::new(&[6, 10, 8, 7, 2]);
-    let hp = ScheduleHyper {
-        world: dp,
-        partition_size: 1,
-        accum_steps: accum,
-        iterations: 2,
-        lr: 0.02,
-        quantize: false,
-        loss_scale: LossScale::None,
-        clip_grad_norm: None,
-        comm_quant: None,
-        prefetch_depth: 0,
-    };
-    let per = model.num_layers() / pp;
-    let stage_numels: Vec<usize> =
-        (0..pp).map(|s| model.stage_num_params(s * per, (s + 1) * per)).collect();
-    let act_bytes = (1..pp).map(|s| model.boundary_dim(s * per)).max().unwrap() as u64 * 4 * 4;
-    let prog = pipeline_step_program(&hp, SyncSchedule::Ddp, pp, &stage_numels, act_bytes);
-
-    let mut inst = InstanceType::p3dn_24xlarge();
-    inst.gpus_per_node = dp * pp;
-    let mut sc = SimCluster::new(ClusterSpec::new(inst, 1));
-    let exec = execute_on_sim(&prog, &mut sc, 1e12);
-
     let setup = TrainSetup {
-        model,
+        model: Mlp::new(&[6, 10, 8, 7, 2]),
         world: dp,
         partition_size: 1,
         micro_batch: 4,
@@ -238,7 +202,19 @@ fn pipeline_minidl_executes_the_op_sequence_the_sim_costs() {
         comm_quant: None,
         prefetch_depth: 0,
     };
-    let out = train_pipeline(&setup, pp, SyncSchedule::Ddp);
+    let model = &setup.model;
+    let per = model.num_layers() / pp;
+    let stage_numels: Vec<usize> =
+        (0..pp).map(|s| model.stage_num_params(s * per, (s + 1) * per)).collect();
+    let act_bytes = (1..pp).map(|s| model.boundary_dim(s * per)).max().unwrap() as u64 * 4 * 4;
+    let prog = pipeline_step_program(&setup.hyper(), SyncSchedule::Ddp, &stage_numels, act_bytes);
+
+    let mut inst = InstanceType::p3dn_24xlarge();
+    inst.gpus_per_node = dp * pp;
+    let mut sc = SimCluster::new(ClusterSpec::new(inst, 1));
+    let exec = execute_on_sim(&prog, &mut sc, 1e12);
+
+    let out = train_pipeline(TransportKind::Local, &setup, pp, SyncSchedule::Ddp);
 
     let sim_rank0: Vec<usize> =
         exec.wire_ops.iter().copied().filter(|&id| prog.executes_wire(id, Rank(0))).collect();
