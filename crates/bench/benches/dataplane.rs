@@ -5,7 +5,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mics_collectives::HierarchicalLayout;
 use mics_dataplane::hierarchical::split_hierarchical;
-use mics_dataplane::{hierarchical_all_gather, run_ranks};
+use mics_dataplane::{run_ranks, try_hierarchical_all_gather};
 
 const WORLD: usize = 8;
 
@@ -39,7 +39,9 @@ fn bench(c: &mut Criterion) {
                 let rank = comm.rank();
                 let (channel, node) = split_hierarchical(&mut comm, &layout);
                 let shard = vec![rank as f32; 4096];
-                hierarchical_all_gather(&channel, &node, &layout, &shard).len()
+                try_hierarchical_all_gather(&channel, &node, &layout, &shard, None)
+                    .expect("healthy world")
+                    .len()
             })
         })
     });
@@ -49,7 +51,7 @@ fn bench(c: &mut Criterion) {
             run_ranks(WORLD, |comm| {
                 let bufs: Vec<Vec<f32>> = (0..8).map(|p| vec![p as f32; 512]).collect();
                 let refs: Vec<&[f32]> = bufs.iter().map(|b| b.as_slice()).collect();
-                comm.all_gather_coalesced(&refs).len()
+                comm.try_all_gather_coalesced(&refs, None).expect("healthy world").len()
             })
         })
     });

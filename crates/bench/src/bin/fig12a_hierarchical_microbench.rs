@@ -12,7 +12,7 @@ use mics_collectives::bandwidth::NetParams;
 use mics_collectives::cost::{all_gather_flat, all_gather_hierarchical};
 use mics_collectives::HierarchicalLayout;
 use mics_dataplane::hierarchical::split_hierarchical;
-use mics_dataplane::{hierarchical_all_gather, run_ranks};
+use mics_dataplane::{run_ranks, try_hierarchical_all_gather};
 
 fn main() {
     let net = NetParams::from_instance(&InstanceType::p3dn_24xlarge());
@@ -43,7 +43,7 @@ fn main() {
         let rank = comm.rank();
         let (channel, node) = split_hierarchical(&mut comm, &layout);
         let shard: Vec<f32> = (0..chunk).map(|i| ((rank * 131 + i) as f32).sin()).collect();
-        hierarchical_all_gather(&channel, &node, &layout, &shard)
+        try_hierarchical_all_gather(&channel, &node, &layout, &shard, None).expect("healthy world")
     });
     let flat = run_ranks(p, |comm| {
         let rank = comm.rank();

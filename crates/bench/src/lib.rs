@@ -170,6 +170,39 @@ pub fn f2(x: f64) -> String {
     format!("{x:.2}")
 }
 
+/// Rank threads `ext_overlap` trains with (the fig15 geometry).
+pub const OVERLAP_WORLD: usize = 8;
+
+/// Where rank threads outnumber cores, what the async executor's progress
+/// threads may cost in wall-clock over the inline run.
+pub const OVERLAP_MAX_SLOWDOWN: f64 = 1.25;
+
+/// Assert `ext_overlap`'s wall-clock claim: one rule for the bench's own gate
+/// and for the claims test over the artifact it wrote. With a core per rank
+/// thread, communication can run under compute, so the async executor must
+/// win a majority of rounds. With fewer, the rank threads already saturate
+/// every core (two under eight ranks are as full as one), overlap cannot
+/// shorten the critical path, and `speedup` (inline wall / async wall, best
+/// of all rounds) must stay within [`OVERLAP_MAX_SLOWDOWN`].
+///
+/// # Panics
+/// Panics if the claim does not hold.
+pub fn overlap_wall_clock_claim(cores: usize, rounds_won: usize, rounds: usize, speedup: f64) {
+    if cores >= OVERLAP_WORLD {
+        assert!(
+            rounds_won * 2 > rounds,
+            "async must beat inline wall-clock in a majority of rounds with {cores} cores \
+             for {OVERLAP_WORLD} ranks, won {rounds_won}/{rounds}"
+        );
+    } else {
+        assert!(
+            speedup * OVERLAP_MAX_SLOWDOWN >= 1.0,
+            "{cores} cores for {OVERLAP_WORLD} ranks: async wall-clock regressed beyond \
+             {OVERLAP_MAX_SLOWDOWN}× inline ({speedup:.3}× speedup)"
+        );
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -132,7 +132,7 @@ fn run_grow_phase(
         .map_err(|e| format!("rank {rank}: grow state broadcast: {e}"))?;
     let state_ok = restored == state;
     let gathered = comm
-        .try_all_gather(&[rank as f32])
+        .try_all_gather(&[rank as f32], None)
         .map_err(|e| format!("rank {rank}: post-grow gather: {e}"))?;
     let expected: Vec<f32> = (0..world).map(|r| r as f32).collect();
     Ok(Json::obj([
@@ -181,7 +181,7 @@ fn run_worker(args: &[String]) -> Result<(), String> {
         Some(v) if v == rank => {
             eprintln!("rank {rank}: victim armed, gathering until killed");
             loop {
-                if let Err(e) = comm.try_all_gather(&payload) {
+                if let Err(e) = comm.try_all_gather(&payload, None) {
                     return Err(format!("rank {rank}: victim outlived the experiment: {e}"));
                 }
             }
@@ -192,7 +192,7 @@ fn run_worker(args: &[String]) -> Result<(), String> {
             let mut iters_before = 0u64;
             let (err, detected_in) = loop {
                 let call = Instant::now();
-                match comm.try_all_gather(&payload) {
+                match comm.try_all_gather(&payload, None) {
                     Ok(all) => {
                         assert_eq!(all.len(), world * payload_len, "short gather");
                         iters_before += 1;
@@ -208,7 +208,7 @@ fn run_worker(args: &[String]) -> Result<(), String> {
             let shrunk =
                 comm.remove_rank(v).map_err(|e| format!("rank {rank}: rebuild failed: {e}"))?;
             let gathered = shrunk
-                .try_all_gather(&[rank as f32])
+                .try_all_gather(&[rank as f32], None)
                 .map_err(|e| format!("rank {rank}: post-rebuild gather failed: {e}"))?;
             let expected: Vec<f32> = (0..world).filter(|r| *r != v).map(|r| r as f32).collect();
             let mut fields = vec![
@@ -240,7 +240,7 @@ fn run_worker(args: &[String]) -> Result<(), String> {
         None => {
             for _ in 0..iters {
                 let all = comm
-                    .try_all_gather(&payload)
+                    .try_all_gather(&payload, None)
                     .map_err(|e| format!("rank {rank}: gather failed: {e}"))?;
                 for (r, chunk) in all.chunks(payload_len).enumerate() {
                     assert!(

@@ -17,8 +17,10 @@
 //! `p/k` intra-node all-gathers *as one coalesced batch* to fill in the
 //! chunks owned by node peers.
 
+use crate::quantized::{decode, encode};
 use crate::{CommError, Communicator};
 use mics_collectives::HierarchicalLayout;
+use mics_compress::QuantScheme;
 
 /// Gather the partition group's `p` shards into the full buffer using the
 /// 3-stage hierarchical algorithm.
@@ -26,38 +28,33 @@ use mics_collectives::HierarchicalLayout;
 /// * `shard` — this rank's chunk (all ranks must pass equal lengths).
 /// * `layout` — the `(p, k)` geometry; `channel.world()` must equal
 ///   `layout.nodes()` and `node.world()` must equal `layout.per_node()`.
+/// * `scheme` — with one, the shard is quantized **once**, the three stages
+///   move and place its encoded words, and only the `p` placed chunks are
+///   dequantized: codes travel unmodified, so the result is bit-identical
+///   to the flat gather under the same scheme.
 ///
 /// Returns the `p × shard.len()` gathered buffer in flat rank order — the
-/// same result a flat `all_gather` over the whole partition group produces.
-pub fn hierarchical_all_gather(
-    channel: &Communicator,
-    node: &Communicator,
-    layout: &HierarchicalLayout,
-    shard: &[f32],
-) -> Vec<f32> {
-    try_hierarchical_all_gather(channel, node, layout, shard)
-        .unwrap_or_else(|e| panic!("collective aborted: {e}"))
-}
-
-/// Fallible [`hierarchical_all_gather`]: aborts with the failure instead of
-/// panicking when a peer dies or never arrives — the form the non-blocking
-/// engine ([`crate::nonblocking`]) runs on its progress thread.
+/// same result a flat `try_all_gather` over the whole partition group
+/// produces.
 pub fn try_hierarchical_all_gather(
     channel: &Communicator,
     node: &Communicator,
     layout: &HierarchicalLayout,
     shard: &[f32],
+    scheme: Option<QuantScheme>,
 ) -> Result<Vec<f32>, CommError> {
     assert_eq!(channel.world(), layout.nodes(), "channel size must equal node count");
     assert_eq!(node.world(), layout.per_node(), "node group size must equal k");
-    let chunk = shard.len();
+    let words = scheme.map(|s| encode(shard, s));
+    let wire = words.as_deref().unwrap_or(shard);
+    let chunk = wire.len();
     let p = layout.participants();
     let local = node.rank();
     let group_rank = channel.rank() * layout.per_node() + local;
 
     // Stage 1: inter-node all-gather along the channel. Afterwards this
     // rank holds chunks [local, k + local, 2k + local, …] in node order.
-    let stage1 = channel.try_all_gather(shard)?;
+    let stage1 = channel.try_all_gather(wire, None)?;
     debug_assert_eq!(stage1.len(), layout.nodes() * chunk);
 
     // Stage 2: re-arrange into the final buffer. Chunk in stage-1 slot `j`
@@ -71,20 +68,26 @@ pub fn try_hierarchical_all_gather(
 
     // Stage 3: p/k batched intra-node all-gathers. Call `j` exchanges the
     // node's chunks for output span [j·k, (j+1)·k).
-    let parts: Vec<Vec<f32>> = (0..layout.nodes())
+    let parts: Vec<&[f32]> = (0..layout.nodes())
         .map(|j| {
             let idx = j * layout.per_node() + local;
-            out[idx * chunk..(idx + 1) * chunk].to_vec()
+            &out[idx * chunk..(idx + 1) * chunk]
         })
         .collect();
-    let part_refs: Vec<&[f32]> = parts.iter().map(|p| p.as_slice()).collect();
-    let gathered = node.try_all_gather_coalesced(&part_refs)?;
+    let gathered = node.try_all_gather_coalesced(&parts, None)?;
     for (j, span) in gathered.iter().enumerate() {
         debug_assert_eq!(span.len(), layout.per_node() * chunk);
         let base = j * layout.per_node() * chunk;
         out[base..base + span.len()].copy_from_slice(span);
     }
-    Ok(out)
+    if scheme.is_none() {
+        return Ok(out);
+    }
+    let mut values = Vec::with_capacity(p * shard.len());
+    for r in 0..p {
+        values.extend_from_slice(&decode(&out[r * chunk..(r + 1) * chunk], shard.len(), scheme));
+    }
+    Ok(values)
 }
 
 /// The *incorrect* two-stage variant the paper warns about: gather along the
@@ -104,9 +107,9 @@ pub fn naive_two_stage_all_gather(
     node.all_gather(&stage1)
 }
 
-/// The gradient-direction dual of [`hierarchical_all_gather`]: reduce each
-/// rank's full `p × chunk` gradient buffer so that every rank ends with its
-/// own chunk summed over the whole partition group, using two stages:
+/// The gradient-direction dual of [`try_hierarchical_all_gather`]: reduce
+/// each rank's full `p × chunk` gradient buffer so that every rank ends with
+/// its own chunk summed over the whole partition group, using two stages:
 ///
 /// 1. **Batched intra-node reduce-scatters** (one per `k`-chunk span of the
 ///    output, issued through the §4 coalesced API): after this stage, the
@@ -120,23 +123,16 @@ pub fn naive_two_stage_all_gather(
 /// The summation order (intra-node first, then across nodes) is a
 /// re-association of the flat reduce-scatter's rank-order fold, so results
 /// agree exactly for exactly-representable data and to fp-rounding
-/// tolerance otherwise.
-pub fn hierarchical_reduce_scatter(
-    channel: &Communicator,
-    node: &Communicator,
-    layout: &HierarchicalLayout,
-    full: &[f32],
-) -> Vec<f32> {
-    try_hierarchical_reduce_scatter(channel, node, layout, full)
-        .unwrap_or_else(|e| panic!("collective aborted: {e}"))
-}
-
-/// Fallible [`hierarchical_reduce_scatter`], for the non-blocking engine.
+/// tolerance otherwise. With a `scheme` each span is quantized for stage 1
+/// and the node-partial sums are *requantized* for stage 2: exactly two
+/// quantized hops touch each element, so the error stays bounded by two
+/// half-steps regardless of `p`.
 pub fn try_hierarchical_reduce_scatter(
     channel: &Communicator,
     node: &Communicator,
     layout: &HierarchicalLayout,
     full: &[f32],
+    scheme: Option<QuantScheme>,
 ) -> Result<Vec<f32>, CommError> {
     assert_eq!(channel.world(), layout.nodes(), "channel size must equal node count");
     assert_eq!(node.world(), layout.per_node(), "node group size must equal k");
@@ -148,22 +144,18 @@ pub fn try_hierarchical_reduce_scatter(
     // Stage 1: one intra-node reduce-scatter per k-chunk span, batched.
     let spans: Vec<&[f32]> =
         (0..layout.nodes()).map(|j| &full[j * k * chunk..(j + 1) * k * chunk]).collect();
-    let partials = node.try_reduce_scatter_coalesced(&spans)?;
+    let partials = node.try_reduce_scatter_coalesced(&spans, scheme)?;
     // partials[j] = node-partial sum of chunk j·k + local — already in
     // channel (node) order; concatenate and reduce across nodes.
-    let mut stage1 = Vec::with_capacity(layout.nodes() * chunk);
-    for part in &partials {
-        debug_assert_eq!(part.len(), chunk);
-        stage1.extend_from_slice(part);
-    }
+    debug_assert!(partials.iter().all(|part| part.len() == chunk));
 
     // Stage 2: inter-node reduce-scatter along the channel.
-    channel.try_reduce_scatter(&stage1)
+    channel.try_reduce_scatter(&partials.concat(), scheme)
 }
 
 /// Convenience: split a partition-group communicator of `p = nodes × k`
-/// ranks into the `(channel, node)` pair [`hierarchical_all_gather`] needs.
-/// Collective over `group`.
+/// ranks into the `(channel, node)` pair [`try_hierarchical_all_gather`]
+/// needs. Collective over `group`.
 pub fn split_hierarchical(
     group: &mut Communicator,
     layout: &HierarchicalLayout,
@@ -193,7 +185,8 @@ mod tests {
             if naive {
                 naive_two_stage_all_gather(&channel, &node, &layout, &shard)
             } else {
-                hierarchical_all_gather(&channel, &node, &layout, &shard)
+                try_hierarchical_all_gather(&channel, &node, &layout, &shard, None)
+                    .expect("healthy world")
             }
         })
     }
@@ -238,7 +231,8 @@ mod tests {
             let rank = comm.rank();
             let (channel, node) = split_hierarchical(&mut comm, &layout);
             let shard: Vec<f32> = (0..chunk).map(|i| ((rank * 31 + i) as f32).sin()).collect();
-            hierarchical_all_gather(&channel, &node, &layout, &shard)
+            try_hierarchical_all_gather(&channel, &node, &layout, &shard, None)
+                .expect("healthy world")
         });
         let flat = run_ranks(p, |comm| {
             let rank = comm.rank();
@@ -262,7 +256,8 @@ mod tests {
             let hier = run_ranks(p, move |mut comm| {
                 let rank = comm.rank();
                 let (channel, node) = split_hierarchical(&mut comm, &layout);
-                hierarchical_reduce_scatter(&channel, &node, &layout, &input(rank))
+                try_hierarchical_reduce_scatter(&channel, &node, &layout, &input(rank), None)
+                    .expect("healthy world")
             });
             let flat = run_ranks(p, move |comm| {
                 let rank = comm.rank();
@@ -285,8 +280,11 @@ mod tests {
         let composed = run_ranks(p, move |mut comm| {
             let rank = comm.rank();
             let (channel, node) = split_hierarchical(&mut comm, &layout);
-            let mine = hierarchical_reduce_scatter(&channel, &node, &layout, &input(rank));
-            hierarchical_all_gather(&channel, &node, &layout, &mine)
+            let mine =
+                try_hierarchical_reduce_scatter(&channel, &node, &layout, &input(rank), None)
+                    .expect("healthy world");
+            try_hierarchical_all_gather(&channel, &node, &layout, &mine, None)
+                .expect("healthy world")
         });
         let reference = run_ranks(p, move |comm| {
             let rank = comm.rank();
@@ -331,7 +329,8 @@ mod tests {
             let hier = run_ranks(p, move |mut comm| {
                 let rank = comm.rank();
                 let (channel, node) = split_hierarchical(&mut comm, &layout);
-                hierarchical_reduce_scatter(&channel, &node, &layout, &input(rank))
+                try_hierarchical_reduce_scatter(&channel, &node, &layout, &input(rank), None)
+                    .expect("healthy world")
             });
             let flat = run_ranks(p, move |comm| {
                 let rank = comm.rank();

@@ -53,9 +53,17 @@
 //! [`Communicator::remove_rank`] and continue there (the data plane
 //! analogue of re-initializing NCCL communicators after shrink).
 //!
-//! The `try_*` collectives surface failures as `Result`; the plain methods
-//! keep the original infallible signatures and panic on abort, which in a
-//! [`run_ranks`] harness cascades into an orderly whole-world teardown.
+//! # One surface
+//!
+//! Every collective is fallible (`try_*`) and takes its wire codec as a
+//! parameter: `scheme: None` moves the `f32`s verbatim, `Some(scheme)`
+//! moves each contribution's [`quantized`] words. Flat, coalesced and the
+//! two hops of each [`hierarchical`] form are one exchange-then-fold
+//! routine; any of them runs asynchronously as a closure handed to
+//! [`Communicator::start_collective`]. The few un-prefixed twins
+//! (`barrier`, `all_gather`, `split`, [`quantized_all_gather`], …) panic on
+//! abort, which in a [`run_ranks`] harness cascades into an orderly
+//! whole-world teardown.
 //!
 //! # Example
 //!
@@ -83,19 +91,16 @@ pub mod quantized;
 pub mod transport;
 
 pub use hierarchical::{
-    hierarchical_all_gather, hierarchical_reduce_scatter, naive_two_stage_all_gather,
-    try_hierarchical_all_gather, try_hierarchical_reduce_scatter,
+    naive_two_stage_all_gather, try_hierarchical_all_gather, try_hierarchical_reduce_scatter,
 };
-pub use nonblocking::{start_hierarchical_all_gather, CollectiveHandle, ASYNC_QUEUE_DEPTH};
-pub use quantized::{
-    quantized_all_gather, quantized_all_reduce, quantized_hierarchical_all_gather,
-    quantized_hierarchical_reduce_scatter, quantized_reduce_scatter,
-};
+pub use nonblocking::{CollectiveHandle, ASYNC_QUEUE_DEPTH};
+pub use quantized::{quantized_all_gather, quantized_all_reduce};
 pub use transport::{
     connect_world, socket_counters, Hub, RetryPolicy, SocketWorldConfig, TransportKind,
     DATAPLANE_PROCESS,
 };
 
+use mics_compress::QuantScheme;
 use transport::{Backend, ChildKey};
 
 /// Rendezvous waits detect an absent rank after this long unless
@@ -162,6 +167,23 @@ pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
+/// The panicking twins' failure: in a [`run_ranks`] harness it cascades
+/// into an orderly whole-world teardown.
+pub(crate) fn aborted<T>(e: CommError) -> T {
+    panic!("collective aborted: {e}")
+}
+
+/// How [`Communicator::collective`] lands the per-rank contributions.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Fold {
+    /// Concatenate in rank order (all-gather).
+    Concat,
+    /// Sum this rank's `1/world` shard of each (reduce-scatter).
+    SumShard,
+    /// Sum every contribution whole (all-reduce).
+    SumAll,
+}
+
 /// A rank's handle to a communicator group (analogous to an MPI
 /// communicator / NCCL communicator).
 ///
@@ -193,11 +215,11 @@ impl Communicator {
     }
 
     /// A second handle to the same (rank, group) — the progress thread's
-    /// identity in the [`nonblocking`] engine. Never exposed: two handles
-    /// issuing collectives concurrently would corrupt the rendezvous, so
-    /// the engine is the only caller and serializes all use.
-    pub(crate) fn sibling(of: &Communicator) -> Communicator {
-        Communicator::from_backend(of.rank, of.backend.clone())
+    /// identity in the [`nonblocking`] engine, and the harness's failure
+    /// probe. Never exposed: two handles issuing collectives concurrently
+    /// would corrupt the rendezvous, so the engine serializes all use.
+    pub(crate) fn fork(&self) -> Communicator {
+        Communicator::from_backend(self.rank, self.backend.clone())
     }
 
     /// Create the world group on the local (thread) transport: one handle
@@ -263,16 +285,85 @@ impl Communicator {
     /// Block until every rank of the group arrives.
     ///
     /// # Panics
-    /// Panics if the group fails while waiting (see [`Self::try_barrier`]).
+    /// Panics if the group fails while waiting.
     pub fn barrier(&self) {
-        self.try_barrier().unwrap_or_else(|e| panic!("collective aborted: {e}"));
+        self.try_barrier().unwrap_or_else(aborted);
     }
 
-    /// Fallible [`Self::all_gather`]: aborts with the failure instead of
-    /// completing when a peer dies or never arrives.
-    pub fn try_all_gather(&self, contribution: &[f32]) -> Result<Vec<f32>, CommError> {
+    /// The one routine behind every collective: encode each part once if a
+    /// `scheme` is given, one exchange, then land every rank's (decoded or
+    /// borrowed) contribution to part `i` in `outs[i]`, in rank order from
+    /// 0.0 — so results are deterministic and identical across ranks and
+    /// transports. The single-buffer collectives are its one-part case.
+    fn collective(
+        &self,
+        parts: &[&[f32]],
+        scheme: Option<QuantScheme>,
+        fold: Fold,
+        outs: &mut [Vec<f32>],
+    ) -> Result<(), CommError> {
+        let world = self.world();
+        if fold == Fold::SumShard {
+            for (i, p) in parts.iter().enumerate() {
+                assert!(
+                    p.len().is_multiple_of(world),
+                    "reduce_scatter part {i} length {} not divisible by world {world}",
+                    p.len()
+                );
+            }
+        }
+        let words: Vec<Vec<f32>> = scheme
+            .map_or_else(Vec::new, |s| parts.iter().map(|p| quantized::encode(p, s)).collect());
+        let wire: Vec<&[f32]> = words.iter().map(Vec::as_slice).collect();
+        let all = self.backend.exchange(self.rank, if scheme.is_some() { &wire } else { parts })?;
+        for (i, (part, out)) in parts.iter().zip(outs).enumerate() {
+            let len = part.len();
+            let expected = scheme.map_or(len, |s| s.encoded_words(len));
+            let mine = match fold {
+                Fold::Concat | Fold::SumAll => 0..len,
+                Fold::SumShard => self.rank * (len / world)..(self.rank + 1) * (len / world),
+            };
+            out.clear();
+            match fold {
+                Fold::Concat => out.reserve(len * world),
+                Fold::SumShard | Fold::SumAll => out.resize(mine.len(), 0.0),
+            }
+            for (r, batch) in all.iter().enumerate() {
+                let received = batch.get(i).map_or(0, Vec::len);
+                assert!(
+                    batch.len() == parts.len() && received == expected,
+                    "rank {r} deposited {} parts with {received} words in part {i}; \
+                     expected {} parts with {expected}",
+                    batch.len(),
+                    parts.len()
+                );
+                let full = quantized::decode(&batch[i], len, scheme);
+                match fold {
+                    Fold::Concat => out.extend_from_slice(&full),
+                    Fold::SumShard | Fold::SumAll => {
+                        for (o, x) in out.iter_mut().zip(&full[mine.clone()]) {
+                            *o += *x;
+                        }
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Gather equal-length contributions from all ranks, concatenated in
+    /// rank order: `world × len` elements on every rank. With a `scheme` —
+    /// here and in every collective below — each contribution is quantized
+    /// once, its encoded words travel, and every rank dequantizes them
+    /// before landing them. Aborts with the failure when a peer dies or
+    /// never arrives.
+    pub fn try_all_gather(
+        &self,
+        contribution: &[f32],
+        scheme: Option<QuantScheme>,
+    ) -> Result<Vec<f32>, CommError> {
         let mut out = Vec::new();
-        self.try_all_gather_into(contribution, &mut out)?;
+        self.try_all_gather_into(contribution, scheme, &mut out)?;
         Ok(out)
     }
 
@@ -284,109 +375,69 @@ impl Communicator {
     pub fn try_all_gather_into(
         &self,
         contribution: &[f32],
+        scheme: Option<QuantScheme>,
         out: &mut Vec<f32>,
     ) -> Result<(), CommError> {
-        let all = self.backend.exchange(self.rank, &[contribution])?;
-        let len0 = all[0].first().expect("missing contribution").len();
-        out.clear();
-        out.reserve(len0 * self.world());
-        for (r, batch) in all.iter().enumerate() {
-            let s = batch.first().expect("missing contribution");
-            assert_eq!(s.len(), len0, "rank {r} contributed a different length");
-            out.extend_from_slice(s);
-        }
-        Ok(())
+        self.collective(&[contribution], scheme, Fold::Concat, std::slice::from_mut(out))
     }
 
-    /// Gather equal-length contributions from all ranks, concatenated in
-    /// rank order. Returns `world × len` elements on every rank.
+    /// [`Self::try_all_gather`] on the exact wire.
+    ///
+    /// # Panics
+    /// Panics if the group fails while waiting.
     pub fn all_gather(&self, contribution: &[f32]) -> Vec<f32> {
-        self.try_all_gather(contribution).unwrap_or_else(|e| panic!("collective aborted: {e}"))
-    }
-
-    /// Fallible [`Self::reduce_scatter`].
-    pub fn try_reduce_scatter(&self, contribution: &[f32]) -> Result<Vec<f32>, CommError> {
-        let world = self.world();
-        assert!(
-            contribution.len().is_multiple_of(world),
-            "reduce_scatter input length {} not divisible by world {world}",
-            contribution.len()
-        );
-        let shard = contribution.len() / world;
-        let all = self.backend.exchange(self.rank, &[contribution])?;
-        let mut out = vec![0.0f32; shard];
-        let base = self.rank * shard;
-        for batch in &all {
-            let s = batch.first().expect("missing contribution");
-            assert_eq!(s.len(), contribution.len(), "mismatched lengths");
-            for i in 0..shard {
-                out[i] += s[base + i];
-            }
-        }
-        Ok(out)
+        self.try_all_gather(contribution, None).unwrap_or_else(aborted)
     }
 
     /// Reduce (sum) equal-length contributions of `world × shard` elements
-    /// and scatter: rank `r` receives the reduced shard `r`.
-    ///
-    /// The fold is in fixed rank order on the rank side of the transport,
-    /// so results are deterministic and identical across ranks — and across
-    /// transports.
-    pub fn reduce_scatter(&self, contribution: &[f32]) -> Vec<f32> {
-        self.try_reduce_scatter(contribution).unwrap_or_else(|e| panic!("collective aborted: {e}"))
-    }
-
-    /// Fallible [`Self::all_reduce`].
-    pub fn try_all_reduce(&self, contribution: &[f32]) -> Result<Vec<f32>, CommError> {
-        let all = self.backend.exchange(self.rank, &[contribution])?;
-        let mut out = vec![0.0f32; contribution.len()];
-        for batch in &all {
-            let s = batch.first().expect("missing contribution");
-            assert_eq!(s.len(), out.len(), "mismatched lengths");
-            for (o, x) in out.iter_mut().zip(s.iter()) {
-                *o += *x;
-            }
-        }
+    /// and scatter: rank `r` receives the reduced shard `r`. The sum is in
+    /// fp32 over dequantized copies: one quantized hop.
+    pub fn try_reduce_scatter(
+        &self,
+        contribution: &[f32],
+        scheme: Option<QuantScheme>,
+    ) -> Result<Vec<f32>, CommError> {
+        let mut out = Vec::new();
+        self.collective(&[contribution], scheme, Fold::SumShard, std::slice::from_mut(&mut out))?;
         Ok(out)
     }
 
-    /// Sum equal-length contributions across all ranks; every rank receives
-    /// the full reduced buffer (deterministic rank-order fold).
-    pub fn all_reduce(&self, contribution: &[f32]) -> Vec<f32> {
-        self.try_all_reduce(contribution).unwrap_or_else(|e| panic!("collective aborted: {e}"))
+    /// [`Self::try_reduce_scatter`] on the exact wire.
+    ///
+    /// # Panics
+    /// Panics if the group fails while waiting.
+    pub fn reduce_scatter(&self, contribution: &[f32]) -> Vec<f32> {
+        self.try_reduce_scatter(contribution, None).unwrap_or_else(aborted)
     }
 
-    /// Fallible [`Self::broadcast`].
+    /// Sum equal-length contributions across all ranks; every rank receives
+    /// the full reduced buffer.
+    pub fn try_all_reduce(
+        &self,
+        contribution: &[f32],
+        scheme: Option<QuantScheme>,
+    ) -> Result<Vec<f32>, CommError> {
+        let mut out = Vec::new();
+        self.collective(&[contribution], scheme, Fold::SumAll, std::slice::from_mut(&mut out))?;
+        Ok(out)
+    }
+
+    /// [`Self::try_all_reduce`] on the exact wire.
+    ///
+    /// # Panics
+    /// Panics if the group fails while waiting.
+    pub fn all_reduce(&self, contribution: &[f32]) -> Vec<f32> {
+        self.try_all_reduce(contribution, None).unwrap_or_else(aborted)
+    }
+
+    /// Broadcast `data` from `root` to every rank; non-root ranks' `data` is
+    /// ignored.
     pub fn try_broadcast(&self, root: usize, data: &[f32]) -> Result<Vec<f32>, CommError> {
         assert!(root < self.world(), "root out of range");
         // Only the root's batch carries payload; the others are empty.
         let batch: &[&[f32]] = if self.rank == root { &[data] } else { &[] };
-        let all = self.backend.exchange(self.rank, batch)?;
-        Ok(all[root].first().expect("root did not deposit").clone())
-    }
-
-    /// Broadcast `data` from `root` to every rank. Non-root ranks pass their
-    /// (ignored) local buffer for shape symmetry.
-    pub fn broadcast(&self, root: usize, data: &[f32]) -> Vec<f32> {
-        self.try_broadcast(root, data).unwrap_or_else(|e| panic!("collective aborted: {e}"))
-    }
-
-    /// Fallible [`Self::all_gather_coalesced`].
-    pub fn try_all_gather_coalesced(&self, parts: &[&[f32]]) -> Result<Vec<Vec<f32>>, CommError> {
-        let all = self.backend.exchange(self.rank, parts)?;
-        let nparts = all[0].len();
-        let mut out = Vec::with_capacity(nparts);
-        for part in 0..nparts {
-            let len0 = all[0][part].len();
-            let mut buf = Vec::with_capacity(len0 * self.world());
-            for (r, batch) in all.iter().enumerate() {
-                assert_eq!(batch.len(), nparts, "rank {r} batched a different number of buffers");
-                assert_eq!(batch[part].len(), len0, "rank {r} part {part} length mismatch");
-                buf.extend_from_slice(&batch[part]);
-            }
-            out.push(buf);
-        }
-        Ok(out)
+        let mut all = self.backend.exchange(self.rank, batch)?;
+        Ok(all.swap_remove(root).pop().expect("root did not deposit"))
     }
 
     /// The `all_gather_coalesced` API of paper §4: gather a *batch* of
@@ -394,48 +445,27 @@ impl Communicator {
     /// per-call overhead and interleaving copies of the naive approach.
     /// Entry `i` of the result is the rank-order concatenation of every
     /// rank's `i`-th buffer.
-    pub fn all_gather_coalesced(&self, parts: &[&[f32]]) -> Vec<Vec<f32>> {
-        self.try_all_gather_coalesced(parts).unwrap_or_else(|e| panic!("collective aborted: {e}"))
-    }
-
-    /// Fallible [`Self::reduce_scatter_coalesced`].
-    pub fn try_reduce_scatter_coalesced(
+    pub fn try_all_gather_coalesced(
         &self,
         parts: &[&[f32]],
+        scheme: Option<QuantScheme>,
     ) -> Result<Vec<Vec<f32>>, CommError> {
-        let world = self.world();
-        for (i, p) in parts.iter().enumerate() {
-            assert!(
-                p.len().is_multiple_of(world),
-                "reduce_scatter_coalesced part {i} length {} not divisible by {world}",
-                p.len()
-            );
-        }
-        let all = self.backend.exchange(self.rank, parts)?;
-        let nparts = all[0].len();
-        let mut out = Vec::with_capacity(nparts);
-        for part in 0..nparts {
-            let full = all[0][part].len();
-            let shard = full / world;
-            let base = self.rank * shard;
-            let mut buf = vec![0.0f32; shard];
-            for batch in &all {
-                assert_eq!(batch[part].len(), full, "part {part} length mismatch");
-                for i in 0..shard {
-                    buf[i] += batch[part][base + i];
-                }
-            }
-            out.push(buf);
-        }
-        Ok(out)
+        let mut outs = vec![Vec::new(); parts.len()];
+        self.collective(parts, scheme, Fold::Concat, &mut outs)?;
+        Ok(outs)
     }
 
     /// The `reduce_scatter_coalesced` API of paper §4: batch of independent
     /// reduce-scatters with a single rendezvous. Entry `i` of the result is
     /// this rank's reduced shard of batch element `i`.
-    pub fn reduce_scatter_coalesced(&self, parts: &[&[f32]]) -> Vec<Vec<f32>> {
-        self.try_reduce_scatter_coalesced(parts)
-            .unwrap_or_else(|e| panic!("collective aborted: {e}"))
+    pub fn try_reduce_scatter_coalesced(
+        &self,
+        parts: &[&[f32]],
+        scheme: Option<QuantScheme>,
+    ) -> Result<Vec<Vec<f32>>, CommError> {
+        let mut outs = vec![Vec::new(); parts.len()];
+        self.collective(parts, scheme, Fold::SumShard, &mut outs)?;
+        Ok(outs)
     }
 
     /// Fallible [`Self::split`].
@@ -490,7 +520,7 @@ impl Communicator {
     /// assert_eq!(out[3], vec![2.0, 3.0]);
     /// ```
     pub fn split(&mut self, color: i64, key: i64) -> Communicator {
-        self.try_split(color, key).unwrap_or_else(|e| panic!("collective aborted: {e}"))
+        self.try_split(color, key).unwrap_or_else(aborted)
     }
 
     /// Rebuild the group without rank `removed`, after that rank failed:
@@ -565,7 +595,7 @@ where
             .into_iter()
             .map(|comm| {
                 let f = &f;
-                let probe = Communicator::sibling(&comm);
+                let probe = comm.fork();
                 scope.spawn(move || {
                     let rank = comm.rank();
                     std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(comm))).map_err(
@@ -740,7 +770,7 @@ mod tests {
         for kind in BOTH {
             let out = run_ranks_on(kind, 4, |c| {
                 let local = vec![c.rank() as f32; 3];
-                c.broadcast(2, &local)
+                c.try_broadcast(2, &local).expect("healthy world")
             });
             for r in &out {
                 assert_eq!(r, &[2.0, 2.0, 2.0], "{kind}");
@@ -754,7 +784,7 @@ mod tests {
         let mk = |r: usize| (vec![r as f32], vec![r as f32 + 0.5, r as f32 - 0.5]);
         let coalesced = run_ranks(world, |c| {
             let (a, b) = mk(c.rank());
-            c.all_gather_coalesced(&[&a, &b])
+            c.try_all_gather_coalesced(&[&a, &b], None).expect("healthy world")
         });
         let sequential = run_ranks(world, |c| {
             let (a, b) = mk(c.rank());
@@ -773,7 +803,7 @@ mod tests {
         };
         let coalesced = run_ranks(world, |c| {
             let (a, b) = mk(c.rank());
-            c.reduce_scatter_coalesced(&[&a, &b])
+            c.try_reduce_scatter_coalesced(&[&a, &b], None).expect("healthy world")
         });
         let sequential = run_ranks(world, |c| {
             let (a, b) = mk(c.rank());
@@ -871,12 +901,18 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "rank thread panicked")]
     fn mismatched_all_gather_lengths_panic() {
-        run_ranks(2, |c| {
-            let v = vec![0.0; c.rank() + 1];
-            c.all_gather(&v)
-        });
+        // One shape check for both codecs, naming rank, part and lengths.
+        for scheme in [None, Some(QuantScheme::int8())] {
+            let err = std::panic::catch_unwind(|| {
+                run_ranks(2, |c| c.try_all_gather(&vec![0.0; c.rank() + 1], scheme))
+            })
+            .expect_err("a shape mismatch must panic");
+            let msg = panic_message(err.as_ref());
+            assert!(msg.contains("rank thread panicked"), "{msg}");
+            assert!(msg.contains("rank 1 deposited 1 parts with"), "{msg}");
+            assert!(msg.contains("words in part 0; expected 1 parts with"), "{msg}");
+        }
     }
 
     #[test]
@@ -927,7 +963,7 @@ mod tests {
                     if c.rank() == 2 {
                         panic!("injected fault: rank 2 dies mid-collective");
                     }
-                    c.try_all_gather(&[c.rank() as f32])
+                    c.try_all_gather(&[c.rank() as f32], None)
                 });
                 let elapsed = started.elapsed();
                 assert!(
@@ -967,7 +1003,7 @@ mod tests {
                     if c.rank() == 1 {
                         return Ok(Vec::new()); // never joins the collective
                     }
-                    c.try_all_reduce(&[1.0])
+                    c.try_all_reduce(&[1.0], None)
                 });
                 for (rank, r) in results.into_iter().enumerate() {
                     let collective = r.expect("no thread panics in this scenario");
@@ -993,11 +1029,11 @@ mod tests {
                     if c.rank() == 0 {
                         panic!("boom");
                     }
-                    let first = c.try_all_gather(&[1.0]);
+                    let first = c.try_all_gather(&[1.0], None);
                     // Once poisoned, later collectives fail immediately (no
                     // new timeout wait) with the same error.
                     let started = Instant::now();
-                    let second = c.try_all_gather(&[2.0]);
+                    let second = c.try_all_gather(&[2.0], None);
                     (first, second, started.elapsed())
                 });
                 let (first, second, elapsed) =
@@ -1024,7 +1060,7 @@ mod tests {
                     // Rank 2 is in the same pair as the casualty and would
                     // hang forever without poison propagation; ranks 0/1
                     // complete.
-                    pair.try_all_gather(&[c.rank() as f32])
+                    pair.try_all_gather(&[c.rank() as f32], None)
                 });
                 match &results[2] {
                     Ok(Err(CommError::RankFailed { rank: 3 })) => {}
@@ -1047,15 +1083,16 @@ mod tests {
                     }
                     // Survivors: observe the failure, then shrink and
                     // continue.
-                    let err = c.try_all_reduce(&[1.0]).expect_err("must abort");
+                    let err = c.try_all_reduce(&[1.0], None).expect_err("must abort");
                     let failed = match err {
                         CommError::RankFailed { rank } => rank,
                         CommError::PeerDisconnected { rank } => rank,
                         other => panic!("expected a rank failure, got {other}"),
                     };
                     let shrunk = c.remove_rank(failed).expect("rebuild must succeed");
-                    let gathered =
-                        shrunk.try_all_gather(&[c.rank() as f32]).expect("shrunk group works");
+                    let gathered = shrunk
+                        .try_all_gather(&[c.rank() as f32], None)
+                        .expect("shrunk group works");
                     (shrunk.rank(), shrunk.world(), gathered)
                 });
                 for (rank, r) in results.into_iter().enumerate() {
@@ -1082,9 +1119,9 @@ mod tests {
                     if c.rank() == 0 {
                         panic!("casualty");
                     }
-                    let _ = c.try_all_reduce(&[1.0]).expect_err("must abort");
+                    let _ = c.try_all_reduce(&[1.0], None).expect_err("must abort");
                     let solo = c.remove_rank(0).expect("rebuild to singleton");
-                    solo.try_all_gather(&[7.0]).expect("singleton collective is local")
+                    solo.try_all_gather(&[7.0], None).expect("singleton collective is local")
                 });
                 assert_eq!(results[1].as_ref().expect("survivor ok"), &vec![7.0], "{kind}");
             });
@@ -1223,7 +1260,7 @@ mod tests {
             let comm = connect_world(SocketWorldConfig::new(addr, 0, 2)).expect("connect rank 0");
             comm.set_timeout(Duration::from_secs(20));
             let started = Instant::now();
-            let got = comm.try_all_gather(&[0.0]);
+            let got = comm.try_all_gather(&[0.0], None);
             let elapsed = started.elapsed();
             assert_eq!(got, Err(CommError::PeerDisconnected { rank: 1 }));
             assert!(

@@ -1,8 +1,8 @@
 //! Non-blocking collectives: the §4 overlap engine for the real data plane.
 //!
-//! Every [`Communicator`] can issue collectives asynchronously through
-//! [`Communicator::start_all_gather`] and friends. The first `start_*` call
-//! lazily spawns a dedicated **comm-progress thread** for that communicator
+//! Every [`Communicator`] can issue any fallible collective asynchronously
+//! through [`Communicator::start_collective`]. The first call lazily
+//! spawns a dedicated **comm-progress thread** for that communicator
 //! (one per rank per group, mirroring NCCL's per-communicator proxy
 //! thread). Submitted operations execute there in submission order against
 //! a private fork of the handle, so the SPMD ordering contract is preserved
@@ -27,19 +27,8 @@
 //! join the progress thread — it finishes (or aborts) the queued work in
 //! the background and exits; see [`Communicator::quiesce`] for a
 //! deterministic shutdown.
-//!
-//! Quantized and hierarchical collectives compose: any fallible collective
-//! can be submitted through [`Communicator::start_collective`] (the only
-//! entry the training executor uses), the `start_quantized_*` methods wrap
-//! the [`crate::quantized`] all-gather and all-reduce wire formats, and
-//! [`start_hierarchical_all_gather`] runs the 3-stage §3.3 algorithm on the
-//! progress thread of the inter-node channel.
 
-use crate::hierarchical::try_hierarchical_all_gather;
-use crate::quantized::{try_quantized_all_gather, try_quantized_all_reduce};
 use crate::{CommError, Communicator};
-use mics_collectives::HierarchicalLayout;
-use mics_compress::QuantScheme;
 use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -49,16 +38,16 @@ pub const ASYNC_QUEUE_DEPTH: usize = 16;
 
 type Job = Box<dyn FnOnce(&Communicator) + Send>;
 
-/// The per-communicator progress thread and its submission queue.
+/// The per-communicator progress thread and its submission queue. Dropping
+/// it closes the queue, so the worker exits once the queued work drains —
+/// and deliberately does not `join`: during a rank-thread panic the world
+/// may not be poisoned yet, and joining would deadlock behind a rendezvous
+/// the dying rank will never complete. The worker exits on its own once the
+/// group's poison (or timeout) resolves its remaining jobs.
+#[derive(Debug)]
 pub(crate) struct Engine {
-    tx: Option<SyncSender<Job>>,
-    worker: Option<JoinHandle<()>>,
-}
-
-impl std::fmt::Debug for Engine {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Engine").field("running", &self.worker.is_some()).finish()
-    }
+    tx: SyncSender<Job>,
+    worker: JoinHandle<()>,
 }
 
 impl Engine {
@@ -72,25 +61,7 @@ impl Engine {
                 }
             })
             .expect("cannot spawn comm-progress thread");
-        Engine { tx: Some(tx), worker: Some(worker) }
-    }
-
-    fn submit(&self, job: Job) {
-        // A send can only fail if the worker died, which means a submitted
-        // operation panicked; the corresponding handle surfaces that.
-        let _ = self.tx.as_ref().expect("engine already quiesced").send(job);
-    }
-}
-
-impl Drop for Engine {
-    fn drop(&mut self) {
-        // Close the queue so the worker exits once the queued work drains.
-        // Deliberately no `join`: during a rank-thread panic the world may
-        // not be poisoned yet, and joining here would deadlock behind a
-        // rendezvous the dying rank will never complete. The worker exits
-        // on its own once the group's poison (or timeout) resolves its
-        // remaining jobs.
-        self.tx = None;
+        Engine { tx, worker }
     }
 }
 
@@ -146,18 +117,13 @@ impl<T> CollectiveHandle<T> {
 }
 
 impl Communicator {
-    /// A private second handle to the same (rank, group): the progress
-    /// thread's identity. Safe only because the engine serializes its use.
-    pub(crate) fn fork(&self) -> Communicator {
-        Communicator::sibling(self)
-    }
-
     /// Submit an arbitrary fallible collective for asynchronous execution
     /// on this communicator's progress thread. The closure receives the
     /// progress thread's fork of this handle; every rank of the group must
     /// submit the same operation in the same order (the SPMD contract,
-    /// unchanged). Building block for the `start_*` conveniences and for
-    /// composites that span several communicators.
+    /// unchanged). A composite that spans several communicators (the
+    /// hierarchical forms) runs on the progress thread of the one it is
+    /// submitted to.
     pub fn start_collective<T, F>(&mut self, op: F) -> CollectiveHandle<T>
     where
         T: Send + 'static,
@@ -173,46 +139,16 @@ impl Communicator {
             let result = op(comm);
             let _ = txr.send((result, started.elapsed()));
         });
-        self.engine.as_ref().unwrap().submit(job);
+        // A send can only fail if the worker died, which means a submitted
+        // operation panicked; the corresponding handle surfaces that.
+        let _ = self.engine.as_ref().expect("spawned above").tx.send(job);
         CollectiveHandle { rx: rxr, probe }
     }
 
-    /// Non-blocking [`Communicator::try_all_gather`].
-    pub fn start_all_gather(&mut self, contribution: &[f32]) -> CollectiveHandle<Vec<f32>> {
-        let data = contribution.to_vec();
-        self.start_collective(move |c| c.try_all_gather(&data))
-    }
-
-    /// Non-blocking [`Communicator::try_reduce_scatter`].
-    pub fn start_reduce_scatter(&mut self, contribution: &[f32]) -> CollectiveHandle<Vec<f32>> {
-        let data = contribution.to_vec();
-        self.start_collective(move |c| c.try_reduce_scatter(&data))
-    }
-
-    /// Non-blocking [`Communicator::try_all_reduce`].
+    /// Non-blocking [`Communicator::try_all_reduce`] on the exact wire.
     pub fn start_all_reduce(&mut self, contribution: &[f32]) -> CollectiveHandle<Vec<f32>> {
         let data = contribution.to_vec();
-        self.start_collective(move |c| c.try_all_reduce(&data))
-    }
-
-    /// Non-blocking quantized all-gather (ZeRO++-style wire format).
-    pub fn start_quantized_all_gather(
-        &mut self,
-        contribution: &[f32],
-        scheme: QuantScheme,
-    ) -> CollectiveHandle<Vec<f32>> {
-        let data = contribution.to_vec();
-        self.start_collective(move |c| try_quantized_all_gather(c, &data, scheme))
-    }
-
-    /// Non-blocking quantized all-reduce.
-    pub fn start_quantized_all_reduce(
-        &mut self,
-        contribution: &[f32],
-        scheme: QuantScheme,
-    ) -> CollectiveHandle<Vec<f32>> {
-        let data = contribution.to_vec();
-        self.start_collective(move |c| try_quantized_all_reduce(c, &data, scheme))
+        self.start_collective(move |c| c.try_all_reduce(&data, None))
     }
 
     /// Deterministic engine shutdown: close the submission queue and join
@@ -220,49 +156,27 @@ impl Communicator {
     /// handle has been waited; a queue with stuck work would block here
     /// until the group's rendezvous deadline aborts it.
     pub fn quiesce(&mut self) {
-        if let Some(mut engine) = self.engine.take() {
-            engine.tx = None;
-            if let Some(worker) = engine.worker.take() {
-                let _ = worker.join();
-            }
+        if let Some(Engine { tx, worker }) = self.engine.take() {
+            drop(tx);
+            let _ = worker.join();
         }
     }
-}
-
-/// Non-blocking 3-stage hierarchical all-gather (§3.3), on the channel
-/// communicator's progress thread. `channel`/`node`/`layout`/`shard` are as
-/// in [`crate::hierarchical::hierarchical_all_gather`]; with a `scheme` the
-/// shards travel block-quantized through both stages (the
-/// [`crate::quantized::try_quantized_hierarchical_all_gather`] wire).
-pub fn start_hierarchical_all_gather(
-    channel: &mut Communicator,
-    node: &Communicator,
-    layout: &HierarchicalLayout,
-    shard: &[f32],
-    scheme: Option<QuantScheme>,
-) -> CollectiveHandle<Vec<f32>> {
-    let node = node.fork();
-    let layout = *layout;
-    let data = shard.to_vec();
-    channel.start_collective(move |ch| match scheme {
-        Some(s) => {
-            crate::quantized::try_quantized_hierarchical_all_gather(ch, &node, &layout, &data, s)
-        }
-        None => try_hierarchical_all_gather(ch, &node, &layout, &data),
-    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::hierarchical::split_hierarchical;
-    use crate::{run_ranks, try_run_ranks, with_deadline};
+    use crate::{run_ranks, try_hierarchical_all_gather, try_run_ranks, with_deadline};
+    use mics_collectives::HierarchicalLayout;
+    use mics_compress::QuantScheme;
     use proptest::prelude::*;
 
     #[test]
     fn async_all_gather_matches_blocking() {
         let out = run_ranks(4, |mut c| {
-            let handle = c.start_all_gather(&[c.rank() as f32, 1.0]);
+            let data = [c.rank() as f32, 1.0];
+            let handle = c.start_collective(move |c| c.try_all_gather(&data, None));
             handle.wait().unwrap()
         });
         for r in &out {
@@ -278,7 +192,7 @@ mod tests {
             let rank = c.rank() as f32;
             let h1 = c.start_all_reduce(&[rank]);
             let h2 = c.start_all_reduce(&[rank * 10.0]);
-            let h3 = c.start_reduce_scatter(&[rank; 3]);
+            let h3 = c.start_collective(move |c| c.try_reduce_scatter(&[rank; 3], None));
             (h1.wait().unwrap(), h2.wait().unwrap(), h3.wait().unwrap())
         });
         for (r, (a, b, s)) in out.iter().enumerate() {
@@ -292,7 +206,8 @@ mod tests {
     #[test]
     fn wait_timed_reports_comm_lane_busy_time() {
         let out = run_ranks(2, |mut c| {
-            let h = c.start_all_gather(&[c.rank() as f32]);
+            let data = [c.rank() as f32];
+            let h = c.start_collective(move |c| c.try_all_gather(&data, None));
             let (r, busy) = h.wait_timed();
             r.unwrap();
             busy
@@ -304,14 +219,13 @@ mod tests {
 
     #[test]
     fn quantized_async_matches_blocking_quantized() {
-        use mics_compress::QuantScheme;
-        let scheme = QuantScheme::F16;
+        let scheme = Some(QuantScheme::F16);
         let expect = run_ranks(4, |c| {
-            crate::quantized::quantized_all_gather(&c, &[c.rank() as f32 * 0.5; 6], scheme)
+            c.try_all_gather(&[c.rank() as f32 * 0.5; 6], scheme).expect("healthy world")
         });
         let got = run_ranks(4, |mut c| {
-            let h = c.start_quantized_all_gather(&[c.rank() as f32 * 0.5; 6], scheme);
-            h.wait().unwrap()
+            let data = [c.rank() as f32 * 0.5; 6];
+            c.start_collective(move |c| c.try_all_gather(&data, scheme)).wait().unwrap()
         });
         assert_eq!(expect, got);
     }
@@ -324,7 +238,10 @@ mod tests {
             let (mut channel, node) = split_hierarchical(&mut comm, &layout);
             let shard = vec![rank as f32; 3];
             let flat = comm.all_gather(&shard);
-            let h = start_hierarchical_all_gather(&mut channel, &node, &layout, &shard, None);
+            let (node, data) = (node.fork(), shard.clone());
+            let h = channel.start_collective(move |ch| {
+                try_hierarchical_all_gather(ch, &node, &layout, &data, None)
+            });
             let hier = h.wait().unwrap();
             assert_eq!(flat, hier);
             hier
@@ -341,7 +258,7 @@ mod tests {
             let results = try_run_ranks(2, |mut c| {
                 c.set_timeout(Duration::from_millis(200));
                 if c.rank() == 0 {
-                    let h = c.start_all_gather(&[0.0]);
+                    let h = c.start_collective(|c| c.try_all_gather(&[0.0], None));
                     h.wait()
                 } else {
                     Ok(Vec::new())
@@ -393,7 +310,6 @@ mod tests {
     /// delivers `RankFailed` at **every** outstanding `wait()` — no hang,
     /// no double-panic — across plain/quantized/hierarchical variants.
     fn abort_under_overlap(world: usize, inflight: usize, variant: usize) {
-        use mics_compress::QuantScheme;
         with_deadline(Duration::from_secs(30), move || {
             let killer = world - 1;
             let layout = HierarchicalLayout::new(world, 2);
@@ -413,16 +329,18 @@ mod tests {
                 let handles: Vec<CollectiveHandle<Vec<f32>>> = (0..inflight)
                     .map(|i| {
                         let data = vec![c.rank() as f32 + i as f32; 4];
+                        let f16 = Some(QuantScheme::F16);
                         match &mut hier {
-                            None if variant == 0 => c.start_all_gather(&data),
-                            None => c.start_quantized_all_reduce(&data, QuantScheme::F16),
-                            Some((channel, node, layout)) => start_hierarchical_all_gather(
-                                channel,
-                                node,
-                                layout,
-                                &data,
-                                Some(QuantScheme::F16),
-                            ),
+                            None if variant == 0 => {
+                                c.start_collective(move |c| c.try_all_gather(&data, None))
+                            }
+                            None => c.start_collective(move |c| c.try_all_reduce(&data, f16)),
+                            Some((channel, node, layout)) => {
+                                let (node, layout) = (node.fork(), *layout);
+                                channel.start_collective(move |ch| {
+                                    try_hierarchical_all_gather(ch, &node, &layout, &data, f16)
+                                })
+                            }
                         }
                     })
                     .collect();

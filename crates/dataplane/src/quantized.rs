@@ -1,289 +1,77 @@
-//! Quantized collectives on the real data plane — the execution half of the
+//! The wire codec of the collectives — the execution half of the
 //! compressed-communication subsystem (`mics-compress` provides the
 //! kernels, `mics-collectives::compress` the α–β prices).
 //!
-//! Every collective here moves *encoded word streams* (see
-//! `Quantized::to_words`) through the ordinary rendezvous collectives, so
-//! the failure semantics are inherited wholesale: a dead or absent rank
-//! aborts the quantized collective with the same [`CommError`] its fp32
-//! counterpart would return, and poison propagates through the same barrier
-//! state. The `try_*` variants surface that as `Result`; the plain wrappers
-//! panic like the rest of the data plane.
-//!
-//! Two styles, mirroring ZeRO++:
+//! A collective given `Some(scheme)` moves *encoded word streams* (see
+//! `Quantized::to_words`) through the same exchange as its fp32 form, so
+//! the failure semantics are the same by construction: a dead or absent
+//! rank aborts it with the [`CommError`](crate::CommError) the exact wire
+//! would return. Two styles, mirroring ZeRO++:
 //!
 //! * **qwZ (weight gather):** quantize once, transport codes, dequantize at
-//!   the receiver — [`try_quantized_all_gather`] and the 3-stage
-//!   [`try_quantized_hierarchical_all_gather`], which moves encoded chunks
-//!   through stages 1–3 and is therefore *bit-identical* to the flat
-//!   quantized gather (codes are copied, never re-derived).
+//!   the receiver. The 3-stage [`crate::try_hierarchical_all_gather`] moves
+//!   the encoded chunks through all its stages and decodes at the end, so
+//!   it is *bit-identical* to the flat quantized gather (codes are copied,
+//!   never re-derived).
 //! * **qgZ (gradient reduce):** gradients must be summed, and summing codes
 //!   is meaningless — each hop dequantizes, reduces in fp32, and
-//!   requantizes for the next hop. The hierarchical
-//!   [`try_quantized_hierarchical_reduce_scatter`] performs exactly two
-//!   quantized hops (intra-node, then inter-node), which bounds the
-//!   accumulated error at 2 half-steps per element instead of `O(p)`.
+//!   requantizes for the next hop. [`crate::try_hierarchical_reduce_scatter`]
+//!   performs exactly two quantized hops (intra-node, then inter-node),
+//!   which bounds the accumulated error at 2 half-steps per element
+//!   instead of `O(p)`.
 
-use crate::{CommError, Communicator};
-use mics_collectives::HierarchicalLayout;
+use crate::{aborted, Communicator};
 use mics_compress::{dequantize, quantize, QuantScheme, Quantized};
+use std::borrow::Cow;
 
-/// Fallible quantized all-gather: every rank's `contribution` is quantized,
-/// the encoded words are gathered, and each rank dequantizes all `world`
-/// shards. Equal `contribution.len()` on every rank, as with
-/// [`Communicator::all_gather`].
-pub fn try_quantized_all_gather(
-    comm: &Communicator,
-    contribution: &[f32],
-    scheme: QuantScheme,
-) -> Result<Vec<f32>, CommError> {
-    let len = contribution.len();
-    let words = quantize(contribution, scheme).to_words();
-    let gathered = comm.try_all_gather(&words)?;
-    let per = scheme.encoded_words(len);
-    let mut out = Vec::with_capacity(len * comm.world());
-    for r in 0..comm.world() {
-        let q = Quantized::from_words(&gathered[r * per..(r + 1) * per], len, scheme);
-        out.extend(dequantize(&q));
-    }
-    Ok(out)
+/// The words `data` travels as under `scheme`: exactly
+/// `scheme.encoded_words(data.len())` of them.
+pub(crate) fn encode(data: &[f32], scheme: QuantScheme) -> Vec<f32> {
+    quantize(data, scheme).to_words()
 }
 
-/// Panicking wrapper over [`try_quantized_all_gather`].
+/// The `len` values a received `wire` stands for: itself on the exact wire,
+/// its dequantized words under a scheme.
+pub(crate) fn decode(wire: &[f32], len: usize, scheme: Option<QuantScheme>) -> Cow<'_, [f32]> {
+    match scheme {
+        None => Cow::Borrowed(wire),
+        Some(s) => Cow::Owned(dequantize(&Quantized::from_words(wire, len, s))),
+    }
+}
+
+/// [`Communicator::try_all_gather`] under `scheme`.
+///
+/// # Panics
+/// Panics if the group fails while waiting.
 pub fn quantized_all_gather(
     comm: &Communicator,
     contribution: &[f32],
     scheme: QuantScheme,
 ) -> Vec<f32> {
-    try_quantized_all_gather(comm, contribution, scheme)
-        .unwrap_or_else(|e| panic!("collective aborted: {e}"))
+    comm.try_all_gather(contribution, Some(scheme)).unwrap_or_else(aborted)
 }
 
-/// Fallible quantized reduce-scatter over one hop: each rank quantizes its
-/// full `world × shard` buffer, the encoded words are exchanged, and each
-/// rank dequantizes every peer's copy of *its own* shard and sums in fixed
-/// rank order (deterministic, like the fp32 collective).
-pub fn try_quantized_reduce_scatter(
-    comm: &Communicator,
-    contribution: &[f32],
-    scheme: QuantScheme,
-) -> Result<Vec<f32>, CommError> {
-    let world = comm.world();
-    assert!(
-        contribution.len().is_multiple_of(world),
-        "reduce_scatter input length {} not divisible by world {world}",
-        contribution.len()
-    );
-    let len = contribution.len();
-    let shard = len / world;
-    let words = quantize(contribution, scheme).to_words();
-    let gathered = comm.try_all_gather(&words)?;
-    let per = scheme.encoded_words(len);
-    let base = comm.rank() * shard;
-    let mut out = vec![0.0f32; shard];
-    for r in 0..world {
-        let q = Quantized::from_words(&gathered[r * per..(r + 1) * per], len, scheme);
-        let deq = dequantize(&q);
-        for (o, x) in out.iter_mut().zip(deq[base..base + shard].iter()) {
-            *o += *x;
-        }
-    }
-    Ok(out)
-}
-
-/// Panicking wrapper over [`try_quantized_reduce_scatter`].
-pub fn quantized_reduce_scatter(
-    comm: &Communicator,
-    contribution: &[f32],
-    scheme: QuantScheme,
-) -> Vec<f32> {
-    try_quantized_reduce_scatter(comm, contribution, scheme)
-        .unwrap_or_else(|e| panic!("collective aborted: {e}"))
-}
-
-/// Fallible quantized all-reduce (one quantized hop): exchange encoded
-/// buffers, dequantize all, sum in rank order. Every rank computes the
-/// identical result.
-pub fn try_quantized_all_reduce(
-    comm: &Communicator,
-    contribution: &[f32],
-    scheme: QuantScheme,
-) -> Result<Vec<f32>, CommError> {
-    let len = contribution.len();
-    let words = quantize(contribution, scheme).to_words();
-    let gathered = comm.try_all_gather(&words)?;
-    let per = scheme.encoded_words(len);
-    let mut out = vec![0.0f32; len];
-    for r in 0..comm.world() {
-        let q = Quantized::from_words(&gathered[r * per..(r + 1) * per], len, scheme);
-        let deq = dequantize(&q);
-        for (o, x) in out.iter_mut().zip(deq.iter()) {
-            *o += *x;
-        }
-    }
-    Ok(out)
-}
-
-/// Panicking wrapper over [`try_quantized_all_reduce`].
+/// [`Communicator::try_all_reduce`] under `scheme`.
+///
+/// # Panics
+/// Panics if the group fails while waiting.
 pub fn quantized_all_reduce(
     comm: &Communicator,
     contribution: &[f32],
     scheme: QuantScheme,
 ) -> Vec<f32> {
-    try_quantized_all_reduce(comm, contribution, scheme)
-        .unwrap_or_else(|e| panic!("collective aborted: {e}"))
-}
-
-/// Fallible quantized 3-stage hierarchical all-gather (§3.3 geometry, qwZ
-/// payloads): this rank's shard is quantized **once**; stage 1 gathers
-/// encoded chunks along the inter-node channel, stage 2 re-arranges whole
-/// encoded chunks into their final positions, stage 3 fills in node peers'
-/// chunks with one coalesced intra-node gather of encoded chunks; only then
-/// is everything dequantized. Because codes travel unmodified, the result
-/// is bit-identical to [`try_quantized_all_gather`] over the whole group.
-///
-/// `channel`/`node`/`layout` exactly as in
-/// [`crate::hierarchical::hierarchical_all_gather`].
-pub fn try_quantized_hierarchical_all_gather(
-    channel: &Communicator,
-    node: &Communicator,
-    layout: &HierarchicalLayout,
-    shard: &[f32],
-    scheme: QuantScheme,
-) -> Result<Vec<f32>, CommError> {
-    assert_eq!(channel.world(), layout.nodes(), "channel size must equal node count");
-    assert_eq!(node.world(), layout.per_node(), "node group size must equal k");
-    let chunk = shard.len();
-    let cw = scheme.encoded_words(chunk);
-    let p = layout.participants();
-    let local = node.rank();
-    let group_rank = channel.rank() * layout.per_node() + local;
-
-    // Quantize this rank's chunk once; all further movement is on codes.
-    let words = quantize(shard, scheme).to_words();
-
-    // Stage 1: inter-node all-gather of encoded chunks along the channel.
-    let stage1 = channel.try_all_gather(&words)?;
-    debug_assert_eq!(stage1.len(), layout.nodes() * cw);
-
-    // Stage 2: re-arrange whole encoded chunks into their final slots.
-    let mut enc = vec![0.0f32; p * cw];
-    for slot in 0..layout.nodes() {
-        let dest = layout.stage2_destination(group_rank, slot);
-        enc[dest * cw..(dest + 1) * cw].copy_from_slice(&stage1[slot * cw..(slot + 1) * cw]);
-    }
-
-    // Stage 3: p/k batched intra-node all-gathers of encoded chunks.
-    let parts: Vec<Vec<f32>> = (0..layout.nodes())
-        .map(|j| {
-            let idx = j * layout.per_node() + local;
-            enc[idx * cw..(idx + 1) * cw].to_vec()
-        })
-        .collect();
-    let part_refs: Vec<&[f32]> = parts.iter().map(|p| p.as_slice()).collect();
-    let gathered = node.try_all_gather_coalesced(&part_refs)?;
-    for (j, span) in gathered.iter().enumerate() {
-        debug_assert_eq!(span.len(), layout.per_node() * cw);
-        let base = j * layout.per_node() * cw;
-        enc[base..base + span.len()].copy_from_slice(span);
-    }
-
-    // Dequantize the p encoded chunks into the flat fp32 result.
-    let mut out = Vec::with_capacity(p * chunk);
-    for r in 0..p {
-        let q = Quantized::from_words(&enc[r * cw..(r + 1) * cw], chunk, scheme);
-        out.extend(dequantize(&q));
-    }
-    Ok(out)
-}
-
-/// Panicking wrapper over [`try_quantized_hierarchical_all_gather`].
-pub fn quantized_hierarchical_all_gather(
-    channel: &Communicator,
-    node: &Communicator,
-    layout: &HierarchicalLayout,
-    shard: &[f32],
-    scheme: QuantScheme,
-) -> Vec<f32> {
-    try_quantized_hierarchical_all_gather(channel, node, layout, shard, scheme)
-        .unwrap_or_else(|e| panic!("collective aborted: {e}"))
-}
-
-/// Fallible quantized hierarchical reduce-scatter — the qgZ-style 2-hop
-/// gradient reduce. Hop 1 (intra-node): each rank quantizes its `p/k`
-/// spans, the node exchanges encoded spans with one coalesced gather, and
-/// each rank dequantizes peers' contributions and reduces its interleaved
-/// chunks in fp32. Hop 2 (inter-node): the node-partial sums are
-/// *requantized* and reduced along the channel the same way. Exactly two
-/// quantized hops touch each element, so the error stays bounded by two
-/// half-steps regardless of `p`.
-pub fn try_quantized_hierarchical_reduce_scatter(
-    channel: &Communicator,
-    node: &Communicator,
-    layout: &HierarchicalLayout,
-    full: &[f32],
-    scheme: QuantScheme,
-) -> Result<Vec<f32>, CommError> {
-    assert_eq!(channel.world(), layout.nodes(), "channel size must equal node count");
-    assert_eq!(node.world(), layout.per_node(), "node group size must equal k");
-    let p = layout.participants();
-    assert!(full.len().is_multiple_of(p), "input must be p equal chunks");
-    let chunk = full.len() / p;
-    let k = layout.per_node();
-    let local = node.rank();
-
-    // Hop 1: quantize each k-chunk span, exchange within the node with one
-    // coalesced gather of encoded spans, dequantize-reduce this rank's
-    // interleaved chunk of each span.
-    let span_len = k * chunk;
-    let sw = scheme.encoded_words(span_len);
-    let spans: Vec<Vec<f32>> = (0..layout.nodes())
-        .map(|j| quantize(&full[j * span_len..(j + 1) * span_len], scheme).to_words())
-        .collect();
-    let span_refs: Vec<&[f32]> = spans.iter().map(|s| s.as_slice()).collect();
-    let exchanged = node.try_all_gather_coalesced(&span_refs)?;
-
-    let mut stage1 = Vec::with_capacity(layout.nodes() * chunk);
-    for exchanged_span in exchanged.iter() {
-        debug_assert_eq!(exchanged_span.len(), k * sw);
-        let mut acc = vec![0.0f32; chunk];
-        let base = local * chunk;
-        for peer in 0..k {
-            let q = Quantized::from_words(
-                &exchanged_span[peer * sw..(peer + 1) * sw],
-                span_len,
-                scheme,
-            );
-            let deq = dequantize(&q);
-            for (o, x) in acc.iter_mut().zip(deq[base..base + chunk].iter()) {
-                *o += *x;
-            }
-        }
-        stage1.extend(acc);
-    }
-
-    // Hop 2: requantize the node-partial sums and reduce-scatter them along
-    // the inter-node channel (second and final quantized hop).
-    try_quantized_reduce_scatter(channel, &stage1, scheme)
-}
-
-/// Panicking wrapper over [`try_quantized_hierarchical_reduce_scatter`].
-pub fn quantized_hierarchical_reduce_scatter(
-    channel: &Communicator,
-    node: &Communicator,
-    layout: &HierarchicalLayout,
-    full: &[f32],
-    scheme: QuantScheme,
-) -> Vec<f32> {
-    try_quantized_hierarchical_reduce_scatter(channel, node, layout, full, scheme)
-        .unwrap_or_else(|e| panic!("collective aborted: {e}"))
+    comm.try_all_reduce(contribution, Some(scheme)).unwrap_or_else(aborted)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::hierarchical::split_hierarchical;
-    use crate::{run_ranks, try_run_ranks, with_deadline};
+    use crate::{
+        run_ranks, try_hierarchical_all_gather, try_hierarchical_reduce_scatter, try_run_ranks,
+        with_deadline, CommError,
+    };
+    use mics_collectives::HierarchicalLayout;
     use mics_compress::round_trip;
     use proptest::prelude::*;
     use std::time::Duration;
@@ -328,11 +116,12 @@ mod tests {
     }
 
     #[test]
-    fn quantized_reduce_scatter_close_to_fp32() {
+    fn reduce_scatter_quantized_close_to_fp32() {
         let world = 4;
         let len = 64;
         let q = run_ranks(world, move |c| {
-            quantized_reduce_scatter(&c, &payload(c.rank(), len), QuantScheme::int8())
+            c.try_reduce_scatter(&payload(c.rank(), len), Some(QuantScheme::int8()))
+                .expect("healthy world")
         });
         let f = run_ranks(world, move |c| c.reduce_scatter(&payload(c.rank(), len)));
         // One quantized hop: error ≤ Σ_r bound_r ≈ world · scale/2.
@@ -378,13 +167,14 @@ mod tests {
             let hier = run_ranks(p, move |mut comm| {
                 let rank = comm.rank();
                 let (channel, node) = split_hierarchical(&mut comm, &layout);
-                quantized_hierarchical_all_gather(
+                try_hierarchical_all_gather(
                     &channel,
                     &node,
                     &layout,
                     &payload(rank, chunk),
-                    scheme,
+                    Some(scheme),
                 )
+                .expect("healthy world")
             });
             let flat =
                 run_ranks(p, move |c| quantized_all_gather(&c, &payload(c.rank(), chunk), scheme));
@@ -393,7 +183,7 @@ mod tests {
     }
 
     #[test]
-    fn hierarchical_quantized_reduce_scatter_two_hops_stay_bounded() {
+    fn hierarchical_reduce_scatter_quantized_two_hops_stay_bounded() {
         let (nodes, k, chunk) = (2usize, 4usize, 16usize);
         let p = nodes * k;
         let layout = HierarchicalLayout::new(p, k).unwrap();
@@ -401,13 +191,14 @@ mod tests {
         let hier = run_ranks(p, move |mut comm| {
             let rank = comm.rank();
             let (channel, node) = split_hierarchical(&mut comm, &layout);
-            quantized_hierarchical_reduce_scatter(
+            try_hierarchical_reduce_scatter(
                 &channel,
                 &node,
                 &layout,
                 &payload(rank, p * chunk),
-                scheme,
+                Some(scheme),
             )
+            .expect("healthy world")
         });
         let flat = run_ranks(p, move |c| c.reduce_scatter(&payload(c.rank(), p * chunk)));
         // Hop 1 contributes Σ_r bound_r; hop 2 adds one more quantization of
@@ -448,7 +239,7 @@ mod tests {
                 if c.rank() == 2 {
                     panic!("injected fault");
                 }
-                try_quantized_all_gather(&c, &payload(c.rank(), 64), QuantScheme::int8())
+                c.try_all_gather(&payload(c.rank(), 64), Some(QuantScheme::int8()))
             });
             for (rank, r) in results.iter().enumerate() {
                 if rank == 2 {
@@ -465,7 +256,7 @@ mod tests {
     }
 
     #[test]
-    fn killed_rank_aborts_quantized_hierarchical_collectives() {
+    fn killed_rank_aborts_hierarchical_quantized_collectives() {
         with_deadline(Duration::from_secs(20), || {
             let layout = HierarchicalLayout::new(4, 2).unwrap();
             let results = try_run_ranks(4, move |mut c| {
@@ -474,12 +265,12 @@ mod tests {
                 if c.rank() == 3 {
                     panic!("dies after split");
                 }
-                try_quantized_hierarchical_all_gather(
+                try_hierarchical_all_gather(
                     &channel,
                     &node,
                     &layout,
                     &payload(c.rank(), 8),
-                    QuantScheme::int4(),
+                    Some(QuantScheme::int4()),
                 )
             });
             for (rank, r) in results.iter().enumerate() {
@@ -516,9 +307,8 @@ mod tests {
             let hier = run_ranks(p, move |mut comm| {
                 let rank = comm.rank();
                 let (channel, node) = split_hierarchical(&mut comm, &layout);
-                quantized_hierarchical_all_gather(
-                    &channel, &node, &layout, &payload(rank, chunk), scheme,
-                )
+                try_hierarchical_all_gather(&channel, &node, &layout, &payload(rank, chunk), Some(scheme))
+                    .expect("healthy world")
             });
             let flat = run_ranks(p, move |c| {
                 quantized_all_gather(&c, &payload(c.rank(), chunk), scheme)
@@ -541,9 +331,8 @@ mod tests {
             let hier = run_ranks(p, move |mut comm| {
                 let rank = comm.rank();
                 let (channel, node) = split_hierarchical(&mut comm, &layout);
-                quantized_hierarchical_reduce_scatter(
-                    &channel, &node, &layout, &payload(rank, p * chunk), scheme,
-                )
+                try_hierarchical_reduce_scatter(&channel, &node, &layout, &payload(rank, p * chunk), Some(scheme))
+                    .expect("healthy world")
             });
             let flat = run_ranks(p, move |c| {
                 c.reduce_scatter(&payload(c.rank(), p * chunk))

@@ -96,12 +96,6 @@ struct HubState {
 }
 
 impl HubState {
-    fn broadcast(&self, frame: &Frame) {
-        for conn in lock(&self.conns).values() {
-            conn.send(frame);
-        }
-    }
-
     /// Process-level failure: poison every known group, resolve every held
     /// exchange, and tell every connected rank.
     fn world_failure(&self, err: CommError) {
@@ -112,7 +106,9 @@ impl HubState {
             }
         }
         lock(&self.pending).clear();
-        self.broadcast(&Frame::WorldPoison { err });
+        for conn in lock(&self.conns).values() {
+            conn.send(&Frame::WorldPoison { err });
+        }
     }
 
     /// A connection ended without a clean `Bye`.

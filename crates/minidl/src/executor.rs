@@ -36,12 +36,8 @@ use crate::checkpoint::TrainState;
 use crate::scaler::{has_overflow, ScalerState};
 use crate::train::{CheckpointSink, ScheduleHyper, TrainCheckpoint, TrainOutcome};
 use mics_cluster::Rank;
-use mics_compress::QuantScheme;
 use mics_core::ops::Lane;
 use mics_core::schedule::{GradSource, GroupRef, OpKind, Pass, StepProgram, WireOp};
-use mics_dataplane::quantized::{
-    try_quantized_all_gather, try_quantized_all_reduce, try_quantized_reduce_scatter,
-};
 use mics_dataplane::{CollectiveHandle, CommError, Communicator};
 use mics_tensor::dtype::quantize_f16;
 use mics_tensor::{GatherBuffers, ShardSpec};
@@ -477,15 +473,6 @@ fn pad_to(mut v: Vec<f32>, len: usize) -> Vec<f32> {
     v
 }
 
-type Reduced = Result<Vec<f32>, CommError>;
-
-fn all_reduce(c: &Communicator, x: &[f32], scheme: Option<QuantScheme>) -> Reduced {
-    match scheme {
-        Some(s) => try_quantized_all_reduce(c, x, s),
-        None => c.try_all_reduce(x),
-    }
-}
-
 /// One rank's executor: see the module docs.
 pub(crate) struct Executor<'a, C: StepCompute> {
     plan: &'a Plan<'a>,
@@ -607,7 +594,7 @@ impl<'a, C: StepCompute> Executor<'a, C> {
         // its stage, then every rank contributes it padded to the widest
         // stage and each stage's d = 0 copy is taken (dp copies are equal).
         let all_gather = |ex: &Self, comm: &Communicator, x: &[f32]| {
-            comm.try_all_gather(x).unwrap_or_else(|e| ex.abort("final-gather", None, e))
+            comm.try_all_gather(x, None).unwrap_or_else(|e| ex.abort("final-gather", None, e))
         };
         let mut final_params = std::mem::take(&mut self.owned);
         if geo.p > 1 {
@@ -734,9 +721,8 @@ impl<'a, C: StepCompute> Executor<'a, C> {
                     // micro-step's forward overlaps it (§4).
                     let padded = pad_to(self.take_grad(), self.spec.padded_len());
                     let scheme = wire.scheme;
-                    self.issue(op_id, wire, "grad-reduce", Then::Fold, move |c| match scheme {
-                        Some(s) => try_quantized_reduce_scatter(c, &padded, s),
-                        None => c.try_reduce_scatter(&padded),
+                    self.issue(op_id, wire, "grad-reduce", Then::Fold, move |c| {
+                        c.try_reduce_scatter(&padded, scheme)
                     });
                 }
                 OpKind::AllReduceGrads { source: GradSource::MicroGrad, wire, .. } => {
@@ -747,7 +733,7 @@ impl<'a, C: StepCompute> Executor<'a, C> {
                     let g = self.take_grad();
                     let (scheme, spec, local) = (wire.scheme, self.spec, self.part.rank());
                     self.issue(op_id, wire, "grad-reduce", Then::Fold, move |c| {
-                        Ok(spec.extract_padded(&all_reduce(c, &g, scheme)?, local))
+                        Ok(spec.extract_padded(&c.try_all_reduce(&g, scheme)?, local))
                     });
                 }
                 // DDP's boundary all-reduce, and MiCS hop 2 across the
@@ -762,7 +748,7 @@ impl<'a, C: StepCompute> Executor<'a, C> {
                     let hop2 = matches!(op.kind, OpKind::CrossGroupAllReduce { .. });
                     let (label, scheme) = (if hop2 { "hop2" } else { "grad-reduce" }, wire.scheme);
                     self.issue(op_id, wire, label, Then::Total, move |c| {
-                        all_reduce(c, &accum, scheme)
+                        c.try_all_reduce(&accum, scheme)
                     });
                 }
                 OpKind::OptimizerUpdate { .. } => self.optimizer_update(cur_scale),
@@ -830,13 +816,7 @@ impl<'a, C: StepCompute> Executor<'a, C> {
         let scheme = wire.scheme;
         self.gather_op = Some(op_id);
         self.issue(op_id, wire, label, Then::Params, move |c| {
-            match scheme {
-                Some(s) => {
-                    buf.clear();
-                    buf.extend_from_slice(&try_quantized_all_gather(c, &cast, s)?);
-                }
-                None => c.try_all_gather_into(&cast, &mut buf)?,
-            }
+            c.try_all_gather_into(&cast, scheme, &mut buf)?;
             Ok(buf)
         });
     }
@@ -905,7 +885,7 @@ impl<'a, C: StepCompute> Executor<'a, C> {
     /// a send is always submitted.
     fn issue<F>(&mut self, op_id: usize, wire: &WireOp, label: &'static str, then: Then, op: F)
     where
-        F: FnOnce(&Communicator) -> Reduced + Send + 'static,
+        F: FnOnce(&Communicator) -> Result<Vec<f32>, CommError> + Send + 'static,
     {
         let lane = match wire.lane {
             Lane::Gather => ExecLane::Gather,
@@ -977,7 +957,8 @@ impl<'a, C: StepCompute> Executor<'a, C> {
     /// control-plane collectives, outside the costed program, always exact.
     fn world_sum(&mut self, label: &'static str, x: f32, traced: bool) -> f32 {
         let start_ns = self.rec.now_ns();
-        let sum = self.world.try_all_reduce(&[x]).unwrap_or_else(|e| self.abort(label, None, e))[0];
+        let sum =
+            self.world.try_all_reduce(&[x], None).unwrap_or_else(|e| self.abort(label, None, e))[0];
         if traced {
             self.rec.close(ExecLane::Control, label, start_ns);
         }

@@ -7,7 +7,7 @@
 
 use mics::collectives::HierarchicalLayout;
 use mics::dataplane::hierarchical::split_hierarchical;
-use mics::dataplane::{hierarchical_all_gather, naive_two_stage_all_gather, run_ranks};
+use mics::dataplane::{naive_two_stage_all_gather, run_ranks, try_hierarchical_all_gather};
 
 fn main() {
     // The paper's running example: p = 4 devices on 2 nodes (k = 2).
@@ -23,7 +23,8 @@ fn main() {
     let correct = run_ranks(4, |mut comm| {
         let rank = comm.rank();
         let (channel, node) = split_hierarchical(&mut comm, &layout);
-        hierarchical_all_gather(&channel, &node, &layout, &[rank as f32])
+        try_hierarchical_all_gather(&channel, &node, &layout, &[rank as f32], None)
+            .expect("healthy world")
     });
     let naive = run_ranks(4, |mut comm| {
         let rank = comm.rank();
@@ -46,7 +47,8 @@ fn main() {
     let out = run_ranks(32, |mut comm| {
         let rank = comm.rank();
         let (channel, node) = split_hierarchical(&mut comm, &layout);
-        hierarchical_all_gather(&channel, &node, &layout, &[rank as f32 * 10.0])
+        try_hierarchical_all_gather(&channel, &node, &layout, &[rank as f32 * 10.0], None)
+            .expect("healthy world")
     });
     assert!(out.iter().all(|o| o == &out[0]));
     assert!(out[0].windows(2).all(|w| w[0] < w[1]));

@@ -6,20 +6,44 @@
 //! socket transport (one framed hub connection per rank). The collectives'
 //! folds are rank-side and the wire preserves `f32` bit patterns, so the two
 //! transports must be observationally identical; these tests are the
-//! enforcement of that claim.
+//! enforcement of that claim — on the exact wire and under every codec,
+//! whose encoded words are just another payload to the transport.
 
 use mics::collectives::layout::flat_order;
 use mics::collectives::HierarchicalLayout;
+use mics::compress::QuantScheme;
 use mics::dataplane::hierarchical::split_hierarchical;
 use mics::dataplane::{
-    hierarchical_all_gather, naive_two_stage_all_gather, run_ranks_on, try_run_ranks_on,
-    with_deadline, CommError, TransportKind,
+    naive_two_stage_all_gather, run_ranks_on, try_hierarchical_all_gather, try_run_ranks_on,
+    with_deadline, CommError, Communicator, TransportKind,
 };
 use mics::tensor::ShardSpec;
 use proptest::prelude::*;
 use std::time::{Duration, Instant};
 
 const BOTH: [TransportKind; 2] = [TransportKind::Local, TransportKind::Socket];
+
+const CODECS: [Option<QuantScheme>; 4] = [
+    None,
+    Some(QuantScheme::F16),
+    Some(QuantScheme::Int8 { block: 128 }),
+    Some(QuantScheme::Int4 { block: 32 }),
+];
+
+/// `run_ranks_on(kind, ..)`, and under a scheme the other transport must
+/// compute the same bits.
+fn run_on<R, F>(kind: TransportKind, codec: Option<QuantScheme>, world: usize, f: F) -> Vec<R>
+where
+    F: Fn(Communicator) -> R + Sync,
+    R: Send + PartialEq + std::fmt::Debug,
+{
+    let out = run_ranks_on(kind, world, &f);
+    if codec.is_some() {
+        let other = BOTH[usize::from(kind == TransportKind::Local)];
+        assert_eq!(out, run_ranks_on(other, world, &f), "{kind} ≢ {other} under {codec:?}");
+    }
+    out
+}
 
 /// The symbolic layout simulation and the real data plane must produce the
 /// same chunk order for every geometry, on either transport.
@@ -32,21 +56,27 @@ fn symbolic_simulation_matches_real_dataplane() {
         for rank in 0..p {
             assert_eq!(layout.simulate(rank), flat_order(p), "symbolic p={p} k={k}");
         }
-        // Real buffers: rank r contributes chunk [r*2, r*2+1].
-        for kind in BOTH {
-            let out = run_ranks_on(kind, p, |mut comm| {
+        // Real buffers: rank r contributes chunk [r*2, r*2+1] (+ 0.3 under
+        // a lossy codec, so rounding is exercised). Under every codec the
+        // 3-stage gather equals the flat one bit-for-bit.
+        for (kind, codec) in BOTH.into_iter().flat_map(|kind| CODECS.map(|c| (kind, c))) {
+            let lossy = if codec.is_some() { 0.3 } else { 0.0 };
+            let shard = move |rank: usize| [rank as f32 * 2.0 + lossy, rank as f32 * 2.0 + 1.0];
+            let out = run_on(kind, codec, p, |mut comm| {
                 let rank = comm.rank();
                 let (channel, node) = split_hierarchical(&mut comm, &layout);
-                hierarchical_all_gather(
-                    &channel,
-                    &node,
-                    &layout,
-                    &[rank as f32 * 2.0, rank as f32 * 2.0 + 1.0],
-                )
+                try_hierarchical_all_gather(&channel, &node, &layout, &shard(rank), codec)
+                    .expect("healthy world")
             });
-            let expect: Vec<f32> = (0..2 * p).map(|x| x as f32).collect();
-            for (r, o) in out.iter().enumerate() {
-                assert_eq!(o, &expect, "dataplane p={p} k={k} rank={r} transport={kind}");
+            let flat = run_ranks_on(kind, p, |comm| {
+                comm.try_all_gather(&shard(comm.rank()), codec).expect("healthy world")
+            });
+            assert_eq!(out, flat, "hierarchical ≢ flat p={p} k={k} {kind} {codec:?}");
+            if codec.is_none() {
+                let expect: Vec<f32> = (0..2 * p).map(|x| x as f32).collect();
+                for (r, o) in out.iter().enumerate() {
+                    assert_eq!(o, &expect, "dataplane p={p} k={k} rank={r} transport={kind}");
+                }
             }
         }
     }
@@ -99,23 +129,26 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     /// reduce_scatter ∘ all_gather == all_reduce on real data, any world,
-    /// either transport.
+    /// either transport — and under any codec, gathering the reduced shards
+    /// exactly: both sides dequantize the same encoded contributions and
+    /// fold them in the same rank order.
     #[test]
     fn reduce_scatter_all_gather_equals_all_reduce(
         world in 2usize..9,
         len in 1usize..6,
         kind_idx in 0usize..2,
+        codec_idx in 0usize..4,
     ) {
-        let kind = BOTH[kind_idx];
+        let (kind, codec) = (BOTH[kind_idx], CODECS[codec_idx]);
         let n = world * len; // per-rank contribution divisible by world
-        let via_pair = run_ranks_on(kind, world, move |comm| {
+        let via_pair = run_on(kind, codec, world, move |comm| {
             let v: Vec<f32> = (0..n).map(|i| ((comm.rank() * 83 + i) as f32).sin()).collect();
-            let mine = comm.reduce_scatter(&v);
+            let mine = comm.try_reduce_scatter(&v, codec).expect("healthy world");
             comm.all_gather(&mine)
         });
-        let via_ar = run_ranks_on(kind, world, move |comm| {
+        let via_ar = run_on(kind, codec, world, move |comm| {
             let v: Vec<f32> = (0..n).map(|i| ((comm.rank() * 83 + i) as f32).sin()).collect();
-            comm.all_reduce(&v)
+            comm.try_all_reduce(&v, codec).expect("healthy world")
         });
         prop_assert_eq!(via_pair, via_ar);
     }
@@ -161,23 +194,26 @@ proptest! {
         world in 1usize..7,
         lens in prop::collection::vec(0usize..5, 0usize..5),
         kind_idx in 0usize..2,
+        codec_idx in 0usize..4,
     ) {
-        let kind = BOTH[kind_idx];
+        let (kind, codec) = (BOTH[kind_idx], CODECS[codec_idx]);
         let fill = |rank: usize, p: usize, len: usize| -> Vec<f32> {
             (0..len).map(|i| (rank * 101 + p * 13 + i) as f32).collect()
         };
         let l1 = lens.clone();
-        let coalesced = run_ranks_on(kind, world, move |comm| {
+        let coalesced = run_on(kind, codec, world, move |comm| {
             let bufs: Vec<Vec<f32>> =
                 l1.iter().enumerate().map(|(p, &len)| fill(comm.rank(), p, len)).collect();
             let refs: Vec<&[f32]> = bufs.iter().map(|b| b.as_slice()).collect();
-            comm.all_gather_coalesced(&refs)
+            comm.try_all_gather_coalesced(&refs, codec).expect("healthy world")
         });
         let l2 = lens.clone();
         let sequential = run_ranks_on(kind, world, move |comm| {
             l2.iter()
                 .enumerate()
-                .map(|(p, &len)| comm.all_gather(&fill(comm.rank(), p, len)))
+                .map(|(p, &len)| {
+                    comm.try_all_gather(&fill(comm.rank(), p, len), codec).expect("healthy world")
+                })
                 .collect::<Vec<_>>()
         });
         prop_assert_eq!(coalesced, sequential);
@@ -191,23 +227,27 @@ proptest! {
         world in 1usize..7,
         ks in prop::collection::vec(0usize..4, 0usize..5),
         kind_idx in 0usize..2,
+        codec_idx in 0usize..4,
     ) {
-        let kind = BOTH[kind_idx];
+        let (kind, codec) = (BOTH[kind_idx], CODECS[codec_idx]);
         let fill = |rank: usize, p: usize, len: usize| -> Vec<f32> {
             (0..len).map(|i| ((rank * 97 + p * 7 + i) as f32).sin()).collect()
         };
         let k1 = ks.clone();
-        let coalesced = run_ranks_on(kind, world, move |comm| {
+        let coalesced = run_on(kind, codec, world, move |comm| {
             let bufs: Vec<Vec<f32>> =
                 k1.iter().enumerate().map(|(p, &k)| fill(comm.rank(), p, k * world)).collect();
             let refs: Vec<&[f32]> = bufs.iter().map(|b| b.as_slice()).collect();
-            comm.reduce_scatter_coalesced(&refs)
+            comm.try_reduce_scatter_coalesced(&refs, codec).expect("healthy world")
         });
         let k2 = ks.clone();
         let sequential = run_ranks_on(kind, world, move |comm| {
             k2.iter()
                 .enumerate()
-                .map(|(p, &k)| comm.reduce_scatter(&fill(comm.rank(), p, k * world)))
+                .map(|(p, &k)| {
+                    comm.try_reduce_scatter(&fill(comm.rank(), p, k * world), codec)
+                        .expect("healthy world")
+                })
                 .collect::<Vec<_>>()
         });
         prop_assert_eq!(coalesced, sequential);
@@ -221,20 +261,23 @@ proptest! {
         parts in 1usize..5,
         len in 1usize..5,
         kind_idx in 0usize..2,
+        codec_idx in 0usize..4,
     ) {
-        let kind = BOTH[kind_idx];
-        let coalesced = run_ranks_on(kind, world, move |comm| {
+        let (kind, codec) = (BOTH[kind_idx], CODECS[codec_idx]);
+        let coalesced = run_on(kind, codec, world, move |comm| {
             let bufs: Vec<Vec<f32>> = (0..parts)
                 .map(|p| (0..len * world).map(|i| ((comm.rank() + p * 31 + i) as f32).cos()).collect())
                 .collect();
             let refs: Vec<&[f32]> = bufs.iter().map(|b| b.as_slice()).collect();
-            comm.reduce_scatter_coalesced(&refs)
+            comm.try_reduce_scatter_coalesced(&refs, codec).expect("healthy world")
         });
         let sequential = run_ranks_on(kind, world, move |comm| {
             let bufs: Vec<Vec<f32>> = (0..parts)
                 .map(|p| (0..len * world).map(|i| ((comm.rank() + p * 31 + i) as f32).cos()).collect())
                 .collect();
-            bufs.iter().map(|b| comm.reduce_scatter(b)).collect::<Vec<_>>()
+            bufs.iter()
+                .map(|b| comm.try_reduce_scatter(b, codec).expect("healthy world"))
+                .collect::<Vec<_>>()
         });
         prop_assert_eq!(coalesced, sequential);
     }
@@ -251,8 +294,9 @@ proptest! {
         world in 2usize..6,
         killer_seed in 0usize..97,
         kind_idx in 0usize..2,
+        codec_idx in 0usize..4,
     ) {
-        let kind = BOTH[kind_idx];
+        let (kind, codec) = (BOTH[kind_idx], CODECS[codec_idx]);
         let killer = killer_seed % world;
         with_deadline(Duration::from_secs(30), move || {
             let results = try_run_ranks_on(kind, world, move |c| {
@@ -260,7 +304,7 @@ proptest! {
                 if c.rank() == killer {
                     panic!("injected fault");
                 }
-                c.try_all_reduce(&[c.rank() as f32; 4])
+                c.try_all_reduce(&[c.rank() as f32; 4], codec)
             });
             for (rank, r) in results.iter().enumerate() {
                 if rank == killer {
@@ -270,7 +314,7 @@ proptest! {
                 match r.as_ref().expect("survivors must not panic") {
                     Err(CommError::RankFailed { .. }) | Err(CommError::PeerDisconnected { .. }) => {}
                     other => panic!(
-                        "survivor {rank} must observe the fault on {kind}, got {other:?}"
+                        "survivor {rank} must observe the fault on {kind} {codec:?}, got {other:?}"
                     ),
                 }
             }
@@ -302,8 +346,8 @@ proptest! {
                     return None; // walks away without panicking
                 }
                 Some(match &group {
-                    Some(g) => g.try_all_gather(&[1.0]),
-                    None => c.try_all_gather(&[1.0]),
+                    Some(g) => g.try_all_gather(&[1.0], None),
+                    None => c.try_all_gather(&[1.0], None),
                 })
             });
             for (rank, r) in results.into_iter().enumerate() {

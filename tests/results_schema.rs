@@ -246,8 +246,7 @@ fn ext_serve_artifact_matches_its_claims() {
 
 /// The overlap extension's artifact backs its claims: communication measured
 /// in flight under compute, bit-identical losses, the structural deferral
-/// counts, and wall-clock no worse than the single-core scheduler tax the
-/// bench itself enforces (a strict win on multi-core hosts).
+/// counts, and the wall-clock claim the bench itself enforces.
 #[test]
 fn ext_overlap_artifact_matches_its_claims() {
     let doc = parse(&results_dir().join("ext_overlap.json"));
@@ -260,15 +259,15 @@ fn ext_overlap_artifact_matches_its_claims() {
     let blocked = doc.get("comm_blocked_speedup").and_then(Json::as_num).unwrap();
     assert!(blocked > 1.0, "wire blocking did not shrink: {blocked}×");
 
-    // Wall-clock: strict win where there are cores to overlap on, bounded
-    // scheduler tax where there are not (mirrors the bench's own gate).
-    let speedup = doc.get("speedup").and_then(Json::as_num).unwrap();
-    let cores = doc.get("cores").and_then(Json::as_num).unwrap();
-    if cores > 1.0 {
-        assert!(speedup >= 1.0, "multi-core artifact must show a wall-clock win: {speedup}×");
-    } else {
-        assert!(speedup >= 1.0 / 1.10, "single-core wall-clock regressed beyond tax: {speedup}×");
-    }
+    // Wall-clock: the bench's own gate, on the host the artifact recorded.
+    let num = |key: &str| doc.get(key).and_then(Json::as_num).unwrap();
+    let count = |key: &str| num(key) as usize;
+    mics_bench::overlap_wall_clock_claim(
+        count("cores"),
+        count("rounds_won"),
+        count("rounds"),
+        num("speedup"),
+    );
 
     // One deferred reduce-scatter per non-final micro-step (fig15: accum 4).
     let deferred = doc.get("deferred_wire_ops").and_then(Json::as_arr).unwrap();
