@@ -16,7 +16,9 @@ use mics::cluster::{ClusterSpec, InstanceType, Rank};
 use mics::core::ops::SimCluster;
 use mics::core::schedule::{execute_on_sim, reshape, Geometry};
 use mics::core::{dp_pipeline_program, dp_program};
-use mics::core::{MicsConfig, Strategy, TrainingJob, ZeroStage};
+use mics::core::{
+    CompressionConfig, CompressionScope, MicsConfig, QuantScheme, Strategy, TrainingJob, ZeroStage,
+};
 use mics::dataplane::TransportKind;
 use mics::minidl::scaler::LossScale;
 use mics::minidl::train::{
@@ -90,6 +92,59 @@ fn golden_zero3_one_node() {
 fn golden_ddp_one_node() {
     let prog = dp_program(&job(1, Strategy::Ddp)).unwrap();
     check_golden("ddp_1x8", &prog.dump());
+}
+
+#[test]
+fn golden_zero2_one_node() {
+    // ZeRO-2: boundary reduce-scatter of the accumulated gradient, a
+    // recorded optimizer step and the parameter refresh behind it.
+    let dump = dp_program(&job(1, Strategy::Zero(ZeroStage::Two))).unwrap().dump();
+    assert!(dump.contains("param-refresh") && dump.contains("record=true"));
+    assert!(dump.contains("reduce-scatter b0 Accum"));
+    check_golden("zero2_1x8", &dump);
+}
+
+#[test]
+fn golden_zero3_int8_two_nodes() {
+    // ZeRO++-style ZeRO-3: the partition group is the cluster, so the
+    // gathers and the per-micro-step all-reduces both carry the codec.
+    let strategy = Strategy::ZeroCompressed(CompressionConfig::both(QuantScheme::int8()));
+    let dump = dp_program(&job(2, strategy)).unwrap().dump();
+    assert!(dump.contains("barrier"));
+    for line in dump.lines().filter(|l| l.contains(" gather.") || l.contains(" all-reduce ")) {
+        assert!(line.contains("+int8/128"), "{line}");
+    }
+    check_golden("zero3_int8_2x8", &dump);
+}
+
+/// int8 on weights and gradients, but only on collectives that stay inside
+/// the partition group: hop 2 keeps the exact wire.
+fn int8_intra_group() -> CompressionConfig {
+    CompressionConfig {
+        scope: CompressionScope::IntraGroupOnly,
+        ..CompressionConfig::both(QuantScheme::int8())
+    }
+}
+
+/// The codec annotations of an intra-group int8 MiCS dump: gathers and
+/// hop-1 reduce-scatters compressed, hop 2 (and any boundary hop) exact.
+fn assert_int8_intra_annotations(dump: &str) {
+    for line in dump.lines().skip(1) {
+        let compressed = line.contains(" gather.") || line.contains(" reduce-scatter ");
+        assert_eq!(line.contains("+int8/128"), compressed, "{line}");
+    }
+}
+
+#[test]
+fn golden_mics_p16_int8_intra_four_nodes() {
+    // Partition groups of 16 span two nodes → hierarchical gathers; the
+    // replication groups of 2 reduce at full precision.
+    let strategy = Strategy::Mics(MicsConfig::compressed(16, int8_intra_group()));
+    let dump = dp_program(&job(4, strategy)).unwrap().dump();
+    assert!(dump.contains("ag-hier"));
+    assert_eq!(dump.lines().filter(|l| l.contains(" hop2 ")).count(), 16);
+    assert_int8_intra_annotations(&dump);
+    check_golden("mics_p16_int8_intra_4x8", &dump);
 }
 
 #[test]
