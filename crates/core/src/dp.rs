@@ -1,12 +1,14 @@
 //! The data-parallel executors: MiCS, DeepSpeed ZeRO-1/2/3 and DDP.
 //!
-//! Since the schedule-IR refactor this module is a thin pipeline: a
-//! [`TrainingJob`] is turned into a [`ScheduleSpec`] (one pure emitter per
-//! strategy family, parameterized by [`crate::config::DpPlan`]), lowered to
-//! a [`StepProgram`] — `s` micro-steps of gathers, computes and gradient
-//! synchronization plus the accumulation boundary — and replayed onto the
-//! simulator by [`execute_on_sim`]. See [`crate::schedule`] for the op
-//! grammar; the schedule semantics are unchanged:
+//! This module is a thin pipeline: a [`TrainingJob`] is turned into a
+//! [`ScheduleSpec`] (the strategy's [`crate::config::DpPlan`] plus the
+//! workload's per-layer bytes and FLOPs), lowered to a [`StepProgram`] —
+//! `s` micro-steps of gathers, computes and gradient synchronization plus
+//! the accumulation boundary, on one stage or as the 1F1B interleave of
+//! `pp` — and replayed onto the simulator by [`execute_on_sim`]. One body
+//! does this for every entry point; the non-pipelined ones are its `pp = 1`
+//! case. See [`crate::schedule`] for the op grammar; the schedule
+//! semantics:
 //!
 //! * **forward**: for sharded-parameter strategies, each layer's parameters
 //!   are all-gathered within the partition group on the gather lane —
@@ -71,13 +73,13 @@ pub fn simulate_dp(job: &TrainingJob) -> Result<RunReport, OomError> {
 
 /// [`simulate_dp`] over a borrowed job — no spec clones on the way in.
 pub fn simulate_dp_view(job: JobView<'_>) -> Result<RunReport, OomError> {
-    simulate_dp_inner(job, false).map(|(r, _)| r)
+    simulate_stages(job, 1, 0, false).map(|(r, _)| r)
 }
 
 /// Like [`simulate_dp`], additionally returning a chrome-trace JSON
 /// timeline of every stream (loadable in `chrome://tracing` / Perfetto).
 pub fn simulate_dp_traced(job: &TrainingJob) -> Result<(RunReport, String), OomError> {
-    simulate_dp_inner(job.view(), true)
+    simulate_stages(job.view(), 1, 0, true)
 }
 
 /// Build the [`ScheduleSpec`] for a DP job: the strategy's plan plus the
@@ -129,13 +131,13 @@ fn dp_spec(job: JobView<'_>) -> Result<(ScheduleSpec, MemoryEstimate), OomError>
 /// simulator backend and the minidl executor run. Fails with
 /// [`OomError`] when the memory model rejects the job, like [`simulate_dp`].
 pub fn dp_program(job: &TrainingJob) -> Result<StepProgram, OomError> {
-    dp_spec(job.view()).map(|(spec, _)| spec.program())
+    dp_pipeline_program(job, 1, 0)
 }
 
 /// Lower `job` to a DP×PP [`StepProgram`]: the job's cluster is one
 /// pipeline stage's dp-world, replicated `pp` times, with the layer list
 /// split contiguously over the stages and 1F1B boundary sends carrying
-/// `act_bytes` per micro-batch. `pp = 1` is exactly [`dp_program`].
+/// `act_bytes` per micro-batch. [`dp_program`] is its `pp = 1` case.
 pub fn dp_pipeline_program(
     job: &TrainingJob,
     pp: usize,
@@ -147,59 +149,41 @@ pub fn dp_pipeline_program(
 
 /// Simulate one iteration of the DP×PP 1F1B program end-to-end on the
 /// event-driven backend — the *executable* pipeline comparator (unlike
-/// [`crate::simulate_megatron`], which is closed-form analytic).
+/// [`crate::simulate_megatron`], which is closed-form analytic), and at
+/// `pp = 1` exactly [`simulate_dp`].
 ///
-/// `job.cluster` describes one stage's dp-world; the simulated cluster is
-/// that world replicated `pp` times on the same instance type, matching the
-/// program's dp × pp geometry. Admission reuses `dp_spec`'s memory check on
-/// the full layer list — conservative for `pp > 1`, where each stage holds
-/// only its slice.
+/// `job.cluster` describes one stage's dp-world. Admission reuses
+/// `dp_spec`'s memory check on the full layer list — conservative for
+/// `pp > 1`, where each stage holds only its slice.
 pub fn simulate_dp_pipeline(
     job: &TrainingJob,
     pp: usize,
     act_bytes: u64,
 ) -> Result<RunReport, OomError> {
-    let (spec, est) = dp_spec(job.view())?;
-    let prog = PipelineSpec { inner: spec.clone(), pp, act_bytes }.program();
-    let world = spec.n * pp;
-    let k = spec.k;
-    let s = job.accum_steps;
-
-    let full = ClusterSpec::new(job.cluster.instance.clone(), job.cluster.nodes * pp);
-    let mut sc = SimCluster::new(full);
-    let sustained = if job.workload.param_dtype_bytes == 2 {
-        job.cluster.instance.sustained_fp16_flops()
-    } else {
-        job.cluster.instance.sustained_fp32_flops()
-    };
-    let exec = execute_on_sim(&prog, &mut sc, sustained);
-    let (iter_time, compute_busy, comm_busy) = sc.run();
-    let secs = iter_time.as_secs_f64();
-    // Samples flow through the dp ranks only; each stage computes 1/pp of
-    // the model, so per-GPU achieved FLOPs divide by pp.
-    let samples = (spec.n * job.workload.micro_batch * s) as f64;
-    Ok(RunReport {
-        label: format!("{}×pp{pp}", job.strategy.label()),
-        iter_time,
-        samples_per_sec: samples / secs,
-        achieved_flops_per_gpu: job.workload.total_flops() * s as f64 / pp as f64 / secs,
-        memory: est,
-        hierarchical_used: spec.hierarchical,
-        compute_fraction: compute_busy.as_secs_f64() / (world as f64 * secs),
-        comm_fraction: comm_busy.as_secs_f64() / (world as f64 * secs),
-        nic_bytes_per_node: exec.nic_bytes_total / (world / k).max(1) as u64,
-    })
+    simulate_stages(job.view(), pp, act_bytes, false).map(|(r, _)| r)
 }
 
-fn simulate_dp_inner(job: JobView<'_>, trace: bool) -> Result<(RunReport, String), OomError> {
+/// The one simulation body: lower `job` on `pp` stages, replay the program
+/// on the event-driven backend and fill the report (plus the timeline JSON,
+/// empty unless `trace`).
+fn simulate_stages(
+    job: JobView<'_>,
+    pp: usize,
+    act_bytes: u64,
+    trace: bool,
+) -> Result<(RunReport, String), OomError> {
     let (spec, est) = dp_spec(job)?;
-    let prog = spec.program();
-    let n = spec.n;
-    let k = spec.k;
+    let (n, k, hierarchical_used) = (spec.n, spec.k, spec.hierarchical);
+    let prog = PipelineSpec { inner: spec, pp, act_bytes }.program();
+    let world = n * pp;
     let s = job.accum_steps;
 
-    let mut sc = SimCluster::new(job.cluster.clone());
-    let samples = job.samples_per_iteration() as f64;
+    // The job's own cluster — its stragglers and fault plan included —
+    // widened to all `pp` stages: stage 0 sits on the job's nodes, the
+    // added nodes are healthy. At `pp = 1` this is `job.cluster` exactly.
+    let mut full = job.cluster.clone();
+    full.nodes *= pp;
+    let mut sc = SimCluster::new(full);
     if trace {
         sc.enable_tracing();
     }
@@ -211,29 +195,32 @@ fn simulate_dp_inner(job: JobView<'_>, trace: bool) -> Result<(RunReport, String
     let exec = execute_on_sim(&prog, &mut sc, sustained);
 
     let (iter_time, compute_busy, comm_busy, sim_trace) = sc.run_traced();
-    let trace_json = sim_trace.to_json();
     let secs = iter_time.as_secs_f64();
-    Ok((
-        RunReport {
-            label: job.strategy.label(),
-            iter_time,
-            samples_per_sec: samples / secs,
-            achieved_flops_per_gpu: job.workload.total_flops() * s as f64 / secs,
-            memory: est,
-            hierarchical_used: spec.hierarchical,
-            compute_fraction: compute_busy.as_secs_f64() / (n as f64 * secs),
-            comm_fraction: comm_busy.as_secs_f64() / (n as f64 * secs),
-            nic_bytes_per_node: exec.nic_bytes_total / (n / k).max(1) as u64,
-        },
-        trace_json,
-    ))
+    let mut label = job.strategy.label();
+    if pp > 1 {
+        label.push_str(&format!("×pp{pp}"));
+    }
+    let report = RunReport {
+        label,
+        iter_time,
+        // Samples flow through the dp ranks only; each stage computes 1/pp
+        // of the model, so per-GPU achieved FLOPs divide by pp.
+        samples_per_sec: job.samples_per_iteration() as f64 / secs,
+        achieved_flops_per_gpu: job.workload.total_flops() * s as f64 / pp as f64 / secs,
+        memory: est,
+        hierarchical_used,
+        compute_fraction: compute_busy.as_secs_f64() / (world as f64 * secs),
+        comm_fraction: comm_busy.as_secs_f64() / (world as f64 * secs),
+        nic_bytes_per_node: exec.nic_bytes_total / (world / k).max(1) as u64,
+    };
+    Ok((report, sim_trace.to_json()))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::{MicsConfig, Strategy, ZeroStage};
-    use mics_cluster::{ClusterSpec, InstanceType};
+    use mics_cluster::{ClusterSpec, InstanceType, NodeId};
     use mics_model::TransformerConfig;
 
     fn job(nodes: usize, strategy: Strategy) -> TrainingJob {
@@ -247,15 +234,17 @@ mod tests {
 
     #[test]
     fn pipeline_sim_at_pp1_costs_exactly_the_flat_program() {
-        // PipelineSpec at pp = 1 delegates to the flat emitter, so the
-        // executable pipeline comparator must reproduce `simulate_dp`'s
-        // makespan bit-for-bit.
-        let j = job(2, Strategy::Mics(MicsConfig::paper_defaults(8)));
-        let flat = simulate_dp(&j).unwrap();
-        let pipe = simulate_dp_pipeline(&j, 1, 1 << 20).unwrap();
-        assert_eq!(pipe.iter_time, flat.iter_time);
-        assert_eq!(pipe.samples_per_sec, flat.samples_per_sec);
-        assert_eq!(pipe.nic_bytes_per_node, flat.nic_bytes_per_node);
+        // pp = 1 is the same lowering on the same cluster — stragglers
+        // included — so the whole report is equal, label and all.
+        let clean = job(2, Strategy::Mics(MicsConfig::paper_defaults(8)));
+        let mut slow = clean.clone();
+        slow.cluster = slow.cluster.with_slow_node(NodeId(1), 0.25);
+        let [clean, slow] = [clean, slow].map(|j| {
+            let flat = simulate_dp(&j).unwrap();
+            assert_eq!(simulate_dp_pipeline(&j, 1, 1 << 20).unwrap(), flat);
+            flat
+        });
+        assert!(slow.iter_time > clean.iter_time, "the straggler must cost something");
     }
 
     #[test]
@@ -272,6 +261,13 @@ mod tests {
         // sit below the flat program's.
         let flat = simulate_dp(&j).unwrap();
         assert!(a.compute_fraction < flat.compute_fraction);
+        // Compression holds under pipelining: int8 shrinks hop 2, the
+        // stage's NIC traffic (the boundary p2p stays exact).
+        use mics_compress::{CompressionConfig, QuantScheme};
+        let int8 = CompressionConfig::both(QuantScheme::int8());
+        j.strategy = Strategy::Mics(MicsConfig::compressed(8, int8));
+        let q = simulate_dp_pipeline(&j, 2, 1 << 24).unwrap();
+        assert!(q.nic_bytes_per_node < a.nic_bytes_per_node);
     }
 
     #[test]

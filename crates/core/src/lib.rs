@@ -70,8 +70,8 @@ pub use recovery::{
 };
 pub use report::RunReport;
 pub use schedule::{
-    apply_prefetch, emit_pipeline, emit_step, execute_on_sim, reshape, Geometry, GroupRef, OpKind,
-    Pass, PipelineSpec, ScheduleOp, ScheduleSpec, StepProgram, WireOp,
+    execute_on_sim, reshape, Geometry, GroupRef, OpKind, Pass, PipelineSpec, ScheduleOp,
+    ScheduleSpec, StepProgram, WireOp,
 };
 pub use tuner::{candidate_partition_sizes, tune, tune_with_compression, Candidate, TuneResult};
 

@@ -5,23 +5,25 @@
 //! prefetch/overlap) are all *schedule* properties. This module makes the
 //! schedule a first-class value: a [`StepProgram`] — a flat list of
 //! [`ScheduleOp`]s with explicit op-to-op dependencies and per-op wire
-//! annotations ([`WireOp`]) — emitted once per strategy by [`emit_step`]
-//! from a [`ScheduleSpec`], then consumed by two backends:
+//! annotations ([`WireOp`]) — lowered once per strategy from a
+//! [`ScheduleSpec`] ([`ScheduleSpec::program`], or [`PipelineSpec::program`]
+//! for `pp` pipeline stages), then consumed by two backends:
 //!
 //! * [`execute_on_sim`] replays the program onto a [`SimCluster`] — the
-//!   analytic cost backend behind [`crate::simulate`]. The replay is
-//!   push-for-push identical to the historical inline lowering in
-//!   `dp.rs`, so every simulated number is bit-identical to what that
-//!   lowering produced.
+//!   analytic cost backend behind [`crate::simulate`];
 //! * the `mics-minidl` executor walks the same program and drives the
 //!   real `mics-dataplane` communicators, making the fidelity claim
 //!   structural: the dataplane executes the *same program* the simulator
 //!   costs.
 //!
-//! Prefetch depth is not baked into emission: [`emit_step`] produces
-//! gathers with no lookahead constraint and [`apply_prefetch`] is a
-//! schedule *transform* that adds the backpressure dependencies, so tuner
-//! passes can re-run it at different depths without re-emitting.
+//! There is one emitter. It lowers the 1F1B interleave of `pp` stages, and
+//! the non-pipelined program is its `pp = 1` case: a single stage that owns
+//! every layer, no warm-up and no boundary hop. Everything a strategy
+//! decides — group structure, wire algorithm, codec, bucket size — reaches
+//! the emitter as data on the spec, so it holds for every `pp`. Prefetch is
+//! a transform over the emitted program: emission produces gathers with no
+//! look-ahead constraint, and a second pass adds the §4 backpressure edges
+//! for the spec's `prefetch_depth`, stage by stage.
 
 use crate::config::MicroSync;
 use crate::ops::{Lane, SimCluster};
@@ -384,7 +386,7 @@ pub struct LayerSchedule {
     pub bwd_flops: f64,
 }
 
-/// Everything [`emit_step`] needs to lower one strategy's iteration.
+/// Everything the emitter needs to lower one strategy's iteration.
 #[derive(Debug, Clone)]
 pub struct ScheduleSpec {
     /// Total devices.
@@ -406,7 +408,7 @@ pub struct ScheduleSpec {
     pub hierarchical: bool,
     /// Batch the hierarchical stage-3 calls through the coalesced API.
     pub coalesced: bool,
-    /// Gather-lane lookahead in layers, applied by [`apply_prefetch`].
+    /// Gather-lane lookahead in layers (§4), within a stage's layer slice.
     pub prefetch_depth: usize,
     /// Host-side think time before each scheduled collective.
     pub decision_overhead: SimTime,
@@ -426,10 +428,13 @@ pub struct ScheduleSpec {
 }
 
 impl ScheduleSpec {
-    /// Emit and apply the spec's own prefetch depth: the program both
-    /// backends should run.
+    /// Lower to the [`StepProgram`] both backends should run: the spec's
+    /// iteration on a single stage, with its own prefetch depth applied.
+    ///
+    /// # Panics
+    /// Panics if `p_params` does not divide `n` or any dimension is zero.
     pub fn program(&self) -> StepProgram {
-        let mut prog = emit_step(self);
+        let mut prog = emit(self, 1, 0);
         apply_prefetch(&mut prog, self.prefetch_depth);
         prog
     }
@@ -461,368 +466,13 @@ fn bucketize(layers: &[LayerSchedule], bucket_bytes: u64) -> Vec<(Vec<usize>, u6
     out
 }
 
-/// Lower one iteration of `spec` to a [`StepProgram`].
-///
-/// The emission order is the contract both backends rely on: forward
-/// gathers (layer-ascending, group-ascending), forward computes, backward
-/// gathers (layer-descending), backward computes, then per-bucket gradient
-/// synchronization, and after the last micro-step the optimizer update and
-/// the ZeRO-1/2 parameter refresh. Prefetch dependencies are *not* added
-/// here — see [`apply_prefetch`].
-///
-/// # Panics
-/// Panics if `p_params` does not divide `n` or any dimension is zero.
-pub fn emit_step(spec: &ScheduleSpec) -> StepProgram {
-    let (n, k, p) = (spec.n, spec.k, spec.p_params);
-    assert!(n >= 1 && k >= 1 && p >= 1 && n.is_multiple_of(p), "invalid geometry n={n} p={p}");
-    let num_layers = spec.layers.len();
-    let s = spec.accum_steps;
-    let groups = n / p;
-
-    // Codec resolution, mirroring the scope rules of the quantized
-    // collectives: gathers and hop-1 reductions stay inside the partition
-    // group; collectives that leave it compress only under
-    // [`CompressionScope::Everywhere`].
-    let cost_model = |c: &CompressionConfig| {
-        let mut cm = c.scheme.cost_model();
-        cm.elem_bytes = spec.elem_bytes;
-        cm
-    };
-    let weight_codec = spec.compression.filter(|c| c.weights).map(|c| (c.scheme, cost_model(&c)));
-    let grad_codec = |beyond_group: bool| {
-        spec.compression
-            .filter(|c| c.grads)
-            .filter(|c| !beyond_group || c.scope == CompressionScope::Everywhere)
-            .map(|c| (c.scheme, cost_model(&c)))
-    };
-
-    let hier = spec.hierarchical && p > k;
-    let gather_wire = |layer: usize, g: usize| WireOp {
-        group: GroupRef::Partition { stage: 0, g },
-        lane: Lane::Gather,
-        wire: WireCollective {
-            kind: WireKind::AllGather { hierarchical: hier, coalesced: spec.coalesced },
-            participants: p,
-            devices_per_node: k,
-            bytes: spec.layers[layer].param_bytes,
-            codec: weight_codec.map(|(_, cm)| cm),
-        },
-        scheme: weight_codec.map(|(sch, _)| sch),
-        overhead: true,
-    };
-
-    let buckets = bucketize(&spec.layers, spec.bucket_bytes);
-    // Per-bucket synchronization op template: `(kind, source, wire)` or
-    // `None` when the group is trivial and the bucket folds locally.
-    enum SyncKind {
-        Rs,
-        Ar,
-    }
-    let bucket_sync = |bytes: u64| -> Option<(SyncKind, GradSource, WireOp)> {
-        let mk = |kind, source, wk, participants, codec: Option<(QuantScheme, _)>| {
-            (
-                kind,
-                source,
-                WireOp {
-                    group: if matches!(spec.micro_sync, MicroSync::PartitionReduceScatter) {
-                        // Placeholder; rewritten per group below.
-                        GroupRef::Partition { stage: 0, g: 0 }
-                    } else {
-                        GroupRef::All { stage: 0 }
-                    },
-                    lane: Lane::Reduce,
-                    wire: WireCollective {
-                        kind: wk,
-                        participants,
-                        devices_per_node: k,
-                        bytes,
-                        codec: codec.map(|(_, cm)| cm),
-                    },
-                    scheme: codec.map(|(sch, _)| sch),
-                    overhead: true,
-                },
-            )
-        };
-        match spec.micro_sync {
-            MicroSync::PartitionReduceScatter => (p > 1).then(|| {
-                mk(
-                    SyncKind::Rs,
-                    GradSource::MicroGrad,
-                    WireKind::ReduceScatter,
-                    p,
-                    grad_codec(false),
-                )
-            }),
-            // The global all-reduce leaves the partition group unless the
-            // group *is* the cluster (ZeRO-3 / MiCS with p = n).
-            MicroSync::GlobalAllReduce => (n > 1).then(|| {
-                mk(
-                    SyncKind::Ar,
-                    GradSource::MicroGrad,
-                    WireKind::AllReduce { stride: 1 },
-                    n,
-                    grad_codec(p < n),
-                )
-            }),
-            MicroSync::LocalAccumulate => (n > 1).then(|| {
-                // The boundary reduction leaves the (trivial) partition
-                // group, so only `Everywhere`-scoped compression applies.
-                if spec.p_grads > 1 {
-                    // ZeRO-2: reduce-scatter over the whole cluster.
-                    mk(
-                        SyncKind::Rs,
-                        GradSource::Accum,
-                        WireKind::ReduceScatter,
-                        n,
-                        grad_codec(true),
-                    )
-                } else {
-                    // DDP / ZeRO-1: bucketed all-reduce over the cluster.
-                    mk(
-                        SyncKind::Ar,
-                        GradSource::Accum,
-                        WireKind::AllReduce { stride: 1 },
-                        n,
-                        grad_codec(true),
-                    )
-                }
-            }),
-        }
-    };
-
-    let mut ops: Vec<ScheduleOp> = Vec::new();
-    // Previous synchronization's reduction ops per layer (the
-    // write-after-read hazard on the gradient buffer, §3.4) and per rank
-    // cover (for the optimizer's gate).
-    let mut war: Vec<Vec<OpId>> = vec![Vec::new(); num_layers];
-    let mut last_reduce: Vec<OpId> = Vec::new();
-    let mut barrier: Option<OpId> = None;
-
-    for micro in 0..s {
-        // ---------- forward ----------
-        if spec.micro_sync == MicroSync::GlobalAllReduce {
-            if let Some(b) = barrier {
-                ops.push(ScheduleOp { micro, kind: OpKind::MicroBarrier, deps: vec![b] });
-            }
-        }
-        let mut fwd_gathers: Vec<Vec<OpId>> = vec![Vec::new(); num_layers];
-        for (l, layer) in spec.layers.iter().enumerate() {
-            if p == 1 || layer.param_bytes == 0 {
-                continue;
-            }
-            for g in 0..groups {
-                fwd_gathers[l].push(ops.len());
-                ops.push(ScheduleOp {
-                    micro,
-                    kind: OpKind::GatherShards {
-                        layer: l,
-                        pass: Pass::Forward,
-                        wire: gather_wire(l, g),
-                    },
-                    deps: Vec::new(),
-                });
-            }
-        }
-        let mut fwd_computes: Vec<OpId> = Vec::with_capacity(num_layers);
-        for (l, layer) in spec.layers.iter().enumerate() {
-            fwd_computes.push(ops.len());
-            ops.push(ScheduleOp {
-                micro,
-                kind: OpKind::Compute { layer: l, pass: Pass::Forward, flops: layer.fwd_flops },
-                deps: fwd_gathers[l].clone(),
-            });
-        }
-
-        // ---------- backward (reverse layer order) ----------
-        let mut bwd_gathers: Vec<Vec<OpId>> = vec![Vec::new(); num_layers];
-        for idx in 0..num_layers {
-            let l = num_layers - 1 - idx;
-            if p == 1 || spec.layers[l].param_bytes == 0 {
-                continue;
-            }
-            for g in 0..groups {
-                bwd_gathers[l].push(ops.len());
-                ops.push(ScheduleOp {
-                    micro,
-                    kind: OpKind::GatherShards {
-                        layer: l,
-                        pass: Pass::Backward,
-                        wire: gather_wire(l, g),
-                    },
-                    deps: Vec::new(),
-                });
-            }
-        }
-        let mut bwd_computes: Vec<OpId> = vec![0; num_layers];
-        for idx in 0..num_layers {
-            let l = num_layers - 1 - idx;
-            let mut deps = bwd_gathers[l].clone();
-            // Gradient-buffer write-after-read hazard against the previous
-            // micro-step's reduction of this layer.
-            deps.extend(war[l].iter().copied());
-            bwd_computes[l] = ops.len();
-            ops.push(ScheduleOp {
-                micro,
-                kind: OpKind::Compute {
-                    layer: l,
-                    pass: Pass::Backward,
-                    flops: spec.layers[l].bwd_flops,
-                },
-                deps,
-            });
-        }
-
-        // ---------- per-micro-step gradient synchronization ----------
-        let sync_this_micro = match spec.micro_sync {
-            MicroSync::LocalAccumulate => micro == s - 1,
-            _ => true,
-        };
-        let boundary = micro == s - 1;
-        for (bi, (bucket_layers, bucket_bytes)) in buckets.iter().enumerate() {
-            // A bucket is ready when its last-computed layer (the lowest
-            // index — backward runs in decreasing layer order) finishes.
-            let ready = bwd_computes[*bucket_layers.last().unwrap()];
-            if spec.micro_sync == MicroSync::LocalAccumulate {
-                // Local fold every micro-step; the wire only carries the
-                // accumulated buffer at the boundary.
-                ops.push(ScheduleOp {
-                    micro,
-                    kind: OpKind::AccumGrads { bucket: bi },
-                    deps: vec![ready],
-                });
-            }
-            if !sync_this_micro {
-                continue;
-            }
-            let mut hop1_emitted = false;
-            if let Some((kind, source, wire_tpl)) = bucket_sync(*bucket_bytes) {
-                let group_list: Vec<GroupRef> =
-                    if spec.micro_sync == MicroSync::PartitionReduceScatter {
-                        (0..groups).map(|g| GroupRef::Partition { stage: 0, g }).collect()
-                    } else {
-                        vec![GroupRef::All { stage: 0 }]
-                    };
-                let mut batch: Vec<OpId> = Vec::with_capacity(group_list.len());
-                for group in group_list {
-                    let wire = WireOp { group, ..wire_tpl };
-                    batch.push(ops.len());
-                    ops.push(ScheduleOp {
-                        micro,
-                        kind: match kind {
-                            SyncKind::Rs => OpKind::ReduceScatterGrads { bucket: bi, source, wire },
-                            SyncKind::Ar => OpKind::AllReduceGrads { bucket: bi, source, wire },
-                        },
-                        deps: vec![ready],
-                    });
-                }
-                for &l in bucket_layers {
-                    war[l] = batch.clone();
-                }
-                last_reduce = batch.clone();
-                if spec.micro_sync == MicroSync::GlobalAllReduce {
-                    // The final bucket's reduction is the last to finish
-                    // and forms the next micro-step's barrier.
-                    barrier = batch.last().copied();
-                }
-                hop1_emitted = true;
-            } else if spec.micro_sync != MicroSync::LocalAccumulate {
-                // Trivial synchronization group (p = 1 hop 1, n = 1 global
-                // all-reduce): the micro-gradient folds locally.
-                ops.push(ScheduleOp {
-                    micro,
-                    kind: OpKind::AccumGrads { bucket: bi },
-                    deps: vec![ready],
-                });
-            }
-            // 2-hop second hop (§3.4): at the accumulation boundary,
-            // all-reduce this bucket's accumulated gradient shard across
-            // the replication group — bucketed so it overlaps with the
-            // remaining backward compute, just like hop 1.
-            if boundary && spec.micro_sync == MicroSync::PartitionReduceScatter && n > p {
-                let shard_bytes = bucket_bytes / p as u64;
-                if shard_bytes > 0 {
-                    // Hop 2 crosses replication groups — beyond the
-                    // partition group, so intra-group-only compression
-                    // keeps it at full precision.
-                    let codec = grad_codec(true);
-                    let mut ids: Vec<OpId> = Vec::with_capacity(p);
-                    for local in 0..p {
-                        let deps = if hop1_emitted { Vec::new() } else { vec![ready] };
-                        ids.push(ops.len());
-                        ops.push(ScheduleOp {
-                            micro,
-                            kind: OpKind::CrossGroupAllReduce {
-                                bucket: bi,
-                                local,
-                                wire: WireOp {
-                                    group: GroupRef::Replication { stage: 0, local },
-                                    lane: Lane::Reduce,
-                                    wire: WireCollective {
-                                        kind: WireKind::AllReduce { stride: p },
-                                        participants: n / p,
-                                        devices_per_node: k,
-                                        bytes: shard_bytes,
-                                        codec: codec.map(|(_, cm)| cm),
-                                    },
-                                    scheme: codec.map(|(sch, _)| sch),
-                                    overhead: false,
-                                },
-                            },
-                            deps,
-                        });
-                    }
-                    last_reduce = ids;
-                }
-            }
-        }
-    }
-
-    // ---------- optimizer step + ZeRO-1/2 parameter refresh ----------
-    let record = spec.p_opt > 1 && spec.p_params == 1;
-    let opt_id = ops.len();
-    ops.push(ScheduleOp {
-        micro: s - 1,
-        kind: OpKind::OptimizerUpdate { bytes: spec.optimizer_bytes, record },
-        deps: last_reduce,
-    });
-    if record && n > 1 {
-        ops.push(ScheduleOp {
-            micro: s - 1,
-            kind: OpKind::ParamRefresh {
-                wire: WireOp {
-                    group: GroupRef::All { stage: 0 },
-                    lane: Lane::Gather,
-                    wire: WireCollective {
-                        kind: WireKind::AllGather { hierarchical: false, coalesced: false },
-                        participants: n,
-                        devices_per_node: k,
-                        bytes: spec.total_param_bytes,
-                        codec: None,
-                    },
-                    scheme: None,
-                    overhead: true,
-                },
-            },
-            deps: vec![opt_id],
-        });
-    }
-
-    StepProgram {
-        geo: Geometry::flat(n, k, p),
-        num_layers,
-        accum_steps: s,
-        decision_overhead: spec.decision_overhead,
-        ops,
-    }
-}
-
-/// A pipeline wrapper around any existing strategy: `inner` describes ONE
-/// stage's dp-world (`inner.n` ranks, partition groups of `inner.p_params`)
-/// over the FULL layer list; the wrapper splits the layers contiguously
-/// over `pp` stages and emits a 1F1B (one-forward-one-backward) schedule
-/// with explicit cross-stage [`OpKind::StageSend`]/[`OpKind::StageRecv`]
-/// dependency edges. At `pp = 1` it delegates to the flat emitter, so the
-/// program (and its dump) is bit-identical to the non-pipelined one.
+/// A pipeline wrapper around any strategy: `inner` describes ONE stage's
+/// dp-world (`inner.n` ranks, partition groups of `inner.p_params`) over
+/// the FULL layer list; the wrapper splits the layers contiguously over
+/// `pp` stages and lowers a 1F1B (one-forward-one-backward) schedule with
+/// explicit cross-stage [`OpKind::StageSend`]/[`OpKind::StageRecv`]
+/// dependency edges. `inner.program()` is the `pp = 1` case of the same
+/// lowering, so the two programs (and their dumps) are equal there.
 #[derive(Debug, Clone)]
 pub struct PipelineSpec {
     /// The per-stage strategy template; `inner.n` is the dp-world of one
@@ -841,14 +491,17 @@ impl PipelineSpec {
         Geometry { dp: self.inner.n, pp: self.pp, p: self.inner.p_params, k: self.inner.k }
     }
 
-    /// Lower to a [`StepProgram`]. `pp = 1` is exactly the flat program
-    /// (including prefetch edges); `pp ≥ 2` emits the 1F1B schedule.
+    /// Lower to a [`StepProgram`]: the 1F1B schedule of `inner`'s strategy
+    /// over `pp` stages, with `inner.prefetch_depth` applied inside every
+    /// stage.
+    ///
+    /// # Panics
+    /// Panics if the geometry is invalid or the stages do not evenly split
+    /// the layers.
     pub fn program(&self) -> StepProgram {
-        if self.pp == 1 {
-            self.inner.program()
-        } else {
-            emit_pipeline(self)
-        }
+        let mut prog = emit(&self.inner, self.pp, self.act_bytes);
+        apply_prefetch(&mut prog, self.inner.prefetch_depth);
+        prog
     }
 }
 
@@ -892,536 +545,366 @@ impl ScheduleSpec {
     }
 }
 
-/// The wire annotation of one 1F1B boundary hop: a 2-rank p2p on the lane
-/// matching its direction (activations ride the gather lane, gradients the
-/// reduce lane, so boundary traffic contends with the stage's own
-/// collectives exactly as it would on a real NIC).
-fn pair_wire(geo: &Geometry, from: Rank, to: Rank, pass: Pass, bytes: u64) -> WireOp {
-    WireOp {
-        group: GroupRef::Pair { from, to },
-        lane: if pass == Pass::Forward { Lane::Gather } else { Lane::Reduce },
-        wire: WireCollective {
-            kind: WireKind::P2p { inter_node: from.0 / geo.k != to.0 / geo.k },
-            participants: 2,
-            devices_per_node: geo.k,
-            bytes,
-            codec: None,
-        },
-        scheme: None,
-        overhead: false,
-    }
-}
-
-/// Mutable emission state of the 1F1B lowering.
-struct PipeEmit<'a> {
-    spec: &'a PipelineSpec,
+/// Emission state. Ops are appended one *stage action* at a time — one
+/// stage's forward or backward pass over one micro-batch.
+struct Emit<'a> {
+    spec: &'a ScheduleSpec,
     geo: Geometry,
+    act_bytes: u64,
     ops: Vec<ScheduleOp>,
-    /// Per `(stage, micro)`: the forward activation sends (one per dp
-    /// index), once emitted.
-    sent_act: Vec<Vec<Option<Vec<OpId>>>>,
-    /// Per `(stage, micro)`: the backward gradient sends.
-    sent_grad: Vec<Vec<Option<Vec<OpId>>>>,
-    /// Write-after-read hazard per global layer (§3.4), as in the flat
-    /// emitter.
+    /// `[pass][stage][micro]`: the first of the `dp` consecutive boundary
+    /// sends of that action, once emitted.
+    sent: [Vec<Vec<Option<OpId>>>; 2],
+    /// Per layer: the previous reductions of its bucket — the
+    /// write-after-read hazard on the gradient buffer (§3.4).
     war: Vec<Vec<OpId>>,
-    /// Per stage: the ops the optimizer must gate on.
+    /// Per stage: the ops its optimizer step gates on.
     last_reduce: Vec<Vec<OpId>>,
-    /// Per stage: gradient buckets over the stage's layer slice (global
-    /// layer indices).
+    /// Per stage: gradient buckets over the stage's layer slice.
     buckets: Vec<Vec<(Vec<usize>, u64)>>,
 }
 
-impl PipeEmit<'_> {
-    fn layers_per_stage(&self) -> usize {
-        self.spec.inner.layers.len() / self.spec.pp
+impl Emit<'_> {
+    fn push(&mut self, micro: usize, kind: OpKind, deps: Vec<OpId>) -> OpId {
+        self.ops.push(ScheduleOp { micro, kind, deps });
+        self.ops.len() - 1
     }
 
-    fn gather_wire(&self, layer: usize, stage: usize, g: usize, hier: bool) -> WireOp {
-        let inner = &self.spec.inner;
+    /// The stages an action's boundary tensor comes from and goes to:
+    /// activations flow up the pipeline, gradients down, and the ends have
+    /// no neighbour (neither does the only stage of `pp = 1`).
+    fn neighbours(&self, s: usize, pass: Pass) -> (Option<usize>, Option<usize>) {
+        let (prev, next) = (s.checked_sub(1), Some(s + 1).filter(|&t| t < self.geo.pp));
+        if pass == Pass::Forward {
+            (prev, next)
+        } else {
+            (next, prev)
+        }
+    }
+
+    /// A scheduled collective's wire annotation. `codec` is the compression
+    /// that applies to this op, if any: the dataplane gets its scheme, the
+    /// cost model the same scheme at the spec's element width.
+    fn wire(
+        &self,
+        group: GroupRef,
+        lane: Lane,
+        kind: WireKind,
+        participants: usize,
+        bytes: u64,
+        codec: Option<CompressionConfig>,
+    ) -> WireOp {
+        let model = |c: CompressionConfig| {
+            let mut cm = c.scheme.cost_model();
+            cm.elem_bytes = self.spec.elem_bytes;
+            cm
+        };
         WireOp {
-            group: GroupRef::Partition { stage, g },
-            lane: Lane::Gather,
+            group,
+            lane,
             wire: WireCollective {
-                kind: WireKind::AllGather { hierarchical: hier, coalesced: inner.coalesced },
-                participants: self.geo.p,
+                kind,
+                participants,
                 devices_per_node: self.geo.k,
-                bytes: inner.layers[layer].param_bytes,
-                codec: None,
+                bytes,
+                codec: codec.map(model),
             },
-            scheme: None,
+            scheme: codec.map(|c| c.scheme),
             overhead: true,
         }
     }
 
-    /// One stage's forward action for micro-batch `j`: recv the activation
-    /// from the previous stage, gather + compute the stage's layers, send
-    /// the activation onward.
-    fn forward(&mut self, s: usize, j: usize) {
-        let geo = self.geo;
-        let (dp, p, per) = (geo.dp, geo.p, self.layers_per_stage());
-        let (lo, hi) = (s * per, (s + 1) * per);
-        let hier = self.spec.inner.hierarchical && p > geo.k;
-        let mut recv_ids: Vec<OpId> = Vec::new();
-        if s > 0 {
-            let sends = self.sent_act[s - 1][j].clone().expect("1F1B dep not yet emitted");
-            for (d, &send) in sends.iter().enumerate().take(dp) {
-                recv_ids.push(self.ops.len());
-                self.ops.push(ScheduleOp {
-                    micro: j,
-                    kind: OpKind::StageRecv {
-                        peer_stage: s - 1,
-                        pass: Pass::Forward,
-                        wire: pair_wire(&geo, geo.rank(s - 1, d), geo.rank(s, d), Pass::Forward, 0),
-                    },
-                    deps: vec![send],
-                });
-            }
-        }
-        let mut gathers: Vec<Vec<OpId>> = vec![Vec::new(); per];
-        for l in lo..hi {
-            if p == 1 || self.spec.inner.layers[l].param_bytes == 0 {
-                continue;
-            }
-            for g in 0..geo.groups() {
-                gathers[l - lo].push(self.ops.len());
-                self.ops.push(ScheduleOp {
-                    micro: j,
-                    kind: OpKind::GatherShards {
-                        layer: l,
-                        pass: Pass::Forward,
-                        wire: self.gather_wire(l, s, g, hier),
-                    },
-                    deps: Vec::new(),
-                });
-            }
-        }
-        let mut last = 0;
-        for l in lo..hi {
-            let mut deps = gathers[l - lo].clone();
-            if l == lo {
-                deps.extend(recv_ids.iter().copied());
-            }
-            last = self.ops.len();
-            self.ops.push(ScheduleOp {
-                micro: j,
-                kind: OpKind::Compute {
-                    layer: l,
-                    pass: Pass::Forward,
-                    flops: self.spec.inner.layers[l].fwd_flops,
-                },
-                deps,
-            });
-        }
-        if s < self.spec.pp - 1 {
-            let mut ids = Vec::with_capacity(dp);
-            for d in 0..dp {
-                ids.push(self.ops.len());
-                self.ops.push(ScheduleOp {
-                    micro: j,
-                    kind: OpKind::StageSend {
-                        peer_stage: s + 1,
-                        pass: Pass::Forward,
-                        wire: pair_wire(
-                            &geo,
-                            geo.rank(s, d),
-                            geo.rank(s + 1, d),
-                            Pass::Forward,
-                            self.spec.act_bytes,
-                        ),
-                    },
-                    deps: vec![last],
-                });
-            }
-            self.sent_act[s][j] = Some(ids);
+    /// Gradient compression for a reduction. The scope rule mirrors the
+    /// quantized collectives: a reduction that leaves the partition group
+    /// compresses only under [`CompressionScope::Everywhere`].
+    fn grad_codec(&self, beyond_group: bool) -> Option<CompressionConfig> {
+        self.spec
+            .compression
+            .filter(|c| c.grads && (!beyond_group || c.scope == CompressionScope::Everywhere))
+    }
+
+    /// One 1F1B boundary hop of dp index `d`: a 2-rank p2p on the lane
+    /// matching its direction (activations ride the gather lane, gradients
+    /// the reduce lane, so boundary traffic contends with the stage's own
+    /// collectives exactly as it would on a real NIC). Never compressed,
+    /// and precomputed, so it pays no decision overhead.
+    fn pair_wire(&self, from: usize, to: usize, d: usize, pass: Pass, bytes: u64) -> WireOp {
+        let (from, to) = (self.geo.rank(from, d), self.geo.rank(to, d));
+        let lane = if pass == Pass::Forward { Lane::Gather } else { Lane::Reduce };
+        let kind = WireKind::P2p { inter_node: from.0 / self.geo.k != to.0 / self.geo.k };
+        WireOp {
+            overhead: false,
+            ..self.wire(GroupRef::Pair { from, to }, lane, kind, 2, bytes, None)
         }
     }
 
-    /// One stage's backward action for micro-batch `i`: recv the boundary
-    /// gradient, re-gather + backprop the stage's layers (descending), send
-    /// the gradient to the previous stage, then the stage-scoped gradient
-    /// synchronization — the same hop-1/hop-2 structure the flat emitter
-    /// produces, with every group scoped to this stage.
-    fn backward(&mut self, s: usize, i: usize) {
-        let geo = self.geo;
-        let inner = &self.spec.inner;
-        let pp = self.spec.pp;
-        let (dp, p, per) = (geo.dp, geo.p, self.layers_per_stage());
-        let (lo, hi) = (s * per, (s + 1) * per);
-        let m = inner.accum_steps;
-        let hier = inner.hierarchical && p > geo.k;
-        let mut recv_ids: Vec<OpId> = Vec::new();
-        if s < pp - 1 {
-            let sends = self.sent_grad[s + 1][i].clone().expect("1F1B dep not yet emitted");
-            for (d, &send) in sends.iter().enumerate().take(dp) {
-                recv_ids.push(self.ops.len());
-                self.ops.push(ScheduleOp {
-                    micro: i,
-                    kind: OpKind::StageRecv {
-                        peer_stage: s + 1,
-                        pass: Pass::Backward,
-                        wire: pair_wire(
-                            &geo,
-                            geo.rank(s + 1, d),
-                            geo.rank(s, d),
-                            Pass::Backward,
-                            0,
-                        ),
-                    },
-                    deps: vec![send],
-                });
+    /// One stage action: stage `s`'s `pass` over micro-batch `micro`.
+    ///
+    /// The emission order is the contract both backends rely on: receive
+    /// the boundary tensor from the neighbouring stage (one recv per dp
+    /// index), gather the stage's layers (group-ascending within a layer),
+    /// compute them, send the boundary tensor onward, and — after a
+    /// backward — synchronize the stage's gradients bucket by bucket.
+    /// Layers run ascending in the forward pass and descending in the
+    /// backward pass. At `pp = 1` the stage is the model and has no
+    /// neighbour, so no hop is emitted.
+    fn action(&mut self, s: usize, micro: usize, pass: Pass) {
+        let (spec, geo) = (self.spec, self.geo);
+        let per = spec.layers.len() / geo.pp;
+        let lo = s * per;
+        let forward = pass == Pass::Forward;
+        // The stage's layers in the pass's execution order.
+        let order = (0..per).map(|i| if forward { lo + i } else { lo + per - 1 - i });
+        let (src, dst) = self.neighbours(s, pass);
+
+        // The "alternative schedule" (§2.3/§3.4) opens each micro-step with
+        // a barrier on the previous one's last reduction. Only at pp = 1:
+        // under 1F1B a stage's F(j+1) is emitted before B(j), so the
+        // reduction the barrier would wait on does not exist yet.
+        if forward && geo.pp == 1 && spec.micro_sync == MicroSync::GlobalAllReduce {
+            if let Some(&last) = self.last_reduce[s].last() {
+                self.push(micro, OpKind::MicroBarrier, vec![last]);
             }
-        }
-        let mut gathers: Vec<Vec<OpId>> = vec![Vec::new(); per];
-        for idx in 0..per {
-            let l = hi - 1 - idx;
-            if p == 1 || inner.layers[l].param_bytes == 0 {
-                continue;
-            }
-            for g in 0..geo.groups() {
-                gathers[l - lo].push(self.ops.len());
-                self.ops.push(ScheduleOp {
-                    micro: i,
-                    kind: OpKind::GatherShards {
-                        layer: l,
-                        pass: Pass::Backward,
-                        wire: self.gather_wire(l, s, g, hier),
-                    },
-                    deps: Vec::new(),
-                });
-            }
-        }
-        let mut bwd_compute_of: Vec<OpId> = vec![0; per];
-        for idx in 0..per {
-            let l = hi - 1 - idx;
-            let mut deps = gathers[l - lo].clone();
-            deps.extend(self.war[l].iter().copied());
-            if l == hi - 1 {
-                deps.extend(recv_ids.iter().copied());
-            }
-            bwd_compute_of[l - lo] = self.ops.len();
-            self.ops.push(ScheduleOp {
-                micro: i,
-                kind: OpKind::Compute {
-                    layer: l,
-                    pass: Pass::Backward,
-                    flops: inner.layers[l].bwd_flops,
-                },
-                deps,
-            });
-        }
-        if s > 0 {
-            let last_bwd = bwd_compute_of[0];
-            let mut ids = Vec::with_capacity(dp);
-            for d in 0..dp {
-                ids.push(self.ops.len());
-                self.ops.push(ScheduleOp {
-                    micro: i,
-                    kind: OpKind::StageSend {
-                        peer_stage: s - 1,
-                        pass: Pass::Backward,
-                        wire: pair_wire(
-                            &geo,
-                            geo.rank(s, d),
-                            geo.rank(s - 1, d),
-                            Pass::Backward,
-                            self.spec.act_bytes,
-                        ),
-                    },
-                    deps: vec![last_bwd],
-                });
-            }
-            self.sent_grad[s][i] = Some(ids);
         }
 
-        // ---- stage-scoped gradient synchronization ----
-        let boundary = i == m - 1;
-        let sync_this_micro = match inner.micro_sync {
-            MicroSync::LocalAccumulate => boundary,
-            _ => true,
+        let mut recvs: Vec<OpId> = Vec::new();
+        if let Some(peer) = src {
+            let first = self.sent[pass as usize][peer][micro].expect("1F1B dep not yet emitted");
+            for d in 0..geo.dp {
+                let wire = self.pair_wire(peer, s, d, pass, 0);
+                let kind = OpKind::StageRecv { peer_stage: peer, pass, wire };
+                recvs.push(self.push(micro, kind, vec![first + d]));
+            }
+        }
+
+        let weight_codec = spec.compression.filter(|c| c.weights);
+        let algorithm = WireKind::AllGather {
+            hierarchical: spec.hierarchical && geo.p > geo.k,
+            coalesced: spec.coalesced,
         };
-        let buckets = self.buckets[s].clone();
-        for (bi, (bucket_layers, bucket_bytes)) in buckets.iter().enumerate() {
-            let ready = bwd_compute_of[bucket_layers.last().unwrap() - lo];
-            if inner.micro_sync == MicroSync::LocalAccumulate {
-                self.ops.push(ScheduleOp {
-                    micro: i,
-                    kind: OpKind::AccumGrads { bucket: bi },
-                    deps: vec![ready],
-                });
-            }
-            if !sync_this_micro {
+        let mut gathers: Vec<Vec<OpId>> = vec![Vec::new(); per];
+        for l in order.clone() {
+            let bytes = spec.layers[l].param_bytes;
+            if geo.p == 1 || bytes == 0 {
                 continue;
             }
-            let grad_wire = |group, kind, participants, bytes| WireOp {
-                group,
-                lane: Lane::Reduce,
-                wire: WireCollective {
-                    kind,
-                    participants,
-                    devices_per_node: geo.k,
-                    bytes,
-                    codec: None,
-                },
-                scheme: None,
-                overhead: true,
-            };
-            let mut hop1_emitted = false;
-            match inner.micro_sync {
-                MicroSync::PartitionReduceScatter if p > 1 => {
-                    let mut batch = Vec::with_capacity(geo.groups());
-                    for g in 0..geo.groups() {
-                        batch.push(self.ops.len());
-                        self.ops.push(ScheduleOp {
-                            micro: i,
-                            kind: OpKind::ReduceScatterGrads {
-                                bucket: bi,
-                                source: GradSource::MicroGrad,
-                                wire: grad_wire(
-                                    GroupRef::Partition { stage: s, g },
-                                    WireKind::ReduceScatter,
-                                    p,
-                                    *bucket_bytes,
-                                ),
-                            },
-                            deps: vec![ready],
-                        });
-                    }
-                    for &l in bucket_layers {
-                        self.war[l] = batch.clone();
-                    }
-                    self.last_reduce[s] = batch;
-                    hop1_emitted = true;
-                }
-                MicroSync::GlobalAllReduce if dp > 1 => {
-                    // Within-stage ZeRO-3-style all-reduce. Pipeline
-                    // programs never emit the alternative-schedule
-                    // MicroBarrier: 1F1B's cross-stage edges already
-                    // serialize the micro-steps a stage can overlap.
-                    let id = self.ops.len();
-                    self.ops.push(ScheduleOp {
-                        micro: i,
-                        kind: OpKind::AllReduceGrads {
-                            bucket: bi,
-                            source: GradSource::MicroGrad,
-                            wire: grad_wire(
-                                GroupRef::All { stage: s },
-                                WireKind::AllReduce { stride: 1 },
-                                dp,
-                                *bucket_bytes,
-                            ),
-                        },
-                        deps: vec![ready],
-                    });
-                    for &l in bucket_layers {
-                        self.war[l] = vec![id];
-                    }
-                    self.last_reduce[s] = vec![id];
-                    hop1_emitted = true;
-                }
-                MicroSync::LocalAccumulate if dp > 1 => {
-                    let (kind, wk) = if inner.p_grads > 1 {
-                        (SyncEmit::Rs, WireKind::ReduceScatter)
-                    } else {
-                        (SyncEmit::Ar, WireKind::AllReduce { stride: 1 })
-                    };
-                    let id = self.ops.len();
-                    let wire = grad_wire(GroupRef::All { stage: s }, wk, dp, *bucket_bytes);
-                    self.ops.push(ScheduleOp {
-                        micro: i,
-                        kind: match kind {
-                            SyncEmit::Rs => OpKind::ReduceScatterGrads {
-                                bucket: bi,
-                                source: GradSource::Accum,
-                                wire,
-                            },
-                            SyncEmit::Ar => OpKind::AllReduceGrads {
-                                bucket: bi,
-                                source: GradSource::Accum,
-                                wire,
-                            },
-                        },
-                        deps: vec![ready],
-                    });
-                    self.last_reduce[s] = vec![id];
-                }
-                MicroSync::LocalAccumulate => {}
-                _ => {
-                    // Trivial synchronization group: fold locally.
-                    self.ops.push(ScheduleOp {
-                        micro: i,
-                        kind: OpKind::AccumGrads { bucket: bi },
-                        deps: vec![ready],
-                    });
-                }
+            for g in 0..geo.groups() {
+                let group = GroupRef::Partition { stage: s, g };
+                let wire = self.wire(group, Lane::Gather, algorithm, geo.p, bytes, weight_codec);
+                let kind = OpKind::GatherShards { layer: l, pass, wire };
+                gathers[l - lo].push(self.push(micro, kind, Vec::new()));
             }
-            if boundary && inner.micro_sync == MicroSync::PartitionReduceScatter && dp > p {
-                let shard_bytes = bucket_bytes / p as u64;
-                if shard_bytes > 0 {
-                    let mut ids = Vec::with_capacity(p);
-                    for local in 0..p {
-                        let deps = if hop1_emitted { Vec::new() } else { vec![ready] };
-                        ids.push(self.ops.len());
-                        self.ops.push(ScheduleOp {
-                            micro: i,
-                            kind: OpKind::CrossGroupAllReduce {
-                                bucket: bi,
-                                local,
-                                wire: WireOp {
-                                    group: GroupRef::Replication { stage: s, local },
-                                    lane: Lane::Reduce,
-                                    wire: WireCollective {
-                                        kind: WireKind::AllReduce { stride: p },
-                                        participants: dp / p,
-                                        devices_per_node: geo.k,
-                                        bytes: shard_bytes,
-                                        codec: None,
-                                    },
-                                    scheme: None,
-                                    overhead: false,
-                                },
-                            },
-                            deps,
-                        });
-                    }
-                    self.last_reduce[s] = ids;
+        }
+
+        // Op id of each layer's compute, indexed by `layer - lo`.
+        let mut computed: Vec<OpId> = vec![0; per];
+        // The pass's final compute: what the onward send waits for.
+        let mut last = None;
+        for (position, l) in order.enumerate() {
+            let mut deps = std::mem::take(&mut gathers[l - lo]);
+            let flops = if forward {
+                spec.layers[l].fwd_flops
+            } else {
+                // The gradient buffer is rewritten here: wait for the
+                // previous micro-step's reduction of this layer to read it.
+                deps.extend(&self.war[l]);
+                spec.layers[l].bwd_flops
+            };
+            if position == 0 {
+                deps.extend(&recvs);
+            }
+            computed[l - lo] = self.push(micro, OpKind::Compute { layer: l, pass, flops }, deps);
+            last = Some(computed[l - lo]);
+        }
+
+        if let Some(peer) = dst {
+            let last = last.expect("a pipeline stage owns at least one layer");
+            self.sent[pass as usize][s][micro] = Some(self.ops.len());
+            for d in 0..geo.dp {
+                let wire = self.pair_wire(s, peer, d, pass, self.act_bytes);
+                self.push(micro, OpKind::StageSend { peer_stage: peer, pass, wire }, vec![last]);
+            }
+        }
+        if !forward {
+            self.sync(s, micro, &computed);
+        }
+    }
+
+    /// Stage `s`'s gradient synchronization behind the backward pass of
+    /// `micro`, one bucket at a time; `computed` is that pass's compute op
+    /// per layer of the stage's slice.
+    fn sync(&mut self, s: usize, micro: usize, computed: &[OpId]) {
+        let (spec, geo) = (self.spec, self.geo);
+        let (dp, p) = (geo.dp, geo.p);
+        let lo = s * computed.len();
+        let boundary = micro == spec.accum_steps - 1;
+        let two_hop = spec.micro_sync == MicroSync::PartitionReduceScatter;
+        let local_accumulate = spec.micro_sync == MicroSync::LocalAccumulate;
+        // The per-bucket reduction: wire algorithm, the buffer it reduces,
+        // its group size, and whether it leaves the partition group.
+        let all_reduce = WireKind::AllReduce { stride: 1 };
+        let (kind, source, span, beyond_group) = match spec.micro_sync {
+            // MiCS hop 1 (§3.4), inside each partition group.
+            MicroSync::PartitionReduceScatter => {
+                (WireKind::ReduceScatter, GradSource::MicroGrad, p, false)
+            }
+            // ZeRO-3's all-reduce over the stage leaves the partition group
+            // unless the group *is* the stage (p = dp).
+            MicroSync::GlobalAllReduce => (all_reduce, GradSource::MicroGrad, dp, p < dp),
+            // The boundary reduction of the accumulated buffer over the
+            // stage: ZeRO-2 by reduce-scatter, DDP / ZeRO-1 by all-reduce.
+            MicroSync::LocalAccumulate if spec.p_grads > 1 => {
+                (WireKind::ReduceScatter, GradSource::Accum, dp, true)
+            }
+            MicroSync::LocalAccumulate => (all_reduce, GradSource::Accum, dp, true),
+        };
+        // MiCS reduces inside each partition group, everything else over
+        // the whole stage.
+        let groups = if two_hop { geo.groups() } else { 1 };
+
+        for bi in 0..self.buckets[s].len() {
+            // A bucket is ready when its last-computed layer (the lowest
+            // index — backward runs in decreasing layer order) finishes.
+            let (ready, bytes) = {
+                let (layers, bytes) = &self.buckets[s][bi];
+                (computed[layers[layers.len() - 1] - lo], *bytes)
+            };
+            // The micro-gradient folds locally when the wire only carries
+            // the accumulated buffer at the boundary, or when the reduction
+            // group is a single rank.
+            if local_accumulate || span == 1 {
+                self.push(micro, OpKind::AccumGrads { bucket: bi }, vec![ready]);
+            }
+            let reduces = span > 1 && (boundary || !local_accumulate);
+            if reduces {
+                let codec = self.grad_codec(beyond_group);
+                let mut batch = Vec::with_capacity(groups);
+                for g in 0..groups {
+                    let group = if two_hop {
+                        GroupRef::Partition { stage: s, g }
+                    } else {
+                        GroupRef::All { stage: s }
+                    };
+                    let wire = self.wire(group, Lane::Reduce, kind, span, bytes, codec);
+                    let op = match kind {
+                        WireKind::ReduceScatter => {
+                            OpKind::ReduceScatterGrads { bucket: bi, source, wire }
+                        }
+                        _ => OpKind::AllReduceGrads { bucket: bi, source, wire },
+                    };
+                    batch.push(self.push(micro, op, vec![ready]));
                 }
+                for &l in &self.buckets[s][bi].0 {
+                    self.war[l] = batch.clone();
+                }
+                self.last_reduce[s] = batch;
+            }
+            // 2-hop second hop (§3.4): at the accumulation boundary,
+            // all-reduce this bucket's accumulated gradient shard across
+            // each replication group — bucketed so it overlaps with the
+            // remaining backward compute, just like hop 1, which it follows
+            // on the reduce lane. It crosses partition groups, so
+            // intra-group-only compression leaves it exact; its schedule is
+            // fully precomputed, so it pays no decision overhead.
+            let shard_bytes = bytes / p as u64;
+            if two_hop && boundary && dp > p && shard_bytes > 0 {
+                let codec = self.grad_codec(true);
+                let deps = if reduces { Vec::new() } else { vec![ready] };
+                let mut hop2 = Vec::with_capacity(p);
+                for local in 0..p {
+                    let group = GroupRef::Replication { stage: s, local };
+                    let kind = WireKind::AllReduce { stride: p };
+                    let wire = WireOp {
+                        overhead: false,
+                        ..self.wire(group, Lane::Reduce, kind, dp / p, shard_bytes, codec)
+                    };
+                    let op = OpKind::CrossGroupAllReduce { bucket: bi, local, wire };
+                    hop2.push(self.push(micro, op, deps.clone()));
+                }
+                self.last_reduce[s] = hop2;
             }
         }
     }
 }
 
-/// Per-bucket sync flavor of the pipeline emitter's boundary path.
-enum SyncEmit {
-    Rs,
-    Ar,
-}
-
-/// Lower one iteration of a `pp ≥ 2` [`PipelineSpec`] to a [`StepProgram`]
-/// with the 1F1B interleave.
+/// Lower one iteration of `spec` — one pipeline stage's strategy over the
+/// full layer list — on `pp` stages to a [`StepProgram`], without prefetch
+/// edges ([`apply_prefetch`] adds them).
 ///
-/// Per stage `s`, the action list is the classic warmup/steady/cooldown
-/// split — `w = min(pp−1−s, m)` forwards, then `(m−w)` one-forward-one-
+/// Per stage `s` the action list is the 1F1B warm-up / steady / cool-down
+/// split — `w = min(pp−1−s, m)` forwards, then `m−w` one-forward-one-
 /// backward pairs, then `w` backwards — and emission round-robins over the
-/// stages, emitting a stage's next action as soon as its cross-stage
-/// dependency (the matching send) has been emitted. Dependencies therefore
-/// always point backward, and both backends can execute the ops in listed
-/// order.
-///
-/// # Panics
-/// Panics if `pp < 2`, the stages do not evenly split the layers, or the
-/// spec carries wire compression (not yet supported with pipelining).
-pub fn emit_pipeline(spec: &PipelineSpec) -> StepProgram {
-    let geo = spec.geometry();
+/// stages, emitting a stage's next action as soon as the send it receives
+/// has been emitted, so both backends can execute the ops in listed order.
+/// At `pp = 1` there is no warm-up: the list is F(0) B(0) F(1) B(1) … over
+/// the whole model. After the last action come the optimizer step, gated on
+/// every stage's final reductions, and per stage the ZeRO-1/2 parameter
+/// refresh.
+fn emit(spec: &ScheduleSpec, pp: usize, act_bytes: u64) -> StepProgram {
+    let geo = Geometry { dp: spec.n, pp, p: spec.p_params, k: spec.k };
     geo.validate();
-    let inner = &spec.inner;
-    let pp = spec.pp;
-    assert!(pp >= 2, "emit_pipeline needs pp >= 2; pp = 1 is the flat emitter");
-    assert!(inner.compression.is_none(), "wire compression is not supported in pipeline programs");
-    let nl = inner.layers.len();
+    let nl = spec.layers.len();
     assert!(nl.is_multiple_of(pp), "pp={pp} must evenly split {nl} layers");
     let per = nl / pp;
-    let m = inner.accum_steps;
+    let m = spec.accum_steps;
 
-    #[derive(Clone, Copy)]
-    enum Act {
-        F(usize),
-        B(usize),
-    }
-    let actions: Vec<Vec<Act>> = (0..pp)
+    let actions: Vec<Vec<(Pass, usize)>> = (0..pp)
         .map(|s| {
             let w = (pp - 1 - s).min(m);
-            let mut v = Vec::with_capacity(2 * m);
-            for j in 0..w {
-                v.push(Act::F(j));
-            }
-            for i in 0..m - w {
-                v.push(Act::F(w + i));
-                v.push(Act::B(i));
-            }
-            for i in m - w..m {
-                v.push(Act::B(i));
-            }
-            v
+            let warmup = (0..w).map(|j| (Pass::Forward, j));
+            let steady = (0..m - w).flat_map(|i| [(Pass::Forward, w + i), (Pass::Backward, i)]);
+            let cooldown = (m - w..m).map(|i| (Pass::Backward, i));
+            warmup.chain(steady).chain(cooldown).collect()
         })
         .collect();
-
+    // Buckets never straddle a stage boundary: each stage fuses its own
+    // slice, under global layer indices.
     let buckets = (0..pp)
         .map(|s| {
-            bucketize(&inner.layers[s * per..(s + 1) * per], inner.bucket_bytes)
-                .into_iter()
-                .map(|(ls, b)| (ls.into_iter().map(|l| l + s * per).collect::<Vec<_>>(), b))
-                .collect()
+            let mut stage = bucketize(&spec.layers[s * per..(s + 1) * per], spec.bucket_bytes);
+            stage.iter_mut().flat_map(|(layers, _)| layers).for_each(|l| *l += s * per);
+            stage
         })
         .collect();
-    let mut st = PipeEmit {
+    let mut st = Emit {
         spec,
         geo,
+        act_bytes,
         ops: Vec::new(),
-        sent_act: vec![vec![None; m]; pp],
-        sent_grad: vec![vec![None; m]; pp],
+        sent: [vec![vec![None; m]; pp], vec![vec![None; m]; pp]],
         war: vec![Vec::new(); nl],
         last_reduce: vec![Vec::new(); pp],
         buckets,
     };
 
     let mut next = vec![0usize; pp];
-    let total: usize = actions.iter().map(Vec::len).sum();
-    let mut emitted = 0usize;
-    while emitted < total {
-        let mut progressed = false;
+    let mut remaining = 2 * m * pp;
+    while remaining > 0 {
+        let before = remaining;
         for s in 0..pp {
-            if next[s] >= actions[s].len() {
+            let Some(&(pass, micro)) = actions[s].get(next[s]) else { continue };
+            let (src, _) = st.neighbours(s, pass);
+            if src.is_some_and(|peer| st.sent[pass as usize][peer][micro].is_none()) {
                 continue;
             }
-            let ready = match actions[s][next[s]] {
-                Act::F(j) => s == 0 || st.sent_act[s - 1][j].is_some(),
-                Act::B(i) => s == pp - 1 || st.sent_grad[s + 1][i].is_some(),
-            };
-            if !ready {
-                continue;
-            }
-            match actions[s][next[s]] {
-                Act::F(j) => st.forward(s, j),
-                Act::B(i) => st.backward(s, i),
-            }
+            st.action(s, micro, pass);
             next[s] += 1;
-            emitted += 1;
-            progressed = true;
+            remaining -= 1;
         }
-        assert!(progressed, "1F1B emission wedged — unsatisfiable cross-stage dependency");
+        assert!(remaining < before, "1F1B emission wedged — unsatisfiable cross-stage dependency");
     }
 
-    // ---- optimizer + per-stage ZeRO-1/2 refresh ----
-    let record = inner.p_opt > 1 && inner.p_params == 1;
-    let opt_deps: Vec<OpId> = st.last_reduce.iter().flatten().copied().collect();
-    let opt_id = st.ops.len();
-    st.ops.push(ScheduleOp {
-        micro: m - 1,
-        kind: OpKind::OptimizerUpdate { bytes: inner.optimizer_bytes / pp as u64, record },
-        deps: opt_deps,
-    });
+    // A recorded optimizer step is one a parameter refresh waits on.
+    let record = spec.p_opt > 1 && spec.p_params == 1;
+    let reducers = st.last_reduce.concat();
+    let bytes = spec.optimizer_bytes / pp as u64;
+    let opt = st.push(m - 1, OpKind::OptimizerUpdate { bytes, record }, reducers);
     if record && geo.dp > 1 {
         for s in 0..pp {
-            st.ops.push(ScheduleOp {
-                micro: m - 1,
-                kind: OpKind::ParamRefresh {
-                    wire: WireOp {
-                        group: GroupRef::All { stage: s },
-                        lane: Lane::Gather,
-                        wire: WireCollective {
-                            kind: WireKind::AllGather { hierarchical: false, coalesced: false },
-                            participants: geo.dp,
-                            devices_per_node: geo.k,
-                            bytes: inner.total_param_bytes / pp as u64,
-                            codec: None,
-                        },
-                        scheme: None,
-                        overhead: true,
-                    },
-                },
-                deps: vec![opt_id],
-            });
+            let kind = WireKind::AllGather { hierarchical: false, coalesced: false };
+            let bytes = spec.total_param_bytes / pp as u64;
+            let wire = st.wire(GroupRef::All { stage: s }, Lane::Gather, kind, geo.dp, bytes, None);
+            st.push(m - 1, OpKind::ParamRefresh { wire }, vec![opt]);
         }
     }
 
@@ -1429,17 +912,22 @@ pub fn emit_pipeline(spec: &PipelineSpec) -> StepProgram {
         geo,
         num_layers: nl,
         accum_steps: m,
-        decision_overhead: inner.decision_overhead,
+        decision_overhead: spec.decision_overhead,
         ops: st.ops,
     }
 }
 
-/// Add prefetch-backpressure dependencies to every gather: the gather for
-/// layer `l` may start once layer `l - depth - 1` (forward) or its mirror
-/// (backward) has computed in the same micro-step. This is the §4 overlap
-/// window as a schedule transform — call it once per program.
-pub fn apply_prefetch(prog: &mut StepProgram, depth: usize) {
+/// Add prefetch-backpressure dependencies to every gather: the gather of
+/// the layer at position `i` of its stage's pass (ascending forward,
+/// descending backward) may start once the layer at position
+/// `i − depth − 1` has computed in the same micro-step. This is the §4
+/// overlap window as a schedule transform — call it once per program. The
+/// window slides over the owning stage's layer slice only, so a gather
+/// never waits on another stage's compute; at `pp = 1` the slice is the
+/// model.
+fn apply_prefetch(prog: &mut StepProgram, depth: usize) {
     let nl = prog.num_layers;
+    let per = nl / prog.geo.pp;
     // (micro, pass, layer) → compute op.
     let slot = |micro: usize, pass: Pass, layer: usize| {
         micro * 2 * nl + if pass == Pass::Forward { layer } else { nl + layer }
@@ -1450,31 +938,18 @@ pub fn apply_prefetch(prog: &mut StepProgram, depth: usize) {
             computes[slot(op.micro, pass, layer)] = i;
         }
     }
-    for i in 0..prog.ops.len() {
-        let (micro, layer, pass) = match prog.ops[i].kind {
-            OpKind::GatherShards { layer, pass, .. } => (prog.ops[i].micro, layer, pass),
-            _ => continue,
-        };
-        let dep_layer = match pass {
-            Pass::Forward => {
-                if layer > depth {
-                    layer - depth - 1
-                } else {
-                    continue;
-                }
-            }
-            Pass::Backward => {
-                let idx = nl - 1 - layer;
-                if idx > depth {
-                    nl - 1 - (idx - depth - 1)
-                } else {
-                    continue;
-                }
-            }
-        };
-        let dep = computes[slot(micro, pass, dep_layer)];
+    for op in &mut prog.ops {
+        let OpKind::GatherShards { layer, pass, .. } = op.kind else { continue };
+        let (lo, hi) = (layer / per * per, layer / per * per + per);
+        let position = if pass == Pass::Forward { layer - lo } else { hi - 1 - layer };
+        if position <= depth {
+            continue;
+        }
+        let back = position - depth - 1;
+        let dep_layer = if pass == Pass::Forward { lo + back } else { hi - 1 - back };
+        let dep = computes[slot(op.micro, pass, dep_layer)];
         debug_assert_ne!(dep, usize::MAX, "compute op missing for prefetch dep");
-        prog.ops[i].deps.push(dep);
+        op.deps.push(dep);
     }
 }
 
@@ -1967,7 +1442,7 @@ mod tests {
 
     #[test]
     fn prefetch_is_a_transform() {
-        let mut bare = emit_step(&spec(4, 2, MicroSync::PartitionReduceScatter, 1));
+        let mut bare = emit(&spec(4, 2, MicroSync::PartitionReduceScatter, 1), 1, 0);
         for op in &bare.ops {
             if matches!(op.kind, OpKind::GatherShards { .. }) {
                 assert!(op.deps.is_empty());
@@ -2043,10 +1518,101 @@ mod tests {
     }
 
     #[test]
-    fn pipeline_delegates_to_flat_emitter_at_pp1() {
+    fn pipeline_at_pp1_is_the_flat_program() {
         let inner = spec4(4, 2, MicroSync::PartitionReduceScatter, 2);
         let pipe = PipelineSpec { inner: inner.clone(), pp: 1, act_bytes: 1 << 16 };
         assert_eq!(pipe.program().dump(), inner.program().dump());
+    }
+
+    /// The sorted wire annotations of `stage`'s gathers and gradient
+    /// reductions: what moves, among how many, under which codec.
+    fn stage_collectives(prog: &StepProgram, stage: usize) -> Vec<String> {
+        let mut out: Vec<String> = prog
+            .ops
+            .iter()
+            .filter_map(|op| {
+                let (class, w) = match &op.kind {
+                    OpKind::GatherShards { wire, .. } => ("gather", wire),
+                    OpKind::ReduceScatterGrads { wire, .. } => ("reduce-scatter", wire),
+                    OpKind::AllReduceGrads { wire, .. } => ("all-reduce", wire),
+                    OpKind::CrossGroupAllReduce { wire, .. } => ("hop2", wire),
+                    _ => return None,
+                };
+                let owner = match w.group {
+                    GroupRef::Partition { stage, .. }
+                    | GroupRef::All { stage }
+                    | GroupRef::Replication { stage, .. } => stage,
+                    GroupRef::Pair { .. } => unreachable!("collectives are stage-scoped"),
+                };
+                let WireCollective { kind, participants, bytes, codec, .. } = w.wire;
+                (owner == stage).then(|| {
+                    format!("{class} {kind:?} {participants} {bytes} {:?} {codec:?}", w.scheme)
+                })
+            })
+            .collect();
+        out.sort();
+        out
+    }
+
+    #[test]
+    fn compressed_stage_collectives_are_those_of_the_flat_program_of_its_slice() {
+        // The codec is a per-op annotation at every pp: each stage of a
+        // pp = 2 program carries the wire annotations of the flat program
+        // emitted for that stage's two layers alone.
+        for scope in [CompressionScope::Everywhere, CompressionScope::IntraGroupOnly] {
+            for (sync, p) in [
+                (MicroSync::PartitionReduceScatter, 2),
+                (MicroSync::GlobalAllReduce, 2),
+                (MicroSync::GlobalAllReduce, 4),
+                (MicroSync::LocalAccumulate, 1),
+            ] {
+                let mut inner = spec4(4, p, sync, 3);
+                let int8 = CompressionConfig::both(QuantScheme::int8());
+                inner.compression = Some(CompressionConfig { scope, ..int8 });
+                let prog =
+                    PipelineSpec { inner: inner.clone(), pp: 2, act_bytes: 1 << 16 }.program();
+                for stage in 0..2 {
+                    let mut slice = inner.clone();
+                    slice.layers = inner.layers[stage * 2..(stage + 1) * 2].to_vec();
+                    let staged = stage_collectives(&prog, stage);
+                    assert_eq!(
+                        staged,
+                        stage_collectives(&slice.program(), 0),
+                        "{sync:?} {scope:?}"
+                    );
+                    // Reductions that stay inside the partition group, and
+                    // every gather, compress under both scopes.
+                    let expect_codec = scope == CompressionScope::Everywhere || p > 1;
+                    assert_eq!(staged.iter().any(|c| c.contains("Int8")), expect_codec);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn prefetch_edges_stay_inside_their_stage_action() {
+        // pp = 2 over 8 layers, depth 1: the window slides over each
+        // stage's 4 layers, so every gather → compute edge joins two ops of
+        // one (stage, micro, pass), and each such action has one.
+        let mut inner = spec(4, 2, MicroSync::PartitionReduceScatter, 2);
+        inner.layers = vec![inner.layers[0]; 8];
+        let prog = PipelineSpec { inner, pp: 2, act_bytes: 1 << 16 }.program();
+        let stage_of = |layer: usize| prog.geo.stage_of_layer(layer, 8);
+        let mut actions = std::collections::BTreeSet::new();
+        for op in &prog.ops {
+            let OpKind::GatherShards { layer, pass, .. } = op.kind else { continue };
+            for &d in &op.deps {
+                let OpKind::Compute { layer: on, pass: dep_pass, .. } = prog.ops[d].kind else {
+                    continue;
+                };
+                assert_eq!(
+                    (stage_of(on), prog.ops[d].micro, dep_pass),
+                    (stage_of(layer), op.micro, pass)
+                );
+                actions.insert((stage_of(layer), op.micro, pass == Pass::Forward));
+            }
+        }
+        assert_eq!(actions.len(), 2 * 2 * 2);
     }
 
     #[test]

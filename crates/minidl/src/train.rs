@@ -244,10 +244,10 @@ pub fn step_spec_with_flops(
         hierarchical: false,
         coalesced: false,
         // The IR records the configured overlap depth, but with a single
-        // virtual layer `apply_prefetch` has no intra-iteration edge to
-        // add, so the emitted program (and the golden dumps) is unchanged;
-        // the executor realizes the overlap across micro-steps and
-        // iterations instead.
+        // virtual layer per stage the prefetch transform has no
+        // intra-iteration edge to add, so the emitted program (and the
+        // golden dumps) is the same at every depth; the executor realizes
+        // the overlap across micro-steps and iterations instead.
         prefetch_depth: hp.prefetch_depth,
         decision_overhead: SimTime::ZERO,
         layers: vec![LayerSchedule { param_bytes, fwd_flops, bwd_flops }],

@@ -73,15 +73,16 @@ RESULTS_SNAPSHOT="$(mktemp -d /tmp/mics-results.XXXXXX)"
 cp -a results/. "${RESULTS_SNAPSHOT}/"
 trap 'rm -rf results && mv "${RESULTS_SNAPSHOT}" results' EXIT
 
-# Kernels-v2 perf gate: re-run the kernel microbenchmarks (the bench itself
-# asserts the ≥ 2× SIMD-vs-blocked claim inline and rewrites the artifact)
-# and hold the fresh timings against the committed snapshot with the
-# direction-aware perf-diff — getting faster is informational, any timing
-# >40% slower than committed fails the gate. Nothing else in results/ has
-# been rewritten yet, so the other files compare equal.
-echo "==> kernels bench + perf-diff timing gate"
+# Kernels-v2 perf gate: re-run the kernel microbenchmarks. The bench gates
+# itself on a ratio measured inside this one run — SIMD ÷ blocked ≥ 2× on
+# the GEMM-shaped kernels (benches/kernels.rs) — and rewrites the artifact;
+# its exit status is the gate. The committed snapshot holds another host's
+# absolute nanoseconds, so the perf-diff against it is printed for the
+# reader and decides nothing. Nothing else in results/ has been rewritten
+# yet, so the other files compare equal.
+echo "==> kernels bench (SIMD-vs-blocked ratio gate) + perf-diff vs snapshot (informational)"
 cargo bench -q -p mics-bench --bench kernels >/dev/null
-target/release/mics-sim perf-diff "${RESULTS_SNAPSHOT}" results --threshold 40 >/dev/null
+target/release/mics-sim perf-diff "${RESULTS_SNAPSHOT}" results --threshold 40 || true
 
 # A traced fidelity run must still produce a loadable merged document.
 echo "==> fidelity trace smoke"

@@ -159,6 +159,20 @@ fn golden_mics_p8_pp2() {
 }
 
 #[test]
+fn golden_mics_p8_int8_intra_pp2() {
+    // `golden_mics_p8_pp2` under intra-group int8: the codec is a per-op
+    // annotation, so the program keeps its shape line for line and only the
+    // stage-scoped gathers and hop-1 reduce-scatters gain the scheme; hop 2
+    // and the boundary p2p hops stay exact.
+    let strategy = Strategy::Mics(MicsConfig::compressed(8, int8_intra_group()));
+    let dump = dp_pipeline_program(&job(2, strategy), 2, 1 << 20).unwrap().dump();
+    assert_eq!(dump.lines().count(), 202);
+    assert!(dump.contains(" hop2 ") && dump.contains(" p2p "));
+    assert_int8_intra_annotations(&dump);
+    check_golden("mics_p8_int8_intra_pp2_2x16", &dump);
+}
+
+#[test]
 fn golden_reshape_twohop_shrink() {
     // Elastic shrink at the IR level: the MiCS two-hop minidl program
     // emitted at world=8 p=4, re-emitted by `reshape` for world=4 p=2.
