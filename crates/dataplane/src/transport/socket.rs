@@ -969,6 +969,66 @@ mod tests {
         }
     }
 
+    /// The bytes a frame puts on the wire, length prefix included.
+    fn wire_bytes(frame: &Frame) -> Vec<u8> {
+        encode_frame(frame)
+    }
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// The two halves of one 2-member exchange: part lengths `[0, 1, 3]`
+    /// carrying NaN payloads, `-0.0` and denormals.
+    fn golden_halves() -> [Parts; 2] {
+        let f = f32::from_bits;
+        [
+            vec![vec![], vec![f(0x7fc0_0001)], vec![-0.0, f(0x0000_0001), 1.5]],
+            vec![vec![], vec![f(0xffc1_2345)], vec![2.0, -0.0, f(0x007f_ffff)]],
+        ]
+    }
+
+    /// One frame per variant with the wire bytes the codec produced for it
+    /// before the wire layer was factored out. The format is pinned: these
+    /// constants change only with a deliberate protocol revision.
+    fn golden_frames() -> Vec<(Frame, &'static str)> {
+        let [h0, h1] = golden_halves();
+        let exchange =
+            |member, parts| Frame::Exchange { group: 42, seq: 7, world: 2, member, parts };
+        vec![
+            (Frame::Hello { rank: 3, world: 8 }, "110000000103000000000000000800000000000000"),
+            (exchange(0, h0.clone()), "41000000022a000000000000000700000000000000020000000000000000000000000000000300000000000000010000000100c07f0300000000000080010000000000c03f"),
+            (exchange(1, h1.clone()), "41000000022a000000000000000700000000000000020000000000000001000000000000000300000000000000010000004523c1ff030000000000004000000080ffff7f00"),
+            (
+                Frame::Abort {
+                    group: 9,
+                    err: CommError::Timeout { waited: Duration::from_millis(250) },
+                },
+                "120000000309000000000000000180b2e60e00000000",
+            ),
+            (Frame::Failed { rank: 5 }, "09000000040500000000000000"),
+            (Frame::Ping, "0100000005"),
+            (Frame::Pong, "0100000006"),
+            (Frame::Bye, "0100000007"),
+            (Frame::Reply { group: 42, seq: 7, all: vec![h0, h1] }, "550000000a2a000000000000000700000000000000020000000300000000000000010000000100c07f0300000000000080010000000000c03f0300000000000000010000004523c1ff030000000000004000000080ffff7f00"),
+            (Frame::GroupPoison { group: 2, err: CommError::RankFailed { rank: 1 } }, "120000000b0200000000000000000100000000000000"),
+            (Frame::WorldPoison { err: CommError::PeerDisconnected { rank: 6 } }, "0a0000000c030600000000000000"),
+            (
+                Frame::WorldPoison {
+                    err: CommError::Io { kind: std::io::ErrorKind::ConnectionReset },
+                },
+                "0a0000000c020300000000000000",
+            ),
+        ]
+    }
+
+    #[test]
+    fn golden_wire_bytes_are_pinned() {
+        for (frame, golden) in golden_frames() {
+            assert_eq!(hex(&wire_bytes(&frame)), golden, "{frame:?}");
+        }
+    }
+
     #[test]
     fn payload_bits_survive_the_wire_exactly() {
         // The quantized collectives ship encoded blocks as f32 bit patterns;
