@@ -14,6 +14,7 @@
 //! Query results print as one JSON document on stdout; diagnostics go to
 //! stderr — same contract as `mics-rankd`.
 
+use mics_cli::Flags;
 use mics_core::{Json, ToJson};
 use mics_planner::{JobSpec, PlannerClient, PlannerConfig, PlannerServer};
 use std::io::Write as _;
@@ -52,42 +53,9 @@ fn main() {
     }
 }
 
-/// `--flag value` pairs into typed lookups (plus bare `--tune`).
-struct Flags(Vec<(String, String)>);
-
-impl Flags {
-    fn parse(args: &[String]) -> Result<Flags, String> {
-        let mut pairs = Vec::new();
-        let mut it = args.iter().peekable();
-        while let Some(flag) = it.next() {
-            let flag = flag
-                .strip_prefix("--")
-                .ok_or_else(|| format!("expected a --flag, got '{flag}'\n\n{USAGE}"))?;
-            // `--tune` is a bare switch; everything else takes a value.
-            if flag == "tune" {
-                pairs.push((flag.to_string(), "true".to_string()));
-                continue;
-            }
-            let value = it.next().ok_or_else(|| format!("--{flag} requires a value"))?;
-            pairs.push((flag.to_string(), value.clone()));
-        }
-        Ok(Flags(pairs))
-    }
-
-    fn get(&self, name: &str) -> Option<&str> {
-        self.0.iter().find(|(k, _)| k == name).map(|(_, v)| v.as_str())
-    }
-
-    fn num(&self, name: &str, default: usize) -> Result<usize, String> {
-        match self.get(name) {
-            None => Ok(default),
-            Some(v) => v.parse().map_err(|_| format!("--{name} must be an integer, got '{v}'")),
-        }
-    }
-
-    fn required(&self, name: &str) -> Result<&str, String> {
-        self.get(name).ok_or_else(|| format!("--{name} is required\n\n{USAGE}"))
-    }
+/// This tool's flags: every one takes a value except the bare `--tune`.
+fn parse_flags(args: &[String]) -> Result<Flags, String> {
+    Flags::parse(args, &["tune"], USAGE)
 }
 
 fn config_from(flags: &Flags) -> Result<PlannerConfig, String> {
@@ -110,7 +78,7 @@ fn config_from(flags: &Flags) -> Result<PlannerConfig, String> {
 
 /// Serve until a client asks us to shut down.
 fn run_serve(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(args)?;
+    let flags = parse_flags(args)?;
     let cfg = config_from(&flags)?;
     let server = PlannerServer::start(cfg).map_err(|e| format!("cannot start server: {e}"))?;
     println!("planner listening on {}", server.addr());
@@ -133,7 +101,7 @@ fn job_from(flags: &Flags) -> Result<JobSpec, String> {
 
 /// One query against a running server.
 fn run_query(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(args)?;
+    let flags = parse_flags(args)?;
     let addr = flags.required("addr")?;
     let job = job_from(&flags)?;
     let deadline = flags.get("deadline-ms").map(|ms| {
@@ -165,7 +133,7 @@ fn run_query(args: &[String]) -> Result<(), String> {
 
 /// Ask a running server to drain and exit.
 fn run_stop(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(args)?;
+    let flags = parse_flags(args)?;
     let addr = flags.required("addr")?;
     let mut client =
         PlannerClient::connect(addr).map_err(|e| format!("cannot connect to '{addr}': {e}"))?;
@@ -176,7 +144,7 @@ fn run_stop(args: &[String]) -> Result<(), String> {
 
 /// Hammer a server and report throughput/latency/cache behaviour.
 fn run_bench(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(args)?;
+    let flags = parse_flags(args)?;
     let clients = flags.num("clients", 4)?.max(1);
     let queries = flags.num("queries", 64)?.max(1);
 

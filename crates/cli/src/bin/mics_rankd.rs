@@ -16,6 +16,7 @@
 //! go to stderr), so the orchestrator can parse their reports wholesale.
 
 use mics_bench::{Json, Table, ToJson};
+use mics_cli::Flags;
 use mics_dataplane::{connect_world, CommError, SocketWorldConfig};
 use std::io::Write as _;
 use std::process::{Command, Stdio};
@@ -57,43 +58,15 @@ fn main() {
     }
 }
 
-/// `--flag value` pairs into typed lookups.
-struct Flags(Vec<(String, String)>);
-
-impl Flags {
-    fn parse(args: &[String]) -> Result<Flags, String> {
-        let mut pairs = Vec::new();
-        let mut it = args.iter();
-        while let Some(flag) = it.next() {
-            let flag = flag
-                .strip_prefix("--")
-                .ok_or_else(|| format!("expected a --flag, got '{flag}'\n\n{USAGE}"))?;
-            let value = it.next().ok_or_else(|| format!("--{flag} requires a value"))?;
-            pairs.push((flag.to_string(), value.clone()));
-        }
-        Ok(Flags(pairs))
-    }
-
-    fn get(&self, name: &str) -> Option<&str> {
-        self.0.iter().find(|(k, _)| k == name).map(|(_, v)| v.as_str())
-    }
-
-    fn num(&self, name: &str, default: usize) -> Result<usize, String> {
-        match self.get(name) {
-            None => Ok(default),
-            Some(v) => v.parse().map_err(|_| format!("--{name} must be an integer, got '{v}'")),
-        }
-    }
-
-    fn required(&self, name: &str) -> Result<&str, String> {
-        self.get(name).ok_or_else(|| format!("--{name} is required\n\n{USAGE}"))
-    }
+/// This tool's flags: every one takes a value.
+fn parse_flags(args: &[String]) -> Result<Flags, String> {
+    Flags::parse(args, &[], USAGE)
 }
 
 /// Serve the rendezvous hub until killed. The resolved address (useful with
 /// `--addr 127.0.0.1:0`) is printed on stdout.
 fn run_hub(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(args)?;
+    let flags = parse_flags(args)?;
     let addr = flags.get("addr").unwrap_or("127.0.0.1:0");
     let hub = mics_dataplane::Hub::spawn(addr).map_err(|e| format!("cannot bind '{addr}': {e}"))?;
     println!("hub listening on {}", hub.addr());
@@ -145,7 +118,7 @@ fn run_grow_phase(
 
 /// Join the world and run the role picked by `--victim` / `--role`.
 fn run_worker(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(args)?;
+    let flags = parse_flags(args)?;
     let rank = flags.required("rank")?.parse::<usize>().map_err(|e| format!("--rank: {e}"))?;
     let world = flags.required("world")?.parse::<usize>().map_err(|e| format!("--world: {e}"))?;
     let victim =
@@ -268,7 +241,7 @@ const DETECT_DEADLINE_MS: f64 = 5_000.0;
 
 /// Spawn the whole experiment, assert its claims, write the artifact.
 fn run_bench(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(args)?;
+    let flags = parse_flags(args)?;
     let out = flags.get("out").unwrap_or("results/ext_multiproc.json").to_string();
     let world = flags.num("world", 4)?;
     let victim = flags.num("victim", 2)?;

@@ -116,6 +116,53 @@ fn err(msg: impl Into<String>) -> CliError {
     CliError(msg.into())
 }
 
+/// `--flag value` pairs into typed lookups — the argument grammar of the
+/// `mics-rankd` and `mics-plannerd` daemons.
+pub struct Flags {
+    pairs: Vec<(String, String)>,
+    usage: &'static str,
+}
+
+impl Flags {
+    /// Parse `args`: every `--flag` takes a value except the bare
+    /// `switches`, which read as `"true"`. `usage` is appended to the
+    /// errors that mean the command line was malformed.
+    pub fn parse(args: &[String], switches: &[&str], usage: &'static str) -> Result<Flags, String> {
+        let mut pairs = Vec::new();
+        let mut it = args.iter();
+        while let Some(flag) = it.next() {
+            let flag = flag
+                .strip_prefix("--")
+                .ok_or_else(|| format!("expected a --flag, got '{flag}'\n\n{usage}"))?;
+            let value = if switches.contains(&flag) {
+                "true"
+            } else {
+                it.next().ok_or_else(|| format!("--{flag} requires a value"))?.as_str()
+            };
+            pairs.push((flag.to_string(), value.to_string()));
+        }
+        Ok(Flags { pairs, usage })
+    }
+
+    /// The value of `--name`, if given.
+    pub fn get(&self, name: &str) -> Option<&str> {
+        self.pairs.iter().find(|(k, _)| k == name).map(|(_, v)| v.as_str())
+    }
+
+    /// `--name` as an integer, or `default` when absent.
+    pub fn num(&self, name: &str, default: usize) -> Result<usize, String> {
+        match self.get(name) {
+            None => Ok(default),
+            Some(v) => v.parse().map_err(|_| format!("--{name} must be an integer, got '{v}'")),
+        }
+    }
+
+    /// The value of `--name`, or a usage error.
+    pub fn required(&self, name: &str) -> Result<&str, String> {
+        self.get(name).ok_or_else(|| format!("--{name} is required\n\n{}", self.usage))
+    }
+}
+
 /// The usage banner.
 pub const USAGE: &str = "\
 mics-sim — simulate MiCS / ZeRO / DDP training on cloud GPU clusters
@@ -523,6 +570,19 @@ mod tests {
         assert!(parse_args(&argv("frobnicate")).is_err());
         assert!(parse_args(&argv("estimate")).is_err(), "missing model");
         assert!(parse_args(&[]).is_err());
+    }
+
+    #[test]
+    fn daemon_flags_take_values_except_bare_switches() {
+        let flags = Flags::parse(&argv("--model bert-10b --tune --nodes 2"), &["tune"], "USAGE");
+        let flags = flags.unwrap();
+        assert_eq!(flags.get("tune"), Some("true"));
+        assert_eq!(flags.required("model"), Ok("bert-10b"), "--tune must not eat --nodes");
+        assert_eq!(flags.num("nodes", 1), Ok(2));
+        assert!(flags.required("addr").unwrap_err().ends_with("USAGE"));
+        assert!(Flags::parse(&argv("--tune 2"), &[], "").is_ok(), "not a switch: takes a value");
+        assert!(Flags::parse(&argv("--nodes"), &["tune"], "").is_err());
+        assert!(Flags::parse(&argv("nodes 2"), &["tune"], "").is_err());
     }
 
     #[test]

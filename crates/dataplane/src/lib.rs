@@ -1111,6 +1111,50 @@ mod tests {
     }
 
     #[test]
+    fn a_rebuild_racing_the_poison_walk_starts_fresh() {
+        // `remove_rank_rebuilds_a_working_group`'s scenario, repeated until
+        // a survivor has reacted inside the window between the poison
+        // becoming visible and the walk over the descendants: the rebuilt
+        // group must never inherit the failure it was rebuilt to escape.
+        with_deadline(Duration::from_secs(60), || {
+            for round in 0..300 {
+                let results = try_run_ranks(4, |mut c| {
+                    c.set_timeout(Duration::from_secs(5));
+                    if c.rank() == 1 {
+                        panic!("casualty");
+                    }
+                    let err = c.try_all_reduce(&[1.0], None).expect_err("must abort");
+                    assert_eq!(err, CommError::RankFailed { rank: 1 });
+                    c.remove_rank(1)?.try_all_gather(&[c.rank() as f32], None)
+                });
+                for (rank, r) in results.into_iter().enumerate().filter(|(rank, _)| *rank != 1) {
+                    let gathered = r.expect("survivors must not panic");
+                    assert_eq!(gathered, Ok(vec![0.0, 2.0, 3.0]), "round {round}, rank {rank}");
+                }
+            }
+        });
+    }
+
+    #[test]
+    fn a_split_born_after_the_poison_inherits_it_and_a_rebuild_does_not() {
+        // The slow-rank window of `failure_poisons_sub_communicators`, forced:
+        // the poison walk has already passed when the children are created.
+        use transport::ChildKey::{Rebuild, Split};
+        let err = CommError::RankFailed { rank: 1 };
+        for kind in BOTH {
+            let (split, rebuilt) = run_ranks_on(kind, 1, |c| {
+                match &c.backend {
+                    Backend::Local(inner) => inner.mark_failed(1),
+                    Backend::Socket(group) => group.poison_tree(err),
+                }
+                let born = |key| c.backend.child(key, 1).failure();
+                (born(Split { call: 0, color: 0 }), born(Rebuild { epoch: 0, removed: 1 }))
+            })[0];
+            assert_eq!((split, rebuilt), (Some(err), None), "{kind}");
+        }
+    }
+
+    #[test]
     fn remove_rank_world_of_two_leaves_singleton() {
         for kind in BOTH {
             with_deadline(Duration::from_secs(30), move || {
@@ -1248,15 +1292,12 @@ mod tests {
                 Hub::spawn_with_grace("127.0.0.1:0", Duration::from_millis(400)).expect("bind hub");
             let addr = hub.addr().to_string();
             // The wedged peer: says hello, then goes silent.
-            let wedged = transport::socket::Stream::connect(&addr).expect("connect raw");
-            {
-                let mut w = std::io::BufWriter::new(wedged.try_clone().unwrap());
-                transport::socket::write_frame(
-                    &mut w,
-                    &transport::socket::Frame::Hello { rank: 1, world: 2 },
-                )
-                .expect("hello");
-            }
+            let mut wedged = transport::wire::Stream::connect(&addr).expect("connect raw");
+            transport::socket::write_frame(
+                &mut wedged,
+                &transport::socket::Frame::Hello { rank: 1, world: 2 },
+            )
+            .expect("hello");
             let comm = connect_world(SocketWorldConfig::new(addr, 0, 2)).expect("connect rank 0");
             comm.set_timeout(Duration::from_secs(20));
             let started = Instant::now();

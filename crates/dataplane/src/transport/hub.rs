@@ -7,6 +7,15 @@
 //! rank-side, which is what keeps socket results bit-identical to the
 //! shared-memory transport.
 //!
+//! A batch is opaque here. Of an `Exchange` the hub reads the fixed header
+//! and *validates* the batch behind it by walking its length fields (part
+//! count, each part's length, exact end — a malformed one drops the
+//! connection and poisons the world like any other protocol error); it
+//! never reads a payload value. The frame's bytes are held as they arrived,
+//! and a completed exchange is assembled once — reply header, then the
+//! members' batches in member order — into one buffer that every member's
+//! send queue shares.
+//!
 //! What the hub *does* own is failure detection and propagation:
 //!
 //! * a connection that reaches EOF (SIGKILLed process) or goes silent past
@@ -27,15 +36,15 @@
 //! wedged receiver exerts backpressure on the hub instead of ballooning
 //! its memory, and the heartbeat sweeper reaps it if it stays silent.
 
-use super::socket::{encode_frame, read_frame, Frame, Stream};
+use super::socket::{
+    decode_frame, encode_frame, encode_reply, exchange_header, ExchangeHeader, Frame,
+    EXCHANGE_HEADER, MAX_FRAME,
+};
+use super::wire::{self, Listener, Stream};
 use crate::{lock, CommError};
 use std::collections::{BTreeMap, HashMap};
-use std::io::BufReader;
-use std::net::TcpListener;
-use std::os::unix::net::UnixListener;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{sync_channel, SyncSender, TrySendError};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 /// Outbound frames queued per connection before the hub considers the
@@ -46,10 +55,15 @@ pub const SEND_QUEUE_DEPTH: usize = 64;
 /// dead (frames and pings both refresh liveness).
 pub const DEFAULT_HUB_GRACE: Duration = Duration::from_secs(5);
 
-/// One member's half of a pending exchange: who to answer, and with what.
+/// How often the sweeper looks for connections silent past the grace.
+const SWEEP_INTERVAL: Duration = Duration::from_millis(100);
+
+/// One member's half of a pending exchange: who to answer, and the
+/// `Exchange` payload it sent, held as it arrived (its batch is everything
+/// past [`EXCHANGE_HEADER`]).
 struct Half {
     conn: u64,
-    parts: Vec<Vec<f32>>,
+    payload: Vec<u8>,
 }
 
 /// An exchange the hub is holding until all `world` members arrive.
@@ -59,17 +73,21 @@ struct PendingExchange {
 }
 
 struct ConnHandle {
-    tx: SyncSender<Vec<u8>>,
+    tx: SyncSender<Arc<Vec<u8>>>,
     stream: Stream,
     last_seen: Mutex<Instant>,
 }
 
 impl ConnHandle {
-    /// Queue a frame; a full queue blocks briefly, then the connection is
+    fn send(&self, frame: &Frame) {
+        self.send_payload(Arc::new(encode_frame(frame)));
+    }
+
+    /// Queue a payload; a full queue blocks briefly, then the connection is
     /// declared wedged and cut (backpressure with an upper bound, so one
     /// stuck receiver cannot wedge the whole hub).
-    fn send(&self, frame: &Frame) {
-        match self.tx.try_send(encode_frame(frame)) {
+    fn send_payload(&self, payload: Arc<Vec<u8>>) {
+        match self.tx.try_send(payload) {
             Ok(()) => {}
             Err(TrySendError::Full(buf)) => {
                 if self.tx.send(buf).is_err() {
@@ -93,6 +111,10 @@ struct HubState {
     /// races a crash) is greeted with the poison instead of missing it.
     world_failed: Mutex<Option<CommError>>,
     grace: Duration,
+    /// Set by [`Hub::shutdown`]; the sweeper waits on it between sweeps, so
+    /// shutdown wakes it at once.
+    stopped: Mutex<bool>,
+    stop_signal: Condvar,
 }
 
 impl HubState {
@@ -120,59 +142,67 @@ impl HubState {
         }
     }
 
-    fn on_frame(&self, rank: u64, frame: Frame) -> std::io::Result<()> {
-        match frame {
-            Frame::Exchange { group, seq, world, member, parts } => {
-                let reply_err = {
-                    let mut groups = lock(&self.groups);
-                    *groups.entry(group).or_insert(None)
-                };
-                if let Some(err) = reply_err {
-                    if let Some(conn) = lock(&self.conns).get(&rank) {
-                        conn.send(&Frame::GroupPoison { group, err });
-                    }
-                    return Ok(());
-                }
-                let completed = {
-                    let mut pending = lock(&self.pending);
-                    let entry = pending.entry((group, seq)).or_insert_with(|| PendingExchange {
-                        world: world as usize,
-                        by_member: BTreeMap::new(),
-                    });
-                    entry.by_member.insert(member, Half { conn: rank, parts });
-                    if entry.by_member.len() == entry.world {
-                        pending.remove(&(group, seq))
-                    } else {
-                        None
-                    }
-                };
-                if let Some(done) = completed {
-                    let all: Vec<Vec<Vec<f32>>> =
-                        done.by_member.values().map(|h| h.parts.clone()).collect();
-                    let reply = Frame::Reply { group, seq, all };
-                    let conns = lock(&self.conns);
-                    for half in done.by_member.values() {
-                        if let Some(conn) = conns.get(&half.conn) {
-                            conn.send(&reply);
-                        }
-                    }
+    /// One member's half of an exchange arrived: hold its payload (taken
+    /// out of the connection's read buffer, not copied) and, when it
+    /// completes the exchange, answer every member.
+    fn on_exchange(&self, rank: u64, header: ExchangeHeader, payload: &mut Vec<u8>) {
+        let ExchangeHeader { group, seq, world, member } = header;
+        let reply_err = {
+            let mut groups = lock(&self.groups);
+            *groups.entry(group).or_insert(None)
+        };
+        if let Some(err) = reply_err {
+            if let Some(conn) = lock(&self.conns).get(&rank) {
+                conn.send(&Frame::GroupPoison { group, err });
+            }
+            return;
+        }
+        let completed = {
+            let mut pending = lock(&self.pending);
+            let entry = pending.entry((group, seq)).or_insert_with(|| PendingExchange {
+                world: world as usize,
+                by_member: BTreeMap::new(),
+            });
+            entry.by_member.insert(member, Half { conn: rank, payload: std::mem::take(payload) });
+            if entry.by_member.len() == entry.world {
+                pending.remove(&(group, seq))
+            } else {
+                None
+            }
+        };
+        if let Some(done) = completed {
+            let batches: Vec<&[u8]> =
+                done.by_member.values().map(|h| &h.payload[EXCHANGE_HEADER..]).collect();
+            let reply = Arc::new(encode_reply(group, seq, &batches));
+            let conns = lock(&self.conns);
+            for half in done.by_member.values() {
+                if let Some(conn) = conns.get(&half.conn) {
+                    conn.send_payload(Arc::clone(&reply));
                 }
             }
+        }
+    }
+
+    /// Handle one inbound payload; `Ok(false)` is the peer's clean `Bye`.
+    fn on_frame(&self, rank: u64, payload: &mut Vec<u8>) -> std::io::Result<bool> {
+        if let Some(header) = exchange_header(payload)? {
+            self.on_exchange(rank, header, payload);
+            return Ok(true);
+        }
+        match decode_frame(payload)? {
+            Frame::Bye => return Ok(false),
             Frame::Abort { group, err } => {
                 lock(&self.groups).insert(group, Some(err));
                 let mut pending = lock(&self.pending);
-                let dead: Vec<(u64, u64)> =
-                    pending.keys().filter(|(g, _)| *g == group).copied().collect();
                 let conns = lock(&self.conns);
-                for key in dead {
-                    if let Some(p) = pending.remove(&key) {
-                        for half in p.by_member.values() {
-                            if let Some(conn) = conns.get(&half.conn) {
-                                conn.send(&Frame::GroupPoison { group, err });
-                            }
+                pending.retain(|&(g, _), held| {
+                    if g == group {
+                        for conn in held.by_member.values().filter_map(|h| conns.get(&h.conn)) {
+                            conn.send(&Frame::GroupPoison { group, err });
                         }
                     }
-                }
+                    g != group
+                });
             }
             Frame::Failed { rank } => {
                 self.world_failure(CommError::RankFailed { rank: rank as usize });
@@ -190,28 +220,55 @@ impl HubState {
                 ));
             }
         }
-        Ok(())
+        Ok(true)
+    }
+
+    /// Wait out one [`SWEEP_INTERVAL`], or less if shutdown comes first;
+    /// `true` once the hub is shutting down.
+    fn stopped_after_interval(&self) -> bool {
+        let stopped = lock(&self.stopped);
+        *stopped
+            || *self
+                .stop_signal
+                .wait_timeout(stopped, SWEEP_INTERVAL)
+                .unwrap_or_else(std::sync::PoisonError::into_inner)
+                .0
+    }
+
+    /// Expire connections silent past the grace, every [`SWEEP_INTERVAL`]
+    /// until shutdown. (No lock is held across a sweep: `conn_lost` can
+    /// block on a wedged peer's send queue, and shutdown must not queue
+    /// behind that.)
+    fn sweep_loop(&self) {
+        while !self.stopped_after_interval() {
+            let stale: Vec<u64> = lock(&self.conns)
+                .iter()
+                .filter(|(_, c)| lock(&c.last_seen).elapsed() > self.grace)
+                .map(|(&r, _)| r)
+                .collect();
+            for rank in stale {
+                self.conn_lost(rank);
+            }
+        }
     }
 }
 
 fn conn_loop(state: Arc<HubState>, stream: Stream) {
-    let write_half = match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => return,
-    };
-    let mut reader = BufReader::new(match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => return,
-    });
+    let (Ok(mut out), Ok(reader)) = (stream.try_clone(), stream.try_clone()) else { return };
+    let mut reader = std::io::BufReader::new(reader);
+    // One receive buffer for the life of the connection (an `Exchange`
+    // payload is moved out of it into the pending table).
+    let mut buf = Vec::new();
+    let mut read = |buf: &mut Vec<u8>| wire::read_frame_into(&mut reader, MAX_FRAME, buf);
     // The first frame must identify the rank.
-    let rank = match read_frame(&mut reader) {
+    let rank = match read(&mut buf).and_then(|()| decode_frame(&buf)) {
         Ok(Frame::Hello { rank, .. }) => rank,
         _ => {
             stream.shutdown();
             return;
         }
     };
-    let (tx, rx) = sync_channel::<Vec<u8>>(SEND_QUEUE_DEPTH);
+    let (tx, rx) = sync_channel::<Arc<Vec<u8>>>(SEND_QUEUE_DEPTH);
     let handle = Arc::new(ConnHandle { tx, stream, last_seen: Mutex::new(Instant::now()) });
     lock(&state.conns).insert(rank, Arc::clone(&handle));
     // A crash can beat a slow-starting peer's registration: deliver any
@@ -224,34 +281,23 @@ fn conn_loop(state: Arc<HubState>, stream: Stream) {
     let writer = std::thread::Builder::new()
         .name(format!("mics-hub-tx-{rank}"))
         .spawn(move || {
-            let mut out = write_half;
             let mut dead = false;
-            while let Ok(buf) = rx.recv() {
-                if !dead && std::io::Write::write_all(&mut out, &buf).is_err() {
-                    dead = true;
-                }
-                if !dead && std::io::Write::flush(&mut out).is_err() {
-                    dead = true;
-                }
+            while let Ok(payload) = rx.recv() {
+                dead = dead || wire::write_frame(&mut out, &payload).is_err();
             }
         })
         .expect("cannot spawn hub writer thread");
-    let mut clean_bye = false;
-    loop {
-        match read_frame(&mut reader) {
-            Ok(Frame::Bye) => {
-                clean_bye = true;
-                break;
-            }
-            Ok(frame) => {
-                *lock(&handle.last_seen) = Instant::now();
-                if state.on_frame(rank, frame).is_err() {
-                    break;
-                }
-            }
-            Err(_) => break,
+    let clean_bye = loop {
+        if read(&mut buf).is_err() {
+            break false;
         }
-    }
+        *lock(&handle.last_seen) = Instant::now();
+        match state.on_frame(rank, &mut buf) {
+            Ok(true) => {}
+            Ok(false) => break true,
+            Err(_) => break false,
+        }
+    };
     if clean_bye {
         lock(&state.conns).remove(&rank);
     } else {
@@ -262,34 +308,16 @@ fn conn_loop(state: Arc<HubState>, stream: Stream) {
     let _ = writer.join();
 }
 
-enum Listener {
-    Tcp(TcpListener),
-    Unix(UnixListener, String),
-}
-
-impl Listener {
-    fn accept(&self) -> std::io::Result<Stream> {
-        Ok(match self {
-            Listener::Tcp(l) => {
-                let (s, _) = l.accept()?;
-                s.set_nodelay(true)?;
-                Stream::Tcp(s)
-            }
-            Listener::Unix(l, _) => Stream::Unix(l.accept()?.0),
-        })
-    }
-}
-
 /// The rendezvous switchboard: bind it, hand its [`Hub::addr`] to every
 /// worker, keep it alive for the lifetime of the job. Dropping the hub
-/// shuts the listener and every connection down.
+/// shuts the listener and every connection down (and unlinks a Unix
+/// socket's path).
 #[derive(Debug)]
 pub struct Hub {
-    addr: String,
+    listener: Arc<Listener>,
     state: Arc<HubState>,
-    stop: Arc<AtomicBool>,
-    accept: Option<std::thread::JoinHandle<()>>,
-    sweeper: Option<std::thread::JoinHandle<()>>,
+    /// The accept and sweeper threads, until [`Hub::shutdown`] joins them.
+    threads: Vec<std::thread::JoinHandle<()>>,
 }
 
 impl std::fmt::Debug for HubState {
@@ -309,78 +337,43 @@ impl Hub {
     /// [`Hub::spawn`] with an explicit heartbeat grace — how long a silent
     /// rank survives before the hub declares it dead.
     pub fn spawn_with_grace(addr: &str, grace: Duration) -> std::io::Result<Hub> {
-        let listener = if let Some(path) = addr.strip_prefix("unix:") {
-            // A stale socket file from a previous run would fail the bind.
-            let _ = std::fs::remove_file(path);
-            Listener::Unix(UnixListener::bind(path)?, path.to_string())
-        } else {
-            Listener::Tcp(TcpListener::bind(addr)?)
-        };
-        let bound = match &listener {
-            Listener::Tcp(l) => l.local_addr()?.to_string(),
-            Listener::Unix(_, path) => format!("unix:{path}"),
-        };
+        let listener = Arc::new(Listener::bind(addr)?);
         let state = Arc::new(HubState {
             conns: Mutex::new(HashMap::new()),
             pending: Mutex::new(HashMap::new()),
             groups: Mutex::new(HashMap::new()),
             world_failed: Mutex::new(None),
             grace,
+            stopped: Mutex::new(false),
+            stop_signal: Condvar::new(),
         });
-        let stop = Arc::new(AtomicBool::new(false));
 
-        let accept_state = Arc::clone(&state);
-        let accept_stop = Arc::clone(&stop);
+        let (accepting, accept_state) = (Arc::clone(&listener), Arc::clone(&state));
         let accept = std::thread::Builder::new()
             .name("mics-hub-accept".into())
             .spawn(move || {
-                while !accept_stop.load(Ordering::Relaxed) {
-                    match listener.accept() {
-                        Ok(stream) => {
-                            let state = Arc::clone(&accept_state);
-                            let _ = std::thread::Builder::new()
-                                .name("mics-hub-conn".into())
-                                .spawn(move || conn_loop(state, stream));
-                        }
-                        Err(_) => {
-                            if accept_stop.load(Ordering::Relaxed) {
-                                break;
-                            }
-                            // Transient accept error: back off instead of
-                            // spinning.
-                            std::thread::sleep(Duration::from_millis(10));
-                        }
-                    }
+                while let Some(stream) = accepting.accept() {
+                    let state = Arc::clone(&accept_state);
+                    let _ = std::thread::Builder::new()
+                        .name("mics-hub-conn".into())
+                        .spawn(move || conn_loop(state, stream));
                 }
             })
             .expect("cannot spawn hub accept thread");
 
         let sweep_state = Arc::clone(&state);
-        let sweep_stop = Arc::clone(&stop);
         let sweeper = std::thread::Builder::new()
             .name("mics-hub-sweep".into())
-            .spawn(move || {
-                while !sweep_stop.load(Ordering::Relaxed) {
-                    std::thread::sleep(Duration::from_millis(100));
-                    let stale: Vec<u64> = lock(&sweep_state.conns)
-                        .iter()
-                        .filter(|(_, c)| lock(&c.last_seen).elapsed() > sweep_state.grace)
-                        .map(|(&r, _)| r)
-                        .collect();
-                    for rank in stale {
-                        sweep_state.conn_lost(rank);
-                    }
-                }
-            })
+            .spawn(move || sweep_state.sweep_loop())
             .expect("cannot spawn hub sweeper thread");
 
-        Ok(Hub { addr: bound, state, stop, accept: Some(accept), sweeper: Some(sweeper) })
+        Ok(Hub { listener, state, threads: vec![accept, sweeper] })
     }
 
     /// The bound rendezvous address workers should connect to (`host:port`
     /// or `unix:<path>`; for a `host:0` bind this carries the real port).
     pub fn addr(&self) -> &str {
-        &self.addr
+        self.listener.local_addr()
     }
 
     /// Number of currently connected ranks.
@@ -389,25 +382,16 @@ impl Hub {
     }
 
     /// Stop serving: close every connection and join the service threads.
-    /// Called automatically on drop.
+    /// Idempotent; called automatically on drop.
     pub fn shutdown(&mut self) {
-        if self.accept.is_none() {
-            return;
-        }
-        self.stop.store(true, Ordering::Relaxed);
-        // Unblock the accept loop with a throwaway connection.
-        let _ = Stream::connect(&self.addr);
+        self.listener.shutdown();
+        *lock(&self.state.stopped) = true;
+        self.state.stop_signal.notify_all();
         for conn in lock(&self.state.conns).drain() {
             conn.1.stream.shutdown();
         }
-        if let Some(h) = self.accept.take() {
-            let _ = h.join();
-        }
-        if let Some(h) = self.sweeper.take() {
-            let _ = h.join();
-        }
-        if let Some(path) = self.addr.strip_prefix("unix:") {
-            let _ = std::fs::remove_file(path);
+        for thread in self.threads.drain(..) {
+            let _ = thread.join();
         }
     }
 }

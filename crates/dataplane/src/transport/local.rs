@@ -136,8 +136,13 @@ impl Inner {
     /// report the same id (their members may not even contain it — the
     /// poison is conservative by design).
     pub(crate) fn mark_failed(&self, rank: usize) {
+        // `children` is taken before the poison wakes anyone and held across
+        // the walk: a survivor that reacts by rebuilding (`child()` takes
+        // the same lock) inserts its fresh group after the walk, never into
+        // it.
+        let children = lock(&self.children);
         self.barrier.poison(CommError::RankFailed { rank });
-        for child in lock(&self.children).values() {
+        for child in children.values() {
             child.mark_failed(rank);
         }
     }
@@ -158,11 +163,17 @@ impl Inner {
     }
 
     /// First caller creates the child group's shared state; later callers
-    /// (the other member ranks) fetch the same `Arc`.
+    /// (the other member ranks) fetch the same `Arc`. A split created after
+    /// the parent was poisoned is born poisoned (it shares the parent's
+    /// fate); a rebuild is the fresh start.
     pub(crate) fn child(self: &Arc<Self>, key: ChildKey, world: usize) -> Arc<Inner> {
         let mut children = lock(&self.children);
-        Arc::clone(
-            children.entry(key).or_insert_with(|| Arc::new(Inner::new(world, self.timeout()))),
-        )
+        Arc::clone(children.entry(key).or_insert_with(|| {
+            let child = Inner::new(world, self.timeout());
+            if let (ChildKey::Split { .. }, Some(err)) = (key, self.failure()) {
+                child.barrier.poison(err);
+            }
+            Arc::new(child)
+        }))
     }
 }

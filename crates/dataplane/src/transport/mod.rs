@@ -9,17 +9,24 @@
 //! * `local` — the original shared-memory rendezvous: ranks are threads of
 //!   one process, deposits go through in-process slots, and failure
 //!   detection is a poisoned sense-reversing barrier.
-//! * [`socket`] — a multi-process dataplane: every rank owns one
-//!   length-prefixed framed connection (TCP or Unix-domain) to a
-//!   [`hub::Hub`] switchboard, payloads are serialized on a real wire
-//!   (quantized collectives transport `mics-compress` encoded blocks
-//!   verbatim), and failure detection adds two *physical* paths on top of
-//!   the logical timeout: connection teardown (a SIGKILLed rank's socket
-//!   closes) and per-connection heartbeats (a wedged peer stops ponging).
+//! * [`socket`] — a multi-process dataplane: every rank owns one framed
+//!   connection to a [`hub::Hub`] switchboard, payloads are serialized on a
+//!   real wire (quantized collectives transport `mics-compress` encoded
+//!   blocks verbatim), and failure detection adds two *physical* paths on
+//!   top of the logical timeout: connection teardown (a SIGKILLed rank's
+//!   socket closes) and per-connection heartbeats (a wedged peer stops
+//!   ponging).
 //!
 //! Both transports feed the same poison/abort state, so
 //! `CommError`-surfacing, `remove_rank` shrink/rebuild, and the
 //! non-blocking engine work unchanged over either.
+//!
+//! Under the socket transport — and under the planner service, which has
+//! no socket code of its own — sits [`wire`]: streams and listeners over
+//! TCP or Unix-domain addresses, and length-prefixed frames whose payload
+//! is opaque to everything but its consumer. [`socket`] owns the rank↔hub
+//! `Frame` codec laid over those payloads; the hub validates and forwards
+//! a batch's bytes without decoding them.
 
 use crate::CommError;
 use std::time::Duration;
@@ -27,6 +34,7 @@ use std::time::Duration;
 pub mod hub;
 pub(crate) mod local;
 pub mod socket;
+pub mod wire;
 
 pub use hub::Hub;
 pub use socket::{connect_world, socket_counters, SocketWorldConfig, DATAPLANE_PROCESS};

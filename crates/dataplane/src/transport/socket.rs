@@ -4,12 +4,15 @@
 //!
 //! # Wire model
 //!
-//! All traffic is length-prefixed frames (`Frame`): a `u32` little-endian
-//! payload length, then a tag byte and the fields. Payload buffers travel
-//! as raw `f32` bit patterns, so streams that are really encoded blocks —
-//! the `mics-compress` wire format the quantized collectives gather — cross
-//! the socket bit-exactly, exactly as they cross the shared-memory
-//! transport.
+//! All traffic is [`super::wire`] frames whose payload is a `Frame`: a tag
+//! byte, then the fields. Payload buffers travel as raw `f32` bit patterns,
+//! so streams that are really encoded blocks — the `mics-compress` wire
+//! format the quantized collectives gather — cross the socket bit-exactly,
+//! exactly as they cross the shared-memory transport. This module is the
+//! only place those bytes become floats: a rank encodes its batch straight
+//! from the caller's slices and decodes a `Reply` into the batches the fold
+//! consumes; the hub in between moves each batch as the byte range
+//! `exchange_header` validated.
 //!
 //! A collective exchange is: every member sends
 //! `Exchange { group, seq, … }` carrying its batch; the hub holds them
@@ -40,13 +43,11 @@
 //! per-connection send queue.
 
 use super::hub::Hub;
+use super::wire::{self, Stream};
 use super::{Backend, ChildKey, Parts, RetryPolicy, TransportKind};
 use crate::{lock, CommError, Communicator, DEFAULT_TIMEOUT};
 use mics_trace::Arg;
 use std::collections::HashMap;
-use std::io::{BufWriter, Read, Write};
-use std::net::TcpStream;
-use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, RecvTimeoutError, SyncSender};
 use std::sync::{Arc, Mutex, OnceLock, Weak};
@@ -70,7 +71,7 @@ pub(crate) const WORLD_GROUP: u64 = 0;
 
 /// Upper bound on a single frame's payload — a corrupted length prefix must
 /// fail the connection, not attempt a giant allocation.
-const MAX_FRAME: usize = 1 << 28;
+pub(crate) const MAX_FRAME: usize = 1 << 28;
 
 /// How often each side of a connection sends a liveness ping.
 pub(crate) const HEARTBEAT_INTERVAL: Duration = Duration::from_millis(100);
@@ -79,66 +80,6 @@ pub(crate) const HEARTBEAT_INTERVAL: Duration = Duration::from_millis(100);
 /// dead (endpoint side of the heartbeat path). Overridable per connection
 /// via [`SocketWorldConfig::heartbeat_grace`].
 pub const DEFAULT_HEARTBEAT_GRACE: Duration = Duration::from_secs(10);
-
-/// A connected byte stream of either flavor behind one interface.
-#[derive(Debug)]
-pub(crate) enum Stream {
-    /// TCP (addresses like `127.0.0.1:7000`), with Nagle disabled — frames
-    /// are latency-sensitive rendezvous traffic.
-    Tcp(TcpStream),
-    /// Unix-domain (addresses like `unix:/tmp/mics.sock`).
-    Unix(UnixStream),
-}
-
-impl Stream {
-    pub(crate) fn connect(addr: &str) -> std::io::Result<Stream> {
-        if let Some(path) = addr.strip_prefix("unix:") {
-            Ok(Stream::Unix(UnixStream::connect(path)?))
-        } else {
-            let s = TcpStream::connect(addr)?;
-            s.set_nodelay(true)?;
-            Ok(Stream::Tcp(s))
-        }
-    }
-
-    pub(crate) fn try_clone(&self) -> std::io::Result<Stream> {
-        Ok(match self {
-            Stream::Tcp(s) => Stream::Tcp(s.try_clone()?),
-            Stream::Unix(s) => Stream::Unix(s.try_clone()?),
-        })
-    }
-
-    pub(crate) fn shutdown(&self) {
-        let _ = match self {
-            Stream::Tcp(s) => s.shutdown(std::net::Shutdown::Both),
-            Stream::Unix(s) => s.shutdown(std::net::Shutdown::Both),
-        };
-    }
-}
-
-impl Read for Stream {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        match self {
-            Stream::Tcp(s) => s.read(buf),
-            Stream::Unix(s) => s.read(buf),
-        }
-    }
-}
-
-impl Write for Stream {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        match self {
-            Stream::Tcp(s) => s.write(buf),
-            Stream::Unix(s) => s.write(buf),
-        }
-    }
-    fn flush(&mut self) -> std::io::Result<()> {
-        match self {
-            Stream::Tcp(s) => s.flush(),
-            Stream::Unix(s) => s.flush(),
-        }
-    }
-}
 
 // ---- frame codec -----------------------------------------------------------
 
@@ -265,9 +206,10 @@ fn put_u64(buf: &mut Vec<u8>, v: u64) {
     buf.extend_from_slice(&v.to_le_bytes());
 }
 
-fn put_parts(buf: &mut Vec<u8>, parts: &[Vec<f32>]) {
+fn put_parts<P: AsRef<[f32]>>(buf: &mut Vec<u8>, parts: &[P]) {
     put_u32(buf, parts.len() as u32);
     for p in parts {
+        let p = p.as_ref();
         put_u32(buf, p.len() as u32);
         for x in p {
             put_u32(buf, x.to_bits());
@@ -281,22 +223,64 @@ fn put_err(buf: &mut Vec<u8>, err: CommError) {
     put_u64(buf, arg);
 }
 
-/// Encode `frame` as one length-prefixed wire message.
+const TAG_EXCHANGE: u8 = 2;
+const TAG_REPLY: u8 = 10;
+
+/// Bytes of an `Exchange` payload before its batch: the tag and four `u64`s.
+pub(crate) const EXCHANGE_HEADER: usize = 33;
+
+/// The fixed fields of an `Exchange` — everything the hub reads of one.
+pub(crate) struct ExchangeHeader {
+    pub(crate) group: u64,
+    pub(crate) seq: u64,
+    pub(crate) world: u64,
+    pub(crate) member: u64,
+}
+
+/// Encode one member's half of an exchange straight from the caller's
+/// slices, into an exactly reserved buffer.
+pub(crate) fn encode_exchange<P: AsRef<[f32]>>(h: ExchangeHeader, parts: &[P]) -> Vec<u8> {
+    let floats: usize = parts.iter().map(|p| p.as_ref().len()).sum();
+    let mut b = Vec::with_capacity(EXCHANGE_HEADER + 4 * (1 + parts.len() + floats));
+    b.push(TAG_EXCHANGE);
+    for field in [h.group, h.seq, h.world, h.member] {
+        put_u64(&mut b, field);
+    }
+    put_parts(&mut b, parts);
+    b
+}
+
+fn put_reply_header(buf: &mut Vec<u8>, group: u64, seq: u64, members: usize) {
+    buf.push(TAG_REPLY);
+    put_u64(buf, group);
+    put_u64(buf, seq);
+    put_u32(buf, members as u32);
+}
+
+/// Assemble a `Reply` from the members' batches as they arrived: the body
+/// of a `Reply` *is* the members' encoded batches in member order, so the
+/// hub concatenates validated byte ranges and decodes nothing.
+pub(crate) fn encode_reply(group: u64, seq: u64, batches: &[&[u8]]) -> Vec<u8> {
+    let body: usize = batches.iter().map(|b| b.len()).sum();
+    let mut b = Vec::with_capacity(1 + 8 + 8 + 4 + body);
+    put_reply_header(&mut b, group, seq, batches.len());
+    for batch in batches {
+        b.extend_from_slice(batch);
+    }
+    b
+}
+
+/// Encode `frame` as one wire payload.
 pub(crate) fn encode_frame(frame: &Frame) -> Vec<u8> {
-    let mut b = vec![0u8; 4]; // length prefix patched below
+    let mut b = Vec::new();
     match frame {
         Frame::Hello { rank, world } => {
             b.push(1);
             put_u64(&mut b, *rank);
             put_u64(&mut b, *world);
         }
-        Frame::Exchange { group, seq, world, member, parts } => {
-            b.push(2);
-            put_u64(&mut b, *group);
-            put_u64(&mut b, *seq);
-            put_u64(&mut b, *world);
-            put_u64(&mut b, *member);
-            put_parts(&mut b, parts);
+        &Frame::Exchange { group, seq, world, member, ref parts } => {
+            return encode_exchange(ExchangeHeader { group, seq, world, member }, parts);
         }
         Frame::Abort { group, err } => {
             b.push(3);
@@ -311,10 +295,7 @@ pub(crate) fn encode_frame(frame: &Frame) -> Vec<u8> {
         Frame::Pong => b.push(6),
         Frame::Bye => b.push(7),
         Frame::Reply { group, seq, all } => {
-            b.push(10);
-            put_u64(&mut b, *group);
-            put_u64(&mut b, *seq);
-            put_u32(&mut b, all.len() as u32);
+            put_reply_header(&mut b, *group, *seq, all.len());
             for parts in all {
                 put_parts(&mut b, parts);
             }
@@ -329,8 +310,6 @@ pub(crate) fn encode_frame(frame: &Frame) -> Vec<u8> {
             put_err(&mut b, *err);
         }
     }
-    let len = (b.len() - 4) as u32;
-    b[..4].copy_from_slice(&len.to_le_bytes());
     b
 }
 
@@ -341,7 +320,7 @@ struct Cursor<'a> {
 
 impl<'a> Cursor<'a> {
     fn take(&mut self, n: usize) -> std::io::Result<&'a [u8]> {
-        if self.pos + n > self.buf.len() {
+        if n > self.buf.len() - self.pos {
             return Err(bad_wire("truncated frame".into()));
         }
         let s = &self.buf[self.pos..self.pos + n];
@@ -357,12 +336,18 @@ impl<'a> Cursor<'a> {
     fn u64(&mut self) -> std::io::Result<u64> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
+    /// One part of a batch as raw bytes: its length field, then that many
+    /// `f32` bit patterns. The one place a part's length is checked — the
+    /// decoder and the hub's validator both walk a batch through it.
+    fn part(&mut self) -> std::io::Result<&'a [u8]> {
+        let len = self.u32()? as usize;
+        self.take(len.checked_mul(4).ok_or_else(|| bad_wire("overflow".into()))?)
+    }
     fn parts(&mut self) -> std::io::Result<Parts> {
         let nparts = self.u32()? as usize;
         let mut parts = Vec::with_capacity(nparts.min(1 << 16));
         for _ in 0..nparts {
-            let len = self.u32()? as usize;
-            let raw = self.take(len.checked_mul(4).ok_or_else(|| bad_wire("overflow".into()))?)?;
+            let raw = self.part()?;
             parts.push(
                 raw.chunks_exact(4)
                     .map(|c| f32::from_bits(u32::from_le_bytes(c.try_into().unwrap())))
@@ -376,29 +361,39 @@ impl<'a> Cursor<'a> {
         let arg = self.u64()?;
         err_from_wire(code, arg)
     }
-}
-
-/// Read one frame off `r`, blocking. An EOF at a frame boundary surfaces as
-/// `UnexpectedEof`.
-pub(crate) fn read_frame(r: &mut impl Read) -> std::io::Result<Frame> {
-    read_frame_sized(r).map(|(frame, _)| frame)
-}
-
-/// [`read_frame`] plus the wire size consumed (payload + 4-byte prefix),
-/// for the receive-byte counters.
-pub(crate) fn read_frame_sized(r: &mut impl Read) -> std::io::Result<(Frame, u64)> {
-    let mut len4 = [0u8; 4];
-    r.read_exact(&mut len4)?;
-    let len = u32::from_le_bytes(len4) as usize;
-    if len == 0 || len > MAX_FRAME {
-        return Err(bad_wire(format!("bad frame length {len}")));
+    fn end(&self) -> std::io::Result<()> {
+        if self.pos != self.buf.len() {
+            return Err(bad_wire("trailing bytes in frame".into()));
+        }
+        Ok(())
     }
-    let mut payload = vec![0u8; len];
-    r.read_exact(&mut payload)?;
-    let mut c = Cursor { buf: &payload, pos: 0 };
+}
+
+/// The hub's view of an inbound payload: `None` if it is not an `Exchange`;
+/// otherwise its header, once the batch after it has been validated by
+/// walking its length fields — part count, each part's length, exact end.
+/// `payload[EXCHANGE_HEADER..]` is then a well-formed batch that can be
+/// forwarded verbatim; no float is materialised.
+pub(crate) fn exchange_header(payload: &[u8]) -> std::io::Result<Option<ExchangeHeader>> {
+    if payload.first() != Some(&TAG_EXCHANGE) {
+        return Ok(None);
+    }
+    let mut c = Cursor { buf: payload, pos: 1 };
+    let header =
+        ExchangeHeader { group: c.u64()?, seq: c.u64()?, world: c.u64()?, member: c.u64()? };
+    for _ in 0..c.u32()? {
+        c.part()?;
+    }
+    c.end()?;
+    Ok(Some(header))
+}
+
+/// Decode one wire payload.
+pub(crate) fn decode_frame(payload: &[u8]) -> std::io::Result<Frame> {
+    let mut c = Cursor { buf: payload, pos: 0 };
     let frame = match c.u8()? {
         1 => Frame::Hello { rank: c.u64()?, world: c.u64()? },
-        2 => Frame::Exchange {
+        TAG_EXCHANGE => Frame::Exchange {
             group: c.u64()?,
             seq: c.u64()?,
             world: c.u64()?,
@@ -410,7 +405,7 @@ pub(crate) fn read_frame_sized(r: &mut impl Read) -> std::io::Result<(Frame, u64
         5 => Frame::Ping,
         6 => Frame::Pong,
         7 => Frame::Bye,
-        10 => {
+        TAG_REPLY => {
             let group = c.u64()?;
             let seq = c.u64()?;
             let n = c.u32()? as usize;
@@ -424,16 +419,13 @@ pub(crate) fn read_frame_sized(r: &mut impl Read) -> std::io::Result<(Frame, u64
         12 => Frame::WorldPoison { err: c.err()? },
         other => return Err(bad_wire(format!("unknown frame tag {other}"))),
     };
-    if c.pos != payload.len() {
-        return Err(bad_wire("trailing bytes in frame".into()));
-    }
-    Ok((frame, len as u64 + 4))
+    c.end()?;
+    Ok(frame)
 }
 
-/// Write one frame to `w` and flush.
-pub(crate) fn write_frame(w: &mut impl Write, frame: &Frame) -> std::io::Result<()> {
-    w.write_all(&encode_frame(frame))?;
-    w.flush()
+/// Write one frame to `w`.
+pub(crate) fn write_frame(w: &mut impl std::io::Write, frame: &Frame) -> std::io::Result<()> {
+    wire::write_frame(w, &encode_frame(frame))
 }
 
 // ---- rank-side endpoint ----------------------------------------------------
@@ -444,7 +436,7 @@ type ReplySlot = SyncSender<Result<Vec<Parts>, CommError>>;
 /// One rank's connection to the hub, shared by every group multiplexed over
 /// it. Holds the pending-exchange table the reader thread resolves into.
 pub(crate) struct Endpoint {
-    writer: Mutex<BufWriter<Stream>>,
+    writer: Mutex<Stream>,
     /// A second OS handle to the same socket, kept to force-shutdown the
     /// blocked reader when the endpoint is dropped.
     raw: Stream,
@@ -457,6 +449,9 @@ pub(crate) struct Endpoint {
     groups: Mutex<HashMap<u64, Weak<SocketGroup>>>,
     /// Connection-level failure (I/O error, silent hub): terminal.
     failed: Mutex<Option<CommError>>,
+    /// The last process-level failure (a rank died) this endpoint reacted
+    /// to; the hub can announce one event twice, see [`Endpoint::on_poison`].
+    reacted_to: Mutex<Option<CommError>>,
     last_inbound: Mutex<Instant>,
     heartbeat_grace: Duration,
     /// Cumulative bytes written to the wire (`socket.rank{N}.tx_bytes`).
@@ -482,18 +477,21 @@ impl Endpoint {
     }
 
     fn send(&self, frame: &Frame) -> Result<(), CommError> {
+        self.send_payload(&encode_frame(frame))
+    }
+
+    fn send_payload(&self, payload: &[u8]) -> Result<(), CommError> {
         if let Some(e) = self.failure() {
             return Err(e);
         }
-        let bytes = encode_frame(frame);
         let mut w = lock(&self.writer);
-        match w.write_all(&bytes).and_then(|()| w.flush()) {
+        match wire::write_frame(&mut *w, payload) {
             Ok(()) => {
                 // Sample and record while still holding the writer lock:
                 // otherwise two senders can emit the cumulative tx series
                 // out of order (higher total first), which violates the
                 // trace's monotone-counter invariant.
-                let total = self.tx_bytes.add(bytes.len() as u64);
+                let total = self.tx_bytes.add(payload.len() as u64 + 4);
                 let rec = mics_trace::global();
                 if rec.is_enabled() {
                     let track = format!("rank{} tx bytes", self.world_rank);
@@ -509,6 +507,17 @@ impl Endpoint {
                 Err(err)
             }
         }
+    }
+
+    /// Remove one in-flight exchange's slot — its reply arrived, or its
+    /// caller gave up — and republish the depth.
+    fn take_pending(&self, key: (u64, u64)) -> Option<ReplySlot> {
+        let (slot, depth) = {
+            let mut pending = lock(&self.pending);
+            (pending.remove(&key), pending.len())
+        };
+        self.note_pending_depth(depth);
+        slot
     }
 
     /// Record the pending-map depth on the gauge (and, when tracing, as a
@@ -540,32 +549,61 @@ impl Endpoint {
             vec![("error", Arg::from(format!("{err:?}")))],
         );
         self.poison_groups(err);
-        self.fail_pending(err, None);
+        self.fail_pending(err, |_| true);
     }
 
-    /// Poison every currently-registered group (the process-level failure
-    /// path). Groups registered afterwards — rebuilds — start fresh.
+    /// The process-level failure path: poison every currently-registered
+    /// group and resolve their in-flight exchanges. Groups registered
+    /// afterwards — rebuilds — start fresh, exchanges included: a survivor
+    /// that saw the poison and already waits on its rebuilt group is not
+    /// failed by the event it rebuilt to escape.
     fn poison_groups(&self, err: CommError) {
-        for g in lock(&self.groups).values().filter_map(Weak::upgrade) {
+        // Upgrade under `groups`, poison after releasing it: `poison_tree`
+        // takes `children`, and `child()` registers a group (takes `groups`)
+        // while it holds `children`.
+        let live: Vec<Arc<SocketGroup>> =
+            lock(&self.groups).values().filter_map(Weak::upgrade).collect();
+        for g in &live {
             g.poison_tree(err);
+        }
+        self.fail_pending(err, |group| live.iter().any(|g| g.id == group));
+    }
+
+    /// A poison announced by the hub, for one group or (`None`) the world.
+    ///
+    /// A rank's death concerns every group, and the hub may announce it
+    /// twice — the `WorldPoison` broadcast, and a `GroupPoison` answering an
+    /// exchange that crossed it, in either order. The first notice poisons
+    /// everything registered; a survivor may rebuild right away, so the
+    /// second notice of the same event must not reach what was registered
+    /// in between: it is handled as the group-level poison it at most is.
+    fn on_poison(&self, group: Option<u64>, err: CommError) {
+        let process_level =
+            matches!(err, CommError::RankFailed { .. } | CommError::PeerDisconnected { .. });
+        if process_level && lock(&self.reacted_to).replace(err) != Some(err) {
+            self.poison_groups(err);
+        } else if let Some(group) = group {
+            // (`groups` is released before `poison_tree`, as in
+            // `poison_groups`.)
+            let live = lock(&self.groups).get(&group).and_then(Weak::upgrade);
+            if let Some(g) = live {
+                g.poison_tree(err);
+            }
+            self.fail_pending(err, |g| g == group);
         }
     }
 
-    /// Resolve in-flight exchanges with `err` — all of them, or only one
-    /// group's.
-    fn fail_pending(&self, err: CommError, only_group: Option<u64>) {
+    /// Resolve with `err` the in-flight exchanges of the groups `hit` picks.
+    fn fail_pending(&self, err: CommError, hit: impl Fn(u64) -> bool) {
         let depth = {
             let mut pending = lock(&self.pending);
-            let keys: Vec<(u64, u64)> = pending
-                .keys()
-                .filter(|(g, _)| only_group.is_none_or(|og| og == *g))
-                .copied()
-                .collect();
-            for k in keys {
-                if let Some(tx) = pending.remove(&k) {
+            pending.retain(|&(g, _), tx| {
+                let hit = hit(g);
+                if hit {
                     let _ = tx.send(Err(err));
                 }
-            }
+                !hit
+            });
             pending.len()
         };
         self.note_pending_depth(depth);
@@ -591,8 +629,12 @@ impl Drop for Endpoint {
 }
 
 fn reader_loop(mut stream: Stream, ep: Weak<Endpoint>) {
+    // One receive buffer for the life of the connection.
+    let mut buf = Vec::new();
     loop {
-        let (frame, nbytes) = match read_frame_sized(&mut stream) {
+        let frame = match wire::read_frame_into(&mut stream, MAX_FRAME, &mut buf)
+            .and_then(|()| decode_frame(&buf))
+        {
             Ok(f) => f,
             Err(e) => {
                 if let Some(ep) = ep.upgrade() {
@@ -603,7 +645,7 @@ fn reader_loop(mut stream: Stream, ep: Weak<Endpoint>) {
         };
         let Some(ep) = ep.upgrade() else { return };
         *lock(&ep.last_inbound) = Instant::now();
-        let total = ep.rx_bytes.add(nbytes);
+        let total = ep.rx_bytes.add(buf.len() as u64 + 4);
         let rec = mics_trace::global();
         if rec.is_enabled() {
             let track = format!("rank{} rx bytes", ep.world_rank);
@@ -611,33 +653,18 @@ fn reader_loop(mut stream: Stream, ep: Weak<Endpoint>) {
         }
         match frame {
             Frame::Reply { group, seq, all } => {
-                let (slot, depth) = {
-                    let mut pending = lock(&ep.pending);
-                    let slot = pending.remove(&(group, seq));
-                    (slot, pending.len())
-                };
-                if let Some(tx) = slot {
+                if let Some(tx) = ep.take_pending((group, seq)) {
                     let _ = tx.send(Ok(all));
                 }
-                ep.note_pending_depth(depth);
             }
-            Frame::GroupPoison { group, err } => {
-                if let Some(g) = lock(&ep.groups).get(&group).and_then(Weak::upgrade) {
-                    g.poison_tree(err);
-                }
-                ep.fail_pending(err, Some(group));
-            }
-            Frame::WorldPoison { err } => {
-                ep.poison_groups(err);
-                ep.fail_pending(err, None);
-            }
+            Frame::GroupPoison { group, err } => ep.on_poison(Some(group), err),
+            Frame::WorldPoison { err } => ep.on_poison(None, err),
             Frame::Ping => {
                 let _ = ep.send(&Frame::Pong);
             }
             Frame::Pong => {}
             // Rank-bound traffic only; anything else is a protocol error.
-            other => {
-                let _ = other;
+            _ => {
                 ep.fail_connection(CommError::Io { kind: std::io::ErrorKind::InvalidData });
                 return;
             }
@@ -724,6 +751,11 @@ impl SocketGroup {
     /// stop, a stale `GroupPoison`/`WorldPoison` frame processed after
     /// `remove_rank` would re-poison the rebuilt group through its parent.
     pub(crate) fn poison_tree(&self, err: CommError) {
+        // `children` is taken before the poison becomes visible and held
+        // across the walk: a survivor that reacts to it by rebuilding
+        // (`child()` takes the same lock) inserts its fresh group after the
+        // walk, never into it.
+        let children = lock(&self.children);
         {
             let mut broken = lock(&self.broken);
             if broken.is_some() {
@@ -731,7 +763,7 @@ impl SocketGroup {
             }
             *broken = Some(err);
         }
-        for child in lock(&self.children).values() {
+        for child in children.values() {
             child.poison_tree(err);
         }
     }
@@ -757,32 +789,17 @@ impl SocketGroup {
             pending.len()
         };
         self.ep.note_pending_depth(depth);
-        let frame = Frame::Exchange {
-            group: self.id,
-            seq,
-            world: self.world as u64,
-            member: rank as u64,
-            parts: parts.iter().map(|p| p.to_vec()).collect(),
-        };
-        if let Err(e) = self.ep.send(&frame) {
-            let depth = {
-                let mut pending = lock(&self.ep.pending);
-                pending.remove(&(self.id, seq));
-                pending.len()
-            };
-            self.ep.note_pending_depth(depth);
+        let header =
+            ExchangeHeader { group: self.id, seq, world: self.world as u64, member: rank as u64 };
+        if let Err(e) = self.ep.send_payload(&encode_exchange(header, parts)) {
+            self.ep.take_pending((self.id, seq));
             return Err(e);
         }
         let timeout = self.timeout();
         match rx.recv_timeout(timeout) {
             Ok(result) => result,
             Err(RecvTimeoutError::Timeout) => {
-                let depth = {
-                    let mut pending = lock(&self.ep.pending);
-                    pending.remove(&(self.id, seq));
-                    pending.len()
-                };
-                self.ep.note_pending_depth(depth);
+                self.ep.take_pending((self.id, seq));
                 let e = CommError::Timeout { waited: timeout };
                 self.poison_tree(e);
                 // Tell the hub so the peers already waiting on this group
@@ -800,10 +817,21 @@ impl SocketGroup {
     /// Create (or fetch) the child group for `key`. The id is a
     /// deterministic hash of the parent id and the key, so every member's
     /// process derives the same identity with no extra coordination.
+    ///
+    /// A split shares its parent's fate: created after the poison walk went
+    /// by (this rank was slow out of the split's exchange), it is born with
+    /// the poison the walk would have given it — otherwise it would wait out
+    /// its deadline for a member that is already dead. A rebuild is the
+    /// fresh start.
     pub(crate) fn child(self: &Arc<Self>, key: ChildKey, world: usize) -> Arc<SocketGroup> {
         let mut children = lock(&self.children);
         Arc::clone(children.entry(key).or_insert_with(|| {
-            SocketGroup::new(child_id(self.id, key), world, self.timeout(), Arc::clone(&self.ep))
+            let id = child_id(self.id, key);
+            let child = SocketGroup::new(id, world, self.timeout(), Arc::clone(&self.ep));
+            if let ChildKey::Split { .. } = key {
+                *lock(&child.broken) = *lock(&self.broken);
+            }
+            child
         }))
     }
 }
@@ -878,12 +906,13 @@ pub fn connect_world(cfg: SocketWorldConfig) -> Result<Communicator, CommError> 
     let raw = stream.try_clone().map_err(|e| CommError::Io { kind: e.kind() })?;
     let counters = socket_counters();
     let ep = Arc::new(Endpoint {
-        writer: Mutex::new(BufWriter::new(stream)),
+        writer: Mutex::new(stream),
         raw,
         world_rank: cfg.rank,
         pending: Mutex::new(HashMap::new()),
         groups: Mutex::new(HashMap::new()),
         failed: Mutex::new(None),
+        reacted_to: Mutex::new(None),
         last_inbound: Mutex::new(Instant::now()),
         heartbeat_grace: cfg.heartbeat_grace,
         tx_bytes: counters.counter(&format!("socket.rank{}.tx_bytes", cfg.rank)),
@@ -937,30 +966,8 @@ mod tests {
 
     #[test]
     fn frames_round_trip_through_the_codec() {
-        let frames = vec![
-            Frame::Hello { rank: 3, world: 8 },
-            Frame::Exchange {
-                group: 42,
-                seq: 7,
-                world: 4,
-                member: 2,
-                parts: vec![vec![1.0, -2.5, f32::from_bits(0x7fc0_0001)], vec![], vec![0.0]],
-            },
-            Frame::Abort {
-                group: 9,
-                err: CommError::Timeout { waited: Duration::from_millis(250) },
-            },
-            Frame::Failed { rank: 5 },
-            Frame::Ping,
-            Frame::Pong,
-            Frame::Bye,
-            Frame::Reply { group: 1, seq: 0, all: vec![vec![vec![7.25]], vec![]] },
-            Frame::GroupPoison { group: 2, err: CommError::RankFailed { rank: 1 } },
-            Frame::WorldPoison { err: CommError::PeerDisconnected { rank: 0 } },
-            Frame::WorldPoison { err: CommError::Io { kind: std::io::ErrorKind::ConnectionReset } },
-        ];
-        for frame in frames {
-            let bytes = encode_frame(&frame);
+        for (frame, _) in golden_frames() {
+            let bytes = wire_bytes(&frame);
             let mut r = &bytes[..];
             let back = read_frame(&mut r).expect("decode");
             // Compare bit patterns (NaN payloads must survive the wire).
@@ -971,7 +978,15 @@ mod tests {
 
     /// The bytes a frame puts on the wire, length prefix included.
     fn wire_bytes(frame: &Frame) -> Vec<u8> {
-        encode_frame(frame)
+        let mut out = Vec::new();
+        write_frame(&mut out, frame).unwrap();
+        out
+    }
+
+    fn read_frame(r: &mut impl std::io::Read) -> std::io::Result<Frame> {
+        let mut buf = Vec::new();
+        wire::read_frame_into(r, MAX_FRAME, &mut buf)?;
+        decode_frame(&buf)
     }
 
     fn hex(bytes: &[u8]) -> String {
@@ -1026,6 +1041,160 @@ mod tests {
     fn golden_wire_bytes_are_pinned() {
         for (frame, golden) in golden_frames() {
             assert_eq!(hex(&wire_bytes(&frame)), golden, "{frame:?}");
+            // The rank's send path: the same bytes straight from borrowed
+            // slices, in a buffer reserved exactly once.
+            if let Frame::Exchange { group, seq, world, member, parts } = frame {
+                let slices: Vec<&[f32]> = parts.iter().map(Vec::as_slice).collect();
+                let payload =
+                    encode_exchange(ExchangeHeader { group, seq, world, member }, &slices);
+                assert_eq!(hex(&payload), golden[8..], "prefix aside, the golden bytes");
+                assert_eq!(payload.capacity(), payload.len(), "reserved exactly");
+            }
+        }
+    }
+
+    /// A hand-driven rank: connect, say hello, then speak raw bytes.
+    fn raw_rank(hub: &Hub, rank: u64) -> Stream {
+        let mut stream = Stream::connect(hub.addr()).unwrap();
+        write_frame(&mut stream, &Frame::Hello { rank, world: 2 }).unwrap();
+        stream
+    }
+
+    #[test]
+    fn hub_assembles_the_golden_reply_from_the_golden_exchanges() {
+        use std::io::{Read, Write};
+        let unhex = |h: &str| -> Vec<u8> {
+            (0..h.len()).step_by(2).map(|i| u8::from_str_radix(&h[i..i + 2], 16).unwrap()).collect()
+        };
+        let golden = golden_frames();
+        crate::with_deadline(Duration::from_secs(30), move || {
+            let hub = Hub::spawn("127.0.0.1:0").unwrap();
+            let mut ranks = [raw_rank(&hub, 0), raw_rank(&hub, 1)];
+            // Member 1's half goes first: the reply is in member order, not
+            // arrival order.
+            for member in [1, 0] {
+                ranks[member].write_all(&unhex(golden[1 + member].1)).unwrap();
+            }
+            for rank in &mut ranks {
+                let mut reply = vec![0u8; golden[8].1.len() / 2];
+                rank.read_exact(&mut reply).unwrap();
+                assert_eq!(hex(&reply), golden[8].1);
+            }
+        });
+    }
+
+    #[test]
+    fn hub_rejects_a_malformed_batch_and_poisons_the_world() {
+        crate::with_deadline(Duration::from_secs(30), || {
+            let hub = Hub::spawn("127.0.0.1:0").unwrap();
+            let healthy = connect_world(SocketWorldConfig::new(hub.addr(), 0, 2)).unwrap();
+            let mut hostile = raw_rank(&hub, 1);
+            // One part that claims five floats and carries one.
+            let header = ExchangeHeader { group: WORLD_GROUP, seq: 0, world: 2, member: 1 };
+            let mut payload = encode_exchange(header, &[&[1.0f32][..]]);
+            payload[EXCHANGE_HEADER + 4..][..4].copy_from_slice(&5u32.to_le_bytes());
+            wire::write_frame(&mut hostile, &payload).unwrap();
+            let dropped = std::io::Read::read(&mut hostile, &mut [0u8; 1]);
+            assert!(matches!(dropped, Ok(0) | Err(_)), "the hub must cut the connection");
+            assert_eq!(
+                healthy.try_all_gather(&[0.0], None),
+                Err(CommError::PeerDisconnected { rank: 1 }),
+                "and poison the world, as for any protocol error"
+            );
+        });
+    }
+
+    #[test]
+    fn a_failure_announced_twice_does_not_reach_the_group_rebuilt_in_between() {
+        let hub = Hub::spawn("127.0.0.1:0").unwrap();
+        let comm = connect_world(SocketWorldConfig::new(hub.addr(), 0, 2)).unwrap();
+        let Backend::Socket(world) = &comm.backend else { unreachable!() };
+        let died = CommError::RankFailed { rank: 1 };
+        // First notice: the answer to an exchange that crossed the broadcast.
+        world.ep.on_poison(Some(WORLD_GROUP), died);
+        assert_eq!(world.failure(), Some(died));
+        let rebuilt = world.child(ChildKey::Rebuild { epoch: 0, removed: 1 }, 1);
+        // Second notice of the same death: the broadcast itself.
+        world.ep.on_poison(None, died);
+        assert_eq!(rebuilt.failure(), None, "one event, one reaction");
+        // A different death is news, and concerns the rebuilt group too.
+        let next = CommError::PeerDisconnected { rank: 0 };
+        world.ep.on_poison(None, next);
+        assert_eq!(rebuilt.failure(), Some(next));
+    }
+
+    /// Read `bytes` as a connection would, holding the layer's contract: a
+    /// frame or a typed error, a receive buffer bounded by what was actually
+    /// supplied, and the hub's validator agreeing with the rank's decoder.
+    fn read_hostile(bytes: &[u8]) -> std::io::Result<Frame> {
+        let mut buf = Vec::new();
+        let got = wire::read_frame_into(&mut &bytes[..], MAX_FRAME, &mut buf).and_then(|()| {
+            let decoded = decode_frame(&buf);
+            if buf[0] == TAG_EXCHANGE {
+                assert_eq!(exchange_header(&buf).is_err(), decoded.is_err(), "{}", hex(&buf));
+            }
+            decoded
+        });
+        assert!(buf.capacity() <= bytes.len() + (1 << 20), "{} bytes reserved", buf.capacity());
+        if let Err(e) = &got {
+            use std::io::ErrorKind::{InvalidData, UnexpectedEof};
+            assert!(matches!(e.kind(), InvalidData | UnexpectedEof), "untyped: {e:?}");
+        }
+        got
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn hostile_bytes_fail_typed_and_bounded(
+            lens in proptest::collection::vec(0usize..6, 0usize..4),
+            which in 0usize..14,
+            salt in 1u32..1 << 30,
+        ) {
+            let parts: Parts = lens
+                .iter()
+                .map(|&n| (0..n).map(|i| f32::from_bits(salt.rotate_left(i as u32))).collect())
+                .collect();
+            let mut frames: Vec<Frame> = golden_frames().into_iter().map(|(f, _)| f).collect();
+            frames.push(Frame::Exchange { group: 1, seq: 2, world: 3, member: 0, parts: parts.clone() });
+            frames.push(Frame::Reply { group: 1, seq: 2, all: vec![parts.clone(), parts] });
+            let bytes = wire_bytes(&frames[which]);
+            let rejects = |mutate: &dyn Fn(&mut Vec<u8>)| {
+                let mut hostile = bytes.clone();
+                mutate(&mut hostile);
+                read_hostile(&hostile).is_err()
+            };
+            let put = |b: &mut Vec<u8>, at: usize, v: u32| b[at..at + 4].copy_from_slice(&v.to_le_bytes());
+            proptest::prop_assert!(read_hostile(&bytes).is_ok());
+            // Truncated at every offset.
+            for cut in 0..bytes.len() {
+                proptest::prop_assert!(rejects(&|b| b.truncate(cut)), "cut at {cut}");
+            }
+            // The prefix lies, upwards and downwards.
+            let len = bytes.len() as u32 - 4;
+            proptest::prop_assert!(rejects(&|b| put(b, 0, len + salt)));
+            proptest::prop_assert!(rejects(&|b| put(b, 0, len - 1 - salt % len)));
+            // Unknown tag; trailing bytes the prefix owns up to.
+            proptest::prop_assert!(rejects(&|b| b[4] = [0, 8, 9, 13, 255][salt as usize % 5]));
+            proptest::prop_assert!(rejects(&|b| {
+                b.extend_from_slice(&salt.to_le_bytes());
+                put(b, 0, len + 4);
+            }));
+            // A part count or part length that overruns the batch, and a
+            // length whose byte size overflows 32 bits.
+            let batch = match frames[which] {
+                Frame::Exchange { .. } => 4 + EXCHANGE_HEADER,
+                Frame::Reply { .. } => 4 + 21,
+                _ => return Ok(()),
+            };
+            let count = u32::from_le_bytes(bytes[batch..batch + 4].try_into().unwrap());
+            proptest::prop_assert!(rejects(&|b| put(b, batch, count + salt)));
+            if count > 0 {
+                let first = u32::from_le_bytes(bytes[batch + 4..batch + 8].try_into().unwrap());
+                proptest::prop_assert!(rejects(&|b| put(b, batch + 4, first + salt)));
+                proptest::prop_assert!(rejects(&|b| put(b, batch + 4, u32::MAX)));
+            }
         }
     }
 
@@ -1040,7 +1209,8 @@ mod tests {
                 .collect();
         let frame =
             Frame::Exchange { group: 0, seq: 0, world: 1, member: 0, parts: vec![words.clone()] };
-        let mut r = &encode_frame(&frame)[..];
+        let bytes = wire_bytes(&frame);
+        let mut r = &bytes[..];
         match read_frame(&mut r).unwrap() {
             Frame::Exchange { parts, .. } => {
                 let got: Vec<u32> = parts[0].iter().map(|x| x.to_bits()).collect();
@@ -1053,7 +1223,7 @@ mod tests {
 
     #[test]
     fn truncated_and_oversized_frames_are_rejected() {
-        let bytes = encode_frame(&Frame::Hello { rank: 1, world: 2 });
+        let bytes = wire_bytes(&Frame::Hello { rank: 1, world: 2 });
         let mut r = &bytes[..bytes.len() - 3];
         assert!(read_frame(&mut r).is_err(), "truncated payload must fail");
 

@@ -7,9 +7,9 @@
 //! the dataplane's bounded-backoff [`RetryPolicy`], the same policy workers
 //! use to outwait a hub that has not finished binding.
 
-use crate::net::PlanStream;
 use crate::protocol::{read_frame, write_frame, JobSpec, PlanError};
 use mics_core::{Json, MicsConfig, OomError, RunReport, ToJson};
+use mics_dataplane::transport::wire::Stream;
 use mics_dataplane::RetryPolicy;
 use std::time::Duration;
 
@@ -58,7 +58,7 @@ pub struct ServerStats {
 
 /// One typed connection to a planner server.
 pub struct PlannerClient {
-    stream: PlanStream,
+    stream: Stream,
     next_id: u64,
 }
 
@@ -71,7 +71,7 @@ impl PlannerClient {
 
     /// Connect under an explicit retry policy.
     pub fn connect_with(addr: &str, retry: RetryPolicy) -> Result<PlannerClient, PlanError> {
-        let stream = retry.run(|| PlanStream::connect(addr)).map_err(io_err)?;
+        let stream = retry.run(|| Stream::connect(addr)).map_err(io_err)?;
         Ok(PlannerClient { stream, next_id: 1 })
     }
 

@@ -7,8 +7,9 @@
 //! crate packages that workload as a long-running server instead of a
 //! per-query process launch:
 //!
-//! * **Protocol** ([`protocol`]) — length-prefixed compact-JSON frames over
-//!   TCP or Unix-domain sockets (the dataplane's framing idiom), with
+//! * **Protocol** ([`protocol`]) — compact-JSON documents in the
+//!   dataplane's own wire layer (`mics_dataplane::transport::wire`: TCP or
+//!   Unix-domain streams, length-prefixed frames), with
 //!   `simulate`, `tune`, streamed `sweep`, `stats`, `hello` (budget
 //!   provisioning) and `shutdown` requests, and a typed [`PlanError`]
 //!   taxonomy mirroring the dataplane's `CommError`.
@@ -36,13 +37,11 @@ pub const PLANNER_PROCESS: &str = "planner";
 pub mod budget;
 pub mod cache;
 pub mod client;
-pub mod net;
 pub mod protocol;
 pub mod server;
 
 pub use budget::{simulate_cost, tune_cost, FlopLedger};
 pub use cache::{CacheOutcome, CacheStats, PlanCache};
 pub use client::{PlannerClient, ServerStats, SweepOutcome, TuneOutcome};
-pub use net::{PlanListener, PlanStream};
 pub use protocol::{read_frame, write_frame, JobSpec, PlanError, MAX_FRAME};
 pub use server::{PlannerConfig, PlannerServer};

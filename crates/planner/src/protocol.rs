@@ -1,6 +1,6 @@
 //! The planner wire protocol: length-prefixed compact-JSON frames.
 //!
-//! Framing follows `mics-dataplane::transport::socket`: every frame is a
+//! Framing is [`mics_dataplane::transport::wire`]'s: every frame is a
 //! `u32` little-endian payload length followed by that many bytes. Payloads
 //! here are UTF-8 compact JSON documents ([`Json::emit`]) rather than the
 //! dataplane's binary collective records — planning queries are small,
@@ -36,6 +36,7 @@
 //! [`PlanError`].
 
 use mics_core::{Json, ToJson};
+use mics_dataplane::transport::wire;
 use std::io::{Read, Write};
 use std::time::Duration;
 
@@ -43,28 +44,16 @@ use std::time::Duration;
 /// larger length prefix is a corrupt or hostile stream.
 pub const MAX_FRAME: usize = 1 << 24;
 
-/// Write one `u32`-length-prefixed frame.
+/// Write one frame.
 pub fn write_frame(w: &mut impl Write, payload: &str) -> std::io::Result<()> {
-    let bytes = payload.as_bytes();
-    assert!(bytes.len() <= MAX_FRAME, "frame over MAX_FRAME");
-    w.write_all(&(bytes.len() as u32).to_le_bytes())?;
-    w.write_all(bytes)?;
-    w.flush()
+    assert!(payload.len() <= MAX_FRAME, "frame over MAX_FRAME");
+    wire::write_frame(w, payload.as_bytes())
 }
 
 /// Read one frame's payload (blocking).
 pub fn read_frame(r: &mut impl Read) -> std::io::Result<String> {
-    let mut len = [0u8; 4];
-    r.read_exact(&mut len)?;
-    let len = u32::from_le_bytes(len) as usize;
-    if len == 0 || len > MAX_FRAME {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            format!("bad frame length {len}"),
-        ));
-    }
-    let mut buf = vec![0u8; len];
-    r.read_exact(&mut buf)?;
+    let mut buf = Vec::new();
+    wire::read_frame_into(r, MAX_FRAME, &mut buf)?;
     String::from_utf8(buf)
         .map_err(|_| std::io::Error::new(std::io::ErrorKind::InvalidData, "frame is not UTF-8"))
 }
@@ -279,6 +268,63 @@ mod tests {
         let mut empty = Vec::new();
         empty.extend_from_slice(&0u32.to_le_bytes());
         assert!(read_frame(&mut &empty[..]).is_err());
+    }
+
+    /// What a connection does with inbound bytes — frame, UTF-8, JSON, job —
+    /// holding the contract on the way: typed errors only, and a payload
+    /// buffer bounded by the bytes actually supplied.
+    fn read_hostile(bytes: &[u8]) -> Option<JobSpec> {
+        let text = match read_frame(&mut &bytes[..]) {
+            Ok(text) => text,
+            Err(e) => {
+                use std::io::ErrorKind::{InvalidData, UnexpectedEof};
+                assert!(matches!(e.kind(), InvalidData | UnexpectedEof), "untyped: {e:?}");
+                return None;
+            }
+        };
+        assert!(text.capacity() <= bytes.len() + (1 << 20), "{} reserved", text.capacity());
+        JobSpec::from_json(Json::parse(&text).ok()?.get("job")?)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn hostile_bytes_fail_typed_and_bounded(
+            nodes in 0usize..1 << 40,
+            at in 0usize..1 << 16,
+            byte in 0u8..=255,
+            salt in 1u32..1 << 30,
+        ) {
+            let job = JobSpec::mics("bert-10b", nodes, nodes % 64);
+            let mut bytes = Vec::new();
+            let doc = Json::obj([("type", Json::from("simulate")), ("job", job.to_json())]);
+            write_frame(&mut bytes, &doc.emit()).unwrap();
+            proptest::prop_assert_eq!(read_hostile(&bytes), Some(job));
+            let mutated = |mutate: &dyn Fn(&mut Vec<u8>)| {
+                let mut hostile = bytes.clone();
+                mutate(&mut hostile);
+                read_hostile(&hostile)
+            };
+            let put = |b: &mut Vec<u8>, v: u32| b[..4].copy_from_slice(&v.to_le_bytes());
+            // Truncated at every offset; the prefix lying up and down;
+            // trailing bytes the prefix owns up to.
+            for cut in 0..bytes.len() {
+                proptest::prop_assert_eq!(mutated(&|b| b.truncate(cut)), None, "cut at {}", cut);
+            }
+            let len = bytes.len() as u32 - 4;
+            proptest::prop_assert_eq!(mutated(&|b| put(b, len + salt)), None);
+            proptest::prop_assert_eq!(mutated(&|b| put(b, len - 1 - salt % len)), None);
+            proptest::prop_assert_eq!(
+                mutated(&|b| {
+                    b.extend_from_slice(&salt.to_le_bytes());
+                    put(b, len + 4);
+                }),
+                None
+            );
+            // Any one byte overwritten: a job, or a typed refusal — no panic.
+            mutated(&|b| b[4 + at % len as usize] = byte);
+        }
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //!
 //! # Anatomy
 //!
-//! One accept thread (nonblocking, polling the shutdown flag) spawns a
+//! One accept thread (blocking in `accept`; shutdown wakes it) spawns a
 //! reader thread per connection. Readers decode frames and answer the cheap
 //! control requests inline (`hello`, `stats`, `shutdown`); planning queries
 //! (`simulate`, `tune`, `sweep`) are pushed onto a bounded queue — a full
@@ -27,7 +27,6 @@
 
 use crate::budget::{simulate_cost, tune_cost, FlopLedger};
 use crate::cache::{CacheOutcome, PlanCache};
-use crate::net::{PlanListener, PlanStream, ACCEPT_POLL};
 use crate::protocol::{read_frame, write_frame, JobSpec, PlanError};
 use crate::PLANNER_PROCESS;
 use mics_cluster::{ClusterSpec, InstanceType};
@@ -35,10 +34,10 @@ use mics_core::{
     simulate, tune_with_compression, CanonicalHasher, CanonicalKey, CompressionConfig, Json,
     Strategy, ToJson, TrainingJob,
 };
+use mics_dataplane::transport::wire::{Listener, Stream};
 use mics_model::WorkloadSpec;
 use mics_trace::Arg;
 use std::collections::VecDeque;
-use std::io::BufWriter;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, Weak};
 use std::thread::JoinHandle;
@@ -83,11 +82,11 @@ impl Default for PlannerConfig {
 
 /// Per-connection state shared between its reader thread and the workers.
 struct ConnState {
-    writer: Mutex<BufWriter<PlanStream>>,
+    writer: Mutex<Stream>,
     ledger: Mutex<FlopLedger>,
     /// Second OS handle, kept to force readers off blocking reads at
     /// shutdown.
-    raw: PlanStream,
+    raw: Stream,
 }
 
 impl ConnState {
@@ -112,6 +111,7 @@ struct Task {
 
 struct Shared {
     cfg: PlannerConfig,
+    listener: Listener,
     cache: PlanCache,
     queue: Mutex<VecDeque<Task>>,
     queue_ready: Condvar,
@@ -124,6 +124,7 @@ impl Shared {
     fn begin_shutdown(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
         self.queue_ready.notify_all();
+        self.listener.shutdown();
     }
 
     fn shutting_down(&self) -> bool {
@@ -144,11 +145,11 @@ impl PlannerServer {
     /// Bind, spawn the worker pool and the accept loop, and return the
     /// serving handle.
     pub fn start(cfg: PlannerConfig) -> std::io::Result<PlannerServer> {
-        let listener = PlanListener::bind(&cfg.addr)?;
-        let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
+        let listener = Listener::bind(&cfg.addr)?;
+        let addr = listener.local_addr().to_string();
         let shared = Arc::new(Shared {
             cfg: cfg.clone(),
+            listener,
             cache: PlanCache::with_ttl(cfg.cache_capacity, cfg.cache_ttl),
             queue: Mutex::new(VecDeque::new()),
             queue_ready: Condvar::new(),
@@ -168,7 +169,7 @@ impl PlannerServer {
         let accept_shared = Arc::clone(&shared);
         let accept = std::thread::Builder::new()
             .name("mics-plan-accept".to_string())
-            .spawn(move || accept_loop(listener, &accept_shared))
+            .spawn(move || accept_loop(&accept_shared))
             .expect("cannot spawn planner accept thread");
         Ok(PlannerServer { shared, addr, accept: Some(accept), workers })
     }
@@ -221,30 +222,22 @@ impl PlannerServer {
     }
 }
 
-fn accept_loop(listener: PlanListener, shared: &Arc<Shared>) {
-    while !shared.shutting_down() {
-        match listener.accept() {
-            Ok(stream) => {
-                let Ok(raw) = stream.try_clone() else { continue };
-                let Ok(reader) = stream.try_clone() else { continue };
-                let conn = Arc::new(ConnState {
-                    writer: Mutex::new(BufWriter::new(stream)),
-                    ledger: Mutex::new(FlopLedger::new(shared.cfg.default_budget_flops)),
-                    raw,
-                });
-                shared.conns.lock().unwrap().push(Arc::downgrade(&conn));
-                let shared2 = Arc::clone(shared);
-                let handle = std::thread::Builder::new()
-                    .name("mics-plan-conn".to_string())
-                    .spawn(move || reader_loop(reader, conn, &shared2))
-                    .expect("cannot spawn planner connection thread");
-                shared.readers.lock().unwrap().push(handle);
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(ACCEPT_POLL);
-            }
-            Err(_) => break,
-        }
+fn accept_loop(shared: &Arc<Shared>) {
+    while let Some(stream) = shared.listener.accept() {
+        let Ok(raw) = stream.try_clone() else { continue };
+        let Ok(reader) = stream.try_clone() else { continue };
+        let conn = Arc::new(ConnState {
+            writer: Mutex::new(stream),
+            ledger: Mutex::new(FlopLedger::new(shared.cfg.default_budget_flops)),
+            raw,
+        });
+        shared.conns.lock().unwrap().push(Arc::downgrade(&conn));
+        let shared2 = Arc::clone(shared);
+        let handle = std::thread::Builder::new()
+            .name("mics-plan-conn".to_string())
+            .spawn(move || reader_loop(reader, conn, &shared2))
+            .expect("cannot spawn planner connection thread");
+        shared.readers.lock().unwrap().push(handle);
     }
 }
 
@@ -254,7 +247,7 @@ fn request_id(request: &Json) -> u64 {
     request.get("id").and_then(Json::as_num).map(|n| n.max(0.0) as u64).unwrap_or(0)
 }
 
-fn reader_loop(mut stream: PlanStream, conn: Arc<ConnState>, shared: &Arc<Shared>) {
+fn reader_loop(mut stream: Stream, conn: Arc<ConnState>, shared: &Arc<Shared>) {
     loop {
         let text = match read_frame(&mut stream) {
             Ok(t) => t,
@@ -713,7 +706,7 @@ mod tests {
     use super::*;
     use crate::protocol::write_frame as send_frame;
 
-    fn request(stream: &mut PlanStream, text: &str) -> Json {
+    fn request(stream: &mut Stream, text: &str) -> Json {
         send_frame(stream, text).unwrap();
         Json::parse(&read_frame(stream).unwrap()).unwrap()
     }
@@ -721,7 +714,7 @@ mod tests {
     #[test]
     fn end_to_end_simulate_tune_stats_shutdown() {
         let server = PlannerServer::start(PlannerConfig::default()).unwrap();
-        let mut c = PlanStream::connect(server.addr()).unwrap();
+        let mut c = Stream::connect(server.addr()).unwrap();
 
         let job = JobSpec::mics("bert-10b", 2, 8).to_json().emit();
         let rep = request(&mut c, &format!(r#"{{"type":"simulate","id":1,"job":{job}}}"#));
@@ -754,7 +747,7 @@ mod tests {
             ..PlannerConfig::default()
         };
         let server = PlannerServer::start(cfg).unwrap();
-        let mut c = PlanStream::connect(server.addr()).unwrap();
+        let mut c = Stream::connect(server.addr()).unwrap();
 
         let job = JobSpec::mics("bert-10b", 2, 8).to_json().emit();
         let rep = request(&mut c, &format!(r#"{{"type":"simulate","id":1,"job":{job}}}"#));
@@ -785,7 +778,7 @@ mod tests {
     #[test]
     fn bad_requests_are_typed_rejections() {
         let server = PlannerServer::start(PlannerConfig::default()).unwrap();
-        let mut c = PlanStream::connect(server.addr()).unwrap();
+        let mut c = Stream::connect(server.addr()).unwrap();
 
         let e = request(&mut c, r#"{"type":"frobnicate","id":1}"#);
         assert_eq!(e.get("code").and_then(Json::as_str), Some("BadRequest"));
@@ -807,7 +800,7 @@ mod tests {
     #[test]
     fn zero_deadline_rejects_before_simulating() {
         let server = PlannerServer::start(PlannerConfig::default()).unwrap();
-        let mut c = PlanStream::connect(server.addr()).unwrap();
+        let mut c = Stream::connect(server.addr()).unwrap();
         let job = JobSpec::mics("bert-10b", 2, 8).to_json().emit();
         let e = request(
             &mut c,
@@ -823,7 +816,7 @@ mod tests {
     #[test]
     fn budget_exhaustion_is_reported_and_cache_hits_stay_free() {
         let server = PlannerServer::start(PlannerConfig::default()).unwrap();
-        let mut c = PlanStream::connect(server.addr()).unwrap();
+        let mut c = Stream::connect(server.addr()).unwrap();
 
         // First simulate runs on the generous default grant.
         let job = JobSpec::mics("bert-1.5b", 1, 8).to_json().emit();
@@ -848,7 +841,7 @@ mod tests {
     #[test]
     fn sweep_streams_items_then_done() {
         let server = PlannerServer::start(PlannerConfig::default()).unwrap();
-        let mut c = PlanStream::connect(server.addr()).unwrap();
+        let mut c = Stream::connect(server.addr()).unwrap();
         let jobs = format!(
             "[{},{},{}]",
             JobSpec::mics("bert-10b", 2, 8).to_json().emit(),

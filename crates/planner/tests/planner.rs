@@ -141,11 +141,12 @@ fn disconnect_mid_sweep_does_not_kill_the_server() {
     let addr = server.addr().to_string();
     {
         // Raw connection: fire a sweep, read a single frame, vanish.
-        use mics_planner::{read_frame, write_frame, PlanStream};
+        use mics_dataplane::transport::wire::Stream;
+        use mics_planner::{read_frame, write_frame};
         let jobs: Vec<String> = (0..6)
             .map(|i| mics_core::ToJson::to_json(&JobSpec::mics("bert-1.5b", 1 + i % 2, 8)).emit())
             .collect();
-        let mut c = PlanStream::connect(&addr).unwrap();
+        let mut c = Stream::connect(&addr).unwrap();
         write_frame(&mut c, &format!(r#"{{"type":"sweep","id":5,"jobs":[{}]}}"#, jobs.join(",")))
             .unwrap();
         let first = read_frame(&mut c).unwrap();

@@ -73,6 +73,21 @@ RESULTS_SNAPSHOT="$(mktemp -d /tmp/mics-results.XXXXXX)"
 cp -a results/. "${RESULTS_SNAPSHOT}/"
 trap 'rm -rf results && mv "${RESULTS_SNAPSHOT}" results' EXIT
 
+# "results/ byte-unchanged" as a gate: the simulator-only benches are
+# deterministic, so regenerating their artifacts must reproduce the
+# committed files to the byte. Runs first, while the snapshot still equals
+# everything else in results/ (plain diff: the gate also runs from a
+# `git archive` tarball).
+echo "==> deterministic simulator artifacts regenerate byte-identically"
+for bin in fig01_effective_bandwidth fig06_strong_scaling_bert fig07_strong_scaling_other \
+    fig08_tflops fig09_a100_400gbps fig10a_megatron fig10b_wideresnet \
+    fig11_partition_group_size fig12a_hierarchical_microbench fig12b_hierarchical_e2e \
+    fig13_two_hop fig14_impl_opts table1_models case_study_100b \
+    ext_ablation ext_straggler ext_recovery; do
+    cargo run --release -q -p mics-bench --bin "${bin}" >/dev/null
+done
+diff -r "${RESULTS_SNAPSHOT}" results
+
 # Kernels-v2 perf gate: re-run the kernel microbenchmarks. The bench gates
 # itself on a ratio measured inside this one run — SIMD ÷ blocked ≥ 2× on
 # the GEMM-shaped kernels (benches/kernels.rs) — and rewrites the artifact;
@@ -92,11 +107,8 @@ grep -q '"traceEvents"' "${FID_TRACE}"
 rm -f "${FID_TRACE}"
 
 # Smoke-run the extension benches: they carry their own assertions (the
-# ablation's knob deltas, the compression bench's ~4× wire claim and the
-# int8 fidelity envelope).
-echo "==> ext_ablation (smoke)"
-cargo run --release -q -p mics-bench --bin ext_ablation >/dev/null
-
+# compression bench's ~4× wire claim and the int8 fidelity envelope; the
+# ablation's knob deltas already ran with the deterministic artifacts).
 echo "==> ext_compress (smoke)"
 cargo run --release -q -p mics-bench --bin ext_compress >/dev/null
 
