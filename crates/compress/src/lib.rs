@@ -44,6 +44,7 @@
 #![warn(missing_docs)]
 
 use mics_tensor::dtype::{f16_bits_to_f32, f32_to_f16_bits};
+use std::ops::Range;
 
 /// Default quantization block size (elements per scale/zero-point pair).
 /// 128 elements keep the metadata overhead at `8 / (128·bits/8)` — 6.25%
@@ -263,22 +264,55 @@ fn int_bits(scheme: QuantScheme) -> Option<u32> {
     }
 }
 
-fn pack_code(codes: &mut [u8], bits: u32, i: usize, code: u32) {
-    match bits {
-        8 => codes[i] = code as u8,
-        4 => {
-            let shift = (i % 2) * 4;
-            codes[i / 2] |= ((code & 0xf) as u8) << shift;
-        }
-        _ => unreachable!("unsupported bit width"),
+/// How a decoded element lands in its output slot.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Land {
+    /// The slot takes the decoded value.
+    Overwrite,
+    /// The decoded value is added to the slot (`slot + value`, one f32 add).
+    Add,
+}
+
+/// Land one value per slot of `out`.
+#[inline]
+fn land_values(values: impl Iterator<Item = f32>, out: &mut [f32], land: Land) {
+    match land {
+        Land::Overwrite => out.iter_mut().zip(values).for_each(|(o, v)| *o = v),
+        Land::Add => out.iter_mut().zip(values).for_each(|(o, v)| *o += v),
     }
 }
 
-fn unpack_code(codes: &[u8], bits: u32, i: usize) -> u32 {
-    match bits {
-        8 => codes[i] as u32,
-        4 => ((codes[i / 2] >> ((i % 2) * 4)) & 0xf) as u32,
-        _ => unreachable!("unsupported bit width"),
+/// The per-block kernel behind [`dequantize`] and [`land_words`]: lands
+/// elements `range` of a block-quantized buffer into `out`, a block at a
+/// time. `byte(j)` is code byte `j` (one code per byte for int8, two for
+/// int4, low nibble first). The one home of the element formula: code `c`
+/// of block `b` decodes to `zeros[b] + c · scales[b]`, evaluated in f64 and
+/// rounded once to f32.
+fn land_blocks(
+    scheme: QuantScheme,
+    scales: &[f32],
+    zeros: &[f32],
+    byte: impl Fn(usize) -> u8,
+    range: Range<usize>,
+    out: &mut [f32],
+    land: Land,
+) {
+    let block = scheme.block().expect("integer schemes have a block size");
+    let mut rest = out;
+    let mut i = range.start;
+    while i < range.end {
+        let b = i / block;
+        let end = range.end.min((b + 1) * block);
+        let (out, tail) = std::mem::take(&mut rest).split_at_mut(end - i);
+        let (zero, scale) = (zeros[b] as f64, scales[b] as f64);
+        let value = |c: u8| (zero + f64::from(c) * scale) as f32;
+        if scheme.code_bits() == 8 {
+            land_values((i..end).map(|j| value(byte(j))), out, land);
+        } else {
+            land_values((i..end).map(|j| value((byte(j / 2) >> (j % 2 * 4)) & 0xf)), out, land);
+        }
+        rest = tail;
+        i = end;
     }
 }
 
@@ -330,12 +364,26 @@ pub fn quantize(data: &[f32], scheme: QuantScheme) -> Quantized {
                 scales.push(scale);
                 zeros.push(min);
                 // f64 intermediates keep the rounding error comfortably
-                // inside the half-step bound.
+                // inside the half-step bound. `t ≥ 0` (x ≥ min), so
+                // rounding half away from zero is the truncation plus one
+                // when the fraction reaches 0.5 — exact in f64 — and only
+                // the upper clamp can bind.
                 let inv = 1.0 / scale as f64;
-                for (j, &x) in span.iter().enumerate() {
-                    let t = ((x as f64 - min as f64) * inv).round();
-                    let code = t.clamp(0.0, lv as f64) as u32;
-                    pack_code(&mut codes, bits, b * block + j, code);
+                let code = |x: f32| {
+                    let t = (x as f64 - min as f64) * inv;
+                    let k = t as u32;
+                    (k + u32::from(t - k as f64 >= 0.5)).min(lv)
+                };
+                let first = b * block;
+                if bits == 8 {
+                    for (c, &x) in codes[first..first + span.len()].iter_mut().zip(span) {
+                        *c = code(x) as u8;
+                    }
+                } else {
+                    for (j, &x) in span.iter().enumerate() {
+                        let i = first + j;
+                        codes[i / 2] |= (code(x) as u8) << ((i % 2) * 4);
+                    }
                 }
             }
             Quantized { scheme, len, scales, zeros, codes }
@@ -345,20 +393,50 @@ pub fn quantize(data: &[f32], scheme: QuantScheme) -> Quantized {
 
 /// Reconstruct the fp32 buffer a [`Quantized`] value represents.
 pub fn dequantize(q: &Quantized) -> Vec<f32> {
-    match int_bits(q.scheme) {
-        None => (0..q.len)
-            .map(|i| f16_bits_to_f32(u16::from_le_bytes([q.codes[2 * i], q.codes[2 * i + 1]])))
-            .collect(),
-        Some(bits) => {
-            let block = q.scheme.block().expect("integer schemes have a block size");
-            (0..q.len)
-                .map(|i| {
-                    let b = i / block;
-                    let code = unpack_code(&q.codes, bits, i);
-                    (q.zeros[b] as f64 + code as f64 * q.scales[b] as f64) as f32
-                })
-                .collect()
-        }
+    let mut out = vec![0.0f32; q.len];
+    if q.scheme == QuantScheme::F16 {
+        let pairs = q.codes.chunks_exact(2);
+        let values = pairs.map(|c| f16_bits_to_f32(u16::from_le_bytes([c[0], c[1]])));
+        land_values(values, &mut out, Land::Overwrite);
+    } else {
+        let byte = |j: usize| q.codes[j];
+        land_blocks(q.scheme, &q.scales, &q.zeros, byte, 0..q.len, &mut out, Land::Overwrite);
+    }
+    out
+}
+
+/// Land elements `range` of the `len`-element buffer that `words` encodes
+/// under `scheme` (a [`Quantized::to_words`] stream) into `out`, one per
+/// slot, without building the [`Quantized`] value: every landed bit equals
+/// the matching element of `dequantize(&Quantized::from_words(words, len,
+/// scheme))`, and only the elements of `range` are decoded.
+///
+/// # Panics
+/// Panics if `words` has the wrong length for `(scheme, len)`, if `range`
+/// does not lie inside `0..len`, or if `out.len() != range.len()`.
+pub fn land_words(
+    words: &[f32],
+    len: usize,
+    scheme: QuantScheme,
+    range: Range<usize>,
+    out: &mut [f32],
+    land: Land,
+) {
+    assert_eq!(
+        words.len(),
+        scheme.encoded_words(len),
+        "encoded stream length mismatch for {scheme:?} × {len}"
+    );
+    assert!(range.start <= range.end && range.end <= len, "range {range:?} outside 0..{len}");
+    assert_eq!(out.len(), range.len(), "output slice must match the landed range");
+    if scheme == QuantScheme::F16 {
+        // Each word carries one binary16 bit pattern.
+        land_values(words[range].iter().map(|&w| f16_bits_to_f32(w as u16)), out, land);
+    } else {
+        let nb = scheme.blocks(len);
+        let (scales, rest) = words.split_at(nb);
+        let (zeros, codes) = rest.split_at(nb);
+        land_blocks(scheme, scales, zeros, |j| codes[j] as u8, range, out, land);
     }
 }
 
@@ -605,6 +683,135 @@ mod tests {
         let out = dequantize(&back);
         assert!(out[..128].iter().all(|x| x.is_finite()));
         assert!(out[128..].iter().all(|x| x.is_nan()));
+    }
+
+    /// The kernels as first written — libm `round`, a clamp, one packing call
+    /// per element, a division per decoded element — kept as the oracle the
+    /// current kernels must match bit for bit.
+    mod oracle {
+        use super::*;
+
+        fn pack_code(codes: &mut [u8], bits: u32, i: usize, code: u32) {
+            match bits {
+                8 => codes[i] = code as u8,
+                _ => codes[i / 2] |= ((code & 0xf) as u8) << ((i % 2) * 4),
+            }
+        }
+
+        fn unpack_code(codes: &[u8], bits: u32, i: usize) -> u32 {
+            match bits {
+                8 => codes[i] as u32,
+                _ => ((codes[i / 2] >> ((i % 2) * 4)) & 0xf) as u32,
+            }
+        }
+
+        pub(super) fn quantize(data: &[f32], scheme: QuantScheme) -> Quantized {
+            let (len, bits) = (data.len(), int_bits(scheme).expect("integer scheme"));
+            let block = scheme.block().unwrap();
+            let (mut scales, mut zeros) = (Vec::new(), Vec::new());
+            let mut codes = vec![0u8; scheme.code_bytes(len)];
+            let lv = levels(bits);
+            for b in 0..scheme.blocks(len) {
+                let span = &data[b * block..len.min((b + 1) * block)];
+                if !span.iter().all(|x| x.is_finite()) {
+                    scales.push(f32::NAN);
+                    zeros.push(f32::NAN);
+                    continue;
+                }
+                let min = span.iter().copied().fold(f32::INFINITY, f32::min);
+                let max = span.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+                let scale = ((max as f64 - min as f64) / lv as f64) as f32;
+                if !scale.is_normal() {
+                    scales.push(0.0);
+                    zeros.push(min);
+                    continue;
+                }
+                scales.push(scale);
+                zeros.push(min);
+                let inv = 1.0 / scale as f64;
+                for (j, &x) in span.iter().enumerate() {
+                    let t = ((x as f64 - min as f64) * inv).round();
+                    pack_code(&mut codes, bits, b * block + j, t.clamp(0.0, lv as f64) as u32);
+                }
+            }
+            Quantized { scheme, len, scales, zeros, codes }
+        }
+
+        pub(super) fn dequantize(q: &Quantized) -> Vec<f32> {
+            let (bits, block) = (int_bits(q.scheme).unwrap(), q.scheme.block().unwrap());
+            (0..q.len)
+                .map(|i| {
+                    let b = i / block;
+                    let code = unpack_code(&q.codes, bits, i);
+                    (q.zeros[b] as f64 + code as f64 * q.scales[b] as f64) as f32
+                })
+                .collect()
+        }
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// One block of `n` values of the given kind: 0 random, 1 constant,
+    /// 2 poisoned, 3 a range of a few ulps (tiny but normal scale), 4 a
+    /// subnormal range (scale below normal: the constant path), 5 exact
+    /// rounding ties (range `0..=lv`, so the step is 1, and halves).
+    fn block_of(kind: usize, seed: u64, n: usize, lv: u32) -> Vec<f32> {
+        let mut s = seed | 1;
+        let mut next = move || {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            s
+        };
+        let mut v: Vec<f32> = match kind {
+            0 => (0..n).map(|_| (next() % 20_001) as f32 * 1e-3 - 10.0).collect(),
+            1 => vec![f32::from_bits(next() as u32 & 0x7f7f_ffff); n],
+            3 => (0..n).map(|_| f32::from_bits(0x3f80_0000 + (next() % 600) as u32)).collect(),
+            4 => (0..n).map(|_| f32::from_bits((next() % 300) as u32)).collect(),
+            5 => (0..n)
+                .map(|i| match i {
+                    0 => 0.0,
+                    1 => lv as f32,
+                    _ => (next() % u64::from(lv)) as f32 + 0.5,
+                })
+                .collect(),
+            _ => (0..n).map(|_| (next() % 1000) as f32 - 500.0).collect(),
+        };
+        if kind == 2 && n > 0 {
+            let at = next() as usize % n;
+            v[at] = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY][at % 3];
+        }
+        v
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// The kernels produce the oracle's bits — codes, metadata and
+        /// decoded values — on random, constant, poisoned, tiny-scale and
+        /// tie-rounding blocks, for int8/128, int4/128 and int8/7.
+        #[test]
+        fn prop_kernels_match_the_first_written_oracle(
+            seed in 1u64..u64::MAX,
+            kinds in proptest::collection::vec(0usize..6, 1usize..6),
+            tail in 0usize..130,
+            which in 0usize..3,
+        ) {
+            let scheme = [QuantScheme::Int8 { block: 128 }, QuantScheme::Int4 { block: 128 },
+                QuantScheme::Int8 { block: 7 }][which];
+            let (block, lv) = (scheme.block().unwrap(), levels(scheme.code_bits()));
+            let mut data: Vec<f32> = kinds
+                .iter()
+                .enumerate()
+                .flat_map(|(i, &k)| block_of(k, seed.wrapping_add(i as u64), block, lv))
+                .collect();
+            data.extend(block_of(0, !seed, tail % block, lv));
+            let (got, want) = (quantize(&data, scheme), oracle::quantize(&data, scheme));
+            prop_assert_eq!(bits(&got.to_words()), bits(&want.to_words()));
+            prop_assert_eq!(bits(&dequantize(&got)), bits(&oracle::dequantize(&want)));
+        }
     }
 
     #[test]

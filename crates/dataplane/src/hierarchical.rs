@@ -17,10 +17,10 @@
 //! `p/k` intra-node all-gathers *as one coalesced batch* to fill in the
 //! chunks owned by node peers.
 
-use crate::quantized::{decode, encode};
+use crate::quantized::{encode, land};
 use crate::{CommError, Communicator};
 use mics_collectives::HierarchicalLayout;
-use mics_compress::QuantScheme;
+use mics_compress::{Land, QuantScheme};
 
 /// Gather the partition group's `p` shards into the full buffer using the
 /// 3-stage hierarchical algorithm.
@@ -30,8 +30,9 @@ use mics_compress::QuantScheme;
 ///   `layout.nodes()` and `node.world()` must equal `layout.per_node()`.
 /// * `scheme` — with one, the shard is quantized **once**, the three stages
 ///   move and place its encoded words, and only the `p` placed chunks are
-///   dequantized: codes travel unmodified, so the result is bit-identical
-///   to the flat gather under the same scheme.
+///   decoded, each straight into its span of the result: codes travel
+///   unmodified, so the result is bit-identical to the flat gather under
+///   the same scheme.
 ///
 /// Returns the `p × shard.len()` gathered buffer in flat rank order — the
 /// same result a flat `try_all_gather` over the whole partition group
@@ -83,9 +84,11 @@ pub fn try_hierarchical_all_gather(
     if scheme.is_none() {
         return Ok(out);
     }
-    let mut values = Vec::with_capacity(p * shard.len());
+    let len = shard.len();
+    let mut values = vec![0.0f32; p * len];
     for r in 0..p {
-        values.extend_from_slice(&decode(&out[r * chunk..(r + 1) * chunk], shard.len(), scheme));
+        let (words, dest) = (&out[r * chunk..(r + 1) * chunk], &mut values[r * len..(r + 1) * len]);
+        land(words, len, scheme, 0..len, dest, Land::Overwrite);
     }
     Ok(values)
 }

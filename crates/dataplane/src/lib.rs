@@ -100,7 +100,7 @@ pub use transport::{
     DATAPLANE_PROCESS,
 };
 
-use mics_compress::QuantScheme;
+use mics_compress::{Land, QuantScheme};
 use transport::{Backend, ChildKey};
 
 /// Rendezvous waits detect an absent rank after this long unless
@@ -291,10 +291,13 @@ impl Communicator {
     }
 
     /// The one routine behind every collective: encode each part once if a
-    /// `scheme` is given, one exchange, then land every rank's (decoded or
-    /// borrowed) contribution to part `i` in `outs[i]`, in rank order from
-    /// 0.0 — so results are deterministic and identical across ranks and
-    /// transports. The single-buffer collectives are its one-part case.
+    /// `scheme` is given, one exchange, then land every rank's contribution
+    /// to part `i` in `outs[i]` — a gather writes rank `r`'s block in place
+    /// at `r · len`, a sum adds in rank order from 0.0 — so results are
+    /// deterministic and identical across ranks and transports. Landing
+    /// decodes only the elements it lands (a reduce-scatter `len / world`
+    /// of each peer's part), straight from the received words into `outs`.
+    /// The single-buffer collectives are its one-part case.
     fn collective(
         &self,
         parts: &[&[f32]],
@@ -323,10 +326,14 @@ impl Communicator {
                 Fold::Concat | Fold::SumAll => 0..len,
                 Fold::SumShard => self.rank * (len / world)..(self.rank + 1) * (len / world),
             };
-            out.clear();
             match fold {
-                Fold::Concat => out.reserve(len * world),
-                Fold::SumShard | Fold::SumAll => out.resize(mine.len(), 0.0),
+                // Every element is overwritten: a reused buffer keeps its
+                // allocation and is not cleared first.
+                Fold::Concat => out.resize(len * world, 0.0),
+                Fold::SumShard | Fold::SumAll => {
+                    out.clear();
+                    out.resize(mine.len(), 0.0);
+                }
             }
             for (r, batch) in all.iter().enumerate() {
                 let received = batch.get(i).map_or(0, Vec::len);
@@ -337,15 +344,11 @@ impl Communicator {
                     batch.len(),
                     parts.len()
                 );
-                let full = quantized::decode(&batch[i], len, scheme);
-                match fold {
-                    Fold::Concat => out.extend_from_slice(&full),
-                    Fold::SumShard | Fold::SumAll => {
-                        for (o, x) in out.iter_mut().zip(&full[mine.clone()]) {
-                            *o += *x;
-                        }
-                    }
-                }
+                let (dest, how) = match fold {
+                    Fold::Concat => (&mut out[r * len..(r + 1) * len], Land::Overwrite),
+                    Fold::SumShard | Fold::SumAll => (&mut out[..], Land::Add),
+                };
+                quantized::land(&batch[i], len, scheme, mine.clone(), dest, how);
             }
         }
         Ok(())
@@ -436,8 +439,8 @@ impl Communicator {
         assert!(root < self.world(), "root out of range");
         // Only the root's batch carries payload; the others are empty.
         let batch: &[&[f32]] = if self.rank == root { &[data] } else { &[] };
-        let mut all = self.backend.exchange(self.rank, batch)?;
-        Ok(all.swap_remove(root).pop().expect("root did not deposit"))
+        let all = self.backend.exchange(self.rank, batch)?;
+        Ok(all[root].first().expect("root did not deposit").clone())
     }
 
     /// The `all_gather_coalesced` API of paper §4: gather a *batch* of
@@ -481,7 +484,7 @@ impl Communicator {
             f32::from_bits(((key as u64) >> 32) as u32),
         ];
         let all = self.backend.exchange(self.rank, &[&meta])?;
-        let decode = |batch: &Vec<Vec<f32>>| -> (i64, i64) {
+        let decode = |batch: &Arc<Vec<Vec<f32>>>| -> (i64, i64) {
             let m = batch.first().expect("missing split metadata");
             assert_eq!(m.len(), 4, "malformed split metadata");
             let join = |lo: f32, hi: f32| {

@@ -21,8 +21,8 @@
 //!   instead of `O(p)`.
 
 use crate::{aborted, Communicator};
-use mics_compress::{dequantize, quantize, QuantScheme, Quantized};
-use std::borrow::Cow;
+use mics_compress::{land_words, quantize, Land, QuantScheme};
+use std::ops::Range;
 
 /// The words `data` travels as under `scheme`: exactly
 /// `scheme.encoded_words(data.len())` of them.
@@ -30,12 +30,22 @@ pub(crate) fn encode(data: &[f32], scheme: QuantScheme) -> Vec<f32> {
     quantize(data, scheme).to_words()
 }
 
-/// The `len` values a received `wire` stands for: itself on the exact wire,
-/// its dequantized words under a scheme.
-pub(crate) fn decode(wire: &[f32], len: usize, scheme: Option<QuantScheme>) -> Cow<'_, [f32]> {
-    match scheme {
-        None => Cow::Borrowed(wire),
-        Some(s) => Cow::Owned(dequantize(&Quantized::from_words(wire, len, s))),
+/// The landing rule: elements `range` of the `len` values a received `wire`
+/// stands for go into `out`, overwriting or adding. The exact wire is its
+/// own values; under a scheme only the elements of `range` are decoded,
+/// straight from the words (see [`land_words`]).
+pub(crate) fn land(
+    wire: &[f32],
+    len: usize,
+    scheme: Option<QuantScheme>,
+    range: Range<usize>,
+    out: &mut [f32],
+    how: Land,
+) {
+    match (scheme, how) {
+        (Some(s), _) => land_words(wire, len, s, range, out, how),
+        (None, Land::Overwrite) => out.copy_from_slice(&wire[range]),
+        (None, Land::Add) => out.iter_mut().zip(&wire[range]).for_each(|(o, x)| *o += *x),
     }
 }
 
@@ -72,7 +82,7 @@ mod tests {
         with_deadline, CommError,
     };
     use mics_collectives::HierarchicalLayout;
-    use mics_compress::round_trip;
+    use mics_compress::{dequantize, round_trip, Quantized};
     use proptest::prelude::*;
     use std::time::Duration;
 
@@ -285,6 +295,48 @@ mod tests {
                 }
             }
         });
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The landing rule decodes exactly what a whole-buffer decode would
+        /// have put in `range`, bit for bit — any offset (odd ones split an
+        /// int4 byte), empty ranges, NaN-poisoned blocks — and adds with
+        /// the same single f32 add a fold over the decoded copy did.
+        #[test]
+        fn prop_land_equals_the_range_of_a_whole_decode(
+            seed in 0usize..1000,
+            len in 0usize..300,
+            from in 0usize..301,
+            to in 0usize..301,
+            which in 0usize..5,
+            poison in 0usize..600,
+        ) {
+            let scheme = [QuantScheme::F16, QuantScheme::int8(), QuantScheme::int4(),
+                QuantScheme::Int8 { block: 7 }, QuantScheme::Int4 { block: 7 }][which];
+            let mut data = payload(seed, len);
+            if poison < len {
+                data[poison] = f32::NAN;
+            }
+            let (a, b) = (from.min(len), to.min(len));
+            let range = a.min(b)..a.max(b);
+            let words = encode(&data, scheme);
+            let whole = dequantize(&Quantized::from_words(&words, len, scheme));
+            let want = &whole[range.clone()];
+            let acc = payload(seed + 1, range.len());
+            let mut out = acc.clone();
+            land(&words, len, Some(scheme), range.clone(), &mut out, Land::Overwrite);
+            prop_assert_eq!(bits(&out), bits(want));
+            let mut out = acc.clone();
+            land(&words, len, Some(scheme), range, &mut out, Land::Add);
+            let added: Vec<f32> = acc.iter().zip(want).map(|(x, y)| x + y).collect();
+            prop_assert_eq!(bits(&out), bits(&added));
+        }
     }
 
     proptest! {

@@ -5,7 +5,8 @@
 //! contract's single primitive — the sequenced [`Inner::exchange`]. All
 //! collective semantics (concatenation order, rank-order folds, shape
 //! checks) live above the transport in [`crate::Communicator`], so this
-//! module is only the rendezvous: deposit, meet, copy out, meet again.
+//! module is only the rendezvous: deposit, meet, take references, meet
+//! again.
 
 use super::{ChildKey, Parts};
 use crate::{lock, CommError};
@@ -93,9 +94,9 @@ impl Barrier {
 pub(crate) struct Inner {
     world: usize,
     barrier: Barrier,
-    /// Deposit slots, one batch of buffers per rank (single-buffer
+    /// Deposit slots, one shared batch of buffers per rank (single-buffer
     /// collectives use one-part batches).
-    slots: Mutex<Vec<Parts>>,
+    slots: Mutex<Vec<Arc<Parts>>>,
     /// Sub-groups created by `split` / `remove_rank`; the map is the
     /// cross-rank rendezvous on the child's shared state.
     children: Mutex<HashMap<ChildKey, Arc<Inner>>>,
@@ -108,7 +109,7 @@ impl Inner {
         Inner {
             world,
             barrier: Barrier::new(),
-            slots: Mutex::new(vec![Vec::new(); world]),
+            slots: Mutex::new(vec![Arc::default(); world]),
             children: Mutex::new(HashMap::new()),
             timeout_nanos: AtomicU64::new(timeout.as_nanos() as u64),
         }
@@ -151,13 +152,22 @@ impl Inner {
         self.barrier.wait(self.world, self.timeout())
     }
 
-    /// The sequenced exchange: deposit this rank's batch, rendezvous, copy
-    /// out every rank's batch, rendezvous again (the trailing barrier keeps
-    /// a racing next call from overwriting slots a slow peer still reads).
-    pub(crate) fn exchange(&self, rank: usize, parts: &[&[f32]]) -> Result<Vec<Parts>, CommError> {
-        lock(&self.slots)[rank] = parts.iter().map(|p| p.to_vec()).collect();
+    /// The sequenced exchange: deposit one shared copy of this rank's batch,
+    /// rendezvous, take a reference to every rank's deposit (`world`
+    /// refcount bumps, no payload copy), rendezvous again. The trailing
+    /// barrier keeps a fast rank's next deposit out of a slow peer's
+    /// snapshot; the caller's fold runs on the references after it, with no
+    /// lock held.
+    pub(crate) fn exchange(
+        &self,
+        rank: usize,
+        parts: &[&[f32]],
+    ) -> Result<Vec<Arc<Parts>>, CommError> {
+        let deposit = Arc::new(parts.iter().map(|p| p.to_vec()).collect());
+        // The previous deposit is released after the lock, not under it.
+        let _previous = std::mem::replace(&mut lock(&self.slots)[rank], deposit);
         self.barrier()?;
-        let all = lock(&self.slots).clone();
+        let all = lock(&self.slots).iter().map(Arc::clone).collect();
         self.barrier()?;
         Ok(all)
     }
@@ -175,5 +185,32 @@ impl Inner {
             }
             Arc::new(child)
         }))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn back_to_back_exchanges_never_mix_sequence_numbers() {
+        // No sleeps: ranks race from one exchange into the next. A fast
+        // rank's deposit for call `seq + 1` must never reach a slow rank's
+        // snapshot of call `seq` — the trailing barrier's whole job.
+        let (world, calls) = (4, 2000);
+        let inner = Inner::new(world, Duration::from_secs(10));
+        std::thread::scope(|scope| {
+            for rank in 0..world {
+                let inner = &inner;
+                scope.spawn(move || {
+                    for seq in 0..calls {
+                        let all = inner.exchange(rank, &[&[rank as f32, seq as f32]]).unwrap();
+                        for (r, batch) in all.iter().enumerate() {
+                            assert_eq!(batch[0], [r as f32, seq as f32], "rank {rank}, call {seq}");
+                        }
+                    }
+                });
+            }
+        });
     }
 }

@@ -29,6 +29,7 @@
 //! a batch's bytes without decoding them.
 
 use crate::CommError;
+use std::sync::Arc;
 use std::time::Duration;
 
 pub mod hub;
@@ -161,9 +162,9 @@ pub(crate) type Parts = Vec<Vec<f32>>;
 #[derive(Debug, Clone)]
 pub(crate) enum Backend {
     /// Shared-memory rendezvous state.
-    Local(std::sync::Arc<local::Inner>),
+    Local(Arc<local::Inner>),
     /// A group multiplexed over this rank's hub connection.
-    Socket(std::sync::Arc<socket::SocketGroup>),
+    Socket(Arc<socket::SocketGroup>),
 }
 
 impl Backend {
@@ -213,8 +214,13 @@ impl Backend {
     }
 
     /// The sequenced exchange every collective lowers to: deposit `parts`,
-    /// receive every member's batch in member order.
-    pub(crate) fn exchange(&self, rank: usize, parts: &[&[f32]]) -> Result<Vec<Parts>, CommError> {
+    /// receive every member's batch in member order. Batches are shared,
+    /// not owned: on the local transport every member holds the same one.
+    pub(crate) fn exchange(
+        &self,
+        rank: usize,
+        parts: &[&[f32]],
+    ) -> Result<Vec<Arc<Parts>>, CommError> {
         match self {
             Backend::Local(i) => i.exchange(rank, parts),
             Backend::Socket(g) => g.exchange(rank, parts),
