@@ -6,8 +6,11 @@
 //! 3-stage hierarchical all-gather of §3.3 and the coalesced communication
 //! APIs of §4 — are executed and tested for real, not merely cost-modelled.
 //! Every collective lowers to one transport primitive (a sequenced
-//! exchange: deposit a batch, receive every member's batch in rank order),
-//! and the [`transport`] layer provides two implementations:
+//! exchange: deposit addressed pieces, receive from every other member, in
+//! rank order, only the piece addressed to you — an exact reduce-scatter
+//! moves `(w − 1)/w` of a buffer each way, and no rank receives its own
+//! contribution back), and the [`transport`] layer provides two
+//! implementations:
 //!
 //! * **local** — each simulated device is an OS thread; the rendezvous is a
 //!   shared-memory barrier. This is [`Communicator::create_world`] /
@@ -101,7 +104,7 @@ pub use transport::{
 };
 
 use mics_compress::{Land, QuantScheme};
-use transport::{Backend, ChildKey};
+use transport::{peer_slot, Backend, ChildKey, Dest, Parts, Piece};
 
 /// Rendezvous waits detect an absent rank after this long unless
 /// [`Communicator::set_timeout`] overrides it. Generous compared to the
@@ -171,6 +174,11 @@ pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// into an orderly whole-world teardown.
 pub(crate) fn aborted<T>(e: CommError) -> T {
     panic!("collective aborted: {e}")
+}
+
+/// Shard `j` of a `len`-element buffer cut into `world` equal shards.
+fn shard(len: usize, world: usize, j: usize) -> std::ops::Range<usize> {
+    j * (len / world)..(j + 1) * (len / world)
 }
 
 /// How [`Communicator::collective`] lands the per-rank contributions.
@@ -290,14 +298,22 @@ impl Communicator {
         self.try_barrier().unwrap_or_else(aborted);
     }
 
-    /// The one routine behind every collective: encode each part once if a
-    /// `scheme` is given, one exchange, then land every rank's contribution
-    /// to part `i` in `outs[i]` — a gather writes rank `r`'s block in place
-    /// at `r · len`, a sum adds in rank order from 0.0 — so results are
-    /// deterministic and identical across ranks and transports. Landing
-    /// decodes only the elements it lands (a reduce-scatter `len / world`
-    /// of each peer's part), straight from the received words into `outs`.
-    /// The single-buffer collectives are its one-part case.
+    /// The one routine behind every collective, and the only place that
+    /// cuts a deposit into pieces: encode each part once if a `scheme` is
+    /// given, one exchange, then land every rank's contribution to part `i`
+    /// in `outs[i]` — a gather writes rank `r`'s block in place at
+    /// `r · len`, a sum adds in rank order from 0.0 — so results are
+    /// deterministic and identical across ranks and transports.
+    ///
+    /// An exact reduce-scatter sends member `j` only slice `j` of each part
+    /// (`(w − 1)/w` of the buffer out, as much in); everything else sends
+    /// one piece to all other members — a quantized reduce-scatter too,
+    /// since per-slice encoding is bit-identical only on block-aligned
+    /// slices. This rank's own contribution never crosses the transport: it
+    /// lands from the caller's slices, or from its own encoded words.
+    /// Landing decodes only the elements it lands (a reduce-scatter
+    /// `len / world` of each part), straight into `outs`. The single-buffer
+    /// collectives are its one-part case.
     fn collective(
         &self,
         parts: &[&[f32]],
@@ -317,14 +333,36 @@ impl Communicator {
         }
         let words: Vec<Vec<f32>> = scheme
             .map_or_else(Vec::new, |s| parts.iter().map(|p| quantized::encode(p, s)).collect());
-        let wire: Vec<&[f32]> = words.iter().map(Vec::as_slice).collect();
-        let all = self.backend.exchange(self.rank, if scheme.is_some() { &wire } else { parts })?;
+        let wire: Vec<&[f32]> = if scheme.is_some() {
+            words.iter().map(Vec::as_slice).collect()
+        } else {
+            parts.to_vec()
+        };
+        let sliced = fold == Fold::SumShard && scheme.is_none();
+        let pieces: Vec<Piece<Vec<&[f32]>>> = if sliced {
+            (0..world)
+                .filter(|&j| j != self.rank)
+                .map(|j| {
+                    let cut = parts.iter().map(|&p| &p[shard(p.len(), world, j)]).collect();
+                    Piece { dest: Dest::Member(j), parts: cut }
+                })
+                .collect()
+        } else {
+            vec![Piece { dest: Dest::Others, parts: wire.clone() }]
+        };
+        let received = self.backend.exchange(self.rank, &pieces)?;
         for (i, (part, out)) in parts.iter().zip(outs).enumerate() {
             let len = part.len();
-            let expected = scheme.map_or(len, |s| s.encoded_words(len));
             let mine = match fold {
                 Fold::Concat | Fold::SumAll => 0..len,
-                Fold::SumShard => self.rank * (len / world)..(self.rank + 1) * (len / world),
+                Fold::SumShard => shard(len, world, self.rank),
+            };
+            // What a peer's part holds, and where in it this rank's elements
+            // lie: its slice `rank` whole, or everything it contributed.
+            let (expected, theirs) = match scheme {
+                _ if sliced => (mine.len(), 0..mine.len()),
+                Some(s) => (s.encoded_words(len), mine.clone()),
+                None => (len, mine.clone()),
             };
             match fold {
                 // Every element is overwritten: a reused buffer keeps its
@@ -335,20 +373,25 @@ impl Communicator {
                     out.resize(mine.len(), 0.0);
                 }
             }
-            for (r, batch) in all.iter().enumerate() {
-                let received = batch.get(i).map_or(0, Vec::len);
-                assert!(
-                    batch.len() == parts.len() && received == expected,
-                    "rank {r} deposited {} parts with {received} words in part {i}; \
-                     expected {} parts with {expected}",
-                    batch.len(),
-                    parts.len()
-                );
+            for r in 0..world {
                 let (dest, how) = match fold {
                     Fold::Concat => (&mut out[r * len..(r + 1) * len], Land::Overwrite),
                     Fold::SumShard | Fold::SumAll => (&mut out[..], Land::Add),
                 };
-                quantized::land(&batch[i], len, scheme, mine.clone(), dest, how);
+                if r == self.rank {
+                    quantized::land(wire[i], len, scheme, mine.clone(), dest, how);
+                    continue;
+                }
+                let piece = &received[peer_slot(self.rank, r)];
+                let got = piece.get(i).map_or(0, Vec::len);
+                assert!(
+                    piece.len() == parts.len() && got == expected,
+                    "rank {r} deposited {} parts with {got} words in part {i}; \
+                     expected {} parts with {expected}",
+                    piece.len(),
+                    parts.len()
+                );
+                quantized::land(&piece[i], len, scheme, theirs.clone(), dest, how);
             }
         }
         Ok(())
@@ -437,10 +480,13 @@ impl Communicator {
     /// ignored.
     pub fn try_broadcast(&self, root: usize, data: &[f32]) -> Result<Vec<f32>, CommError> {
         assert!(root < self.world(), "root out of range");
-        // Only the root's batch carries payload; the others are empty.
-        let batch: &[&[f32]] = if self.rank == root { &[data] } else { &[] };
-        let all = self.backend.exchange(self.rank, batch)?;
-        Ok(all[root].first().expect("root did not deposit").clone())
+        // Only the root's piece carries payload; the others are empty.
+        let parts = if self.rank == root { vec![data] } else { Vec::new() };
+        let received = self.backend.exchange(self.rank, &[Piece { dest: Dest::Others, parts }])?;
+        if self.rank == root {
+            return Ok(data.to_vec());
+        }
+        Ok(received[peer_slot(self.rank, root)].first().expect("root did not deposit").clone())
     }
 
     /// The `all_gather_coalesced` API of paper §4: gather a *batch* of
@@ -483,20 +529,24 @@ impl Communicator {
             f32::from_bits(key as u64 as u32),
             f32::from_bits(((key as u64) >> 32) as u32),
         ];
-        let all = self.backend.exchange(self.rank, &[&meta])?;
-        let decode = |batch: &Arc<Vec<Vec<f32>>>| -> (i64, i64) {
-            let m = batch.first().expect("missing split metadata");
+        let received = self
+            .backend
+            .exchange(self.rank, &[Piece { dest: Dest::Others, parts: vec![&meta] }])?;
+        let decode = |piece: &Parts| -> (i64, i64) {
+            let m = piece.first().expect("missing split metadata");
             assert_eq!(m.len(), 4, "malformed split metadata");
             let join = |lo: f32, hi: f32| {
                 (u64::from(lo.to_bits()) | (u64::from(hi.to_bits()) << 32)) as i64
             };
             (join(m[0], m[1]), join(m[2], m[3]))
         };
-        let mut members: Vec<(i64, usize)> = all
-            .iter()
-            .enumerate()
-            .filter_map(|(r, batch)| {
-                let (c, k) = decode(batch);
+        let mut members: Vec<(i64, usize)> = (0..self.world())
+            .filter_map(|r| {
+                let (c, k) = if r == self.rank {
+                    (color, key)
+                } else {
+                    decode(&received[peer_slot(self.rank, r)])
+                };
                 (c == color).then_some((k, r))
             })
             .collect();

@@ -2,19 +2,21 @@
 //!
 //! A [`Hub`] is the star center every rank process connects to. It holds no
 //! collective semantics at all: it matches the `world` halves of each
-//! `(group, seq)` exchange and answers every member with all members'
-//! batches in member order. Folds, layouts, and shape checks all stay
-//! rank-side, which is what keeps socket results bit-identical to the
-//! shared-memory transport.
+//! `(group, seq)` exchange and answers every member with the piece each
+//! *other* member addressed to it, in member order — never the member's own
+//! contribution, never a piece addressed to someone else. Folds, layouts,
+//! and shape checks all stay rank-side, which is what keeps socket results
+//! bit-identical to the shared-memory transport.
 //!
-//! A batch is opaque here. Of an `Exchange` the hub reads the fixed header
-//! and *validates* the batch behind it by walking its length fields (part
-//! count, each part's length, exact end — a malformed one drops the
-//! connection and poisons the world like any other protocol error); it
-//! never reads a payload value. The frame's bytes are held as they arrived,
-//! and a completed exchange is assembled once — reply header, then the
-//! members' batches in member order — into one buffer that every member's
-//! send queue shares.
+//! A piece is opaque here. Of an `Exchange` the hub reads the fixed header
+//! and *validates* the pieces behind it by walking their length fields and
+//! destinations (a malformed length or addressing drops the connection and
+//! poisons the world like any other protocol error); it never reads a
+//! payload value. Each half's bytes are held as they arrived, behind one
+//! `Arc`. A completed exchange is answered without copying a payload byte:
+//! member `m`'s reply is a 21-byte header plus borrowed byte ranges of the
+//! other halves — the pieces addressed to `m` — which its writer thread
+//! sends in one vectored write loop.
 //!
 //! What the hub *does* own is failure detection and propagation:
 //!
@@ -36,13 +38,15 @@
 //! wedged receiver exerts backpressure on the hub instead of ballooning
 //! its memory, and the heartbeat sweeper reaps it if it stays silent.
 
+use super::addressed;
 use super::socket::{
-    decode_frame, encode_frame, encode_reply, exchange_header, ExchangeHeader, Frame,
-    EXCHANGE_HEADER, MAX_FRAME,
+    decode_frame, encode_frame, exchange_header, reply_header, ExchangeHeader, Frame, Routes,
+    MAX_FRAME,
 };
 use super::wire::{self, Listener, Stream};
 use crate::{lock, CommError};
 use std::collections::{BTreeMap, HashMap};
+use std::ops::Range;
 use std::sync::mpsc::{sync_channel, SyncSender, TrySendError};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -58,12 +62,12 @@ pub const DEFAULT_HUB_GRACE: Duration = Duration::from_secs(5);
 /// How often the sweeper looks for connections silent past the grace.
 const SWEEP_INTERVAL: Duration = Duration::from_millis(100);
 
-/// One member's half of a pending exchange: who to answer, and the
-/// `Exchange` payload it sent, held as it arrived (its batch is everything
-/// past [`EXCHANGE_HEADER`]).
+/// One member's half of a pending exchange: who to answer, the `Exchange`
+/// payload it sent, held as it arrived, and where its pieces lie in it.
 struct Half {
     conn: u64,
-    payload: Vec<u8>,
+    payload: Arc<Vec<u8>>,
+    routes: Routes,
 }
 
 /// An exchange the hub is holding until all `world` members arrive.
@@ -72,22 +76,29 @@ struct PendingExchange {
     by_member: BTreeMap<u64, Half>,
 }
 
+/// One queued frame: its own bytes, then borrowed ranges of held payloads
+/// (a `Reply`'s entries; empty for every other frame).
+struct Outbound {
+    head: Vec<u8>,
+    held: Vec<(Arc<Vec<u8>>, Range<usize>)>,
+}
+
 struct ConnHandle {
-    tx: SyncSender<Arc<Vec<u8>>>,
+    tx: SyncSender<Outbound>,
     stream: Stream,
     last_seen: Mutex<Instant>,
 }
 
 impl ConnHandle {
     fn send(&self, frame: &Frame) {
-        self.send_payload(Arc::new(encode_frame(frame)));
+        self.send_out(Outbound { head: encode_frame(frame), held: Vec::new() });
     }
 
-    /// Queue a payload; a full queue blocks briefly, then the connection is
+    /// Queue a frame; a full queue blocks briefly, then the connection is
     /// declared wedged and cut (backpressure with an upper bound, so one
     /// stuck receiver cannot wedge the whole hub).
-    fn send_payload(&self, payload: Arc<Vec<u8>>) {
-        match self.tx.try_send(payload) {
+    fn send_out(&self, frame: Outbound) {
+        match self.tx.try_send(frame) {
             Ok(()) => {}
             Err(TrySendError::Full(buf)) => {
                 if self.tx.send(buf).is_err() {
@@ -144,8 +155,16 @@ impl HubState {
 
     /// One member's half of an exchange arrived: hold its payload (taken
     /// out of the connection's read buffer, not copied) and, when it
-    /// completes the exchange, answer every member.
-    fn on_exchange(&self, rank: u64, header: ExchangeHeader, payload: &mut Vec<u8>) {
+    /// completes the exchange, answer every member with the pieces the
+    /// others addressed to it. A half that disagrees with its exchange on
+    /// the group size, or repeats a member, is a protocol error.
+    fn on_exchange(
+        &self,
+        rank: u64,
+        header: ExchangeHeader,
+        routes: Routes,
+        payload: &mut Vec<u8>,
+    ) -> std::io::Result<()> {
         let ExchangeHeader { group, seq, world, member } = header;
         let reply_err = {
             let mut groups = lock(&self.groups);
@@ -155,7 +174,7 @@ impl HubState {
             if let Some(conn) = lock(&self.conns).get(&rank) {
                 conn.send(&Frame::GroupPoison { group, err });
             }
-            return;
+            return Ok(());
         }
         let completed = {
             let mut pending = lock(&self.pending);
@@ -163,7 +182,14 @@ impl HubState {
                 world: world as usize,
                 by_member: BTreeMap::new(),
             });
-            entry.by_member.insert(member, Half { conn: rank, payload: std::mem::take(payload) });
+            if entry.world as u64 != world || entry.by_member.contains_key(&member) {
+                return Err(std::io::Error::new(
+                    std::io::ErrorKind::InvalidData,
+                    format!("rank {rank} sent member {member} of {world} to a held exchange"),
+                ));
+            }
+            let payload = Arc::new(std::mem::take(payload));
+            entry.by_member.insert(member, Half { conn: rank, payload, routes });
             if entry.by_member.len() == entry.world {
                 pending.remove(&(group, seq))
             } else {
@@ -171,22 +197,29 @@ impl HubState {
             }
         };
         if let Some(done) = completed {
-            let batches: Vec<&[u8]> =
-                done.by_member.values().map(|h| &h.payload[EXCHANGE_HEADER..]).collect();
-            let reply = Arc::new(encode_reply(group, seq, &batches));
             let conns = lock(&self.conns);
-            for half in done.by_member.values() {
+            for (&to, half) in &done.by_member {
+                let held = (done.by_member.iter().filter(|&(&from, _)| from != to))
+                    .map(|(&from, h)| {
+                        let range = addressed(&h.routes, from as usize, to as usize);
+                        (Arc::clone(&h.payload), range.clone())
+                    })
+                    .collect();
                 if let Some(conn) = conns.get(&half.conn) {
-                    conn.send_payload(Arc::clone(&reply));
+                    conn.send_out(Outbound {
+                        head: reply_header(group, seq, done.world - 1),
+                        held,
+                    });
                 }
             }
         }
+        Ok(())
     }
 
     /// Handle one inbound payload; `Ok(false)` is the peer's clean `Bye`.
     fn on_frame(&self, rank: u64, payload: &mut Vec<u8>) -> std::io::Result<bool> {
-        if let Some(header) = exchange_header(payload)? {
-            self.on_exchange(rank, header, payload);
+        if let Some((header, routes)) = exchange_header(payload)? {
+            self.on_exchange(rank, header, routes, payload)?;
             return Ok(true);
         }
         match decode_frame(payload)? {
@@ -268,7 +301,7 @@ fn conn_loop(state: Arc<HubState>, stream: Stream) {
             return;
         }
     };
-    let (tx, rx) = sync_channel::<Arc<Vec<u8>>>(SEND_QUEUE_DEPTH);
+    let (tx, rx) = sync_channel::<Outbound>(SEND_QUEUE_DEPTH);
     let handle = Arc::new(ConnHandle { tx, stream, last_seen: Mutex::new(Instant::now()) });
     lock(&state.conns).insert(rank, Arc::clone(&handle));
     // A crash can beat a slow-starting peer's registration: deliver any
@@ -282,8 +315,11 @@ fn conn_loop(state: Arc<HubState>, stream: Stream) {
         .name(format!("mics-hub-tx-{rank}"))
         .spawn(move || {
             let mut dead = false;
-            while let Ok(payload) = rx.recv() {
-                dead = dead || wire::write_frame(&mut out, &payload).is_err();
+            while let Ok(frame) = rx.recv() {
+                let slices: Vec<&[u8]> = std::iter::once(&frame.head[..])
+                    .chain(frame.held.iter().map(|(payload, range)| &payload[range.clone()]))
+                    .collect();
+                dead = dead || wire::write_frame(&mut out, &slices).is_err();
             }
         })
         .expect("cannot spawn hub writer thread");

@@ -8,7 +8,7 @@
 //! module is only the rendezvous: deposit, meet, take references, meet
 //! again.
 
-use super::{ChildKey, Parts};
+use super::{addressed, ChildKey, Parts, Piece};
 use crate::{lock, CommError};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -94,9 +94,8 @@ impl Barrier {
 pub(crate) struct Inner {
     world: usize,
     barrier: Barrier,
-    /// Deposit slots, one shared batch of buffers per rank (single-buffer
-    /// collectives use one-part batches).
-    slots: Mutex<Vec<Arc<Parts>>>,
+    /// Deposit slots: each rank's addressed pieces, each piece shared.
+    slots: Mutex<Vec<Vec<Piece<Arc<Parts>>>>>,
     /// Sub-groups created by `split` / `remove_rank`; the map is the
     /// cross-rank rendezvous on the child's shared state.
     children: Mutex<HashMap<ChildKey, Arc<Inner>>>,
@@ -109,7 +108,7 @@ impl Inner {
         Inner {
             world,
             barrier: Barrier::new(),
-            slots: Mutex::new(vec![Arc::default(); world]),
+            slots: Mutex::new(vec![Vec::new(); world]),
             children: Mutex::new(HashMap::new()),
             timeout_nanos: AtomicU64::new(timeout.as_nanos() as u64),
         }
@@ -152,24 +151,37 @@ impl Inner {
         self.barrier.wait(self.world, self.timeout())
     }
 
-    /// The sequenced exchange: deposit one shared copy of this rank's batch,
-    /// rendezvous, take a reference to every rank's deposit (`world`
-    /// refcount bumps, no payload copy), rendezvous again. The trailing
-    /// barrier keeps a fast rank's next deposit out of a slow peer's
-    /// snapshot; the caller's fold runs on the references after it, with no
-    /// lock held.
+    /// The sequenced exchange: deposit one shared copy of each of this
+    /// rank's pieces (an exact reduce-scatter's `world − 1` slices copy
+    /// `(w − 1)/w` of the caller's buffers), rendezvous, take a reference to
+    /// the piece each other rank addressed to this one (`world − 1` refcount
+    /// bumps, no payload copy), rendezvous again. The trailing barrier keeps
+    /// a fast rank's next deposit out of a slow peer's snapshot; the
+    /// caller's fold runs on the references after it, with no lock held.
     pub(crate) fn exchange(
         &self,
         rank: usize,
-        parts: &[&[f32]],
+        pieces: &[Piece<Vec<&[f32]>>],
     ) -> Result<Vec<Arc<Parts>>, CommError> {
-        let deposit = Arc::new(parts.iter().map(|p| p.to_vec()).collect());
+        let deposit = pieces
+            .iter()
+            .map(|p| Piece {
+                dest: p.dest,
+                parts: Arc::new(p.parts.iter().map(|s| s.to_vec()).collect()),
+            })
+            .collect();
         // The previous deposit is released after the lock, not under it.
         let _previous = std::mem::replace(&mut lock(&self.slots)[rank], deposit);
         self.barrier()?;
-        let all = lock(&self.slots).iter().map(Arc::clone).collect();
+        let received = {
+            let slots = lock(&self.slots);
+            (0..self.world)
+                .filter(|&from| from != rank)
+                .map(|from| Arc::clone(addressed(&slots[from], from, rank)))
+                .collect()
+        };
         self.barrier()?;
-        Ok(all)
+        Ok(received)
     }
 
     /// First caller creates the child group's shared state; later callers
@@ -196,7 +208,11 @@ mod tests {
     fn back_to_back_exchanges_never_mix_sequence_numbers() {
         // No sleeps: ranks race from one exchange into the next. A fast
         // rank's deposit for call `seq + 1` must never reach a slow rank's
-        // snapshot of call `seq` — the trailing barrier's whole job.
+        // snapshot of call `seq` — the trailing barrier's whole job. Odd
+        // calls address one piece to each peer, even calls one to all: each
+        // rank receives exactly what was addressed to it, from every peer
+        // but itself, in member order.
+        use super::super::Dest;
         let (world, calls) = (4, 2000);
         let inner = Inner::new(world, Duration::from_secs(10));
         std::thread::scope(|scope| {
@@ -204,9 +220,29 @@ mod tests {
                 let inner = &inner;
                 scope.spawn(move || {
                     for seq in 0..calls {
-                        let all = inner.exchange(rank, &[&[rank as f32, seq as f32]]).unwrap();
-                        for (r, batch) in all.iter().enumerate() {
-                            assert_eq!(batch[0], [r as f32, seq as f32], "rank {rank}, call {seq}");
+                        let cut = |to: usize| [rank as f32, to as f32, seq as f32];
+                        let each: Vec<[f32; 3]> = (0..world).map(cut).collect();
+                        let pieces: Vec<Piece<Vec<&[f32]>>> = if seq % 2 == 1 {
+                            (0..world)
+                                .filter(|&to| to != rank)
+                                .map(|to| Piece {
+                                    dest: Dest::Member(to),
+                                    parts: vec![&each[to][..]],
+                                })
+                                .collect()
+                        } else {
+                            vec![Piece { dest: Dest::Others, parts: vec![&each[rank][..]] }]
+                        };
+                        let got = inner.exchange(rank, &pieces).unwrap();
+                        let from: Vec<usize> = (0..world).filter(|&r| r != rank).collect();
+                        assert_eq!(got.len(), from.len());
+                        for (r, piece) in from.into_iter().zip(&got) {
+                            let to = if seq % 2 == 1 { rank } else { r };
+                            assert_eq!(
+                                piece[0],
+                                [r as f32, to as f32, seq as f32],
+                                "rank {rank}, call {seq}"
+                            );
                         }
                     }
                 });

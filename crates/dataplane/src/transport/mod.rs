@@ -2,9 +2,11 @@
 //!
 //! The [`crate::Communicator`] API is transport-agnostic. Every collective
 //! lowers to one primitive — a **sequenced exchange** in which each member
-//! deposits a batch of `f32` buffers and receives every member's batch in
-//! rank order — plus a barrier and group creation (split / shrink). Two
-//! implementations stand behind that contract:
+//! deposits *addressed pieces* of `f32` buffers (one piece for all other
+//! members, or one per other member) and receives, from every other member
+//! in member order, only the piece addressed to it; its own contribution
+//! never crosses the transport — plus a barrier and group creation (split /
+//! shrink). Two implementations stand behind that contract:
 //!
 //! * `local` — the original shared-memory rendezvous: ranks are threads of
 //!   one process, deposits go through in-process slots, and failure
@@ -25,8 +27,8 @@
 //! no socket code of its own — sits [`wire`]: streams and listeners over
 //! TCP or Unix-domain addresses, and length-prefixed frames whose payload
 //! is opaque to everything but its consumer. [`socket`] owns the rank↔hub
-//! `Frame` codec laid over those payloads; the hub validates and forwards
-//! a batch's bytes without decoding them.
+//! `Frame` codec laid over those payloads; the hub validates a deposit's
+//! addressing and forwards each piece's bytes without decoding them.
 
 use crate::CommError;
 use std::sync::Arc;
@@ -154,9 +156,44 @@ pub(crate) enum ChildKey {
     },
 }
 
-/// One rank's deposited batch: the `parts` of a coalesced collective
-/// (single-buffer collectives use a one-part batch).
+/// The buffers of one piece: the `parts` of a coalesced collective
+/// (single-buffer collectives use one part).
 pub(crate) type Parts = Vec<Vec<f32>>;
+
+/// Who a deposited piece is for.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Dest {
+    /// Every member but the depositor.
+    Others,
+    /// One other member, by member index.
+    Member(usize),
+}
+
+/// One addressed piece of a member's deposit; `T` is its parts as the
+/// holder keeps them (borrowed slices to send, owned buffers, a shared
+/// deposit, or a byte range of a held frame).
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct Piece<T> {
+    pub(crate) dest: Dest,
+    pub(crate) parts: T,
+}
+
+/// The piece of member `from`'s deposit addressed to member `to`. A
+/// well-formed deposit is one [`Dest::Others`] piece, or one
+/// [`Dest::Member`] piece for every member but `from`, in member order.
+pub(crate) fn addressed<T>(pieces: &[Piece<T>], from: usize, to: usize) -> &T {
+    match pieces {
+        [Piece { dest: Dest::Others, parts }] => parts,
+        each => &each[peer_slot(from, to)].parts,
+    }
+}
+
+/// Where member `peer` sits among the members other than `me`, in member
+/// order: the index of `me`'s piece for `peer`, and of `peer`'s entry in
+/// what an exchange returns to `me`.
+pub(crate) fn peer_slot(me: usize, peer: usize) -> usize {
+    peer - usize::from(peer > me)
+}
 
 /// The transport backing one communicator group, from one rank's side.
 #[derive(Debug, Clone)]
@@ -207,23 +244,27 @@ impl Backend {
     pub(crate) fn barrier(&self, rank: usize) -> Result<(), CommError> {
         match self {
             Backend::Local(i) => i.barrier(),
-            // One empty-batch exchange: the hub releases it exactly when all
-            // members' frames arrived — a rendezvous on the wire.
-            Backend::Socket(g) => g.exchange(rank, &[]).map(|_| ()),
+            // One exchange of an empty piece: the hub releases it exactly
+            // when all members' frames arrived — a rendezvous on the wire.
+            Backend::Socket(g) => {
+                g.exchange(rank, &[Piece { dest: Dest::Others, parts: Vec::new() }]).map(|_| ())
+            }
         }
     }
 
-    /// The sequenced exchange every collective lowers to: deposit `parts`,
-    /// receive every member's batch in member order. Batches are shared,
-    /// not owned: on the local transport every member holds the same one.
+    /// The sequenced exchange every collective lowers to: deposit `pieces`
+    /// (see [`addressed`] for their shape), receive from each other member,
+    /// in member order, the parts it addressed to `rank` — `world − 1`
+    /// entries, nothing of this member's own. They are shared, not owned:
+    /// on the local transport the depositor and its receivers hold one copy.
     pub(crate) fn exchange(
         &self,
         rank: usize,
-        parts: &[&[f32]],
+        pieces: &[Piece<Vec<&[f32]>>],
     ) -> Result<Vec<Arc<Parts>>, CommError> {
         match self {
-            Backend::Local(i) => i.exchange(rank, parts),
-            Backend::Socket(g) => g.exchange(rank, parts),
+            Backend::Local(i) => i.exchange(rank, pieces),
+            Backend::Socket(g) => g.exchange(rank, pieces),
         }
     }
 

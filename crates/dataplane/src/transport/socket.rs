@@ -9,17 +9,20 @@
 //! so streams that are really encoded blocks — the `mics-compress` wire
 //! format the quantized collectives gather — cross the socket bit-exactly,
 //! exactly as they cross the shared-memory transport. This module is the
-//! only place those bytes become floats: a rank encodes its batch straight
-//! from the caller's slices and decodes a `Reply` into the batches the fold
-//! consumes; the hub in between moves each batch as the byte range
+//! only place those bytes become floats: a rank encodes its pieces straight
+//! from the caller's slices and decodes a `Reply` into the parts the fold
+//! consumes; the hub in between moves each piece as the byte range
 //! `exchange_header` validated.
 //!
-//! A collective exchange is: every member sends
-//! `Exchange { group, seq, … }` carrying its batch; the hub holds them
-//! until all `world` members of that `(group, seq)` arrived, then answers
-//! each member with every member's batch in member order. All reduction
-//! arithmetic stays rank-side (above the transport), which is what keeps
-//! results bit-identical between transports.
+//! A collective exchange is: every member sends `Exchange { group, seq, … }`
+//! carrying its addressed pieces — one for all other members, or one per
+//! other member in member order. The hub holds them until all `world`
+//! members of that `(group, seq)` arrived, then answers each member with
+//! the piece every *other* member addressed to it, in member order: a
+//! member never receives its own contribution, and an exact reduce-scatter
+//! member receives only the slices it folds. All reduction arithmetic stays
+//! rank-side (above the transport), which is what keeps results
+//! bit-identical between transports.
 //!
 //! # Failure domains
 //!
@@ -44,10 +47,11 @@
 
 use super::hub::Hub;
 use super::wire::{self, Stream};
-use super::{Backend, ChildKey, Parts, RetryPolicy, TransportKind};
+use super::{Backend, ChildKey, Dest, Parts, Piece, RetryPolicy, TransportKind};
 use crate::{lock, CommError, Communicator, DEFAULT_TIMEOUT};
 use mics_trace::Arg;
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, RecvTimeoutError, SyncSender};
 use std::sync::{Arc, Mutex, OnceLock, Weak};
@@ -73,8 +77,10 @@ pub(crate) const WORLD_GROUP: u64 = 0;
 /// fail the connection, not attempt a giant allocation.
 pub(crate) const MAX_FRAME: usize = 1 << 28;
 
-/// How often each side of a connection sends a liveness ping.
-pub(crate) const HEARTBEAT_INTERVAL: Duration = Duration::from_millis(100);
+/// How often a rank sends its hub a liveness ping (a 5-byte frame, answered
+/// by a 5-byte pong) — once connected, a healthy rank's only traffic
+/// besides its exchanges.
+pub const HEARTBEAT_INTERVAL: Duration = Duration::from_millis(100);
 
 /// How long a rank tolerates a silent hub before declaring the connection
 /// dead (endpoint side of the heartbeat path). Overridable per connection
@@ -103,8 +109,9 @@ pub(crate) enum Frame {
         world: u64,
         /// This rank's member index within the group.
         member: u64,
-        /// The deposited batch.
-        parts: Parts,
+        /// The deposit: one all-others piece, or one piece per other
+        /// member in member order.
+        pieces: Vec<Piece<Parts>>,
     },
     /// A member gave up on a group (deadline expired): poison it hub-wide.
     Abort {
@@ -124,14 +131,15 @@ pub(crate) enum Frame {
     Pong,
     /// Clean goodbye: the peer is leaving on purpose, do not poison.
     Bye,
-    /// Hub → rank: the completed exchange, every member's batch in member
-    /// order.
+    /// Hub → rank: the completed exchange — from every other member, in
+    /// member order, the parts of the piece it addressed to this rank.
     Reply {
         /// Group id the exchange ran on.
         group: u64,
         /// Sequence number being answered.
         seq: u64,
-        /// `all[m]` is member `m`'s batch.
+        /// `world − 1` entries: the receiver's own deposit is not among
+        /// them.
         all: Vec<Parts>,
     },
     /// Hub → rank: one group is poisoned (member abort).
@@ -206,13 +214,17 @@ fn put_u64(buf: &mut Vec<u8>, v: u64) {
     buf.extend_from_slice(&v.to_le_bytes());
 }
 
+/// A part count, then each part: its length, then its `f32` bit patterns —
+/// written in bulk, the buffer grown once per part.
 fn put_parts<P: AsRef<[f32]>>(buf: &mut Vec<u8>, parts: &[P]) {
     put_u32(buf, parts.len() as u32);
     for p in parts {
         let p = p.as_ref();
         put_u32(buf, p.len() as u32);
-        for x in p {
-            put_u32(buf, x.to_bits());
+        let at = buf.len();
+        buf.resize(at + 4 * p.len(), 0);
+        for (bytes, x) in buf[at..].chunks_exact_mut(4).zip(p) {
+            bytes.copy_from_slice(&x.to_bits().to_le_bytes());
         }
     }
 }
@@ -226,10 +238,18 @@ fn put_err(buf: &mut Vec<u8>, err: CommError) {
 const TAG_EXCHANGE: u8 = 2;
 const TAG_REPLY: u8 = 10;
 
-/// Bytes of an `Exchange` payload before its batch: the tag and four `u64`s.
+/// The destination code of a [`Dest::Others`] piece; any other code is a
+/// member index.
+const TO_OTHERS: u32 = u32::MAX;
+
+/// Bytes of an `Exchange` payload before its pieces: the tag and four `u64`s.
 pub(crate) const EXCHANGE_HEADER: usize = 33;
 
-/// The fixed fields of an `Exchange` — everything the hub reads of one.
+/// Bytes of a `Reply` payload before its parts: the tag, two `u64`s and the
+/// entry count.
+pub(crate) const REPLY_HEADER: usize = 21;
+
+/// The fixed fields of an `Exchange`.
 pub(crate) struct ExchangeHeader {
     pub(crate) group: u64,
     pub(crate) seq: u64,
@@ -237,36 +257,44 @@ pub(crate) struct ExchangeHeader {
     pub(crate) member: u64,
 }
 
+/// Where each piece of a validated `Exchange` lies in its payload: the byte
+/// range of its parts (part count, then the parts) — exactly the bytes a
+/// `Reply` carries for that piece.
+pub(crate) type Routes = Vec<Piece<Range<usize>>>;
+
 /// Encode one member's half of an exchange straight from the caller's
-/// slices, into an exactly reserved buffer.
-pub(crate) fn encode_exchange<P: AsRef<[f32]>>(h: ExchangeHeader, parts: &[P]) -> Vec<u8> {
-    let floats: usize = parts.iter().map(|p| p.as_ref().len()).sum();
-    let mut b = Vec::with_capacity(EXCHANGE_HEADER + 4 * (1 + parts.len() + floats));
+/// slices, into an exactly reserved buffer. A piece is its destination
+/// code, then its parts.
+pub(crate) fn encode_exchange<P: AsRef<[f32]>>(
+    h: ExchangeHeader,
+    pieces: &[Piece<Vec<P>>],
+) -> Vec<u8> {
+    let words: usize = pieces
+        .iter()
+        .map(|p| 2 + p.parts.iter().map(|x| 1 + x.as_ref().len()).sum::<usize>())
+        .sum();
+    let mut b = Vec::with_capacity(EXCHANGE_HEADER + 4 * (1 + words));
     b.push(TAG_EXCHANGE);
     for field in [h.group, h.seq, h.world, h.member] {
         put_u64(&mut b, field);
     }
-    put_parts(&mut b, parts);
+    put_u32(&mut b, pieces.len() as u32);
+    for p in pieces {
+        put_u32(&mut b, if let Dest::Member(m) = p.dest { m as u32 } else { TO_OTHERS });
+        put_parts(&mut b, &p.parts);
+    }
     b
 }
 
-fn put_reply_header(buf: &mut Vec<u8>, group: u64, seq: u64, members: usize) {
-    buf.push(TAG_REPLY);
-    put_u64(buf, group);
-    put_u64(buf, seq);
-    put_u32(buf, members as u32);
-}
-
-/// Assemble a `Reply` from the members' batches as they arrived: the body
-/// of a `Reply` *is* the members' encoded batches in member order, so the
-/// hub concatenates validated byte ranges and decodes nothing.
-pub(crate) fn encode_reply(group: u64, seq: u64, batches: &[&[u8]]) -> Vec<u8> {
-    let body: usize = batches.iter().map(|b| b.len()).sum();
-    let mut b = Vec::with_capacity(1 + 8 + 8 + 4 + body);
-    put_reply_header(&mut b, group, seq, batches.len());
-    for batch in batches {
-        b.extend_from_slice(batch);
-    }
+/// A `Reply` up to its parts. The hub sends it followed by borrowed byte
+/// ranges of the pieces it holds, which *are* a reply's entries: it
+/// decodes and copies nothing.
+pub(crate) fn reply_header(group: u64, seq: u64, entries: usize) -> Vec<u8> {
+    let mut b = Vec::with_capacity(REPLY_HEADER);
+    b.push(TAG_REPLY);
+    put_u64(&mut b, group);
+    put_u64(&mut b, seq);
+    put_u32(&mut b, entries as u32);
     b
 }
 
@@ -279,8 +307,8 @@ pub(crate) fn encode_frame(frame: &Frame) -> Vec<u8> {
             put_u64(&mut b, *rank);
             put_u64(&mut b, *world);
         }
-        &Frame::Exchange { group, seq, world, member, ref parts } => {
-            return encode_exchange(ExchangeHeader { group, seq, world, member }, parts);
+        &Frame::Exchange { group, seq, world, member, ref pieces } => {
+            return encode_exchange(ExchangeHeader { group, seq, world, member }, pieces);
         }
         Frame::Abort { group, err } => {
             b.push(3);
@@ -295,7 +323,7 @@ pub(crate) fn encode_frame(frame: &Frame) -> Vec<u8> {
         Frame::Pong => b.push(6),
         Frame::Bye => b.push(7),
         Frame::Reply { group, seq, all } => {
-            put_reply_header(&mut b, *group, *seq, all.len());
+            b = reply_header(*group, *seq, all.len());
             for parts in all {
                 put_parts(&mut b, parts);
             }
@@ -370,36 +398,76 @@ impl<'a> Cursor<'a> {
 }
 
 /// The hub's view of an inbound payload: `None` if it is not an `Exchange`;
-/// otherwise its header, once the batch after it has been validated by
-/// walking its length fields — part count, each part's length, exact end.
-/// `payload[EXCHANGE_HEADER..]` is then a well-formed batch that can be
-/// forwarded verbatim; no float is materialised.
-pub(crate) fn exchange_header(payload: &[u8]) -> std::io::Result<Option<ExchangeHeader>> {
+/// otherwise its header and [`Routes`], once the pieces after it have been
+/// validated by walking their length fields — piece count, each part count
+/// and part length, exact end — and their addressing: the sender is a
+/// member, and its pieces are one for all others, or one for each other
+/// member in member order (so none is out of range, addressed to the
+/// sender, duplicated or missing). Each routed range can then be forwarded
+/// verbatim; no float is materialised. The rank's decoder reads an
+/// `Exchange` through this same walk.
+pub(crate) fn exchange_header(payload: &[u8]) -> std::io::Result<Option<(ExchangeHeader, Routes)>> {
     if payload.first() != Some(&TAG_EXCHANGE) {
         return Ok(None);
     }
     let mut c = Cursor { buf: payload, pos: 1 };
-    let header =
-        ExchangeHeader { group: c.u64()?, seq: c.u64()?, world: c.u64()?, member: c.u64()? };
-    for _ in 0..c.u32()? {
-        c.part()?;
+    let h = ExchangeHeader { group: c.u64()?, seq: c.u64()?, world: c.u64()?, member: c.u64()? };
+    if h.member >= h.world {
+        return Err(bad_wire(format!("member {} of a group of {}", h.member, h.world)));
+    }
+    let count = c.u32()?;
+    let mut routes = Routes::new();
+    for k in 0..u64::from(count) {
+        // The k-th other member, skipping the sender.
+        let next = k + u64::from(k >= h.member);
+        let dest = match c.u32()? {
+            TO_OTHERS if count == 1 => Dest::Others,
+            to if to != TO_OTHERS && u64::from(to) == next => Dest::Member(to as usize),
+            to => {
+                let to = if to == TO_OTHERS { "all others".into() } else { format!("member {to}") };
+                return Err(bad_wire(format!(
+                    "member {} addressed piece {k} of {count} to {to}; expected member {next}",
+                    h.member
+                )));
+            }
+        };
+        let start = c.pos;
+        for _ in 0..c.u32()? {
+            c.part()?;
+        }
+        routes.push(Piece { dest, parts: start..c.pos });
+    }
+    let all_others = matches!(routes.as_slice(), [Piece { dest: Dest::Others, .. }]);
+    if !all_others && routes.len() as u64 + 1 != h.world {
+        return Err(bad_wire(format!(
+            "member {} of {} addressed {} pieces",
+            h.member,
+            h.world,
+            routes.len()
+        )));
     }
     c.end()?;
-    Ok(Some(header))
+    Ok(Some((h, routes)))
 }
 
 /// Decode one wire payload.
 pub(crate) fn decode_frame(payload: &[u8]) -> std::io::Result<Frame> {
+    if let Some((h, routes)) = exchange_header(payload)? {
+        let pieces = routes
+            .into_iter()
+            .map(|r| {
+                Ok(Piece {
+                    dest: r.dest,
+                    parts: Cursor { buf: payload, pos: r.parts.start }.parts()?,
+                })
+            })
+            .collect::<std::io::Result<_>>()?;
+        let ExchangeHeader { group, seq, world, member } = h;
+        return Ok(Frame::Exchange { group, seq, world, member, pieces });
+    }
     let mut c = Cursor { buf: payload, pos: 0 };
     let frame = match c.u8()? {
         1 => Frame::Hello { rank: c.u64()?, world: c.u64()? },
-        TAG_EXCHANGE => Frame::Exchange {
-            group: c.u64()?,
-            seq: c.u64()?,
-            world: c.u64()?,
-            member: c.u64()?,
-            parts: c.parts()?,
-        },
         3 => Frame::Abort { group: c.u64()?, err: c.err()? },
         4 => Frame::Failed { rank: c.u64()? },
         5 => Frame::Ping,
@@ -425,7 +493,7 @@ pub(crate) fn decode_frame(payload: &[u8]) -> std::io::Result<Frame> {
 
 /// Write one frame to `w`.
 pub(crate) fn write_frame(w: &mut impl std::io::Write, frame: &Frame) -> std::io::Result<()> {
-    wire::write_frame(w, &encode_frame(frame))
+    wire::write_frame(w, &[&encode_frame(frame)])
 }
 
 // ---- rank-side endpoint ----------------------------------------------------
@@ -485,7 +553,7 @@ impl Endpoint {
             return Err(e);
         }
         let mut w = lock(&self.writer);
-        match wire::write_frame(&mut *w, payload) {
+        match wire::write_frame(&mut *w, &[payload]) {
             Ok(()) => {
                 // Sample and record while still holding the writer lock:
                 // otherwise two senders can emit the cumulative tx series
@@ -775,13 +843,13 @@ impl SocketGroup {
         let _ = self.ep.send(&Frame::Failed { rank: rank as u64 });
     }
 
-    /// The sequenced exchange over the wire: send this member's batch, wait
-    /// (deadline-bounded) for the hub's assembled reply, whose decoded
-    /// batches are handed over as they are.
+    /// The sequenced exchange over the wire: send this member's pieces,
+    /// wait (deadline-bounded) for the hub's reply, whose decoded entries —
+    /// one per other member — are handed over as they are.
     pub(crate) fn exchange(
         &self,
         rank: usize,
-        parts: &[&[f32]],
+        pieces: &[Piece<Vec<&[f32]>>],
     ) -> Result<Vec<Arc<Parts>>, CommError> {
         if let Some(e) = self.failure() {
             return Err(e);
@@ -796,13 +864,22 @@ impl SocketGroup {
         self.ep.note_pending_depth(depth);
         let header =
             ExchangeHeader { group: self.id, seq, world: self.world as u64, member: rank as u64 };
-        if let Err(e) = self.ep.send_payload(&encode_exchange(header, parts)) {
+        if let Err(e) = self.ep.send_payload(&encode_exchange(header, pieces)) {
             self.ep.take_pending((self.id, seq));
             return Err(e);
         }
         let timeout = self.timeout();
         match rx.recv_timeout(timeout) {
-            Ok(result) => result.map(|all| all.into_iter().map(Arc::new).collect()),
+            Ok(Ok(all)) if all.len() + 1 == self.world => {
+                Ok(all.into_iter().map(Arc::new).collect())
+            }
+            Ok(Ok(_)) => {
+                // A reply that does not hold one entry per other member.
+                let e = CommError::Io { kind: std::io::ErrorKind::InvalidData };
+                self.ep.fail_connection(e);
+                Err(e)
+            }
+            Ok(Err(e)) => Err(e),
             Err(RecvTimeoutError::Timeout) => {
                 self.ep.take_pending((self.id, seq));
                 let e = CommError::Timeout { waited: timeout };
@@ -998,27 +1075,64 @@ mod tests {
         bytes.iter().map(|b| format!("{b:02x}")).collect()
     }
 
-    /// The two halves of one 2-member exchange: part lengths `[0, 1, 3]`
-    /// carrying NaN payloads, `-0.0` and denormals.
-    fn golden_halves() -> [Parts; 2] {
+    /// The three deposits of one 3-member exchange: member 0 addresses one
+    /// piece to all others, members 1 and 2 one piece to each other member.
+    /// Every piece has part lengths `[0, 1, 3]` carrying NaN payloads,
+    /// `-0.0` and denormals; part 1's NaN is unique to the piece, so a reply
+    /// entry names the piece it came from.
+    fn golden_deposits() -> [Vec<Piece<Parts>>; 3] {
         let f = f32::from_bits;
+        let piece = |dest, nan: u32, a: f32, b: u32| Piece {
+            dest,
+            parts: vec![vec![], vec![f(nan)], vec![a, -0.0, f(b)]],
+        };
         [
-            vec![vec![], vec![f(0x7fc0_0001)], vec![-0.0, f(0x0000_0001), 1.5]],
-            vec![vec![], vec![f(0xffc1_2345)], vec![2.0, -0.0, f(0x007f_ffff)]],
+            vec![Piece {
+                dest: Dest::Others,
+                parts: vec![vec![], vec![f(0x7fc0_0001)], vec![-0.0, f(0x0000_0001), 1.5]],
+            }],
+            vec![
+                piece(Dest::Member(0), 0xffc1_2345, 2.0, 0x007f_ffff),
+                piece(Dest::Member(2), 0xffc1_2346, 3.0, 0x007f_fffe),
+            ],
+            vec![
+                piece(Dest::Member(0), 0x7fc2_0000, 4.0, 0x8000_0001),
+                piece(Dest::Member(1), 0x7fc2_0001, 5.0, 0x8000_0002),
+            ],
         ]
     }
 
-    /// One frame per variant with the wire bytes the codec produced for it
-    /// before the wire layer was factored out. The format is pinned: these
-    /// constants change only with a deliberate protocol revision.
+    /// Member `m`'s half of the golden exchange.
+    fn golden_exchange(member: usize) -> Frame {
+        let pieces = golden_deposits()[member].clone();
+        Frame::Exchange { group: 42, seq: 7, world: 3, member: member as u64, pieces }
+    }
+
+    /// The reply member `to` gets: from each other member, in member order,
+    /// the parts of the piece addressed to `to` — written out by hand.
+    fn golden_reply(to: usize) -> Frame {
+        let [d0, d1, d2] =
+            golden_deposits().map(|d| d.into_iter().map(|p| p.parts).collect::<Vec<_>>());
+        let all = match to {
+            0 => vec![d1[0].clone(), d2[0].clone()],
+            1 => vec![d0[0].clone(), d2[1].clone()],
+            _ => vec![d0[0].clone(), d1[1].clone()],
+        };
+        Frame::Reply { group: 42, seq: 7, all }
+    }
+
+    /// One frame per variant with its wire bytes, length prefix included.
+    /// The format is pinned: these constants change only with a deliberate
+    /// protocol revision.
     fn golden_frames() -> Vec<(Frame, &'static str)> {
-        let [h0, h1] = golden_halves();
-        let exchange =
-            |member, parts| Frame::Exchange { group: 42, seq: 7, world: 2, member, parts };
         vec![
             (Frame::Hello { rank: 3, world: 8 }, "110000000103000000000000000800000000000000"),
-            (exchange(0, h0.clone()), "41000000022a000000000000000700000000000000020000000000000000000000000000000300000000000000010000000100c07f0300000000000080010000000000c03f"),
-            (exchange(1, h1.clone()), "41000000022a000000000000000700000000000000020000000000000001000000000000000300000000000000010000004523c1ff030000000000004000000080ffff7f00"),
+            (golden_exchange(0), "49000000022a0000000000000007000000000000000300000000000000000000000000000001000000ffffffff0300000000000000010000000100c07f0300000000000080010000000000c03f"),
+            (golden_exchange(1), "6d000000022a0000000000000007000000000000000300000000000000010000000000000002000000000000000300000000000000010000004523c1ff030000000000004000000080ffff7f00020000000300000000000000010000004623c1ff030000000000404000000080feff7f00"),
+            (golden_exchange(2), "6d000000022a0000000000000007000000000000000300000000000000020000000000000002000000000000000300000000000000010000000000c27f03000000000080400000008001000080010000000300000000000000010000000100c27f030000000000a0400000008002000080"),
+            (golden_reply(0), "550000000a2a000000000000000700000000000000020000000300000000000000010000004523c1ff030000000000004000000080ffff7f000300000000000000010000000000c27f03000000000080400000008001000080"),
+            (golden_reply(1), "550000000a2a000000000000000700000000000000020000000300000000000000010000000100c07f0300000000000080010000000000c03f0300000000000000010000000100c27f030000000000a0400000008002000080"),
+            (golden_reply(2), "550000000a2a000000000000000700000000000000020000000300000000000000010000000100c07f0300000000000080010000000000c03f0300000000000000010000004623c1ff030000000000404000000080feff7f00"),
             (
                 Frame::Abort {
                     group: 9,
@@ -1030,7 +1144,6 @@ mod tests {
             (Frame::Ping, "0100000005"),
             (Frame::Pong, "0100000006"),
             (Frame::Bye, "0100000007"),
-            (Frame::Reply { group: 42, seq: 7, all: vec![h0, h1] }, "550000000a2a000000000000000700000000000000020000000300000000000000010000000100c07f0300000000000080010000000000c03f0300000000000000010000004523c1ff030000000000004000000080ffff7f00"),
             (Frame::GroupPoison { group: 2, err: CommError::RankFailed { rank: 1 } }, "120000000b0200000000000000000100000000000000"),
             (Frame::WorldPoison { err: CommError::PeerDisconnected { rank: 6 } }, "0a0000000c030600000000000000"),
             (
@@ -1048,8 +1161,14 @@ mod tests {
             assert_eq!(hex(&wire_bytes(&frame)), golden, "{frame:?}");
             // The rank's send path: the same bytes straight from borrowed
             // slices, in a buffer reserved exactly once.
-            if let Frame::Exchange { group, seq, world, member, parts } = frame {
-                let slices: Vec<&[f32]> = parts.iter().map(Vec::as_slice).collect();
+            if let Frame::Exchange { group, seq, world, member, pieces } = frame {
+                let slices: Vec<Piece<Vec<&[f32]>>> = pieces
+                    .iter()
+                    .map(|p| Piece {
+                        dest: p.dest,
+                        parts: p.parts.iter().map(Vec::as_slice).collect(),
+                    })
+                    .collect();
                 let payload =
                     encode_exchange(ExchangeHeader { group, seq, world, member }, &slices);
                 assert_eq!(hex(&payload), golden[8..], "prefix aside, the golden bytes");
@@ -1059,54 +1178,83 @@ mod tests {
     }
 
     /// A hand-driven rank: connect, say hello, then speak raw bytes.
-    fn raw_rank(hub: &Hub, rank: u64) -> Stream {
+    fn raw_rank(hub: &Hub, rank: u64, world: u64) -> Stream {
         let mut stream = Stream::connect(hub.addr()).unwrap();
-        write_frame(&mut stream, &Frame::Hello { rank, world: 2 }).unwrap();
+        write_frame(&mut stream, &Frame::Hello { rank, world }).unwrap();
         stream
     }
 
     #[test]
-    fn hub_assembles_the_golden_reply_from_the_golden_exchanges() {
+    fn hub_forwards_each_member_only_what_is_addressed_to_it() {
         use std::io::{Read, Write};
         let unhex = |h: &str| -> Vec<u8> {
             (0..h.len()).step_by(2).map(|i| u8::from_str_radix(&h[i..i + 2], 16).unwrap()).collect()
         };
-        let golden = golden_frames();
+        let (golden, deposits) = (golden_frames(), golden_deposits());
         crate::with_deadline(Duration::from_secs(30), move || {
+            let (exchanges, replies) = (&golden[1..4], &golden[4..7]);
             let hub = Hub::spawn("127.0.0.1:0").unwrap();
-            let mut ranks = [raw_rank(&hub, 0), raw_rank(&hub, 1)];
-            // Member 1's half goes first: the reply is in member order, not
+            let mut ranks: Vec<Stream> = (0..3).map(|r| raw_rank(&hub, r, 3)).collect();
+            // Arrival order 2, 0, 1: replies follow member order, not
             // arrival order.
-            for member in [1, 0] {
-                ranks[member].write_all(&unhex(golden[1 + member].1)).unwrap();
+            for member in [2, 0, 1] {
+                ranks[member].write_all(&unhex(exchanges[member].1)).unwrap();
             }
-            for rank in &mut ranks {
-                let mut reply = vec![0u8; golden[8].1.len() / 2];
+            for (to, rank) in ranks.iter_mut().enumerate() {
+                let mut reply = vec![0u8; replies[to].1.len() / 2];
                 rank.read_exact(&mut reply).unwrap();
-                assert_eq!(hex(&reply), golden[8].1);
+                assert_eq!(hex(&reply), replies[to].1, "member {to}'s reply");
+                let Frame::Reply { all, .. } = decode_frame(&reply[4..]).unwrap() else {
+                    unreachable!("the golden reply decodes")
+                };
+                assert_eq!(all.len(), 2, "one entry per other member");
+                for entry in &all {
+                    // The entry's NaN names the piece it was cut from.
+                    let (from, piece) = (deposits.iter().enumerate())
+                        .flat_map(|(from, d)| d.iter().map(move |p| (from, p)))
+                        .find(|(_, p)| p.parts[1][0].to_bits() == entry[1][0].to_bits())
+                        .expect("every entry is some member's piece");
+                    assert_ne!(from, to, "member {to} got its own contribution back");
+                    assert!(
+                        matches!(piece.dest, Dest::Others) || piece.dest == Dest::Member(to),
+                        "member {to} got member {from}'s piece for {:?}",
+                        piece.dest
+                    );
+                }
             }
         });
     }
 
     #[test]
     fn hub_rejects_a_malformed_batch_and_poisons_the_world() {
-        crate::with_deadline(Duration::from_secs(30), || {
-            let hub = Hub::spawn("127.0.0.1:0").unwrap();
-            let healthy = connect_world(SocketWorldConfig::new(hub.addr(), 0, 2)).unwrap();
-            let mut hostile = raw_rank(&hub, 1);
-            // One part that claims five floats and carries one.
-            let header = ExchangeHeader { group: WORLD_GROUP, seq: 0, world: 2, member: 1 };
-            let mut payload = encode_exchange(header, &[&[1.0f32][..]]);
-            payload[EXCHANGE_HEADER + 4..][..4].copy_from_slice(&5u32.to_le_bytes());
-            wire::write_frame(&mut hostile, &payload).unwrap();
-            let dropped = std::io::Read::read(&mut hostile, &mut [0u8; 1]);
-            assert!(matches!(dropped, Ok(0) | Err(_)), "the hub must cut the connection");
-            assert_eq!(
-                healthy.try_all_gather(&[0.0], None),
-                Err(CommError::PeerDisconnected { rank: 1 }),
-                "and poison the world, as for any protocol error"
-            );
-        });
+        let header = || ExchangeHeader { group: WORLD_GROUP, seq: 0, world: 2, member: 1 };
+        let one = |dest| [Piece { dest, parts: vec![&[1.0f32][..]] }];
+        // One part that claims five floats and carries one.
+        let mut lying = encode_exchange(header(), &one(Dest::Others));
+        lying[EXCHANGE_HEADER + 12..][..4].copy_from_slice(&5u32.to_le_bytes());
+        // Well-formed lengths, but the one piece is addressed to the sender.
+        let to_self = encode_exchange(header(), &one(Dest::Member(1)));
+        for (case, payload) in [("a lying part length", lying), ("a self-addressed piece", to_self)]
+        {
+            crate::with_deadline(Duration::from_secs(30), move || {
+                // The silent hostile rank must be cut by the validator, not
+                // expired by a heartbeat grace inside the deadline.
+                let hub = Hub::spawn_with_grace("127.0.0.1:0", Duration::from_secs(600)).unwrap();
+                let healthy = connect_world(SocketWorldConfig::new(hub.addr(), 0, 2)).unwrap();
+                let mut hostile = raw_rank(&hub, 1, 2);
+                wire::write_frame(&mut hostile, &[&payload]).unwrap();
+                let dropped = std::io::Read::read(&mut hostile, &mut [0u8; 1]);
+                assert!(
+                    matches!(dropped, Ok(0) | Err(_)),
+                    "{case}: the hub must cut the connection"
+                );
+                assert_eq!(
+                    healthy.try_all_gather(&[0.0], None),
+                    Err(CommError::PeerDisconnected { rank: 1 }),
+                    "{case}: and poison the world, as for any protocol error"
+                );
+            });
+        }
     }
 
     #[test]
@@ -1154,16 +1302,39 @@ mod tests {
         #[test]
         fn hostile_bytes_fail_typed_and_bounded(
             lens in proptest::collection::vec(0usize..6, 0usize..4),
-            which in 0usize..14,
+            which in 0usize..18,
             salt in 1u32..1 << 30,
         ) {
             let parts: Parts = lens
                 .iter()
                 .map(|&n| (0..n).map(|i| f32::from_bits(salt.rotate_left(i as u32))).collect())
                 .collect();
+            let to = |dest| Piece { dest, parts: parts.clone() };
+            let exchange = |world, member, pieces| Frame::Exchange { group: 1, seq: 2, world, member, pieces };
+            // Addressing: member 1 of 4 must address one piece to all
+            // others, or one to each of 0, 2 and 3, in that order.
+            use Dest::{Member as M, Others as O};
+            for (case, pieces) in [
+                ("no piece", vec![]),
+                ("a missing destination", vec![to(M(0)), to(M(3))]),
+                ("a duplicate destination", vec![to(M(0)), to(M(2)), to(M(2))]),
+                ("a piece for the sender", vec![to(M(0)), to(M(1)), to(M(2)), to(M(3))]),
+                ("an out-of-range destination", vec![to(M(0)), to(M(2)), to(M(4))]),
+                ("destinations out of member order", vec![to(M(2)), to(M(0)), to(M(3))]),
+                ("all others, then per destination", vec![to(O), to(M(2)), to(M(3))]),
+                ("per destination, then all others", vec![to(M(0)), to(M(2)), to(O)]),
+                ("all others twice", vec![to(O), to(O)]),
+            ] {
+                let got = read_hostile(&wire_bytes(&exchange(4, 1, pieces)));
+                let kind = got.as_ref().map_err(std::io::Error::kind).err();
+                proptest::prop_assert_eq!(kind, Some(std::io::ErrorKind::InvalidData), "{}", case);
+            }
+            let outsider = read_hostile(&wire_bytes(&exchange(4, 4, vec![to(O)])));
+            proptest::prop_assert!(outsider.is_err(), "a sender outside the group");
             let mut frames: Vec<Frame> = golden_frames().into_iter().map(|(f, _)| f).collect();
-            frames.push(Frame::Exchange { group: 1, seq: 2, world: 3, member: 0, parts: parts.clone() });
-            frames.push(Frame::Reply { group: 1, seq: 2, all: vec![parts.clone(), parts] });
+            frames.push(exchange(3, 0, vec![to(O)]));
+            frames.push(exchange(3, 1, vec![to(M(0)), to(M(2))]));
+            frames.push(Frame::Reply { group: 1, seq: 2, all: vec![parts.clone(), parts.clone()] });
             let bytes = wire_bytes(&frames[which]);
             let rejects = |mutate: &dyn Fn(&mut Vec<u8>)| {
                 let mut hostile = bytes.clone();
@@ -1186,19 +1357,27 @@ mod tests {
                 b.extend_from_slice(&salt.to_le_bytes());
                 put(b, 0, len + 4);
             }));
-            // A part count or part length that overruns the batch, and a
-            // length whose byte size overflows 32 bits.
-            let batch = match frames[which] {
-                Frame::Exchange { .. } => 4 + EXCHANGE_HEADER,
-                Frame::Reply { .. } => 4 + 21,
+            // A piece or entry count, a part count or a part length that
+            // overruns the frame, and counts and lengths whose byte size
+            // overflows 32 bits. An exchange's first piece has its
+            // destination before its parts.
+            let (count_at, parts_at) = match frames[which] {
+                Frame::Exchange { .. } => (4 + EXCHANGE_HEADER, 4 + EXCHANGE_HEADER + 8),
+                Frame::Reply { .. } => (4 + REPLY_HEADER, 4 + REPLY_HEADER + 4),
                 _ => return Ok(()),
             };
-            let count = u32::from_le_bytes(bytes[batch..batch + 4].try_into().unwrap());
-            proptest::prop_assert!(rejects(&|b| put(b, batch, count + salt)));
-            if count > 0 {
-                let first = u32::from_le_bytes(bytes[batch + 4..batch + 8].try_into().unwrap());
-                proptest::prop_assert!(rejects(&|b| put(b, batch + 4, first + salt)));
-                proptest::prop_assert!(rejects(&|b| put(b, batch + 4, u32::MAX)));
+            let get = |at: usize| u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap());
+            proptest::prop_assert!(rejects(&|b| put(b, count_at, get(count_at) + salt)));
+            let mut fields = Vec::new();
+            if get(count_at) > 0 {
+                fields.push(parts_at);
+                if get(parts_at) > 0 {
+                    fields.push(parts_at + 4);
+                }
+            }
+            for at in fields {
+                proptest::prop_assert!(rejects(&|b| put(b, at, get(at) + salt)), "at {at}");
+                proptest::prop_assert!(rejects(&|b| put(b, at, u32::MAX)), "at {at}");
             }
         }
     }
@@ -1212,13 +1391,13 @@ mod tests {
                 .iter()
                 .map(|&b| f32::from_bits(b))
                 .collect();
-        let frame =
-            Frame::Exchange { group: 0, seq: 0, world: 1, member: 0, parts: vec![words.clone()] };
+        let pieces = vec![Piece { dest: Dest::Member(1), parts: vec![words.clone()] }];
+        let frame = Frame::Exchange { group: 0, seq: 0, world: 2, member: 0, pieces };
         let bytes = wire_bytes(&frame);
         let mut r = &bytes[..];
         match read_frame(&mut r).unwrap() {
-            Frame::Exchange { parts, .. } => {
-                let got: Vec<u32> = parts[0].iter().map(|x| x.to_bits()).collect();
+            Frame::Exchange { pieces, .. } => {
+                let got: Vec<u32> = pieces[0].parts[0].iter().map(|x| x.to_bits()).collect();
                 let want: Vec<u32> = words.iter().map(|x| x.to_bits()).collect();
                 assert_eq!(got, want);
             }

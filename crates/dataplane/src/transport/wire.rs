@@ -186,18 +186,26 @@ pub fn read_frame_into(r: &mut impl Read, max: usize, buf: &mut Vec<u8>) -> Resu
     Ok(())
 }
 
-/// Write `payload` as one frame — prefix and payload in a single vectored
-/// write where the OS takes it whole.
-pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<()> {
-    let prefix = u32::try_from(payload.len())
+/// Write one frame whose payload is the concatenation of `payload`'s slices
+/// — a caller with one buffer passes one slice; the hub passes a reply
+/// header and borrowed ranges of the payloads it holds. Prefix and slices go
+/// out in vectored writes, looping until the OS has taken every byte.
+pub fn write_frame(w: &mut impl Write, payload: &[&[u8]]) -> Result<()> {
+    let len: usize = payload.iter().map(|s| s.len()).sum();
+    let prefix = u32::try_from(len)
         .map_err(|_| Error::new(ErrorKind::InvalidInput, "frame over 4 GiB"))?
         .to_le_bytes();
-    let sent = w.write_vectored(&[IoSlice::new(&prefix), IoSlice::new(payload)])?;
-    if sent < prefix.len() {
-        w.write_all(&prefix[sent..])?;
-        w.write_all(payload)?;
-    } else {
-        w.write_all(&payload[sent - prefix.len()..])?;
+    let mut slices: Vec<IoSlice<'_>> = std::iter::once(IoSlice::new(&prefix))
+        .chain(payload.iter().map(|s| IoSlice::new(s)))
+        .collect();
+    let mut rest = &mut slices[..];
+    while !rest.is_empty() {
+        match w.write_vectored(rest) {
+            Ok(0) => return Err(Error::new(ErrorKind::WriteZero, "peer took no bytes")),
+            Ok(n) => IoSlice::advance_slices(&mut rest, n),
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
     }
     w.flush()
 }
@@ -210,7 +218,7 @@ mod tests {
         let mut peer = listener.accept().expect("a peer connects");
         let mut buf = Vec::new();
         read_frame_into(&mut peer, 64, &mut buf).unwrap();
-        write_frame(&mut peer, &buf).unwrap();
+        write_frame(&mut peer, &[&buf]).unwrap();
     }
 
     #[test]
@@ -219,7 +227,7 @@ mod tests {
         let addr = listener.local_addr().to_string();
         let t = std::thread::spawn(move || echo_once(listener));
         let mut c = Stream::connect(&addr).unwrap();
-        write_frame(&mut c, b"hi").unwrap();
+        write_frame(&mut c, &[b"hi"]).unwrap();
         let mut buf = Vec::new();
         read_frame_into(&mut c, 64, &mut buf).unwrap();
         assert_eq!(buf, b"hi");
@@ -234,12 +242,33 @@ mod tests {
         assert_eq!(listener.local_addr(), addr);
         let t = std::thread::spawn(move || echo_once(listener)); // dropped there
         let mut c = Stream::connect(&addr).unwrap();
-        write_frame(&mut c, b"ping").unwrap();
+        write_frame(&mut c, &[b"pi", b"", b"ng"]).unwrap();
         let mut buf = Vec::new();
         read_frame_into(&mut c, 64, &mut buf).unwrap();
         assert_eq!(buf, b"ping");
         t.join().unwrap();
         assert!(!path.exists(), "unix socket file must be unlinked on drop");
+    }
+
+    #[test]
+    fn a_frame_of_many_slices_survives_short_writes() {
+        /// A peer that takes at most three bytes per call.
+        struct Trickle(Vec<u8>);
+        impl Write for Trickle {
+            fn write(&mut self, buf: &[u8]) -> Result<usize> {
+                let n = buf.len().min(3);
+                self.0.extend_from_slice(&buf[..n]);
+                Ok(n)
+            }
+            fn flush(&mut self) -> Result<()> {
+                Ok(())
+            }
+        }
+        let mut peer = Trickle(Vec::new());
+        write_frame(&mut peer, &[b"head", b"", b"a", b"body bytes"]).unwrap();
+        let mut buf = Vec::new();
+        read_frame_into(&mut &peer.0[..], 64, &mut buf).unwrap();
+        assert_eq!(buf, b"headabody bytes");
     }
 
     #[test]

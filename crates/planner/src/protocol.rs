@@ -47,7 +47,7 @@ pub const MAX_FRAME: usize = 1 << 24;
 /// Write one frame.
 pub fn write_frame(w: &mut impl Write, payload: &str) -> std::io::Result<()> {
     assert!(payload.len() <= MAX_FRAME, "frame over MAX_FRAME");
-    wire::write_frame(w, payload.as_bytes())
+    wire::write_frame(w, &[payload.as_bytes()])
 }
 
 /// Read one frame's payload (blocking).

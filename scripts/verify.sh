@@ -13,6 +13,13 @@ cargo build --release
 echo "==> cargo test -q --workspace"
 cargo test -q --workspace
 
+# The dataplane's socket tests once more under heavy contention: 16 test
+# threads is the parallelism that once exposed a flake in a shared
+# counter, so the hub's forwarding and failure paths run here with many
+# worlds in one process.
+echo "==> cargo test -q -p mics-dataplane -- --test-threads 16"
+cargo test -q -p mics-dataplane -- --test-threads 16
+
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
