@@ -43,5 +43,5 @@ fn main() {
     }
     t.finish("ext_ablation");
     println!("\n(arena_memory affects feasibility, not steady-state speed — see the");
-    println!(" memory model and `mics_tensor`'s allocator tests for its ablation)");
+    println!(" fragmentation factors of `mics_core::memory` for its ablation)");
 }

@@ -12,8 +12,7 @@
 //!   stage-1 output and the batched intra-node calls;
 //! * **activations**: full checkpoint footprint plus the peak transient;
 //! * a **fragmentation factor** on the transient pools: dynamic allocators
-//!   waste ≈ 60% (the §4 failure mode modelled faithfully in
-//!   `mics_tensor::DynamicAllocator`); MiCS's pre-allocated arenas waste
+//!   waste ≈ 60% (the §4 failure mode); MiCS's pre-allocated arenas waste
 //!   ≈ 10%;
 //! * a fixed **runtime reserve** (CUDA context, NCCL, framework) of
 //!   3.5 GiB.

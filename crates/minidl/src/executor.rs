@@ -570,7 +570,7 @@ impl<'a, C: StepCompute> Executor<'a, C> {
             rec: SpanRecorder::new(plan.start_iter),
             in_flight: VecDeque::new(),
             sends: Vec::new(),
-            pool: GatherBuffers::new(spec.padded_len(), 2).expect("double-buffer reservation"),
+            pool: GatherBuffers::new(spec.padded_len(), 2),
             gather_op: None,
             prefetching: false,
             computes_done: 0,
@@ -812,7 +812,7 @@ impl<'a, C: StepCompute> Executor<'a, C> {
     /// group — what MiCS and ZeRO-3 both do before forward.
     fn gather(&mut self, op_id: usize, wire: &WireOp, label: &'static str) {
         let cast = cast_params(&self.owned, self.plan.hp.quantize);
-        let mut buf = self.pool.checkout().expect("gather buffer");
+        let mut buf = self.pool.checkout();
         let scheme = wire.scheme;
         self.gather_op = Some(op_id);
         self.issue(op_id, wire, label, Then::Params, move |c| {
@@ -854,13 +854,15 @@ impl<'a, C: StepCompute> Executor<'a, C> {
         self.rec.close(ExecLane::Compute, "optimizer", step_ns);
     }
 
-    /// Deposit this rank's shard of a snapshot due now: partition group 0
-    /// holds one full replica between its ranks.
+    /// Deposit this rank's shard of a snapshot due now: each stage's
+    /// partition group 0 holds one full replica of the stage between its
+    /// ranks.
     fn capture(&self) {
         let due = self.plan.checkpoint.filter(|&(at, _)| at == self.rec.iteration);
         if let Some((at, sink)) = due.filter(|_| self.d < self.spec.shards()) {
             let state = TrainState::capture(&self.owned, &self.opt);
-            sink.deposit(self.part.rank(), self.spec, state, at, self.scaler.snapshot());
+            let (key, stages) = ((self.stage, self.part.rank()), self.plan.stages.len());
+            sink.deposit(key, stages, self.spec, state, at, self.scaler.snapshot());
         }
     }
 

@@ -140,11 +140,11 @@ pub struct TrainCheckpoint {
 }
 
 /// Landing zone for a mid-run checkpoint, shared between the training ranks
-/// and the caller. The ranks of partition group 0 deposit their state
-/// shards as the snapshot iteration begins; the caller assembles them with
-/// [`CheckpointSink::take`] — even after the run itself has died, which is
-/// the point: a checkpoint that only exists in the return value of a killed
-/// run is no checkpoint at all.
+/// and the caller. The ranks of each stage's partition group 0 deposit
+/// their state shards as the snapshot iteration begins; the caller
+/// assembles them with [`CheckpointSink::take`] — even after the run itself
+/// has died, which is the point: a checkpoint that only exists in the return
+/// value of a killed run is no checkpoint at all.
 #[derive(Debug, Default)]
 pub struct CheckpointSink {
     inner: Mutex<SinkSlots>,
@@ -152,8 +152,10 @@ pub struct CheckpointSink {
 
 #[derive(Debug, Default)]
 struct SinkSlots {
+    /// One slot per `(stage, partition-local rank)`, stage-major.
     shards: Vec<Option<TrainState>>,
-    numel: usize,
+    /// Parameter count of each stage.
+    numels: Vec<usize>,
     iterations_done: usize,
     scaler: Option<ScalerSnapshot>,
 }
@@ -164,35 +166,49 @@ impl CheckpointSink {
         Self::default()
     }
 
-    /// Land shard `local` of a snapshot whose state shards as `spec`.
+    /// Land shard `local` of `stage` (of `stages`), whose state shards as
+    /// `spec`.
     pub(crate) fn deposit(
         &self,
-        local: usize,
+        (stage, local): (usize, usize),
+        stages: usize,
         spec: ShardSpec,
         shard: TrainState,
         iterations_done: usize,
         scaler: ScalerSnapshot,
     ) {
         let mut slots = self.inner.lock().unwrap();
-        if slots.shards.len() != spec.shards() {
-            slots.shards = vec![None; spec.shards()];
+        let p = spec.shards();
+        if slots.numels.len() != stages || slots.shards.len() != stages * p {
+            slots.shards = vec![None; stages * p];
+            slots.numels = vec![0; stages];
         }
-        slots.numel = spec.numel();
+        slots.numels[stage] = spec.numel();
         slots.iterations_done = iterations_done;
         slots.scaler = Some(scaler);
-        slots.shards[local] = Some(shard);
+        slots.shards[stage * p + local] = Some(shard);
     }
 
     /// Assemble the checkpoint if every shard landed; `None` if the run died
-    /// before reaching the snapshot iteration.
+    /// before reaching the snapshot iteration. Each stage unshards on its
+    /// own, and the stages concatenate in order.
     pub fn take(&self) -> Option<TrainCheckpoint> {
         let slots = self.inner.lock().unwrap();
         if slots.shards.is_empty() || slots.shards.iter().any(|s| s.is_none()) {
             return None;
         }
-        let shards: Vec<TrainState> = slots.shards.iter().map(|s| s.clone().unwrap()).collect();
+        let p = slots.shards.len() / slots.numels.len();
+        let mut state = TrainState { params: Vec::new(), m: Vec::new(), v: Vec::new(), step: 0 };
+        for (stage, &numel) in slots.shards.chunks(p).zip(&slots.numels) {
+            let shards: Vec<TrainState> = stage.iter().flatten().cloned().collect();
+            let part = TrainState::unshard(&shards, numel);
+            state.params.extend(part.params);
+            state.m.extend(part.m);
+            state.v.extend(part.v);
+            state.step = part.step;
+        }
         Some(TrainCheckpoint {
-            state: TrainState::unshard(&shards, slots.numel),
+            state,
             iterations_done: slots.iterations_done,
             scaler: slots.scaler.unwrap(),
         })
@@ -205,9 +221,9 @@ impl CheckpointSink {
 /// `execute_on_sim`. The fidelity model is a single "layer" of
 /// `numel` fp32 parameters; timing fields (FLOPs, prefetch, decision
 /// overhead) are zero because the executor runs real arithmetic, not
-/// costs.
+/// costs. This is the one-stage case of [`pipeline_step_program`].
 pub fn step_program(hp: &ScheduleHyper, schedule: SyncSchedule, numel: usize) -> StepProgram {
-    step_spec_with_flops(hp, schedule, numel, 0.0, 0.0).program()
+    pipeline_step_program(hp, schedule, &[numel], 0)
 }
 
 /// The [`ScheduleSpec`] behind [`step_program`], with per-micro-step
@@ -338,8 +354,8 @@ impl TrainRun<'_> {
     ///
     /// # Panics
     /// Panics if `partition_size` does not divide `world` (for the sharded
-    /// schedules), a dimension is zero, the checkpoint or resume point lies
-    /// outside the run, or `pp > 1` is asked for more than it supports.
+    /// schedules), a dimension is zero, or the checkpoint or resume point
+    /// lies outside the run.
     pub fn run<C: StepCompute>(self, compute: &C) -> TrainOutcome {
         let plan = self.plan(compute);
         let mut results = run_ranks_on(self.transport, plan.prog.geo.world(), |comm| {
@@ -394,25 +410,8 @@ impl TrainRun<'_> {
             hp.world
         );
         let stages = compute.stages(init.len());
-        let prog = match &stages[..] {
-            [all] => step_program(hp, self.schedule, all.len()),
-            _ => {
-                assert!(
-                    !hp.quantize
-                        && matches!(hp.loss_scale, LossScale::None)
-                        && hp.clip_grad_norm.is_none()
-                        && hp.comm_quant.is_none()
-                        && hp.prefetch_depth == 0
-                        && resume.is_none()
-                        && self.checkpoint.is_none()
-                        && !matches!(self.schedule, SyncSchedule::TwoHop),
-                    "pp > 1 runs the exact fp32 path only, from a fresh start, without \
-                     checkpoints, under DDP or ZeRO-3 synchronization"
-                );
-                let numels: Vec<usize> = stages.iter().map(|r| r.len()).collect();
-                pipeline_step_program(hp, self.schedule, &numels, compute.act_bytes())
-            }
-        };
+        let numels: Vec<usize> = stages.iter().map(|r| r.len()).collect();
+        let prog = pipeline_step_program(hp, self.schedule, &numels, compute.act_bytes());
         Plan { hp, prog, stages, init, resume, start_iter, checkpoint: self.checkpoint }
     }
 }
@@ -546,9 +545,10 @@ pub fn train(setup: &TrainSetup, schedule: SyncSchedule) -> TrainOutcome {
 /// `setup.world · pp` ranks: the model's layers split contiguously over
 /// `pp` stages, activations and boundary gradients travel as real
 /// point-to-point broadcasts, and gradients synchronize per stage under
-/// `schedule`. `pp = 1` is [`train`] on an explicit transport; `pp ≥ 2`
-/// supports [`SyncSchedule::Ddp`] and [`SyncSchedule::PerMicroStepAllReduce`]
-/// on the exact fp32 path, bit-identically to `pp = 1`.
+/// `schedule`, sharded over each stage's partition groups. `pp = 1` is
+/// [`train`] on an explicit transport. On the exact wire every `pp` trains
+/// the bits of `pp = 1`; gradient clipping and block-quantized codecs
+/// follow the per-stage shard cut, so they agree only within rounding.
 pub fn train_pipeline(
     transport: TransportKind,
     setup: &TrainSetup,
@@ -641,13 +641,13 @@ pub fn train_elastic_on(
     out
 }
 
-/// Lower one iteration of a pipelined run to the schedule IR: one virtual
-/// layer per stage (each holding that stage's entry of `stage_numels`),
-/// `hp.world` data-parallel ranks per stage, every thread-rank on one
-/// shared-memory "node". The returned program is what [`train_pipeline`] executes over
-/// real communicators and what the cross-backend tests feed to the
-/// simulator's `execute_on_sim` — the same lowering contract as
-/// [`step_program`], extended with the 1F1B stage dimension.
+/// Lower one iteration of a run with any number of pipeline stages to the
+/// schedule IR: one virtual layer per stage (each holding that stage's entry
+/// of `stage_numels`), `hp.world` data-parallel ranks per stage sharding it
+/// under `hp` exactly as a flat run would, every thread-rank on one
+/// shared-memory "node". The returned program is what [`TrainRun`] executes
+/// over real communicators and what the cross-backend tests feed to the
+/// simulator's `execute_on_sim`; one stage is [`step_program`].
 pub fn pipeline_step_program(
     hp: &ScheduleHyper,
     schedule: SyncSchedule,
@@ -655,11 +655,8 @@ pub fn pipeline_step_program(
     act_bytes: u64,
 ) -> StepProgram {
     let pp = stage_numels.len();
-    // Stages stay unsharded (the stage split is the model partitioning), on
-    // the exact wire, with nothing prefetched.
-    let unsharded = ScheduleHyper { partition_size: 1, comm_quant: None, prefetch_depth: 0, ..*hp };
     let total: usize = stage_numels.iter().sum();
-    let mut inner = step_spec_with_flops(&unsharded, schedule, total, 0.0, 0.0);
+    let mut inner = step_spec_with_flops(hp, schedule, total, 0.0, 0.0);
     inner.k = hp.world * pp;
     inner.layers = stage_numels
         .iter()
@@ -1204,45 +1201,120 @@ mod tests {
         }
     }
 
+    /// A row of the pipeline tables: `pp` stages of `dp` ranks in partition
+    /// groups of `p`, `s` micro-steps, and a tweak on top of [`pipe_setup`].
+    type PipeRow = (usize, usize, usize, usize, SyncSchedule, fn(&mut TrainSetup));
+
+    fn pipe_row_setup(&(_, dp, p, s, _, tweak): &PipeRow) -> TrainSetup {
+        let mut cfg = TrainSetup { partition_size: p, ..pipe_setup(dp, s) };
+        tweak(&mut cfg);
+        cfg
+    }
+
+    fn int8_wire(cfg: &mut TrainSetup) {
+        use mics_compress::{CompressionConfig, QuantScheme};
+        cfg.comm_quant = Some(CompressionConfig::both(QuantScheme::int8()));
+    }
+
+    /// `max |a − b| / max |a|` over a whole vector.
+    fn rel_diff(a: &[f32], b: &[f32]) -> f32 {
+        assert_eq!(a.len(), b.len());
+        let diff = a.iter().zip(b).map(|(x, y)| (x - y).abs()).fold(0.0, f32::max);
+        diff / a.iter().map(|x| x.abs()).fold(f32::MIN_POSITIVE, f32::max)
+    }
+
     #[test]
     fn pipeline_matches_flat_training_bit_exactly() {
+        use mics_compress::{CompressionConfig, QuantScheme};
         // The stage slices compose bit-exactly (see `nn::stage_forward`),
         // per-stage gradient folds run in the same rank order as the flat
-        // world, and the loss all-reduce only adds exact zeros from the
-        // non-loss stages — so 1F1B over real communicators reproduces the
-        // non-pipelined run to the bit, not merely within tolerance.
-        for (pp, dp, s, schedule) in [
-            (2, 2, 3, SyncSchedule::Ddp),
-            (2, 2, 3, SyncSchedule::PerMicroStepAllReduce),
-            (4, 1, 2, SyncSchedule::Ddp),
-            (4, 2, 4, SyncSchedule::PerMicroStepAllReduce),
-        ] {
-            let flat = train(&pipe_setup(dp, s), schedule);
-            let piped = train_pipeline(TransportKind::Local, &pipe_setup(dp, s), pp, schedule);
-            assert_eq!(
-                flat.losses, piped.losses,
-                "{schedule:?} pp={pp} dp={dp}: pipelined losses diverged"
-            );
+        // world, each element's shard owner sums the same ranks in the same
+        // order wherever the shard cut falls, and the loss all-reduce only
+        // adds exact zeros from the non-loss stages — so 1F1B over real
+        // communicators reproduces the non-pipelined run to the bit, not
+        // merely within tolerance, at any partition size, depth and
+        // element-wise codec.
+        let rows: [PipeRow; 10] = [
+            (2, 2, 1, 3, SyncSchedule::Ddp, |_| {}),
+            (2, 2, 1, 3, SyncSchedule::PerMicroStepAllReduce, |_| {}),
+            (4, 1, 1, 2, SyncSchedule::Ddp, |_| {}),
+            (4, 2, 1, 4, SyncSchedule::PerMicroStepAllReduce, |_| {}),
+            (2, 4, 2, 3, SyncSchedule::TwoHop, |_| {}),
+            (2, 4, 4, 2, SyncSchedule::PerMicroStepAllReduce, |c| c.prefetch_depth = 2),
+            (4, 2, 2, 3, SyncSchedule::TwoHop, |c| c.prefetch_depth = 1),
+            (2, 2, 2, 2, SyncSchedule::TwoHop, |c| c.quantize = true),
+            (2, 4, 2, 2, SyncSchedule::TwoHop, |c| {
+                c.loss_scale = LossScale::Dynamic { init: 256.0, growth_interval: 4 }
+            }),
+            (2, 4, 2, 2, SyncSchedule::TwoHop, |c| {
+                c.comm_quant = Some(CompressionConfig::both(QuantScheme::F16))
+            }),
+        ];
+        for row in rows {
+            let (pp, dp, p, _, schedule, _) = row;
+            let cfg = pipe_row_setup(&row);
+            let flat = train(&cfg, schedule);
+            let piped = train_pipeline(TransportKind::Local, &cfg, pp, schedule);
+            let at = format!("{schedule:?} pp={pp} dp={dp} p={p} depth={}", cfg.prefetch_depth);
+            assert_eq!(flat.losses, piped.losses, "{at}: pipelined losses diverged");
             assert_eq!(
                 flat.final_params, piped.final_params,
-                "{schedule:?} pp={pp} dp={dp}: pipelined parameters diverged"
+                "{at}: pipelined parameters diverged"
             );
+            assert_eq!(flat.final_loss_scale, piped.final_loss_scale, "{at}");
             assert_eq!(piped.skipped_steps, 0);
-            // Rank 0 sits on stage 0: it computes, receives boundary
-            // gradients on the reduce lane, reduces its stage's gradients
-            // when it has dp peers, and joins both control-plane syncs.
+            // Rank 0 sits on stage 0: it computes, gathers its stage when
+            // it is sharded, receives boundary gradients on the reduce lane,
+            // reduces its stage's gradients over whichever groups have
+            // peers, and joins both control-plane syncs.
             let labels = |lane: ExecLane| -> BTreeSet<&'static str> {
                 let spans = piped.lane_stats.spans.iter();
                 spans.filter(|s| s.lane == lane).map(|s| s.label).collect()
             };
             assert_eq!(labels(ExecLane::Compute), BTreeSet::from(["fwd", "bwd", "optimizer"]));
-            assert_eq!(labels(ExecLane::Gather), BTreeSet::new());
+            let mut gather = BTreeSet::new();
+            if p > 1 {
+                gather.insert("gather");
+                if cfg.prefetch_depth > 0 {
+                    gather.insert("gather-prefetch");
+                }
+            }
+            assert_eq!(labels(ExecLane::Gather), gather, "{at}");
+            let two_hop = schedule == SyncSchedule::TwoHop;
             let mut reduce = BTreeSet::from(["stage-recv"]);
-            if dp > 1 {
+            if (two_hop && p > 1) || (!two_hop && dp > 1) {
                 reduce.insert("grad-reduce");
             }
-            assert_eq!(labels(ExecLane::Reduce), reduce);
+            if two_hop && dp > p {
+                reduce.insert("hop2");
+            }
+            assert_eq!(labels(ExecLane::Reduce), reduce, "{at}");
             assert_eq!(labels(ExecLane::Control), BTreeSet::from(["overflow-sync", "loss-sync"]));
+        }
+    }
+
+    #[test]
+    fn pipeline_matches_flat_training_within_the_shard_cut() {
+        // Two knobs depend on where the stage split cuts the shards: the
+        // clip norm's sum of squares adds over differently cut pieces, and
+        // int8 blocks start at each shard's first element.
+        let base = TrainSetup { partition_size: 2, ..pipe_setup(4, 2) };
+        let schedule = SyncSchedule::TwoHop;
+        let piped = |cfg: &TrainSetup| train_pipeline(TransportKind::Local, cfg, 2, schedule);
+
+        let clipped = TrainSetup { clip_grad_norm: Some(0.01), ..base.clone() };
+        let (flat, pipe) = (train(&clipped, schedule), piped(&clipped));
+        assert!(rel_diff(&flat.losses, &pipe.losses) <= 1e-6, "clipped losses");
+        assert!(rel_diff(&flat.final_params, &pipe.final_params) <= 1e-6, "clipped params");
+
+        // int8 against the exact wire, in the band the flat run is held to.
+        let exact = train(&base, schedule);
+        let mut cfg = base.clone();
+        int8_wire(&mut cfg);
+        let q = piped(&cfg);
+        assert_ne!(q.losses, exact.losses, "the int8 wire is real");
+        for (i, (a, b)) in exact.losses.iter().zip(&q.losses).enumerate() {
+            assert!((a - b).abs() / a.abs().max(1e-6) < 0.05, "int8 iter {i}: {a} vs {b}");
         }
     }
 
@@ -1256,10 +1328,55 @@ mod tests {
 
     #[test]
     fn pipeline_runs_on_the_socket_transport() {
-        // Same schedules, same arithmetic over real framed connections.
-        let [local, socket] =
-            BOTH.map(|kind| train_pipeline(kind, &pipe_setup(2, 2), 2, SyncSchedule::Ddp));
-        assert_eq!(local, socket, "socket transport must be bit-identical");
+        // Same schedules, same arithmetic over real framed connections —
+        // the codec and the async executor included.
+        let rows: [PipeRow; 2] = [
+            (2, 2, 1, 2, SyncSchedule::Ddp, |_| {}),
+            (2, 2, 2, 2, SyncSchedule::TwoHop, |c| {
+                int8_wire(c);
+                c.prefetch_depth = 1;
+            }),
+        ];
+        for row in rows {
+            let (pp, _, _, _, schedule, _) = row;
+            let cfg = pipe_row_setup(&row);
+            let [local, socket] = BOTH.map(|kind| train_pipeline(kind, &cfg, pp, schedule));
+            assert_eq!(local, socket, "{schedule:?}: socket transport must be bit-identical");
+        }
+    }
+
+    #[test]
+    fn pipeline_checkpoints_resume_bit_exactly_at_any_stage_count() {
+        // Each stage's partition group 0 deposits its own slice of the
+        // state, concurrently with the other stages, so a sink keyed by
+        // partition-local rank alone mixes the stages' shards. Many rounds
+        // give that race its chances; no round may lose a bit.
+        let cfg = TrainSetup { partition_size: 2, ..pipe_setup(4, 2) };
+        let run = |pp: usize, start: Start<'_>, checkpoint: Option<(usize, &CheckpointSink)>| {
+            let (transport, hyper) = (TransportKind::Local, cfg.hyper());
+            let schedule = SyncSchedule::TwoHop;
+            TrainRun { transport, hyper, schedule, start, checkpoint }
+                .run(&MlpStages::new(&cfg, pp))
+        };
+        let fresh = || Start::Fresh(cfg.model.init_params(cfg.seed));
+        let full = run(1, fresh(), None);
+        for round in 0..20 {
+            let mut snapshots = Vec::new();
+            for (from, resume_at) in [(2, &[2, 1][..]), (1, &[2][..])] {
+                let sink = CheckpointSink::new();
+                let out = run(from, fresh(), Some((5, &sink)));
+                assert_eq!(out.losses, full.losses, "round {round}: pp={from} snapshot run");
+                let ckpt = sink.take().expect("snapshot must be deposited");
+                for &to in resume_at {
+                    let tail = run(to, Start::Resume(&ckpt), None);
+                    let at = format!("round {round}: pp={from} → pp={to}");
+                    assert_eq!(tail.losses, full.losses[5..], "{at}: tail losses");
+                    assert_eq!(tail.final_params, full.final_params, "{at}: final params");
+                }
+                snapshots.push(ckpt);
+            }
+            assert_eq!(snapshots[0], snapshots[1], "round {round}: pp=2 and pp=1 snapshots differ");
+        }
     }
 
     #[test]

@@ -1,276 +1,20 @@
-//! Device-memory allocators: a fragmenting dynamic allocator (the baseline's
-//! failure mode) and a pre-allocated arena (MiCS's fix). Paper §4, "Memory
-//! defragmentation".
+//! Reused gather buffers: MiCS's pre-allocated, proactively recycled memory
+//! (paper §4, "Memory defragmentation") for the real executor's gathers.
 
-use std::collections::BTreeMap;
-use std::fmt;
-
-/// Handle to a live allocation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct BlockId(u64);
-
-/// Why an allocation failed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AllocError {
-    /// Not enough total free memory.
-    OutOfMemory {
-        /// Bytes requested.
-        requested: u64,
-        /// Bytes free in total.
-        free: u64,
-    },
-    /// Enough total memory is free, but no contiguous block fits — the
-    /// fragmentation OOM the paper describes.
-    Fragmented {
-        /// Bytes requested.
-        requested: u64,
-        /// Bytes free in total.
-        free: u64,
-        /// Largest contiguous free block.
-        largest: u64,
-    },
-}
-
-impl fmt::Display for AllocError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            AllocError::OutOfMemory { requested, free } => {
-                write!(f, "out of memory: requested {requested} B, {free} B free")
-            }
-            AllocError::Fragmented { requested, free, largest } => write!(
-                f,
-                "fragmentation OOM: requested {requested} B, {free} B free but \
-                 largest contiguous block is {largest} B"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for AllocError {}
-
-/// Usage statistics of an allocator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct AllocStats {
-    /// Bytes currently allocated.
-    pub in_use: u64,
-    /// Bytes free.
-    pub free: u64,
-    /// Largest contiguous free block.
-    pub largest_free: u64,
-    /// High-water mark of `in_use`.
-    pub peak_in_use: u64,
-}
-
-impl AllocStats {
-    /// External fragmentation in `[0, 1]`: the fraction of free memory that
-    /// is unusable for a single maximal request.
-    pub fn fragmentation(&self) -> f64 {
-        if self.free == 0 {
-            0.0
-        } else {
-            1.0 - self.largest_free as f64 / self.free as f64
-        }
-    }
-}
-
-/// A first-fit free-list allocator over a flat `capacity`-byte address
-/// space, emulating a generic caching allocator. Interleaving long-lived
-/// shard buffers with short-lived gathered-parameter buffers fragments it.
-#[derive(Debug)]
-pub struct DynamicAllocator {
-    capacity: u64,
-    /// Free extents: start → length, non-adjacent (merged on free).
-    free: BTreeMap<u64, u64>,
-    /// Live blocks: id → (start, length).
-    live: BTreeMap<u64, (u64, u64)>,
-    next_id: u64,
-    in_use: u64,
-    peak: u64,
-}
-
-impl DynamicAllocator {
-    /// Create an allocator managing `capacity` bytes.
-    pub fn new(capacity: u64) -> Self {
-        let mut free = BTreeMap::new();
-        if capacity > 0 {
-            free.insert(0, capacity);
-        }
-        DynamicAllocator { capacity, free, live: BTreeMap::new(), next_id: 0, in_use: 0, peak: 0 }
-    }
-
-    /// Total managed bytes.
-    pub fn capacity(&self) -> u64 {
-        self.capacity
-    }
-
-    /// Allocate `bytes` contiguously (first fit). Zero-byte requests succeed
-    /// and occupy nothing.
-    pub fn alloc(&mut self, bytes: u64) -> Result<BlockId, AllocError> {
-        let id = BlockId(self.next_id);
-        if bytes == 0 {
-            self.next_id += 1;
-            self.live.insert(id.0, (u64::MAX, 0));
-            return Ok(id);
-        }
-        let slot = self.free.iter().find(|(_, &len)| len >= bytes).map(|(&s, &l)| (s, l));
-        match slot {
-            Some((start, len)) => {
-                self.free.remove(&start);
-                if len > bytes {
-                    self.free.insert(start + bytes, len - bytes);
-                }
-                self.next_id += 1;
-                self.live.insert(id.0, (start, bytes));
-                self.in_use += bytes;
-                self.peak = self.peak.max(self.in_use);
-                Ok(id)
-            }
-            None => {
-                let stats = self.stats();
-                if stats.free >= bytes {
-                    Err(AllocError::Fragmented {
-                        requested: bytes,
-                        free: stats.free,
-                        largest: stats.largest_free,
-                    })
-                } else {
-                    Err(AllocError::OutOfMemory { requested: bytes, free: stats.free })
-                }
-            }
-        }
-    }
-
-    /// Release a block, merging adjacent free extents.
-    ///
-    /// # Panics
-    /// Panics on double free / unknown id.
-    pub fn free(&mut self, id: BlockId) {
-        let (start, len) = self.live.remove(&id.0).expect("free of unknown block");
-        if len == 0 {
-            return;
-        }
-        self.in_use -= len;
-        // Merge with predecessor.
-        let mut start = start;
-        let mut len = len;
-        if let Some((&ps, &pl)) = self.free.range(..start).next_back() {
-            if ps + pl == start {
-                self.free.remove(&ps);
-                start = ps;
-                len += pl;
-            }
-        }
-        // Merge with successor.
-        if let Some(&sl) = self.free.get(&(start + len)) {
-            self.free.remove(&(start + len));
-            len += sl;
-        }
-        self.free.insert(start, len);
-    }
-
-    /// Snapshot usage statistics.
-    pub fn stats(&self) -> AllocStats {
-        let free: u64 = self.free.values().sum();
-        let largest = self.free.values().copied().max().unwrap_or(0);
-        AllocStats { in_use: self.in_use, free, largest_free: largest, peak_in_use: self.peak }
-    }
-}
-
-/// Named pool inside an [`ArenaAllocator`].
-#[derive(Debug)]
-struct Pool {
-    name: String,
-    capacity: u64,
-    used: u64,
-}
-
-/// MiCS-style memory management (§4): large contiguous buffers for
-/// partitioned parameters, partitioned gradients, and temporaries are
-/// reserved ahead of training and reused proactively. Allocation within a
-/// pool is a bump pointer; `reset_pool` recycles a whole pool between
-/// iterations. By construction there is no external fragmentation.
-#[derive(Debug)]
-pub struct ArenaAllocator {
-    capacity: u64,
-    reserved: u64,
-    pools: Vec<Pool>,
-    peak: u64,
-}
-
-impl ArenaAllocator {
-    /// Create an arena managing `capacity` bytes of device memory.
-    pub fn new(capacity: u64) -> Self {
-        ArenaAllocator { capacity, reserved: 0, pools: Vec::new(), peak: 0 }
-    }
-
-    /// Reserve a named contiguous pool of `bytes`. Fails with
-    /// [`AllocError::OutOfMemory`] if the reservations would exceed device
-    /// memory — never with `Fragmented`.
-    pub fn reserve_pool(
-        &mut self,
-        name: impl Into<String>,
-        bytes: u64,
-    ) -> Result<usize, AllocError> {
-        if self.reserved + bytes > self.capacity {
-            return Err(AllocError::OutOfMemory {
-                requested: bytes,
-                free: self.capacity - self.reserved,
-            });
-        }
-        self.reserved += bytes;
-        self.peak = self.peak.max(self.reserved);
-        self.pools.push(Pool { name: name.into(), capacity: bytes, used: 0 });
-        Ok(self.pools.len() - 1)
-    }
-
-    /// Bump-allocate `bytes` from pool `pool`.
-    pub fn alloc_from(&mut self, pool: usize, bytes: u64) -> Result<u64, AllocError> {
-        let p = &mut self.pools[pool];
-        if p.used + bytes > p.capacity {
-            return Err(AllocError::OutOfMemory { requested: bytes, free: p.capacity - p.used });
-        }
-        let offset = p.used;
-        p.used += bytes;
-        Ok(offset)
-    }
-
-    /// Recycle everything in a pool (between micro-steps / iterations).
-    pub fn reset_pool(&mut self, pool: usize) {
-        self.pools[pool].used = 0;
-    }
-
-    /// Name of a pool (diagnostics).
-    pub fn pool_name(&self, pool: usize) -> &str {
-        &self.pools[pool].name
-    }
-
-    /// Total bytes reserved across pools.
-    pub fn reserved(&self) -> u64 {
-        self.reserved
-    }
-
-    /// Unreserved headroom.
-    pub fn headroom(&self) -> u64 {
-        self.capacity - self.reserved
-    }
-}
-
-/// A checkout/checkin pool of fixed-capacity `f32` buffers for the gather
-/// hot loop, backed by an [`ArenaAllocator`] reservation so its footprint is
-/// visible in the same accounting as every other pool.
+/// A checkout/checkin pool of at most `count` fixed-capacity `f32` buffers
+/// for the gather hot loop.
 ///
 /// The minidl executor double-buffers gathered parameters: while compute
 /// consumes one full-parameter buffer, the comm-progress thread fills the
 /// other. Naively that reallocates a `numel`-sized `Vec` every layer of every
-/// micro-step; this pool allocates each buffer once (bump-allocated from the
-/// arena, so the count is bounded up front) and then recycles it for the rest
-/// of training. `reuses()` exposes how many allocations were avoided so tests
-/// can pin the steady-state-allocation-free property.
+/// micro-step; this pool allocates each buffer once (at most `count` of them,
+/// bounded up front) and then recycles it for the rest of training.
+/// `reuses()` exposes how many allocations were avoided so tests can pin the
+/// steady-state-allocation-free property.
 #[derive(Debug)]
 pub struct GatherBuffers {
-    arena_pool: usize,
-    arena: ArenaAllocator,
     elems: usize,
+    count: usize,
     free: Vec<Vec<f32>>,
     outstanding: usize,
     allocations: u64,
@@ -278,37 +22,32 @@ pub struct GatherBuffers {
 }
 
 impl GatherBuffers {
-    /// Build a pool of at most `count` buffers of `elems` `f32`s each. The
-    /// backing arena reservation fails like any over-reservation would on a
-    /// device ([`AllocError::OutOfMemory`]).
-    pub fn new(elems: usize, count: usize) -> Result<Self, AllocError> {
-        let bytes = (elems as u64) * 4 * (count as u64);
-        let mut arena = ArenaAllocator::new(bytes);
-        let arena_pool = arena.reserve_pool("gathered-params", bytes)?;
-        Ok(GatherBuffers {
-            arena_pool,
-            arena,
+    /// Build a pool of at most `count` buffers of `elems` `f32`s each.
+    pub fn new(elems: usize, count: usize) -> Self {
+        GatherBuffers {
             elems,
+            count,
             free: Vec::with_capacity(count),
             outstanding: 0,
             allocations: 0,
             reuses: 0,
-        })
+        }
     }
 
     /// Check a buffer out. Reuses a previously checked-in buffer when one is
-    /// available; otherwise bump-allocates a fresh one from the arena, which
-    /// fails once more than `count` buffers are simultaneously outstanding.
-    pub fn checkout(&mut self) -> Result<Vec<f32>, AllocError> {
+    /// available; otherwise allocates a fresh one.
+    ///
+    /// # Panics
+    /// Panics if `count` buffers are already outstanding.
+    pub fn checkout(&mut self) -> Vec<f32> {
+        assert!(self.outstanding < self.count, "all {} gather buffers are out", self.count);
+        self.outstanding += 1;
         if let Some(buf) = self.free.pop() {
             self.reuses += 1;
-            self.outstanding += 1;
-            return Ok(buf);
+            return buf;
         }
-        self.arena.alloc_from(self.arena_pool, self.elems as u64 * 4)?;
         self.allocations += 1;
-        self.outstanding += 1;
-        Ok(Vec::with_capacity(self.elems))
+        Vec::with_capacity(self.elems)
     }
 
     /// Return a buffer to the pool. Its contents are kept (the next checkout
@@ -339,121 +78,19 @@ impl GatherBuffers {
 mod tests {
     use super::*;
 
-    const KB: u64 = 1 << 10;
-
-    #[test]
-    fn dynamic_alloc_free_roundtrip() {
-        let mut a = DynamicAllocator::new(10 * KB);
-        let b1 = a.alloc(4 * KB).unwrap();
-        let b2 = a.alloc(4 * KB).unwrap();
-        assert_eq!(a.stats().in_use, 8 * KB);
-        a.free(b1);
-        a.free(b2);
-        let s = a.stats();
-        assert_eq!(s.in_use, 0);
-        assert_eq!(s.free, 10 * KB);
-        assert_eq!(s.largest_free, 10 * KB, "adjacent extents must merge");
-    }
-
-    #[test]
-    fn dynamic_out_of_memory() {
-        let mut a = DynamicAllocator::new(KB);
-        assert!(matches!(a.alloc(2 * KB), Err(AllocError::OutOfMemory { .. })));
-    }
-
-    #[test]
-    fn fragmentation_oom_reproduced() {
-        // The §4 failure mode: free total is sufficient but not contiguous.
-        let mut a = DynamicAllocator::new(10 * KB);
-        let blocks: Vec<_> = (0..10).map(|_| a.alloc(KB).unwrap()).collect();
-        // Free every other block: 5 KB free in 1 KB islands.
-        for (i, b) in blocks.into_iter().enumerate() {
-            if i % 2 == 0 {
-                a.free(b);
-            }
-        }
-        let s = a.stats();
-        assert_eq!(s.free, 5 * KB);
-        assert_eq!(s.largest_free, KB);
-        assert!(s.fragmentation() > 0.7);
-        match a.alloc(3 * KB) {
-            Err(AllocError::Fragmented { requested, free, largest }) => {
-                assert_eq!(requested, 3 * KB);
-                assert_eq!(free, 5 * KB);
-                assert_eq!(largest, KB);
-            }
-            other => panic!("expected Fragmented, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn free_merges_both_neighbours() {
-        let mut a = DynamicAllocator::new(3 * KB);
-        let b1 = a.alloc(KB).unwrap();
-        let b2 = a.alloc(KB).unwrap();
-        let b3 = a.alloc(KB).unwrap();
-        a.free(b1);
-        a.free(b3);
-        a.free(b2); // middle: must merge with both sides
-        assert_eq!(a.stats().largest_free, 3 * KB);
-    }
-
-    #[test]
-    fn peak_tracks_high_water_mark() {
-        let mut a = DynamicAllocator::new(10 * KB);
-        let b = a.alloc(8 * KB).unwrap();
-        a.free(b);
-        let _ = a.alloc(KB).unwrap();
-        assert_eq!(a.stats().peak_in_use, 8 * KB);
-    }
-
-    #[test]
-    fn zero_byte_alloc_is_fine() {
-        let mut a = DynamicAllocator::new(KB);
-        let b = a.alloc(0).unwrap();
-        a.free(b);
-        assert_eq!(a.stats().free, KB);
-    }
-
-    #[test]
-    #[should_panic(expected = "unknown block")]
-    fn double_free_panics() {
-        let mut a = DynamicAllocator::new(KB);
-        let b = a.alloc(KB).unwrap();
-        a.free(b);
-        a.free(b);
-    }
-
-    #[test]
-    fn arena_never_fragments() {
-        let mut a = ArenaAllocator::new(10 * KB);
-        let params = a.reserve_pool("params", 4 * KB).unwrap();
-        let grads = a.reserve_pool("grads", 4 * KB).unwrap();
-        assert_eq!(a.pool_name(grads), "grads");
-        // Churn the params pool hard; reuse never fails.
-        for _ in 0..100 {
-            for _ in 0..4 {
-                a.alloc_from(params, KB).unwrap();
-            }
-            assert!(a.alloc_from(params, 1).is_err(), "pool exhausted as expected");
-            a.reset_pool(params);
-        }
-        assert_eq!(a.headroom(), 2 * KB);
-    }
-
     #[test]
     fn gather_buffers_recycle_instead_of_allocating() {
-        let mut pool = GatherBuffers::new(256, 2).unwrap();
+        let mut pool = GatherBuffers::new(256, 2);
         // Double-buffer steady state: at most two outstanding at once.
-        let mut a = pool.checkout().unwrap();
+        let mut a = pool.checkout();
         a.resize(256, 1.0);
-        let b = pool.checkout().unwrap();
+        let b = pool.checkout();
         assert_eq!(pool.outstanding(), 2);
         pool.checkin(a);
         pool.checkin(b);
         for _ in 0..50 {
-            let x = pool.checkout().unwrap();
-            let y = pool.checkout().unwrap();
+            let x = pool.checkout();
+            let y = pool.checkout();
             assert!(x.capacity() >= 256);
             pool.checkin(x);
             pool.checkin(y);
@@ -464,63 +101,11 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "gather buffers are out")]
     fn gather_buffers_bound_outstanding_count() {
-        let mut pool = GatherBuffers::new(64, 2).unwrap();
-        let _a = pool.checkout().unwrap();
-        let _b = pool.checkout().unwrap();
-        assert!(matches!(pool.checkout(), Err(AllocError::OutOfMemory { .. })));
-    }
-
-    #[test]
-    fn arena_rejects_over_reservation() {
-        let mut a = ArenaAllocator::new(4 * KB);
-        a.reserve_pool("big", 3 * KB).unwrap();
-        assert!(matches!(a.reserve_pool("more", 2 * KB), Err(AllocError::OutOfMemory { .. })));
-    }
-
-    #[test]
-    fn same_workload_fragments_dynamic_but_not_arena() {
-        // A miniature gather/partition loop: persistent shard buffers stay
-        // live while variable-size gathered-parameter buffers come and go
-        // (layer sizes differ). Under first fit the persistent blocks strand
-        // small holes, until a gather request fails with *Fragmented* —
-        // free memory is sufficient but not contiguous. The arena, which
-        // sized its pools up front, serves the identical workload forever.
-        let capacity = 64 * KB;
-        let mut dynamic = DynamicAllocator::new(capacity);
-        let mut arena = ArenaAllocator::new(capacity);
-
-        let gather_pool = arena.reserve_pool("gather", 28 * KB).unwrap();
-        let shard_pool = arena.reserve_pool("shards", 36 * KB).unwrap();
-
-        let mut failure = None;
-        for round in 1..=20u64 {
-            let gather_bytes = (7 + round) * KB; // growing transient
-            match dynamic.alloc(gather_bytes) {
-                Ok(g) => {
-                    let _persistent = dynamic.alloc(8 * KB).unwrap();
-                    dynamic.free(g);
-                }
-                Err(e) => {
-                    failure = Some(e);
-                    break;
-                }
-            }
-            // Arena: same logical workload (bounded by its pool sizes).
-            if gather_bytes <= 28 * KB {
-                arena.alloc_from(gather_pool, gather_bytes).unwrap();
-                arena.reset_pool(gather_pool);
-            }
-            if (round * 8) * KB <= 36 * KB {
-                arena.alloc_from(shard_pool, 8 * KB).unwrap();
-            }
-        }
-        match failure {
-            Some(AllocError::Fragmented { requested, free, largest }) => {
-                assert!(free >= requested, "must be a fragmentation OOM, not capacity");
-                assert!(largest < requested);
-            }
-            other => panic!("expected a Fragmented failure, got {other:?}"),
-        }
+        let mut pool = GatherBuffers::new(64, 2);
+        let _a = pool.checkout();
+        let _b = pool.checkout();
+        let _ = pool.checkout();
     }
 }

@@ -1,24 +1,5 @@
-//! Numeric element types used by the training stack.
-
-/// Element type of a buffer. Mixed-precision training (the paper's default
-/// setup) keeps fp16 parameters/gradients and fp32 optimizer states.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum DType {
-    /// IEEE 754 half precision (storage only; math is done in f32).
-    F16,
-    /// IEEE 754 single precision.
-    F32,
-}
-
-impl DType {
-    /// Size of one element in bytes.
-    pub const fn size_bytes(self) -> u64 {
-        match self {
-            DType::F16 => 2,
-            DType::F32 => 4,
-        }
-    }
-}
+//! The half-precision cast of the mixed-precision training stack, which
+//! keeps fp16 parameters/gradients and fp32 optimizer states.
 
 /// Lossy conversion of an `f32` to IEEE 754 binary16, returned as its bit
 /// pattern. Used by the mini-DL stack to emulate mixed-precision casts
@@ -108,12 +89,6 @@ pub fn quantize_f16(x: f32) -> f32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn sizes() {
-        assert_eq!(DType::F16.size_bytes(), 2);
-        assert_eq!(DType::F32.size_bytes(), 4);
-    }
 
     #[test]
     fn exact_halves_roundtrip() {

@@ -1,21 +1,11 @@
-//! Buffer substrate for the MiCS reproduction: numeric dtypes, parameter
-//! sharding math, and device-memory allocators.
-//!
-//! Two allocators model the §4 "memory defragmentation" story:
-//!
-//! * [`DynamicAllocator`] behaves like a generic caching allocator (PyTorch's
-//!   default): a first-fit free list over a flat address space. Repeated
-//!   gather/partition cycles interleave short- and long-lived blocks and
-//!   *fragment* it — a large contiguous request can fail even though enough
-//!   total memory is free. That is precisely the OOM mode the paper
-//!   attributes to DeepSpeed's partial solution.
-//! * [`ArenaAllocator`] behaves like MiCS: contiguous pools for partitioned
-//!   parameters, partitioned gradients, and temporary buffers are reserved
-//!   up front and proactively reused, so fragmentation cannot occur.
+//! Buffer substrate for the MiCS reproduction: the f16 cast, parameter
+//! sharding math, and the executor's reused gather buffers.
 //!
 //! [`ShardSpec`] centralizes the "which rank owns which slice" arithmetic
 //! shared by the real data plane, the mini-DL training loops, and the
-//! simulator executors.
+//! simulator executors. [`GatherBuffers`] is the real backend's instance of
+//! the §4 pre-allocated buffers; the simulator prices that design through
+//! `mics-core`'s memory model.
 
 #![warn(missing_docs)]
 
@@ -23,6 +13,6 @@ mod alloc;
 pub mod dtype;
 mod shard;
 
-pub use alloc::{AllocError, AllocStats, ArenaAllocator, BlockId, DynamicAllocator, GatherBuffers};
-pub use dtype::{quantize_f16, DType};
+pub use alloc::GatherBuffers;
+pub use dtype::quantize_f16;
 pub use shard::ShardSpec;

@@ -58,12 +58,6 @@ impl ShardSpec {
         start..end
     }
 
-    /// Which shard owns element `idx`.
-    pub fn owner_of(&self, idx: usize) -> usize {
-        assert!(idx < self.numel, "element {idx} out of range");
-        idx / self.shard_len()
-    }
-
     /// Extract shard `i` of `data`, padded with zeros to `shard_len`.
     pub fn extract_padded(&self, data: &[f32], shard: usize) -> Vec<f32> {
         assert_eq!(data.len(), self.numel, "data length mismatch");
@@ -118,15 +112,6 @@ mod tests {
         assert_eq!(s.range(5), 4..4);
         let data = vec![1.0, 2.0, 3.0, 4.0];
         assert_eq!(s.extract_padded(&data, 5), vec![0.0]);
-    }
-
-    #[test]
-    fn owner_of_matches_range() {
-        let s = ShardSpec::new(100, 7);
-        for idx in 0..100 {
-            let o = s.owner_of(idx);
-            assert!(s.range(o).contains(&idx));
-        }
     }
 
     proptest! {

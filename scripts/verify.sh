@@ -20,6 +20,12 @@ cargo test -q --workspace
 echo "==> cargo test -q -p mics-dataplane -- --test-threads 16"
 cargo test -q -p mics-dataplane -- --test-threads 16
 
+# The same contention for mics-minidl, whose rank threads share sinks and
+# communicators: a race between them (say, two stages depositing into one
+# checkpoint slot) shows up when many runs share two cores.
+echo "==> cargo test -q -p mics-minidl -- --test-threads 16"
+cargo test -q -p mics-minidl -- --test-threads 16
+
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 

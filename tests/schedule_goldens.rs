@@ -22,8 +22,8 @@ use mics::core::{
 use mics::dataplane::TransportKind;
 use mics::minidl::scaler::LossScale;
 use mics::minidl::train::{
-    pipeline_step_program, step_program, step_spec_with_flops, train, train_pipeline,
-    ScheduleHyper, SyncSchedule, TrainSetup,
+    pipeline_step_program, step_program, step_spec_with_flops, train_pipeline, ScheduleHyper,
+    SyncSchedule, TrainSetup,
 };
 use mics::minidl::Mlp;
 use mics::model::{LayerSpec, WorkloadSpec};
@@ -205,48 +205,68 @@ fn golden_reshape_twohop_shrink() {
 
 /// The minidl interpreter and the simulator backend walk the same program;
 /// per rank, the interpreter's executed wire ops must be exactly the
-/// sim-costed wire ops whose group contains that rank, in program order.
+/// sim-costed wire ops whose group contains that rank, in program order,
+/// under every schedule, codec and prefetch depth.
+fn assert_minidl_executes_the_op_sequence_the_sim_costs(pp: usize) {
+    let int8 = Some(CompressionConfig::both(QuantScheme::int8()));
+    for (schedule, dp, p) in [
+        (SyncSchedule::Ddp, 2, 1),
+        (SyncSchedule::PerMicroStepAllReduce, 2, 2),
+        (SyncSchedule::TwoHop, 4, 2),
+    ] {
+        for (comm_quant, prefetch_depth) in [(None, 0), (None, 1), (int8, 0), (int8, 1)] {
+            let setup = TrainSetup {
+                model: Mlp::new(&[6, 10, 8, 7, 2]),
+                world: dp,
+                partition_size: p,
+                micro_batch: 4,
+                accum_steps: 3,
+                iterations: 2,
+                lr: 0.02,
+                seed: 7,
+                quantize: false,
+                loss_scale: LossScale::None,
+                clip_grad_norm: None,
+                comm_quant,
+                prefetch_depth,
+            };
+            let model = &setup.model;
+            let per = model.num_layers() / pp;
+            let stage_numels: Vec<usize> =
+                (0..pp).map(|s| model.stage_num_params(s * per, (s + 1) * per)).collect();
+            let widest = (1..pp).map(|s| model.boundary_dim(s * per)).max().unwrap_or(0);
+            let act_bytes = (widest * setup.micro_batch * 4) as u64;
+            let prog = pipeline_step_program(&setup.hyper(), schedule, &stage_numels, act_bytes);
+
+            // Sim backend: all thread-ranks sit on one shared-memory "node".
+            let mut inst = InstanceType::p3dn_24xlarge();
+            inst.gpus_per_node = dp * pp;
+            let mut sc = SimCluster::new(ClusterSpec::new(inst, 1));
+            let exec = execute_on_sim(&prog, &mut sc, 1e12);
+
+            // Real backend: thread-ranks over the actual dataplane.
+            let out = train_pipeline(TransportKind::Local, &setup, pp, schedule);
+
+            let at = format!("{schedule:?} pp={pp} {comm_quant:?} depth={prefetch_depth}");
+            let sim_rank0: Vec<usize> = exec
+                .wire_ops
+                .iter()
+                .copied()
+                .filter(|&id| prog.executes_wire(id, Rank(0)))
+                .collect();
+            assert!(!sim_rank0.is_empty(), "{at}: no wire ops costed");
+            assert_eq!(
+                sim_rank0, out.wire_ops,
+                "{at}: interpreter executed a different op sequence than the sim costed"
+            );
+        }
+    }
+}
+
+/// The flat program (`pp = 1`).
 #[test]
 fn minidl_executes_the_op_sequence_the_sim_costs() {
-    for (schedule, world, p) in [
-        (SyncSchedule::Ddp, 4, 1),
-        (SyncSchedule::PerMicroStepAllReduce, 4, 4),
-        (SyncSchedule::TwoHop, 8, 4),
-    ] {
-        let setup = TrainSetup {
-            model: Mlp::new(&[6, 12, 2]),
-            world,
-            partition_size: p,
-            micro_batch: 4,
-            accum_steps: 3,
-            iterations: 2,
-            lr: 0.02,
-            seed: 7,
-            quantize: false,
-            loss_scale: LossScale::None,
-            clip_grad_norm: None,
-            comm_quant: None,
-            prefetch_depth: 0,
-        };
-        let prog = step_program(&setup.hyper(), schedule, setup.model.num_params());
-
-        // Sim backend: all thread-ranks sit on one shared-memory "node".
-        let mut inst = InstanceType::p3dn_24xlarge();
-        inst.gpus_per_node = world;
-        let mut sc = SimCluster::new(ClusterSpec::new(inst, 1));
-        let exec = execute_on_sim(&prog, &mut sc, 1e12);
-
-        // Real backend: thread-ranks over the actual dataplane.
-        let out = train(&setup, schedule);
-
-        let sim_rank0: Vec<usize> =
-            exec.wire_ops.iter().copied().filter(|&id| prog.executes_wire(id, Rank(0))).collect();
-        assert!(!sim_rank0.is_empty(), "{schedule:?}: no wire ops costed");
-        assert_eq!(
-            sim_rank0, out.wire_ops,
-            "{schedule:?}: interpreter executed a different op sequence than the sim costed"
-        );
-    }
+    assert_minidl_executes_the_op_sequence_the_sim_costs(1);
 }
 
 /// The same contract for the DP×PP 1F1B program: the simulator costs the
@@ -255,41 +275,7 @@ fn minidl_executes_the_op_sequence_the_sim_costs() {
 /// the rank-0 slice of that sequence.
 #[test]
 fn pipeline_minidl_executes_the_op_sequence_the_sim_costs() {
-    let (dp, pp, accum) = (2, 2, 3);
-    let setup = TrainSetup {
-        model: Mlp::new(&[6, 10, 8, 7, 2]),
-        world: dp,
-        partition_size: 1,
-        micro_batch: 4,
-        accum_steps: accum,
-        iterations: 2,
-        lr: 0.02,
-        seed: 7,
-        quantize: false,
-        loss_scale: LossScale::None,
-        clip_grad_norm: None,
-        comm_quant: None,
-        prefetch_depth: 0,
-    };
-    let model = &setup.model;
-    let per = model.num_layers() / pp;
-    let stage_numels: Vec<usize> =
-        (0..pp).map(|s| model.stage_num_params(s * per, (s + 1) * per)).collect();
-    let act_bytes = (1..pp).map(|s| model.boundary_dim(s * per)).max().unwrap() as u64 * 4 * 4;
-    let prog = pipeline_step_program(&setup.hyper(), SyncSchedule::Ddp, &stage_numels, act_bytes);
-
-    let mut inst = InstanceType::p3dn_24xlarge();
-    inst.gpus_per_node = dp * pp;
-    let mut sc = SimCluster::new(ClusterSpec::new(inst, 1));
-    let exec = execute_on_sim(&prog, &mut sc, 1e12);
-
-    let out = train_pipeline(TransportKind::Local, &setup, pp, SyncSchedule::Ddp);
-
-    let sim_rank0: Vec<usize> =
-        exec.wire_ops.iter().copied().filter(|&id| prog.executes_wire(id, Rank(0))).collect();
-    assert!(!sim_rank0.is_empty(), "no pipeline wire ops costed");
-    assert_eq!(
-        sim_rank0, out.wire_ops,
-        "pipeline interpreter executed a different op sequence than the sim costed"
-    );
+    for pp in [2, 4] {
+        assert_minidl_executes_the_op_sequence_the_sim_costs(pp);
+    }
 }
