@@ -25,14 +25,23 @@
 //!
 //! # Wire format
 //!
-//! The in-process data plane moves `f32` buffers, so a [`Quantized`] value
-//! can be encoded into a self-contained word stream ([`Quantized::to_words`]
-//! / [`Quantized::from_words`]). Each metadata float is carried verbatim and
-//! each code byte is carried as one exact small-integer word — trivially
-//! memcpy-safe, at the price of transport inflation that only exists inside
-//! this simulator. *Accounting* uses [`QuantScheme::wire_bytes`], the real
-//! packed size a NIC would see (codes packed to `bits`, 8 metadata bytes per
-//! block), which is what the α–β cost models charge.
+//! The data plane moves `f32` words, and both of its transports move them
+//! as bit patterns, so a quantized buffer travels as one self-contained
+//! word stream ([`encode_words`], [`Quantized::to_words`] /
+//! [`Quantized::from_words`], [`land_words`]) of exactly
+//! [`QuantScheme::encoded_words`] words:
+//!
+//! 1. one **count word**: the element count as `u32` bits (it is what tells
+//!    a 1-element stream from a 2-element one once codes are packed);
+//! 2. the per-block **scales**, then the per-block **zero-points**, verbatim
+//!    (none for f16);
+//! 3. the **packed codes**: the code bytes — one per int8 element, two int4
+//!    elements per byte (low nibble first), two little-endian bytes per f16
+//!    element — four to a word, little-endian, the last word zero-padded.
+//!
+//! An int8 or int4 stream is therefore [`QuantScheme::wire_bytes`] (the
+//! packed size the α–β cost models charge) plus the 4-byte count word plus
+//! at most 3 bytes of padding.
 //!
 //! # Non-finite inputs
 //!
@@ -129,17 +138,20 @@ impl QuantScheme {
         (4 * len) as f64 / self.wire_bytes(len) as f64
     }
 
-    /// Number of f32 words [`Quantized::to_words`] produces for `len`
-    /// elements. A pure function of `(scheme, len)`, which is what makes the
-    /// encoding usable inside SPMD collectives: every rank knows every
-    /// peer's encoded size without a handshake.
+    /// Number of f32 words the stream of `len` elements takes (see the
+    /// crate docs' wire format). A pure function of `(scheme, len)`, which
+    /// is what makes the encoding usable inside SPMD collectives: every rank
+    /// knows every peer's encoded size without a handshake.
     pub fn encoded_words(self, len: usize) -> usize {
-        match self {
-            QuantScheme::F16 => len,
-            QuantScheme::Int8 { .. } | QuantScheme::Int4 { .. } => {
-                2 * self.blocks(len) + self.code_bytes(len)
-            }
-        }
+        1 + 2 * self.blocks(len) + self.code_bytes(len).div_ceil(4)
+    }
+
+    /// The element count of a stream under this scheme: its count word, if
+    /// the stream is exactly as long as that count needs; `None` for an
+    /// empty or inconsistent stream.
+    pub fn stream_len(self, words: &[f32]) -> Option<usize> {
+        let len = words.first()?.to_bits() as usize;
+        (words.len() == self.encoded_words(len)).then_some(len)
     }
 
     /// The α–β cost-model view of this scheme.
@@ -237,18 +249,24 @@ impl CompressionConfig {
     }
 }
 
-/// A quantized buffer: per-block metadata plus the packed code stream.
-#[derive(Debug, Clone, PartialEq)]
+/// A quantized buffer: its self-contained word stream (see the crate docs'
+/// wire format).
+#[derive(Debug, Clone)]
 pub struct Quantized {
     scheme: QuantScheme,
     len: usize,
-    /// Per-block quantization step (empty for f16).
-    scales: Vec<f32>,
-    /// Per-block zero-point = block minimum (empty for f16).
-    zeros: Vec<f32>,
-    /// Packed codes: 1 byte/element for int8, 2 elements/byte for int4,
-    /// 2 bytes/element (little-endian binary16) for f16.
-    codes: Vec<u8>,
+    /// Exactly `scheme.encoded_words(len)` words: count, scales, zero-points,
+    /// packed codes.
+    words: Vec<f32>,
+}
+
+/// Two buffers are equal when they hold the same stream bit for bit (a
+/// poisoned block's NaN metadata included).
+impl PartialEq for Quantized {
+    fn eq(&self, other: &Self) -> bool {
+        let bits = |w: &f32| w.to_bits();
+        self.scheme == other.scheme && self.words.iter().map(bits).eq(other.words.iter().map(bits))
+    }
 }
 
 /// Integer code levels for a bit width: `2^bits − 1`.
@@ -262,6 +280,42 @@ fn int_bits(scheme: QuantScheme) -> Option<u32> {
         QuantScheme::Int8 { .. } => Some(8),
         QuantScheme::Int4 { .. } => Some(4),
     }
+}
+
+/// The sections of a `len`-element stream under `scheme`: scales,
+/// zero-points, code bytes (padding included).
+///
+/// # Panics
+/// Panics unless `words` is a stream of exactly `len` elements (length and
+/// count word both agree).
+fn sections(words: &[f32], len: usize, scheme: QuantScheme) -> (&[f32], &[f32], &[u8]) {
+    assert_eq!(
+        scheme.stream_len(words),
+        Some(len),
+        "encoded stream length mismatch for {scheme:?} × {len}"
+    );
+    let nb = scheme.blocks(len);
+    let (meta, codes) = words[1..].split_at(2 * nb);
+    let (scales, zeros) = meta.split_at(nb);
+    (scales, zeros, code_bytes(codes))
+}
+
+// The code words are little-endian, so on a little-endian host their bytes
+// in memory are the code bytes in stream order.
+const _: () = assert!(cfg!(target_endian = "little"), "packed codes assume a little-endian host");
+
+/// The bytes of packed code words, in stream order.
+fn code_bytes(codes: &[f32]) -> &[u8] {
+    // SAFETY: the bytes of initialized `f32`s are initialized, `u8` needs no
+    // alignment, and the view covers exactly the words' memory.
+    unsafe { std::slice::from_raw_parts(codes.as_ptr().cast::<u8>(), 4 * codes.len()) }
+}
+
+/// [`code_bytes`], writable.
+fn code_bytes_mut(codes: &mut [f32]) -> &mut [u8] {
+    // SAFETY: as in `code_bytes`; every bit pattern is a valid `f32`, so any
+    // byte written leaves the words valid.
+    unsafe { std::slice::from_raw_parts_mut(codes.as_mut_ptr().cast::<u8>(), 4 * codes.len()) }
 }
 
 /// How a decoded element lands in its output slot.
@@ -282,17 +336,14 @@ fn land_values(values: impl Iterator<Item = f32>, out: &mut [f32], land: Land) {
     }
 }
 
-/// The per-block kernel behind [`dequantize`] and [`land_words`]: lands
-/// elements `range` of a block-quantized buffer into `out`, a block at a
-/// time. `byte(j)` is code byte `j` (one code per byte for int8, two for
-/// int4, low nibble first). The one home of the element formula: code `c`
-/// of block `b` decodes to `zeros[b] + c · scales[b]`, evaluated in f64 and
-/// rounded once to f32.
+/// The per-block decode kernel behind [`dequantize`] and [`land_words`]:
+/// lands elements `range` of a block-quantized stream into `out`, a block
+/// at a time. The one home of the element formula: code `c` of block `b`
+/// decodes to `zeros[b] + c · scales[b]`, evaluated in f64 and rounded once
+/// to f32.
 fn land_blocks(
     scheme: QuantScheme,
-    scales: &[f32],
-    zeros: &[f32],
-    byte: impl Fn(usize) -> u8,
+    (scales, zeros, codes): (&[f32], &[f32], &[u8]),
     range: Range<usize>,
     out: &mut [f32],
     land: Land,
@@ -307,9 +358,9 @@ fn land_blocks(
         let (zero, scale) = (zeros[b] as f64, scales[b] as f64);
         let value = |c: u8| (zero + f64::from(c) * scale) as f32;
         if scheme.code_bits() == 8 {
-            land_values((i..end).map(|j| value(byte(j))), out, land);
+            land_values(codes[i..end].iter().map(|&c| value(c)), out, land);
         } else {
-            land_values((i..end).map(|j| value((byte(j / 2) >> (j % 2 * 4)) & 0xf)), out, land);
+            land_values((i..end).map(|j| value((codes[j / 2] >> (j % 2 * 4)) & 0xf)), out, land);
         }
         rest = tail;
         i = end;
@@ -319,101 +370,187 @@ fn land_blocks(
 /// Quantize `data` under `scheme`. Deterministic; blocks containing a
 /// non-finite value are poisoned (see the crate docs).
 pub fn quantize(data: &[f32], scheme: QuantScheme) -> Quantized {
+    let mut words = Vec::new();
+    encode_words(data, scheme, &mut words);
+    Quantized { scheme, len: data.len(), words }
+}
+
+/// Quantize `data` under `scheme` straight into `words`, which becomes the
+/// stream [`Quantized::to_words`] would return: it is resized to exactly
+/// `scheme.encoded_words(data.len())` words and every one of them is
+/// written, so a reused buffer of any length and content needs no clearing.
+///
+/// # Panics
+/// Panics if `data` has more than `u32::MAX` elements (the count word), or
+/// if an integer scheme's block size is zero.
+pub fn encode_words(data: &[f32], scheme: QuantScheme, words: &mut Vec<f32>) {
+    assert!(u32::try_from(data.len()).is_ok(), "a stream counts at most u32::MAX elements");
+    words.resize(scheme.encoded_words(data.len()), 0.0);
+    #[cfg(target_arch = "x86_64")]
+    if avx2_available() {
+        // SAFETY: the host supports AVX2, detected at runtime.
+        return unsafe { encode_avx2(data, scheme, words) };
+    }
+    encode_body(data, scheme, words);
+}
+
+/// Whether this host runs the AVX2 instantiation of the encoder (detected
+/// once).
+#[cfg(target_arch = "x86_64")]
+fn avx2_available() -> bool {
+    static AVX2: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
+    *AVX2.get_or_init(|| std::arch::is_x86_feature_detected!("avx2"))
+}
+
+/// The encoder compiled with AVX2 enabled: the same body, so the same bits.
+///
+/// # Safety
+/// The host must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn encode_avx2(data: &[f32], scheme: QuantScheme, words: &mut [f32]) {
+    encode_body(data, scheme, words);
+}
+
+/// The encode kernel, generic over the target: compiled for the baseline
+/// here and for AVX2 in [`encode_avx2`]. `words` is exactly
+/// `scheme.encoded_words(data.len())` long, and every word of it is
+/// written: the count word, then per block one pass for the finite check,
+/// minimum and maximum, its scale and zero-point, and one pass writing its
+/// codes (zeros for a poisoned or constant block), then the padding.
+#[inline(always)]
+fn encode_body(data: &[f32], scheme: QuantScheme, words: &mut [f32]) {
     let len = data.len();
-    match int_bits(scheme) {
-        None => {
-            let mut codes = Vec::with_capacity(2 * len);
-            for &x in data {
-                codes.extend_from_slice(&f32_to_f16_bits(x).to_le_bytes());
+    let nb = scheme.blocks(len);
+    let (count, rest) = words.split_first_mut().expect("a stream has a count word");
+    *count = f32::from_bits(len as u32);
+    let (meta, codes) = rest.split_at_mut(2 * nb);
+    let (scales, zeros) = meta.split_at_mut(nb);
+    let codes = code_bytes_mut(codes);
+    // Padding: the bytes after the last whole code byte, and an odd-length
+    // int4 stream's last byte, whose low nibble is written below.
+    codes[len * scheme.code_bits() as usize / 8..].fill(0);
+    match scheme {
+        QuantScheme::F16 => {
+            for (c, &x) in codes.chunks_exact_mut(2).zip(data) {
+                c.copy_from_slice(&f32_to_f16_bits(x).to_le_bytes());
             }
-            Quantized { scheme, len, scales: Vec::new(), zeros: Vec::new(), codes }
         }
-        Some(bits) => {
-            let block = scheme.block().expect("integer schemes have a block size");
-            assert!(block > 0, "block size must be positive");
-            let nb = scheme.blocks(len);
-            let mut scales = Vec::with_capacity(nb);
-            let mut zeros = Vec::with_capacity(nb);
-            let mut codes = vec![0u8; scheme.code_bytes(len)];
-            let lv = levels(bits);
-            for b in 0..nb {
-                let span = &data[b * block..len.min((b + 1) * block)];
-                let finite = span.iter().all(|x| x.is_finite());
-                if !finite {
-                    // Poisoned block: dequantizes to all-NaN.
-                    scales.push(f32::NAN);
-                    zeros.push(f32::NAN);
-                    continue; // codes stay 0
-                }
-                let mut min = f32::INFINITY;
-                let mut max = f32::NEG_INFINITY;
-                for &x in span {
-                    min = min.min(x);
-                    max = max.max(x);
-                }
-                // f64 range arithmetic: max − min can overflow f32 even
-                // when both endpoints are finite.
+        QuantScheme::Int8 { block } => encode_blocks::<8>(data, block, scales, zeros, codes),
+        QuantScheme::Int4 { block } => encode_blocks::<4>(data, block, scales, zeros, codes),
+    }
+}
+
+/// [`encode_body`]'s blocks for `BITS`-bit codes.
+#[inline(always)]
+fn encode_blocks<const BITS: u32>(
+    data: &[f32],
+    block: usize,
+    scales: &mut [f32],
+    zeros: &mut [f32],
+    codes: &mut [u8],
+) {
+    let lv = levels(BITS);
+    for (b, span) in data.chunks(block).enumerate() {
+        let (scale, min) = match finite_min_max(span) {
+            // Poisoned block: dequantizes to all-NaN.
+            None => (f32::NAN, f32::NAN),
+            Some((min, max)) => {
+                // f64 range arithmetic: max − min can overflow f32 even when
+                // both endpoints are finite.
                 let scale = ((max as f64 - min as f64) / lv as f64) as f32;
                 // A constant (or numerically constant) block is stored
                 // exactly as its zero-point with scale 0.
-                if !scale.is_normal() {
-                    scales.push(0.0);
-                    zeros.push(min);
-                    continue;
-                }
-                scales.push(scale);
-                zeros.push(min);
-                // f64 intermediates keep the rounding error comfortably
-                // inside the half-step bound. `t ≥ 0` (x ≥ min), so
-                // rounding half away from zero is the truncation plus one
-                // when the fraction reaches 0.5 — exact in f64 — and only
-                // the upper clamp can bind.
-                let inv = 1.0 / scale as f64;
-                let code = |x: f32| {
-                    let t = (x as f64 - min as f64) * inv;
-                    let k = t as u32;
-                    (k + u32::from(t - k as f64 >= 0.5)).min(lv)
-                };
-                let first = b * block;
-                if bits == 8 {
-                    for (c, &x) in codes[first..first + span.len()].iter_mut().zip(span) {
-                        *c = code(x) as u8;
-                    }
-                } else {
-                    for (j, &x) in span.iter().enumerate() {
-                        let i = first + j;
-                        codes[i / 2] |= (code(x) as u8) << ((i % 2) * 4);
-                    }
-                }
+                (if scale.is_normal() { scale } else { 0.0 }, min)
             }
-            Quantized { scheme, len, scales, zeros, codes }
+        };
+        scales[b] = scale;
+        zeros[b] = min;
+        // Poisoned and constant blocks code every element as 0.
+        let coded = scale.is_normal();
+        // f64 intermediates keep the rounding error comfortably inside the
+        // half-step bound. `0 ≤ t < 2⁵²` (x ≥ min), so `t + 2⁵²` rounds `t`
+        // to the nearest integer, ties to even, and holds that integer in
+        // its low mantissa bits; a tie rounded down is bumped up, which is
+        // rounding half away from zero, exactly. Only the upper clamp can
+        // bind.
+        let inv = 1.0 / scale as f64;
+        let code = |x: f32| {
+            const MAGIC: f64 = (1u64 << 52) as f64;
+            if !coded {
+                return 0;
+            }
+            let t = (x as f64 - min as f64) * inv;
+            let m = t + MAGIC;
+            let k = m.to_bits() as u32 + u32::from(t - (m - MAGIC) == 0.5);
+            k.min(lv) as u8
+        };
+        let first = b * block;
+        if BITS == 8 {
+            for (c, &x) in codes[first..first + span.len()].iter_mut().zip(span) {
+                *c = code(x);
+            }
+        } else {
+            // Two codes per byte, low nibble first: a block of odd size
+            // shares a byte with its neighbour, so each nibble is set alone.
+            for (j, &x) in span.iter().enumerate() {
+                let (byte, shift) = ((first + j) / 2, (first + j) % 2 * 4);
+                codes[byte] = codes[byte] & !(0xf << shift) | code(x) << shift;
+            }
         }
     }
+}
+
+/// The minimum and maximum of a non-empty `span`, or `None` if it holds a
+/// non-finite value: one pass, over eight independent lanes.
+#[inline(always)]
+fn finite_min_max(span: &[f32]) -> Option<(f32, f32)> {
+    const LANES: usize = 8;
+    let mut lo = [f32::INFINITY; LANES];
+    let mut hi = [f32::NEG_INFINITY; LANES];
+    // `0 · x` is ±0 for a finite `x` and NaN otherwise, and a NaN sum stays.
+    let mut poison = [0.0f32; LANES];
+    let mut lane = |k: usize, x: f32| {
+        poison[k] += 0.0 * x;
+        lo[k] = if x < lo[k] { x } else { lo[k] };
+        hi[k] = if x > hi[k] { x } else { hi[k] };
+    };
+    let mut chunks = span.chunks_exact(LANES);
+    for c in &mut chunks {
+        for (k, &x) in c.iter().enumerate() {
+            lane(k, x);
+        }
+    }
+    for (k, &x) in chunks.remainder().iter().enumerate() {
+        lane(k, x);
+    }
+    // The extremes are exact, so the lanes agree with a sequential fold on
+    // the value; only a mix of +0 and −0 may resolve to either zero, which
+    // decodes identically (`zero + 0 · scale` is +0 for both).
+    poison.iter().all(|&p| p == 0.0).then(|| {
+        let min = lo.iter().fold(f32::INFINITY, |m, &x| if x < m { x } else { m });
+        let max = hi.iter().fold(f32::NEG_INFINITY, |m, &x| if x > m { x } else { m });
+        (min, max)
+    })
 }
 
 /// Reconstruct the fp32 buffer a [`Quantized`] value represents.
 pub fn dequantize(q: &Quantized) -> Vec<f32> {
     let mut out = vec![0.0f32; q.len];
-    if q.scheme == QuantScheme::F16 {
-        let pairs = q.codes.chunks_exact(2);
-        let values = pairs.map(|c| f16_bits_to_f32(u16::from_le_bytes([c[0], c[1]])));
-        land_values(values, &mut out, Land::Overwrite);
-    } else {
-        let byte = |j: usize| q.codes[j];
-        land_blocks(q.scheme, &q.scales, &q.zeros, byte, 0..q.len, &mut out, Land::Overwrite);
-    }
+    land_words(&q.words, q.len, q.scheme, 0..q.len, &mut out, Land::Overwrite);
     out
 }
 
-/// Land elements `range` of the `len`-element buffer that `words` encodes
-/// under `scheme` (a [`Quantized::to_words`] stream) into `out`, one per
-/// slot, without building the [`Quantized`] value: every landed bit equals
-/// the matching element of `dequantize(&Quantized::from_words(words, len,
-/// scheme))`, and only the elements of `range` are decoded.
+/// Land elements `range` of the `len`-element stream `words` (an
+/// [`encode_words`] / [`Quantized::to_words`] stream under `scheme`) into
+/// `out`, one per slot, without building the [`Quantized`] value: every
+/// landed bit equals the matching element of `dequantize(&Quantized::
+/// from_words(words, len, scheme))`, and only the elements of `range` are
+/// decoded.
 ///
 /// # Panics
-/// Panics if `words` has the wrong length for `(scheme, len)`, if `range`
-/// does not lie inside `0..len`, or if `out.len() != range.len()`.
+/// Panics if `words` is not a stream of `len` elements under `scheme`, if
+/// `range` does not lie inside `0..len`, or if `out.len() != range.len()`.
 pub fn land_words(
     words: &[f32],
     len: usize,
@@ -422,21 +559,15 @@ pub fn land_words(
     out: &mut [f32],
     land: Land,
 ) {
-    assert_eq!(
-        words.len(),
-        scheme.encoded_words(len),
-        "encoded stream length mismatch for {scheme:?} × {len}"
-    );
+    let stream = sections(words, len, scheme);
     assert!(range.start <= range.end && range.end <= len, "range {range:?} outside 0..{len}");
     assert_eq!(out.len(), range.len(), "output slice must match the landed range");
     if scheme == QuantScheme::F16 {
-        // Each word carries one binary16 bit pattern.
-        land_values(words[range].iter().map(|&w| f16_bits_to_f32(w as u16)), out, land);
+        let codes = stream.2;
+        let half = |j: usize| f16_bits_to_f32(u16::from_le_bytes([codes[2 * j], codes[2 * j + 1]]));
+        land_values(range.map(half), out, land);
     } else {
-        let nb = scheme.blocks(len);
-        let (scales, rest) = words.split_at(nb);
-        let (zeros, codes) = rest.split_at(nb);
-        land_blocks(scheme, scales, zeros, |j| codes[j] as u8, range, out, land);
+        land_blocks(scheme, stream, range, out, land);
     }
 }
 
@@ -483,77 +614,46 @@ impl Quantized {
                 }
                 max_abs * (1.0 / 2048.0) + f32::from_bits(1).max(2.0f32.powi(-25))
             }
-            Some(_) => self
-                .scales
-                .iter()
-                .zip(self.zeros.iter())
-                .map(|(&s, &z)| {
-                    if !s.is_finite() || !z.is_finite() {
-                        f32::INFINITY
-                    } else {
-                        // Half a step, plus slack for the final f32 rounding
-                        // of zero + code·scale and a sub-half-ulp of step
-                        // from the f64 intermediates.
-                        0.5 * s * (1.0 + 1e-3)
-                            + (z.abs() + levels(self.scheme.code_bits()) as f32 * s) * f32::EPSILON
-                            + 1e-30
-                    }
-                })
-                .fold(0.0f32, f32::max),
+            Some(bits) => {
+                let (scales, zeros, _) = sections(&self.words, self.len, self.scheme);
+                scales
+                    .iter()
+                    .zip(zeros)
+                    .map(|(&s, &z)| {
+                        if !s.is_finite() || !z.is_finite() {
+                            f32::INFINITY
+                        } else {
+                            // Half a step, plus slack for the final f32
+                            // rounding of zero + code·scale and a
+                            // sub-half-ulp of step from the f64
+                            // intermediates.
+                            0.5 * s * (1.0 + 1e-3)
+                                + (z.abs() + levels(bits) as f32 * s) * f32::EPSILON
+                                + 1e-30
+                        }
+                    })
+                    .fold(0.0f32, f32::max)
+            }
         }
     }
 
-    /// Encode into a self-contained `f32` word stream of exactly
-    /// [`QuantScheme::encoded_words`]`(len)` words: the per-block scales and
-    /// zero-points verbatim, then each code byte (or f16 bit pattern) as one
-    /// exact small-integer word. Collectives copy words without arithmetic,
-    /// so the round trip through [`Self::from_words`] is bit-exact.
+    /// The self-contained word stream of exactly
+    /// [`QuantScheme::encoded_words`]`(len)` words (see the crate docs' wire
+    /// format). Collectives copy words without arithmetic, so the round trip
+    /// through [`Self::from_words`] is bit-exact.
     pub fn to_words(&self) -> Vec<f32> {
-        let mut out = Vec::with_capacity(self.scheme.encoded_words(self.len));
-        match int_bits(self.scheme) {
-            None => {
-                for i in 0..self.len {
-                    let h = u16::from_le_bytes([self.codes[2 * i], self.codes[2 * i + 1]]);
-                    out.push(h as f32);
-                }
-            }
-            Some(_) => {
-                out.extend_from_slice(&self.scales);
-                out.extend_from_slice(&self.zeros);
-                out.extend(self.codes.iter().map(|&b| b as f32));
-            }
-        }
-        debug_assert_eq!(out.len(), self.scheme.encoded_words(self.len));
-        out
+        self.words.clone()
     }
 
-    /// Decode a word stream produced by [`Self::to_words`] for a buffer of
-    /// `len` elements under `scheme`.
+    /// Take back a word stream produced by [`Self::to_words`] (or
+    /// [`encode_words`]) for a buffer of `len` elements under `scheme`.
     ///
     /// # Panics
-    /// Panics if `words` has the wrong length for `(scheme, len)`.
+    /// Panics if `words` is not a stream of `len` elements under `scheme`
+    /// (wrong length, or a count word that disagrees with `len`).
     pub fn from_words(words: &[f32], len: usize, scheme: QuantScheme) -> Quantized {
-        assert_eq!(
-            words.len(),
-            scheme.encoded_words(len),
-            "encoded stream length mismatch for {scheme:?} × {len}"
-        );
-        match int_bits(scheme) {
-            None => {
-                let mut codes = Vec::with_capacity(2 * len);
-                for &w in words {
-                    codes.extend_from_slice(&(w as u16).to_le_bytes());
-                }
-                Quantized { scheme, len, scales: Vec::new(), zeros: Vec::new(), codes }
-            }
-            Some(_) => {
-                let nb = scheme.blocks(len);
-                let scales = words[..nb].to_vec();
-                let zeros = words[nb..2 * nb].to_vec();
-                let codes = words[2 * nb..].iter().map(|&w| w as u8).collect();
-                Quantized { scheme, len, scales, zeros, codes }
-            }
-        }
+        sections(words, len, scheme);
+        Quantized { scheme, len, words: words.to_vec() }
     }
 }
 
@@ -625,7 +725,7 @@ mod tests {
     fn int4_packs_two_codes_per_byte() {
         let data = payload(9, 256);
         let q = quantize(&data, QuantScheme::int4());
-        assert_eq!(q.codes.len(), 128);
+        assert_eq!(sections(&q.words, 256, q.scheme).2.len(), 128);
         // And wire accounting charges 4 bits/elem + 8 B per 128-elem block.
         assert_eq!(q.wire_bytes(), 128 + 2 * 8);
     }
@@ -687,9 +787,19 @@ mod tests {
 
     /// The kernels as first written — libm `round`, a clamp, one packing call
     /// per element, a division per decoded element — kept as the oracle the
-    /// current kernels must match bit for bit.
+    /// current kernels must match bit for bit, with a separate, plain packer
+    /// for the stream layout.
     mod oracle {
         use super::*;
+
+        /// A quantized buffer as the oracle keeps it: metadata and code bytes.
+        pub(super) struct Stream {
+            scheme: QuantScheme,
+            len: usize,
+            scales: Vec<f32>,
+            zeros: Vec<f32>,
+            codes: Vec<u8>,
+        }
 
         fn pack_code(codes: &mut [u8], bits: u32, i: usize, code: u32) {
             match bits {
@@ -705,8 +815,12 @@ mod tests {
             }
         }
 
-        pub(super) fn quantize(data: &[f32], scheme: QuantScheme) -> Quantized {
-            let (len, bits) = (data.len(), int_bits(scheme).expect("integer scheme"));
+        pub(super) fn quantize(data: &[f32], scheme: QuantScheme) -> Stream {
+            let len = data.len();
+            let Some(bits) = int_bits(scheme) else {
+                let codes = data.iter().flat_map(|&x| f32_to_f16_bits(x).to_le_bytes()).collect();
+                return Stream { scheme, len, scales: Vec::new(), zeros: Vec::new(), codes };
+            };
             let block = scheme.block().unwrap();
             let (mut scales, mut zeros) = (Vec::new(), Vec::new());
             let mut codes = vec![0u8; scheme.code_bytes(len)];
@@ -734,11 +848,15 @@ mod tests {
                     pack_code(&mut codes, bits, b * block + j, t.clamp(0.0, lv as f64) as u32);
                 }
             }
-            Quantized { scheme, len, scales, zeros, codes }
+            Stream { scheme, len, scales, zeros, codes }
         }
 
-        pub(super) fn dequantize(q: &Quantized) -> Vec<f32> {
-            let (bits, block) = (int_bits(q.scheme).unwrap(), q.scheme.block().unwrap());
+        pub(super) fn dequantize(q: &Stream) -> Vec<f32> {
+            let Some(bits) = int_bits(q.scheme) else {
+                let halves = q.codes.chunks_exact(2);
+                return halves.map(|h| f16_bits_to_f32(u16::from_le_bytes([h[0], h[1]]))).collect();
+            };
+            let block = q.scheme.block().unwrap();
             (0..q.len)
                 .map(|i| {
                     let b = i / block;
@@ -747,10 +865,45 @@ mod tests {
                 })
                 .collect()
         }
+
+        /// The word stream: count, scales, zero-points, code bytes four to a
+        /// little-endian word, zero-padded.
+        pub(super) fn words(q: &Stream) -> Vec<f32> {
+            let mut out = vec![f32::from_bits(q.len as u32)];
+            out.extend_from_slice(&q.scales);
+            out.extend_from_slice(&q.zeros);
+            for four in q.codes.chunks(4) {
+                let mut bytes = [0u8; 4];
+                bytes[..four.len()].copy_from_slice(four);
+                out.push(f32::from_bits(u32::from_le_bytes(bytes)));
+            }
+            out
+        }
     }
 
     fn bits(v: &[f32]) -> Vec<u32> {
         v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// The encoder kernel's instantiations this host can run.
+    type Kernel = fn(&[f32], QuantScheme, &mut [f32]);
+    fn instantiations() -> Vec<(&'static str, Kernel)> {
+        let mut all: Vec<(&'static str, Kernel)> = vec![("generic", encode_body)];
+        #[cfg(target_arch = "x86_64")]
+        if avx2_available() {
+            fn avx2(data: &[f32], scheme: QuantScheme, words: &mut [f32]) {
+                // SAFETY: listed only after runtime AVX2 detection.
+                unsafe { encode_avx2(data, scheme, words) }
+            }
+            all.push(("avx2", avx2));
+        }
+        all
+    }
+
+    /// A buffer of `n` words, every bit of it set: NaN patterns a kernel
+    /// that skips a word would leave behind.
+    fn dirty(n: usize) -> Vec<f32> {
+        (0..n).map(|i| f32::from_bits(u32::MAX - i as u32 % 3)).collect()
     }
 
     /// One block of `n` values of the given kind: 0 random, 1 constant,
@@ -789,29 +942,96 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(96))]
 
-        /// The kernels produce the oracle's bits — codes, metadata and
-        /// decoded values — on random, constant, poisoned, tiny-scale and
-        /// tie-rounding blocks, for int8/128, int4/128 and int8/7.
+        /// The kernels produce the oracle's bits — the stream (count,
+        /// metadata, packed codes, padding) and the decoded values — on
+        /// random, constant, poisoned, tiny-scale and tie-rounding blocks,
+        /// for int8/128, int4/128, int8/7, int4/7 (nibbles and words shared
+        /// across blocks) and f16; through `quantize`, through the word
+        /// encoder into a dirty reused buffer longer than needed, and
+        /// through every instantiation of the encoder this host runs.
         #[test]
         fn prop_kernels_match_the_first_written_oracle(
             seed in 1u64..u64::MAX,
             kinds in proptest::collection::vec(0usize..6, 1usize..6),
             tail in 0usize..130,
-            which in 0usize..3,
+            which in 0usize..5,
+            spare in 0usize..40,
         ) {
             let scheme = [QuantScheme::Int8 { block: 128 }, QuantScheme::Int4 { block: 128 },
-                QuantScheme::Int8 { block: 7 }][which];
-            let (block, lv) = (scheme.block().unwrap(), levels(scheme.code_bits()));
+                QuantScheme::Int8 { block: 7 }, QuantScheme::Int4 { block: 7 },
+                QuantScheme::F16][which];
+            let block = scheme.block().unwrap_or(DEFAULT_BLOCK);
+            let lv = levels(scheme.code_bits());
             let mut data: Vec<f32> = kinds
                 .iter()
                 .enumerate()
                 .flat_map(|(i, &k)| block_of(k, seed.wrapping_add(i as u64), block, lv))
                 .collect();
             data.extend(block_of(0, !seed, tail % block, lv));
-            let (got, want) = (quantize(&data, scheme), oracle::quantize(&data, scheme));
-            prop_assert_eq!(bits(&got.to_words()), bits(&want.to_words()));
+            let want = oracle::quantize(&data, scheme);
+            let words = oracle::words(&want);
+            let got = quantize(&data, scheme);
+            prop_assert_eq!(bits(&got.to_words()), bits(&words));
+            let mut reused = dirty(words.len() + spare);
+            encode_words(&data, scheme, &mut reused);
+            prop_assert_eq!(bits(&reused), bits(&words));
+            for (name, kernel) in instantiations() {
+                let mut exact = dirty(words.len());
+                kernel(&data, scheme, &mut exact);
+                prop_assert_eq!(bits(&exact), bits(&words), "{}", name);
+            }
             prop_assert_eq!(bits(&dequantize(&got)), bits(&oracle::dequantize(&want)));
         }
+    }
+
+    #[test]
+    fn mixed_sign_zeros_decode_like_the_oracle() {
+        // A block whose extreme is a zero of both signs may keep either zero
+        // as its zero-point; what it decodes to does not depend on which.
+        let blocks: [&[f32]; 4] = [
+            &[0.0, -0.0, 1.0, -0.0, 0.0, 2.0, -0.0, 0.0, 0.0, 3.0],
+            &[-0.0, 0.0, -0.0, 0.0, 0.0, -0.0, 0.0, -0.0, 0.0],
+            &[-1.0, 0.0, -0.0, -2.0, 0.0, -0.0, -0.0, 0.0, 0.0, -0.0],
+            &[-0.0; 12],
+        ];
+        for scheme in [QuantScheme::int8(), QuantScheme::int4(), QuantScheme::Int8 { block: 7 }] {
+            for data in blocks {
+                let want = oracle::dequantize(&oracle::quantize(data, scheme));
+                for (name, kernel) in instantiations() {
+                    let mut words = dirty(scheme.encoded_words(data.len()));
+                    kernel(data, scheme, &mut words);
+                    let got = dequantize(&Quantized::from_words(&words, data.len(), scheme));
+                    assert_eq!(bits(&got), bits(&want), "{name} {scheme:?} {data:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn packed_streams_are_the_charged_bytes_plus_at_most_seven() {
+        // The count word (4 bytes) and the last word's padding (≤ 3 bytes)
+        // are all a stream adds to what the cost models charge.
+        for scheme in [QuantScheme::int8(), QuantScheme::int4(), QuantScheme::Int4 { block: 7 }] {
+            for len in 0..300 {
+                let (bytes, charged) =
+                    (4 * scheme.encoded_words(len) as u64, scheme.wire_bytes(len));
+                assert!(
+                    (charged + 4..=charged + 7).contains(&bytes),
+                    "{scheme:?} × {len}: {bytes}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "encoded stream length mismatch")]
+    fn land_words_rejects_a_lying_count_word() {
+        // 5 and 6 int8 elements pack into the same number of words: only the
+        // count word tells the streams apart.
+        let scheme = QuantScheme::int8();
+        assert_eq!(scheme.encoded_words(5), scheme.encoded_words(6));
+        let words = quantize(&[1.0, 2.0, 3.0, 4.0, 5.0, 6.0], scheme).to_words();
+        land_words(&words, 5, scheme, 0..5, &mut [0.0; 5], Land::Overwrite);
     }
 
     #[test]

@@ -104,7 +104,7 @@ pub use transport::{
 };
 
 use mics_compress::{Land, QuantScheme};
-use transport::{peer_slot, Backend, ChildKey, Dest, Parts, Piece};
+use transport::{peer_slot, Backend, ChildKey, Deposit, Dest, Parts, Piece};
 
 /// Rendezvous waits detect an absent rank after this long unless
 /// [`Communicator::set_timeout`] overrides it. Generous compared to the
@@ -176,9 +176,12 @@ pub(crate) fn aborted<T>(e: CommError) -> T {
     panic!("collective aborted: {e}")
 }
 
-/// Shard `j` of a `len`-element buffer cut into `world` equal shards.
+/// Shard `j` of a `len`-element buffer cut into `world` shards of
+/// `⌈len / world⌉` elements, the last ones short or empty (equal shards when
+/// `world` divides `len`).
 fn shard(len: usize, world: usize, j: usize) -> std::ops::Range<usize> {
-    j * (len / world)..(j + 1) * (len / world)
+    let chunk = len.div_ceil(world);
+    (j * chunk).min(len)..((j + 1) * chunk).min(len)
 }
 
 /// How [`Communicator::collective`] lands the per-rank contributions.
@@ -310,9 +313,12 @@ impl Communicator {
     /// one piece to all other members — a quantized reduce-scatter too,
     /// since per-slice encoding is bit-identical only on block-aligned
     /// slices. This rank's own contribution never crosses the transport: it
-    /// lands from the caller's slices, or from its own encoded words.
-    /// Landing decodes only the elements it lands (a reduce-scatter
-    /// `len / world` of each part), straight into `outs`. The single-buffer
+    /// lands from the caller's slices, or from its own encoded words, which
+    /// go into a local deposit by move. Landing decodes only the elements it
+    /// lands (a reduce-scatter `len / world` of each part), straight into
+    /// `outs`. A quantized all-reduce decodes each element once: it folds
+    /// only this rank's chunk of every contribution, then gathers the chunk
+    /// sums on the exact wire (one more exchange). The single-buffer
     /// collectives are its one-part case.
     fn collective(
         &self,
@@ -331,32 +337,32 @@ impl Communicator {
                 );
             }
         }
-        let words: Vec<Vec<f32>> = scheme
-            .map_or_else(Vec::new, |s| parts.iter().map(|p| quantized::encode(p, s)).collect());
-        let wire: Vec<&[f32]> = if scheme.is_some() {
-            words.iter().map(Vec::as_slice).collect()
-        } else {
-            parts.to_vec()
-        };
+        let words: Option<Arc<Parts>> =
+            scheme.map(|s| Arc::new(parts.iter().map(|p| quantized::encode(p, s)).collect()));
         let sliced = fold == Fold::SumShard && scheme.is_none();
-        let pieces: Vec<Piece<Vec<&[f32]>>> = if sliced {
+        let pieces: Vec<Piece<Deposit>> = if sliced {
             (0..world)
                 .filter(|&j| j != self.rank)
                 .map(|j| {
                     let cut = parts.iter().map(|&p| &p[shard(p.len(), world, j)]).collect();
-                    Piece { dest: Dest::Member(j), parts: cut }
+                    Piece { dest: Dest::Member(j), parts: Deposit::Borrowed(cut) }
                 })
                 .collect()
         } else {
-            vec![Piece { dest: Dest::Others, parts: wire.clone() }]
-        };
-        let received = self.backend.exchange(self.rank, &pieces)?;
-        for (i, (part, out)) in parts.iter().zip(outs).enumerate() {
-            let len = part.len();
-            let mine = match fold {
-                Fold::Concat | Fold::SumAll => 0..len,
-                Fold::SumShard => shard(len, world, self.rank),
+            let parts = match &words {
+                Some(w) => Deposit::Owned(Arc::clone(w)),
+                None => Deposit::Borrowed(parts.to_vec()),
             };
+            vec![Piece { dest: Dest::Others, parts }]
+        };
+        let received = self.backend.exchange(self.rank, pieces)?;
+        for (i, (part, out)) in parts.iter().zip(outs.iter_mut()).enumerate() {
+            let len = part.len();
+            let mine = match (fold, scheme) {
+                (Fold::Concat, _) | (Fold::SumAll, None) => 0..len,
+                (Fold::SumShard, _) | (Fold::SumAll, Some(_)) => shard(len, world, self.rank),
+            };
+            let own = words.as_ref().map_or(*part, |w| &w[i]);
             // What a peer's part holds, and where in it this rank's elements
             // lie: its slice `rank` whole, or everything it contributed.
             let (expected, theirs) = match scheme {
@@ -364,6 +370,7 @@ impl Communicator {
                 Some(s) => (s.encoded_words(len), mine.clone()),
                 None => (len, mine.clone()),
             };
+            let elements = if sliced { mine.len() } else { len };
             match fold {
                 // Every element is overwritten: a reused buffer keeps its
                 // allocation and is not cleared first.
@@ -379,19 +386,47 @@ impl Communicator {
                     Fold::SumShard | Fold::SumAll => (&mut out[..], Land::Add),
                 };
                 if r == self.rank {
-                    quantized::land(wire[i], len, scheme, mine.clone(), dest, how);
+                    quantized::land(own, len, scheme, mine.clone(), dest, how);
                     continue;
                 }
                 let piece = &received[peer_slot(self.rank, r)];
-                let got = piece.get(i).map_or(0, Vec::len);
+                let got = piece.get(i).map_or(&[][..], Vec::as_slice);
+                // How many elements the part holds: under a scheme its
+                // stream's count word, if the stream is as long as that
+                // count needs (packed codes make neighbouring lengths
+                // encode to equally many words).
+                let holds = match scheme {
+                    Some(s) if !sliced => s.stream_len(got),
+                    _ => Some(got.len()),
+                };
                 assert!(
-                    piece.len() == parts.len() && got == expected,
-                    "rank {r} deposited {} parts with {got} words in part {i}; \
-                     expected {} parts with {expected}",
+                    piece.len() == parts.len() && holds == Some(elements),
+                    "rank {r} deposited {} parts with {} words in part {i}; expected {} parts \
+                     with {expected} words of {elements} elements, got {}",
                     piece.len(),
-                    parts.len()
+                    got.len(),
+                    parts.len(),
+                    holds.map_or("an inconsistent stream".to_string(), |n| format!("{n} elements"))
                 );
-                quantized::land(&piece[i], len, scheme, theirs.clone(), dest, how);
+                quantized::land(got, len, scheme, theirs.clone(), dest, how);
+            }
+        }
+        if fold == Fold::SumAll && scheme.is_some() {
+            // Every rank holds the sums of its own chunk: pad each to the
+            // full chunk length, gather exactly, cut back to `len`.
+            let sums: Vec<Vec<f32>> = parts
+                .iter()
+                .zip(outs.iter_mut())
+                .map(|(p, out)| {
+                    let mut sum = std::mem::take(out);
+                    sum.resize(p.len().div_ceil(world), 0.0);
+                    sum
+                })
+                .collect();
+            let sums: Vec<&[f32]> = sums.iter().map(Vec::as_slice).collect();
+            self.collective(&sums, None, Fold::Concat, outs)?;
+            for (p, out) in parts.iter().zip(outs) {
+                out.truncate(p.len());
             }
         }
         Ok(())
@@ -481,8 +516,9 @@ impl Communicator {
     pub fn try_broadcast(&self, root: usize, data: &[f32]) -> Result<Vec<f32>, CommError> {
         assert!(root < self.world(), "root out of range");
         // Only the root's piece carries payload; the others are empty.
-        let parts = if self.rank == root { vec![data] } else { Vec::new() };
-        let received = self.backend.exchange(self.rank, &[Piece { dest: Dest::Others, parts }])?;
+        let parts = Deposit::Borrowed(if self.rank == root { vec![data] } else { Vec::new() });
+        let received =
+            self.backend.exchange(self.rank, vec![Piece { dest: Dest::Others, parts }])?;
         if self.rank == root {
             return Ok(data.to_vec());
         }
@@ -529,9 +565,9 @@ impl Communicator {
             f32::from_bits(key as u64 as u32),
             f32::from_bits(((key as u64) >> 32) as u32),
         ];
-        let received = self
-            .backend
-            .exchange(self.rank, &[Piece { dest: Dest::Others, parts: vec![&meta] }])?;
+        let parts = Deposit::Borrowed(vec![&meta]);
+        let received =
+            self.backend.exchange(self.rank, vec![Piece { dest: Dest::Others, parts }])?;
         let decode = |piece: &Parts| -> (i64, i64) {
             let m = piece.first().expect("missing split metadata");
             assert_eq!(m.len(), 4, "malformed split metadata");
@@ -966,6 +1002,26 @@ mod tests {
             assert!(msg.contains("rank 1 deposited 1 parts with"), "{msg}");
             assert!(msg.contains("words in part 0; expected 1 parts with"), "{msg}");
         }
+    }
+
+    #[test]
+    fn a_count_word_that_disagrees_with_len_hits_the_shape_check() {
+        // 5 and 6 int8 elements encode to equally many words: only the
+        // stream's count word tells them apart, and the shape check reads it.
+        let scheme = QuantScheme::int8();
+        assert_eq!(scheme.encoded_words(5), scheme.encoded_words(6));
+        let err = std::panic::catch_unwind(|| {
+            run_ranks(2, |c| c.try_all_gather(&vec![0.0; 5 + c.rank()], Some(scheme)))
+        })
+        .expect_err("a stream of the wrong length must panic");
+        let msg = panic_message(err.as_ref());
+        assert!(
+            msg.contains(
+                "rank 1 deposited 1 parts with 5 words in part 0; \
+                 expected 1 parts with 5 words of 5 elements, got 6 elements"
+            ),
+            "{msg}"
+        );
     }
 
     #[test]

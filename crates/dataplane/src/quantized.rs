@@ -3,10 +3,14 @@
 //! kernels, `mics-collectives::compress` the α–β prices).
 //!
 //! A collective given `Some(scheme)` moves *encoded word streams* (see
-//! `Quantized::to_words`) through the same exchange as its fp32 form, so
-//! the failure semantics are the same by construction: a dead or absent
-//! rank aborts it with the [`CommError`](crate::CommError) the exact wire
-//! would return. Two styles, mirroring ZeRO++:
+//! `mics_compress::encode_words`: a count word, the block metadata, then the
+//! codes packed four bytes to a word) through the same exchange as its fp32
+//! form, so the failure semantics are the same by construction: a dead or
+//! absent rank aborts it with the [`CommError`](crate::CommError) the exact
+//! wire would return. Each contribution is encoded once, in one pass per
+//! block, straight into the words that travel; on the local transport those
+//! words become the deposit without a copy. Receivers decode only the
+//! elements they land. Two styles, mirroring ZeRO++:
 //!
 //! * **qwZ (weight gather):** quantize once, transport codes, dequantize at
 //!   the receiver. The 3-stage [`crate::try_hierarchical_all_gather`] moves
@@ -18,16 +22,23 @@
 //!   requantizes for the next hop. [`crate::try_hierarchical_reduce_scatter`]
 //!   performs exactly two quantized hops (intra-node, then inter-node),
 //!   which bounds the accumulated error at 2 half-steps per element
-//!   instead of `O(p)`.
+//!   instead of `O(p)`. A quantized all-reduce decodes each element once,
+//!   not `w` times: rank `r` folds only chunk `r` (`⌈len / w⌉` elements) of
+//!   every contribution, in rank order from 0.0, and the chunk sums are then
+//!   gathered on the exact wire — the same sums in the same order as a
+//!   whole-buffer fold on every rank, so the same bits, for one more
+//!   rendezvous.
 
 use crate::{aborted, Communicator};
-use mics_compress::{land_words, quantize, Land, QuantScheme};
+use mics_compress::{encode_words, land_words, Land, QuantScheme};
 use std::ops::Range;
 
 /// The words `data` travels as under `scheme`: exactly
 /// `scheme.encoded_words(data.len())` of them.
 pub(crate) fn encode(data: &[f32], scheme: QuantScheme) -> Vec<f32> {
-    quantize(data, scheme).to_words()
+    let mut words = Vec::new();
+    encode_words(data, scheme, &mut words);
+    words
 }
 
 /// The landing rule: elements `range` of the `len` values a received `wire`
@@ -78,8 +89,8 @@ mod tests {
     use super::*;
     use crate::hierarchical::split_hierarchical;
     use crate::{
-        run_ranks, try_hierarchical_all_gather, try_hierarchical_reduce_scatter, try_run_ranks,
-        with_deadline, CommError,
+        run_ranks, run_ranks_on, try_hierarchical_all_gather, try_hierarchical_reduce_scatter,
+        try_run_ranks, with_deadline, CommError, TransportKind,
     };
     use mics_collectives::HierarchicalLayout;
     use mics_compress::{dequantize, round_trip, Quantized};
@@ -336,6 +347,38 @@ mod tests {
             land(&words, len, Some(scheme), range, &mut out, Land::Add);
             let added: Vec<f32> = acc.iter().zip(want).map(|(x, y)| x + y).collect();
             prop_assert_eq!(bits(&out), bits(&added));
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The decode-once all-reduce equals the rank-order fold, from 0.0,
+        /// of every rank's round trip, bit for bit, on every rank — any
+        /// world, lengths below the world (empty chunks) and uneven last
+        /// chunks, every codec, both transports.
+        #[test]
+        fn prop_quantized_all_reduce_is_the_rank_order_fold_of_round_trips(
+            world in 1usize..=6,
+            len in 0usize..=300,
+            which in 0usize..4,
+            kind in 0usize..2,
+        ) {
+            let scheme = [QuantScheme::F16, QuantScheme::int8(), QuantScheme::int4(),
+                QuantScheme::Int8 { block: 7 }][which];
+            let kind = [TransportKind::Local, TransportKind::Socket][kind];
+            let out = run_ranks_on(kind, world, move |c| {
+                quantized_all_reduce(&c, &payload(c.rank(), len), scheme)
+            });
+            let mut expect = vec![0.0f32; len];
+            for r in 0..world {
+                for (o, x) in expect.iter_mut().zip(round_trip(&payload(r, len), scheme)) {
+                    *o += x;
+                }
+            }
+            for got in &out {
+                prop_assert_eq!(bits(got), bits(&expect));
+            }
         }
     }
 

@@ -8,7 +8,7 @@
 //! module is only the rendezvous: deposit, meet, take references, meet
 //! again.
 
-use super::{addressed, ChildKey, Parts, Piece};
+use super::{addressed, ChildKey, Deposit, Parts, Piece};
 use crate::{lock, CommError};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -151,24 +151,23 @@ impl Inner {
         self.barrier.wait(self.world, self.timeout())
     }
 
-    /// The sequenced exchange: deposit one shared copy of each of this
-    /// rank's pieces (an exact reduce-scatter's `world − 1` slices copy
-    /// `(w − 1)/w` of the caller's buffers), rendezvous, take a reference to
-    /// the piece each other rank addressed to this one (`world − 1` refcount
-    /// bumps, no payload copy), rendezvous again. The trailing barrier keeps
-    /// a fast rank's next deposit out of a slow peer's snapshot; the
-    /// caller's fold runs on the references after it, with no lock held.
+    /// The sequenced exchange: deposit each of this rank's pieces as one
+    /// shared buffer set — owned parts (encoded words) by move, borrowed
+    /// ones by one copy (an exact reduce-scatter's `world − 1` slices copy
+    /// `(w − 1)/w` of the caller's buffers) — rendezvous, take a reference
+    /// to the piece each other rank addressed to this one (`world − 1`
+    /// refcount bumps, no payload copy), rendezvous again. The trailing
+    /// barrier keeps a fast rank's next deposit out of a slow peer's
+    /// snapshot; the caller's fold runs on the references after it, with no
+    /// lock held.
     pub(crate) fn exchange(
         &self,
         rank: usize,
-        pieces: &[Piece<Vec<&[f32]>>],
+        pieces: Vec<Piece<Deposit<'_>>>,
     ) -> Result<Vec<Arc<Parts>>, CommError> {
         let deposit = pieces
-            .iter()
-            .map(|p| Piece {
-                dest: p.dest,
-                parts: Arc::new(p.parts.iter().map(|s| s.to_vec()).collect()),
-            })
+            .into_iter()
+            .map(|p| Piece { dest: p.dest, parts: p.parts.into_shared() })
             .collect();
         // The previous deposit is released after the lock, not under it.
         let _previous = std::mem::replace(&mut lock(&self.slots)[rank], deposit);
@@ -209,9 +208,9 @@ mod tests {
         // No sleeps: ranks race from one exchange into the next. A fast
         // rank's deposit for call `seq + 1` must never reach a slow rank's
         // snapshot of call `seq` — the trailing barrier's whole job. Odd
-        // calls address one piece to each peer, even calls one to all: each
-        // rank receives exactly what was addressed to it, from every peer
-        // but itself, in member order.
+        // calls address one borrowed piece to each peer, even calls one
+        // owned piece to all: each rank receives exactly what was addressed
+        // to it, from every peer but itself, in member order.
         use super::super::Dest;
         let (world, calls) = (4, 2000);
         let inner = Inner::new(world, Duration::from_secs(10));
@@ -222,18 +221,19 @@ mod tests {
                     for seq in 0..calls {
                         let cut = |to: usize| [rank as f32, to as f32, seq as f32];
                         let each: Vec<[f32; 3]> = (0..world).map(cut).collect();
-                        let pieces: Vec<Piece<Vec<&[f32]>>> = if seq % 2 == 1 {
+                        let pieces: Vec<Piece<Deposit>> = if seq % 2 == 1 {
                             (0..world)
                                 .filter(|&to| to != rank)
                                 .map(|to| Piece {
                                     dest: Dest::Member(to),
-                                    parts: vec![&each[to][..]],
+                                    parts: Deposit::Borrowed(vec![&each[to][..]]),
                                 })
                                 .collect()
                         } else {
-                            vec![Piece { dest: Dest::Others, parts: vec![&each[rank][..]] }]
+                            let own = Arc::new(vec![each[rank].to_vec()]);
+                            vec![Piece { dest: Dest::Others, parts: Deposit::Owned(own) }]
                         };
-                        let got = inner.exchange(rank, &pieces).unwrap();
+                        let got = inner.exchange(rank, pieces).unwrap();
                         let from: Vec<usize> = (0..world).filter(|&r| r != rank).collect();
                         assert_eq!(got.len(), from.len());
                         for (r, piece) in from.into_iter().zip(&got) {

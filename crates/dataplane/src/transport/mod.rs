@@ -160,6 +160,36 @@ pub(crate) enum ChildKey {
 /// (single-buffer collectives use one part).
 pub(crate) type Parts = Vec<Vec<f32>>;
 
+/// A piece's parts as a member hands them to an exchange: borrowed from the
+/// caller, or already owned — encoded words, which the member itself still
+/// reads after the exchange, so they are shared rather than given away.
+#[derive(Debug, Clone)]
+pub(crate) enum Deposit<'a> {
+    /// The caller's slices: a local deposit copies them once.
+    Borrowed(Vec<&'a [f32]>),
+    /// Owned buffers: a local deposit takes them without a copy.
+    Owned(Arc<Parts>),
+}
+
+impl Deposit<'_> {
+    /// The parts, as slices.
+    pub(crate) fn slices(&self) -> Vec<&[f32]> {
+        match self {
+            Deposit::Borrowed(parts) => parts.clone(),
+            Deposit::Owned(parts) => parts.iter().map(Vec::as_slice).collect(),
+        }
+    }
+
+    /// The parts as one shared deposit: owned parts move in, borrowed ones
+    /// are copied.
+    pub(crate) fn into_shared(self) -> Arc<Parts> {
+        match self {
+            Deposit::Borrowed(parts) => Arc::new(parts.iter().map(|s| s.to_vec()).collect()),
+            Deposit::Owned(parts) => parts,
+        }
+    }
+}
+
 /// Who a deposited piece is for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Dest {
@@ -247,7 +277,8 @@ impl Backend {
             // One exchange of an empty piece: the hub releases it exactly
             // when all members' frames arrived — a rendezvous on the wire.
             Backend::Socket(g) => {
-                g.exchange(rank, &[Piece { dest: Dest::Others, parts: Vec::new() }]).map(|_| ())
+                let empty = Piece { dest: Dest::Others, parts: Deposit::Borrowed(Vec::new()) };
+                g.exchange(rank, vec![empty]).map(|_| ())
             }
         }
     }
@@ -260,7 +291,7 @@ impl Backend {
     pub(crate) fn exchange(
         &self,
         rank: usize,
-        pieces: &[Piece<Vec<&[f32]>>],
+        pieces: Vec<Piece<Deposit<'_>>>,
     ) -> Result<Vec<Arc<Parts>>, CommError> {
         match self {
             Backend::Local(i) => i.exchange(rank, pieces),

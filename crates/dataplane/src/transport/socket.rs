@@ -47,7 +47,7 @@
 
 use super::hub::Hub;
 use super::wire::{self, Stream};
-use super::{Backend, ChildKey, Dest, Parts, Piece, RetryPolicy, TransportKind};
+use super::{Backend, ChildKey, Deposit, Dest, Parts, Piece, RetryPolicy, TransportKind};
 use crate::{lock, CommError, Communicator, DEFAULT_TIMEOUT};
 use mics_trace::Arg;
 use std::collections::HashMap;
@@ -849,7 +849,7 @@ impl SocketGroup {
     pub(crate) fn exchange(
         &self,
         rank: usize,
-        pieces: &[Piece<Vec<&[f32]>>],
+        pieces: Vec<Piece<Deposit<'_>>>,
     ) -> Result<Vec<Arc<Parts>>, CommError> {
         if let Some(e) = self.failure() {
             return Err(e);
@@ -864,7 +864,9 @@ impl SocketGroup {
         self.ep.note_pending_depth(depth);
         let header =
             ExchangeHeader { group: self.id, seq, world: self.world as u64, member: rank as u64 };
-        if let Err(e) = self.ep.send_payload(&encode_exchange(header, pieces)) {
+        let slices: Vec<Piece<Vec<&[f32]>>> =
+            pieces.iter().map(|p| Piece { dest: p.dest, parts: p.parts.slices() }).collect();
+        if let Err(e) = self.ep.send_payload(&encode_exchange(header, &slices)) {
             self.ep.take_pending((self.id, seq));
             return Err(e);
         }

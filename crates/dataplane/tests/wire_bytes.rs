@@ -2,8 +2,13 @@
 //! `socket.rank{N}.tx_bytes` and `.rx_bytes` grow, across one collective,
 //! by exactly the payload the α–β model charges that rank — `(w − 1)/w · M`
 //! each way for an exact reduce-scatter of `M`, `(w − 1) · c` received for
-//! a gather of `c`, … — plus the frame overhead the wire layout fixes. The
-//! only other bytes allowed are whole 5-byte heartbeat frames.
+//! a gather of `c`, … — plus the frame overhead the wire layout fixes. A
+//! quantized piece is the packed stream of `mics-compress` (count word,
+//! block metadata, codes four to a word): for int8 at most 7 bytes over
+//! `QuantScheme::wire_bytes`. A quantized all-reduce is two exchanges: one
+//! whole stream to every peer, then an exact gather of `⌈len / w⌉`-element
+//! chunk sums. The only other bytes allowed are whole 5-byte heartbeat
+//! frames.
 //!
 //! This is the only test in its binary: the counters are process-global
 //! and keyed by rank, so no other world may run beside these.
@@ -52,11 +57,11 @@ impl Charge {
     }
 }
 
-/// One collective, and what it charges each rank.
+/// One collective, and what each of its exchanges charges each rank.
 struct Case {
     name: String,
     run: Box<dyn Fn(&Communicator) + Sync>,
-    charge: Box<dyn Fn(u64) -> Charge + Sync>,
+    charge: Box<dyn Fn(u64) -> Vec<Charge> + Sync>,
 }
 
 fn cases(world: u64) -> Vec<Case> {
@@ -83,12 +88,19 @@ fn cases(world: u64) -> Vec<Case> {
         cases.push(Case {
             name: format!("{tag} all-gather of {gathered}"),
             run: Box::new(move |c| drop(c.try_all_gather(&g(c), scheme).unwrap())),
-            charge: Box::new(move |_| whole(words(gathered))),
+            charge: Box::new(move |_| vec![whole(words(gathered))]),
         });
         cases.push(Case {
             name: format!("{tag} all-reduce of {reduced}"),
             run: Box::new(move |c| drop(c.try_all_reduce(&r(c), scheme).unwrap())),
-            charge: Box::new(move |_| whole(words(reduced))),
+            charge: Box::new(move |_| match scheme {
+                None => vec![whole(words(reduced))],
+                // Each rank decodes only its chunk, then the chunk sums are
+                // gathered on the exact wire.
+                Some(_) => {
+                    vec![whole(words(reduced)), whole(reduced.div_ceil(world as usize) as u64)]
+                }
+            }),
         });
         let r = data(reduced);
         cases.push(Case {
@@ -98,15 +110,15 @@ fn cases(world: u64) -> Vec<Case> {
                 // Slice `j` to member `j`: (w − 1)/w of the buffer each way.
                 None => {
                     let shard = reduced as u64 / world;
-                    Charge {
+                    vec![Charge {
                         words: (peers * shard, peers * shard),
                         sent_parts: vec![1; peers as usize],
                         received_parts: vec![1; peers as usize],
-                    }
+                    }]
                 }
                 // Per-slice encoding is exact only on block-aligned slices:
                 // one whole piece.
-                Some(_) => whole(words(reduced)),
+                Some(_) => vec![whole(words(reduced))],
             }),
         });
     }
@@ -119,10 +131,15 @@ fn cases(world: u64) -> Vec<Case> {
         }),
         // The root sends one part and gets one empty entry from each peer;
         // a peer sends an empty piece and gets the root's part.
-        charge: Box::new(move |rank| Charge {
-            words: if rank == 0 { (b as u64, 0) } else { (0, b as u64) },
-            sent_parts: vec![u64::from(rank == 0)],
-            received_parts: (0..world).filter(|&m| m != rank).map(|m| u64::from(m == 0)).collect(),
+        charge: Box::new(move |rank| {
+            vec![Charge {
+                words: if rank == 0 { (b as u64, 0) } else { (0, b as u64) },
+                sent_parts: vec![u64::from(rank == 0)],
+                received_parts: (0..world)
+                    .filter(|&m| m != rank)
+                    .map(|m| u64::from(m == 0))
+                    .collect(),
+            }]
         }),
     });
     cases
@@ -141,6 +158,13 @@ fn assert_only_heartbeats(what: &str, moved: u64, charged: u64, beats: u64) {
 
 #[test]
 fn socket_ranks_move_exactly_the_bytes_the_model_charges() {
+    // An int8 piece is its packed size, a count word and at most 3 bytes of
+    // padding: never more than 7 bytes over what the cost model charges.
+    let int8 = QuantScheme::int8();
+    for len in (0..=1_100).chain([12 * 1_001]) {
+        let payload = 4 * int8.encoded_words(len) as u64;
+        assert!(payload <= int8.wire_bytes(len) + 7, "int8 piece of {len}: {payload} bytes");
+    }
     for world in [2u64, 3, 4] {
         let cases = cases(world);
         let windows = run_ranks_on(TransportKind::Socket, world as usize, |c| {
@@ -160,13 +184,15 @@ fn socket_ranks_move_exactly_the_bytes_the_model_charges() {
         });
         for (rank, windows) in windows.iter().enumerate() {
             for (case, &(tx, rx, elapsed)) in cases.iter().zip(windows) {
-                let charge = (case.charge)(rank as u64);
+                let charges = (case.charge)(rank as u64);
+                let (charged_tx, charged_rx) =
+                    charges.iter().fold((0, 0), |(t, r), c| (t + c.tx(), r + c.rx()));
                 let what = format!("w = {world}, rank {rank}, {}", case.name);
                 // A rank pings every interval; the pong to a ping sent just
                 // before the window opened may still land inside it.
                 let pings = (elapsed.as_nanos() / HEARTBEAT_INTERVAL.as_nanos()) as u64 + 1;
-                assert_only_heartbeats(&format!("{what}, tx"), tx, charge.tx(), pings);
-                assert_only_heartbeats(&format!("{what}, rx"), rx, charge.rx(), pings + 1);
+                assert_only_heartbeats(&format!("{what}, tx"), tx, charged_tx, pings);
+                assert_only_heartbeats(&format!("{what}, rx"), rx, charged_rx, pings + 1);
             }
         }
     }

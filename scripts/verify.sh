@@ -26,6 +26,12 @@ cargo test -q -p mics-dataplane -- --test-threads 16
 echo "==> cargo test -q -p mics-minidl -- --test-threads 16"
 cargo test -q -p mics-minidl -- --test-threads 16
 
+# The codec and the collectives once more in release: a debug build
+# vectorises nothing, so only here do the encoder's AVX2 instantiation and
+# the optimised landing face the bit-identity oracles.
+echo "==> cargo test -q --release -p mics-compress -p mics-dataplane"
+cargo test -q --release -p mics-compress -p mics-dataplane
+
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
