@@ -4,18 +4,17 @@
 //! *heterogeneous* networks: GPUs inside a node talk over NVLink at hundreds
 //! of GB/s while nodes talk over a NIC at 12.5–50 GB/s — a 12×–24× gap,
 //! compared to only ~3× on DGX clusters. This crate describes that hardware
-//! (instance types, node/device layout) and the rank geometry MiCS builds on
-//! it (partition groups and replication groups), and can materialize the
-//! shared network resources inside a [`mics_simnet::Sim`].
+//! (instance types, node/device layout, static per-node NIC derates) and can
+//! materialize the shared network resources inside a [`mics_simnet::Sim`].
+//! The partition and replication groups MiCS builds on it are the schedule
+//! IR's `Geometry`/`GroupRef` in `mics-core`.
 
 #![warn(missing_docs)]
 
-use mics_simnet::{FaultKind, FaultPlan, LinkId, Sim, SimTime};
+use mics_simnet::{LinkId, Sim, SimTime};
 
-mod groups;
 mod instance;
 
-pub use groups::{GroupLayout, GroupLayoutError};
 pub use instance::InstanceType;
 
 /// A device's global rank in the cluster (HPC convention, 0-based).
@@ -58,10 +57,6 @@ pub struct ClusterSpec {
     /// Models a degraded/straggler instance — common on shared cloud
     /// networks (§6 discusses Varuna targeting exactly this).
     nic_derates: Vec<f64>,
-    /// Time-varying faults (degradation windows, jitter, preemptions),
-    /// keyed by node index. The static `nic_derates` above are the
-    /// time-invariant special case.
-    faults: FaultPlan,
 }
 
 impl ClusterSpec {
@@ -71,7 +66,7 @@ impl ClusterSpec {
     /// Panics if `nodes == 0`.
     pub fn new(instance: InstanceType, nodes: usize) -> Self {
         assert!(nodes > 0, "cluster must have at least one node");
-        ClusterSpec { instance, nodes, nic_derates: Vec::new(), faults: FaultPlan::new(0) }
+        ClusterSpec { instance, nodes, nic_derates: Vec::new() }
     }
 
     /// Mark `node`'s NIC as degraded to `factor` × its normal bandwidth
@@ -91,76 +86,6 @@ impl ClusterSpec {
         self.nic_derates.get(node.0).copied().unwrap_or(1.0)
     }
 
-    /// Time-varying generalization of [`ClusterSpec::with_slow_node`]: from
-    /// `start` for `duration`, `node`'s NIC runs at `factor` × its (possibly
-    /// already statically derated) bandwidth. Windows compose with static
-    /// derates multiplicatively.
-    pub fn with_degradation_window(
-        mut self,
-        node: NodeId,
-        start: SimTime,
-        duration: SimTime,
-        factor: f64,
-    ) -> Self {
-        assert!(node.0 < self.nodes, "node out of range");
-        let plan = std::mem::replace(&mut self.faults, FaultPlan::new(0));
-        self.faults = plan.with_degradation(node.0, start, duration, factor);
-        self
-    }
-
-    /// Seeded per-node NIC bandwidth jitter on *every* node: each node's
-    /// capacity is redrawn from `[min_factor, 1]` every `period` until
-    /// `horizon` (noisy-neighbour variability of shared cloud networks).
-    /// Deterministic for a given `seed`.
-    pub fn with_nic_jitter(
-        mut self,
-        seed: u64,
-        period: SimTime,
-        horizon: SimTime,
-        min_factor: f64,
-    ) -> Self {
-        let mut jitter = FaultPlan::new(seed);
-        for node in 0..self.nodes {
-            jitter = jitter.with_jitter(node, period, horizon, min_factor);
-        }
-        let plan = std::mem::replace(&mut self.faults, FaultPlan::new(0));
-        self.faults = plan.with_plan(&jitter);
-        self
-    }
-
-    /// Schedule an explicit spot preemption: `node` is permanently lost at
-    /// `at`. Its NIC serves no further bytes (see
-    /// [`ClusterSpec::schedule_faults`]); killing the executor streams of
-    /// the ranks it hosted is the execution layer's job, via
-    /// [`ClusterSpec::preemptions`].
-    pub fn with_preemption(mut self, node: NodeId, at: SimTime) -> Self {
-        assert!(node.0 < self.nodes, "node out of range");
-        let plan = std::mem::replace(&mut self.faults, FaultPlan::new(0));
-        self.faults = plan.with_crash(node.0, at);
-        self
-    }
-
-    /// Seeded spot-preemption trace: node losses arrive as a Poisson process
-    /// with mean inter-arrival `mean_between` until `horizon`, each victim
-    /// drawn uniformly among surviving nodes. Deterministic for a given
-    /// `seed`.
-    pub fn with_spot_trace(mut self, seed: u64, mean_between: SimTime, horizon: SimTime) -> Self {
-        let trace = FaultPlan::new(seed).with_poisson_crashes(self.nodes, mean_between, horizon);
-        let plan = std::mem::replace(&mut self.faults, FaultPlan::new(0));
-        self.faults = plan.with_plan(&trace);
-        self
-    }
-
-    /// The cluster's composed fault plan (node-indexed).
-    pub fn fault_plan(&self) -> &FaultPlan {
-        &self.faults
-    }
-
-    /// Spot preemptions in schedule order, as `(time, node)` pairs.
-    pub fn preemptions(&self) -> Vec<(SimTime, NodeId)> {
-        self.faults.crashes().into_iter().map(|(at, n)| (at, NodeId(n))).collect()
-    }
-
     /// Devices per node (`k` in the paper's notation).
     pub fn devices_per_node(&self) -> usize {
         self.instance.gpus_per_node
@@ -177,33 +102,21 @@ impl ClusterSpec {
         node_of_rank(rank, self.instance.gpus_per_node)
     }
 
-    /// Rank within its node (0..k).
-    pub fn local_rank(&self, rank: Rank) -> usize {
-        rank.0 % self.instance.gpus_per_node
-    }
-
-    /// Iterate all global ranks.
-    pub fn ranks(&self) -> impl Iterator<Item = Rank> {
-        (0..self.total_devices()).map(Rank)
-    }
-
     /// Global ranks hosted on `node`.
     pub fn ranks_on_node(&self, node: NodeId) -> impl Iterator<Item = Rank> {
         let k = self.instance.gpus_per_node;
         (node.0 * k..(node.0 + 1) * k).map(Rank)
     }
 
-    /// Do two ranks share a node (and can thus talk over NVLink)?
-    pub fn same_node(&self, a: Rank, b: Rank) -> bool {
-        self.node_of(a) == self.node_of(b)
-    }
-
     /// Materialize the shared network resources of this cluster into `sim`.
-    pub fn build_fabric(&self, sim: &mut Sim) -> Fabric {
+    /// Every NIC runs at `nic_scale` × the instance's clean-network rate ×
+    /// its node's static derate (1.0 for microbenchmark-style transfers;
+    /// training charges a lower sustained rate).
+    pub fn build_fabric(&self, sim: &mut Sim, nic_scale: f64) -> Fabric {
         let mut nic = Vec::with_capacity(self.nodes);
         let mut nvlink = Vec::with_capacity(self.nodes);
         for node in 0..self.nodes {
-            let bw = self.instance.nic_bw * self.nic_derate(NodeId(node));
+            let bw = self.instance.nic_bw * nic_scale * self.nic_derate(NodeId(node));
             nic.push(sim.add_link(format!("nic[{node}]"), bw));
             nvlink.push(sim.add_link(format!("nvlink[{node}]"), self.instance.nvlink_fabric_bw));
         }
@@ -212,38 +125,6 @@ impl ClusterSpec {
             memcpy.push(sim.add_link(format!("memcpy[{rank}]"), self.instance.memcpy_bw));
         }
         Fabric { nic, nvlink, memcpy }
-    }
-
-    /// Schedule this spec's fault plan against a materialized fabric:
-    /// degradation / jitter / restore events become NIC link-rate changes
-    /// (relative to the node's static base rate, so they compose with
-    /// [`ClusterSpec::with_slow_node`]); a preemption pins the dead node's
-    /// NIC to effectively zero from the crash instant. Streams are owned by
-    /// the execution layer, so preempted nodes' streams must be killed by
-    /// the caller — iterate [`ClusterSpec::preemptions`] and call
-    /// [`Sim::kill_stream_at`] on each hosted rank's streams.
-    pub fn schedule_faults(&self, sim: &mut Sim, fabric: &Fabric) {
-        for ev in self.faults.events() {
-            assert!(ev.node < self.nodes, "fault plan references node {} out of range", ev.node);
-            let nic = fabric.nic[ev.node];
-            match ev.kind {
-                FaultKind::NicDegrade { factor } => sim.set_link_rate_at(nic, ev.at, factor),
-                FaultKind::NicRestore => sim.set_link_rate_at(nic, ev.at, 1.0),
-                FaultKind::Crash => sim.set_link_rate_at(nic, ev.at, 1e-9),
-                // Capacity return is an elastic-scheduler signal, not a
-                // fabric change: the returned slot joins a *new* world, so
-                // the old fabric's NIC stays down.
-                FaultKind::Return => {}
-            }
-        }
-    }
-
-    /// [`ClusterSpec::build_fabric`] plus [`ClusterSpec::schedule_faults`]
-    /// in one call.
-    pub fn build_fabric_with_faults(&self, sim: &mut Sim) -> Fabric {
-        let fabric = self.build_fabric(sim);
-        self.schedule_faults(sim, &fabric);
-        fabric
     }
 
     /// The hop latencies of this cluster's instance type, used by the α–β
@@ -270,16 +151,6 @@ impl Fabric {
     pub fn nic_of(&self, spec: &ClusterSpec, rank: Rank) -> LinkId {
         self.nic[spec.node_of(rank).0]
     }
-
-    /// The NVLink fabric of the node hosting `rank`.
-    pub fn nvlink_of(&self, spec: &ClusterSpec, rank: Rank) -> LinkId {
-        self.nvlink[spec.node_of(rank).0]
-    }
-
-    /// The copy engine of `rank`.
-    pub fn memcpy_of(&self, rank: Rank) -> LinkId {
-        self.memcpy[rank.0]
-    }
 }
 
 /// Per-hop startup latencies of a cluster, used by the α–β collective cost
@@ -305,15 +176,12 @@ mod tests {
         assert_eq!(spec.node_of(Rank(7)), NodeId(0));
         assert_eq!(spec.node_of(Rank(8)), NodeId(1));
         assert_eq!(spec.node_of(Rank(31)), NodeId(3));
-        assert_eq!(spec.local_rank(Rank(13)), 5);
-        assert!(spec.same_node(Rank(8), Rank(15)));
-        assert!(!spec.same_node(Rank(7), Rank(8)));
     }
 
     #[test]
     fn free_node_mapping_helpers_agree_with_spec() {
         let spec = ClusterSpec::new(InstanceType::p3dn_24xlarge(), 4);
-        for rank in spec.ranks() {
+        for rank in (0..spec.total_devices()).map(Rank) {
             assert_eq!(node_of_rank(rank, spec.devices_per_node()), spec.node_of(rank));
         }
         // A partition group of 16 consecutive ranks spans 2 nodes of 8.
@@ -338,12 +206,24 @@ mod tests {
     fn fabric_has_expected_links() {
         let spec = ClusterSpec::new(InstanceType::p4d_24xlarge(), 3);
         let mut sim = Sim::new();
-        let fabric = spec.build_fabric(&mut sim);
+        let fabric = spec.build_fabric(&mut sim, 1.0);
         assert_eq!(fabric.nic.len(), 3);
         assert_eq!(fabric.nvlink.len(), 3);
         assert_eq!(fabric.memcpy.len(), 24);
         assert_eq!(fabric.nic_of(&spec, Rank(9)), fabric.nic[1]);
-        assert_eq!(fabric.nvlink_of(&spec, Rank(23)), fabric.nvlink[2]);
+    }
+
+    #[test]
+    fn nic_scale_composes_with_slow_node() {
+        // p3dn NIC = 12.5 GB/s; × 0.5 scale × 0.5 derate = 3.125 GB/s, so
+        // 1 GB takes 320 ms.
+        let spec =
+            ClusterSpec::new(InstanceType::p3dn_24xlarge(), 2).with_slow_node(NodeId(0), 0.5);
+        let mut sim = Sim::new();
+        let fabric = spec.build_fabric(&mut sim, 0.5);
+        let s = sim.add_stream("comm");
+        sim.push(s, mics_simnet::Op::transfer(fabric.nic[0], 1_000_000_000, SimTime::ZERO));
+        assert_eq!(sim.run().unwrap().makespan, SimTime::from_millis(320));
     }
 
     #[test]
@@ -367,104 +247,5 @@ mod tests {
     #[should_panic(expected = "at least one node")]
     fn zero_nodes_rejected() {
         let _ = ClusterSpec::new(InstanceType::p3dn_24xlarge(), 0);
-    }
-
-    #[test]
-    fn degradation_window_slows_inter_node_transfer() {
-        // p3dn NIC = 12.5 GB/s. Send 2.5 GB: healthy time is 200 ms.
-        let healthy = ClusterSpec::new(InstanceType::p3dn_24xlarge(), 2);
-        let degraded = ClusterSpec::new(InstanceType::p3dn_24xlarge(), 2).with_degradation_window(
-            NodeId(0),
-            SimTime::from_millis(100),
-            SimTime::from_millis(100),
-            0.25,
-        );
-        let run = |spec: &ClusterSpec| {
-            let mut sim = Sim::new();
-            let fabric = spec.build_fabric_with_faults(&mut sim);
-            let s = sim.add_stream("comm");
-            sim.push(s, mics_simnet::Op::transfer(fabric.nic[0], 2_500_000_000, SimTime::ZERO));
-            sim.run().unwrap().makespan
-        };
-        assert_eq!(run(&healthy), SimTime::from_millis(200));
-        // 1.25 GB by 100ms; window moves 0.3125 GB in 100ms at 3.125 GB/s;
-        // remaining 0.9375 GB at full rate takes 75 ms → 275 ms.
-        assert_eq!(run(&degraded), SimTime::from_millis(275));
-    }
-
-    #[test]
-    fn window_composes_with_static_derate() {
-        // Static 0.5 derate halves the base rate; a 0.5 window halves it
-        // again during [0, 100ms].
-        let spec = ClusterSpec::new(InstanceType::p3dn_24xlarge(), 1)
-            .with_slow_node(NodeId(0), 0.5)
-            .with_degradation_window(NodeId(0), SimTime::ZERO, SimTime::from_millis(100), 0.5);
-        let mut sim = Sim::new();
-        let fabric = spec.build_fabric_with_faults(&mut sim);
-        let s = sim.add_stream("comm");
-        // 1 GB: 0.3125 GB during the quarter-rate window (3.125 GB/s),
-        // then 0.6875 GB at the half rate (6.25 GB/s) = 110 ms → 210 ms.
-        sim.push(s, mics_simnet::Op::transfer(fabric.nic[0], 1_000_000_000, SimTime::ZERO));
-        assert_eq!(sim.run().unwrap().makespan, SimTime::from_millis(210));
-    }
-
-    #[test]
-    fn spot_trace_is_seeded_and_deterministic() {
-        let build = |seed| {
-            ClusterSpec::new(InstanceType::p3dn_24xlarge(), 8)
-                .with_spot_trace(seed, SimTime::from_secs(2), SimTime::from_secs(10))
-                .preemptions()
-        };
-        let a = build(21);
-        assert_eq!(a, build(21));
-        assert_ne!(a, build(22));
-        assert!(!a.is_empty(), "10 s horizon with 2 s mean should preempt someone");
-        for (at, node) in &a {
-            assert!(*at < SimTime::from_secs(10));
-            assert!(node.0 < 8);
-        }
-    }
-
-    #[test]
-    fn preempted_node_nic_stops_serving() {
-        let spec = ClusterSpec::new(InstanceType::p3dn_24xlarge(), 2)
-            .with_preemption(NodeId(1), SimTime::from_millis(10));
-        assert_eq!(spec.preemptions(), vec![(SimTime::from_millis(10), NodeId(1))]);
-        let mut sim = Sim::new();
-        let fabric = spec.build_fabric_with_faults(&mut sim);
-        // A transfer on the dead node's NIC that would finish at 80 ms when
-        // healthy gets stuck behind the crash; the execution layer is
-        // expected to kill the stream, which unsticks the simulation.
-        let s = sim.add_stream("comm");
-        sim.push(s, mics_simnet::Op::transfer(fabric.nic[1], 1_000_000_000, SimTime::ZERO));
-        sim.kill_stream_at(s, SimTime::from_millis(10));
-        let stats = sim.run().unwrap();
-        assert_eq!(stats.makespan, SimTime::from_millis(10));
-        assert_eq!(stats.killed_streams, vec![s]);
-        // Only the bytes moved before the crash count: 12.5 GB/s × 10 ms.
-        assert_eq!(stats.link_bytes[fabric.nic[1].0], 125_000_000);
-    }
-
-    #[test]
-    fn jitter_profile_is_deterministic_end_to_end() {
-        let run = |seed| {
-            let spec = ClusterSpec::new(InstanceType::p3dn_24xlarge(), 2).with_nic_jitter(
-                seed,
-                SimTime::from_millis(20),
-                SimTime::from_millis(200),
-                0.3,
-            );
-            let mut sim = Sim::new();
-            let fabric = spec.build_fabric_with_faults(&mut sim);
-            let s = sim.add_stream("comm");
-            sim.push(s, mics_simnet::Op::transfer(fabric.nic[0], 1_000_000_000, SimTime::ZERO));
-            sim.run().unwrap()
-        };
-        let a = run(5);
-        let b = run(5);
-        assert_eq!(a.makespan, b.makespan);
-        assert_eq!(a.faults, b.faults);
-        // Jitter must actually slow the transfer relative to a healthy NIC.
-        assert!(a.makespan > SimTime::from_millis(80));
     }
 }

@@ -45,31 +45,18 @@ impl NetParams {
     }
 }
 
-/// Algorithm bandwidth: full message size divided by elapsed time. This is
-/// what a user perceives ("how fast did my M bytes get gathered").
-pub fn algorithm_bandwidth(message_bytes: u64, elapsed: SimTime) -> f64 {
-    if elapsed == SimTime::ZERO {
-        return f64::INFINITY;
-    }
-    message_bytes as f64 / elapsed.as_secs_f64()
-}
-
-/// Bus bandwidth: wire volume `(p-1)/p · M` divided by elapsed time. This is
-/// the NCCL convention and what the paper's B_part / B_all numbers use
-/// (B_part ≈ 128 GB/s on NVLink, B_all ≈ 11 GB/s across 8 nodes).
-pub fn bus_bandwidth(p: usize, message_bytes: u64, elapsed: SimTime) -> f64 {
-    if elapsed == SimTime::ZERO || p < 2 {
-        return f64::INFINITY;
-    }
-    let wire = message_bytes as f64 * (p as f64 - 1.0) / p as f64;
-    wire / elapsed.as_secs_f64()
-}
-
 /// Effective all-gather bus bandwidth for a message of `m` bytes over `p`
-/// ranks (`k` per node) — the model behind Figure 1.
+/// ranks (`k` per node) — the model behind Figure 1. Bus bandwidth is the
+/// wire volume `(p-1)/p · M` divided by elapsed time: the NCCL convention,
+/// and what the paper's B_part / B_all numbers use (B_part ≈ 128 GB/s on
+/// NVLink, B_all ≈ 11 GB/s across 8 nodes).
 pub fn effective_all_gather_bw(p: usize, k: usize, m: u64, net: &NetParams) -> f64 {
     let t = cost::all_gather_flat(p, k, m, net).serial_time(net);
-    bus_bandwidth(p, m, t)
+    if t == SimTime::ZERO || p < 2 {
+        return f64::INFINITY;
+    }
+    let wire = m as f64 * (p as f64 - 1.0) / p as f64;
+    wire / t.as_secs_f64()
 }
 
 #[cfg(test)]
@@ -81,13 +68,6 @@ mod tests {
     }
 
     const MB: u64 = 1 << 20;
-
-    #[test]
-    fn bus_bandwidth_definition() {
-        // 16 ranks, 16 MB, 1 ms → wire volume 15 MB → 15 MB/ms.
-        let bw = bus_bandwidth(16, 16 * MB, SimTime::from_millis(1));
-        assert!((bw - 15.0 * MB as f64 * 1000.0).abs() / bw < 1e-9);
-    }
 
     #[test]
     fn figure1_shape_bandwidth_drops_with_scale_at_fixed_message() {
@@ -129,10 +109,5 @@ mod tests {
         // §3.2: the cost ratio for intra-node partitioning can reach ~11.6.
         let ratio = b_part / b_all;
         assert!((8.0..=16.0).contains(&ratio), "B_part/B_all = {ratio}");
-    }
-
-    #[test]
-    fn algorithm_bandwidth_zero_time_is_infinite() {
-        assert!(algorithm_bandwidth(MB, SimTime::ZERO).is_infinite());
     }
 }

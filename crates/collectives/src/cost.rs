@@ -223,66 +223,6 @@ pub fn p2p(m: u64, inter_node: bool, net: &NetParams) -> CollectiveCost {
     CollectiveCost { phases: vec![Phase { link, bytes: m, latency: net.launch + alpha }] }
 }
 
-/// Cost of a double-binary-tree all-reduce over `p` ranks (`stride`/`k` as
-/// in [`all_reduce`]).
-///
-/// Per the paper's footnote 1 (Chan et al. §7.1.7), tree algorithms bound
-/// collective latency with `⌈log₂ p⌉·α` per direction instead of the ring's
-/// `2·p·α` — at the price of a far worse bandwidth term: a non-pipelined
-/// binary tree moves the full message once per level in each direction,
-/// `2·⌈log₂ p⌉·m` bytes on the bottleneck link, which is why rings win for
-/// large messages.
-pub fn all_reduce_tree(
-    p: usize,
-    k: usize,
-    stride: usize,
-    m: u64,
-    net: &NetParams,
-) -> CollectiveCost {
-    assert!(p >= 1 && k >= 1 && stride >= 1);
-    if p == 1 {
-        return CollectiveCost { phases: vec![] };
-    }
-    let depth = (usize::BITS - (p - 1).leading_zeros()) as u64; // ⌈log₂ p⌉
-    let span = (p - 1) * stride + 1;
-    if span > k {
-        CollectiveCost {
-            phases: vec![Phase {
-                link: LinkClass::Nic,
-                bytes: 2 * depth * m,
-                latency: net.launch + inter_hop(net, p) * (2 * depth),
-            }],
-        }
-    } else {
-        CollectiveCost {
-            phases: vec![Phase {
-                link: LinkClass::NvLink,
-                bytes: 2 * depth * m,
-                latency: net.launch + net.alpha_intra * (2 * depth),
-            }],
-        }
-    }
-}
-
-/// NCCL-style algorithm selection: rings win for large messages (better
-/// bandwidth term), trees win for small messages at scale (latency term).
-/// Picks whichever the cost model says is faster.
-pub fn all_reduce_auto(
-    p: usize,
-    k: usize,
-    stride: usize,
-    m: u64,
-    net: &NetParams,
-) -> CollectiveCost {
-    let ring = all_reduce(p, k, stride, m, net);
-    let tree = all_reduce_tree(p, k, stride, m, net);
-    if tree.serial_time(net) < ring.serial_time(net) {
-        tree
-    } else {
-        ring
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -410,39 +350,6 @@ mod tests {
             .map(|&p| all_gather_flat(p, 8, MB, &n).serial_time(&n))
             .collect();
         assert!(t8[0] < t8[1] && t8[1] < t8[2]);
-    }
-
-    #[test]
-    fn tree_all_reduce_has_log_latency() {
-        let n = net();
-        let ring = all_reduce(256, 8, 1, 1 << 20, &n);
-        let tree = all_reduce_tree(256, 8, 1, 1 << 20, &n);
-        // Tree latency ≈ 2·log₂(256)·α = 16 hops; ring ≈ 2·255 hops.
-        assert!(tree.phases[0].latency < ring.phases[0].latency);
-        // But the tree moves 2M bytes vs the ring's ~2M·(p-1)/p — the tree
-        // has no bandwidth advantage.
-        assert!(tree.phases[0].bytes >= ring.phases[0].bytes);
-    }
-
-    #[test]
-    fn auto_selection_crossover() {
-        // Small message at scale → tree; large message → ring.
-        let n = net();
-        let small = all_reduce_auto(256, 8, 1, 64 << 10, &n);
-        let tree = all_reduce_tree(256, 8, 1, 64 << 10, &n);
-        assert_eq!(small, tree, "64 KiB over 256 ranks must pick the tree");
-        let large = all_reduce_auto(256, 8, 1, 256 << 20, &n);
-        let ring = all_reduce(256, 8, 1, 256 << 20, &n);
-        assert_eq!(large, ring, "256 MiB must pick the ring");
-    }
-
-    #[test]
-    fn tree_intra_node_uses_nvlink() {
-        let n = net();
-        let c = all_reduce_tree(8, 8, 1, 1 << 20, &n);
-        assert_eq!(c.phases[0].link, LinkClass::NvLink);
-        let c = all_reduce_tree(1, 8, 1, 1 << 20, &n);
-        assert!(c.phases.is_empty());
     }
 
     #[test]

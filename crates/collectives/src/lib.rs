@@ -1,5 +1,10 @@
 //! Collective-communication algorithms for MiCS: chunk-layout math, α–β cost
-//! models, and effective-bandwidth estimation.
+//! models, and the Figure 1 effective-bandwidth model.
+//!
+//! The cost models are ring algorithms plus the §3.3 hierarchical
+//! all-gather, with or without a wire codec ([`compress`]); every one of
+//! them is costed by some simulator path. Tree all-reduce (the paper's
+//! footnote 1) is not modelled: no MiCS schedule selects it.
 //!
 //! This crate is the shared brain behind both halves of the reproduction:
 //!
@@ -22,7 +27,7 @@ pub mod cost;
 pub mod dispatch;
 pub mod layout;
 
-pub use bandwidth::{algorithm_bandwidth, bus_bandwidth, NetParams};
+pub use bandwidth::NetParams;
 pub use compress::CompressionModel;
 pub use cost::{CollectiveCost, LinkClass, Phase};
 pub use dispatch::{WireCollective, WireKind};

@@ -269,7 +269,6 @@ impl Canonical for ClusterSpec {
             }
         }
         h.write_tag(0xfe); // close the variable-length derate run
-        h.write_u64(self.fault_plan().fingerprint());
     }
 }
 

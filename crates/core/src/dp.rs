@@ -178,7 +178,7 @@ fn simulate_stages(
     let world = n * pp;
     let s = job.accum_steps;
 
-    // The job's own cluster — its stragglers and fault plan included —
+    // The job's own cluster — its stragglers included —
     // widened to all `pp` stages: stage 0 sits on the job's nodes, the
     // added nodes are healthy. At `pp = 1` this is `job.cluster` exactly.
     let mut full = job.cluster.clone();

@@ -58,17 +58,7 @@ impl SimCluster {
     /// Materialize `spec` into a fresh simulator.
     pub fn new(spec: ClusterSpec) -> Self {
         let mut sim = Sim::new();
-        let mut fabric = spec.build_fabric(&mut sim);
-        // Replace the NIC links with training-derated ones.
-        fabric.nic = (0..spec.nodes)
-            .map(|node| {
-                let per_node = spec.nic_derate(mics_cluster::NodeId(node));
-                sim.add_link(
-                    format!("nic-training[{node}]"),
-                    spec.instance.nic_bw * NIC_TRAINING_DERATE * per_node,
-                )
-            })
-            .collect();
+        let fabric = spec.build_fabric(&mut sim, NIC_TRAINING_DERATE);
         let net = NetParams::from_instance(&spec.instance);
         let n = spec.total_devices();
         let mut compute = Vec::with_capacity(n);

@@ -223,7 +223,7 @@ fn peer_copy_time(job: &TrainingJob) -> SimTime {
     let shard = model_state_bytes(job) / p_opt as u64;
     let alpha = job.cluster.latencies().inter;
     let mut sim = Sim::new();
-    let fabric = job.cluster.build_fabric(&mut sim);
+    let fabric = job.cluster.build_fabric(&mut sim, 1.0);
     for lost in job.cluster.ranks_on_node(NodeId(0)) {
         let donor = off_node_donor(job, lost).expect("policy_for guarantees donors");
         let s = sim.add_stream(format!("restore[{}]", lost.0));
@@ -423,7 +423,7 @@ fn reshard_time(job: &TrainingJob, nodes: usize) -> SimTime {
     let per_node = model_state_bytes(job) / nodes.max(1) as u64;
     let alpha = cl.latencies().inter;
     let mut sim = Sim::new();
-    let fabric = cl.build_fabric(&mut sim);
+    let fabric = cl.build_fabric(&mut sim, 1.0);
     for node in 0..nodes {
         let s = sim.add_stream(format!("reshard[{node}]"));
         sim.push(s, Op::transfer(fabric.nic[node], per_node, alpha));
@@ -642,7 +642,6 @@ pub fn simulate_elastic(
                     }
                 }
             }
-            FaultKind::NicDegrade { .. } | FaultKind::NicRestore => {}
         }
     }
     let r = rel_rate(policy, &mut rates, job, full.samples_per_sec, nodes, away.len());

@@ -379,11 +379,16 @@ mod tests {
                 let cache = Arc::clone(&cache);
                 let runs = Arc::clone(&runs);
                 std::thread::spawn(move || {
+                    let peers = Arc::clone(&cache);
                     cache
                         .get_or_compute(key(2), far(), move || {
                             runs.fetch_add(1, Ordering::SeqCst);
-                            // Hold the slot long enough that peers pile up.
-                            std::thread::sleep(Duration::from_millis(50));
+                            // Hold the slot until every peer has collapsed
+                            // onto it: a waiter counts itself under the lock
+                            // before it parks.
+                            while peers.stats.snapshot().3 < 7 {
+                                std::thread::yield_now();
+                            }
                             Json::from("slow")
                         })
                         .unwrap()
@@ -398,29 +403,35 @@ mod tests {
         assert_eq!(queries, 8);
         assert_eq!(misses, 1);
         assert_eq!(sim_runs, 1);
-        assert_eq!(hits + dedup, 7 + dedup, "waiters resolve as hits");
-        assert!(dedup >= 1, "at least one duplicate must have waited");
+        assert_eq!(dedup, 7, "every duplicate waited on the one run");
+        assert_eq!(hits, 7, "waiters resolve as hits");
     }
 
     #[test]
     fn waiter_deadline_expires_while_leader_runs() {
         let cache = Arc::new(PlanCache::new());
         let c2 = Arc::clone(&cache);
+        let (started_tx, started) = std::sync::mpsc::channel();
+        let (release, release_rx) = std::sync::mpsc::channel::<()>();
         let leader = std::thread::spawn(move || {
-            c2.get_or_compute(key(3), far(), || {
-                std::thread::sleep(Duration::from_millis(200));
+            c2.get_or_compute(key(3), far(), move || {
+                started_tx.send(()).unwrap();
+                // Hold the slot until the duplicate has given up.
+                release_rx.recv().unwrap();
                 Json::from("late")
             })
             .unwrap()
         });
-        std::thread::sleep(Duration::from_millis(30)); // let the leader start
+        started.recv().unwrap();
         let err = cache
             .get_or_compute(key(3), Instant::now() + Duration::from_millis(20), || {
                 unreachable!("duplicate must not compute")
             })
             .unwrap_err();
         assert!(matches!(err, PlanError::DeadlineExceeded { .. }), "{err:?}");
-        leader.join().unwrap();
+        release.send(()).unwrap();
+        let (_, outcome) = leader.join().unwrap();
+        assert_eq!(outcome, CacheOutcome::Leader);
     }
 
     #[test]

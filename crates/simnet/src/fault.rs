@@ -1,17 +1,16 @@
-//! Seeded, deterministic fault plans: the "unreliable public cloud" input to
-//! a simulation.
+//! Seeded, deterministic crash/return timelines: the "unreliable public
+//! cloud" input to the recovery experiments.
 //!
-//! MiCS's setting is the public cloud, where NICs degrade, bandwidth
-//! jitters, and spot instances vanish mid-run. A [`FaultPlan`] is a
-//! schedule of such faults against abstract *node* indices, generated from
-//! an explicit seed so that every run of the same plan produces the same
-//! fault timeline (and therefore identical recovery statistics — an
-//! acceptance requirement for the recovery experiments).
+//! MiCS's setting is the public cloud, where spot instances vanish mid-run
+//! and their capacity comes back later. A [`FaultPlan`] is a schedule of
+//! such events against abstract *node* indices, generated from an explicit
+//! seed so that every walk of the same plan produces the same timeline (and
+//! therefore identical recovery statistics — an acceptance requirement for
+//! the recovery experiments).
 //!
-//! The plan itself is topology-agnostic: it speaks of node indices and
-//! relative NIC capacity factors. `mics-cluster` maps a plan onto concrete
-//! [`crate::LinkId`]s / [`crate::StreamId`]s of a built fabric, and
-//! `mics-core` interprets crashes against executor state.
+//! The plan is data, not simulator events: `mics-core::recovery` walks it
+//! against its own cost model. Slow NICs reach the simulator as static
+//! per-node derates (`mics-cluster`'s `ClusterSpec::with_slow_node`).
 
 use crate::SimTime;
 
@@ -26,19 +25,11 @@ pub struct FaultEvent {
     pub kind: FaultKind,
 }
 
-/// The kinds of injectable faults.
+/// The kinds of fault events.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FaultKind {
     /// The node is permanently lost (spot preemption, hardware death).
     Crash,
-    /// The node's NIC drops to `factor` × its healthy bandwidth (transient
-    /// congestion, flapping link, noisy neighbour).
-    NicDegrade {
-        /// Multiplier in `(0, 1]` applied to the healthy NIC rate.
-        factor: f64,
-    },
-    /// The node's NIC returns to its healthy bandwidth.
-    NicRestore,
     /// The node slot's capacity is available again after a preemption — the
     /// spot market handed the instance type back, and an elastic job may
     /// re-admit the slot (grow). Only meaningful after a `Crash` of the
@@ -52,17 +43,21 @@ pub enum FaultKind {
 /// ```
 /// use mics_simnet::{FaultPlan, SimTime};
 ///
-/// let plan = FaultPlan::new(42)
-///     .with_degradation(1, SimTime::from_millis(10), SimTime::from_millis(5), 0.25)
-///     .with_crash(3, SimTime::from_millis(40));
-/// assert_eq!(plan.events().len(), 3); // degrade + restore + crash
-/// assert_eq!(plan, FaultPlan::new(42)
-///     .with_degradation(1, SimTime::from_millis(10), SimTime::from_millis(5), 0.25)
-///     .with_crash(3, SimTime::from_millis(40)));
+/// let spot = |seed| {
+///     FaultPlan::new(seed).with_spot_trace(
+///         4,
+///         SimTime::from_secs(10),
+///         SimTime::from_secs(5),
+///         SimTime::from_secs(120),
+///     )
+/// };
+/// let plan = spot(42);
+/// assert!(!plan.crashes().is_empty());
+/// assert!(plan.returns().len() <= plan.crashes().len());
+/// assert_eq!(plan, spot(42)); // same seed, same timeline
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
-    seed: u64,
     /// Consumed by the seeded builders so that chaining two generators on
     /// one plan yields independent (but still deterministic) draws.
     rng_state: u64,
@@ -85,12 +80,7 @@ fn unit_open(state: &mut u64) -> f64 {
 impl FaultPlan {
     /// An empty plan whose seeded generators derive from `seed`.
     pub fn new(seed: u64) -> Self {
-        FaultPlan { seed, rng_state: seed ^ 0xA076_1D64_78BD_642F, events: Vec::new() }
-    }
-
-    /// The seed this plan was built from.
-    pub fn seed(&self) -> u64 {
-        self.seed
+        FaultPlan { rng_state: seed ^ 0xA076_1D64_78BD_642F, events: Vec::new() }
     }
 
     fn push(&mut self, ev: FaultEvent) {
@@ -99,80 +89,10 @@ impl FaultPlan {
         self.events.sort_by_key(|e| e.at);
     }
 
-    /// Schedule a permanent node loss at `at`.
-    pub fn with_crash(mut self, node: usize, at: SimTime) -> Self {
-        self.push(FaultEvent { at, node, kind: FaultKind::Crash });
-        self
-    }
-
-    /// Schedule a transient NIC-degradation window: from `start` for
-    /// `duration`, the node's NIC runs at `factor` × healthy bandwidth.
-    pub fn with_degradation(
-        mut self,
-        node: usize,
-        start: SimTime,
-        duration: SimTime,
-        factor: f64,
-    ) -> Self {
-        assert!(factor > 0.0 && factor <= 1.0, "degradation factor must be in (0, 1]");
-        assert!(duration > SimTime::ZERO, "degradation window must have positive duration");
-        self.push(FaultEvent { at: start, node, kind: FaultKind::NicDegrade { factor } });
-        self.push(FaultEvent { at: start + duration, node, kind: FaultKind::NicRestore });
-        self
-    }
-
-    /// Seeded bandwidth jitter: every `period` until `horizon`, the node's
-    /// NIC capacity is redrawn uniformly from `[min_factor, 1]`, with a
-    /// restore at `horizon`. Models the noisy-neighbour variability of
-    /// shared cloud networks.
-    pub fn with_jitter(
-        mut self,
-        node: usize,
-        period: SimTime,
-        horizon: SimTime,
-        min_factor: f64,
-    ) -> Self {
-        assert!(period > SimTime::ZERO, "jitter period must be positive");
-        assert!((0.0..=1.0).contains(&min_factor), "min_factor must be in [0, 1]");
-        let mut at = SimTime::ZERO;
-        while at < horizon {
-            let factor = min_factor + unit_open(&mut self.rng_state) * (1.0 - min_factor);
-            let factor = factor.max(f64::MIN_POSITIVE);
-            self.push(FaultEvent { at, node, kind: FaultKind::NicDegrade { factor } });
-            at += period;
-        }
-        self.push(FaultEvent { at: horizon, node, kind: FaultKind::NicRestore });
-        self
-    }
-
-    /// Seeded Poisson crash process over `nodes` nodes: crash inter-arrival
-    /// times are exponential with mean `mean_between`, victims are drawn
-    /// uniformly among still-alive nodes, until `horizon` or until every
-    /// node is dead.
-    pub fn with_poisson_crashes(
-        mut self,
-        nodes: usize,
-        mean_between: SimTime,
-        horizon: SimTime,
-    ) -> Self {
-        assert!(nodes > 0, "need at least one node");
-        assert!(mean_between > SimTime::ZERO, "mean inter-arrival must be positive");
-        let mut alive: Vec<usize> = (0..nodes).collect();
-        let mut at = SimTime::ZERO;
-        loop {
-            let gap = -unit_open(&mut self.rng_state).ln() * mean_between.as_nanos() as f64;
-            at += SimTime::from_nanos(gap.ceil() as u64);
-            if at >= horizon || alive.is_empty() {
-                break;
-            }
-            let victim = alive.remove(splitmix64(&mut self.rng_state) as usize % alive.len());
-            self.push(FaultEvent { at, node: victim, kind: FaultKind::Crash });
-        }
-        self
-    }
-
-    /// Like [`FaultPlan::with_poisson_crashes`], but assumes every failed
-    /// node is replaced by a fresh instance, so the same node *slot* can
+    /// Seeded Poisson crash process over `nodes` node slots: crash
+    /// inter-arrival times are exponential with mean `mean_between` until
+    /// `horizon`, and each victim is drawn uniformly among all slots. Every
+    /// failed node is replaced by a fresh instance, so the same slot can
     /// fail again — the right trace for recovery experiments, where the
     /// process never exhausts.
     pub fn with_replaced_poisson_crashes(
@@ -243,16 +163,6 @@ impl FaultPlan {
         self
     }
 
-    /// Merge every event of `other` into this plan (time order preserved).
-    /// Lets callers compose independently seeded concerns — e.g. a jitter
-    /// profile and a spot-preemption trace built from different seeds.
-    pub fn with_plan(mut self, other: &FaultPlan) -> Self {
-        for ev in other.events() {
-            self.push(*ev);
-        }
-        self
-    }
-
     /// The schedule, sorted by time (equal times in insertion order).
     pub fn events(&self) -> &[FaultEvent] {
         &self.events
@@ -290,11 +200,6 @@ impl FaultPlan {
             mix(e.node as u64);
             match e.kind {
                 FaultKind::Crash => mix(1),
-                FaultKind::NicDegrade { factor } => {
-                    mix(2);
-                    mix(factor.to_bits());
-                }
-                FaultKind::NicRestore => mix(3),
                 FaultKind::Return => mix(4),
             }
         }
@@ -399,7 +304,6 @@ mod tests {
                     away[e.node] = Some(SimTime::from_nanos(u64::MAX));
                 }
                 FaultKind::Return => away[e.node] = Some(e.at),
-                _ => {}
             }
         }
     }

@@ -26,6 +26,12 @@ cargo test -q -p mics-dataplane -- --test-threads 16
 echo "==> cargo test -q -p mics-minidl -- --test-threads 16"
 cargo test -q -p mics-minidl -- --test-threads 16
 
+# And for mics-planner, whose single-flight cache tests race a leader
+# against its duplicates: they wait on conditions, never on sleeps, so
+# they must hold at this contention too.
+echo "==> cargo test -q -p mics-planner -- --test-threads 16"
+cargo test -q -p mics-planner -- --test-threads 16
+
 # The codec and the collectives once more in release: a debug build
 # vectorises nothing, so only here do the encoder's AVX2 instantiation and
 # the optimised landing face the bit-identity oracles.
