@@ -2,9 +2,8 @@
 //! models, and the Figure 1 effective-bandwidth model.
 //!
 //! The cost models are ring algorithms plus the §3.3 hierarchical
-//! all-gather, with or without a wire codec ([`compress`]); every one of
-//! them is costed by some simulator path. Tree all-reduce (the paper's
-//! footnote 1) is not modelled: no MiCS schedule selects it.
+//! all-gather, with or without a wire codec ([`compress`]). Tree all-reduce
+//! (the paper's footnote 1) is not modelled: no MiCS schedule selects it.
 //!
 //! This crate is the shared brain behind both halves of the reproduction:
 //!

@@ -213,8 +213,9 @@ mod tests {
 
     #[test]
     fn events_stay_sorted_by_time() {
-        // A spot trace pushes each return ahead of later crashes, so its
-        // events only come out in time order because `push` keeps them so.
+        // A spot trace pushes each return before crashes that happen
+        // earlier than it, so its events come out in time order only
+        // because `push` keeps them sorted.
         let plan = FaultPlan::new(1)
             .with_spot_trace(
                 4,

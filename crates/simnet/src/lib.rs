@@ -268,8 +268,7 @@ pub struct Sim {
     links: Vec<LinkState>,
     stats: RunStats,
     tracing: bool,
-    /// Time of the last op completion: a stale link check that fires after
-    /// all work is done must not inflate the makespan.
+    /// Time of the last op completion, reported as [`RunStats::makespan`].
     last_progress: SimTime,
 }
 
@@ -426,7 +425,7 @@ impl Sim {
             let (label, bytes) = match &s.program[s.pc] {
                 Op::Compute { .. } => ("compute", None),
                 Op::Transfer { bytes, .. } => ("transfer", Some(*bytes)),
-                Op::RecordEvent(_) | Op::WaitEvent(_) => ("op", None),
+                _ => ("op", None),
             };
             let name = s.name.clone();
             let started = s.op_started;
