@@ -117,13 +117,12 @@ impl ClusterSpec {
         let mut nvlink = Vec::with_capacity(self.nodes);
         for node in 0..self.nodes {
             let bw = self.instance.nic_bw * nic_scale * self.nic_derate(NodeId(node));
-            nic.push(sim.add_link(format!("nic[{node}]"), bw));
-            nvlink.push(sim.add_link(format!("nvlink[{node}]"), self.instance.nvlink_fabric_bw));
+            nic.push(sim.add_link("nic", bw));
+            nvlink.push(sim.add_link("nvlink", self.instance.nvlink_fabric_bw));
         }
-        let mut memcpy = Vec::with_capacity(self.total_devices());
-        for rank in 0..self.total_devices() {
-            memcpy.push(sim.add_link(format!("memcpy[{rank}]"), self.instance.memcpy_bw));
-        }
+        let memcpy = (0..self.total_devices())
+            .map(|_| sim.add_link("memcpy", self.instance.memcpy_bw))
+            .collect();
         Fabric { nic, nvlink, memcpy }
     }
 

@@ -30,9 +30,11 @@
 use crate::memory::{check_memory, MemoryEstimate, OomError, BUCKET_BYTES};
 use crate::ops::SimCluster;
 use crate::report::RunReport;
-use crate::schedule::{execute_on_sim, LayerSchedule, PipelineSpec, ScheduleSpec, StepProgram};
+use crate::schedule::{
+    execute_on_sim, Geometry, LayerSchedule, PipelineSpec, ScheduleSpec, StepProgram,
+};
 use crate::TrainingJob;
-use mics_cluster::ClusterSpec;
+use mics_cluster::{ClusterSpec, NodeId};
 use mics_model::WorkloadSpec;
 
 /// A borrowed [`TrainingJob`]: the hot-path entry point for callers that
@@ -73,13 +75,13 @@ pub fn simulate_dp(job: &TrainingJob) -> Result<RunReport, OomError> {
 
 /// [`simulate_dp`] over a borrowed job — no spec clones on the way in.
 pub fn simulate_dp_view(job: JobView<'_>) -> Result<RunReport, OomError> {
-    simulate_stages(job, 1, 0, false).map(|(r, _)| r)
+    simulate_stages(job, 1, 0, Walk::Fast).map(|(r, _)| r)
 }
 
 /// Like [`simulate_dp`], additionally returning a chrome-trace JSON
 /// timeline of every stream (loadable in `chrome://tracing` / Perfetto).
 pub fn simulate_dp_traced(job: &TrainingJob) -> Result<(RunReport, String), OomError> {
-    simulate_stages(job.view(), 1, 0, true)
+    simulate_stages(job.view(), 1, 0, Walk::Traced)
 }
 
 /// Build the [`ScheduleSpec`] for a DP job: the strategy's plan plus the
@@ -160,17 +162,31 @@ pub fn simulate_dp_pipeline(
     pp: usize,
     act_bytes: u64,
 ) -> Result<RunReport, OomError> {
-    simulate_stages(job.view(), pp, act_bytes, false).map(|(r, _)| r)
+    simulate_stages(job.view(), pp, act_bytes, Walk::Fast).map(|(r, _)| r)
+}
+
+/// Which nodes [`simulate_stages`] walks.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Walk {
+    /// The first node of each stage when the nodes are interchangeable
+    /// (see [`interchangeable_stage_nodes`]), else every node. The report
+    /// is the full walk's, byte for byte.
+    Fast,
+    /// Every node: the reference a fast walk must equal.
+    #[cfg(test)]
+    Full,
+    /// Every node, recording the timeline of every stream.
+    Traced,
 }
 
 /// The one simulation body: lower `job` on `pp` stages, replay the program
 /// on the event-driven backend and fill the report (plus the timeline JSON,
-/// empty unless `trace`).
+/// empty unless the walk is traced).
 fn simulate_stages(
     job: JobView<'_>,
     pp: usize,
     act_bytes: u64,
-    trace: bool,
+    walk: Walk,
 ) -> Result<(RunReport, String), OomError> {
     let (spec, est) = dp_spec(job)?;
     let (n, k, hierarchical_used) = (spec.n, spec.k, spec.hierarchical);
@@ -183,8 +199,12 @@ fn simulate_stages(
     // added nodes are healthy. At `pp = 1` this is `job.cluster` exactly.
     let mut full = job.cluster.clone();
     full.nodes *= pp;
-    let mut sc = SimCluster::new(full);
-    if trace {
+    let stage_nodes = interchangeable_stage_nodes(&full, &prog.geo).filter(|_| walk == Walk::Fast);
+    let mut sc = match stage_nodes {
+        Some(c) => SimCluster::simulating(full, |node| node.is_multiple_of(c)),
+        None => SimCluster::new(full),
+    };
+    if walk == Walk::Traced {
         sc.enable_tracing();
     }
     let sustained = if job.workload.param_dtype_bytes == 2 {
@@ -214,6 +234,18 @@ fn simulate_stages(
         nic_bytes_per_node: exec.nic_bytes_total / (world / k).max(1) as u64,
     };
     Ok((report, sim_trace.to_json()))
+}
+
+/// The nodes of each pipeline stage when they are interchangeable: every
+/// NIC of `cluster` runs at one rate and every group of `geo` lies inside
+/// one node or spans whole nodes. Then each stage's first node stands for
+/// all of them (see [`crate::ops`]); `None` means simulate every node.
+fn interchangeable_stage_nodes(cluster: &ClusterSpec, geo: &Geometry) -> Option<usize> {
+    let rate = |node| cluster.nic_derate(NodeId(node));
+    let homogeneous = (0..cluster.nodes).all(|node| rate(node) == rate(0));
+    let k = geo.k;
+    let aligned = geo.dp.is_multiple_of(k) && (geo.p.is_multiple_of(k) || k.is_multiple_of(geo.p));
+    (homogeneous && aligned).then_some(geo.dp / k)
 }
 
 #[cfg(test)]
@@ -483,5 +515,232 @@ mod tests {
             prog.total_nic_bytes(&sc.net) / (j.cluster.total_devices() / 8).max(1) as u64;
         let report = simulate_dp(&j).unwrap();
         assert_eq!(per_node, report.nic_bytes_per_node);
+    }
+
+    /// Simulate `job` both ways — the fast walk and the full one — and
+    /// hold them equal, as values and as JSON bytes. Returns the report
+    /// (`None` on OOM).
+    fn equals_full_walk(job: JobView<'_>, pp: usize) -> Option<RunReport> {
+        use crate::json::ToJson;
+        let act_bytes = 1 << 24;
+        let fast = simulate_stages(job, pp, act_bytes, Walk::Fast).map(|(r, _)| r);
+        let full = simulate_stages(job, pp, act_bytes, Walk::Full).map(|(r, _)| r);
+        let what = || {
+            format!(
+                "{} on {}×{} pp={pp}",
+                job.strategy.label(),
+                job.cluster.nodes,
+                job.cluster.instance.name
+            )
+        };
+        match (fast, full) {
+            (Ok(fast), Ok(full)) => {
+                assert_eq!(fast, full, "{}", what());
+                assert_eq!(fast.to_json().emit(), full.to_json().emit(), "{}", what());
+                Some(fast)
+            }
+            (Err(fast), Err(full)) => {
+                assert_eq!(fast, full, "{}", what());
+                None
+            }
+            (fast, full) => panic!("{}: {fast:?} vs {full:?}", what()),
+        }
+    }
+
+    /// The differential grid: every preset model × preset instance × node
+    /// count × strategy (DDP, ZeRO-1–3, MiCS at every power-of-two
+    /// partition size with hierarchical gathers on and off, and int8) ×
+    /// accumulation depth × pipeline depth, in a fixed order.
+    fn differential_grid() -> Vec<(&'static str, &'static str, usize, Strategy, usize, usize)> {
+        use mics_compress::{CompressionConfig, QuantScheme};
+        let mut grid = Vec::new();
+        for &model in mics_model::preset_names() {
+            let even_layers = mics_model::preset(model, 1).unwrap().layers.len().is_multiple_of(2);
+            for instance in ["p3dn", "p4d", "dgx"] {
+                for nodes in [1, 2, 3, 4, 6, 8, 12, 16] {
+                    let n = nodes * InstanceType::preset(instance).unwrap().gpus_per_node;
+                    let mut strategies = vec![
+                        Strategy::Ddp,
+                        Strategy::Zero(ZeroStage::One),
+                        Strategy::Zero(ZeroStage::Two),
+                        Strategy::Zero(ZeroStage::Three),
+                    ];
+                    for p in (0..).map(|e| 1 << e).take_while(|&p| p <= n) {
+                        if !n.is_multiple_of(p) {
+                            continue;
+                        }
+                        for hierarchical in [true, false] {
+                            let mut c = MicsConfig::paper_defaults(p);
+                            c.hierarchical_allgather = hierarchical;
+                            strategies.push(Strategy::Mics(c));
+                        }
+                        let int8 = CompressionConfig::both(QuantScheme::int8());
+                        strategies.push(Strategy::Mics(MicsConfig::compressed(p, int8)));
+                    }
+                    for strategy in strategies {
+                        for accum in [1, 2, 4] {
+                            for pp in [1, 2].into_iter().filter(|&pp| pp == 1 || even_layers) {
+                                grid.push((model, instance, nodes, strategy.clone(), accum, pp));
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        grid
+    }
+
+    /// Sum `check` over every `stride`-th item, spread over the host's cores.
+    fn par_sum<T: Sync>(items: &[T], stride: usize, check: impl Fn(&T) -> usize + Sync) -> usize {
+        let picked: Vec<&T> = items.iter().step_by(stride).collect();
+        let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let (picked, check) = (&picked, &check);
+        std::thread::scope(|s| {
+            let workers: Vec<_> = (0..threads)
+                .map(|t| {
+                    s.spawn(move || {
+                        picked.iter().skip(t).step_by(threads).map(|x| check(x)).sum::<usize>()
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().expect("a grid check failed")).sum()
+        })
+    }
+
+    /// Run every `stride`-th config of the grid through [`equals_full_walk`];
+    /// returns how many simulated (did not OOM).
+    fn run_differential_grid(stride: usize) -> usize {
+        par_sum(&differential_grid(), stride, |(model, instance, nodes, strategy, accum, pp)| {
+            let workload = mics_model::preset(model, 4).unwrap();
+            let cluster = ClusterSpec::new(InstanceType::preset(instance).unwrap(), *nodes);
+            let job =
+                JobView { workload: &workload, cluster: &cluster, strategy, accum_steps: *accum };
+            usize::from(equals_full_walk(job, *pp).is_some())
+        })
+    }
+
+    /// Tune every `stride`-th (model, instance, nodes, accumulation) cell
+    /// of the grid with and without int8, and hold every candidate the
+    /// tuner explored to the full walk of its configuration; returns how
+    /// many candidates simulated.
+    fn run_tune_grid(stride: usize) -> usize {
+        use mics_compress::{CompressionConfig, QuantScheme};
+        let int8 = Some(CompressionConfig::both(QuantScheme::int8()));
+        let mut cells = Vec::new();
+        for &model in mics_model::preset_names() {
+            for instance in ["p3dn", "p4d", "dgx"] {
+                for nodes in [1, 2, 3, 4, 6, 8, 12, 16] {
+                    for accum in [1, 2, 4] {
+                        cells.push((model, instance, nodes, accum));
+                    }
+                }
+            }
+        }
+        par_sum(&cells, stride, |&(model, instance, nodes, accum_steps)| {
+            let workload = mics_model::preset(model, 4).unwrap();
+            let cluster = ClusterSpec::new(InstanceType::preset(instance).unwrap(), nodes);
+            let options = [None, int8];
+            let Ok(tuned) =
+                crate::tuner::tune_with_compression(&workload, &cluster, accum_steps, &options)
+            else {
+                return 0;
+            };
+            let mut simulated = 0;
+            for c in tuned.explored {
+                // Candidates the memory pre-check rejected never simulated.
+                let Ok(report) = c.outcome else { continue };
+                let strategy = Strategy::Mics(c.config);
+                let job = JobView {
+                    workload: &workload,
+                    cluster: &cluster,
+                    strategy: &strategy,
+                    accum_steps,
+                };
+                let full = simulate_stages(job, 1, 0, Walk::Full).unwrap().0;
+                assert_eq!(report, full, "tuned {} on {nodes}×{instance}", strategy.label());
+                simulated += 1;
+            }
+            simulated
+        })
+    }
+
+    // Prime strides visit every dimension of the grids.
+    #[test]
+    fn reduced_walk_equals_full_walk_on_a_grid_sample() {
+        assert!(run_differential_grid(SAMPLE_STRIDE) > 0);
+    }
+
+    #[test]
+    fn tuned_candidates_equal_full_walk_on_a_grid_sample() {
+        assert!(run_tune_grid(TUNE_SAMPLE_STRIDE) > 0);
+    }
+
+    /// Strides of the tier-1 samples of the simulate and tune grids.
+    const SAMPLE_STRIDE: usize = 701;
+    const TUNE_SAMPLE_STRIDE: usize = 263;
+
+    #[test]
+    #[ignore = "exhaustive; run in release"]
+    fn reduced_walk_equals_full_walk_on_the_whole_grid() {
+        assert!(run_differential_grid(1) > 0);
+        assert!(run_tune_grid(1) > 0);
+    }
+
+    #[test]
+    fn stragglers_take_the_full_walk_and_cost_time() {
+        // A collapse that simulated only node 0 would miss a straggler on
+        // any other node: put one first, second and last.
+        for nodes in [2, 4, 8] {
+            let mut clean = job(nodes, Strategy::Mics(MicsConfig::paper_defaults(16)));
+            clean.accum_steps = 1;
+            let clean_report = equals_full_walk(clean.view(), 1).unwrap();
+            for slow in [0, 1, nodes - 1] {
+                let mut j = clean.clone();
+                j.cluster = j.cluster.with_slow_node(NodeId(slow), 0.25);
+                let geo = dp_program(&j).unwrap().geo;
+                assert_eq!(interchangeable_stage_nodes(&j.cluster, &geo), None);
+                let r = equals_full_walk(j.view(), 1).unwrap();
+                assert!(
+                    r.iter_time > clean_report.iter_time,
+                    "straggler on node {slow} of {nodes} cost nothing"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_unit_derate_is_no_straggler() {
+        // The guard compares NIC rates, not whether a derate was set.
+        let mut clean = job(4, Strategy::Mics(MicsConfig::paper_defaults(16)));
+        clean.accum_steps = 1;
+        let clean_report = simulate_dp(&clean).unwrap();
+        // A traced run walks every node and reports the same.
+        assert_eq!(simulate_dp_traced(&clean).unwrap().0, clean_report);
+        for node in 0..4 {
+            let mut j = clean.clone();
+            j.cluster = j.cluster.with_slow_node(NodeId(node), 1.0);
+            let geo = dp_program(&j).unwrap().geo;
+            assert_eq!(interchangeable_stage_nodes(&j.cluster, &geo), Some(4));
+            assert_eq!(simulate_dp(&j).unwrap(), clean_report);
+        }
+    }
+
+    #[test]
+    fn a_group_straddling_nodes_takes_the_full_walk() {
+        // Six GPUs per node under mics:4: partition group 1 (ranks 4–7)
+        // straddles nodes 0 and 1, so node 1 is not a copy of node 0.
+        let mut instance = InstanceType::p3dn_24xlarge();
+        instance.gpus_per_node = 6;
+        let j = TrainingJob {
+            workload: TransformerConfig::bert_1_5b().workload(8),
+            cluster: ClusterSpec::new(instance, 2),
+            strategy: Strategy::Mics(MicsConfig::paper_defaults(4)),
+            accum_steps: 2,
+        };
+        let geo = dp_program(&j).unwrap().geo;
+        let straddler = crate::schedule::GroupRef::Partition { stage: 0, g: 1 }.members(&geo);
+        assert_eq!(mics_cluster::nodes_spanned(&straddler, 6), 2);
+        assert_eq!(interchangeable_stage_nodes(&j.cluster, &geo), None);
+        equals_full_walk(j.view(), 1).unwrap();
     }
 }

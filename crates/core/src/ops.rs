@@ -10,6 +10,21 @@
 //! identical virtual times, so this compact encoding preserves timing while
 //! letting *cross-collective* contention (e.g. `k` replication-group
 //! all-reduces sharing one NIC) emerge from the fluid link model.
+//!
+//! The same argument holds across nodes. On a homogeneous cluster (every
+//! NIC at one rate) running a program whose groups are node-aligned (each
+//! group lies inside one node or spans whole nodes), every node's links
+//! carry the same flows at the same integer-nanosecond times, so every
+//! cross-node group completion is the maximum of equal node completions.
+//! A cluster built to simulate only some nodes — one per pipeline stage —
+//! then yields the same makespan as the full walk, and its busy sums are
+//! the simulated nodes' sums times the nodes each one stands for.
+//! Collectives push phases and joins on simulated nodes only and hand back
+//! placeholder events for members elsewhere, which nothing may wait on.
+//! The DP simulation body (`crate::dp`) picks that reduced set; it walks
+//! every node when the cluster has a straggler, when a group straddles a
+//! node boundary, and when a trace is recorded (a trace pictures every
+//! stream).
 
 use mics_cluster::{ClusterSpec, Fabric, Rank};
 use mics_collectives::{CollectiveCost, LinkClass, NetParams};
@@ -35,10 +50,21 @@ pub struct SimCluster {
     pub fabric: Fabric,
     /// Network parameters for the cost models.
     pub net: NetParams,
+    /// Per-rank streams; [`NOT_SIMULATED`] for ranks on nodes this
+    /// cluster does not simulate.
     compute: Vec<StreamId>,
     gather: Vec<StreamId>,
     reduce: Vec<StreamId>,
+    /// Per node: whether its ranks are simulated.
+    simulated: Vec<bool>,
 }
+
+/// Stream slot of a rank whose node is not simulated: pushing to it panics.
+const NOT_SIMULATED: StreamId = StreamId(usize::MAX);
+
+/// Completion event handed back for a collective member on a node that is
+/// not simulated. It is never recorded, so it must never be waited on.
+pub(crate) const PLACEHOLDER_EVENT: EventId = EventId(usize::MAX);
 
 /// Fraction of the NIC's clean-network bandwidth that inter-node collectives
 /// sustain *while training*: host/PCIe/copy-engine contention with busy
@@ -57,19 +83,34 @@ pub const SIM_TRACE_PROCESS: &str = "simulator (charged)";
 impl SimCluster {
     /// Materialize `spec` into a fresh simulator.
     pub fn new(spec: ClusterSpec) -> Self {
+        Self::simulating(spec, |_| true)
+    }
+
+    /// Materialize `spec`, giving streams only to the ranks of the nodes
+    /// `simulated` selects. Each simulated node must stand for the same
+    /// number of identical nodes (see the module docs): [`SimCluster::run`]
+    /// scales the busy sums by that number.
+    pub(crate) fn simulating(spec: ClusterSpec, simulated: impl Fn(usize) -> bool) -> Self {
         let mut sim = Sim::new();
         let fabric = spec.build_fabric(&mut sim, NIC_TRAINING_DERATE);
         let net = NetParams::from_instance(&spec.instance);
+        let simulated: Vec<bool> = (0..spec.nodes).map(simulated).collect();
         let n = spec.total_devices();
-        let mut compute = Vec::with_capacity(n);
-        let mut gather = Vec::with_capacity(n);
-        let mut reduce = Vec::with_capacity(n);
-        for r in 0..n {
-            compute.push(sim.add_stream(format!("compute[{r}]")));
-            gather.push(sim.add_stream(format!("gather[{r}]")));
-            reduce.push(sim.add_stream(format!("reduce[{r}]")));
+        let mut compute = vec![NOT_SIMULATED; n];
+        let mut gather = vec![NOT_SIMULATED; n];
+        let mut reduce = vec![NOT_SIMULATED; n];
+        for r in (0..n).filter(|&r| simulated[spec.node_of(Rank(r)).0]) {
+            compute[r] = sim.add_stream(format!("compute[{r}]"));
+            gather[r] = sim.add_stream(format!("gather[{r}]"));
+            reduce[r] = sim.add_stream(format!("reduce[{r}]"));
         }
-        SimCluster { sim, spec, fabric, net, compute, gather, reduce }
+        SimCluster { sim, spec, fabric, net, compute, gather, reduce, simulated }
+    }
+
+    /// Whether `rank`'s node is simulated (every rank, unless built by
+    /// [`SimCluster::simulating`]).
+    pub(crate) fn simulates(&self, rank: Rank) -> bool {
+        self.simulated[self.spec.node_of(rank).0]
     }
 
     fn lane_stream(&self, lane: Lane, rank: Rank) -> StreamId {
@@ -129,7 +170,8 @@ impl SimCluster {
     /// `lane`, paying `host_overhead` of launch/decision time on each node
     /// leader's lane before the wire phases.
     ///
-    /// Returns the per-member completion events, parallel to `members`.
+    /// Returns the per-member completion events, parallel to `members`
+    /// (a never-recorded placeholder for members on nodes not simulated).
     pub fn collective(
         &mut self,
         members: &[Rank],
@@ -146,19 +188,26 @@ impl SimCluster {
             return members
                 .iter()
                 .map(|&m| {
+                    if !self.simulates(m) {
+                        return PLACEHOLDER_EVENT;
+                    }
                     let e = self.sim.add_event();
                     self.sim.push(self.lane_stream(lane, m), Op::RecordEvent(e));
                     e
                 })
                 .collect();
         }
+        // The first simulated member joins the node completions.
+        let Some(&joiner) = members.iter().find(|&&m| self.simulates(m)) else {
+            return vec![PLACEHOLDER_EVENT; members.len()];
+        };
 
         // Group members by node; the first member on each node leads and
         // executes the timed phases on that node's shared links.
         let mut node_done: Vec<(usize, EventId)> = Vec::new(); // (node, event)
         for &m in members {
             let node = self.spec.node_of(m).0;
-            if node_done.iter().any(|&(nd, _)| nd == node) {
+            if !self.simulated[node] || node_done.iter().any(|&(nd, _)| nd == node) {
                 continue;
             }
             let stream = self.lane_stream(lane, m);
@@ -183,7 +232,7 @@ impl SimCluster {
         let group_done = if node_done.len() == 1 {
             node_done[0].1
         } else {
-            let leader_stream = self.lane_stream(lane, members[0]);
+            let leader_stream = self.lane_stream(lane, joiner);
             for &(_, e) in &node_done {
                 self.sim.push(leader_stream, Op::WaitEvent(e));
             }
@@ -192,9 +241,13 @@ impl SimCluster {
             e
         };
         let mut events = Vec::with_capacity(members.len());
-        for (i, &m) in members.iter().enumerate() {
-            if i == 0 {
+        for &m in members {
+            if m == joiner {
                 events.push(group_done);
+                continue;
+            }
+            if !self.simulates(m) {
+                events.push(PLACEHOLDER_EVENT);
                 continue;
             }
             let stream = self.lane_stream(lane, m);
@@ -212,7 +265,9 @@ impl SimCluster {
     }
 
     /// Run the programmed iteration and return `(makespan, compute-busy,
-    /// comm-busy)` where the busy numbers are summed across devices.
+    /// comm-busy)` where the busy numbers are summed across devices — on a
+    /// cluster simulating one node per class, the simulated nodes' sums
+    /// times the nodes each one stands for.
     pub fn run(self) -> (SimTime, SimTime, SimTime) {
         let (makespan, compute, comm, _) = self.run_traced();
         (makespan, compute, comm)
@@ -226,9 +281,14 @@ impl SimCluster {
     /// timelines first.
     pub fn run_traced(mut self) -> (SimTime, SimTime, SimTime, mics_trace::Trace) {
         let stats = self.sim.run().expect("iteration program must not deadlock");
-        let compute_busy: SimTime = self.compute.iter().map(|s| stats.stream_busy[s.0]).sum();
-        let comm_busy: SimTime =
-            self.gather.iter().chain(self.reduce.iter()).map(|s| stats.stream_busy[s.0]).sum();
+        let busy = |streams: &[StreamId]| -> SimTime {
+            streams.iter().filter(|&&s| s != NOT_SIMULATED).map(|s| stats.stream_busy[s.0]).sum()
+        };
+        // Exact: every simulated node stands for the same whole number of
+        // nodes, and busy times are integer nanoseconds.
+        let stands_for = (self.spec.nodes / self.simulated.iter().filter(|&&s| s).count()) as u64;
+        let compute_busy = busy(&self.compute) * stands_for;
+        let comm_busy = (busy(&self.gather) + busy(&self.reduce)) * stands_for;
         let mut trace = stats.trace;
         trace.rename_process(mics_simnet::SIM_PROCESS, SIM_TRACE_PROCESS);
         (stats.makespan, compute_busy, comm_busy, trace)

@@ -26,7 +26,7 @@
 //! for the spec's `prefetch_depth`, stage by stage.
 
 use crate::config::MicroSync;
-use crate::ops::{Lane, SimCluster};
+use crate::ops::{Lane, SimCluster, PLACEHOLDER_EVENT};
 use mics_cluster::{nodes_spanned, Rank};
 use mics_collectives::dispatch::{WireCollective, WireKind};
 use mics_collectives::NetParams;
@@ -1113,8 +1113,9 @@ pub struct SimExecution {
 /// The replay reproduces the historical inline lowering exactly — same
 /// per-stream op sequences, same event-allocation order — so a program
 /// emitted from a strategy produces bit-identical simulation results to
-/// the pre-IR code. Call [`SimCluster::run`]/[`SimCluster::run_traced`]
-/// afterwards.
+/// the pre-IR code. Only the ranks `sc` simulates are visited (every rank
+/// of a [`SimCluster::new`] cluster); the NIC volume still counts every
+/// node. Call [`SimCluster::run`]/[`SimCluster::run_traced`] afterwards.
 pub fn execute_on_sim(
     prog: &StepProgram,
     sc: &mut SimCluster,
@@ -1124,11 +1125,18 @@ pub fn execute_on_sim(
     let (n, k) = (geo.world(), geo.k);
     let nl = prog.num_layers;
     let memcpy_bw = sc.spec.instance.memcpy_bw;
+    // The simulated ranks, ascending, and each rank's row among them
+    // (`usize::MAX` for the others): the rows of the per-rank tables below.
+    let live: Vec<Rank> = (0..n).map(Rank).filter(|&r| sc.simulates(r)).collect();
+    let mut row = vec![usize::MAX; n];
+    for (i, r) in live.iter().enumerate() {
+        row[r.0] = i;
+    }
     // Per-op completion events, parallel to `prog.ops` (wire ops: one per
-    // member; optimizer: one per rank when recorded).
+    // member; optimizer: one per simulated rank when recorded).
     let mut op_events: Vec<Option<Vec<EventId>>> = vec![None; prog.ops.len()];
     // Compute-done event tables of the current (micro, pass) segment,
-    // pre-allocated rank-major like the historical lowering so gathers can
+    // pre-allocated row-major like the historical lowering so gathers can
     // reference compute events that have not been pushed yet.
     let mut fwd_tbl: Vec<Vec<EventId>> = Vec::new();
     let mut bwd_tbl: Vec<Vec<EventId>> = Vec::new();
@@ -1136,8 +1144,8 @@ pub fn execute_on_sim(
     let mut nic_total: u64 = 0;
     let mut wire_log: Vec<OpId> = Vec::new();
 
-    // Resolve `dep` to the completion event `rank` must wait on, or `None`
-    // when the rank does not participate in the dep op.
+    // Resolve `dep` to the completion event the simulated `rank` must wait
+    // on, or `None` when the rank does not participate in the dep op.
     let resolve = |ops: &[ScheduleOp],
                    op_events: &[Option<Vec<EventId>>],
                    fwd_tbl: &[Vec<EventId>],
@@ -1145,7 +1153,7 @@ pub fn execute_on_sim(
                    dep: OpId,
                    rank: Rank|
      -> Option<EventId> {
-        match &ops[dep].kind {
+        let event = match &ops[dep].kind {
             OpKind::Compute { layer, pass, .. } => {
                 // Only the stage owning the layer records the event; every
                 // other rank (a pair peer, another stage) must not wait on
@@ -1154,7 +1162,7 @@ pub fn execute_on_sim(
                     return None;
                 }
                 let tbl = if *pass == Pass::Forward { fwd_tbl } else { bwd_tbl };
-                Some(tbl[rank.0][*layer])
+                Some(tbl[row[rank.0]][*layer])
             }
             OpKind::GatherShards { wire, .. }
             | OpKind::ReduceScatterGrads { wire, .. }
@@ -1177,9 +1185,14 @@ pub fn execute_on_sim(
                     _ => None,
                 }
             }
-            OpKind::OptimizerUpdate { .. } => op_events[dep].as_ref().map(|v| v[rank.0]),
+            OpKind::OptimizerUpdate { .. } => op_events[dep].as_ref().map(|v| v[row[rank.0]]),
             OpKind::MicroBarrier | OpKind::AccumGrads { .. } => None,
-        }
+        };
+        debug_assert!(
+            event != Some(PLACEHOLDER_EVENT),
+            "rank {rank:?} waits on an unsimulated node"
+        );
+        event
     };
 
     for (i, op) in prog.ops.iter().enumerate() {
@@ -1188,19 +1201,17 @@ pub fn execute_on_sim(
         if let OpKind::GatherShards { pass, .. } | OpKind::Compute { pass, .. } = op.kind {
             if segment != Some((op.micro, pass)) {
                 let tbl = if pass == Pass::Forward { &mut fwd_tbl } else { &mut bwd_tbl };
-                *tbl = (0..n).map(|_| (0..nl).map(|_| sc.new_event()).collect()).collect();
+                *tbl = live.iter().map(|_| (0..nl).map(|_| sc.new_event()).collect()).collect();
                 segment = Some((op.micro, pass));
             }
         }
         match &op.kind {
             OpKind::MicroBarrier => {
-                for r in 0..n {
+                for &r in &live {
                     for &d in &op.deps {
-                        if let Some(e) =
-                            resolve(&prog.ops, &op_events, &fwd_tbl, &bwd_tbl, d, Rank(r))
-                        {
-                            sc.compute_wait(Rank(r), e);
-                            sc.lane_wait(Lane::Gather, Rank(r), e);
+                        if let Some(e) = resolve(&prog.ops, &op_events, &fwd_tbl, &bwd_tbl, d, r) {
+                            sc.compute_wait(r, e);
+                            sc.lane_wait(Lane::Gather, r, e);
                         }
                     }
                 }
@@ -1208,19 +1219,17 @@ pub fn execute_on_sim(
             OpKind::Compute { layer, pass, flops } => {
                 let owner = geo.stage_of_layer(*layer, nl);
                 let tbl = if *pass == Pass::Forward { &fwd_tbl } else { &bwd_tbl };
-                for (r, row) in tbl.iter().enumerate() {
-                    if geo.stage_of(Rank(r)) != owner {
+                for (&r, events) in live.iter().zip(tbl) {
+                    if geo.stage_of(r) != owner {
                         continue;
                     }
                     for &d in &op.deps {
-                        if let Some(e) =
-                            resolve(&prog.ops, &op_events, &fwd_tbl, &bwd_tbl, d, Rank(r))
-                        {
-                            sc.compute_wait(Rank(r), e);
+                        if let Some(e) = resolve(&prog.ops, &op_events, &fwd_tbl, &bwd_tbl, d, r) {
+                            sc.compute_wait(r, e);
                         }
                     }
-                    sc.compute_kernel(Rank(r), *flops, sustained_flops);
-                    sc.compute_record_into(Rank(r), row[*layer]);
+                    sc.compute_kernel(r, *flops, sustained_flops);
+                    sc.compute_record_into(r, events[*layer]);
                 }
             }
             OpKind::AccumGrads { .. } => {} // local fold: no simulated work
@@ -1229,9 +1238,13 @@ pub fn execute_on_sim(
                 // the transfer, so the receiving endpoint only waits for
                 // the arrival event on its lane.
                 if let GroupRef::Pair { to, .. } = wire.group {
-                    for &d in &op.deps {
-                        if let Some(e) = resolve(&prog.ops, &op_events, &fwd_tbl, &bwd_tbl, d, to) {
-                            sc.lane_wait(wire.lane, to, e);
+                    if row[to.0] != usize::MAX {
+                        for &d in &op.deps {
+                            if let Some(e) =
+                                resolve(&prog.ops, &op_events, &fwd_tbl, &bwd_tbl, d, to)
+                            {
+                                sc.lane_wait(wire.lane, to, e);
+                            }
                         }
                     }
                 }
@@ -1245,7 +1258,7 @@ pub fn execute_on_sim(
             | OpKind::StageSend { wire, .. } => {
                 let members = wire.group.members(&geo);
                 for &d in &op.deps {
-                    for &m in &members {
+                    for &m in members.iter().filter(|m| row[m.0] != usize::MAX) {
                         // A boundary send's deps live on the sender, but the
                         // sim pushes the transfer phases on the lowest-ranked
                         // member's stream — which is the *receiver* for a
@@ -1283,18 +1296,16 @@ pub fn execute_on_sim(
             }
             OpKind::OptimizerUpdate { bytes, record } => {
                 let opt_time = SimTime::from_secs_f64(*bytes as f64 / memcpy_bw);
-                let mut evs = Vec::with_capacity(if *record { n } else { 0 });
-                for r in 0..n {
+                let mut evs = Vec::with_capacity(if *record { live.len() } else { 0 });
+                for &r in &live {
                     for &d in &op.deps {
-                        if let Some(e) =
-                            resolve(&prog.ops, &op_events, &fwd_tbl, &bwd_tbl, d, Rank(r))
-                        {
-                            sc.compute_wait(Rank(r), e);
+                        if let Some(e) = resolve(&prog.ops, &op_events, &fwd_tbl, &bwd_tbl, d, r) {
+                            sc.compute_wait(r, e);
                         }
                     }
-                    sc.compute_for(Rank(r), opt_time);
+                    sc.compute_for(r, opt_time);
                     if *record {
-                        evs.push(sc.compute_record(Rank(r)));
+                        evs.push(sc.compute_record(r));
                     }
                 }
                 if *record {

@@ -166,7 +166,6 @@ enum StreamStatus {
 
 #[derive(Debug)]
 struct StreamState {
-    #[allow(dead_code)]
     name: String,
     program: Vec<Op>,
     pc: usize,
@@ -190,8 +189,6 @@ struct ActiveTransfer {
 
 #[derive(Debug)]
 struct LinkState {
-    #[allow(dead_code)]
-    name: String,
     /// Bytes per nanosecond.
     rate: f64,
     active: Vec<ActiveTransfer>,
@@ -306,12 +303,12 @@ impl Sim {
         EventId(self.events.len() - 1)
     }
 
-    /// Register a shared link with `bytes_per_sec` capacity.
-    pub fn add_link(&mut self, name: impl Into<String>, bytes_per_sec: f64) -> LinkId {
+    /// Register a shared link with `bytes_per_sec` capacity. The name is
+    /// not kept: links appear in no trace or error.
+    pub fn add_link(&mut self, _name: impl Into<String>, bytes_per_sec: f64) -> LinkId {
         assert!(bytes_per_sec > 0.0, "link bandwidth must be positive");
         let rate = bytes_per_sec / 1e9; // bytes per nanosecond
         self.links.push(LinkState {
-            name: name.into(),
             rate,
             active: Vec::new(),
             last_update: SimTime::ZERO,

@@ -38,6 +38,13 @@ cargo test -q -p mics-planner -- --test-threads 16
 echo "==> cargo test -q --release -p mics-compress -p mics-dataplane"
 cargo test -q --release -p mics-compress -p mics-dataplane
 
+# The simulator's one-node-per-stage walk against the full walk on the
+# whole differential grid (every preset model, instance, node count,
+# strategy, accumulation and pipeline depth, plus every tuner candidate):
+# too slow for a debug run, so the tier-1 suite runs a sample of it.
+echo "==> cargo test -q --release -p mics-core -- --include-ignored reduced_walk_equals_full_walk_on_the_whole_grid"
+cargo test -q --release -p mics-core -- --include-ignored reduced_walk_equals_full_walk_on_the_whole_grid
+
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
