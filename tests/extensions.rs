@@ -4,10 +4,13 @@
 
 use mics::cluster::{ClusterSpec, InstanceType, NodeId};
 use mics::core::{
-    simulate, simulate_dp_traced, tune, MicsConfig, Strategy, TrainingJob, ZeroStage,
+    poisson_failures, simulate, simulate_dp_traced, simulate_elastic, simulate_with_failures,
+    spot_plan, tune, MicsConfig, SpotPolicy, Strategy, TrainingJob, ZeroStage,
 };
 use mics::minidl::{train_lm, LmSetup, LossScale, SyncSchedule, TinyTransformer};
 use mics::model::TransformerConfig;
+use mics::simnet::SimTime;
+use std::fmt::Debug;
 
 fn v100(nodes: usize) -> ClusterSpec {
     ClusterSpec::new(InstanceType::p3dn_24xlarge(), nodes)
@@ -120,4 +123,70 @@ fn transformer_lm_fidelity_end_to_end() {
         assert!((a - b).abs() / a.abs().max(1e-9) < 5e-3, "iter {i}: {a} vs {b}");
     }
     assert!(*mics.losses.last().unwrap() < mics.losses[0] * 0.7);
+}
+
+/// Calls a report walker with or without a defaulted environment argument
+/// after the job, and renders its result by `{:?}`, which round-trips f64.
+trait Walk<Args, Env> {
+    fn walk(&self, args: Args) -> String;
+}
+
+impl<F: Fn(A, B, C) -> R, A, B, C, R: Debug> Walk<(A, B, C), ()> for F {
+    fn walk(&self, (a, b, c): (A, B, C)) -> String {
+        format!("{:?}", self(a, b, c))
+    }
+}
+
+impl<F: Fn(A, &E, B, C) -> R, E: Default, A, B, C, R: Debug> Walk<(A, B, C), (E,)> for F {
+    fn walk(&self, (a, b, c): (A, B, C)) -> String {
+        format!("{:?}", self(a, &E::default(), b, c))
+    }
+}
+
+impl<F: Fn(A, B, C, D) -> R, A, B, C, D, R: Debug> Walk<(A, B, C, D), ()> for F {
+    fn walk(&self, (a, b, c, d): (A, B, C, D)) -> String {
+        format!("{:?}", self(a, b, c, d))
+    }
+}
+
+impl<F: Fn(A, &E, B, C, D) -> R, E: Default, A, B, C, D, R: Debug> Walk<(A, B, C, D), (E,)> for F {
+    fn walk(&self, (a, b, c, d): (A, B, C, D)) -> String {
+        format!("{:?}", self(a, &E::default(), b, c, d))
+    }
+}
+
+/// Every field of the reports `ext_recovery` and `ext_elastic` compute in
+/// their 2 h MTBF row, the one with the most transitions, pinned exactly:
+/// the artifacts round goodput to 0.1 %.
+#[test]
+fn recovery_and_elastic_reports_are_pinned() {
+    let (horizon, mtbf) = (SimTime::from_secs(24 * 3600), SimTime::from_secs(2 * 3600));
+    let job = |strategy| TrainingJob {
+        workload: TransformerConfig::bert_10b().workload(8),
+        cluster: v100(8),
+        strategy,
+        accum_steps: 16,
+    };
+    let (mics, z3) =
+        (job(Strategy::Mics(MicsConfig::paper_defaults(8))), job(Strategy::Zero(ZeroStage::Three)));
+    let recovery = [&mics, &z3].map(|j| {
+        simulate_with_failures.walk((j, &poisson_failures(j, 2022, mtbf, horizon), horizon))
+    });
+    let spot = spot_plan(&mics, 2026, mtbf, SimTime::from_secs(30 * 60), horizon);
+    let elastic = [SpotPolicy::Elastic, SpotPolicy::Static]
+        .map(|policy| simulate_elastic.walk((&mics, &spot, horizon, policy)));
+    assert_eq!(
+        recovery,
+        [
+            r#"Ok(RecoveryReport { label: "MiCS(p=8)", policy: PeerCopy { replication: 8 }, iter_time: SimTime(84267719700), per_failure: SimTime(188776143464), failures: 10, downtime: SimTime(1045084237640), lost_work: SimTime(842677197000), checkpoint_overhead: SimTime(198354895200), horizon: SimTime(86400000000000), goodput_fraction: 0.9758551350712962, effective_samples_per_sec: 94.86675674818406, fault_fingerprint: 13125111909779713369 })"#,
+            r#"Ok(RecoveryReport { label: "ZeRO-3", policy: CheckpointReload, iter_time: SimTime(163683144964), per_failure: SimTime(707631546240), failures: 10, downtime: SimTime(1076315462400), lost_work: SimTime(6763323178536), checkpoint_overhead: SimTime(1586839161600), horizon: SimTime(86400000000000), goodput_fraction: 0.8908972476558333, effective_samples_per_sec: 44.58754903812325, fault_fingerprint: 13125111909779713369 })"#,
+        ]
+    );
+    assert_eq!(
+        elastic,
+        [
+            r#"Ok(ElasticReport { label: "MiCS(p=8)", policy: Elastic, preemptions: 16, grows: 16, reshapes: 32, transition_overhead: SimTime(4193805261619), stalled: SimTime(4193805261619), checkpoint_overhead: SimTime(198354895200), min_nodes: 5, horizon: SimTime(86400000000000), goodput_fraction: 0.9127894404091684, effective_samples_per_sec: 88.7358898811155, fault_fingerprint: 6417921649330005838 })"#,
+            r#"Ok(ElasticReport { label: "MiCS(p=8)", policy: Static, preemptions: 16, grows: 16, reshapes: 0, transition_overhead: SimTime(6914771967440), stalled: SimTime(32310572843726), checkpoint_overhead: SimTime(1586839161600), min_nodes: 8, horizon: SimTime(86400000000000), goodput_fraction: 0.6076688425309491, effective_samples_per_sec: 59.073903693320595, fault_fingerprint: 6417921649330005838 })"#,
+        ]
+    );
 }
