@@ -28,9 +28,7 @@
 //! and every real-backend continuity check is exact, not approximate.
 
 use mics_bench::{accum_steps, v100, write_json, Json, Table, ToJson};
-use mics_core::{
-    simulate_elastic, spot_plan, MicsConfig, RecoveryConfig, SpotPolicy, Strategy, TrainingJob,
-};
+use mics_core::{simulate_elastic, spot_plan, MicsConfig, SpotPolicy, Strategy, TrainingJob};
 use mics_dataplane::TransportKind;
 use mics_minidl::{
     train, train_elastic_on, ElasticPhase, LossScale, Mlp, SyncSchedule, TrainSetup,
@@ -48,7 +46,6 @@ fn sim_sweep() -> Json {
         strategy: Strategy::Mics(MicsConfig::paper_defaults(8)),
         accum_steps: accum_steps(n, 8, 8192),
     };
-    let cfg = RecoveryConfig::default();
     let horizon = SimTime::from_secs(24 * 3600);
     let outage = SimTime::from_secs(30 * 60);
     let seed = 2026;
@@ -71,8 +68,8 @@ fn sim_sweep() -> Json {
     let mut strictly_better = 0usize;
     for mtbf_hours in [24u64, 8, 2] {
         let plan = spot_plan(&job, seed, SimTime::from_secs(mtbf_hours * 3600), outage, horizon);
-        let el = simulate_elastic(&job, &cfg, &plan, horizon, SpotPolicy::Elastic).expect("fits");
-        let st = simulate_elastic(&job, &cfg, &plan, horizon, SpotPolicy::Static).expect("fits");
+        let el = simulate_elastic(&job, &plan, horizon, SpotPolicy::Elastic).expect("fits");
+        let st = simulate_elastic(&job, &plan, horizon, SpotPolicy::Static).expect("fits");
         assert_eq!(
             el.fault_fingerprint, st.fault_fingerprint,
             "both policies must walk the identical capacity trace"

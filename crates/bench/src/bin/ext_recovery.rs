@@ -15,8 +15,7 @@
 
 use mics_bench::{accum_steps, v100, Table};
 use mics_core::{
-    poisson_failures, simulate_with_failures, MicsConfig, RecoveryConfig, Strategy, TrainingJob,
-    ZeroStage,
+    poisson_failures, simulate_with_failures, MicsConfig, Strategy, TrainingJob, ZeroStage,
 };
 use mics_model::TransformerConfig;
 use mics_simnet::SimTime;
@@ -26,7 +25,6 @@ fn main() {
     let n = nodes * 8;
     let w = TransformerConfig::bert_10b().workload(8);
     let s = accum_steps(n, 8, 8192);
-    let cfg = RecoveryConfig::default();
     let horizon = SimTime::from_secs(24 * 3600);
     let seed = 2022;
 
@@ -58,8 +56,8 @@ fn main() {
             plan_z.fingerprint(),
             "both systems must face the identical failure timeline"
         );
-        let rm = simulate_with_failures(&mics, &cfg, &plan_m, horizon).expect("fits");
-        let rz = simulate_with_failures(&z3, &cfg, &plan_z, horizon).expect("fits");
+        let rm = simulate_with_failures(&mics, &plan_m, horizon).expect("fits");
+        let rz = simulate_with_failures(&z3, &plan_z, horizon).expect("fits");
         assert!(
             rm.per_failure < rz.per_failure,
             "MiCS recovery must beat ZeRO-3 ({:?} vs {:?})",

@@ -65,8 +65,7 @@ pub use memory::{MemoryEstimate, OomError};
 pub use mics_compress::{CompressionConfig, CompressionScope, QuantScheme};
 pub use recovery::{
     poisson_failures, policy_for, recovery_time, simulate_elastic, simulate_with_failures,
-    spot_plan, ElasticReport, RecoveryConfig, RecoveryPolicy, RecoveryReport, RecoveryTime,
-    SpotPolicy,
+    spot_plan, ElasticReport, RecoveryPolicy, RecoveryReport, RecoveryTime, SpotPolicy,
 };
 pub use report::RunReport;
 pub use schedule::{

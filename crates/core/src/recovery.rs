@@ -19,7 +19,9 @@
 //! [`simulate_with_failures`] walks a seeded [`FaultPlan`] crash timeline
 //! and reports per-failure recovery time and goodput for either policy;
 //! because the plan is seeded and the cost models are deterministic, the
-//! same seed always yields the identical report.
+//! same seed always yields the identical report. The cloud side of the model
+//! (instance provisioning, checkpoint-store bandwidth and cadence) is a set of
+//! fixed constants, the same for every strategy.
 
 use crate::memory::OomError;
 use crate::TrainingJob;
@@ -27,36 +29,19 @@ use mics_cluster::{ClusterSpec, NodeId, Rank};
 use mics_simnet::{FaultKind, FaultPlan, Op, Sim, SimTime};
 use std::collections::{BTreeSet, HashMap};
 
-/// Knobs of the failure/recovery environment (cloud-side constants, not
-/// strategy-dependent).
-#[derive(Debug, Clone)]
-pub struct RecoveryConfig {
-    /// Time to obtain and boot a replacement instance (spot/on-demand
-    /// provisioning plus image boot and NCCL re-initialization).
-    pub node_provision: SimTime,
-    /// Per-node sustained read bandwidth from the checkpoint store
-    /// (object storage through the host), bytes/s.
-    pub checkpoint_read_bw: f64,
-    /// Per-node sustained write bandwidth to the checkpoint store, bytes/s.
-    pub checkpoint_write_bw: f64,
-    /// How often a checkpoint-dependent policy writes one.
-    pub checkpoint_interval: SimTime,
-    /// Replication-protected policies still checkpoint (to survive losing a
-    /// whole replication set), but this many times less often.
-    pub peer_copy_ckpt_dilation: u32,
-}
-
-impl Default for RecoveryConfig {
-    fn default() -> Self {
-        RecoveryConfig {
-            node_provision: SimTime::from_secs(90),
-            checkpoint_read_bw: 1.0e9,
-            checkpoint_write_bw: 0.8e9,
-            checkpoint_interval: SimTime::from_secs(20 * 60),
-            peer_copy_ckpt_dilation: 8,
-        }
-    }
-}
+/// Time to obtain and boot a replacement instance (spot/on-demand
+/// provisioning plus image boot and NCCL re-initialization).
+const NODE_PROVISION: SimTime = SimTime::from_secs(90);
+/// Per-node sustained read bandwidth from the checkpoint store (object
+/// storage through the host), bytes/s.
+const CHECKPOINT_READ_BW: f64 = 1.0e9;
+/// Per-node sustained write bandwidth to the checkpoint store, bytes/s.
+const CHECKPOINT_WRITE_BW: f64 = 0.8e9;
+/// How often a checkpoint-dependent policy writes one.
+const CHECKPOINT_INTERVAL: SimTime = SimTime::from_secs(20 * 60);
+/// Replication-protected policies still checkpoint (to survive losing a
+/// whole replication set), but this many times less often.
+const PEER_COPY_CKPT_DILATION: u64 = 8;
 
 /// How a strategy can restore the model states a dead node held.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -150,6 +135,27 @@ fn checkpoint_bytes(job: &TrainingJob) -> u64 {
     job.workload.total_params() * (dtype + 12)
 }
 
+/// Time for every node to read its share of the checkpoint in parallel.
+fn checkpoint_read(job: &TrainingJob) -> SimTime {
+    let per_node = checkpoint_bytes(job) as f64 / job.cluster.nodes as f64;
+    SimTime::from_secs_f64(per_node / CHECKPOINT_READ_BW)
+}
+
+/// Total stall writing periodic checkpoints over `horizon`: at the base
+/// cadence, or at the dilated one when replicas already protect the states.
+fn checkpoint_overhead(job: &TrainingJob, replicated: bool, horizon: SimTime) -> SimTime {
+    let interval = if replicated {
+        SimTime::from_nanos(CHECKPOINT_INTERVAL.as_nanos() * PEER_COPY_CKPT_DILATION)
+    } else {
+        CHECKPOINT_INTERVAL
+    };
+    let write = SimTime::from_secs_f64(
+        checkpoint_bytes(job) as f64 / job.cluster.nodes as f64 / CHECKPOINT_WRITE_BW,
+    );
+    let writes = horizon.as_nanos() / interval.as_nanos();
+    SimTime::from_nanos(write.as_nanos() * writes)
+}
+
 /// An off-node replication-group peer holding `lost`'s shard, if any.
 /// Peers of rank `r` are the ranks `g·p + (r mod p)` of the other partition
 /// groups; the donor load is spread over groups by the lost rank's local
@@ -187,28 +193,24 @@ pub fn policy_for(job: &TrainingJob) -> RecoveryPolicy {
 
 /// Cost of restoring training after losing one node (node 0 WLOG — the
 /// topology is symmetric), under `job`'s resolved policy.
-pub fn recovery_time(job: &TrainingJob, cfg: &RecoveryConfig, iter_time: SimTime) -> RecoveryTime {
+pub fn recovery_time(job: &TrainingJob, iter_time: SimTime) -> RecoveryTime {
     let policy = policy_for(job);
     match policy {
         RecoveryPolicy::PeerCopy { .. } => RecoveryTime {
             policy,
-            provision: cfg.node_provision,
+            provision: NODE_PROVISION,
             state_restore: peer_copy_time(job),
             lost_work: iter_time,
         },
-        RecoveryPolicy::CheckpointReload => {
-            let per_node = checkpoint_bytes(job) as f64 / job.cluster.nodes as f64;
-            let read = SimTime::from_secs_f64(per_node / cfg.checkpoint_read_bw);
-            RecoveryTime {
-                policy,
-                provision: cfg.node_provision,
-                state_restore: read,
-                // Failures are uniform within a checkpoint interval, so half
-                // of one is redone on average; the seeded timeline walk in
-                // `simulate_with_failures` uses each failure's exact phase.
-                lost_work: SimTime::from_nanos(cfg.checkpoint_interval.as_nanos() / 2),
-            }
-        }
+        RecoveryPolicy::CheckpointReload => RecoveryTime {
+            policy,
+            provision: NODE_PROVISION,
+            state_restore: checkpoint_read(job),
+            // Failures are uniform within a checkpoint interval, so half of
+            // one is redone on average; the seeded timeline walk in
+            // `simulate_with_failures` uses each failure's exact phase.
+            lost_work: SimTime::from_nanos(CHECKPOINT_INTERVAL.as_nanos() / 2),
+        },
     }
 }
 
@@ -243,13 +245,12 @@ fn peer_copy_time(job: &TrainingJob) -> SimTime {
 /// seed.
 pub fn simulate_with_failures(
     job: &TrainingJob,
-    cfg: &RecoveryConfig,
     failures: &FaultPlan,
     horizon: SimTime,
 ) -> Result<RecoveryReport, OomError> {
     let report = crate::simulate(job)?;
     let iter_time = report.iter_time;
-    let rec = recovery_time(job, cfg, iter_time);
+    let rec = recovery_time(job, iter_time);
 
     let mut downtime = SimTime::ZERO;
     let mut lost_work = SimTime::ZERO;
@@ -265,23 +266,13 @@ pub fn simulate_with_failures(
             RecoveryPolicy::CheckpointReload => {
                 // Work since the last periodic checkpoint at this failure's
                 // wall-clock phase.
-                SimTime::from_nanos(at.as_nanos() % cfg.checkpoint_interval.as_nanos().max(1))
+                SimTime::from_nanos(at.as_nanos() % CHECKPOINT_INTERVAL.as_nanos())
             }
         };
     }
 
-    let interval = match rec.policy {
-        RecoveryPolicy::PeerCopy { .. } => SimTime::from_nanos(
-            cfg.checkpoint_interval.as_nanos() * cfg.peer_copy_ckpt_dilation.max(1) as u64,
-        ),
-        RecoveryPolicy::CheckpointReload => cfg.checkpoint_interval,
-    };
-    let write = SimTime::from_secs_f64(
-        checkpoint_bytes(job) as f64 / job.cluster.nodes as f64 / cfg.checkpoint_write_bw,
-    );
-    let writes = horizon.as_nanos() / interval.as_nanos().max(1);
-    let checkpoint_overhead = SimTime::from_nanos(write.as_nanos() * writes);
-
+    let replicated = matches!(rec.policy, RecoveryPolicy::PeerCopy { .. });
+    let checkpoint_overhead = checkpoint_overhead(job, replicated, horizon);
     let stalled = downtime + lost_work + checkpoint_overhead;
     let goodput_fraction = if stalled >= horizon {
         0.0
@@ -470,7 +461,7 @@ impl SpotRates {
 /// The elastic policy reshapes at every capacity change; each transition is
 /// a full stall of `reshard_time` (shard movement onto the destination
 /// world's NICs) plus the interrupted iteration, and grows additionally pay
-/// `node_provision` (the walker charges provisioning as part of the grow
+/// instance provisioning (the walker charges provisioning as part of the grow
 /// stall — a deliberate, slightly pessimistic simplification that keeps the
 /// timeline single-threaded). The static policy stalls whenever any slot is
 /// away and pays a checkpoint reload (read + redone work since the last
@@ -479,7 +470,6 @@ impl SpotRates {
 /// pays the base cadence. Everything is deterministic in the plan's seed.
 pub fn simulate_elastic(
     job: &TrainingJob,
-    cfg: &RecoveryConfig,
     trace: &FaultPlan,
     horizon: SimTime,
     policy: SpotPolicy,
@@ -617,7 +607,7 @@ pub fn simulate_elastic(
                     SpotPolicy::Elastic => {
                         let dest = rates.at(job, nodes - away.len());
                         if let Some((world, _, iter)) = dest {
-                            let cost = cfg.node_provision + reshard_time(job, world) + iter;
+                            let cost = NODE_PROVISION + reshard_time(job, world) + iter;
                             reshapes += 1;
                             transition_overhead += cost;
                             idle_until = idle_until.max(now) + cost;
@@ -630,12 +620,10 @@ pub fn simulate_elastic(
                             // and redo the work since the write preceding
                             // the outage.
                             let began = outage_began.take().unwrap_or(ev.at);
-                            let per_node = checkpoint_bytes(job) as f64 / nodes as f64;
-                            let read = SimTime::from_secs_f64(per_node / cfg.checkpoint_read_bw);
                             let redo = SimTime::from_nanos(
-                                began.as_nanos() % cfg.checkpoint_interval.as_nanos().max(1),
+                                began.as_nanos() % CHECKPOINT_INTERVAL.as_nanos(),
                             );
-                            let cost = cfg.node_provision + read + redo;
+                            let cost = NODE_PROVISION + checkpoint_read(job) + redo;
                             transition_overhead += cost;
                             idle_until = idle_until.max(now) + cost;
                         }
@@ -655,18 +643,7 @@ pub fn simulate_elastic(
         &mut min_nodes,
     );
 
-    let interval = match policy {
-        SpotPolicy::Elastic => SimTime::from_nanos(
-            cfg.checkpoint_interval.as_nanos() * cfg.peer_copy_ckpt_dilation.max(1) as u64,
-        ),
-        SpotPolicy::Static => cfg.checkpoint_interval,
-    };
-    let write = SimTime::from_secs_f64(
-        checkpoint_bytes(job) as f64 / job.cluster.nodes as f64 / cfg.checkpoint_write_bw,
-    );
-    let writes = horizon.as_nanos() / interval.as_nanos().max(1);
-    let checkpoint_overhead = SimTime::from_nanos(write.as_nanos() * writes);
-
+    let checkpoint_overhead = checkpoint_overhead(job, policy == SpotPolicy::Elastic, horizon);
     let goodput_fraction =
         ((progress_secs - checkpoint_overhead.as_secs_f64()) / horizon.as_secs_f64()).max(0.0);
     Ok(ElasticReport {
@@ -734,11 +711,9 @@ mod tests {
         // The acceptance bar: BERT 10B on 64 GPUs — restoring a lost node
         // from replication-group peers beats a cluster-wide checkpoint
         // reload plus redone work.
-        let cfg = RecoveryConfig::default();
         let iter = SimTime::from_secs(2);
-        let mics =
-            recovery_time(&job(8, Strategy::Mics(MicsConfig::paper_defaults(8))), &cfg, iter);
-        let z3 = recovery_time(&job(8, Strategy::Zero(ZeroStage::Three)), &cfg, iter);
+        let mics = recovery_time(&job(8, Strategy::Mics(MicsConfig::paper_defaults(8))), iter);
+        let z3 = recovery_time(&job(8, Strategy::Zero(ZeroStage::Three)), iter);
         assert!(
             mics.total() < z3.total(),
             "MiCS {:?} not faster than ZeRO-3 {:?}",
@@ -755,11 +730,9 @@ mod tests {
         // k ranks × (16ψ/p) bytes through one 12.5 GB/s NIC: 8 × 20 GB at
         // 12.5 GB/s ≈ 12.8 s. Provisioning dominates; the copy must land in
         // the right decade and scale down with p.
-        let cfg = RecoveryConfig::default();
         let iter = SimTime::from_secs(2);
-        let p8 = recovery_time(&job(8, Strategy::Mics(MicsConfig::paper_defaults(8))), &cfg, iter);
-        let p16 =
-            recovery_time(&job(8, Strategy::Mics(MicsConfig::paper_defaults(16))), &cfg, iter);
+        let p8 = recovery_time(&job(8, Strategy::Mics(MicsConfig::paper_defaults(8))), iter);
+        let p16 = recovery_time(&job(8, Strategy::Mics(MicsConfig::paper_defaults(16))), iter);
         assert!(p8.state_restore > SimTime::from_secs(10));
         assert!(p8.state_restore < SimTime::from_secs(20));
         assert!(
@@ -771,18 +744,17 @@ mod tests {
     #[test]
     fn failure_timeline_is_deterministic() {
         let j = job(2, Strategy::Mics(MicsConfig::paper_defaults(8)));
-        let cfg = RecoveryConfig::default();
         let horizon = SimTime::from_secs(6 * 3600);
         let run = || {
             let plan = poisson_failures(&j, 77, SimTime::from_secs(3600), horizon);
-            simulate_with_failures(&j, &cfg, &plan, horizon).unwrap()
+            simulate_with_failures(&j, &plan, horizon).unwrap()
         };
         let a = run();
         assert_eq!(a, run());
         assert!(a.failures > 0, "6 h horizon at 1 h MTBF should fail at least once");
         let other = {
             let plan = poisson_failures(&j, 78, SimTime::from_secs(3600), horizon);
-            simulate_with_failures(&j, &cfg, &plan, horizon).unwrap()
+            simulate_with_failures(&j, &plan, horizon).unwrap()
         };
         assert_ne!(a.fault_fingerprint, other.fault_fingerprint);
     }
@@ -793,12 +765,11 @@ mod tests {
         // surviving capacity out-earns one that stalls until every slot
         // comes back — on the same seeded spot trace.
         let j = job(4, Strategy::Mics(MicsConfig::paper_defaults(8)));
-        let cfg = RecoveryConfig::default();
         let horizon = SimTime::from_secs(24 * 3600);
         let plan =
             spot_plan(&j, 11, SimTime::from_secs(2 * 3600), SimTime::from_secs(1800), horizon);
-        let el = simulate_elastic(&j, &cfg, &plan, horizon, SpotPolicy::Elastic).unwrap();
-        let st = simulate_elastic(&j, &cfg, &plan, horizon, SpotPolicy::Static).unwrap();
+        let el = simulate_elastic(&j, &plan, horizon, SpotPolicy::Elastic).unwrap();
+        let st = simulate_elastic(&j, &plan, horizon, SpotPolicy::Static).unwrap();
         assert!(el.preemptions > 0, "24 h at 2 h MTBF should preempt");
         assert_eq!(el.preemptions, st.preemptions, "same trace, same preemptions");
         assert!(
@@ -818,12 +789,11 @@ mod tests {
     #[test]
     fn elastic_spot_walk_is_deterministic() {
         let j = job(2, Strategy::Mics(MicsConfig::paper_defaults(8)));
-        let cfg = RecoveryConfig::default();
         let horizon = SimTime::from_secs(12 * 3600);
         let run = |seed| {
             let plan =
                 spot_plan(&j, seed, SimTime::from_secs(3600), SimTime::from_secs(600), horizon);
-            simulate_elastic(&j, &cfg, &plan, horizon, SpotPolicy::Elastic).unwrap()
+            simulate_elastic(&j, &plan, horizon, SpotPolicy::Elastic).unwrap()
         };
         let a = run(5);
         assert_eq!(a, run(5));
@@ -833,14 +803,11 @@ mod tests {
     #[test]
     fn elastic_goodput_degrades_with_spot_churn() {
         let j = job(4, Strategy::Mics(MicsConfig::paper_defaults(8)));
-        let cfg = RecoveryConfig::default();
         let horizon = SimTime::from_secs(24 * 3600);
         let good = |mtbf_secs: u64| {
             let plan =
                 spot_plan(&j, 11, SimTime::from_secs(mtbf_secs), SimTime::from_secs(1800), horizon);
-            simulate_elastic(&j, &cfg, &plan, horizon, SpotPolicy::Elastic)
-                .unwrap()
-                .goodput_fraction
+            simulate_elastic(&j, &plan, horizon, SpotPolicy::Elastic).unwrap().goodput_fraction
         };
         let rare = good(12 * 3600);
         let churny = good(3600);
@@ -850,11 +817,10 @@ mod tests {
     #[test]
     fn quiet_trace_gives_near_full_goodput_and_no_reshapes() {
         let j = job(2, Strategy::Mics(MicsConfig::paper_defaults(8)));
-        let cfg = RecoveryConfig::default();
         let horizon = SimTime::from_secs(3600);
         let plan = FaultPlan::new(1); // no events
         for policy in [SpotPolicy::Elastic, SpotPolicy::Static] {
-            let r = simulate_elastic(&j, &cfg, &plan, horizon, policy).unwrap();
+            let r = simulate_elastic(&j, &plan, horizon, policy).unwrap();
             assert_eq!(r.preemptions, 0);
             assert_eq!(r.reshapes, 0);
             assert_eq!(r.min_nodes, 2);
@@ -867,11 +833,10 @@ mod tests {
     fn goodput_degrades_with_failure_rate_and_mics_holds_more() {
         let mics = job(2, Strategy::Mics(MicsConfig::paper_defaults(8)));
         let z3 = job(2, Strategy::Zero(ZeroStage::Three));
-        let cfg = RecoveryConfig::default();
         let horizon = SimTime::from_secs(24 * 3600);
         let good = |j: &TrainingJob, mtbf_secs: u64| {
             let plan = poisson_failures(j, 7, SimTime::from_secs(mtbf_secs), horizon);
-            simulate_with_failures(j, &cfg, &plan, horizon).unwrap().goodput_fraction
+            simulate_with_failures(j, &plan, horizon).unwrap().goodput_fraction
         };
         let mics_rare = good(&mics, 12 * 3600);
         let mics_often = good(&mics, 3600);

@@ -34,11 +34,6 @@ pub struct RunReport {
 }
 
 impl RunReport {
-    /// Throughput in samples/sec normalized per device.
-    pub fn samples_per_sec_per_gpu(&self, devices: usize) -> f64 {
-        self.samples_per_sec / devices as f64
-    }
-
     /// Achieved TFLOPS per GPU.
     pub fn tflops_per_gpu(&self) -> f64 {
         self.achieved_flops_per_gpu / 1e12
@@ -105,7 +100,6 @@ mod tests {
             comm_fraction: 0.4,
             nic_bytes_per_node: 0,
         };
-        assert_eq!(r.samples_per_sec_per_gpu(16), 4.0);
         assert_eq!(r.tflops_per_gpu(), 50.0);
     }
 

@@ -99,11 +99,6 @@ impl Default for RetryPolicy {
 }
 
 impl RetryPolicy {
-    /// A policy that tries exactly once (no sleeps).
-    pub fn once() -> Self {
-        RetryPolicy { max_attempts: 1, ..RetryPolicy::default() }
-    }
-
     /// The backoff slept after failed attempt `attempt` (0-based): the
     /// exponential `initial · multiplierᵃ`, capped at `max_backoff`.
     pub fn backoff(&self, attempt: u32) -> Duration {

@@ -83,8 +83,7 @@ pub(crate) const MAX_FRAME: usize = 1 << 28;
 pub const HEARTBEAT_INTERVAL: Duration = Duration::from_millis(100);
 
 /// How long a rank tolerates a silent hub before declaring the connection
-/// dead (endpoint side of the heartbeat path). Overridable per connection
-/// via [`SocketWorldConfig::heartbeat_grace`].
+/// dead (endpoint side of the heartbeat path).
 pub const DEFAULT_HEARTBEAT_GRACE: Duration = Duration::from_secs(10);
 
 // ---- frame codec -----------------------------------------------------------
@@ -521,7 +520,6 @@ pub(crate) struct Endpoint {
     /// to; the hub can announce one event twice, see [`Endpoint::on_poison`].
     reacted_to: Mutex<Option<CommError>>,
     last_inbound: Mutex<Instant>,
-    heartbeat_grace: Duration,
     /// Cumulative bytes written to the wire (`socket.rank{N}.tx_bytes`).
     tx_bytes: mics_trace::Counter,
     /// Cumulative bytes read off the wire (`socket.rank{N}.rx_bytes`).
@@ -747,13 +745,13 @@ fn heartbeat_loop(ep: Weak<Endpoint>) {
         if ep.failure().is_some() {
             return;
         }
-        if lock(&ep.last_inbound).elapsed() > ep.heartbeat_grace {
+        if lock(&ep.last_inbound).elapsed() > DEFAULT_HEARTBEAT_GRACE {
             mics_trace::global().instant(
                 DATAPLANE_PROCESS,
                 &format!("rank{}", ep.world_rank),
                 "heartbeat missed",
                 "fault",
-                vec![("grace_ms", Arg::from(ep.heartbeat_grace.as_millis() as u64))],
+                vec![("grace_ms", Arg::from(DEFAULT_HEARTBEAT_GRACE.as_millis() as u64))],
             );
             ep.fail_connection(CommError::Io { kind: std::io::ErrorKind::TimedOut });
             return;
@@ -956,13 +954,11 @@ pub struct SocketWorldConfig {
     pub timeout: Duration,
     /// Connection-setup retry policy.
     pub retry: RetryPolicy,
-    /// How long to tolerate a silent hub before failing the connection.
-    pub heartbeat_grace: Duration,
 }
 
 impl SocketWorldConfig {
-    /// Defaults for everything but the identity: [`DEFAULT_TIMEOUT`],
-    /// [`RetryPolicy::default`], [`DEFAULT_HEARTBEAT_GRACE`].
+    /// Defaults for everything but the identity: [`DEFAULT_TIMEOUT`] and
+    /// [`RetryPolicy::default`].
     pub fn new(addr: impl Into<String>, rank: usize, world: usize) -> Self {
         SocketWorldConfig {
             addr: addr.into(),
@@ -970,7 +966,6 @@ impl SocketWorldConfig {
             world,
             timeout: DEFAULT_TIMEOUT,
             retry: RetryPolicy::default(),
-            heartbeat_grace: DEFAULT_HEARTBEAT_GRACE,
         }
     }
 }
@@ -998,7 +993,6 @@ pub fn connect_world(cfg: SocketWorldConfig) -> Result<Communicator, CommError> 
         failed: Mutex::new(None),
         reacted_to: Mutex::new(None),
         last_inbound: Mutex::new(Instant::now()),
-        heartbeat_grace: cfg.heartbeat_grace,
         tx_bytes: counters.counter(&format!("socket.rank{}.tx_bytes", cfg.rank)),
         rx_bytes: counters.counter(&format!("socket.rank{}.rx_bytes", cfg.rank)),
         pending_depth: counters.counter(&format!("socket.rank{}.pending", cfg.rank)),

@@ -31,7 +31,7 @@
 //! splits **output** rows/columns only — never a reduction axis — so every
 //! output element is computed by exactly one thread in exactly the
 //! program order a single thread would use. Results are therefore
-//! bit-stable at any thread count (`MICS_KERNEL_THREADS`, or
+//! bit-stable at any thread count (the host's parallelism by default, or
 //! [`set_kernel_threads`]).
 //!
 //! # Observability
@@ -56,25 +56,14 @@ const LANES: usize = 8;
 
 // ---- configuration ---------------------------------------------------------
 
-/// Runtime knobs. `threads == 0` / `simd == 0` mean "unset, consult the
-/// environment"; the setters below override both env and autodetection.
+/// Runtime knobs. `threads == 0` / `simd == 0` mean "unset": the host's
+/// parallelism and SIMD autodetection; the setters below override both.
 struct Knobs {
     threads: AtomicUsize,
     simd: AtomicU8,
 }
 
 static KNOBS: Knobs = Knobs { threads: AtomicUsize::new(0), simd: AtomicU8::new(0) };
-
-/// `MICS_KERNEL_THREADS`, parsed once (0 = unset).
-fn env_threads() -> usize {
-    static ENV: OnceLock<usize> = OnceLock::new();
-    *ENV.get_or_init(|| {
-        std::env::var("MICS_KERNEL_THREADS")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .unwrap_or(0)
-    })
-}
 
 /// The host's available parallelism, read once.
 fn host_threads() -> usize {
@@ -120,37 +109,29 @@ pub fn simd_active() -> bool {
 }
 
 /// Override the kernel thread count (`Some(n)`), or restore the
-/// `MICS_KERNEL_THREADS` / `available_parallelism` default (`None` or
-/// `Some(0)`). The partition is over output elements only, so any value
+/// `available_parallelism` default (`None` or `Some(0)`). The partition is over output elements only, so any value
 /// produces bit-identical results.
 pub fn set_kernel_threads(n: Option<usize>) {
     KNOBS.threads.store(n.unwrap_or(0).min(MAX_THREADS), Ordering::Relaxed);
 }
 
-/// Hard cap on pool width — a guard against absurd env values, far above
-/// any host this stack targets.
+/// Hard cap on pool width, far above any host this stack targets.
 const MAX_THREADS: usize = 64;
 
-/// The resolved kernel thread count: override > `MICS_KERNEL_THREADS` >
+/// The resolved kernel thread count: the override, else
 /// `available_parallelism()`, clamped to `1..=64`.
 pub fn kernel_threads() -> usize {
     let o = KNOBS.threads.load(Ordering::Relaxed);
-    let t = if o != 0 {
-        o
-    } else if env_threads() != 0 {
-        env_threads()
-    } else {
-        host_threads()
-    };
+    let t = if o != 0 { o } else { host_threads() };
     t.clamp(1, MAX_THREADS)
 }
 
-/// Resolve every lazy knob (env, feature detection, counter cells) and
-/// warm the worker pool, so the first hot-path kernel call pays no
-/// first-use cost. Called by the training engine before ranks spawn;
+/// Resolve every lazy knob (host parallelism, feature detection, counter
+/// cells) and warm the worker pool, so the first hot-path kernel call pays
+/// no first-use cost. Called by the training engine before ranks spawn;
 /// idempotent.
 pub fn init() {
-    let _ = (env_threads(), host_threads(), simd_available());
+    let _ = (host_threads(), simd_available());
     let _ = cells();
     pool::warm(kernel_threads());
 }

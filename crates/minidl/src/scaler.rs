@@ -11,8 +11,6 @@
 pub enum LossScale {
     /// No scaling (fp32 training).
     None,
-    /// Fixed scale.
-    Static(f32),
     /// DeepSpeed-style dynamic scaling.
     Dynamic {
         /// Initial scale (DeepSpeed default: 2¹⁶).
@@ -50,7 +48,6 @@ impl ScalerState {
     pub fn new(policy: LossScale) -> Self {
         let scale = match policy {
             LossScale::None => 1.0,
-            LossScale::Static(s) => s,
             LossScale::Dynamic { init, .. } => init,
         };
         assert!(scale.is_finite() && scale > 0.0, "scale must be positive");
@@ -88,7 +85,7 @@ impl ScalerState {
     /// optimizer step should be applied.
     pub fn update(&mut self, overflowed: bool) -> bool {
         match self.policy {
-            LossScale::None | LossScale::Static(_) => {
+            LossScale::None => {
                 if overflowed {
                     self.skipped += 1;
                 }
@@ -124,16 +121,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn none_and_static_policies_hold_scale() {
+    fn none_policy_holds_scale() {
         let mut s = ScalerState::new(LossScale::None);
         assert_eq!(s.scale(), 1.0);
         assert!(s.update(false));
-        assert_eq!(s.scale(), 1.0);
-
-        let mut s = ScalerState::new(LossScale::Static(128.0));
-        assert!(s.update(false));
         assert!(!s.update(true)); // overflow skips the step
-        assert_eq!(s.scale(), 128.0); // but never adapts
+        assert_eq!(s.scale(), 1.0); // but never adapts
         assert_eq!(s.skipped_steps(), 1);
     }
 

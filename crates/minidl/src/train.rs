@@ -922,7 +922,7 @@ mod tests {
         // training (up to fp rounding) for any schedule.
         let base = train(&setup(4, 2, 2), SyncSchedule::TwoHop);
         let mut cfg = setup(4, 2, 2);
-        cfg.loss_scale = LossScale::Static(1024.0);
+        cfg.loss_scale = LossScale::Dynamic { init: 1024.0, growth_interval: u32::MAX };
         let scaled = train(&cfg, SyncSchedule::TwoHop);
         assert_eq!(scaled.skipped_steps, 0);
         for (i, (a, b)) in base.losses.iter().zip(scaled.losses.iter()).enumerate() {

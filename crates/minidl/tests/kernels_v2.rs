@@ -255,8 +255,8 @@ fn lm_training_is_byte_identical_across_simd_and_thread_knobs() {
 }
 
 /// (d) Runtime feature detection: autodetection engages the SIMD path on
-/// capable hosts, the `MICS_KERNEL_SIMD`-style override forces the scalar
-/// fallback *on the same host*, and the two paths produce the same bits.
+/// capable hosts, the `set_simd` override forces the scalar fallback *on the
+/// same host*, and the two paths produce the same bits.
 /// The counters prove each path actually executed — on a SIMD host this
 /// test exercises the fallback, which is exactly the coverage a
 /// SIMD-capable CI box would otherwise never get.

@@ -68,12 +68,6 @@ impl WorkloadSpec {
         self.layers.iter().map(|l| l.working_bytes).max().unwrap_or(0)
     }
 
-    /// Parameter bytes of the largest single layer — sizes the gathered-
-    /// parameter working buffers of ZeRO-3/MiCS.
-    pub fn max_layer_param_bytes(&self) -> u64 {
-        self.layers.iter().map(|l| l.params).max().unwrap_or(0) * self.param_dtype_bytes
-    }
-
     /// Model-state bytes *before* any sharding, mixed-precision Adam
     /// convention: `param_dtype` params + `param_dtype` grads + 12 B/param
     /// optimizer states (fp32 master + two moments). This is the paper's
@@ -126,7 +120,6 @@ mod tests {
         assert_eq!(s.total_flops(), 160.0);
         assert_eq!(s.checkpoint_bytes(), 12);
         assert_eq!(s.peak_working_bytes(), 50);
-        assert_eq!(s.max_layer_param_bytes(), 600);
     }
 
     #[test]

@@ -53,11 +53,6 @@ impl FlopLedger {
         FlopLedger { granted, spent: 0.0 }
     }
 
-    /// An effectively unlimited ledger (the in-process/bench default).
-    pub fn unlimited() -> Self {
-        FlopLedger { granted: f64::MAX, spent: 0.0 }
-    }
-
     /// FLOPs still available.
     pub fn remaining(&self) -> f64 {
         (self.granted - self.spent).max(0.0)

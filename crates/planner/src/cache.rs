@@ -12,7 +12,9 @@
 //! a condvar and are all served by that one run (the *dedup collapse* the
 //! `ext_serve` bench measures). A panic in the compute closure removes the
 //! marker and wakes waiters (one of them recomputes), so a poisoned entry
-//! cannot wedge the server.
+//! cannot wedge the server. A completed entry never goes stale: a plan is a
+//! pure function of its canonical key, so recomputing one could only
+//! reproduce the same bytes. Only the capacity bound removes entries.
 //!
 //! Behaviour counters live in a [`mics_trace::Counters`] registry
 //! ([`CacheStats`]), so the same cells back the `stats` request, the
@@ -24,7 +26,7 @@ use crate::PLANNER_PROCESS;
 use mics_core::{CanonicalKey, Json};
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use crate::protocol::PlanError;
 
@@ -32,9 +34,8 @@ use crate::protocol::PlanError;
 enum Slot {
     /// Some worker is computing this key; wait on the condvar.
     Running,
-    /// The memoized response payload, stamped with its completion time so
-    /// an optional TTL can age it out.
-    Done(Arc<Json>, Instant),
+    /// The memoized response payload.
+    Done(Arc<Json>),
 }
 
 /// How a [`PlanCache::get_or_compute`] call was served.
@@ -83,8 +84,6 @@ pub struct CacheStats {
     pub sim_runs: mics_trace::Counter,
     /// Completed entries dropped to stay within the capacity bound.
     pub evictions: mics_trace::Counter,
-    /// Completed entries aged out by the TTL (lazy expiry on lookup).
-    pub ttl_expiries: mics_trace::Counter,
 }
 
 impl Default for CacheStats {
@@ -104,7 +103,6 @@ impl CacheStats {
             dedup_collapsed: registry.counter("planner.cache.waiters"),
             sim_runs: registry.counter("planner.sim_runs"),
             evictions: registry.counter("planner.cache.evictions"),
-            ttl_expiries: registry.counter("planner.cache.ttl_expiries"),
             registry,
         }
     }
@@ -142,9 +140,6 @@ pub struct PlanCache {
     /// Maximum completed entries kept (0 = unbounded). Oldest-first
     /// eviction: planning workloads revisit recent configurations.
     capacity: usize,
-    /// Maximum age of a completed entry. Expiry is lazy: a stale entry is
-    /// dropped (and recomputed) by the next lookup that touches it.
-    ttl: Option<Duration>,
     /// Behaviour counters, exposed via the `stats` request.
     pub stats: CacheStats,
 }
@@ -185,48 +180,12 @@ impl PlanCache {
     /// An empty cache keeping at most `capacity` completed entries
     /// (0 = unbounded), evicting oldest-first.
     pub fn with_capacity(capacity: usize) -> Self {
-        Self::with_ttl(capacity, None)
-    }
-
-    /// An empty cache bounded by `capacity` (0 = unbounded) whose completed
-    /// entries additionally expire `ttl` after completion (`None` = never).
-    /// Expiry is lazy — checked on lookup — so an idle cache holds stale
-    /// entries but never serves them.
-    pub fn with_ttl(capacity: usize, ttl: Option<Duration>) -> Self {
         PlanCache {
             inner: Mutex::new(Inner { slots: HashMap::new(), done_order: VecDeque::new() }),
             ready: Condvar::new(),
             capacity,
-            ttl,
             stats: CacheStats::new(),
         }
-    }
-
-    /// The `cache eviction` trace instant, tagged with why the entry left
-    /// (`"capacity"` or `"ttl"`).
-    fn eviction_instant(reason: &'static str) {
-        mics_trace::global().instant(
-            PLANNER_PROCESS,
-            "cache",
-            "cache eviction",
-            "cache",
-            vec![("reason", mics_trace::Arg::from(reason))],
-        );
-    }
-
-    /// Drop `key`'s completed entry if the TTL says it is stale. Returns
-    /// `true` when an entry was removed (the caller now sees a miss).
-    fn expire_if_stale(&self, inner: &mut Inner, key: CanonicalKey) -> bool {
-        let Some(ttl) = self.ttl else { return false };
-        let stale = matches!(inner.slots.get(&key), Some(Slot::Done(_, at)) if at.elapsed() >= ttl);
-        if !stale {
-            return false;
-        }
-        inner.slots.remove(&key);
-        inner.done_order.retain(|k| *k != key);
-        self.stats.ttl_expiries.incr();
-        Self::eviction_instant("ttl");
-        true
     }
 
     /// Entries currently memoized (completed only).
@@ -246,12 +205,9 @@ impl PlanCache {
     /// what lets the budget layer serve memoized answers to clients whose
     /// FLOP ledger is already exhausted: cached responses are free.
     pub fn peek(&self, key: CanonicalKey) -> Option<Arc<Json>> {
-        let mut inner = self.inner.lock().unwrap();
-        if self.expire_if_stale(&mut inner, key) {
-            return None;
-        }
+        let inner = self.inner.lock().unwrap();
         match inner.slots.get(&key) {
-            Some(Slot::Done(v, _)) => {
+            Some(Slot::Done(v)) => {
                 self.stats.queries.incr();
                 self.stats.hits.incr();
                 Some(Arc::clone(v))
@@ -275,9 +231,8 @@ impl PlanCache {
         self.stats.queries.incr();
         let mut inner = self.inner.lock().unwrap();
         loop {
-            self.expire_if_stale(&mut inner, key);
             match inner.slots.get(&key) {
-                Some(Slot::Done(v, _)) => {
+                Some(Slot::Done(v)) => {
                     self.stats.hits.incr();
                     return Ok((Arc::clone(v), CacheOutcome::Hit));
                 }
@@ -298,7 +253,7 @@ impl PlanCache {
                             self.ready.wait_timeout(inner, deadline.duration_since(now)).unwrap();
                         inner = guard;
                         match inner.slots.get(&key) {
-                            Some(Slot::Done(v, _)) => {
+                            Some(Slot::Done(v)) => {
                                 self.stats.hits.incr();
                                 return Ok((Arc::clone(v), CacheOutcome::Waiter));
                             }
@@ -321,13 +276,19 @@ impl PlanCache {
                     let value = Arc::new(compute());
                     guard.armed = false;
                     let mut inner = self.inner.lock().unwrap();
-                    inner.slots.insert(key, Slot::Done(Arc::clone(&value), Instant::now()));
+                    inner.slots.insert(key, Slot::Done(Arc::clone(&value)));
                     inner.done_order.push_back(key);
                     while self.capacity > 0 && inner.done_order.len() > self.capacity {
                         let Some(old) = inner.done_order.pop_front() else { break };
                         inner.slots.remove(&old);
                         self.stats.evictions.incr();
-                        Self::eviction_instant("capacity");
+                        mics_trace::global().instant(
+                            PLANNER_PROCESS,
+                            "cache",
+                            "cache eviction",
+                            "cache",
+                            vec![("reason", mics_trace::Arg::from("capacity"))],
+                        );
                     }
                     drop(inner);
                     self.ready.notify_all();
@@ -466,44 +427,6 @@ mod tests {
         let (_, outcome) = cache.get_or_compute(key(10), far(), || Json::from("again")).unwrap();
         assert_eq!(outcome, CacheOutcome::Leader);
         assert_eq!(cache.stats.evictions.get(), 2, "re-inserting evicts the next oldest");
-    }
-
-    #[test]
-    fn ttl_expires_entries_lazily() {
-        let cache = PlanCache::with_ttl(0, Some(Duration::from_millis(40)));
-        let (_, outcome) = cache.get_or_compute(key(30), far(), || Json::from("v1")).unwrap();
-        assert_eq!(outcome, CacheOutcome::Leader);
-        // Fresh enough: a hit, and still memoized.
-        let (_, outcome) = cache.get_or_compute(key(30), far(), || unreachable!()).unwrap();
-        assert_eq!(outcome, CacheOutcome::Hit);
-        assert_eq!(cache.len(), 1);
-        std::thread::sleep(Duration::from_millis(60));
-        // Stale: peek refuses to serve it, the next compute leads again,
-        // and the expiry is accounted separately from capacity evictions.
-        assert!(cache.peek(key(30)).is_none());
-        let (v, outcome) = cache.get_or_compute(key(30), far(), || Json::from("v2")).unwrap();
-        assert_eq!(outcome, CacheOutcome::Leader);
-        assert_eq!(*v, Json::from("v2"));
-        assert_eq!(cache.stats.ttl_expiries.get(), 1);
-        assert_eq!(cache.stats.evictions.get(), 0);
-    }
-
-    #[test]
-    fn ttl_expiry_keeps_capacity_accounting_consistent() {
-        // An expired entry leaves the FIFO too: refilling after expiry must
-        // not trigger a bogus capacity eviction.
-        let cache = PlanCache::with_ttl(2, Some(Duration::from_millis(30)));
-        let _ = cache.get_or_compute(key(40), far(), || Json::from("a"));
-        let _ = cache.get_or_compute(key(41), far(), || Json::from("b"));
-        std::thread::sleep(Duration::from_millis(50));
-        assert!(cache.peek(key(40)).is_none());
-        assert!(cache.peek(key(41)).is_none());
-        assert_eq!(cache.len(), 0, "expired entries left the FIFO");
-        let _ = cache.get_or_compute(key(42), far(), || Json::from("c"));
-        let _ = cache.get_or_compute(key(43), far(), || Json::from("d"));
-        assert_eq!(cache.len(), 2);
-        assert_eq!(cache.stats.evictions.get(), 0, "no capacity pressure yet");
-        assert_eq!(cache.stats.ttl_expiries.get(), 2);
     }
 
     #[test]

@@ -66,12 +66,7 @@ impl PlannerClient {
     /// Connect under the default bounded-backoff [`RetryPolicy`] (the
     /// server may still be binding).
     pub fn connect(addr: &str) -> Result<PlannerClient, PlanError> {
-        Self::connect_with(addr, RetryPolicy::default())
-    }
-
-    /// Connect under an explicit retry policy.
-    pub fn connect_with(addr: &str, retry: RetryPolicy) -> Result<PlannerClient, PlanError> {
-        let stream = retry.run(|| Stream::connect(addr)).map_err(io_err)?;
+        let stream = RetryPolicy::default().run(|| Stream::connect(addr)).map_err(io_err)?;
         Ok(PlannerClient { stream, next_id: 1 })
     }
 

@@ -60,10 +60,6 @@ pub struct PlannerConfig {
     /// Maximum completed cache entries kept (0 = unbounded); the cache
     /// evicts oldest-first past this and counts the evictions.
     pub cache_capacity: usize,
-    /// Maximum age of a completed cache entry before a lookup recomputes
-    /// it (`None` = entries never expire). Pairs with `cache_capacity`:
-    /// capacity bounds space, the TTL bounds staleness.
-    pub cache_ttl: Option<Duration>,
 }
 
 impl Default for PlannerConfig {
@@ -75,7 +71,6 @@ impl Default for PlannerConfig {
             default_budget_flops: f64::MAX,
             default_deadline: Duration::from_secs(30),
             cache_capacity: 0,
-            cache_ttl: None,
         }
     }
 }
@@ -150,7 +145,7 @@ impl PlannerServer {
         let shared = Arc::new(Shared {
             cfg: cfg.clone(),
             listener,
-            cache: PlanCache::with_ttl(cfg.cache_capacity, cfg.cache_ttl),
+            cache: PlanCache::with_capacity(cfg.cache_capacity),
             queue: Mutex::new(VecDeque::new()),
             queue_ready: Condvar::new(),
             shutdown: AtomicBool::new(false),
@@ -569,7 +564,6 @@ fn stats_response(shared: &Arc<Shared>, conn: &ConnState, id: u64) -> Json {
         ("dedup_collapsed", Json::Num(dedup as f64)),
         ("sim_runs", Json::Num(sim_runs as f64)),
         ("cache_evictions", Json::Num(shared.cache.stats.evictions.get() as f64)),
-        ("cache_ttl_expiries", Json::Num(shared.cache.stats.ttl_expiries.get() as f64)),
         ("cache_entries", Json::Num(shared.cache.len() as f64)),
         ("budget_remaining", Json::Num(conn.ledger.lock().unwrap().remaining())),
     ])
@@ -734,41 +728,6 @@ mod tests {
         let stats = request(&mut c, r#"{"type":"stats","id":4}"#);
         assert!(stats.get("cache_hits").and_then(Json::as_num).unwrap() >= 1.0);
         assert!(stats.get("sim_runs").and_then(Json::as_num).unwrap() >= 2.0);
-
-        let bye = request(&mut c, r#"{"type":"shutdown"}"#);
-        assert_eq!(bye.get("type").and_then(Json::as_str), Some("bye"));
-        server.join();
-    }
-
-    #[test]
-    fn cache_ttl_expires_entries_across_the_socket() {
-        let cfg = PlannerConfig {
-            cache_ttl: Some(Duration::from_millis(80)),
-            ..PlannerConfig::default()
-        };
-        let server = PlannerServer::start(cfg).unwrap();
-        let mut c = Stream::connect(server.addr()).unwrap();
-
-        let job = JobSpec::mics("bert-10b", 2, 8).to_json().emit();
-        let rep = request(&mut c, &format!(r#"{{"type":"simulate","id":1,"job":{job}}}"#));
-        assert_eq!(rep.get("type").and_then(Json::as_str), Some("report"), "{rep:?}");
-        // Within the TTL: served from cache, one sim run so far.
-        let rep2 = request(&mut c, &format!(r#"{{"type":"simulate","id":2,"job":{job}}}"#));
-        assert_eq!(rep2.get("report").unwrap().emit(), rep.get("report").unwrap().emit());
-        let (_, _, _, _, sim_runs) = server.cache_stats();
-        assert_eq!(sim_runs, 1);
-
-        std::thread::sleep(Duration::from_millis(120));
-        // Past the TTL: the entry expired, the same query recomputes — and
-        // determinism makes the recomputed payload byte-identical.
-        let rep3 = request(&mut c, &format!(r#"{{"type":"simulate","id":3,"job":{job}}}"#));
-        assert_eq!(rep3.get("report").unwrap().emit(), rep.get("report").unwrap().emit());
-        let (_, _, _, _, sim_runs) = server.cache_stats();
-        assert_eq!(sim_runs, 2, "the TTL-expired entry must recompute");
-
-        let stats = request(&mut c, r#"{"type":"stats","id":4}"#);
-        assert_eq!(stats.get("cache_ttl_expiries").and_then(Json::as_num), Some(1.0));
-        assert_eq!(stats.get("cache_evictions").and_then(Json::as_num), Some(0.0));
 
         let bye = request(&mut c, r#"{"type":"shutdown"}"#);
         assert_eq!(bye.get("type").and_then(Json::as_str), Some("bye"));

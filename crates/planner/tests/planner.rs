@@ -77,16 +77,20 @@ fn bounded_cache_reports_evictions_through_stats() {
     let cfg = PlannerConfig { cache_capacity: 1, ..PlannerConfig::default() };
     let server = PlannerServer::start(cfg).expect("server must start");
     let mut client = PlannerClient::connect(server.addr()).unwrap();
+    let job = mics_core::ToJson::to_json(&JobSpec::mics("bert-1.5b", 1, 8)).emit();
+    let first_query = format!(r#"{{"type":"simulate","id":1,"job":{job}}}"#);
     // Three distinct jobs through a one-entry cache: two evictions.
-    for nodes in 1..=3 {
+    let first = client.request_text(&first_query).unwrap();
+    for nodes in 2..=3 {
         client.simulate(&JobSpec::mics("bert-1.5b", nodes, 8), None).unwrap().unwrap();
     }
     assert_eq!(server.cache_evictions(), 2);
     let stats = client.stats().unwrap();
     assert_eq!(stats.cache_evictions, 2);
     assert_eq!(stats.cache_entries, 1, "capacity bounds the memoized entries");
-    // The evicted first job recomputes rather than hitting.
-    client.simulate(&JobSpec::mics("bert-1.5b", 1, 8), None).unwrap().unwrap();
+    // The evicted first job recomputes rather than hitting, and determinism
+    // makes the recomputed response byte-identical.
+    assert_eq!(client.request_text(&first_query).unwrap(), first);
     let (_, _, _, _, sim_runs) = server.cache_stats();
     assert_eq!(sim_runs, 4, "an evicted entry costs a fresh simulation");
     server.shutdown();

@@ -109,13 +109,17 @@ trap 'rm -rf results && mv "${RESULTS_SNAPSHOT}" results' EXIT
 # deterministic, so regenerating their artifacts must reproduce the
 # committed files to the byte. Runs first, while the snapshot still equals
 # everything else in results/ (plain diff: the gate also runs from a
-# `git archive` tarball).
+# `git archive` tarball). `ext_elastic` is here too: its real-backend half
+# records continuity flags and losses that the bit-identity contracts fix.
+# It also asserts the spot-trace goodput claims (elastic ≥ static on the
+# identical seeded timeline, monotone degradation with churn) and the
+# bit-exact shrink/grow continuity on both transports.
 echo "==> deterministic simulator artifacts regenerate byte-identically"
 for bin in fig01_effective_bandwidth fig06_strong_scaling_bert fig07_strong_scaling_other \
     fig08_tflops fig09_a100_400gbps fig10a_megatron fig10b_wideresnet \
     fig11_partition_group_size fig12a_hierarchical_microbench fig12b_hierarchical_e2e \
     fig13_two_hop fig14_impl_opts table1_models case_study_100b \
-    ext_ablation ext_straggler ext_recovery; do
+    ext_ablation ext_straggler ext_recovery ext_elastic; do
     cargo run --release -q -p mics-bench --bin "${bin}" >/dev/null
 done
 diff -r "${RESULTS_SNAPSHOT}" results
@@ -149,12 +153,6 @@ cargo run --release -q -p mics-bench --bin ext_compress >/dev/null
 # the wall-clock claim for the host's cores against its 8 rank threads.
 echo "==> ext_overlap (smoke)"
 cargo run --release -q -p mics-bench --bin ext_overlap >/dev/null
-
-# The elastic bench asserts the spot-trace goodput claims (elastic ≥ static
-# on the identical seeded timeline, monotone degradation with churn) and
-# the real-backend bit-exact shrink/grow continuity, on both transports.
-echo "==> ext_elastic (smoke)"
-cargo run --release -q -p mics-bench --bin ext_elastic >/dev/null
 
 # The isoFLOP sweep in miniature: --smoke walks the same code path (budget
 # honoring through the kernel FLOP counters, all three schedules with the
