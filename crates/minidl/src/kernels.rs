@@ -109,8 +109,8 @@ pub fn simd_active() -> bool {
 }
 
 /// Override the kernel thread count (`Some(n)`), or restore the
-/// `available_parallelism` default (`None` or `Some(0)`). The partition is over output elements only, so any value
-/// produces bit-identical results.
+/// `available_parallelism` default (`None` or `Some(0)`). The partition is
+/// over output elements only, so any value produces bit-identical results.
 pub fn set_kernel_threads(n: Option<usize>) {
     KNOBS.threads.store(n.unwrap_or(0).min(MAX_THREADS), Ordering::Relaxed);
 }
