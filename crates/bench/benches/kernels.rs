@@ -1,17 +1,21 @@
-//! Microbenchmarks of the mini-DL matrix kernels across the three
-//! generations that coexist in `mics_minidl::kernels`: the naive scalar
-//! `reference`, the cache-blocked autovectorized v1 (`blocked`, PR 5), and
-//! the v2 SIMD dispatch (AVX2+FMA lanes, single-threaded and with the
-//! worker pool at the host's parallelism).
+//! Microbenchmarks of the mini-DL kernels across three generations: the
+//! naive scalar `mics_minidl::kernels::reference`, the cache-blocked
+//! autovectorized v1 (`mics_bench::blocked`, PR 5), and the v2 SIMD
+//! dispatch in `mics_minidl::kernels` (AVX2+FMA lanes, single-threaded and
+//! with the worker pool at the host's parallelism). Causal attention has
+//! no v1: its v1 is the scalar reference loop, so the `blocked_ns` cell of
+//! its rows times that loop again.
 //!
 //! Besides the criterion registrations, `main` takes its own best-of-N
 //! measurements (the vendored criterion shim prints but cannot persist),
 //! writes the four-way table to `results/BENCH_kernels.json`, and
-//! *asserts* the Kernels-v2 acceptance claim inline: SIMD ≥ 2× over the
-//! blocked kernels on matmul and matmul_bt at both bench shapes.
+//! *asserts* the acceptance claims inline: SIMD ≥ 2× over the blocked
+//! kernels on matmul and matmul_bt at both bench shapes, and SIMD ≥ 2×
+//! over the reference loops on attention forward and backward at both LM
+//! head shapes.
 
 use criterion::{criterion_group, BenchmarkId, Criterion};
-use mics_bench::Table;
+use mics_bench::{blocked, Table};
 use mics_minidl::kernels;
 use std::hint::black_box;
 use std::time::Instant;
@@ -34,6 +38,10 @@ fn buf(len: usize, salt: u64) -> Vec<f32> {
 /// one whose reduction crosses the KC tile.
 const SHAPES: &[(usize, usize, usize)] = &[(32, 64, 128), (96, 384, 96)];
 
+/// Attention shapes `(t, d, heads)`: the two LM models of the repo
+/// benchmark (`lm_compute_local`; `lm_comm_socket` and `lm_q8_zero3_local`).
+const ATTENTION_SHAPES: &[(usize, usize, usize)] = &[(32, 64, 4), (8, 96, 4)];
+
 fn bench(c: &mut Criterion) {
     let mut g = c.benchmark_group("kernels");
     g.sample_size(10);
@@ -45,7 +53,7 @@ fn bench(c: &mut Criterion) {
             be.iter(|| kernels::matmul(black_box(&a), black_box(&b), m, k, n))
         });
         g.bench_with_input(BenchmarkId::new("matmul/blocked", &shape), &(), |be, ()| {
-            be.iter(|| kernels::blocked::matmul(black_box(&a), black_box(&b), m, k, n))
+            be.iter(|| blocked::matmul(black_box(&a), black_box(&b), m, k, n))
         });
         g.bench_with_input(BenchmarkId::new("matmul/reference", &shape), &(), |be, ()| {
             be.iter(|| kernels::reference::matmul(black_box(&a), black_box(&b), m, k, n))
@@ -112,7 +120,8 @@ fn main() {
 
     let mut table = Table::new(
         "kernel microbenchmarks: scalar reference vs blocked (v1) vs SIMD dispatch \
-         (v2, 1 thread and host parallelism), best-of-7 ns/iter",
+         (v2, 1 thread and host parallelism), best-of-7 ns/iter; attention has no \
+         blocked v1, so its blocked_ns times the scalar reference loop",
         &[
             "kernel",
             "shape",
@@ -124,14 +133,14 @@ fn main() {
             "speedup_simd_vs_reference",
         ],
     );
-    // The acceptance gate: (kernel, shape, simd-vs-blocked) triples checked
-    // after the table fills.
-    let mut gated: Vec<(String, String, f64)> = Vec::new();
+    // The acceptance gate: (kernel, shape, simd-vs-blocked,
+    // simd-vs-reference) checked after the table fills.
+    let mut gated: Vec<(String, String, f64, f64)> = Vec::new();
     let mut fill = |table: &mut Table, kernel: &str, shape: String, v: Variants| {
         let best_simd = v.simd_ns.min(v.simd_mt_ns);
         let vs_blocked = v.blocked_ns as f64 / best_simd as f64;
         let vs_reference = v.reference_ns as f64 / best_simd as f64;
-        gated.push((kernel.to_string(), shape.clone(), vs_blocked));
+        gated.push((kernel.to_string(), shape.clone(), vs_blocked, vs_reference));
         table.row(vec![
             kernel.to_string(),
             shape,
@@ -156,7 +165,7 @@ fn main() {
                 black_box(kernels::reference::matmul(black_box(&a), black_box(&b), m, k, n));
             },
             || {
-                black_box(kernels::blocked::matmul(black_box(&a), black_box(&b), m, k, n));
+                black_box(blocked::matmul(black_box(&a), black_box(&b), m, k, n));
             },
             || {
                 black_box(kernels::matmul(black_box(&a), black_box(&b), m, k, n));
@@ -170,7 +179,7 @@ fn main() {
                 black_box(kernels::reference::matmul_bt(black_box(&d), black_box(&b), m, n, k));
             },
             || {
-                black_box(kernels::blocked::matmul_bt(black_box(&d), black_box(&b), m, n, k));
+                black_box(blocked::matmul_bt(black_box(&d), black_box(&b), m, n, k));
             },
             || {
                 black_box(kernels::matmul_bt(black_box(&d), black_box(&b), m, n, k));
@@ -194,14 +203,7 @@ fn main() {
                 );
             },
             || {
-                kernels::blocked::acc_matmul_at(
-                    black_box(&a),
-                    black_box(&d),
-                    m,
-                    k,
-                    n,
-                    black_box(&mut g2),
-                );
+                blocked::acc_matmul_at(black_box(&a), black_box(&d), m, k, n, black_box(&mut g2));
             },
             || {
                 kernels::acc_matmul_at(black_box(&a), black_box(&d), m, k, n, black_box(&mut g3));
@@ -230,13 +232,7 @@ fn main() {
             ));
         },
         || {
-            black_box(kernels::blocked::matvec_bias(
-                black_box(&w),
-                &bias,
-                black_box(&x),
-                out_dim,
-                in_dim,
-            ));
+            black_box(blocked::matvec_bias(black_box(&w), &bias, black_box(&x), out_dim, in_dim));
         },
         || {
             black_box(kernels::matvec_bias(black_box(&w), &bias, black_box(&x), out_dim, in_dim));
@@ -250,7 +246,7 @@ fn main() {
             black_box(kernels::reference::matvec_t(black_box(&w), black_box(&dv), out_dim, in_dim));
         },
         || {
-            black_box(kernels::blocked::matvec_t(black_box(&w), black_box(&dv), out_dim, in_dim));
+            black_box(blocked::matvec_t(black_box(&w), black_box(&dv), out_dim, in_dim));
         },
         || {
             black_box(kernels::matvec_t(black_box(&w), black_box(&dv), out_dim, in_dim));
@@ -267,7 +263,7 @@ fn main() {
             kernels::reference::acc_outer(black_box(&dv), black_box(&x), black_box(&mut g1));
         },
         || {
-            kernels::blocked::acc_outer(black_box(&dv), black_box(&x), black_box(&mut g2));
+            blocked::acc_outer(black_box(&dv), black_box(&x), black_box(&mut g2));
         },
         || {
             kernels::acc_outer(black_box(&dv), black_box(&x), black_box(&mut g3));
@@ -275,17 +271,54 @@ fn main() {
     );
     fill(&mut table, "acc_outer", shape, v);
 
+    for &(t, d, h) in ATTENTION_SHAPES {
+        let (q, k, v) = (&buf(t * d, 9), &buf(t * d, 10), &buf(t * d, 11));
+        let d_ctx = &buf(t * d, 12);
+        let att = &kernels::attention_forward(q, k, v, t, d, h).0;
+        let shape = format!("t{t}xd{d}xh{h}");
+        let r = || {
+            black_box(kernels::reference::attention_forward(black_box(q), k, v, t, d, h));
+        };
+        let vs = measure(50, r, r, || {
+            black_box(kernels::attention_forward(black_box(q), k, v, t, d, h));
+        });
+        fill(&mut table, "attention_forward", shape.clone(), vs);
+        let r = || {
+            black_box(kernels::reference::attention_backward(
+                black_box(q),
+                k,
+                v,
+                att,
+                d_ctx,
+                t,
+                d,
+                h,
+            ));
+        };
+        let vs = measure(50, r, r, || {
+            black_box(kernels::attention_backward(black_box(q), k, v, att, d_ctx, t, d, h));
+        });
+        fill(&mut table, "attention_backward", shape, vs);
+    }
+
     table.finish("BENCH_kernels");
 
     // Kernels-v2 acceptance claim (also re-checked from the committed JSON
     // by tests/results_schema.rs): on SIMD hosts the dispatch beats the v1
     // blocked kernels ≥ 2× on both GEMM-shaped matmul kernels.
+    // Attention's claim is against its scalar reference loop.
     if kernels::simd_available() {
-        for (kernel, shape, vs_blocked) in &gated {
+        for (kernel, shape, vs_blocked, vs_reference) in &gated {
             if kernel == "matmul" || kernel == "matmul_bt" {
                 assert!(
                     *vs_blocked >= 2.0,
                     "{kernel}@{shape}: SIMD vs blocked {vs_blocked:.2}x < 2x"
+                );
+            }
+            if kernel.starts_with("attention_") {
+                assert!(
+                    *vs_reference >= 2.0,
+                    "{kernel}@{shape}: SIMD vs reference {vs_reference:.2}x < 2x"
                 );
             }
         }

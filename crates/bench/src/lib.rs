@@ -7,6 +7,8 @@
 
 #![warn(missing_docs)]
 
+pub mod blocked;
+
 use mics_cluster::{ClusterSpec, InstanceType};
 use mics_core::{simulate, RunReport, Strategy, TrainingJob};
 use mics_model::WorkloadSpec;

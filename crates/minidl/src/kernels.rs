@@ -1,7 +1,6 @@
 //! SIMD + multicore f32 kernels for the real backend's forward/backward
-//! passes (Kernels v2), plus the cache-blocked v1 kernels ([`mod@blocked`])
-//! and the naive [`mod@reference`] implementations both are drift-bounded
-//! against.
+//! passes (Kernels v2), plus the naive [`mod@reference`] implementations
+//! they are checked against.
 //!
 //! # Lane discipline (bit-identity by construction)
 //!
@@ -22,6 +21,21 @@
 //! ones. `tests/kernels_v2.rs` asserts this across the whole config
 //! matrix.
 //!
+//! # Attention: unfused lanes, exact against the scalar loops
+//!
+//! [`attention_forward`] and [`attention_backward`] run causal multi-head
+//! attention for all heads in one call. Besides `fma`, `Lanes` has an
+//! unfused `mul`: attention accumulates with `add(acc, mul(a, b))`, never
+//! `fma`, because the scalar loops it replaces ([`reference::attention_forward`],
+//! [`reference::attention_backward`]) round the product and the sum
+//! separately. Scores and the backward's `d_att` run across keys against
+//! the head's K or V copied transposed into a lane-padded scratch; the
+//! context and `d_q`, `d_k`, `d_v` run across the head's columns. Each lane
+//! keeps the scalar loop's chain in its original order, and the softmax,
+//! `dot` and `ds` steps stay scalar, so the outputs equal the reference
+//! bit for bit, not within a drift bound. Attention runs on the calling
+//! thread.
+//!
 //! # Deterministic multithreading
 //!
 //! Kernels fan out over a persistent worker pool (the private `pool`
@@ -40,7 +54,11 @@
 //! path (SIMD vs fallback) ran ([`kernel_stats`]); when the global
 //! [`mics_trace::Recorder`] is enabled each kernel also emits a span, a
 //! `kernel GFLOP/s` counter track and a `tile queue depth` gauge into the
-//! same merged Perfetto timeline as the executor's lanes and wires.
+//! same merged Perfetto timeline as the executor's lanes and wires. FLOP
+//! accounting is GEMM-only: the matmul and matvec families count
+//! `2·m·k·n`-style FLOPs, while the attention kernels count calls and
+//! their path but add nothing to `kernel.flops`, so the budgets and
+//! per-unit FLOP figures denominated in it do not move with them.
 
 use mics_trace::{Arg, Counter, Counters};
 use std::ops::Range;
@@ -195,7 +213,9 @@ fn record<R>(name: &'static str, flops: u64, simd: bool, f: impl FnOnce() -> R) 
     let r = f();
     let t1 = rec.now_ns();
     rec.span("kernels", "compute", name, "kernel", t0, t1, vec![("flops", Arg::Int(flops as i64))]);
-    rec.counter("kernels", "compute", "kernel GFLOP/s", flops as f64 / (t1 - t0).max(1) as f64);
+    if flops > 0 {
+        rec.counter("kernels", "compute", "kernel GFLOP/s", flops as f64 / (t1 - t0).max(1) as f64);
+    }
     r
 }
 
@@ -220,6 +240,8 @@ trait Lanes {
     fn st(s: &mut [f32], at: usize, v: Self::V);
     /// Per-lane fused `a·b + c` (single rounding).
     fn fma(a: Self::V, b: Self::V, c: Self::V) -> Self::V;
+    /// Per-lane unfused `a·b` (rounded on its own).
+    fn mul(a: Self::V, b: Self::V) -> Self::V;
     /// Per-lane `a + b`.
     fn add(a: Self::V, b: Self::V) -> Self::V;
     /// Horizontal sum via the fixed tree `(q0+q2) + (q1+q3)` over
@@ -257,6 +279,15 @@ impl Lanes for ScalarLanes {
         let mut o = [0.0f32; 8];
         for l in 0..8 {
             o[l] = a[l].mul_add(b[l], c[l]);
+        }
+        o
+    }
+
+    #[inline(always)]
+    fn mul(a: [f32; 8], b: [f32; 8]) -> [f32; 8] {
+        let mut o = [0.0f32; 8];
+        for l in 0..8 {
+            o[l] = a[l] * b[l];
         }
         o
     }
@@ -317,6 +348,12 @@ mod avx {
         fn fma(a: __m256, b: __m256, c: __m256) -> __m256 {
             // SAFETY: callers are gated on runtime AVX2+FMA detection.
             unsafe { _mm256_fmadd_ps(a, b, c) }
+        }
+
+        #[inline(always)]
+        fn mul(a: __m256, b: __m256) -> __m256 {
+            // SAFETY: callers are gated on runtime AVX2+FMA detection.
+            unsafe { _mm256_mul_ps(a, b) }
         }
 
         #[inline(always)]
@@ -419,6 +456,42 @@ mod avx {
     #[target_feature(enable = "avx2,fma")]
     pub(super) unsafe fn acc_outer_rows(d: &[f32], x: &[f32], rows: Range<usize>, gw: &mut [f32]) {
         body::acc_outer_rows::<AvxLanes>(d, x, rows, gw)
+    }
+
+    /// # Safety
+    /// The host must support AVX2 and FMA (checked by [`super::simd_active`]).
+    #[allow(clippy::too_many_arguments)]
+    #[target_feature(enable = "avx2,fma")]
+    pub(super) unsafe fn attention_forward(
+        q: &[f32],
+        k: &[f32],
+        v: &[f32],
+        t: usize,
+        d: usize,
+        heads: usize,
+        outs: [&mut [f32]; 2],
+        scratch: [&mut [f32]; 2],
+    ) {
+        body::attention_forward::<AvxLanes>(q, k, v, t, d, heads, outs, scratch)
+    }
+
+    /// # Safety
+    /// The host must support AVX2 and FMA (checked by [`super::simd_active`]).
+    #[allow(clippy::too_many_arguments)]
+    #[target_feature(enable = "avx2,fma")]
+    pub(super) unsafe fn attention_backward(
+        q: &[f32],
+        k: &[f32],
+        v: &[f32],
+        att: &[f32],
+        d_ctx: &[f32],
+        t: usize,
+        d: usize,
+        heads: usize,
+        grads: [&mut [f32]; 3],
+        scratch: [&mut [f32]; 2],
+    ) {
+        body::attention_backward::<AvxLanes>(q, k, v, att, d_ctx, t, d, heads, grads, scratch)
     }
 
     /// # Safety
@@ -587,9 +660,12 @@ mod body {
         }
     }
 
-    /// `out = d[rows] · bᵀ`: four simultaneous 8-wide dot products per
-    /// pass, reduced by the fixed [`Lanes::hsum`] tree, scalar tail
-    /// folded in *after* the tree. `out` covers `rows` (`rows.len() × k`).
+    /// `out = d[rows] · bᵀ`: two rows × four outputs per pass share each
+    /// load (six loads per eight FMAs). Every element is one 8-wide fused
+    /// chain over `j`, reduced by the fixed [`Lanes::hsum`] tree, with the
+    /// scalar tail folded in *after* the tree. The row pairing never
+    /// changes an element's chain, so odd row counts and any thread split
+    /// give the same bits. `out` covers `rows` (`rows.len() × k`).
     #[inline(always)]
     pub(super) fn matmul_bt_rows<L: Lanes>(
         dout: &[f32],
@@ -600,64 +676,136 @@ mod body {
         out: &mut [f32],
     ) {
         debug_assert_eq!(out.len(), rows.len() * k);
-        for (ri, i) in rows.clone().enumerate() {
-            let drow = &dout[i * n..(i + 1) * n];
-            let orow = &mut out[ri * k..(ri + 1) * k];
+        let mut ri = 0;
+        while ri + 2 <= rows.len() {
+            let i = rows.start + ri;
+            let d0 = &dout[i * n..(i + 1) * n];
+            let d1 = &dout[(i + 1) * n..(i + 2) * n];
+            let (o0, o1) = out[ri * k..(ri + 2) * k].split_at_mut(k);
             let mut kk = 0;
             while kk + UNROLL <= k {
                 let b0 = &b[kk * n..(kk + 1) * n];
                 let b1 = &b[(kk + 1) * n..(kk + 2) * n];
                 let b2 = &b[(kk + 2) * n..(kk + 3) * n];
                 let b3 = &b[(kk + 3) * n..(kk + 4) * n];
-                let (mut v0, mut v1, mut v2, mut v3) = (L::zero(), L::zero(), L::zero(), L::zero());
+                let (mut v00, mut v01, mut v02, mut v03) =
+                    (L::zero(), L::zero(), L::zero(), L::zero());
+                let (mut v10, mut v11, mut v12, mut v13) =
+                    (L::zero(), L::zero(), L::zero(), L::zero());
                 let mut j = 0;
                 while j + LANES <= n {
-                    let vd = L::ld(drow, j);
-                    v0 = L::fma(vd, L::ld(b0, j), v0);
-                    v1 = L::fma(vd, L::ld(b1, j), v1);
-                    v2 = L::fma(vd, L::ld(b2, j), v2);
-                    v3 = L::fma(vd, L::ld(b3, j), v3);
+                    let (x0, x1) = (L::ld(d0, j), L::ld(d1, j));
+                    let (y0, y1, y2, y3) = (L::ld(b0, j), L::ld(b1, j), L::ld(b2, j), L::ld(b3, j));
+                    v00 = L::fma(x0, y0, v00);
+                    v01 = L::fma(x0, y1, v01);
+                    v02 = L::fma(x0, y2, v02);
+                    v03 = L::fma(x0, y3, v03);
+                    v10 = L::fma(x1, y0, v10);
+                    v11 = L::fma(x1, y1, v11);
+                    v12 = L::fma(x1, y2, v12);
+                    v13 = L::fma(x1, y3, v13);
                     j += LANES;
                 }
-                let (mut s0, mut s1, mut s2, mut s3) =
-                    (L::hsum(v0), L::hsum(v1), L::hsum(v2), L::hsum(v3));
+                let mut s0 = [L::hsum(v00), L::hsum(v01), L::hsum(v02), L::hsum(v03)];
+                let mut s1 = [L::hsum(v10), L::hsum(v11), L::hsum(v12), L::hsum(v13)];
                 while j < n {
-                    let dv = drow[j];
-                    s0 = dv.mul_add(b0[j], s0);
-                    s1 = dv.mul_add(b1[j], s1);
-                    s2 = dv.mul_add(b2[j], s2);
-                    s3 = dv.mul_add(b3[j], s3);
+                    let (e0, e1) = (d0[j], d1[j]);
+                    for (r, brow) in [b0, b1, b2, b3].into_iter().enumerate() {
+                        s0[r] = e0.mul_add(brow[j], s0[r]);
+                        s1[r] = e1.mul_add(brow[j], s1[r]);
+                    }
                     j += 1;
                 }
-                orow[kk] = s0;
-                orow[kk + 1] = s1;
-                orow[kk + 2] = s2;
-                orow[kk + 3] = s3;
+                o0[kk..kk + UNROLL].copy_from_slice(&s0);
+                o1[kk..kk + UNROLL].copy_from_slice(&s1);
                 kk += UNROLL;
             }
             while kk < k {
                 let brow = &b[kk * n..(kk + 1) * n];
-                let mut v = L::zero();
+                let (mut v0, mut v1) = (L::zero(), L::zero());
                 let mut j = 0;
                 while j + LANES <= n {
-                    v = L::fma(L::ld(drow, j), L::ld(brow, j), v);
+                    let y = L::ld(brow, j);
+                    v0 = L::fma(L::ld(d0, j), y, v0);
+                    v1 = L::fma(L::ld(d1, j), y, v1);
                     j += LANES;
                 }
-                let mut s = L::hsum(v);
+                let (mut s0, mut s1) = (L::hsum(v0), L::hsum(v1));
                 while j < n {
-                    s = drow[j].mul_add(brow[j], s);
+                    s0 = d0[j].mul_add(brow[j], s0);
+                    s1 = d1[j].mul_add(brow[j], s1);
                     j += 1;
                 }
-                orow[kk] = s;
+                o0[kk] = s0;
+                o1[kk] = s1;
                 kk += 1;
             }
+            ri += 2;
+        }
+        if ri < rows.len() {
+            let i = rows.start + ri;
+            matmul_bt_row::<L>(&dout[i * n..(i + 1) * n], b, n, k, &mut out[ri * k..(ri + 1) * k]);
         }
     }
 
-    /// Accumulate `aᵀ·d` into the `kks` rows of `gw`: four samples fuse
-    /// per pass over the gradient rows. `gw` covers `kks`
-    /// (`kks.len() × n`). The batch loop order is fixed, so any `kks`
-    /// partition yields the same per-element accumulation order.
+    /// One row of [`matmul_bt_rows`]: four outputs per pass.
+    #[inline(always)]
+    fn matmul_bt_row<L: Lanes>(drow: &[f32], b: &[f32], n: usize, k: usize, orow: &mut [f32]) {
+        let mut kk = 0;
+        while kk + UNROLL <= k {
+            let b0 = &b[kk * n..(kk + 1) * n];
+            let b1 = &b[(kk + 1) * n..(kk + 2) * n];
+            let b2 = &b[(kk + 2) * n..(kk + 3) * n];
+            let b3 = &b[(kk + 3) * n..(kk + 4) * n];
+            let (mut v0, mut v1, mut v2, mut v3) = (L::zero(), L::zero(), L::zero(), L::zero());
+            let mut j = 0;
+            while j + LANES <= n {
+                let vd = L::ld(drow, j);
+                v0 = L::fma(vd, L::ld(b0, j), v0);
+                v1 = L::fma(vd, L::ld(b1, j), v1);
+                v2 = L::fma(vd, L::ld(b2, j), v2);
+                v3 = L::fma(vd, L::ld(b3, j), v3);
+                j += LANES;
+            }
+            let (mut s0, mut s1, mut s2, mut s3) =
+                (L::hsum(v0), L::hsum(v1), L::hsum(v2), L::hsum(v3));
+            while j < n {
+                let dv = drow[j];
+                s0 = dv.mul_add(b0[j], s0);
+                s1 = dv.mul_add(b1[j], s1);
+                s2 = dv.mul_add(b2[j], s2);
+                s3 = dv.mul_add(b3[j], s3);
+                j += 1;
+            }
+            orow[kk] = s0;
+            orow[kk + 1] = s1;
+            orow[kk + 2] = s2;
+            orow[kk + 3] = s3;
+            kk += UNROLL;
+        }
+        while kk < k {
+            let brow = &b[kk * n..(kk + 1) * n];
+            let mut v = L::zero();
+            let mut j = 0;
+            while j + LANES <= n {
+                v = L::fma(L::ld(drow, j), L::ld(brow, j), v);
+                j += LANES;
+            }
+            let mut s = L::hsum(v);
+            while j < n {
+                s = drow[j].mul_add(brow[j], s);
+                j += 1;
+            }
+            orow[kk] = s;
+            kk += 1;
+        }
+    }
+
+    /// Accumulate `aᵀ·d` into the `kks` rows of `gw`: a tile of four
+    /// gradient rows × 16 columns stays in registers across *all* `m`
+    /// samples, so each element is one fused chain over the samples in
+    /// order, whatever the tile or tail it falls in. `gw` covers `kks`
+    /// (`kks.len() × n`), and any `kks` partition yields the same bits.
     #[inline(always)]
     pub(super) fn acc_matmul_at_rows<L: Lanes>(
         a: &[f32],
@@ -669,60 +817,350 @@ mod body {
         gw: &mut [f32],
     ) {
         debug_assert_eq!(gw.len(), kks.len() * n);
+        let mut rk = 0;
+        while rk + UNROLL <= kks.len() {
+            let kk = kks.start + rk;
+            let (g01, g23) = gw[rk * n..(rk + 4) * n].split_at_mut(2 * n);
+            let (g0, g1) = g01.split_at_mut(n);
+            let (g2, g3) = g23.split_at_mut(n);
+            let mut j = 0;
+            while j + 2 * LANES <= n {
+                let jh = j + LANES;
+                let (mut c00, mut c01) = (L::ld(g0, j), L::ld(g0, jh));
+                let (mut c10, mut c11) = (L::ld(g1, j), L::ld(g1, jh));
+                let (mut c20, mut c21) = (L::ld(g2, j), L::ld(g2, jh));
+                let (mut c30, mut c31) = (L::ld(g3, j), L::ld(g3, jh));
+                for i in 0..m {
+                    let drow = &dout[i * n..(i + 1) * n];
+                    let (vd0, vd1) = (L::ld(drow, j), L::ld(drow, jh));
+                    let x = &a[i * k + kk..i * k + kk + UNROLL];
+                    let va = L::splat(x[0]);
+                    c00 = L::fma(va, vd0, c00);
+                    c01 = L::fma(va, vd1, c01);
+                    let va = L::splat(x[1]);
+                    c10 = L::fma(va, vd0, c10);
+                    c11 = L::fma(va, vd1, c11);
+                    let va = L::splat(x[2]);
+                    c20 = L::fma(va, vd0, c20);
+                    c21 = L::fma(va, vd1, c21);
+                    let va = L::splat(x[3]);
+                    c30 = L::fma(va, vd0, c30);
+                    c31 = L::fma(va, vd1, c31);
+                }
+                L::st(g0, j, c00);
+                L::st(g0, jh, c01);
+                L::st(g1, j, c10);
+                L::st(g1, jh, c11);
+                L::st(g2, j, c20);
+                L::st(g2, jh, c21);
+                L::st(g3, j, c30);
+                L::st(g3, jh, c31);
+                j += 2 * LANES;
+            }
+            while j + LANES <= n {
+                let (mut c0, mut c1, mut c2, mut c3) =
+                    (L::ld(g0, j), L::ld(g1, j), L::ld(g2, j), L::ld(g3, j));
+                for i in 0..m {
+                    let vd = L::ld(&dout[i * n..(i + 1) * n], j);
+                    let x = &a[i * k + kk..i * k + kk + UNROLL];
+                    c0 = L::fma(L::splat(x[0]), vd, c0);
+                    c1 = L::fma(L::splat(x[1]), vd, c1);
+                    c2 = L::fma(L::splat(x[2]), vd, c2);
+                    c3 = L::fma(L::splat(x[3]), vd, c3);
+                }
+                L::st(g0, j, c0);
+                L::st(g1, j, c1);
+                L::st(g2, j, c2);
+                L::st(g3, j, c3);
+                j += LANES;
+            }
+            while j < n {
+                let (mut s0, mut s1, mut s2, mut s3) = (g0[j], g1[j], g2[j], g3[j]);
+                for i in 0..m {
+                    let dv = dout[i * n + j];
+                    let x = &a[i * k + kk..i * k + kk + UNROLL];
+                    s0 = x[0].mul_add(dv, s0);
+                    s1 = x[1].mul_add(dv, s1);
+                    s2 = x[2].mul_add(dv, s2);
+                    s3 = x[3].mul_add(dv, s3);
+                }
+                g0[j] = s0;
+                g1[j] = s1;
+                g2[j] = s2;
+                g3[j] = s3;
+                j += 1;
+            }
+            rk += UNROLL;
+        }
+        // Row tail: one gradient row at a time, same strip widths.
+        while rk < kks.len() {
+            let kk = kks.start + rk;
+            let grow = &mut gw[rk * n..(rk + 1) * n];
+            let mut j = 0;
+            while j + 2 * LANES <= n {
+                let jh = j + LANES;
+                let (mut c0, mut c1) = (L::ld(grow, j), L::ld(grow, jh));
+                for i in 0..m {
+                    let drow = &dout[i * n..(i + 1) * n];
+                    let va = L::splat(a[i * k + kk]);
+                    c0 = L::fma(va, L::ld(drow, j), c0);
+                    c1 = L::fma(va, L::ld(drow, jh), c1);
+                }
+                L::st(grow, j, c0);
+                L::st(grow, jh, c1);
+                j += 2 * LANES;
+            }
+            while j + LANES <= n {
+                let mut c = L::ld(grow, j);
+                for i in 0..m {
+                    c = L::fma(L::splat(a[i * k + kk]), L::ld(&dout[i * n..(i + 1) * n], j), c);
+                }
+                L::st(grow, j, c);
+                j += LANES;
+            }
+            while j < n {
+                let mut s = grow[j];
+                for i in 0..m {
+                    s = a[i * k + kk].mul_add(dout[i * n + j], s);
+                }
+                grow[j] = s;
+                j += 1;
+            }
+            rk += 1;
+        }
+    }
+
+    /// Causal multi-head attention forward, all heads. `q`, `k`, `v` and
+    /// `ctx` are `t × d` with head `h` in columns `h·dk..(h + 1)·dk`.
+    /// `outs = [att, ctx]`: `att` (`heads × t × t`) receives the softmax
+    /// probabilities and `ctx` (pre-zeroed) the context. `scratch =
+    /// [kt, s]` is `dk × tp` and `t × tp`, `tp` being `t` rounded up to
+    /// whole lanes.
+    ///
+    /// Scores run across keys `j`, 8 lanes at a time, against the head's
+    /// K copied transposed into `kt`: each lane is the scalar chain
+    /// `0 + q·k + q·k + …` in `c` order with unfused multiplies. The
+    /// zero padding lets the last strip run full width; lanes past the
+    /// diagonal are computed and dropped. The max, `exp`, the denominator
+    /// and the normalisation stay scalar, in order. The context runs
+    /// across the head's columns, each element a chain over `j` in order.
+    #[allow(clippy::too_many_arguments)]
+    #[inline(always)]
+    pub(super) fn attention_forward<L: Lanes>(
+        q: &[f32],
+        k: &[f32],
+        v: &[f32],
+        t: usize,
+        d: usize,
+        heads: usize,
+        outs: [&mut [f32]; 2],
+        scratch: [&mut [f32]; 2],
+    ) {
+        let [att, ctx] = outs;
+        let [kt, s] = scratch;
+        let (dk, tp) = (d / heads, super::lane_padded(t));
+        debug_assert_eq!((kt.len(), s.len()), (dk * tp, t * tp));
+        let inv = 1.0 / (dk as f32).sqrt();
+        for head in 0..heads {
+            let base = head * dk;
+            transpose_head(k, t, d, base, tp, kt);
+            causal_scores::<L>(q, t, d, base, kt, s);
+            for i in 0..t {
+                let n = i + 1;
+                let row = &mut s[i * tp..i * tp + n];
+                let mut mx = f32::NEG_INFINITY;
+                for rj in row.iter_mut() {
+                    *rj *= inv;
+                    mx = mx.max(*rj);
+                }
+                let mut denom = 0.0;
+                for rj in row.iter_mut() {
+                    *rj = (*rj - mx).exp();
+                    denom += *rj;
+                }
+                let arow = &mut att[head * t * t + i * t..head * t * t + i * t + n];
+                for (a, rj) in arow.iter_mut().zip(row.iter()) {
+                    *a = rj / denom;
+                }
+                let arow = &att[head * t * t + i * t..head * t * t + i * t + n];
+                weighted_rows::<L>(
+                    |j| arow[j],
+                    0..n,
+                    v,
+                    d,
+                    base,
+                    &mut ctx[i * d + base..i * d + base + dk],
+                );
+            }
+        }
+    }
+
+    /// Causal multi-head attention backward, all heads: from the forward's
+    /// `q`, `k`, `v`, `att` and the context gradient `d_ctx`, write
+    /// `grads = [d_q, d_k, d_v]` (each `t × d`, pre-zeroed). `scratch =
+    /// [vt, ds]` is `dk × tp` and `t × tp`.
+    ///
+    /// `d_att` runs across keys against the head's V transposed, like the
+    /// forward scores. `dot` and every `ds = a·(d_att − dot)·dk⁻¹` stay
+    /// scalar and in order. `d_q`, `d_k` and `d_v` run across the head's
+    /// columns; each element is the chain the row-by-row loop builds, over
+    /// `j` (for `d_q`) or `i` (for `d_k`, `d_v`) in order from `0.0`.
+    #[allow(clippy::too_many_arguments)]
+    #[inline(always)]
+    pub(super) fn attention_backward<L: Lanes>(
+        q: &[f32],
+        k: &[f32],
+        v: &[f32],
+        att: &[f32],
+        d_ctx: &[f32],
+        t: usize,
+        d: usize,
+        heads: usize,
+        grads: [&mut [f32]; 3],
+        scratch: [&mut [f32]; 2],
+    ) {
+        let [d_q, d_k, d_v] = grads;
+        let [vt, ds] = scratch;
+        let (dk, tp) = (d / heads, super::lane_padded(t));
+        debug_assert_eq!((vt.len(), ds.len()), (dk * tp, t * tp));
+        let dk_inv = 1.0 / (dk as f32).sqrt();
+        for head in 0..heads {
+            let base = head * dk;
+            let a = &att[head * t * t..(head + 1) * t * t];
+            transpose_head(v, t, d, base, tp, vt);
+            // `d_att` for every row, then turned into `ds` in place.
+            causal_scores::<L>(d_ctx, t, d, base, vt, ds);
+            for i in 0..t {
+                let n = i + 1;
+                let row = &a[i * t..i * t + n];
+                let d_att = &mut ds[i * tp..i * tp + n];
+                let dot: f32 = d_att.iter().zip(row.iter()).map(|(a, b)| a * b).sum();
+                for (x, &r) in d_att.iter_mut().zip(row) {
+                    *x = r * (*x - dot) * dk_inv;
+                }
+                let dsrow = &ds[i * tp..i * tp + n];
+                weighted_rows::<L>(
+                    |j| dsrow[j],
+                    0..n,
+                    k,
+                    d,
+                    base,
+                    &mut d_q[i * d + base..i * d + base + dk],
+                );
+            }
+            for j in 0..t {
+                let out = j * d + base..j * d + base + dk;
+                weighted_rows::<L>(|i| ds[i * tp + j], j..t, q, d, base, &mut d_k[out.clone()]);
+                weighted_rows::<L>(|i| a[i * t + j], j..t, d_ctx, d, base, &mut d_v[out]);
+            }
+        }
+    }
+
+    /// Copy head columns `base..base + dk` of the `t × d` matrix `x` into
+    /// `xt` transposed (`dk × tp`); columns `t..tp` stay zero.
+    #[inline(always)]
+    fn transpose_head(x: &[f32], t: usize, d: usize, base: usize, tp: usize, xt: &mut [f32]) {
+        let dk = xt.len() / tp;
+        for j in 0..t {
+            for (c, &xv) in x[j * d + base..j * d + base + dk].iter().enumerate() {
+                xt[c * tp + j] = xv;
+            }
+        }
+    }
+
+    /// `out[i][j] = Σ_c x[i·d + off + c]·xt[c][j]` for every row `i < t`,
+    /// over the 8-lane strips that cover `j ≤ i`: each lane one unfused
+    /// chain in `c` order from `0.0`. Four rows per pass share each load
+    /// of `xt` (`dk × tp`). `out` is `t × tp`; lanes past the diagonal are
+    /// scratch.
+    #[inline(always)]
+    fn causal_scores<L: Lanes>(
+        x: &[f32],
+        t: usize,
+        d: usize,
+        off: usize,
+        xt: &[f32],
+        out: &mut [f32],
+    ) {
+        let tp = super::lane_padded(t);
+        let dk = xt.len() / tp;
+        let row = |i: usize| &x[i * d + off..i * d + off + dk];
         let mut i = 0;
-        while i + UNROLL <= m {
-            let a0 = &a[i * k..(i + 1) * k];
-            let a1 = &a[(i + 1) * k..(i + 2) * k];
-            let a2 = &a[(i + 2) * k..(i + 3) * k];
-            let a3 = &a[(i + 3) * k..(i + 4) * k];
-            let d0 = &dout[i * n..(i + 1) * n];
-            let d1 = &dout[(i + 1) * n..(i + 2) * n];
-            let d2 = &dout[(i + 2) * n..(i + 3) * n];
-            let d3 = &dout[(i + 3) * n..(i + 4) * n];
-            for (rk, kk) in kks.clone().enumerate() {
-                let (x0, x1, x2, x3) = (a0[kk], a1[kk], a2[kk], a3[kk]);
-                let (vx0, vx1, vx2, vx3) = (L::splat(x0), L::splat(x1), L::splat(x2), L::splat(x3));
-                let grow = &mut gw[rk * n..(rk + 1) * n];
-                let mut j = 0;
-                while j + LANES <= n {
-                    let mut acc = L::ld(grow, j);
-                    acc = L::fma(vx0, L::ld(d0, j), acc);
-                    acc = L::fma(vx1, L::ld(d1, j), acc);
-                    acc = L::fma(vx2, L::ld(d2, j), acc);
-                    acc = L::fma(vx3, L::ld(d3, j), acc);
-                    L::st(grow, j, acc);
-                    j += LANES;
+        while i + UNROLL <= t {
+            let (x0, x1, x2, x3) = (row(i), row(i + 1), row(i + 2), row(i + 3));
+            let mut j = 0;
+            while j < i + UNROLL {
+                let (mut s0, mut s1, mut s2, mut s3) = (L::zero(), L::zero(), L::zero(), L::zero());
+                for c in 0..dk {
+                    let col = L::ld(xt, c * tp + j);
+                    s0 = L::add(s0, L::mul(L::splat(x0[c]), col));
+                    s1 = L::add(s1, L::mul(L::splat(x1[c]), col));
+                    s2 = L::add(s2, L::mul(L::splat(x2[c]), col));
+                    s3 = L::add(s3, L::mul(L::splat(x3[c]), col));
                 }
-                while j < n {
-                    let mut g = grow[j];
-                    g = x0.mul_add(d0[j], g);
-                    g = x1.mul_add(d1[j], g);
-                    g = x2.mul_add(d2[j], g);
-                    g = x3.mul_add(d3[j], g);
-                    grow[j] = g;
-                    j += 1;
-                }
+                L::st(out, i * tp + j, s0);
+                L::st(out, (i + 1) * tp + j, s1);
+                L::st(out, (i + 2) * tp + j, s2);
+                L::st(out, (i + 3) * tp + j, s3);
+                j += LANES;
             }
             i += UNROLL;
         }
-        while i < m {
-            let arow = &a[i * k..(i + 1) * k];
-            let drow = &dout[i * n..(i + 1) * n];
-            for (rk, kk) in kks.clone().enumerate() {
-                let x = arow[kk];
-                let vx = L::splat(x);
-                let grow = &mut gw[rk * n..(rk + 1) * n];
-                let mut j = 0;
-                while j + LANES <= n {
-                    L::st(grow, j, L::fma(vx, L::ld(drow, j), L::ld(grow, j)));
-                    j += LANES;
+        while i < t {
+            let x0 = row(i);
+            let mut j = 0;
+            while j <= i {
+                let mut s0 = L::zero();
+                for (c, &xc) in x0.iter().enumerate() {
+                    s0 = L::add(s0, L::mul(L::splat(xc), L::ld(xt, c * tp + j)));
                 }
-                while j < n {
-                    grow[j] = x.mul_add(drow[j], grow[j]);
-                    j += 1;
-                }
+                L::st(out, i * tp + j, s0);
+                j += LANES;
             }
             i += 1;
+        }
+    }
+
+    /// `out[c] = Σ_{r ∈ rs} w(r)·src[r·d + off + c]` for `c < out.len()`,
+    /// each element one unfused chain in `r` order from `0.0`: 16 columns
+    /// per pass, then 8, then a scalar tail with the same chain.
+    #[inline(always)]
+    fn weighted_rows<L: Lanes>(
+        w: impl Fn(usize) -> f32,
+        rs: Range<usize>,
+        src: &[f32],
+        d: usize,
+        off: usize,
+        out: &mut [f32],
+    ) {
+        let width = out.len();
+        let mut c = 0;
+        while c + 2 * LANES <= width {
+            let (mut s0, mut s1) = (L::zero(), L::zero());
+            for r in rs.clone() {
+                let (vw, at) = (L::splat(w(r)), r * d + off + c);
+                s0 = L::add(s0, L::mul(vw, L::ld(src, at)));
+                s1 = L::add(s1, L::mul(vw, L::ld(src, at + LANES)));
+            }
+            L::st(out, c, s0);
+            L::st(out, c + LANES, s1);
+            c += 2 * LANES;
+        }
+        while c + LANES <= width {
+            let mut s = L::zero();
+            for r in rs.clone() {
+                s = L::add(s, L::mul(L::splat(w(r)), L::ld(src, r * d + off + c)));
+            }
+            L::st(out, c, s);
+            c += LANES;
+        }
+        while c < width {
+            let mut s = 0.0f32;
+            for r in rs.clone() {
+                s += w(r) * src[r * d + off + c];
+            }
+            out[c] = s;
+            c += 1;
         }
     }
 
@@ -1293,217 +1731,88 @@ pub fn add_bias_rows(xs: &mut [f32], bias: &[f32], m: usize, n: usize) {
     });
 }
 
-/// The cache-blocked, register-unrolled v1 kernels (PR 5), kept verbatim
-/// as the autovectorization baseline the v2 SIMD kernels are benchmarked
-/// against (`results/BENCH_kernels.json`'s `blocked_ns` column).
-pub mod blocked {
-    use super::{KC, UNROLL};
-
-    /// Blocked `out[m×n] = a[m×k] · b[k×n]`, k-tiled and 4-way unrolled.
-    pub fn matmul(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
-        debug_assert_eq!(a.len(), m * k);
-        debug_assert_eq!(b.len(), k * n);
-        let mut out = vec![0.0f32; m * n];
-        for kk in (0..k).step_by(KC) {
-            let kend = (kk + KC).min(k);
-            for i in 0..m {
-                let arow = &a[i * k..(i + 1) * k];
-                let orow = &mut out[i * n..(i + 1) * n];
-                let mut kc = kk;
-                while kc + UNROLL <= kend {
-                    let (a0, a1, a2, a3) = (arow[kc], arow[kc + 1], arow[kc + 2], arow[kc + 3]);
-                    let b0 = &b[kc * n..(kc + 1) * n];
-                    let b1 = &b[(kc + 1) * n..(kc + 2) * n];
-                    let b2 = &b[(kc + 2) * n..(kc + 3) * n];
-                    let b3 = &b[(kc + 3) * n..(kc + 4) * n];
-                    for (j, o) in orow.iter_mut().enumerate() {
-                        *o += a0 * b0[j] + a1 * b1[j] + a2 * b2[j] + a3 * b3[j];
-                    }
-                    kc += UNROLL;
-                }
-                while kc < kend {
-                    let av = arow[kc];
-                    let brow = &b[kc * n..(kc + 1) * n];
-                    for (o, &bv) in orow.iter_mut().zip(brow.iter()) {
-                        *o += av * bv;
-                    }
-                    kc += 1;
-                }
-            }
+/// Causal multi-head self-attention forward: `q`, `k` and `v` are `t × d`
+/// row-major with the `h` heads side by side in the columns. Returns the
+/// softmax probabilities (`h × t × t`, zero above the diagonal) and the
+/// context (`t × d`), bit-identical to [`reference::attention_forward`].
+/// Runs on the calling thread and adds nothing to `kernel.flops`.
+pub fn attention_forward(
+    q: &[f32],
+    k: &[f32],
+    v: &[f32],
+    t: usize,
+    d: usize,
+    h: usize,
+) -> (Vec<f32>, Vec<f32>) {
+    assert!(h > 0 && d.is_multiple_of(h), "heads must divide d");
+    assert!(q.len() == t * d && k.len() == t * d && v.len() == t * d);
+    let tp = lane_padded(t);
+    let (mut att, mut ctx) = (vec![0.0f32; h * t * t], vec![0.0f32; t * d]);
+    let (mut kt, mut s) = (vec![0.0f32; d / h * tp], vec![0.0f32; t * tp]);
+    let simd = simd_active();
+    record("attention_forward", 0, simd, || {
+        let outs = [&mut att[..], &mut ctx[..]];
+        let scratch = [&mut kt[..], &mut s[..]];
+        #[cfg(target_arch = "x86_64")]
+        if simd {
+            // SAFETY: `simd_active` verified AVX2+FMA on this host.
+            unsafe { avx::attention_forward(q, k, v, t, d, h, outs, scratch) };
+            return;
         }
-        out
-    }
-
-    /// Blocked `out[m×k] = d[m×n] · bᵀ[n×k]`: four simultaneous dot
-    /// products share each load of the `d` row.
-    pub fn matmul_bt(dout: &[f32], b: &[f32], m: usize, n: usize, k: usize) -> Vec<f32> {
-        debug_assert_eq!(dout.len(), m * n);
-        debug_assert_eq!(b.len(), k * n);
-        let mut out = vec![0.0f32; m * k];
-        for i in 0..m {
-            let drow = &dout[i * n..(i + 1) * n];
-            let orow = &mut out[i * k..(i + 1) * k];
-            let mut kk = 0;
-            while kk + UNROLL <= k {
-                let b0 = &b[kk * n..(kk + 1) * n];
-                let b1 = &b[(kk + 1) * n..(kk + 2) * n];
-                let b2 = &b[(kk + 2) * n..(kk + 3) * n];
-                let b3 = &b[(kk + 3) * n..(kk + 4) * n];
-                let (mut s0, mut s1, mut s2, mut s3) = (0.0f32, 0.0f32, 0.0f32, 0.0f32);
-                for (j, &dv) in drow.iter().enumerate() {
-                    s0 += dv * b0[j];
-                    s1 += dv * b1[j];
-                    s2 += dv * b2[j];
-                    s3 += dv * b3[j];
-                }
-                orow[kk] = s0;
-                orow[kk + 1] = s1;
-                orow[kk + 2] = s2;
-                orow[kk + 3] = s3;
-                kk += UNROLL;
-            }
-            while kk < k {
-                let brow = &b[kk * n..(kk + 1) * n];
-                let mut s = 0.0f32;
-                for (&dv, &bv) in drow.iter().zip(brow.iter()) {
-                    s += dv * bv;
-                }
-                orow[kk] = s;
-                kk += 1;
-            }
-        }
-        out
-    }
-
-    /// Blocked accumulation of `aᵀ[k×m] · d[m×n]` into `gw[k×n]`: four
-    /// samples fuse per pass over the gradient rows.
-    pub fn acc_matmul_at(a: &[f32], dout: &[f32], m: usize, k: usize, n: usize, gw: &mut [f32]) {
-        debug_assert_eq!(a.len(), m * k);
-        debug_assert_eq!(dout.len(), m * n);
-        debug_assert_eq!(gw.len(), k * n);
-        let mut i = 0;
-        while i + UNROLL <= m {
-            let a0 = &a[i * k..(i + 1) * k];
-            let a1 = &a[(i + 1) * k..(i + 2) * k];
-            let a2 = &a[(i + 2) * k..(i + 3) * k];
-            let a3 = &a[(i + 3) * k..(i + 4) * k];
-            let d0 = &dout[i * n..(i + 1) * n];
-            let d1 = &dout[(i + 1) * n..(i + 2) * n];
-            let d2 = &dout[(i + 2) * n..(i + 3) * n];
-            let d3 = &dout[(i + 3) * n..(i + 4) * n];
-            for kk in 0..k {
-                let (x0, x1, x2, x3) = (a0[kk], a1[kk], a2[kk], a3[kk]);
-                let grow = &mut gw[kk * n..(kk + 1) * n];
-                for (j, gv) in grow.iter_mut().enumerate() {
-                    *gv += x0 * d0[j] + x1 * d1[j] + x2 * d2[j] + x3 * d3[j];
-                }
-            }
-            i += UNROLL;
-        }
-        while i < m {
-            let arow = &a[i * k..(i + 1) * k];
-            let drow = &dout[i * n..(i + 1) * n];
-            for (kk, &av) in arow.iter().enumerate() {
-                if av == 0.0 {
-                    continue;
-                }
-                let grow = &mut gw[kk * n..(kk + 1) * n];
-                for (gv, &dv) in grow.iter_mut().zip(drow.iter()) {
-                    *gv += av * dv;
-                }
-            }
-            i += 1;
-        }
-    }
-
-    /// Blocked biased matvec: four rows' dot products share each load of
-    /// `x`.
-    pub fn matvec_bias(
-        w: &[f32],
-        bias: &[f32],
-        x: &[f32],
-        out_dim: usize,
-        in_dim: usize,
-    ) -> Vec<f32> {
-        debug_assert_eq!(w.len(), out_dim * in_dim);
-        debug_assert_eq!(bias.len(), out_dim);
-        debug_assert_eq!(x.len(), in_dim);
-        let mut out = vec![0.0f32; out_dim];
-        let mut o = 0;
-        while o + UNROLL <= out_dim {
-            let w0 = &w[o * in_dim..(o + 1) * in_dim];
-            let w1 = &w[(o + 1) * in_dim..(o + 2) * in_dim];
-            let w2 = &w[(o + 2) * in_dim..(o + 3) * in_dim];
-            let w3 = &w[(o + 3) * in_dim..(o + 4) * in_dim];
-            let (mut s0, mut s1, mut s2, mut s3) = (bias[o], bias[o + 1], bias[o + 2], bias[o + 3]);
-            for (i, &xv) in x.iter().enumerate() {
-                s0 += xv * w0[i];
-                s1 += xv * w1[i];
-                s2 += xv * w2[i];
-                s3 += xv * w3[i];
-            }
-            out[o] = s0;
-            out[o + 1] = s1;
-            out[o + 2] = s2;
-            out[o + 3] = s3;
-            o += UNROLL;
-        }
-        while o < out_dim {
-            let row = &w[o * in_dim..(o + 1) * in_dim];
-            let mut s = bias[o];
-            for (&wv, &xv) in row.iter().zip(x.iter()) {
-                s += wv * xv;
-            }
-            out[o] = s;
-            o += 1;
-        }
-        out
-    }
-
-    /// Blocked `wᵀ·d`: four weight rows fuse into one pass over the
-    /// accumulator stream.
-    pub fn matvec_t(w: &[f32], d: &[f32], out_dim: usize, in_dim: usize) -> Vec<f32> {
-        debug_assert_eq!(w.len(), out_dim * in_dim);
-        debug_assert_eq!(d.len(), out_dim);
-        let mut out = vec![0.0f32; in_dim];
-        let mut o = 0;
-        while o + UNROLL <= out_dim {
-            let (d0, d1, d2, d3) = (d[o], d[o + 1], d[o + 2], d[o + 3]);
-            let w0 = &w[o * in_dim..(o + 1) * in_dim];
-            let w1 = &w[(o + 1) * in_dim..(o + 2) * in_dim];
-            let w2 = &w[(o + 2) * in_dim..(o + 3) * in_dim];
-            let w3 = &w[(o + 3) * in_dim..(o + 4) * in_dim];
-            for (i, ov) in out.iter_mut().enumerate() {
-                *ov += d0 * w0[i] + d1 * w1[i] + d2 * w2[i] + d3 * w3[i];
-            }
-            o += UNROLL;
-        }
-        while o < out_dim {
-            let dv = d[o];
-            let row = &w[o * in_dim..(o + 1) * in_dim];
-            for (ov, &wv) in out.iter_mut().zip(row.iter()) {
-                *ov += dv * wv;
-            }
-            o += 1;
-        }
-        out
-    }
-
-    /// Blocked outer-product accumulation (already unit-stride).
-    pub fn acc_outer(d: &[f32], x: &[f32], gw: &mut [f32]) {
-        debug_assert_eq!(gw.len(), d.len() * x.len());
-        for (grow, &dv) in gw.chunks_exact_mut(x.len()).zip(d.iter()) {
-            for (gv, &xv) in grow.iter_mut().zip(x.iter()) {
-                *gv += dv * xv;
-            }
-        }
-    }
+        body::attention_forward::<ScalarLanes>(q, k, v, t, d, h, outs, scratch);
+    });
+    (att, ctx)
 }
 
-/// The scalar kernels both the blocked and SIMD versions are measured
-/// against, kept as the numeric drift oracle: the drift tests bound
-/// divergence from these exact sums, and the microbenches
-/// (`crates/bench/benches/kernels.rs`) measure speedups against them.
+/// Causal multi-head self-attention backward: from the forward's `q`, `k`,
+/// `v` and `att` and the context gradient `d_ctx`, returns `(d_q, d_k,
+/// d_v)`, bit-identical to [`reference::attention_backward`]. Runs on the
+/// calling thread and adds nothing to `kernel.flops`.
+#[allow(clippy::too_many_arguments)]
+pub fn attention_backward(
+    q: &[f32],
+    k: &[f32],
+    v: &[f32],
+    att: &[f32],
+    d_ctx: &[f32],
+    t: usize,
+    d: usize,
+    h: usize,
+) -> (Vec<f32>, Vec<f32>, Vec<f32>) {
+    assert!(h > 0 && d.is_multiple_of(h), "heads must divide d");
+    assert!(q.len() == t * d && k.len() == t * d && v.len() == t * d && d_ctx.len() == t * d);
+    assert_eq!(att.len(), h * t * t);
+    let tp = lane_padded(t);
+    let (mut d_q, mut d_k, mut d_v) =
+        (vec![0.0f32; t * d], vec![0.0f32; t * d], vec![0.0f32; t * d]);
+    let (mut vt, mut ds) = (vec![0.0f32; d / h * tp], vec![0.0f32; t * tp]);
+    let simd = simd_active();
+    record("attention_backward", 0, simd, || {
+        let grads = [&mut d_q[..], &mut d_k[..], &mut d_v[..]];
+        let scratch = [&mut vt[..], &mut ds[..]];
+        #[cfg(target_arch = "x86_64")]
+        if simd {
+            // SAFETY: `simd_active` verified AVX2+FMA on this host.
+            unsafe { avx::attention_backward(q, k, v, att, d_ctx, t, d, h, grads, scratch) };
+            return;
+        }
+        body::attention_backward::<ScalarLanes>(q, k, v, att, d_ctx, t, d, h, grads, scratch);
+    });
+    (d_q, d_k, d_v)
+}
+
+/// `t` rounded up to a whole number of lanes (at least one strip): the key
+/// width of the attention scratch, so every score strip runs full width.
+fn lane_padded(t: usize) -> usize {
+    t.next_multiple_of(LANES).max(LANES)
+}
+
+/// The scalar kernels the SIMD versions are measured against. For the
+/// GEMM family they are the numeric drift oracle: FMA reassociates, so the
+/// drift tests bound divergence from these sums. The attention loops are
+/// an exact oracle: the dispatch equals them bit for bit. The
+/// microbenches (`crates/bench/benches/kernels.rs`) measure speedups
+/// against all of them.
 pub mod reference {
     /// Naive `out[m×n] = a[m×k] · b[k×n]`, sequential saxpy over `k`.
     pub fn matmul(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
@@ -1607,6 +1916,99 @@ pub mod reference {
         }
     }
 
+    /// Causal multi-head self-attention forward as scalar loops: returns
+    /// the softmax probabilities (`h × t × t`) and the context (`t × d`).
+    pub fn attention_forward(
+        q: &[f32],
+        k: &[f32],
+        vv: &[f32],
+        t: usize,
+        d: usize,
+        h: usize,
+    ) -> (Vec<f32>, Vec<f32>) {
+        let dk = d / h;
+        let mut att = vec![0.0f32; h * t * t];
+        let mut ctx = vec![0.0f32; t * d];
+        let inv = 1.0 / (dk as f32).sqrt();
+        for head in 0..h {
+            let base = head * dk;
+            for i in 0..t {
+                // scores over j ≤ i, softmax with max-subtraction.
+                let mut mx = f32::NEG_INFINITY;
+                let mut row = vec![0.0f32; i + 1];
+                for (j, rj) in row.iter_mut().enumerate() {
+                    let mut s = 0.0;
+                    for c in 0..dk {
+                        s += q[i * d + base + c] * k[j * d + base + c];
+                    }
+                    *rj = s * inv;
+                    mx = mx.max(*rj);
+                }
+                let mut denom = 0.0;
+                for rj in row.iter_mut() {
+                    *rj = (*rj - mx).exp();
+                    denom += *rj;
+                }
+                for (j, rj) in row.iter().enumerate() {
+                    let a = rj / denom;
+                    att[head * t * t + i * t + j] = a;
+                    for c in 0..dk {
+                        ctx[i * d + base + c] += a * vv[j * d + base + c];
+                    }
+                }
+            }
+        }
+        (att, ctx)
+    }
+
+    /// Causal multi-head self-attention backward as scalar loops: returns
+    /// `(d_q, d_k, d_v)`.
+    #[allow(clippy::too_many_arguments)]
+    pub fn attention_backward(
+        q: &[f32],
+        k: &[f32],
+        vv: &[f32],
+        att: &[f32],
+        d_ctx: &[f32],
+        t: usize,
+        d: usize,
+        h: usize,
+    ) -> (Vec<f32>, Vec<f32>, Vec<f32>) {
+        let dk = d / h;
+        let mut d_q = vec![0.0f32; t * d];
+        let mut d_k = vec![0.0f32; t * d];
+        let mut d_v = vec![0.0f32; t * d];
+        let dk_inv = 1.0 / (dk as f32).sqrt();
+        for head in 0..h {
+            let base = head * dk;
+            for i in 0..t {
+                // dA_ij and softmax jacobian (rows are independent).
+                let mut d_att = vec![0.0f32; i + 1];
+                for (j, da) in d_att.iter_mut().enumerate() {
+                    let mut s = 0.0;
+                    for cc in 0..dk {
+                        s += d_ctx[i * d + base + cc] * vv[j * d + base + cc];
+                    }
+                    *da = s;
+                }
+                let row = &att[head * t * t + i * t..head * t * t + i * t + i + 1];
+                let dot: f32 = d_att.iter().zip(row.iter()).map(|(a, b)| a * b).sum();
+                for j in 0..=i {
+                    let ds = row[j] * (d_att[j] - dot) * dk_inv;
+                    for cc in 0..dk {
+                        d_q[i * d + base + cc] += ds * k[j * d + base + cc];
+                        d_k[j * d + base + cc] += ds * q[i * d + base + cc];
+                    }
+                    // dV from d_ctx via att.
+                    for cc in 0..dk {
+                        d_v[j * d + base + cc] += row[j] * d_ctx[i * d + base + cc];
+                    }
+                }
+            }
+        }
+        (d_q, d_k, d_v)
+    }
+
     /// Naive broadcast bias add over rows.
     pub fn add_bias_rows(xs: &mut [f32], bias: &[f32], m: usize, n: usize) {
         debug_assert_eq!(xs.len(), m * n);
@@ -1662,12 +2064,6 @@ mod tests {
                 1e-5,
                 "matmul",
             );
-            assert_close(
-                &blocked::matmul(&a, &b, m, k, n),
-                &reference::matmul(&a, &b, m, k, n),
-                1e-5,
-                "blocked::matmul",
-            );
         }
     }
 
@@ -1681,12 +2077,6 @@ mod tests {
                 &reference::matmul_bt(&d, &b, m, n, k),
                 1e-5,
                 "matmul_bt",
-            );
-            assert_close(
-                &blocked::matmul_bt(&d, &b, m, n, k),
-                &reference::matmul_bt(&d, &b, m, n, k),
-                1e-5,
-                "blocked::matmul_bt",
             );
         }
     }

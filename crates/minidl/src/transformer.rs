@@ -10,7 +10,9 @@
 //! targets. Parameters live in one flat `Vec<f32>` so the ZeRO/MiCS flat
 //! sharding applies unchanged.
 
-use crate::kernels::{acc_matmul_at, add_bias_rows, matmul, matmul_bt};
+use crate::kernels::{
+    acc_matmul_at, add_bias_rows, attention_backward, attention_forward, matmul, matmul_bt,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -133,7 +135,6 @@ impl TinyTransformer {
         let d = self.d_model;
         let v = self.vocab;
         let h = self.heads;
-        let dk = d / h;
         let f = self.ffn;
         let inputs = &seq[..t];
         let targets = &seq[1..t + 1];
@@ -173,21 +174,20 @@ impl TinyTransformer {
         // ---- forward ----
         // Embeddings.
         let mut x = vec![0.0f32; t * d];
+        let (p_tok, p_pos) = (&p[r_tok.clone()], &p[r_pos.clone()]);
         for (pos, &tok) in inputs.iter().enumerate() {
             for i in 0..d {
-                x[pos * d + i] = p[r_tok.clone()][tok * d + i] + p[r_pos.clone()][pos * d + i];
+                x[pos * d + i] = p_tok[tok * d + i] + p_pos[pos * d + i];
             }
         }
 
         struct LayerCache {
-            x_in: Vec<f32>,
             ln1: LnCache,
             q: Vec<f32>,
             k: Vec<f32>,
             vv: Vec<f32>,
             att: Vec<f32>, // h × t × t softmax probabilities
             ctx: Vec<f32>,
-            x_mid: Vec<f32>,
             ln2: LnCache,
             z1: Vec<f32>, // pre-activation, t × f
             a1: Vec<f32>, // post-ReLU
@@ -196,45 +196,13 @@ impl TinyTransformer {
 
         for lr in &r_layers {
             let (g1, b1l, wq, wk, wv, wo, g2, b2l, w1, bb1, w2, bb2) = lr;
-            let x_in = x.clone();
             let ln1 = layer_norm(&x, &p[g1.clone()], &p[b1l.clone()], t, d);
             let q = matmul(&ln1.y, &p[wq.clone()], t, d, d);
             let k = matmul(&ln1.y, &p[wk.clone()], t, d, d);
             let vv = matmul(&ln1.y, &p[wv.clone()], t, d, d);
-            // Causal multi-head attention.
-            let mut att = vec![0.0f32; h * t * t];
-            let mut ctx = vec![0.0f32; t * d];
-            let inv = 1.0 / (dk as f32).sqrt();
-            for head in 0..h {
-                let base = head * dk;
-                for i in 0..t {
-                    // scores over j ≤ i, softmax with max-subtraction.
-                    let mut mx = f32::NEG_INFINITY;
-                    let mut row = vec![0.0f32; i + 1];
-                    for (j, rj) in row.iter_mut().enumerate() {
-                        let mut s = 0.0;
-                        for c in 0..dk {
-                            s += q[i * d + base + c] * k[j * d + base + c];
-                        }
-                        *rj = s * inv;
-                        mx = mx.max(*rj);
-                    }
-                    let mut denom = 0.0;
-                    for rj in row.iter_mut() {
-                        *rj = (*rj - mx).exp();
-                        denom += *rj;
-                    }
-                    for (j, rj) in row.iter().enumerate() {
-                        let a = rj / denom;
-                        att[head * t * t + i * t + j] = a;
-                        for c in 0..dk {
-                            ctx[i * d + base + c] += a * vv[j * d + base + c];
-                        }
-                    }
-                }
-            }
+            let (att, ctx) = attention_forward(&q, &k, &vv, t, d, h);
             let attn_out = matmul(&ctx, &p[wo.clone()], t, d, d);
-            let mut x_mid = x_in.clone();
+            let mut x_mid = x;
             add_into(&mut x_mid, &attn_out);
             let ln2 = layer_norm(&x_mid, &p[g2.clone()], &p[b2l.clone()], t, d);
             let mut z1 = matmul(&ln2.y, &p[w1.clone()], t, d, f);
@@ -242,10 +210,9 @@ impl TinyTransformer {
             let a1: Vec<f32> = z1.iter().map(|&z| z.max(0.0)).collect();
             let mut ffn_out = matmul(&a1, &p[w2.clone()], t, f, d);
             add_bias_rows(&mut ffn_out, &p[bb2.clone()], t, d);
-            let mut x_out = x_mid.clone();
-            add_into(&mut x_out, &ffn_out);
-            caches.push(LayerCache { x_in, ln1, q, k, vv, att, ctx, x_mid, ln2, z1, a1 });
-            x = x_out;
+            add_into(&mut x_mid, &ffn_out);
+            caches.push(LayerCache { ln1, q, k, vv, att, ctx, ln2, z1, a1 });
+            x = x_mid;
         }
         let lnf = layer_norm(&x, &p[r_lnf_g.clone()], &p[r_lnf_b.clone()], t, d);
         let mut logits = matmul(&lnf.y, &p[r_head.clone()], t, d, v);
@@ -269,11 +236,7 @@ impl TinyTransformer {
         // ---- backward ----
         // Head.
         acc_matmul_at(&lnf.y, &dlogits, t, d, v, &mut g[r_head.clone()]);
-        for pos in 0..t {
-            for j in 0..v {
-                g[r_head_b.clone()][j] += dlogits[pos * v + j];
-            }
-        }
+        acc_rows(&mut g[r_head_b.clone()], &dlogits);
         let d_lnf_y = matmul_bt(&dlogits, &p[r_head.clone()], t, v, d);
         let mut dx = {
             let (dg, db) = adjacent_mut(g, r_lnf_g.clone(), r_lnf_b.clone());
@@ -285,24 +248,14 @@ impl TinyTransformer {
             let c = &caches[li];
             // x_out = x_mid + ffn_out: dx flows to both.
             // FFN backward.
-            let d_ffn = dx.clone();
-            for pos in 0..t {
-                for j in 0..d {
-                    g[bb2.clone()][j] += d_ffn[pos * d + j];
-                }
-            }
-            acc_matmul_at(&c.a1, &d_ffn, t, f, d, &mut g[w2.clone()]);
-            let mut d_a1 = matmul_bt(&d_ffn, &p[w2.clone()], t, d, f);
+            let d_ffn = &dx;
+            acc_rows(&mut g[bb2.clone()], d_ffn);
+            acc_matmul_at(&c.a1, d_ffn, t, f, d, &mut g[w2.clone()]);
+            let mut d_a1 = matmul_bt(d_ffn, &p[w2.clone()], t, d, f);
             for (da, &z) in d_a1.iter_mut().zip(c.z1.iter()) {
-                if z <= 0.0 {
-                    *da = 0.0;
-                }
+                *da = if z <= 0.0 { 0.0 } else { *da };
             }
-            for pos in 0..t {
-                for j in 0..f {
-                    g[bb1.clone()][j] += d_a1[pos * f + j];
-                }
-            }
+            acc_rows(&mut g[bb1.clone()], &d_a1);
             acc_matmul_at(&c.ln2.y, &d_a1, t, d, f, &mut g[w1.clone()]);
             let d_ln2_y = matmul_bt(&d_a1, &p[w1.clone()], t, f, d);
             let d_from_ln2 = {
@@ -317,38 +270,7 @@ impl TinyTransformer {
             let d_attn = d_xmid.clone();
             acc_matmul_at(&c.ctx, &d_attn, t, d, d, &mut g[wo.clone()]);
             let d_ctx = matmul_bt(&d_attn, &p[wo.clone()], t, d, d);
-            // Attention backward.
-            let mut d_q = vec![0.0f32; t * d];
-            let mut d_k = vec![0.0f32; t * d];
-            let mut d_v = vec![0.0f32; t * d];
-            let dk_inv = 1.0 / (dk as f32).sqrt();
-            for head in 0..h {
-                let base = head * dk;
-                for i in 0..t {
-                    // dA_ij and softmax jacobian (rows are independent).
-                    let mut d_att = vec![0.0f32; i + 1];
-                    for (j, da) in d_att.iter_mut().enumerate() {
-                        let mut s = 0.0;
-                        for cc in 0..dk {
-                            s += d_ctx[i * d + base + cc] * c.vv[j * d + base + cc];
-                        }
-                        *da = s;
-                    }
-                    let row = &c.att[head * t * t + i * t..head * t * t + i * t + i + 1];
-                    let dot: f32 = d_att.iter().zip(row.iter()).map(|(a, b)| a * b).sum();
-                    for j in 0..=i {
-                        let ds = row[j] * (d_att[j] - dot) * dk_inv;
-                        for cc in 0..dk {
-                            d_q[i * d + base + cc] += ds * c.k[j * d + base + cc];
-                            d_k[j * d + base + cc] += ds * c.q[i * d + base + cc];
-                        }
-                        // dV from d_ctx via att.
-                        for cc in 0..dk {
-                            d_v[j * d + base + cc] += row[j] * d_ctx[i * d + base + cc];
-                        }
-                    }
-                }
-            }
+            let (d_q, d_k, d_v) = attention_backward(&c.q, &c.k, &c.vv, &c.att, &d_ctx, t, d, h);
             acc_matmul_at(&c.ln1.y, &d_q, t, d, d, &mut g[wq.clone()]);
             acc_matmul_at(&c.ln1.y, &d_k, t, d, d, &mut g[wk.clone()]);
             acc_matmul_at(&c.ln1.y, &d_v, t, d, d, &mut g[wv.clone()]);
@@ -361,16 +283,14 @@ impl TinyTransformer {
             };
             let mut d_xin = d_xmid;
             add_into(&mut d_xin, &d_from_ln1);
-            let _ = &c.x_in;
-            let _ = &c.x_mid;
             dx = d_xin;
         }
 
         // Embedding gradients.
         for (pos, &tok) in inputs.iter().enumerate() {
             for i in 0..d {
-                g[r_tok.clone()][tok * d + i] += dx[pos * d + i];
-                g[r_pos.clone()][pos * d + i] += dx[pos * d + i];
+                g[r_tok.start + tok * d + i] += dx[pos * d + i];
+                g[r_pos.start + pos * d + i] += dx[pos * d + i];
             }
         }
         loss
@@ -390,6 +310,14 @@ fn adjacent_mut(
     debug_assert_eq!(a.end, b.start, "ranges must be adjacent");
     let len = a.len();
     g[a.start..b.end].split_at_mut(len)
+}
+
+/// `acc[j] += rows[pos·n + j]` for every row `pos`, rows in order: the
+/// bias gradient of a `t × n` output gradient.
+fn acc_rows(acc: &mut [f32], rows: &[f32]) {
+    for row in rows.chunks_exact(acc.len()) {
+        add_into(acc, row);
+    }
 }
 
 fn add_into(acc: &mut [f32], x: &[f32]) {

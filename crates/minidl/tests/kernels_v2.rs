@@ -1,9 +1,11 @@
 //! Kernels-v2 contract tests: the SIMD dispatch layer must (a) stay within
-//! float tolerance of the scalar `kernels::reference` drift oracle, (b) be
-//! **bit-identical** across every knob configuration — SIMD on/off/auto ×
-//! any worker-pool thread count — on adversarial shapes, (c) keep whole
-//! LM training runs byte-stable across those knobs, and (d) actually
-//! exercise both the SIMD and the scalar-fallback paths at runtime.
+//! float tolerance of the scalar `kernels::reference` drift oracle for the
+//! GEMM family, and equal the reference attention loops **bit for bit**,
+//! (b) be **bit-identical** across every knob configuration — SIMD
+//! on/off/auto × any worker-pool thread count — on adversarial shapes,
+//! (c) keep whole LM training runs byte-stable across those knobs, and
+//! (d) actually exercise both the SIMD and the scalar-fallback paths at
+//! runtime.
 //!
 //! The bit-identity claims are structural (one generic lane body per
 //! kernel, fused multiply-add in both instantiations, reduction axes never
@@ -80,6 +82,18 @@ fn shapes() -> Vec<(usize, usize, usize)> {
         (1, 8, 16),
         (9, 300, 2),
         (33, 31, 17),
+        // The retiled backward GEMMs: k % 4 ∈ {1, 2, 3} against their
+        // four-row tiles, one and three rows against the row pairing, and
+        // n below and around the 8- and 16-column strips.
+        (1, 5, 7),
+        (3, 6, 8),
+        (1, 7, 9),
+        (3, 9, 15),
+        (1, 10, 16),
+        (3, 11, 17),
+        (2, 13, 23),
+        (3, 14, 24),
+        (5, 15, 25),
     ];
     // A seeded sweep of small random shapes, with the reduction axis pushed
     // around the KC boundary every few draws.
@@ -189,20 +203,71 @@ fn dispatch_matches_reference_and_is_bit_stable_across_knobs() {
     }
 }
 
-/// The v1 blocked kernels stay on the same drift oracle (they are the
-/// perf-diff baseline, so they must remain correct, not just fast).
+/// `(t, dk, h)` for the attention kernels: sequence lengths on both sides
+/// of one and two 8-lane strips, head widths around the 8- and 16-column
+/// strips, and one, three and four heads.
+fn attention_shapes() -> Vec<(usize, usize, usize)> {
+    let mut shapes = Vec::new();
+    for t in [1, 2, 7, 8, 9, 17, 33] {
+        for dk in [1, 3, 8, 9, 16, 24] {
+            for h in [1, 3, 4] {
+                shapes.push((t, dk, h));
+            }
+        }
+    }
+    shapes
+}
+
+/// `attention_forward(q, k, v, t, d, h) -> (att, ctx)`.
+type AttentionForward = fn(&[f32], &[f32], &[f32], usize, usize, usize) -> (Vec<f32>, Vec<f32>);
+/// `attention_backward(q, k, v, att, d_ctx, t, d, h) -> (d_q, d_k, d_v)`.
+type AttentionBackward = fn(
+    &[f32],
+    &[f32],
+    &[f32],
+    &[f32],
+    &[f32],
+    usize,
+    usize,
+    usize,
+) -> (Vec<f32>, Vec<f32>, Vec<f32>);
+
+/// Forward and backward attention at one shape, concatenated:
+/// `att`, `ctx`, `d_q`, `d_k`, `d_v`. Softmax inputs are scaled up so the
+/// probabilities are far from uniform.
+fn attention_all(
+    t: usize,
+    dk: usize,
+    h: usize,
+    forward: AttentionForward,
+    backward: AttentionBackward,
+) -> Vec<f32> {
+    let d = dk * h;
+    let q: Vec<f32> = buf(t * d, 11).iter().map(|x| 3.0 * x).collect();
+    let (k, v, d_ctx) = (buf(t * d, 12), buf(t * d, 13), buf(t * d, 14));
+    let (att, ctx) = forward(&q, &k, &v, t, d, h);
+    let (d_q, d_k, d_v) = backward(&q, &k, &v, &att, &d_ctx, t, d, h);
+    [att, ctx, d_q, d_k, d_v].concat()
+}
+
+/// (a) + (b) for attention: at every shape and knob configuration the
+/// dispatch equals the scalar reference loops bit for bit.
 #[test]
-fn blocked_kernels_stay_on_the_drift_oracle() {
+fn attention_dispatch_equals_the_reference_bit_for_bit() {
     let _knobs = configure(Some(false), Some(1));
-    for (m, k, n) in [(5usize, 257usize, 9usize), (12, 64, 20), (1, 1, 1)] {
-        let a = buf(m * k, 1);
-        let b = buf(k * n, 2);
-        let got = kernels::blocked::matmul(&a, &b, m, k, n);
-        let want = reference::matmul(&a, &b, m, k, n);
-        for (i, (g, w)) in got.iter().zip(&want).enumerate() {
-            assert!(
-                (g - w).abs() <= 1e-4 + 1e-3 * w.abs(),
-                "blocked matmul {m}x{k}x{n} element {i}: {g} vs {w}"
+    for (t, dk, h) in attention_shapes() {
+        let oracle =
+            attention_all(t, dk, h, reference::attention_forward, reference::attention_backward);
+        for &(simd, threads) in CONFIGS {
+            kernels::set_simd(simd);
+            kernels::set_kernel_threads(Some(threads));
+            let got =
+                attention_all(t, dk, h, kernels::attention_forward, kernels::attention_backward);
+            assert_eq!(
+                bits(&got),
+                bits(&oracle),
+                "t={t} dk={dk} h={h}: simd={simd:?} threads={threads} differs from the \
+                 reference attention loops"
             );
         }
     }

@@ -38,6 +38,12 @@ cargo test -q -p mics-planner -- --test-threads 16
 echo "==> cargo test -q --release -p mics-compress -p mics-dataplane"
 cargo test -q --release -p mics-compress -p mics-dataplane
 
+# The same for mics-minidl: the loss/gradient bit pins (tests/lm_bits_pin.rs)
+# and the kernels' bit-identity matrix (tests/kernels_v2.rs) also face the
+# optimised build of the lane bodies, not only the debug one.
+echo "==> cargo test -q --release -p mics-minidl"
+cargo test -q --release -p mics-minidl
+
 # The simulator's one-node-per-stage walk against the full walk on the
 # whole differential grid (every preset model, instance, node count,
 # strategy, accumulation and pipeline depth, plus every tuner candidate):
