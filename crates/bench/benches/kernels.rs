@@ -1,6 +1,6 @@
 //! Microbenchmarks of the mini-DL kernels across three generations: the
 //! naive scalar `mics_minidl::kernels::reference`, the cache-blocked
-//! autovectorized v1 (`mics_bench::blocked`, PR 5), and the v2 SIMD
+//! autovectorized v1 (`mics_bench::blocked`), and the v2 SIMD
 //! dispatch in `mics_minidl::kernels` (AVX2+FMA lanes, single-threaded and
 //! with the worker pool at the host's parallelism). Causal attention has
 //! no v1: its v1 is the scalar reference loop, so the `blocked_ns` cell of

@@ -241,34 +241,14 @@ mod tests {
     #[test]
     fn blocked_kernels_stay_on_the_drift_oracle() {
         for &(m, k, n) in SHAPES {
-            let a = buf(m * k, 1);
-            let b = buf(k * n, 2);
-            let d = buf(m * n, 3);
+            let (a, b, d) = (buf(m * k, 1), buf(k * n, 2), buf(m * n, 3));
             let what = format!("{m}x{k}x{n}");
             assert_close(&matmul(&a, &b, m, k, n), &reference::matmul(&a, &b, m, k, n), &what);
-            let bt = buf(k * n, 4);
             assert_close(
-                &matmul_bt(&d, &bt, m, n, k),
-                &reference::matmul_bt(&d, &bt, m, n, k),
+                &matmul_bt(&d, &b, m, n, k),
+                &reference::matmul_bt(&d, &b, m, n, k),
                 &what,
             );
-            let mut g1 = buf(k * n, 5);
-            let mut g2 = g1.clone();
-            acc_matmul_at(&a, &d, m, k, n, &mut g1);
-            reference::acc_matmul_at(&a, &d, m, k, n, &mut g2);
-            assert_close(&g1, &g2, &what);
-            let (w, bias, x, dv) = (&a, buf(m, 6), buf(k, 7), buf(m, 8));
-            assert_close(
-                &matvec_bias(w, &bias, &x, m, k),
-                &reference::matvec_bias(w, &bias, &x, m, k),
-                &what,
-            );
-            assert_close(&matvec_t(w, &dv, m, k), &reference::matvec_t(w, &dv, m, k), &what);
-            let mut o1 = buf(m * k, 9);
-            let mut o2 = o1.clone();
-            acc_outer(&dv, &x, &mut o1);
-            reference::acc_outer(&dv, &x, &mut o2);
-            assert_close(&o1, &o2, &what);
         }
     }
 }

@@ -663,9 +663,10 @@ mod body {
     /// `out = d[rows] · bᵀ`: two rows × four outputs per pass share each
     /// load (six loads per eight FMAs). Every element is one 8-wide fused
     /// chain over `j`, reduced by the fixed [`Lanes::hsum`] tree, with the
-    /// scalar tail folded in *after* the tree. The row pairing never
-    /// changes an element's chain, so odd row counts and any thread split
-    /// give the same bits. `out` covers `rows` (`rows.len() × k`).
+    /// scalar tail folded in *after* the tree. An odd last row pairs with
+    /// itself and is stored once. The pairing never changes an element's
+    /// chain, so any row count and thread split give the same bits. `out`
+    /// covers `rows` (`rows.len() × k`).
     #[inline(always)]
     pub(super) fn matmul_bt_rows<L: Lanes>(
         dout: &[f32],
@@ -676,12 +677,18 @@ mod body {
         out: &mut [f32],
     ) {
         debug_assert_eq!(out.len(), rows.len() * k);
-        let mut ri = 0;
-        while ri + 2 <= rows.len() {
-            let i = rows.start + ri;
-            let d0 = &dout[i * n..(i + 1) * n];
-            let d1 = &dout[(i + 1) * n..(i + 2) * n];
-            let (o0, o1) = out[ri * k..(ri + 2) * k].split_at_mut(k);
+        for ri in (0..rows.len()).step_by(2) {
+            let pair = ri + 1 < rows.len();
+            let i0 = rows.start + ri;
+            let i1 = if pair { i0 + 1 } else { i0 };
+            let d0 = &dout[i0 * n..(i0 + 1) * n];
+            let d1 = &dout[i1 * n..(i1 + 1) * n];
+            let mut store = |kk: usize, s0: &[f32], s1: &[f32]| {
+                out[ri * k + kk..ri * k + kk + s0.len()].copy_from_slice(s0);
+                if pair {
+                    out[(ri + 1) * k + kk..(ri + 1) * k + kk + s1.len()].copy_from_slice(s1);
+                }
+            };
             let mut kk = 0;
             while kk + UNROLL <= k {
                 let b0 = &b[kk * n..(kk + 1) * n];
@@ -709,15 +716,13 @@ mod body {
                 let mut s0 = [L::hsum(v00), L::hsum(v01), L::hsum(v02), L::hsum(v03)];
                 let mut s1 = [L::hsum(v10), L::hsum(v11), L::hsum(v12), L::hsum(v13)];
                 while j < n {
-                    let (e0, e1) = (d0[j], d1[j]);
                     for (r, brow) in [b0, b1, b2, b3].into_iter().enumerate() {
-                        s0[r] = e0.mul_add(brow[j], s0[r]);
-                        s1[r] = e1.mul_add(brow[j], s1[r]);
+                        s0[r] = d0[j].mul_add(brow[j], s0[r]);
+                        s1[r] = d1[j].mul_add(brow[j], s1[r]);
                     }
                     j += 1;
                 }
-                o0[kk..kk + UNROLL].copy_from_slice(&s0);
-                o1[kk..kk + UNROLL].copy_from_slice(&s1);
+                store(kk, &s0, &s1);
                 kk += UNROLL;
             }
             while kk < k {
@@ -736,76 +741,19 @@ mod body {
                     s1 = d1[j].mul_add(brow[j], s1);
                     j += 1;
                 }
-                o0[kk] = s0;
-                o1[kk] = s1;
+                store(kk, &[s0], &[s1]);
                 kk += 1;
             }
-            ri += 2;
-        }
-        if ri < rows.len() {
-            let i = rows.start + ri;
-            matmul_bt_row::<L>(&dout[i * n..(i + 1) * n], b, n, k, &mut out[ri * k..(ri + 1) * k]);
-        }
-    }
-
-    /// One row of [`matmul_bt_rows`]: four outputs per pass.
-    #[inline(always)]
-    fn matmul_bt_row<L: Lanes>(drow: &[f32], b: &[f32], n: usize, k: usize, orow: &mut [f32]) {
-        let mut kk = 0;
-        while kk + UNROLL <= k {
-            let b0 = &b[kk * n..(kk + 1) * n];
-            let b1 = &b[(kk + 1) * n..(kk + 2) * n];
-            let b2 = &b[(kk + 2) * n..(kk + 3) * n];
-            let b3 = &b[(kk + 3) * n..(kk + 4) * n];
-            let (mut v0, mut v1, mut v2, mut v3) = (L::zero(), L::zero(), L::zero(), L::zero());
-            let mut j = 0;
-            while j + LANES <= n {
-                let vd = L::ld(drow, j);
-                v0 = L::fma(vd, L::ld(b0, j), v0);
-                v1 = L::fma(vd, L::ld(b1, j), v1);
-                v2 = L::fma(vd, L::ld(b2, j), v2);
-                v3 = L::fma(vd, L::ld(b3, j), v3);
-                j += LANES;
-            }
-            let (mut s0, mut s1, mut s2, mut s3) =
-                (L::hsum(v0), L::hsum(v1), L::hsum(v2), L::hsum(v3));
-            while j < n {
-                let dv = drow[j];
-                s0 = dv.mul_add(b0[j], s0);
-                s1 = dv.mul_add(b1[j], s1);
-                s2 = dv.mul_add(b2[j], s2);
-                s3 = dv.mul_add(b3[j], s3);
-                j += 1;
-            }
-            orow[kk] = s0;
-            orow[kk + 1] = s1;
-            orow[kk + 2] = s2;
-            orow[kk + 3] = s3;
-            kk += UNROLL;
-        }
-        while kk < k {
-            let brow = &b[kk * n..(kk + 1) * n];
-            let mut v = L::zero();
-            let mut j = 0;
-            while j + LANES <= n {
-                v = L::fma(L::ld(drow, j), L::ld(brow, j), v);
-                j += LANES;
-            }
-            let mut s = L::hsum(v);
-            while j < n {
-                s = drow[j].mul_add(brow[j], s);
-                j += 1;
-            }
-            orow[kk] = s;
-            kk += 1;
         }
     }
 
     /// Accumulate `aᵀ·d` into the `kks` rows of `gw`: a tile of four
     /// gradient rows × 16 columns stays in registers across *all* `m`
     /// samples, so each element is one fused chain over the samples in
-    /// order, whatever the tile or tail it falls in. `gw` covers `kks`
-    /// (`kks.len() × n`), and any `kks` partition yields the same bits.
+    /// order, whatever the strip it falls in. A tile that overhangs the
+    /// chunk's end repeats its last row, which then computes the same
+    /// value twice and stores it twice. `gw` covers `kks` (`kks.len() ×
+    /// n`), and any `kks` partition yields the same bits.
     #[inline(always)]
     pub(super) fn acc_matmul_at_rows<L: Lanes>(
         a: &[f32],
@@ -817,116 +765,68 @@ mod body {
         gw: &mut [f32],
     ) {
         debug_assert_eq!(gw.len(), kks.len() * n);
-        let mut rk = 0;
-        while rk + UNROLL <= kks.len() {
-            let kk = kks.start + rk;
-            let (g01, g23) = gw[rk * n..(rk + 4) * n].split_at_mut(2 * n);
-            let (g0, g1) = g01.split_at_mut(n);
-            let (g2, g3) = g23.split_at_mut(n);
+        for rk in (0..kks.len()).step_by(UNROLL) {
+            // The tile's rows, the overhang clamped to the last one.
+            let r = [0, 1, 2, 3].map(|o| (rk + o).min(kks.len() - 1));
+            let x = |i: usize, o: usize| a[i * k + kks.start + r[o]];
             let mut j = 0;
             while j + 2 * LANES <= n {
                 let jh = j + LANES;
-                let (mut c00, mut c01) = (L::ld(g0, j), L::ld(g0, jh));
-                let (mut c10, mut c11) = (L::ld(g1, j), L::ld(g1, jh));
-                let (mut c20, mut c21) = (L::ld(g2, j), L::ld(g2, jh));
-                let (mut c30, mut c31) = (L::ld(g3, j), L::ld(g3, jh));
+                let (mut c00, mut c01) = (L::ld(gw, r[0] * n + j), L::ld(gw, r[0] * n + jh));
+                let (mut c10, mut c11) = (L::ld(gw, r[1] * n + j), L::ld(gw, r[1] * n + jh));
+                let (mut c20, mut c21) = (L::ld(gw, r[2] * n + j), L::ld(gw, r[2] * n + jh));
+                let (mut c30, mut c31) = (L::ld(gw, r[3] * n + j), L::ld(gw, r[3] * n + jh));
                 for i in 0..m {
-                    let drow = &dout[i * n..(i + 1) * n];
-                    let (vd0, vd1) = (L::ld(drow, j), L::ld(drow, jh));
-                    let x = &a[i * k + kk..i * k + kk + UNROLL];
-                    let va = L::splat(x[0]);
+                    let (vd0, vd1) = (L::ld(dout, i * n + j), L::ld(dout, i * n + jh));
+                    let va = L::splat(x(i, 0));
                     c00 = L::fma(va, vd0, c00);
                     c01 = L::fma(va, vd1, c01);
-                    let va = L::splat(x[1]);
+                    let va = L::splat(x(i, 1));
                     c10 = L::fma(va, vd0, c10);
                     c11 = L::fma(va, vd1, c11);
-                    let va = L::splat(x[2]);
+                    let va = L::splat(x(i, 2));
                     c20 = L::fma(va, vd0, c20);
                     c21 = L::fma(va, vd1, c21);
-                    let va = L::splat(x[3]);
+                    let va = L::splat(x(i, 3));
                     c30 = L::fma(va, vd0, c30);
                     c31 = L::fma(va, vd1, c31);
                 }
-                L::st(g0, j, c00);
-                L::st(g0, jh, c01);
-                L::st(g1, j, c10);
-                L::st(g1, jh, c11);
-                L::st(g2, j, c20);
-                L::st(g2, jh, c21);
-                L::st(g3, j, c30);
-                L::st(g3, jh, c31);
+                L::st(gw, r[0] * n + j, c00);
+                L::st(gw, r[0] * n + jh, c01);
+                L::st(gw, r[1] * n + j, c10);
+                L::st(gw, r[1] * n + jh, c11);
+                L::st(gw, r[2] * n + j, c20);
+                L::st(gw, r[2] * n + jh, c21);
+                L::st(gw, r[3] * n + j, c30);
+                L::st(gw, r[3] * n + jh, c31);
                 j += 2 * LANES;
             }
             while j + LANES <= n {
-                let (mut c0, mut c1, mut c2, mut c3) =
-                    (L::ld(g0, j), L::ld(g1, j), L::ld(g2, j), L::ld(g3, j));
+                let mut c = r.map(|ro| L::ld(gw, ro * n + j));
                 for i in 0..m {
-                    let vd = L::ld(&dout[i * n..(i + 1) * n], j);
-                    let x = &a[i * k + kk..i * k + kk + UNROLL];
-                    c0 = L::fma(L::splat(x[0]), vd, c0);
-                    c1 = L::fma(L::splat(x[1]), vd, c1);
-                    c2 = L::fma(L::splat(x[2]), vd, c2);
-                    c3 = L::fma(L::splat(x[3]), vd, c3);
+                    let vd = L::ld(dout, i * n + j);
+                    for (o, co) in c.iter_mut().enumerate() {
+                        *co = L::fma(L::splat(x(i, o)), vd, *co);
+                    }
                 }
-                L::st(g0, j, c0);
-                L::st(g1, j, c1);
-                L::st(g2, j, c2);
-                L::st(g3, j, c3);
+                for (&ro, &co) in r.iter().zip(&c) {
+                    L::st(gw, ro * n + j, co);
+                }
                 j += LANES;
             }
             while j < n {
-                let (mut s0, mut s1, mut s2, mut s3) = (g0[j], g1[j], g2[j], g3[j]);
+                let mut s = r.map(|ro| gw[ro * n + j]);
                 for i in 0..m {
                     let dv = dout[i * n + j];
-                    let x = &a[i * k + kk..i * k + kk + UNROLL];
-                    s0 = x[0].mul_add(dv, s0);
-                    s1 = x[1].mul_add(dv, s1);
-                    s2 = x[2].mul_add(dv, s2);
-                    s3 = x[3].mul_add(dv, s3);
+                    for (o, so) in s.iter_mut().enumerate() {
+                        *so = x(i, o).mul_add(dv, *so);
+                    }
                 }
-                g0[j] = s0;
-                g1[j] = s1;
-                g2[j] = s2;
-                g3[j] = s3;
+                for (&ro, &so) in r.iter().zip(&s) {
+                    gw[ro * n + j] = so;
+                }
                 j += 1;
             }
-            rk += UNROLL;
-        }
-        // Row tail: one gradient row at a time, same strip widths.
-        while rk < kks.len() {
-            let kk = kks.start + rk;
-            let grow = &mut gw[rk * n..(rk + 1) * n];
-            let mut j = 0;
-            while j + 2 * LANES <= n {
-                let jh = j + LANES;
-                let (mut c0, mut c1) = (L::ld(grow, j), L::ld(grow, jh));
-                for i in 0..m {
-                    let drow = &dout[i * n..(i + 1) * n];
-                    let va = L::splat(a[i * k + kk]);
-                    c0 = L::fma(va, L::ld(drow, j), c0);
-                    c1 = L::fma(va, L::ld(drow, jh), c1);
-                }
-                L::st(grow, j, c0);
-                L::st(grow, jh, c1);
-                j += 2 * LANES;
-            }
-            while j + LANES <= n {
-                let mut c = L::ld(grow, j);
-                for i in 0..m {
-                    c = L::fma(L::splat(a[i * k + kk]), L::ld(&dout[i * n..(i + 1) * n], j), c);
-                }
-                L::st(grow, j, c);
-                j += LANES;
-            }
-            while j < n {
-                let mut s = grow[j];
-                for i in 0..m {
-                    s = a[i * k + kk].mul_add(dout[i * n + j], s);
-                }
-                grow[j] = s;
-                j += 1;
-            }
-            rk += 1;
         }
     }
 
@@ -1071,8 +971,9 @@ mod body {
     /// `out[i][j] = Σ_c x[i·d + off + c]·xt[c][j]` for every row `i < t`,
     /// over the 8-lane strips that cover `j ≤ i`: each lane one unfused
     /// chain in `c` order from `0.0`. Four rows per pass share each load
-    /// of `xt` (`dk × tp`). `out` is `t × tp`; lanes past the diagonal are
-    /// scratch.
+    /// of `xt` (`dk × tp`); a pass that overhangs `t` repeats the last row,
+    /// storing the same values twice. `out` is `t × tp`; lanes past the
+    /// diagonal are scratch.
     #[inline(always)]
     fn causal_scores<L: Lanes>(
         x: &[f32],
@@ -1084,12 +985,12 @@ mod body {
     ) {
         let tp = super::lane_padded(t);
         let dk = xt.len() / tp;
-        let row = |i: usize| &x[i * d + off..i * d + off + dk];
-        let mut i = 0;
-        while i + UNROLL <= t {
-            let (x0, x1, x2, x3) = (row(i), row(i + 1), row(i + 2), row(i + 3));
+        for i in (0..t).step_by(UNROLL) {
+            let r = [0, 1, 2, 3].map(|o| (i + o).min(t - 1));
+            let row = |o: usize| &x[r[o] * d + off..r[o] * d + off + dk];
+            let (x0, x1, x2, x3) = (row(0), row(1), row(2), row(3));
             let mut j = 0;
-            while j < i + UNROLL {
+            while j <= r[3] {
                 let (mut s0, mut s1, mut s2, mut s3) = (L::zero(), L::zero(), L::zero(), L::zero());
                 for c in 0..dk {
                     let col = L::ld(xt, c * tp + j);
@@ -1098,26 +999,11 @@ mod body {
                     s2 = L::add(s2, L::mul(L::splat(x2[c]), col));
                     s3 = L::add(s3, L::mul(L::splat(x3[c]), col));
                 }
-                L::st(out, i * tp + j, s0);
-                L::st(out, (i + 1) * tp + j, s1);
-                L::st(out, (i + 2) * tp + j, s2);
-                L::st(out, (i + 3) * tp + j, s3);
-                j += LANES;
-            }
-            i += UNROLL;
-        }
-        while i < t {
-            let x0 = row(i);
-            let mut j = 0;
-            while j <= i {
-                let mut s0 = L::zero();
-                for (c, &xc) in x0.iter().enumerate() {
-                    s0 = L::add(s0, L::mul(L::splat(xc), L::ld(xt, c * tp + j)));
+                for (&ro, so) in r.iter().zip([s0, s1, s2, s3]) {
+                    L::st(out, ro * tp + j, so);
                 }
-                L::st(out, i * tp + j, s0);
                 j += LANES;
             }
-            i += 1;
         }
     }
 
