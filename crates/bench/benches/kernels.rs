@@ -64,18 +64,13 @@ fn bench(c: &mut Criterion) {
 
 criterion_group!(benches, bench);
 
-/// Best-of-`samples` mean ns/iter of `f` over `iters` calls per sample.
-fn best_ns(iters: u32, samples: u32, mut f: impl FnMut()) -> u64 {
-    f(); // warmup
-    let mut best = u64::MAX;
-    for _ in 0..samples {
-        let start = Instant::now();
-        for _ in 0..iters {
-            f();
-        }
-        best = best.min(start.elapsed().as_nanos() as u64 / iters as u64);
+/// Mean ns/iter of `f` over one sample of `iters` calls.
+fn sample_ns(iters: u32, f: &mut impl FnMut()) -> u64 {
+    let start = Instant::now();
+    for _ in 0..iters {
+        f();
     }
-    best.max(1)
+    (start.elapsed().as_nanos() as u64 / iters as u64).max(1)
 }
 
 /// The four timing variants of one kernel at one shape. The `dispatch`
@@ -88,18 +83,29 @@ struct Variants {
     simd_mt_ns: u64,
 }
 
+/// Best of 7 samples per variant. The variants' samples interleave, so a
+/// slow stretch of a shared host lands on all of them rather than on one,
+/// and the ratios gated below compare like with like.
 fn measure(
     iters: u32,
     mut reference: impl FnMut(),
     mut blocked: impl FnMut(),
     mut dispatch: impl FnMut(),
 ) -> Variants {
-    let reference_ns = best_ns(iters, 7, &mut reference);
-    let blocked_ns = best_ns(iters, 7, &mut blocked);
-    kernels::set_kernel_threads(Some(1));
-    let simd_ns = best_ns(iters, 7, &mut dispatch);
-    kernels::set_kernel_threads(None);
-    let simd_mt_ns = best_ns(iters, 7, &mut dispatch);
+    // Warm up.
+    reference();
+    blocked();
+    dispatch();
+    let mut best = [u64::MAX; 4];
+    for _ in 0..7 {
+        best[0] = best[0].min(sample_ns(iters, &mut reference));
+        best[1] = best[1].min(sample_ns(iters, &mut blocked));
+        kernels::set_kernel_threads(Some(1));
+        best[2] = best[2].min(sample_ns(iters, &mut dispatch));
+        kernels::set_kernel_threads(None);
+        best[3] = best[3].min(sample_ns(iters, &mut dispatch));
+    }
+    let [reference_ns, blocked_ns, simd_ns, simd_mt_ns] = best;
     Variants { reference_ns, blocked_ns, simd_ns, simd_mt_ns }
 }
 
@@ -279,7 +285,7 @@ fn main() {
         let r = || {
             black_box(kernels::reference::attention_forward(black_box(q), k, v, t, d, h));
         };
-        let vs = measure(50, r, r, || {
+        let vs = measure(200, r, r, || {
             black_box(kernels::attention_forward(black_box(q), k, v, t, d, h));
         });
         fill(&mut table, "attention_forward", shape.clone(), vs);
@@ -295,7 +301,7 @@ fn main() {
                 h,
             ));
         };
-        let vs = measure(50, r, r, || {
+        let vs = measure(200, r, r, || {
             black_box(kernels::attention_backward(black_box(q), k, v, att, d_ctx, t, d, h));
         });
         fill(&mut table, "attention_backward", shape, vs);
