@@ -299,12 +299,15 @@ fn bench_kernels_artifact_matches_its_claims() {
             .position(|h| h.as_str() == Some(name))
             .unwrap_or_else(|| panic!("missing column {name}"))
     };
-    let (k_col, blocked_col) = (col("kernel"), col("speedup_simd_vs_blocked"));
+    let (k_col, shape_col) = (col("kernel"), col("shape"));
+    let (blocked_col, reference_col) =
+        (col("speedup_simd_vs_blocked"), col("speedup_simd_vs_reference"));
     let timing_cols = [col("reference_ns"), col("blocked_ns"), col("simd_ns"), col("simd_mt_ns")];
 
     let rows = doc.get("rows").and_then(Json::as_arr).unwrap();
     let mut kernels_seen = std::collections::BTreeSet::new();
     let mut gated_rows = 0;
+    let mut attention_rows = std::collections::BTreeSet::new();
     for row in rows.iter().filter_map(Json::as_arr) {
         let kernel = row[k_col].as_str().unwrap();
         kernels_seen.insert(kernel.to_string());
@@ -317,8 +320,23 @@ fn bench_kernels_artifact_matches_its_claims() {
             assert!(speedup >= 2.0, "{kernel}: SIMD vs blocked {speedup}× < 2× in the artifact");
             gated_rows += 1;
         }
+        if kernel.starts_with("attention_") {
+            let speedup: f64 = row[reference_col].as_str().unwrap().parse().unwrap();
+            assert!(speedup >= 2.0, "{kernel}: SIMD vs reference {speedup}× < 2× in the artifact");
+            attention_rows
+                .insert((kernel.to_string(), row[shape_col].as_str().unwrap().to_string()));
+        }
     }
     assert_eq!(gated_rows, 4, "two shapes each of matmul and matmul_bt must be gated");
+    for kernel in ["attention_forward", "attention_backward"] {
+        for shape in ["t32xd64xh4", "t8xd96xh4"] {
+            assert!(
+                attention_rows.contains(&(kernel.to_string(), shape.to_string())),
+                "{kernel}@{shape} missing from the bench table"
+            );
+        }
+    }
+    assert_eq!(attention_rows.len(), 4, "attention is gated at exactly the two LM head shapes");
     for want in ["matmul", "matmul_bt", "acc_matmul_at", "matvec_bias", "matvec_t", "acc_outer"] {
         assert!(kernels_seen.contains(want), "kernel {want} missing from the bench table");
     }
