@@ -147,6 +147,31 @@ fn golden_mics_p16_int8_intra_four_nodes() {
     check_golden("mics_p16_int8_intra_4x8", &dump);
 }
 
+/// The codec annotations of an int8 MiCS dump: every gather and every
+/// gradient reduction (hop 1 and hop 2) compressed, the boundary p2p hops
+/// and the compute ops exact.
+fn assert_int8_annotations(dump: &str) {
+    for line in dump.lines().skip(1) {
+        let compressed = line.contains(" gather.")
+            || line.contains(" reduce-scatter ")
+            || line.contains(" hop2 ");
+        assert_eq!(line.contains("+int8/128"), compressed, "{line}");
+    }
+}
+
+#[test]
+fn golden_mics_p16_int8_four_nodes() {
+    // Partition groups of 16 span two nodes → hierarchical gathers; the
+    // replication groups of 2 reduce through the same codec.
+    let strategy =
+        Strategy::Mics(MicsConfig::compressed(16, CompressionConfig::both(QuantScheme::int8())));
+    let dump = dp_program(&job(4, strategy)).unwrap().dump();
+    assert!(dump.contains("ag-hier"));
+    assert_eq!(dump.lines().filter(|l| l.contains(" hop2 ")).count(), 16);
+    assert_int8_annotations(&dump);
+    check_golden("mics_p16_int8_4x8", &dump);
+}
+
 #[test]
 fn golden_mics_p8_pp2() {
     // The same two-node MiCS job as `golden_mics_p8_2x8`, but as one stage
@@ -170,6 +195,21 @@ fn golden_mics_p8_int8_intra_pp2() {
     assert!(dump.contains(" hop2 ") && dump.contains(" p2p "));
     assert_int8_intra_annotations(&dump);
     check_golden("mics_p8_int8_intra_pp2_2x16", &dump);
+}
+
+#[test]
+fn golden_mics_p8_int8_pp2() {
+    // `golden_mics_p8_pp2` under int8: the codec is a per-op annotation, so
+    // the program keeps its shape line for line and only the stage-scoped
+    // gathers and gradient reductions gain the scheme; the boundary p2p
+    // hops stay exact.
+    let strategy =
+        Strategy::Mics(MicsConfig::compressed(8, CompressionConfig::both(QuantScheme::int8())));
+    let dump = dp_pipeline_program(&job(2, strategy), 2, 1 << 20).unwrap().dump();
+    assert_eq!(dump.lines().count(), 202);
+    assert!(dump.contains(" hop2 ") && dump.contains(" p2p "));
+    assert_int8_annotations(&dump);
+    check_golden("mics_p8_int8_pp2_2x16", &dump);
 }
 
 #[test]
