@@ -174,19 +174,6 @@ impl QuantScheme {
     }
 }
 
-/// Where compressed collectives are allowed to run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CompressionScope {
-    /// Compress only the collectives *inside* a partition group (parameter
-    /// gathers, hop-1 reduce-scatters). The cross-replication-group hop-2
-    /// all-reduce stays fp32 — it runs once per accumulation window, so its
-    /// volume is already amortized and keeping it exact limits error growth.
-    IntraGroupOnly,
-    /// Compress every gradient/parameter collective, including the hop-2
-    /// boundary all-reduce.
-    Everywhere,
-}
-
 /// Compression knobs carried by the executors (`mics-core`) and the
 /// fidelity trainer (`mics-minidl`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -195,41 +182,26 @@ pub struct CompressionConfig {
     pub scheme: QuantScheme,
     /// Quantize parameter all-gathers (qwZ-style weight compression).
     pub weights: bool,
-    /// Quantize gradient reduce-scatters / all-reduces (qgZ-style).
+    /// Quantize every gradient reduction — the partition-group
+    /// reduce-scatter or all-reduce and the hop-2 all-reduce alike
+    /// (qgZ-style).
     pub grads: bool,
-    /// Which collectives participate.
-    pub scope: CompressionScope,
 }
 
 impl CompressionConfig {
     /// Compress parameter gathers only.
     pub fn weights_only(scheme: QuantScheme) -> Self {
-        CompressionConfig {
-            scheme,
-            weights: true,
-            grads: false,
-            scope: CompressionScope::Everywhere,
-        }
+        CompressionConfig { scheme, weights: true, grads: false }
     }
 
     /// Compress gradient reductions only.
     pub fn grads_only(scheme: QuantScheme) -> Self {
-        CompressionConfig {
-            scheme,
-            weights: false,
-            grads: true,
-            scope: CompressionScope::Everywhere,
-        }
+        CompressionConfig { scheme, weights: false, grads: true }
     }
 
     /// Compress both directions.
     pub fn both(scheme: QuantScheme) -> Self {
-        CompressionConfig {
-            scheme,
-            weights: true,
-            grads: true,
-            scope: CompressionScope::Everywhere,
-        }
+        CompressionConfig { scheme, weights: true, grads: true }
     }
 
     /// Short label for reports, e.g. `"int8/128·wg"`.
@@ -241,11 +213,7 @@ impl CompressionConfig {
         if self.grads {
             dir.push('g');
         }
-        let scope = match self.scope {
-            CompressionScope::IntraGroupOnly => "·intra",
-            CompressionScope::Everywhere => "",
-        };
-        format!("{}·{dir}{scope}", self.scheme.label())
+        format!("{}·{dir}", self.scheme.label())
     }
 }
 
@@ -1045,9 +1013,7 @@ mod tests {
         assert_eq!(QuantScheme::F16.label(), "f16");
         assert_eq!(QuantScheme::int8().label(), "int8/128");
         assert_eq!(CompressionConfig::both(QuantScheme::int8()).label(), "int8/128·wg");
-        let mut c = CompressionConfig::grads_only(QuantScheme::int4());
-        c.scope = CompressionScope::IntraGroupOnly;
-        assert_eq!(c.label(), "int4/128·g·intra");
+        assert_eq!(CompressionConfig::grads_only(QuantScheme::int4()).label(), "int4/128·g");
     }
 
     #[test]

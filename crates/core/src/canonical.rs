@@ -14,7 +14,7 @@
 use crate::config::{MicsConfig, Strategy, ZeroStage};
 use crate::TrainingJob;
 use mics_cluster::{ClusterSpec, InstanceType, NodeId};
-use mics_compress::{CompressionConfig, CompressionScope, QuantScheme};
+use mics_compress::{CompressionConfig, QuantScheme};
 use mics_model::{LayerSpec, WorkloadSpec};
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -173,21 +173,11 @@ impl Canonical for QuantScheme {
     }
 }
 
-impl Canonical for CompressionScope {
-    fn canonicalize(&self, h: &mut CanonicalHasher) {
-        h.write_tag(match self {
-            CompressionScope::IntraGroupOnly => 0,
-            CompressionScope::Everywhere => 1,
-        });
-    }
-}
-
 impl Canonical for CompressionConfig {
     fn canonicalize(&self, h: &mut CanonicalHasher) {
         self.scheme.canonicalize(h);
         h.write_bool(self.weights);
         h.write_bool(self.grads);
-        self.scope.canonicalize(h);
     }
 }
 

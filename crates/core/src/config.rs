@@ -1,7 +1,7 @@
 //! Strategy configuration: MiCS knobs and the baseline zoo.
 
 use crate::json::{Json, ToJson};
-use mics_compress::{CompressionConfig, CompressionScope, QuantScheme};
+use mics_compress::{CompressionConfig, QuantScheme};
 use mics_simnet::SimTime;
 
 /// Which data-parallel system to emulate.
@@ -95,12 +95,12 @@ impl MicsConfig {
     pub fn from_json(doc: &Json) -> Option<Self> {
         Some(MicsConfig {
             partition_size: doc.get("partition_size")?.as_num()? as usize,
-            hierarchical_allgather: doc.get("hierarchical_allgather")? == &Json::Bool(true),
-            two_hop_sync: doc.get("two_hop_sync")? == &Json::Bool(true),
-            fine_grained_sync: doc.get("fine_grained_sync")? == &Json::Bool(true),
-            cached_decisions: doc.get("cached_decisions")? == &Json::Bool(true),
-            coalesced_comm: doc.get("coalesced_comm")? == &Json::Bool(true),
-            arena_memory: doc.get("arena_memory")? == &Json::Bool(true),
+            hierarchical_allgather: doc.get("hierarchical_allgather")?.as_bool()?,
+            two_hop_sync: doc.get("two_hop_sync")?.as_bool()?,
+            fine_grained_sync: doc.get("fine_grained_sync")?.as_bool()?,
+            cached_decisions: doc.get("cached_decisions")?.as_bool()?,
+            coalesced_comm: doc.get("coalesced_comm")?.as_bool()?,
+            arena_memory: doc.get("arena_memory")?.as_bool()?,
             compression: match doc.get("compression")? {
                 Json::Null => None,
                 c => Some(compression_from_json(c)?),
@@ -142,13 +142,6 @@ impl ToJson for CompressionConfig {
             ("block", block),
             ("weights", Json::Bool(self.weights)),
             ("grads", Json::Bool(self.grads)),
-            (
-                "scope",
-                Json::from(match self.scope {
-                    CompressionScope::IntraGroupOnly => "intra_group",
-                    CompressionScope::Everywhere => "everywhere",
-                }),
-            ),
         ])
     }
 }
@@ -162,16 +155,10 @@ pub fn compression_from_json(doc: &Json) -> Option<CompressionConfig> {
         "int4" => QuantScheme::Int4 { block: block()? },
         _ => return None,
     };
-    let scope = match doc.get("scope")?.as_str()? {
-        "intra_group" => CompressionScope::IntraGroupOnly,
-        "everywhere" => CompressionScope::Everywhere,
-        _ => return None,
-    };
     Some(CompressionConfig {
         scheme,
-        weights: doc.get("weights")? == &Json::Bool(true),
-        grads: doc.get("grads")? == &Json::Bool(true),
-        scope,
+        weights: doc.get("weights")?.as_bool()?,
+        grads: doc.get("grads")?.as_bool()?,
     })
 }
 
@@ -398,8 +385,21 @@ mod tests {
         let mut quantized =
             MicsConfig::compressed(16, CompressionConfig::both(QuantScheme::Int4 { block: 64 }));
         quantized.two_hop_sync = false;
-        assert_eq!(MicsConfig::from_json(&quantized.to_json()), Some(quantized));
+        assert_eq!(MicsConfig::from_json(&quantized.to_json()), Some(quantized.clone()));
         assert_eq!(MicsConfig::from_json(&Json::Null), None);
+        // A flag is a JSON boolean: a number or a string fails the decode
+        // instead of reading as `false`.
+        let text = quantized.to_json().emit();
+        for (flag, bad) in [
+            ("\"two_hop_sync\":false", "\"two_hop_sync\":1"),
+            ("\"arena_memory\":true", "\"arena_memory\":null"),
+            ("\"grads\":true", "\"grads\":\"true\""),
+            ("\"weights\":true", "\"weights\":1"),
+        ] {
+            assert!(text.contains(flag), "{flag}");
+            let doc = Json::parse(&text.replace(flag, bad)).unwrap();
+            assert_eq!(MicsConfig::from_json(&doc), None, "{bad}");
+        }
     }
 
     #[test]

@@ -465,18 +465,6 @@ mod tests {
     }
 
     #[test]
-    fn intra_group_scope_skips_hop2_compression() {
-        use mics_compress::{CompressionConfig, CompressionScope, QuantScheme};
-        let mut intra = CompressionConfig::grads_only(QuantScheme::int8());
-        intra.scope = CompressionScope::IntraGroupOnly;
-        let everywhere = CompressionConfig::grads_only(QuantScheme::int8());
-        let run = |c| simulate_dp(&job(4, Strategy::Mics(MicsConfig::compressed(8, c)))).unwrap();
-        // Hop 2 crosses replication groups, so intra-group-only leaves its
-        // wire volume uncompressed and moves strictly more NIC bytes.
-        assert!(run(intra).nic_bytes_per_node > run(everywhere).nic_bytes_per_node);
-    }
-
-    #[test]
     fn compressed_zero3_closes_part_of_the_gap_to_mics() {
         use mics_compress::{CompressionConfig, QuantScheme};
         let ds = simulate_dp(&job(4, Strategy::Zero(ZeroStage::Three))).unwrap();

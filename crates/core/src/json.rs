@@ -173,6 +173,14 @@ impl Json {
             _ => None,
         }
     }
+
+    /// The flag, if this is a boolean (`1` or `"true"` is not one).
+    pub fn as_bool(&self) -> Option<bool> {
+        match self {
+            Json::Bool(b) => Some(*b),
+            _ => None,
+        }
+    }
 }
 
 /// A parse failure: what went wrong and where.

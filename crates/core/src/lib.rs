@@ -62,7 +62,7 @@ pub use dp::{dp_pipeline_program, dp_program, simulate_dp_pipeline, simulate_dp_
 pub use json::{Json, ToJson};
 pub use megatron::{simulate_megatron, MegatronConfig, MegatronReport};
 pub use memory::{MemoryEstimate, OomError};
-pub use mics_compress::{CompressionConfig, CompressionScope, QuantScheme};
+pub use mics_compress::{CompressionConfig, QuantScheme};
 pub use recovery::{
     poisson_failures, policy_for, recovery_time, simulate_elastic, simulate_with_failures,
     spot_plan, ElasticReport, RecoveryPolicy, RecoveryReport, RecoveryTime, SpotPolicy,

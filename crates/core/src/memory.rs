@@ -135,7 +135,7 @@ impl MemoryEstimate {
             optimizer: doc.get("optimizer")?.as_num()? as u64,
             activations: doc.get("activations")?.as_num()? as u64,
             transient: doc.get("transient")?.as_num()? as u64,
-            hierarchical_buffers: doc.get("hierarchical_buffers")? == &Json::Bool(true),
+            hierarchical_buffers: doc.get("hierarchical_buffers")?.as_bool()?,
         })
     }
 }

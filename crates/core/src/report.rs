@@ -51,7 +51,7 @@ impl RunReport {
             samples_per_sec: doc.get("samples_per_sec")?.as_num()?,
             achieved_flops_per_gpu: doc.get("achieved_flops_per_gpu")?.as_num()?,
             memory: MemoryEstimate::from_json(doc.get("memory")?)?,
-            hierarchical_used: doc.get("hierarchical_used")? == &Json::Bool(true),
+            hierarchical_used: doc.get("hierarchical_used")?.as_bool()?,
             compute_fraction: doc.get("compute_fraction")?.as_num()?,
             comm_fraction: doc.get("comm_fraction")?.as_num()?,
             nic_bytes_per_node: doc.get("nic_bytes_per_node")?.as_num()? as u64,

@@ -30,7 +30,7 @@ use crate::ops::{Lane, SimCluster, PLACEHOLDER_EVENT};
 use mics_cluster::{nodes_spanned, Rank};
 use mics_collectives::dispatch::{WireCollective, WireKind};
 use mics_collectives::NetParams;
-use mics_compress::{CompressionConfig, CompressionScope, QuantScheme};
+use mics_compress::{CompressionConfig, QuantScheme};
 use mics_simnet::{EventId, SimTime};
 
 /// Index of an op inside [`StepProgram::ops`]; dependencies are expressed
@@ -614,13 +614,10 @@ impl Emit<'_> {
         }
     }
 
-    /// Gradient compression for a reduction. The scope rule mirrors the
-    /// quantized collectives: a reduction that leaves the partition group
-    /// compresses only under [`CompressionScope::Everywhere`].
-    fn grad_codec(&self, beyond_group: bool) -> Option<CompressionConfig> {
-        self.spec
-            .compression
-            .filter(|c| c.grads && (!beyond_group || c.scope == CompressionScope::Everywhere))
+    /// Gradient compression for a reduction: every reduction, in the
+    /// partition group or across it, takes the same codec.
+    fn grad_codec(&self) -> Option<CompressionConfig> {
+        self.spec.compression.filter(|c| c.grads)
     }
 
     /// One 1F1B boundary hop of dp index `d`: a 2-rank p2p on the lane
@@ -740,23 +737,22 @@ impl Emit<'_> {
         let boundary = micro == spec.accum_steps - 1;
         let two_hop = spec.micro_sync == MicroSync::PartitionReduceScatter;
         let local_accumulate = spec.micro_sync == MicroSync::LocalAccumulate;
-        // The per-bucket reduction: wire algorithm, the buffer it reduces,
-        // its group size, and whether it leaves the partition group.
+        // The per-bucket reduction: wire algorithm, the buffer it reduces
+        // and its group size.
         let all_reduce = WireKind::AllReduce { stride: 1 };
-        let (kind, source, span, beyond_group) = match spec.micro_sync {
+        let (kind, source, span) = match spec.micro_sync {
             // MiCS hop 1 (§3.4), inside each partition group.
             MicroSync::PartitionReduceScatter => {
-                (WireKind::ReduceScatter, GradSource::MicroGrad, p, false)
+                (WireKind::ReduceScatter, GradSource::MicroGrad, p)
             }
-            // ZeRO-3's all-reduce over the stage leaves the partition group
-            // unless the group *is* the stage (p = dp).
-            MicroSync::GlobalAllReduce => (all_reduce, GradSource::MicroGrad, dp, p < dp),
+            // ZeRO-3's all-reduce over the stage.
+            MicroSync::GlobalAllReduce => (all_reduce, GradSource::MicroGrad, dp),
             // The boundary reduction of the accumulated buffer over the
             // stage: ZeRO-2 by reduce-scatter, DDP / ZeRO-1 by all-reduce.
             MicroSync::LocalAccumulate if spec.p_grads > 1 => {
-                (WireKind::ReduceScatter, GradSource::Accum, dp, true)
+                (WireKind::ReduceScatter, GradSource::Accum, dp)
             }
-            MicroSync::LocalAccumulate => (all_reduce, GradSource::Accum, dp, true),
+            MicroSync::LocalAccumulate => (all_reduce, GradSource::Accum, dp),
         };
         // MiCS reduces inside each partition group, everything else over
         // the whole stage.
@@ -777,7 +773,7 @@ impl Emit<'_> {
             }
             let reduces = span > 1 && (boundary || !local_accumulate);
             if reduces {
-                let codec = self.grad_codec(beyond_group);
+                let codec = self.grad_codec();
                 let mut batch = Vec::with_capacity(groups);
                 for g in 0..groups {
                     let group = if two_hop {
@@ -803,12 +799,11 @@ impl Emit<'_> {
             // all-reduce this bucket's accumulated gradient shard across
             // each replication group — bucketed so it overlaps with the
             // remaining backward compute, just like hop 1, which it follows
-            // on the reduce lane. It crosses partition groups, so
-            // intra-group-only compression leaves it exact; its schedule is
-            // fully precomputed, so it pays no decision overhead.
+            // on the reduce lane. Its schedule is fully precomputed, so it
+            // pays no decision overhead.
             let shard_bytes = bytes / p as u64;
             if two_hop && boundary && dp > p && shard_bytes > 0 {
-                let codec = self.grad_codec(true);
+                let codec = self.grad_codec();
                 let deps = if reduces { Vec::new() } else { vec![ready] };
                 let mut hop2 = Vec::with_capacity(p);
                 for local in 0..p {
@@ -1570,32 +1565,21 @@ mod tests {
         // The codec is a per-op annotation at every pp: each stage of a
         // pp = 2 program carries the wire annotations of the flat program
         // emitted for that stage's two layers alone.
-        for scope in [CompressionScope::Everywhere, CompressionScope::IntraGroupOnly] {
-            for (sync, p) in [
-                (MicroSync::PartitionReduceScatter, 2),
-                (MicroSync::GlobalAllReduce, 2),
-                (MicroSync::GlobalAllReduce, 4),
-                (MicroSync::LocalAccumulate, 1),
-            ] {
-                let mut inner = spec4(4, p, sync, 3);
-                let int8 = CompressionConfig::both(QuantScheme::int8());
-                inner.compression = Some(CompressionConfig { scope, ..int8 });
-                let prog =
-                    PipelineSpec { inner: inner.clone(), pp: 2, act_bytes: 1 << 16 }.program();
-                for stage in 0..2 {
-                    let mut slice = inner.clone();
-                    slice.layers = inner.layers[stage * 2..(stage + 1) * 2].to_vec();
-                    let staged = stage_collectives(&prog, stage);
-                    assert_eq!(
-                        staged,
-                        stage_collectives(&slice.program(), 0),
-                        "{sync:?} {scope:?}"
-                    );
-                    // Reductions that stay inside the partition group, and
-                    // every gather, compress under both scopes.
-                    let expect_codec = scope == CompressionScope::Everywhere || p > 1;
-                    assert_eq!(staged.iter().any(|c| c.contains("Int8")), expect_codec);
-                }
+        for (sync, p) in [
+            (MicroSync::PartitionReduceScatter, 2),
+            (MicroSync::GlobalAllReduce, 2),
+            (MicroSync::GlobalAllReduce, 4),
+            (MicroSync::LocalAccumulate, 1),
+        ] {
+            let mut inner = spec4(4, p, sync, 3);
+            inner.compression = Some(CompressionConfig::both(QuantScheme::int8()));
+            let prog = PipelineSpec { inner: inner.clone(), pp: 2, act_bytes: 1 << 16 }.program();
+            for stage in 0..2 {
+                let mut slice = inner.clone();
+                slice.layers = inner.layers[stage * 2..(stage + 1) * 2].to_vec();
+                let staged = stage_collectives(&prog, stage);
+                assert_eq!(staged, stage_collectives(&slice.program(), 0), "{sync:?}");
+                assert!(staged.iter().all(|c| c.contains("Int8")), "{sync:?}");
             }
         }
     }

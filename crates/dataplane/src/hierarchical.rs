@@ -110,52 +110,6 @@ pub fn naive_two_stage_all_gather(
     node.all_gather(&stage1)
 }
 
-/// The gradient-direction dual of [`try_hierarchical_all_gather`]: reduce
-/// each rank's full `p × chunk` gradient buffer so that every rank ends with
-/// its own chunk summed over the whole partition group, using two stages:
-///
-/// 1. **Batched intra-node reduce-scatters** (one per `k`-chunk span of the
-///    output, issued through the §4 coalesced API): after this stage, the
-///    rank at node `j`, local `c` holds the node-partial sums of chunks
-///    `[c, k + c, 2k + c, …]` — the same interleaved layout stage 1 of the
-///    all-gather produces, which is already channel order.
-/// 2. **Inter-node reduce-scatter** along the channel: member `j` of the
-///    channel receives the fully reduced chunk `j·k + c`, which is exactly
-///    this rank's shard.
-///
-/// The summation order (intra-node first, then across nodes) is a
-/// re-association of the flat reduce-scatter's rank-order fold, so results
-/// agree exactly for exactly-representable data and to fp-rounding
-/// tolerance otherwise. With a `scheme` each span is quantized for stage 1
-/// and the node-partial sums are *requantized* for stage 2: exactly two
-/// quantized hops touch each element, so the error stays bounded by two
-/// half-steps regardless of `p`.
-pub fn try_hierarchical_reduce_scatter(
-    channel: &Communicator,
-    node: &Communicator,
-    layout: &HierarchicalLayout,
-    full: &[f32],
-    scheme: Option<QuantScheme>,
-) -> Result<Vec<f32>, CommError> {
-    assert_eq!(channel.world(), layout.nodes(), "channel size must equal node count");
-    assert_eq!(node.world(), layout.per_node(), "node group size must equal k");
-    let p = layout.participants();
-    assert!(full.len().is_multiple_of(p), "input must be p equal chunks");
-    let chunk = full.len() / p;
-    let k = layout.per_node();
-
-    // Stage 1: one intra-node reduce-scatter per k-chunk span, batched.
-    let spans: Vec<&[f32]> =
-        (0..layout.nodes()).map(|j| &full[j * k * chunk..(j + 1) * k * chunk]).collect();
-    let partials = node.try_reduce_scatter_coalesced(&spans, scheme)?;
-    // partials[j] = node-partial sum of chunk j·k + local — already in
-    // channel (node) order; concatenate and reduce across nodes.
-    debug_assert!(partials.iter().all(|part| part.len() == chunk));
-
-    // Stage 2: inter-node reduce-scatter along the channel.
-    channel.try_reduce_scatter(&partials.concat(), scheme)
-}
-
 /// Convenience: split a partition-group communicator of `p = nodes × k`
 /// ranks into the `(channel, node)` pair [`try_hierarchical_all_gather`]
 /// needs. Collective over `group`.
@@ -245,57 +199,6 @@ mod tests {
         assert_eq!(hier, flat);
     }
 
-    #[test]
-    fn hierarchical_reduce_scatter_matches_flat_on_integers() {
-        // Integer-valued data sums exactly regardless of association order,
-        // so the two algorithms must agree bitwise.
-        for (nodes, k) in [(2usize, 2usize), (2, 4), (3, 2), (2, 8)] {
-            let p = nodes * k;
-            let layout = HierarchicalLayout::new(p, k).unwrap();
-            let chunk = 3;
-            let input = move |rank: usize| -> Vec<f32> {
-                (0..p * chunk).map(|i| ((rank * 7 + i * 3) % 23) as f32).collect()
-            };
-            let hier = run_ranks(p, move |mut comm| {
-                let rank = comm.rank();
-                let (channel, node) = split_hierarchical(&mut comm, &layout);
-                try_hierarchical_reduce_scatter(&channel, &node, &layout, &input(rank), None)
-                    .expect("healthy world")
-            });
-            let flat = run_ranks(p, move |comm| {
-                let rank = comm.rank();
-                comm.reduce_scatter(&input(rank))
-            });
-            assert_eq!(hier, flat, "p={p} k={k}");
-        }
-    }
-
-    #[test]
-    fn reduce_scatter_then_gather_is_hierarchical_all_reduce() {
-        // Composing the two hierarchical primitives reproduces all-reduce.
-        let (nodes, k) = (2usize, 4usize);
-        let p = nodes * k;
-        let layout = HierarchicalLayout::new(p, k).unwrap();
-        let chunk = 5;
-        let input = move |rank: usize| -> Vec<f32> {
-            (0..p * chunk).map(|i| ((rank * 13 + i) % 17) as f32).collect()
-        };
-        let composed = run_ranks(p, move |mut comm| {
-            let rank = comm.rank();
-            let (channel, node) = split_hierarchical(&mut comm, &layout);
-            let mine =
-                try_hierarchical_reduce_scatter(&channel, &node, &layout, &input(rank), None)
-                    .expect("healthy world");
-            try_hierarchical_all_gather(&channel, &node, &layout, &mine, None)
-                .expect("healthy world")
-        });
-        let reference = run_ranks(p, move |comm| {
-            let rank = comm.rank();
-            comm.all_reduce(&input(rank))
-        });
-        assert_eq!(composed, reference);
-    }
-
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(12))]
         /// Property: for every geometry the hierarchical gather equals the
@@ -312,37 +215,6 @@ mod tests {
             let expect = flat_reference(p, chunk);
             for r in &out {
                 prop_assert_eq!(r, &expect);
-            }
-        }
-
-        /// Property: hierarchical reduce-scatter agrees with the flat one to
-        /// fp-rounding tolerance for arbitrary float data.
-        #[test]
-        fn hierarchical_reduce_scatter_close_for_floats(
-            nodes in 2usize..4,
-            k in 1usize..5,
-            chunk in 1usize..5,
-        ) {
-            let p = nodes * k;
-            prop_assume!(p > k);
-            let layout = HierarchicalLayout::new(p, k).unwrap();
-            let input = move |rank: usize| -> Vec<f32> {
-                (0..p * chunk).map(|i| ((rank * 131 + i * 29) as f32 * 0.01).sin()).collect()
-            };
-            let hier = run_ranks(p, move |mut comm| {
-                let rank = comm.rank();
-                let (channel, node) = split_hierarchical(&mut comm, &layout);
-                try_hierarchical_reduce_scatter(&channel, &node, &layout, &input(rank), None)
-                    .expect("healthy world")
-            });
-            let flat = run_ranks(p, move |comm| {
-                let rank = comm.rank();
-                comm.reduce_scatter(&input(rank))
-            });
-            for (h, f) in hier.iter().zip(flat.iter()) {
-                for (a, b) in h.iter().zip(f.iter()) {
-                    prop_assert!((a - b).abs() <= 1e-5 * a.abs().max(1.0));
-                }
             }
         }
     }

@@ -60,10 +60,14 @@
 //!
 //! Every collective is fallible (`try_*`) and takes its wire codec as a
 //! parameter: `scheme: None` moves the `f32`s verbatim, `Some(scheme)`
-//! moves each contribution's [`quantized`] words. Flat, coalesced and the
-//! two hops of each [`hierarchical`] form are one exchange-then-fold
-//! routine; any of them runs asynchronously as a closure handed to
-//! [`Communicator::start_collective`]. The few un-prefixed twins
+//! moves each contribution's [`quantized`] words. As in the paper, the
+//! hierarchical (§3.3) and coalesced (§4) forms are the parameter
+//! all-gather's alone: gradients sync through the flat reduce-scatter and
+//! all-reduce of the 2-hop schedule (§3.4), so the surface is exactly the
+//! set of collectives a step program can emit and the simulator can price.
+//! Flat, coalesced and the three stages of the [`hierarchical`] gather are
+//! one exchange-then-fold routine; any of them runs asynchronously as a
+//! closure handed to [`Communicator::start_collective`]. The few un-prefixed twins
 //! (`barrier`, `all_gather`, `split`, [`quantized_all_gather`], …) panic on
 //! abort, which in a [`run_ranks`] harness cascades into an orderly
 //! whole-world teardown.
@@ -93,9 +97,7 @@ pub mod nonblocking;
 pub mod quantized;
 pub mod transport;
 
-pub use hierarchical::{
-    naive_two_stage_all_gather, try_hierarchical_all_gather, try_hierarchical_reduce_scatter,
-};
+pub use hierarchical::{naive_two_stage_all_gather, try_hierarchical_all_gather};
 pub use nonblocking::{CollectiveHandle, ASYNC_QUEUE_DEPTH};
 pub use quantized::{quantized_all_gather, quantized_all_reduce};
 pub use transport::{
@@ -540,19 +542,6 @@ impl Communicator {
         Ok(outs)
     }
 
-    /// The `reduce_scatter_coalesced` API of paper §4: batch of independent
-    /// reduce-scatters with a single rendezvous. Entry `i` of the result is
-    /// this rank's reduced shard of batch element `i`.
-    pub fn try_reduce_scatter_coalesced(
-        &self,
-        parts: &[&[f32]],
-        scheme: Option<QuantScheme>,
-    ) -> Result<Vec<Vec<f32>>, CommError> {
-        let mut outs = vec![Vec::new(); parts.len()];
-        self.collective(parts, scheme, Fold::SumShard, &mut outs)?;
-        Ok(outs)
-    }
-
     /// Fallible [`Self::split`].
     pub fn try_split(&mut self, color: i64, key: i64) -> Result<Communicator, CommError> {
         let call = self.split_calls;
@@ -878,25 +867,6 @@ mod tests {
         let sequential = run_ranks(world, |c| {
             let (a, b) = mk(c.rank());
             vec![c.all_gather(&a), c.all_gather(&b)]
-        });
-        assert_eq!(coalesced, sequential);
-    }
-
-    #[test]
-    fn coalesced_reduce_scatter_matches_sequential_calls() {
-        let world = 4;
-        let mk = |r: usize| {
-            let a: Vec<f32> = (0..8).map(|i| (r + i) as f32).collect();
-            let b: Vec<f32> = (0..4).map(|i| (r * i) as f32).collect();
-            (a, b)
-        };
-        let coalesced = run_ranks(world, |c| {
-            let (a, b) = mk(c.rank());
-            c.try_reduce_scatter_coalesced(&[&a, &b], None).expect("healthy world")
-        });
-        let sequential = run_ranks(world, |c| {
-            let (a, b) = mk(c.rank());
-            vec![c.reduce_scatter(&a), c.reduce_scatter(&b)]
         });
         assert_eq!(coalesced, sequential);
     }

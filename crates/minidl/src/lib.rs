@@ -47,7 +47,7 @@ pub use kernels::{
     simd_available,
 };
 pub use lm::{train_lm, train_lm_on, LmSetup};
-pub use mics_compress::{CompressionConfig, CompressionScope, QuantScheme};
+pub use mics_compress::{CompressionConfig, QuantScheme};
 pub use nn::Mlp;
 pub use scaler::{LossScale, ScalerSnapshot};
 pub use train::{

@@ -5,7 +5,7 @@
 //! backend costs (see [`step_program`] and `mics-core::schedule`), and every
 //! rank's [`crate::executor`] walks that program each iteration, executing
 //! the ops whose group contains it over real `mics-dataplane` communicators.
-//! The codec annotations on the ops carry the compression-scope rules, so no
+//! The codec annotations on the ops say which collectives compress, so no
 //! schedule-specific wire logic lives here — the fidelity claim is
 //! structural: the dataplane executes the op sequence the simulator prices.
 //!
@@ -879,20 +879,6 @@ mod tests {
         let mut cfg = base.clone();
         cfg.comm_quant = Some(CompressionConfig::weights_only(QuantScheme::F16));
         let q = train(&cfg, SyncSchedule::TwoHop);
-        assert_eq!(q, exact);
-    }
-
-    #[test]
-    fn intra_group_scope_keeps_hop2_exact() {
-        use mics_compress::{CompressionConfig, CompressionScope, QuantScheme};
-        // With intra-group-only scope and p = 1 every collective that could
-        // compress is trivial or out of scope, so training is bit-exact.
-        let mut cfg = setup(4, 1, 2);
-        let mut cq = CompressionConfig::both(QuantScheme::int4());
-        cq.scope = CompressionScope::IntraGroupOnly;
-        cfg.comm_quant = Some(cq);
-        let q = train(&cfg, SyncSchedule::TwoHop);
-        let exact = train(&setup(4, 1, 2), SyncSchedule::TwoHop);
         assert_eq!(q, exact);
     }
 

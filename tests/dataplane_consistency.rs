@@ -218,69 +218,6 @@ proptest! {
         });
         prop_assert_eq!(coalesced, sequential);
     }
-
-    /// Coalesced reduce-scatter with empty and uneven parts (lengths are
-    /// arbitrary multiples of the world size, including zero), at any world
-    /// size including 1.
-    #[test]
-    fn coalesced_reduce_scatter_adversarial_shapes(
-        world in 1usize..7,
-        ks in prop::collection::vec(0usize..4, 0usize..5),
-        kind_idx in 0usize..2,
-        codec_idx in 0usize..4,
-    ) {
-        let (kind, codec) = (BOTH[kind_idx], CODECS[codec_idx]);
-        let fill = |rank: usize, p: usize, len: usize| -> Vec<f32> {
-            (0..len).map(|i| ((rank * 97 + p * 7 + i) as f32).sin()).collect()
-        };
-        let k1 = ks.clone();
-        let coalesced = run_on(kind, codec, world, move |comm| {
-            let bufs: Vec<Vec<f32>> =
-                k1.iter().enumerate().map(|(p, &k)| fill(comm.rank(), p, k * world)).collect();
-            let refs: Vec<&[f32]> = bufs.iter().map(|b| b.as_slice()).collect();
-            comm.try_reduce_scatter_coalesced(&refs, codec).expect("healthy world")
-        });
-        let k2 = ks.clone();
-        let sequential = run_ranks_on(kind, world, move |comm| {
-            k2.iter()
-                .enumerate()
-                .map(|(p, &k)| {
-                    comm.try_reduce_scatter(&fill(comm.rank(), p, k * world), codec)
-                        .expect("healthy world")
-                })
-                .collect::<Vec<_>>()
-        });
-        prop_assert_eq!(coalesced, sequential);
-    }
-
-    /// Coalesced APIs are observationally equivalent to per-buffer calls for
-    /// arbitrary batch shapes.
-    #[test]
-    fn coalesced_equivalence(
-        world in 2usize..7,
-        parts in 1usize..5,
-        len in 1usize..5,
-        kind_idx in 0usize..2,
-        codec_idx in 0usize..4,
-    ) {
-        let (kind, codec) = (BOTH[kind_idx], CODECS[codec_idx]);
-        let coalesced = run_on(kind, codec, world, move |comm| {
-            let bufs: Vec<Vec<f32>> = (0..parts)
-                .map(|p| (0..len * world).map(|i| ((comm.rank() + p * 31 + i) as f32).cos()).collect())
-                .collect();
-            let refs: Vec<&[f32]> = bufs.iter().map(|b| b.as_slice()).collect();
-            comm.try_reduce_scatter_coalesced(&refs, codec).expect("healthy world")
-        });
-        let sequential = run_ranks_on(kind, world, move |comm| {
-            let bufs: Vec<Vec<f32>> = (0..parts)
-                .map(|p| (0..len * world).map(|i| ((comm.rank() + p * 31 + i) as f32).cos()).collect())
-                .collect();
-            bufs.iter()
-                .map(|b| comm.try_reduce_scatter(b, codec).expect("healthy world"))
-                .collect::<Vec<_>>()
-        });
-        prop_assert_eq!(coalesced, sequential);
-    }
 }
 
 proptest! {

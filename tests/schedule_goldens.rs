@@ -16,9 +16,7 @@ use mics::cluster::{ClusterSpec, InstanceType, Rank};
 use mics::core::ops::SimCluster;
 use mics::core::schedule::{execute_on_sim, reshape, Geometry};
 use mics::core::{dp_pipeline_program, dp_program};
-use mics::core::{
-    CompressionConfig, CompressionScope, MicsConfig, QuantScheme, Strategy, TrainingJob, ZeroStage,
-};
+use mics::core::{CompressionConfig, MicsConfig, QuantScheme, Strategy, TrainingJob, ZeroStage};
 use mics::dataplane::TransportKind;
 use mics::minidl::scaler::LossScale;
 use mics::minidl::train::{
@@ -117,36 +115,6 @@ fn golden_zero3_int8_two_nodes() {
     check_golden("zero3_int8_2x8", &dump);
 }
 
-/// int8 on weights and gradients, but only on collectives that stay inside
-/// the partition group: hop 2 keeps the exact wire.
-fn int8_intra_group() -> CompressionConfig {
-    CompressionConfig {
-        scope: CompressionScope::IntraGroupOnly,
-        ..CompressionConfig::both(QuantScheme::int8())
-    }
-}
-
-/// The codec annotations of an intra-group int8 MiCS dump: gathers and
-/// hop-1 reduce-scatters compressed, hop 2 (and any boundary hop) exact.
-fn assert_int8_intra_annotations(dump: &str) {
-    for line in dump.lines().skip(1) {
-        let compressed = line.contains(" gather.") || line.contains(" reduce-scatter ");
-        assert_eq!(line.contains("+int8/128"), compressed, "{line}");
-    }
-}
-
-#[test]
-fn golden_mics_p16_int8_intra_four_nodes() {
-    // Partition groups of 16 span two nodes → hierarchical gathers; the
-    // replication groups of 2 reduce at full precision.
-    let strategy = Strategy::Mics(MicsConfig::compressed(16, int8_intra_group()));
-    let dump = dp_program(&job(4, strategy)).unwrap().dump();
-    assert!(dump.contains("ag-hier"));
-    assert_eq!(dump.lines().filter(|l| l.contains(" hop2 ")).count(), 16);
-    assert_int8_intra_annotations(&dump);
-    check_golden("mics_p16_int8_intra_4x8", &dump);
-}
-
 /// The codec annotations of an int8 MiCS dump: every gather and every
 /// gradient reduction (hop 1 and hop 2) compressed, the boundary p2p hops
 /// and the compute ops exact.
@@ -181,20 +149,6 @@ fn golden_mics_p8_pp2() {
         dp_pipeline_program(&job(2, Strategy::Mics(MicsConfig::paper_defaults(8))), 2, 1 << 20)
             .unwrap();
     check_golden("mics_p8_pp2_2x16", &prog.dump());
-}
-
-#[test]
-fn golden_mics_p8_int8_intra_pp2() {
-    // `golden_mics_p8_pp2` under intra-group int8: the codec is a per-op
-    // annotation, so the program keeps its shape line for line and only the
-    // stage-scoped gathers and hop-1 reduce-scatters gain the scheme; hop 2
-    // and the boundary p2p hops stay exact.
-    let strategy = Strategy::Mics(MicsConfig::compressed(8, int8_intra_group()));
-    let dump = dp_pipeline_program(&job(2, strategy), 2, 1 << 20).unwrap().dump();
-    assert_eq!(dump.lines().count(), 202);
-    assert!(dump.contains(" hop2 ") && dump.contains(" p2p "));
-    assert_int8_intra_annotations(&dump);
-    check_golden("mics_p8_int8_intra_pp2_2x16", &dump);
 }
 
 #[test]
