@@ -22,6 +22,8 @@
 //! [`mics_model::preset_names`], instances from
 //! [`mics_cluster::InstanceType::preset`], strategies in the
 //! [`mics_core::Strategy::parse`] grammar (`tune` ignores `strategy`).
+//! `micro_batch`, `nodes` and `accum` are integers from 1 to 1024; any
+//! other value, `2.5` or `1e12` say, answers `BadRequest`.
 //!
 //! # Responses
 //!
@@ -232,15 +234,20 @@ impl ToJson for JobSpec {
 }
 
 impl JobSpec {
-    /// Decode the [`ToJson`] encoding.
+    /// Decode the [`ToJson`] encoding. A count that is not a non-negative
+    /// integer (`2.5`, `-1`) does not decode.
     pub fn from_json(doc: &Json) -> Option<Self> {
+        let count = |key| {
+            let x = doc.get(key)?.as_num()?;
+            (x >= 0.0 && x.fract() == 0.0).then_some(x as usize)
+        };
         Some(JobSpec {
             model: doc.get("model")?.as_str()?.to_string(),
-            micro_batch: doc.get("micro_batch")?.as_num()? as usize,
+            micro_batch: count("micro_batch")?,
             instance: doc.get("instance")?.as_str()?.to_string(),
-            nodes: doc.get("nodes")?.as_num()? as usize,
+            nodes: count("nodes")?,
             strategy: doc.get("strategy")?.as_str()?.to_string(),
-            accum: doc.get("accum")?.as_num()? as usize,
+            accum: count("accum")?,
         })
     }
 }

@@ -579,17 +579,19 @@ fn job_field(request: &Json) -> Result<JobSpec, PlanError> {
         .ok_or_else(|| PlanError::BadRequest { reason: "malformed job spec".into() })
 }
 
+/// Largest `micro_batch`, `nodes` or `accum` a job may ask for: 16× the
+/// largest job the repo plans (`case_study_100b`'s 64 nodes), and small
+/// enough that no accepted job keeps a simulation busy for long.
+const MAX_COUNT: usize = 1024;
+
 /// Resolve the preset names of a [`JobSpec`] (everything but the strategy).
 fn resolve_parts(spec: &JobSpec) -> Result<(WorkloadSpec, ClusterSpec, usize), PlanError> {
     let bad = |reason: String| PlanError::BadRequest { reason };
-    if spec.micro_batch == 0 {
-        return Err(bad("micro_batch must be >= 1".into()));
-    }
-    if spec.nodes == 0 {
-        return Err(bad("nodes must be >= 1".into()));
-    }
-    if spec.accum == 0 {
-        return Err(bad("accum must be >= 1".into()));
+    let counts = [("micro_batch", spec.micro_batch), ("nodes", spec.nodes), ("accum", spec.accum)];
+    for (name, value) in counts {
+        if !(1..=MAX_COUNT).contains(&value) {
+            return Err(bad(format!("{name} must be in 1..={MAX_COUNT}, got {value}")));
+        }
     }
     let workload = mics_model::preset(&spec.model, spec.micro_batch).ok_or_else(|| {
         bad(format!(
@@ -754,6 +756,44 @@ mod tests {
 
         server.shutdown();
         server.join();
+    }
+
+    #[test]
+    fn non_integral_counts_are_bad_requests() {
+        // `2.5` nodes must not plan as 2: the job does not decode.
+        let server = PlannerServer::start(PlannerConfig::default()).unwrap();
+        let mut c = Stream::connect(server.addr()).unwrap();
+        let job = JobSpec::mics("bert-1.5b", 2, 8).to_json().emit();
+        for (id, field) in ["micro_batch", "nodes", "accum"].into_iter().enumerate() {
+            let needle = format!("\"{field}\":");
+            let at = job.find(&needle).unwrap() + needle.len();
+            let end = at + job[at..].find([',', '}']).unwrap();
+            let bad = format!("{}2.5{}", &job[..at], &job[end..]);
+            let e = request(&mut c, &format!(r#"{{"type":"simulate","id":{id},"job":{bad}}}"#));
+            assert_eq!(e.get("code").and_then(Json::as_str), Some("BadRequest"), "{bad}: {e:?}");
+        }
+        let (_, _, _, _, sim_runs) = server.cache_stats();
+        assert_eq!(sim_runs, 0);
+        server.shutdown();
+        server.join();
+    }
+
+    #[test]
+    fn resolve_job_bounds_every_count() {
+        let ok = JobSpec::mics("bert-1.5b", 2, 8);
+        assert!(resolve_job(ok.clone()).is_ok());
+        assert!(resolve_job(JobSpec { nodes: MAX_COUNT, ..ok.clone() }).is_ok());
+        let huge = 1e12 as usize;
+        for spec in [
+            JobSpec { micro_batch: huge, ..ok.clone() },
+            JobSpec { nodes: huge, ..ok.clone() },
+            JobSpec { accum: huge, ..ok.clone() },
+            JobSpec { nodes: MAX_COUNT + 1, ..ok.clone() },
+            JobSpec { accum: 0, ..ok.clone() },
+        ] {
+            let at = format!("{spec:?}");
+            assert!(matches!(resolve_job(spec), Err(PlanError::BadRequest { .. })), "{at}");
+        }
     }
 
     #[test]
