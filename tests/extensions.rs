@@ -10,7 +10,6 @@ use mics::core::{
 use mics::minidl::{train_lm, LmSetup, LossScale, SyncSchedule, TinyTransformer};
 use mics::model::TransformerConfig;
 use mics::simnet::SimTime;
-use std::fmt::Debug;
 
 fn v100(nodes: usize) -> ClusterSpec {
     ClusterSpec::new(InstanceType::p3dn_24xlarge(), nodes)
@@ -125,36 +124,6 @@ fn transformer_lm_fidelity_end_to_end() {
     assert!(*mics.losses.last().unwrap() < mics.losses[0] * 0.7);
 }
 
-/// Calls a report walker with or without a defaulted environment argument
-/// after the job, and renders its result by `{:?}`, which round-trips f64.
-trait Walk<Args, Env> {
-    fn walk(&self, args: Args) -> String;
-}
-
-impl<F: Fn(A, B, C) -> R, A, B, C, R: Debug> Walk<(A, B, C), ()> for F {
-    fn walk(&self, (a, b, c): (A, B, C)) -> String {
-        format!("{:?}", self(a, b, c))
-    }
-}
-
-impl<F: Fn(A, &E, B, C) -> R, E: Default, A, B, C, R: Debug> Walk<(A, B, C), (E,)> for F {
-    fn walk(&self, (a, b, c): (A, B, C)) -> String {
-        format!("{:?}", self(a, &E::default(), b, c))
-    }
-}
-
-impl<F: Fn(A, B, C, D) -> R, A, B, C, D, R: Debug> Walk<(A, B, C, D), ()> for F {
-    fn walk(&self, (a, b, c, d): (A, B, C, D)) -> String {
-        format!("{:?}", self(a, b, c, d))
-    }
-}
-
-impl<F: Fn(A, &E, B, C, D) -> R, E: Default, A, B, C, D, R: Debug> Walk<(A, B, C, D), (E,)> for F {
-    fn walk(&self, (a, b, c, d): (A, B, C, D)) -> String {
-        format!("{:?}", self(a, &E::default(), b, c, d))
-    }
-}
-
 /// Every field of the reports `ext_recovery` and `ext_elastic` compute in
 /// their 2 h MTBF row, the one with the most transitions, pinned exactly:
 /// the artifacts round goodput to 0.1 %.
@@ -170,11 +139,14 @@ fn recovery_and_elastic_reports_are_pinned() {
     let (mics, z3) =
         (job(Strategy::Mics(MicsConfig::paper_defaults(8))), job(Strategy::Zero(ZeroStage::Three)));
     let recovery = [&mics, &z3].map(|j| {
-        simulate_with_failures.walk((j, &poisson_failures(j, 2022, mtbf, horizon), horizon))
+        format!(
+            "{:?}",
+            simulate_with_failures(j, &poisson_failures(j, 2022, mtbf, horizon), horizon)
+        )
     });
     let spot = spot_plan(&mics, 2026, mtbf, SimTime::from_secs(30 * 60), horizon);
     let elastic = [SpotPolicy::Elastic, SpotPolicy::Static]
-        .map(|policy| simulate_elastic.walk((&mics, &spot, horizon, policy)));
+        .map(|policy| format!("{:?}", simulate_elastic(&mics, &spot, horizon, policy)));
     assert_eq!(
         recovery,
         [
