@@ -77,6 +77,17 @@ cargo test -q --test schedule_goldens
 echo "==> trace schema + golden trace"
 cargo test -q --test trace_schema
 
+# A golden file no test names is one a deleted test left behind: every
+# tests/goldens/<name>.txt must appear as a "<name>" literal in tests/*.rs.
+echo "==> every golden file is named by a test"
+for golden in tests/goldens/*.txt; do
+    name="$(basename "${golden}" .txt)"
+    if ! grep -qF "\"${name}\"" tests/*.rs; then
+        echo "orphan golden ${golden}: no test names \"${name}\"" >&2
+        exit 1
+    fi
+done
+
 # perf-diff is the snapshot regression gate; prove the gate itself works
 # before trusting it: identical snapshots must pass, a perturbed copy
 # (one snapshot dropped — always a regression) must exit nonzero.
