@@ -163,9 +163,9 @@ pub fn quantized_reduce_scatter(
 }
 
 /// Quantized all-reduce: reduce-scatter + all-gather on compressed wires,
-/// with quantize and dequantize-reduce kernel passes. Used for the hop-2
-/// replication-group synchronization when compression scope is
-/// "everywhere".
+/// with quantize and dequantize-reduce kernel passes. Used for every
+/// compressed all-reduce, the hop-2 replication-group synchronization
+/// included.
 pub fn quantized_all_reduce(
     p: usize,
     k: usize,

@@ -49,6 +49,14 @@
 //! a non-finite value quantizes to a poisoned block whose dequantized
 //! elements are all NaN, so an inf/NaN gradient still trips the existing
 //! loss-scale machinery instead of being silently clamped into range.
+//!
+//! # Configuration
+//!
+//! A [`CompressionConfig`] is a scheme plus two independent switches:
+//! `weights` quantizes every parameter all-gather (qwZ), `grads` every
+//! gradient reduction — the partition-group reduce-scatter and the hop-2
+//! replication-group all-reduce of MiCS's 2-hop sync alike (qgZ). A switch
+//! covers every collective of its direction; there is no narrower scope.
 
 #![warn(missing_docs)]
 

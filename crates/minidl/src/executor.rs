@@ -737,8 +737,7 @@ impl<'a, C: StepCompute> Executor<'a, C> {
                     });
                 }
                 // DDP's boundary all-reduce, and MiCS hop 2 across the
-                // replication group (intra-group-only compression keeps it
-                // exact). Both read the accumulation, so in-flight
+                // replication group. Both read the accumulation, so in-flight
                 // reductions retire first — the hazard the IR leaves
                 // implicit; see [`overlappable_wire_ops`].
                 OpKind::AllReduceGrads { source: GradSource::Accum, wire, .. }
