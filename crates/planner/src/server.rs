@@ -763,12 +763,12 @@ mod tests {
         // `2.5` nodes must not plan as 2: the job does not decode.
         let server = PlannerServer::start(PlannerConfig::default()).unwrap();
         let mut c = Stream::connect(server.addr()).unwrap();
-        let job = JobSpec::mics("bert-1.5b", 2, 8).to_json().emit();
         for (id, field) in ["micro_batch", "nodes", "accum"].into_iter().enumerate() {
-            let needle = format!("\"{field}\":");
-            let at = job.find(&needle).unwrap() + needle.len();
-            let end = at + job[at..].find([',', '}']).unwrap();
-            let bad = format!("{}2.5{}", &job[..at], &job[end..]);
+            let Json::Obj(mut job) = JobSpec::mics("bert-1.5b", 2, 8).to_json() else {
+                unreachable!("a job encodes as an object")
+            };
+            job.iter_mut().filter(|(k, _)| k == field).for_each(|(_, v)| *v = Json::Num(2.5));
+            let bad = Json::Obj(job).emit();
             let e = request(&mut c, &format!(r#"{{"type":"simulate","id":{id},"job":{bad}}}"#));
             assert_eq!(e.get("code").and_then(Json::as_str), Some("BadRequest"), "{bad}: {e:?}");
         }
