@@ -614,12 +614,6 @@ impl Emit<'_> {
         }
     }
 
-    /// Gradient compression for a reduction: every reduction, in the
-    /// partition group or across it, takes the same codec.
-    fn grad_codec(&self) -> Option<CompressionConfig> {
-        self.spec.compression.filter(|c| c.grads)
-    }
-
     /// One 1F1B boundary hop of dp index `d`: a 2-rank p2p on the lane
     /// matching its direction (activations ride the gather lane, gradients
     /// the reduce lane, so boundary traffic contends with the stage's own
@@ -737,6 +731,8 @@ impl Emit<'_> {
         let boundary = micro == spec.accum_steps - 1;
         let two_hop = spec.micro_sync == MicroSync::PartitionReduceScatter;
         let local_accumulate = spec.micro_sync == MicroSync::LocalAccumulate;
+        // Every gradient reduction, hop 1, hop 2 or boundary, takes one codec.
+        let codec = spec.compression.filter(|c| c.grads);
         // The per-bucket reduction: wire algorithm, the buffer it reduces
         // and its group size.
         let all_reduce = WireKind::AllReduce { stride: 1 };
@@ -773,7 +769,6 @@ impl Emit<'_> {
             }
             let reduces = span > 1 && (boundary || !local_accumulate);
             if reduces {
-                let codec = self.grad_codec();
                 let mut batch = Vec::with_capacity(groups);
                 for g in 0..groups {
                     let group = if two_hop {
@@ -803,7 +798,6 @@ impl Emit<'_> {
             // pays no decision overhead.
             let shard_bytes = bytes / p as u64;
             if two_hop && boundary && dp > p && shard_bytes > 0 {
-                let codec = self.grad_codec();
                 let deps = if reduces { Vec::new() } else { vec![ready] };
                 let mut hop2 = Vec::with_capacity(p);
                 for local in 0..p {
