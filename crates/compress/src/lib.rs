@@ -55,8 +55,7 @@
 //! A [`CompressionConfig`] is a scheme plus two independent switches:
 //! `weights` quantizes every parameter all-gather (qwZ), `grads` every
 //! gradient reduction — the partition-group reduce-scatter and the hop-2
-//! replication-group all-reduce of MiCS's 2-hop sync alike (qgZ). A switch
-//! covers every collective of its direction; there is no narrower scope.
+//! replication-group all-reduce of MiCS's 2-hop sync alike (qgZ).
 
 #![warn(missing_docs)]
 
