@@ -1,21 +1,22 @@
 //! Microbenchmarks of the mini-DL kernels across three generations: the
 //! naive scalar `mics_minidl::kernels::reference`, the cache-blocked
 //! autovectorized v1 (`mics_bench::blocked`), and the v2 SIMD
-//! dispatch in `mics_minidl::kernels` (AVX2+FMA lanes, single-threaded and
-//! with the worker pool at the host's parallelism). Causal attention has
+//! dispatch in `mics_minidl::kernels` (AVX-512 or AVX2+FMA lanes,
+//! single-threaded and with the worker pool at the host's parallelism). Causal attention has
 //! no v1: its v1 is the scalar reference loop, so the `blocked_ns` cell of
 //! its rows times that loop again.
 //!
 //! Besides the criterion registrations, `main` takes its own best-of-N
 //! measurements (the vendored criterion shim prints but cannot persist),
-//! writes the four-way table to `results/BENCH_kernels.json`, and
+//! writes the four-way table to `results/BENCH_kernels.json` with the SIMD
+//! level that produced it (`avx512`, `avx2` or `scalar`), and
 //! *asserts* the acceptance claims inline: SIMD ≥ 2× over the blocked
 //! kernels on matmul and matmul_bt at both bench shapes, and SIMD ≥ 2×
 //! over the reference loops on attention forward and backward at both LM
 //! head shapes.
 
 use criterion::{criterion_group, BenchmarkId, Criterion};
-use mics_bench::{blocked, Table};
+use mics_bench::{blocked, write_json, Json, Table, ToJson};
 use mics_minidl::kernels;
 use std::hint::black_box;
 use std::time::Instant;
@@ -307,7 +308,14 @@ fn main() {
         fill(&mut table, "attention_backward", shape, vs);
     }
 
-    table.finish("BENCH_kernels");
+    // The nanoseconds are only comparable between runs on the same lanes,
+    // so the artifact names the widest backend that produced them.
+    table.print();
+    let mut doc = table.to_json();
+    if let Json::Obj(fields) = &mut doc {
+        fields.push(("simd".into(), Json::from(kernels::simd_level())));
+    }
+    write_json("BENCH_kernels", &doc);
 
     // Kernels-v2 acceptance claim (also re-checked from the committed JSON
     // by tests/results_schema.rs): on SIMD hosts the dispatch beats the v1

@@ -303,7 +303,7 @@ pub enum Land {
 }
 
 /// Land one value per slot of `out`.
-#[inline]
+#[inline(always)]
 fn land_values(values: impl Iterator<Item = f32>, out: &mut [f32], land: Land) {
     match land {
         Land::Overwrite => out.iter_mut().zip(values).for_each(|(o, v)| *o = v),
@@ -315,7 +315,8 @@ fn land_values(values: impl Iterator<Item = f32>, out: &mut [f32], land: Land) {
 /// lands elements `range` of a block-quantized stream into `out`, a block
 /// at a time. The one home of the element formula: code `c` of block `b`
 /// decodes to `zeros[b] + c · scales[b]`, evaluated in f64 and rounded once
-/// to f32.
+/// to f32. Compiled for the baseline here and for AVX2 in [`land_avx2`].
+#[inline(always)]
 fn land_blocks(
     scheme: QuantScheme,
     (scales, zeros, codes): (&[f32], &[f32], &[u8]),
@@ -369,8 +370,8 @@ pub fn encode_words(data: &[f32], scheme: QuantScheme, words: &mut Vec<f32>) {
     encode_body(data, scheme, words);
 }
 
-/// Whether this host runs the AVX2 instantiation of the encoder (detected
-/// once).
+/// Whether this host runs the AVX2 instantiations of the encoder and the
+/// block decoder (detected once).
 #[cfg(target_arch = "x86_64")]
 fn avx2_available() -> bool {
     static AVX2: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
@@ -542,8 +543,30 @@ pub fn land_words(
         let half = |j: usize| f16_bits_to_f32(u16::from_le_bytes([codes[2 * j], codes[2 * j + 1]]));
         land_values(range.map(half), out, land);
     } else {
+        #[cfg(target_arch = "x86_64")]
+        if avx2_available() {
+            // SAFETY: the host supports AVX2, detected at runtime.
+            return unsafe { land_avx2(scheme, stream, range, out, land) };
+        }
         land_blocks(scheme, stream, range, out, land);
     }
+}
+
+/// The block decoder compiled with AVX2 enabled: the same body, so the
+/// same bits.
+///
+/// # Safety
+/// The host must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn land_avx2(
+    scheme: QuantScheme,
+    stream: (&[f32], &[f32], &[u8]),
+    range: Range<usize>,
+    out: &mut [f32],
+    land: Land,
+) {
+    land_blocks(scheme, stream, range, out, land);
 }
 
 /// `dequantize(quantize(data))` in one call — what a value looks like after
@@ -875,6 +898,27 @@ mod tests {
         all
     }
 
+    /// The block decoder's instantiations this host can run.
+    type Decoder = fn(QuantScheme, (&[f32], &[f32], &[u8]), Range<usize>, &mut [f32], Land);
+    fn decoders() -> Vec<(&'static str, Decoder)> {
+        let mut all: Vec<(&'static str, Decoder)> = vec![("generic", land_blocks)];
+        #[cfg(target_arch = "x86_64")]
+        if avx2_available() {
+            fn avx2(
+                scheme: QuantScheme,
+                stream: (&[f32], &[f32], &[u8]),
+                range: Range<usize>,
+                out: &mut [f32],
+                land: Land,
+            ) {
+                // SAFETY: listed only after runtime AVX2 detection.
+                unsafe { land_avx2(scheme, stream, range, out, land) }
+            }
+            all.push(("avx2", avx2));
+        }
+        all
+    }
+
     /// A buffer of `n` words, every bit of it set: NaN patterns a kernel
     /// that skips a word would leave behind.
     fn dirty(n: usize) -> Vec<f32> {
@@ -923,7 +967,8 @@ mod tests {
         /// for int8/128, int4/128, int8/7, int4/7 (nibbles and words shared
         /// across blocks) and f16; through `quantize`, through the word
         /// encoder into a dirty reused buffer longer than needed, and
-        /// through every instantiation of the encoder this host runs.
+        /// through every instantiation of the encoder this host runs; and
+        /// decoded through every instantiation of the block decoder.
         #[test]
         fn prop_kernels_match_the_first_written_oracle(
             seed in 1u64..u64::MAX,
@@ -955,7 +1000,16 @@ mod tests {
                 kernel(&data, scheme, &mut exact);
                 prop_assert_eq!(bits(&exact), bits(&words), "{}", name);
             }
-            prop_assert_eq!(bits(&dequantize(&got)), bits(&oracle::dequantize(&want)));
+            let decoded = oracle::dequantize(&want);
+            prop_assert_eq!(bits(&dequantize(&got)), bits(&decoded));
+            if scheme != QuantScheme::F16 {
+                for (name, decoder) in decoders() {
+                    let mut out = dirty(data.len());
+                    decoder(scheme, sections(&words, data.len(), scheme), 0..data.len(), &mut out,
+                        Land::Overwrite);
+                    prop_assert_eq!(bits(&out), bits(&decoded), "{}", name);
+                }
+            }
         }
     }
 

@@ -5,26 +5,42 @@
 //! # Lane discipline (bit-identity by construction)
 //!
 //! Every kernel is written **once**, generically over a private `Lanes`
-//! backend of width 8, and instantiated twice:
+//! backend, and instantiated per backend:
 //!
-//! * `AvxLanes` — AVX2 + FMA intrinsics (`__m256`, `_mm256_fmadd_ps`),
-//!   compiled under `#[target_feature(enable = "avx2,fma")]` and selected
-//!   only after `is_x86_feature_detected!` confirms the host;
 //! * `ScalarLanes` — `[f32; 8]` virtual vectors whose per-lane
 //!   `f32::mul_add` is the same correctly-rounded fused operation as
 //!   `vfmaddps`, and whose horizontal sum replays the AVX reduction tree
-//!   `((q0+q2)+(q1+q3))` with `q_l = v_l + v_{l+4}` node for node.
+//!   `((q0+q2)+(q1+q3))` with `q_l = v_l + v_{l+4}` node for node;
+//! * `AvxLanes` — AVX2 + FMA intrinsics (`__m256`, `_mm256_fmadd_ps`),
+//!   compiled under `#[target_feature(enable = "avx2,fma")]`;
+//! * `Avx512Lanes` — 16 lanes (`__m512`, `_mm512_fmadd_ps`), compiled
+//!   under `#[target_feature(enable = "avx512f,avx2,fma")]`.
 //!
-//! Because both backends run the *same* generic body — same 8-wide strip
-//! mining, same scalar tail, same reduction tree — the SIMD path and the
-//! scalar fallback produce **byte-identical** outputs, not merely close
-//! ones. `tests/kernels_v2.rs` asserts this across the whole config
-//! matrix.
+//! The SIMD backends are selected only after `is_x86_feature_detected!`
+//! confirms the host, once per process.
+//!
+//! `matmul` and `acc_matmul_at` compute each output element as one fused
+//! chain in ascending reduction order, so no lane width or tile shape can
+//! change a bit. They share one register tile, generic over the lane width
+//! and a const tile height: 8 rows × 32 columns (16 accumulators) on
+//! AVX-512, 4 × 16 on AVX2 and the fallback, the last columns in masked
+//! partial vectors. On AVX-512 hosts they run 16 lanes.
+//!
+//! The other kernels stay at 8 lanes (`Lanes8`, which `Avx512Lanes` does
+//! not implement). `matmul_bt` and the matvecs fix their association with
+//! the 8-lane `hsum` tree, so a wider vector would change their bits;
+//! attention is bound by its scalar `exp`, not by its lanes.
+//!
+//! Because every backend of a kernel runs the *same* generic body — same
+//! fused chains, same reduction tree — the SIMD paths and the scalar
+//! fallback produce **byte-identical** outputs, not merely close ones.
+//! `tests/kernels_v2.rs` asserts this across the whole config matrix, and
+//! this module's tests run every GEMM instantiation the host has.
 //!
 //! # Attention: unfused lanes, exact against the scalar loops
 //!
 //! [`attention_forward`] and [`attention_backward`] run causal multi-head
-//! attention for all heads in one call. Besides `fma`, `Lanes` has an
+//! attention for all heads in one call. Besides `fma`, `Lanes8` has an
 //! unfused `mul`: attention accumulates with `add(acc, mul(a, b))`, never
 //! `fma`, because the scalar loops it replaces ([`reference::attention_forward`],
 //! [`reference::attention_backward`]) round the product and the sum
@@ -51,7 +67,7 @@
 //! # Observability
 //!
 //! Always-on [`mics_trace::Counters`] cells tally calls, FLOPs and which
-//! path (SIMD vs fallback) ran ([`kernel_stats`]); when the global
+//! path (SIMD, AVX-512 among it, or fallback) ran ([`kernel_stats`]); when the global
 //! [`mics_trace::Recorder`] is enabled each kernel also emits a span, a
 //! `kernel GFLOP/s` counter track and a `tile queue depth` gauge into the
 //! same merged Perfetto timeline as the executor's lanes and wires. FLOP
@@ -69,7 +85,7 @@ use std::sync::OnceLock;
 const UNROLL: usize = 4;
 /// Cache tile for the reduction dimension of [`matmul`].
 const KC: usize = 256;
-/// Virtual vector width shared by both lane backends.
+/// Vector width of the 8-lane backends.
 const LANES: usize = 8;
 
 // ---- configuration ---------------------------------------------------------
@@ -105,10 +121,28 @@ pub fn simd_available() -> bool {
     })
 }
 
+/// Whether this host can also run the AVX-512 GEMM bodies (AVX-512F on
+/// top of AVX2+FMA; detected once).
+fn avx512_available() -> bool {
+    static AVAIL: OnceLock<bool> = OnceLock::new();
+    *AVAIL.get_or_init(|| {
+        #[cfg(target_arch = "x86_64")]
+        {
+            simd_available() && std::arch::is_x86_feature_detected!("avx512f")
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        {
+            false
+        }
+    })
+}
+
 /// Force the SIMD path on/off (`Some`), or restore autodetection (`None`).
 /// Forcing *on* still requires [`simd_available`]; on hosts without
-/// AVX2+FMA the fallback always runs. Outputs are byte-identical either
-/// way — this knob exists for tests and benchmarking, not correctness.
+/// AVX2+FMA the fallback always runs, and on hosts with AVX-512F `matmul`
+/// and `acc_matmul_at` take their AVX-512 bodies. Outputs are
+/// byte-identical either way — this knob exists for tests and
+/// benchmarking, not correctness.
 pub fn set_simd(on: Option<bool>) {
     let v = match on {
         None => 0,
@@ -123,6 +157,38 @@ pub fn simd_active() -> bool {
     match KNOBS.simd.load(Ordering::Relaxed) {
         1 => false,
         _ => simd_available(),
+    }
+}
+
+/// The widest backend the next dispatch runs: `"avx512"` (for `matmul`
+/// and `acc_matmul_at`; the other kernels run AVX2), `"avx2"` or
+/// `"scalar"`.
+pub fn simd_level() -> &'static str {
+    match path(true) {
+        Path::Avx512 => "avx512",
+        Path::Avx2 => "avx2",
+        Path::Scalar => "scalar",
+    }
+}
+
+/// The lane backend one kernel call runs on.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Path {
+    Scalar,
+    Avx2,
+    Avx512,
+}
+
+/// The backend for the next call of a kernel: the fallback when SIMD is
+/// off, else AVX-512 if the kernel has a 16-lane body (`wide`) and the
+/// host has AVX-512F, else AVX2.
+fn path(wide: bool) -> Path {
+    if !simd_active() {
+        Path::Scalar
+    } else if wide && avx512_available() {
+        Path::Avx512
+    } else {
+        Path::Avx2
     }
 }
 
@@ -149,7 +215,7 @@ pub fn kernel_threads() -> usize {
 /// no first-use cost. Called by the training engine before ranks spawn;
 /// idempotent.
 pub fn init() {
-    let _ = (host_threads(), simd_available());
+    let _ = (host_threads(), avx512_available());
     let _ = cells();
     pool::warm(kernel_threads());
 }
@@ -162,6 +228,7 @@ struct Cells {
     calls: Counter,
     flops: Counter,
     simd_calls: Counter,
+    avx512_calls: Counter,
     fallback_calls: Counter,
     pool_dispatches: Counter,
 }
@@ -174,6 +241,7 @@ fn cells() -> &'static Cells {
             calls: registry.counter("kernel.calls"),
             flops: registry.counter("kernel.flops"),
             simd_calls: registry.counter("kernel.simd_calls"),
+            avx512_calls: registry.counter("kernel.avx512_calls"),
             fallback_calls: registry.counter("kernel.fallback_calls"),
             pool_dispatches: registry.counter("kernel.pool_dispatches"),
             registry,
@@ -183,7 +251,9 @@ fn cells() -> &'static Cells {
 
 /// Snapshot of the always-on kernel counters, in registration order:
 /// `kernel.calls`, `kernel.flops` (2·m·k·n-style accounting),
-/// `kernel.simd_calls`, `kernel.fallback_calls`, `kernel.pool_dispatches`.
+/// `kernel.simd_calls` (AVX2 or AVX-512), `kernel.avx512_calls` (the
+/// AVX-512 ones among them), `kernel.fallback_calls`,
+/// `kernel.pool_dispatches`.
 pub fn kernel_stats() -> Vec<(String, u64)> {
     cells().registry.snapshot()
 }
@@ -196,14 +266,17 @@ pub fn flops_total() -> u64 {
 /// Count the call, attribute its path and FLOPs, and — when the global
 /// recorder is on — wrap it in a span plus a `kernel GFLOP/s` sample.
 #[inline]
-fn record<R>(name: &'static str, flops: u64, simd: bool, f: impl FnOnce() -> R) -> R {
+fn record<R>(name: &'static str, flops: u64, path: Path, f: impl FnOnce() -> R) -> R {
     let c = cells();
     c.calls.incr();
     c.flops.add(flops);
-    if simd {
-        c.simd_calls.incr();
-    } else {
+    if path == Path::Scalar {
         c.fallback_calls.incr();
+    } else {
+        c.simd_calls.incr();
+    }
+    if path == Path::Avx512 {
+        c.avx512_calls.incr();
     }
     let rec = mics_trace::global();
     if !rec.is_enabled() {
@@ -221,12 +294,13 @@ fn record<R>(name: &'static str, flops: u64, simd: bool, f: impl FnOnce() -> R) 
 
 // ---- lane backends ---------------------------------------------------------
 
-/// An 8-wide f32 vector backend. Both implementations perform the same
-/// per-lane operations (fused multiply-add, single rounding) and the same
-/// horizontal reduction tree, which is what makes the SIMD and fallback
-/// paths byte-identical.
+/// A `W`-wide f32 vector backend. Every implementation performs the same
+/// per-lane fused multiply-add (single rounding), which is what makes the
+/// SIMD and fallback paths byte-identical.
 trait Lanes {
-    /// The 8-lane vector type.
+    /// Lanes per vector.
+    const W: usize;
+    /// The `W`-lane vector type.
     type V: Copy;
     /// Broadcast.
     fn splat(x: f32) -> Self::V;
@@ -234,12 +308,23 @@ trait Lanes {
     fn zero() -> Self::V {
         Self::splat(0.0)
     }
-    /// Load `s[at..at + 8]`.
+    /// Load `s[at..at + W]`.
     fn ld(s: &[f32], at: usize) -> Self::V;
-    /// Store into `s[at..at + 8]`.
+    /// Store into `s[at..at + W]`.
     fn st(s: &mut [f32], at: usize, v: Self::V);
+    /// Load `s[at..at + len]` (`1 ≤ len ≤ W`) into the low lanes, the
+    /// others zero.
+    fn ld_n(s: &[f32], at: usize, len: usize) -> Self::V;
+    /// Store the low `len` lanes (`1 ≤ len ≤ W`) into `s[at..at + len]`.
+    fn st_n(s: &mut [f32], at: usize, len: usize, v: Self::V);
     /// Per-lane fused `a·b + c` (single rounding).
     fn fma(a: Self::V, b: Self::V, c: Self::V) -> Self::V;
+}
+
+/// The 8-lane backends, whose kernels fix their association at 8 lanes:
+/// the dot-product kernels reduce through the `hsum` tree below, and
+/// attention's lane-padded scratch is 8-lane strips.
+trait Lanes8: Lanes {
     /// Per-lane unfused `a·b` (rounded on its own).
     fn mul(a: Self::V, b: Self::V) -> Self::V;
     /// Per-lane `a + b`.
@@ -247,6 +332,10 @@ trait Lanes {
     /// Horizontal sum via the fixed tree `(q0+q2) + (q1+q3)` over
     /// `q_l = v_l + v_{l+4}`.
     fn hsum(v: Self::V) -> f32;
+    /// `hsum` of each of eight vectors: the same tree, node for node.
+    fn hsum8(v: [Self::V; 8]) -> [f32; 8] {
+        v.map(Self::hsum)
+    }
 }
 
 /// Portable backend: `[f32; 8]` with per-lane `mul_add`. This is the
@@ -255,6 +344,7 @@ trait Lanes {
 struct ScalarLanes;
 
 impl Lanes for ScalarLanes {
+    const W: usize = LANES;
     type V = [f32; 8];
 
     #[inline(always)]
@@ -275,6 +365,18 @@ impl Lanes for ScalarLanes {
     }
 
     #[inline(always)]
+    fn ld_n(s: &[f32], at: usize, len: usize) -> [f32; 8] {
+        let mut v = [0.0f32; 8];
+        v[..len].copy_from_slice(&s[at..at + len]);
+        v
+    }
+
+    #[inline(always)]
+    fn st_n(s: &mut [f32], at: usize, len: usize, v: [f32; 8]) {
+        s[at..at + len].copy_from_slice(&v[..len]);
+    }
+
+    #[inline(always)]
     fn fma(a: [f32; 8], b: [f32; 8], c: [f32; 8]) -> [f32; 8] {
         let mut o = [0.0f32; 8];
         for l in 0..8 {
@@ -282,7 +384,9 @@ impl Lanes for ScalarLanes {
         }
         o
     }
+}
 
+impl Lanes8 for ScalarLanes {
     #[inline(always)]
     fn mul(a: [f32; 8], b: [f32; 8]) -> [f32; 8] {
         let mut o = [0.0f32; 8];
@@ -316,12 +420,26 @@ impl Lanes for ScalarLanes {
 /// exclusively after runtime detection ([`simd_active`]).
 #[cfg(target_arch = "x86_64")]
 mod avx {
-    use super::{body, Lanes, Range};
+    use super::{body, Lanes, Lanes8, Range};
     use std::arch::x86_64::*;
 
     pub(super) struct AvxLanes;
 
+    /// Lanes `0..len` all ones, the rest zero: a `maskload`/`maskstore`
+    /// mask.
+    #[inline(always)]
+    fn mask(len: usize) -> __m256i {
+        // SAFETY: callers are gated on runtime AVX2+FMA detection.
+        unsafe {
+            _mm256_cmpgt_epi32(
+                _mm256_set1_epi32(len as i32),
+                _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
+            )
+        }
+    }
+
     impl Lanes for AvxLanes {
+        const W: usize = 8;
         type V = __m256;
 
         #[inline(always)]
@@ -345,11 +463,35 @@ mod avx {
         }
 
         #[inline(always)]
+        fn ld_n(s: &[f32], at: usize, len: usize) -> __m256 {
+            if len == 8 {
+                return Self::ld(s, at);
+            }
+            assert!(len >= 1 && at + len <= s.len());
+            // SAFETY: `s[at..at + len]` is in bounds (asserted above), and
+            // the masked load touches no lane past `len`.
+            unsafe { _mm256_maskload_ps(s.as_ptr().add(at), mask(len)) }
+        }
+
+        #[inline(always)]
+        fn st_n(s: &mut [f32], at: usize, len: usize, v: __m256) {
+            if len == 8 {
+                return Self::st(s, at, v);
+            }
+            assert!(len >= 1 && at + len <= s.len());
+            // SAFETY: as in `ld_n`: in bounds, and no lane past `len` is
+            // written.
+            unsafe { _mm256_maskstore_ps(s.as_mut_ptr().add(at), mask(len), v) }
+        }
+
+        #[inline(always)]
         fn fma(a: __m256, b: __m256, c: __m256) -> __m256 {
             // SAFETY: callers are gated on runtime AVX2+FMA detection.
             unsafe { _mm256_fmadd_ps(a, b, c) }
         }
+    }
 
+    impl Lanes8 for AvxLanes {
         #[inline(always)]
         fn mul(a: __m256, b: __m256) -> __m256 {
             // SAFETY: callers are gated on runtime AVX2+FMA detection.
@@ -375,6 +517,42 @@ mod avx {
                 _mm_cvtss_f32(s)
             }
         }
+
+        /// The eight trees side by side: each add below is one level of
+        /// `hsum`'s tree for two, four or eight of the vectors at once,
+        /// with the same operands in the same order.
+        #[inline(always)]
+        fn hsum8(v: [__m256; 8]) -> [f32; 8] {
+            // SAFETY: callers are gated on runtime AVX2+FMA detection.
+            unsafe {
+                // [q(v_a) | q(v_b)] per 128-bit half, q_l = v_l + v_{l+4}.
+                let q = |a: __m256, b: __m256| {
+                    _mm256_add_ps(
+                        _mm256_permute2f128_ps(a, b, 0x20),
+                        _mm256_permute2f128_ps(a, b, 0x31),
+                    )
+                };
+                let (q01, q23, q45, q67) =
+                    (q(v[0], v[1]), q(v[2], v[3]), q(v[4], v[5]), q(v[6], v[7]));
+                // (q0+q2, q1+q3) of two vectors per half.
+                let h = |a: __m256, b: __m256| {
+                    _mm256_add_ps(
+                        _mm256_shuffle_ps(a, b, 0b01_00_01_00),
+                        _mm256_shuffle_ps(a, b, 0b11_10_11_10),
+                    )
+                };
+                let (h0123, h4567) = (h(q01, q23), h(q45, q67));
+                // (q0+q2) + (q1+q3): lanes hold vectors 0, 2, 4, 6 | 1, 3, 5, 7.
+                let s = _mm256_add_ps(
+                    _mm256_shuffle_ps(h0123, h4567, 0b10_00_10_00),
+                    _mm256_shuffle_ps(h0123, h4567, 0b11_01_11_01),
+                );
+                let s = _mm256_permutevar8x32_ps(s, _mm256_setr_epi32(0, 4, 1, 5, 2, 6, 3, 7));
+                let mut out = [0.0f32; 8];
+                _mm256_storeu_ps(out.as_mut_ptr(), s);
+                out
+            }
+        }
     }
 
     // One `#[target_feature]` wrapper per generic body so the whole
@@ -391,7 +569,7 @@ mod avx {
         rows: Range<usize>,
         out: &mut [f32],
     ) {
-        body::matmul_rows::<AvxLanes>(a, b, k, n, rows, out)
+        body::matmul_rows::<AvxLanes, 4>(a, b, k, n, rows, out)
     }
 
     /// # Safety
@@ -420,7 +598,7 @@ mod avx {
         kks: Range<usize>,
         gw: &mut [f32],
     ) {
-        body::acc_matmul_at_rows::<AvxLanes>(a, dout, m, k, n, kks, gw)
+        body::acc_matmul_at_rows::<AvxLanes, 4>(a, dout, m, k, n, kks, gw)
     }
 
     /// # Safety
@@ -507,6 +685,109 @@ mod avx {
     }
 }
 
+/// AVX-512 backend: 16 lanes, used by the two GEMMs whose elements are
+/// single fused chains (`matmul`, `acc_matmul_at`), on an 8-row × 32-column
+/// tile. Only instantiated inside `#[target_feature(enable =
+/// "avx512f,avx2,fma")]` functions reached exclusively after runtime
+/// detection ([`avx512_available`]).
+#[cfg(target_arch = "x86_64")]
+mod avx512 {
+    use super::{body, Lanes, Range};
+    use std::arch::x86_64::*;
+
+    pub(super) struct Avx512Lanes;
+
+    /// Lanes `0..len` set.
+    #[inline(always)]
+    fn mask(len: usize) -> __mmask16 {
+        ((1u32 << len) - 1) as __mmask16
+    }
+
+    impl Lanes for Avx512Lanes {
+        const W: usize = 16;
+        type V = __m512;
+
+        #[inline(always)]
+        fn splat(x: f32) -> __m512 {
+            // SAFETY: callers are gated on runtime AVX-512F detection.
+            unsafe { _mm512_set1_ps(x) }
+        }
+
+        #[inline(always)]
+        fn ld(s: &[f32], at: usize) -> __m512 {
+            debug_assert!(at + 16 <= s.len());
+            // SAFETY: bounds asserted above; unaligned load is allowed.
+            unsafe { _mm512_loadu_ps(s.as_ptr().add(at)) }
+        }
+
+        #[inline(always)]
+        fn st(s: &mut [f32], at: usize, v: __m512) {
+            debug_assert!(at + 16 <= s.len());
+            // SAFETY: bounds asserted above; unaligned store is allowed.
+            unsafe { _mm512_storeu_ps(s.as_mut_ptr().add(at), v) }
+        }
+
+        #[inline(always)]
+        fn ld_n(s: &[f32], at: usize, len: usize) -> __m512 {
+            if len == 16 {
+                return Self::ld(s, at);
+            }
+            assert!(len >= 1 && at + len <= s.len());
+            // SAFETY: `s[at..at + len]` is in bounds (asserted above), and
+            // the masked load touches no lane past `len`.
+            unsafe { _mm512_maskz_loadu_ps(mask(len), s.as_ptr().add(at)) }
+        }
+
+        #[inline(always)]
+        fn st_n(s: &mut [f32], at: usize, len: usize, v: __m512) {
+            if len == 16 {
+                return Self::st(s, at, v);
+            }
+            assert!(len >= 1 && at + len <= s.len());
+            // SAFETY: as in `ld_n`: in bounds, and no lane past `len` is
+            // written.
+            unsafe { _mm512_mask_storeu_ps(s.as_mut_ptr().add(at), mask(len), v) }
+        }
+
+        #[inline(always)]
+        fn fma(a: __m512, b: __m512, c: __m512) -> __m512 {
+            // SAFETY: callers are gated on runtime AVX-512F detection.
+            unsafe { _mm512_fmadd_ps(a, b, c) }
+        }
+    }
+
+    /// # Safety
+    /// The host must support AVX-512F, AVX2 and FMA (checked by
+    /// [`super::avx512_available`]).
+    #[target_feature(enable = "avx512f,avx2,fma")]
+    pub(super) unsafe fn matmul_rows(
+        a: &[f32],
+        b: &[f32],
+        k: usize,
+        n: usize,
+        rows: Range<usize>,
+        out: &mut [f32],
+    ) {
+        body::matmul_rows::<Avx512Lanes, 8>(a, b, k, n, rows, out)
+    }
+
+    /// # Safety
+    /// The host must support AVX-512F, AVX2 and FMA (checked by
+    /// [`super::avx512_available`]).
+    #[target_feature(enable = "avx512f,avx2,fma")]
+    pub(super) unsafe fn acc_matmul_at_rows(
+        a: &[f32],
+        dout: &[f32],
+        m: usize,
+        k: usize,
+        n: usize,
+        kks: Range<usize>,
+        gw: &mut [f32],
+    ) {
+        body::acc_matmul_at_rows::<Avx512Lanes, 8>(a, dout, m, k, n, kks, gw)
+    }
+}
+
 // ---- generic kernel bodies -------------------------------------------------
 
 /// The single source of truth for every kernel's arithmetic, generic over
@@ -514,17 +795,13 @@ mod avx {
 /// rows (or columns) plus the output subslice covering exactly that
 /// range, so the pool can hand disjoint chunks to different threads.
 mod body {
-    use super::{Lanes, Range, KC, LANES, UNROLL};
+    use super::{Lanes, Lanes8, Range, KC, LANES, UNROLL};
 
-    /// `out = a[rows] · b`: register-tiled micro-kernel. Output tiles of
-    /// `UNROLL` rows × two vectors (4×16) live in accumulators across the
-    /// whole k-tile with `k` innermost and ascending, so each element is
-    /// one fused chain in `k` order — the same per-element association as
-    /// any strip width or row grouping, hence bit-stable under both the
-    /// thread partition and the tail paths. `out` covers `rows`
+    /// `out = a[rows] · b` through [`gemm_tiles`], the steps being the `k`
+    /// reduction: `x(r, s)` is `a[rows.start + r][s]`. `out` covers `rows`
     /// (`rows.len() × n`).
     #[inline(always)]
-    pub(super) fn matmul_rows<L: Lanes>(
+    pub(super) fn matmul_rows<L: Lanes, const R: usize>(
         a: &[f32],
         b: &[f32],
         k: usize,
@@ -533,142 +810,148 @@ mod body {
         out: &mut [f32],
     ) {
         debug_assert_eq!(out.len(), rows.len() * n);
-        for kk in (0..k).step_by(KC) {
-            let kend = (kk + KC).min(k);
-            // 4-row blocks share every b load across 8 accumulators.
-            let mut ri = 0;
-            while ri + UNROLL <= rows.len() {
-                let i = rows.start + ri;
-                let a0 = &a[i * k..(i + 1) * k];
-                let a1 = &a[(i + 1) * k..(i + 2) * k];
-                let a2 = &a[(i + 2) * k..(i + 3) * k];
-                let a3 = &a[(i + 3) * k..(i + 4) * k];
-                let (o01, o23) = out[ri * n..(ri + 4) * n].split_at_mut(2 * n);
-                let (o0, o1) = o01.split_at_mut(n);
-                let (o2, o3) = o23.split_at_mut(n);
-                let mut j = 0;
-                while j + 2 * LANES <= n {
-                    let jh = j + LANES;
-                    let mut c00 = L::ld(o0, j);
-                    let mut c01 = L::ld(o0, jh);
-                    let mut c10 = L::ld(o1, j);
-                    let mut c11 = L::ld(o1, jh);
-                    let mut c20 = L::ld(o2, j);
-                    let mut c21 = L::ld(o2, jh);
-                    let mut c30 = L::ld(o3, j);
-                    let mut c31 = L::ld(o3, jh);
-                    for kc in kk..kend {
-                        let brow = &b[kc * n..(kc + 1) * n];
-                        let vb0 = L::ld(brow, j);
-                        let vb1 = L::ld(brow, jh);
-                        let va = L::splat(a0[kc]);
-                        c00 = L::fma(va, vb0, c00);
-                        c01 = L::fma(va, vb1, c01);
-                        let va = L::splat(a1[kc]);
-                        c10 = L::fma(va, vb0, c10);
-                        c11 = L::fma(va, vb1, c11);
-                        let va = L::splat(a2[kc]);
-                        c20 = L::fma(va, vb0, c20);
-                        c21 = L::fma(va, vb1, c21);
-                        let va = L::splat(a3[kc]);
-                        c30 = L::fma(va, vb0, c30);
-                        c31 = L::fma(va, vb1, c31);
-                    }
-                    L::st(o0, j, c00);
-                    L::st(o0, jh, c01);
-                    L::st(o1, j, c10);
-                    L::st(o1, jh, c11);
-                    L::st(o2, j, c20);
-                    L::st(o2, jh, c21);
-                    L::st(o3, j, c30);
-                    L::st(o3, jh, c31);
-                    j += 2 * LANES;
-                }
-                while j + LANES <= n {
-                    let mut c0 = L::ld(o0, j);
-                    let mut c1 = L::ld(o1, j);
-                    let mut c2 = L::ld(o2, j);
-                    let mut c3 = L::ld(o3, j);
-                    for kc in kk..kend {
-                        let vb = L::ld(&b[kc * n..(kc + 1) * n], j);
-                        c0 = L::fma(L::splat(a0[kc]), vb, c0);
-                        c1 = L::fma(L::splat(a1[kc]), vb, c1);
-                        c2 = L::fma(L::splat(a2[kc]), vb, c2);
-                        c3 = L::fma(L::splat(a3[kc]), vb, c3);
-                    }
-                    L::st(o0, j, c0);
-                    L::st(o1, j, c1);
-                    L::st(o2, j, c2);
-                    L::st(o3, j, c3);
-                    j += LANES;
-                }
-                while j < n {
-                    let (mut s0, mut s1, mut s2, mut s3) = (o0[j], o1[j], o2[j], o3[j]);
-                    for kc in kk..kend {
-                        let bv = b[kc * n + j];
-                        s0 = a0[kc].mul_add(bv, s0);
-                        s1 = a1[kc].mul_add(bv, s1);
-                        s2 = a2[kc].mul_add(bv, s2);
-                        s3 = a3[kc].mul_add(bv, s3);
-                    }
-                    o0[j] = s0;
-                    o1[j] = s1;
-                    o2[j] = s2;
-                    o3[j] = s3;
-                    j += 1;
-                }
-                ri += UNROLL;
+        let x = Operand { data: &a[rows.start * k..], row: k, step: 1 };
+        gemm_tiles::<L, R>(x, b, n, k, out);
+    }
+
+    /// Accumulate `aᵀ·d` into the `kks` rows of `gw` through
+    /// [`gemm_tiles`], the steps being the `m` samples: `x(r, i)` is
+    /// `a[i][kks.start + r]`. `gw` covers `kks` (`kks.len() × n`).
+    #[inline(always)]
+    pub(super) fn acc_matmul_at_rows<L: Lanes, const R: usize>(
+        a: &[f32],
+        dout: &[f32],
+        m: usize,
+        k: usize,
+        n: usize,
+        kks: Range<usize>,
+        gw: &mut [f32],
+    ) {
+        debug_assert_eq!(gw.len(), kks.len() * n);
+        // `a` is empty when `m == 0`, and then no step reads `x`.
+        let x = Operand { data: &a[kks.start.min(a.len())..], row: 1, step: k };
+        gemm_tiles::<L, R>(x, dout, n, m, gw);
+    }
+
+    /// The left operand of [`gemm_tiles`]: `x(r, s) = data[r·row + s·step]`.
+    #[derive(Clone, Copy)]
+    struct Operand<'a> {
+        data: &'a [f32],
+        row: usize,
+        step: usize,
+    }
+
+    /// The register tile both GEMMs run on: `c[r][j] += Σ_s x(r, s)·y[s][j]`
+    /// over `s < steps`, for every row `r` of `c` (`c.len() / n` rows of
+    /// `n`), with `y` rows `n` wide. The steps go in tiles of `KC`. Tiles
+    /// of `R` rows × two vectors (`2·W` columns) keep their accumulators in
+    /// registers across a step tile, `s` innermost and ascending, and carry
+    /// them to the next through `c`, so each element is one fused chain in
+    /// `s` order whatever the tile height, lane width, column strip or row
+    /// partition. Rows left over run in tiles of 4 and then 1; the last
+    /// columns run one strip of partial vectors.
+    #[inline(always)]
+    fn gemm_tiles<L: Lanes, const R: usize>(
+        x: Operand,
+        y: &[f32],
+        n: usize,
+        steps: usize,
+        c: &mut [f32],
+    ) {
+        let rows = c.len().checked_div(n).unwrap_or(0);
+        for s0 in (0..steps).step_by(KC) {
+            let tile = s0..(s0 + KC).min(steps);
+            let mut r0 = row_tiles::<L, R>(x, y, n, &tile, 0, rows, c);
+            if R > 4 {
+                r0 = row_tiles::<L, 4>(x, y, n, &tile, r0, rows, c);
             }
-            // Row tail: one row at a time, same strip widths.
-            while ri < rows.len() {
-                let i = rows.start + ri;
-                let arow = &a[i * k..(i + 1) * k];
-                let orow = &mut out[ri * n..(ri + 1) * n];
-                let mut j = 0;
-                while j + 2 * LANES <= n {
-                    let jh = j + LANES;
-                    let mut c0 = L::ld(orow, j);
-                    let mut c1 = L::ld(orow, jh);
-                    for kc in kk..kend {
-                        let brow = &b[kc * n..(kc + 1) * n];
-                        let va = L::splat(arow[kc]);
-                        c0 = L::fma(va, L::ld(brow, j), c0);
-                        c1 = L::fma(va, L::ld(brow, jh), c1);
-                    }
-                    L::st(orow, j, c0);
-                    L::st(orow, jh, c1);
-                    j += 2 * LANES;
+            row_tiles::<L, 1>(x, y, n, &tile, r0, rows, c);
+        }
+    }
+
+    /// [`gemm_tiles`]' `R`-row tiles over the steps of `tile`, from row
+    /// `r0` on while `R` rows remain; returns the first row left.
+    #[inline(always)]
+    fn row_tiles<L: Lanes, const R: usize>(
+        x: Operand,
+        y: &[f32],
+        n: usize,
+        tile: &Range<usize>,
+        mut r0: usize,
+        rows: usize,
+        c: &mut [f32],
+    ) -> usize {
+        let w = L::W;
+        while r0 + R <= rows {
+            let mut j = 0;
+            while j + 2 * w <= n {
+                strip::<L, R, 2>(x, y, n, tile.clone(), r0, j, [w, w], c);
+                j += 2 * w;
+            }
+            match n - j {
+                0 => {}
+                rem if rem <= w => strip::<L, R, 1>(x, y, n, tile.clone(), r0, j, [rem], c),
+                rem => strip::<L, R, 2>(x, y, n, tile.clone(), r0, j, [w, rem - w], c),
+            }
+            r0 += R;
+        }
+        r0
+    }
+
+    /// One `R`-row × `V`-vector tile at rows `r0..r0 + R`, columns from
+    /// `j`, vector `v` covering `lens[v]` lanes, over the steps of `tile`
+    /// (not empty).
+    #[allow(clippy::too_many_arguments)]
+    #[inline(always)]
+    fn strip<L: Lanes, const R: usize, const V: usize>(
+        x: Operand,
+        y: &[f32],
+        n: usize,
+        tile: Range<usize>,
+        r0: usize,
+        j: usize,
+        lens: [usize; V],
+        c: &mut [f32],
+    ) {
+        // Every `x` index below is at most this one.
+        assert!((r0 + R - 1) * x.row + (tile.end - 1) * x.step < x.data.len());
+        let at = |v: usize| j + v * L::W;
+        let mut acc = [[L::zero(); V]; R];
+        for (r, row) in acc.iter_mut().enumerate() {
+            for (v, a) in row.iter_mut().enumerate() {
+                *a = L::ld_n(c, (r0 + r) * n + at(v), lens[v]);
+            }
+        }
+        for s in tile {
+            let mut ys = [L::zero(); V];
+            for (v, yv) in ys.iter_mut().enumerate() {
+                *yv = L::ld_n(y, s * n + at(v), lens[v]);
+            }
+            for (r, row) in acc.iter_mut().enumerate() {
+                // SAFETY: at most the index asserted above, since
+                // `r < R` and `s < tile.end`.
+                let xv = L::splat(unsafe { *x.data.get_unchecked((r0 + r) * x.row + s * x.step) });
+                for (a, &yv) in row.iter_mut().zip(&ys) {
+                    *a = L::fma(xv, yv, *a);
                 }
-                while j + LANES <= n {
-                    let mut c = L::ld(orow, j);
-                    for kc in kk..kend {
-                        c = L::fma(L::splat(arow[kc]), L::ld(&b[kc * n..(kc + 1) * n], j), c);
-                    }
-                    L::st(orow, j, c);
-                    j += LANES;
-                }
-                while j < n {
-                    let mut s = orow[j];
-                    for kc in kk..kend {
-                        s = arow[kc].mul_add(b[kc * n + j], s);
-                    }
-                    orow[j] = s;
-                    j += 1;
-                }
-                ri += 1;
+            }
+        }
+        for (r, row) in acc.iter().enumerate() {
+            for (v, &a) in row.iter().enumerate() {
+                L::st_n(c, (r0 + r) * n + at(v), lens[v], a);
             }
         }
     }
 
     /// `out = d[rows] · bᵀ`: two rows × four outputs per pass share each
     /// load (six loads per eight FMAs). Every element is one 8-wide fused
-    /// chain over `j`, reduced by the fixed [`Lanes::hsum`] tree, with the
+    /// chain over `j`, reduced by the fixed [`Lanes8::hsum`] tree, with the
     /// scalar tail folded in *after* the tree. An odd last row pairs with
     /// itself and is stored once. The pairing never changes an element's
     /// chain, so any row count and thread split give the same bits. `out`
     /// covers `rows` (`rows.len() × k`).
     #[inline(always)]
-    pub(super) fn matmul_bt_rows<L: Lanes>(
+    pub(super) fn matmul_bt_rows<L: Lanes8>(
         dout: &[f32],
         b: &[f32],
         n: usize,
@@ -713,8 +996,8 @@ mod body {
                     v13 = L::fma(x1, y3, v13);
                     j += LANES;
                 }
-                let mut s0 = [L::hsum(v00), L::hsum(v01), L::hsum(v02), L::hsum(v03)];
-                let mut s1 = [L::hsum(v10), L::hsum(v11), L::hsum(v12), L::hsum(v13)];
+                let s = L::hsum8([v00, v01, v02, v03, v10, v11, v12, v13]);
+                let (mut s0, mut s1) = ([s[0], s[1], s[2], s[3]], [s[4], s[5], s[6], s[7]]);
                 while j < n {
                     for (r, brow) in [b0, b1, b2, b3].into_iter().enumerate() {
                         s0[r] = d0[j].mul_add(brow[j], s0[r]);
@@ -747,89 +1030,6 @@ mod body {
         }
     }
 
-    /// Accumulate `aᵀ·d` into the `kks` rows of `gw`: a tile of four
-    /// gradient rows × 16 columns stays in registers across *all* `m`
-    /// samples, so each element is one fused chain over the samples in
-    /// order, whatever the strip it falls in. A tile that overhangs the
-    /// chunk's end repeats its last row, which then computes the same
-    /// value twice and stores it twice. `gw` covers `kks` (`kks.len() ×
-    /// n`), and any `kks` partition yields the same bits.
-    #[inline(always)]
-    pub(super) fn acc_matmul_at_rows<L: Lanes>(
-        a: &[f32],
-        dout: &[f32],
-        m: usize,
-        k: usize,
-        n: usize,
-        kks: Range<usize>,
-        gw: &mut [f32],
-    ) {
-        debug_assert_eq!(gw.len(), kks.len() * n);
-        for rk in (0..kks.len()).step_by(UNROLL) {
-            // The tile's rows, the overhang clamped to the last one.
-            let r = [0, 1, 2, 3].map(|o| (rk + o).min(kks.len() - 1));
-            let x = |i: usize, o: usize| a[i * k + kks.start + r[o]];
-            let mut j = 0;
-            while j + 2 * LANES <= n {
-                let jh = j + LANES;
-                let (mut c00, mut c01) = (L::ld(gw, r[0] * n + j), L::ld(gw, r[0] * n + jh));
-                let (mut c10, mut c11) = (L::ld(gw, r[1] * n + j), L::ld(gw, r[1] * n + jh));
-                let (mut c20, mut c21) = (L::ld(gw, r[2] * n + j), L::ld(gw, r[2] * n + jh));
-                let (mut c30, mut c31) = (L::ld(gw, r[3] * n + j), L::ld(gw, r[3] * n + jh));
-                for i in 0..m {
-                    let (vd0, vd1) = (L::ld(dout, i * n + j), L::ld(dout, i * n + jh));
-                    let va = L::splat(x(i, 0));
-                    c00 = L::fma(va, vd0, c00);
-                    c01 = L::fma(va, vd1, c01);
-                    let va = L::splat(x(i, 1));
-                    c10 = L::fma(va, vd0, c10);
-                    c11 = L::fma(va, vd1, c11);
-                    let va = L::splat(x(i, 2));
-                    c20 = L::fma(va, vd0, c20);
-                    c21 = L::fma(va, vd1, c21);
-                    let va = L::splat(x(i, 3));
-                    c30 = L::fma(va, vd0, c30);
-                    c31 = L::fma(va, vd1, c31);
-                }
-                L::st(gw, r[0] * n + j, c00);
-                L::st(gw, r[0] * n + jh, c01);
-                L::st(gw, r[1] * n + j, c10);
-                L::st(gw, r[1] * n + jh, c11);
-                L::st(gw, r[2] * n + j, c20);
-                L::st(gw, r[2] * n + jh, c21);
-                L::st(gw, r[3] * n + j, c30);
-                L::st(gw, r[3] * n + jh, c31);
-                j += 2 * LANES;
-            }
-            while j + LANES <= n {
-                let mut c = r.map(|ro| L::ld(gw, ro * n + j));
-                for i in 0..m {
-                    let vd = L::ld(dout, i * n + j);
-                    for (o, co) in c.iter_mut().enumerate() {
-                        *co = L::fma(L::splat(x(i, o)), vd, *co);
-                    }
-                }
-                for (&ro, &co) in r.iter().zip(&c) {
-                    L::st(gw, ro * n + j, co);
-                }
-                j += LANES;
-            }
-            while j < n {
-                let mut s = r.map(|ro| gw[ro * n + j]);
-                for i in 0..m {
-                    let dv = dout[i * n + j];
-                    for (o, so) in s.iter_mut().enumerate() {
-                        *so = x(i, o).mul_add(dv, *so);
-                    }
-                }
-                for (&ro, &so) in r.iter().zip(&s) {
-                    gw[ro * n + j] = so;
-                }
-                j += 1;
-            }
-        }
-    }
-
     /// Causal multi-head attention forward, all heads. `q`, `k`, `v` and
     /// `ctx` are `t × d` with head `h` in columns `h·dk..(h + 1)·dk`.
     /// `outs = [att, ctx]`: `att` (`heads × t × t`) receives the softmax
@@ -846,7 +1046,7 @@ mod body {
     /// across the head's columns, each element a chain over `j` in order.
     #[allow(clippy::too_many_arguments)]
     #[inline(always)]
-    pub(super) fn attention_forward<L: Lanes>(
+    pub(super) fn attention_forward<L: Lanes8>(
         q: &[f32],
         k: &[f32],
         v: &[f32],
@@ -907,7 +1107,7 @@ mod body {
     /// `j` (for `d_q`) or `i` (for `d_k`, `d_v`) in order from `0.0`.
     #[allow(clippy::too_many_arguments)]
     #[inline(always)]
-    pub(super) fn attention_backward<L: Lanes>(
+    pub(super) fn attention_backward<L: Lanes8>(
         q: &[f32],
         k: &[f32],
         v: &[f32],
@@ -975,7 +1175,7 @@ mod body {
     /// storing the same values twice. `out` is `t × tp`; lanes past the
     /// diagonal are scratch.
     #[inline(always)]
-    fn causal_scores<L: Lanes>(
+    fn causal_scores<L: Lanes8>(
         x: &[f32],
         t: usize,
         d: usize,
@@ -1011,7 +1211,7 @@ mod body {
     /// each element one unfused chain in `r` order from `0.0`: 16 columns
     /// per pass, then 8, then a scalar tail with the same chain.
     #[inline(always)]
-    fn weighted_rows<L: Lanes>(
+    fn weighted_rows<L: Lanes8>(
         w: impl Fn(usize) -> f32,
         rs: Range<usize>,
         src: &[f32],
@@ -1055,7 +1255,7 @@ mod body {
     /// scalar tail folds in after. Each row's chain is independent, so
     /// the 4-row grouping never changes bits. `out` covers `os`.
     #[inline(always)]
-    pub(super) fn matvec_bias_rows<L: Lanes>(
+    pub(super) fn matvec_bias_rows<L: Lanes8>(
         w: &[f32],
         bias: &[f32],
         x: &[f32],
@@ -1122,7 +1322,7 @@ mod body {
     /// into one pass over the accumulator stream, restricted to the
     /// `cols` slice of the output. `out` covers `cols` and is pre-zeroed.
     #[inline(always)]
-    pub(super) fn matvec_t_cols<L: Lanes>(
+    pub(super) fn matvec_t_cols<L: Lanes8>(
         w: &[f32],
         d: &[f32],
         out_dim: usize,
@@ -1182,7 +1382,7 @@ mod body {
     /// 8-wide saxpy per output row. `gw` covers `rows`
     /// (`rows.len() × x.len()`).
     #[inline(always)]
-    pub(super) fn acc_outer_rows<L: Lanes>(
+    pub(super) fn acc_outer_rows<L: Lanes8>(
         d: &[f32],
         x: &[f32],
         rows: Range<usize>,
@@ -1209,7 +1409,7 @@ mod body {
     /// `xs[r] += bias` for each row `r ∈ rows`: 8-wide adds plus scalar
     /// tail. `xs` covers `rows` (`rows.len() × n`).
     #[inline(always)]
-    pub(super) fn add_bias_chunk<L: Lanes>(
+    pub(super) fn add_bias_chunk<L: Lanes8>(
         bias: &[f32],
         n: usize,
         rows: Range<usize>,
@@ -1248,8 +1448,12 @@ mod pool {
     use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
     /// Below this much work (FLOPs) per chunk, fan-out costs more than it
-    /// saves and the kernel runs inline.
-    const MIN_FLOPS_PER_CHUNK: usize = 16 * 1024;
+    /// saves and the kernel runs inline. Waking a parked worker and
+    /// joining it measured 20–25 µs on a 2-vCPU Sapphire Rapids guest (a
+    /// dispatch of two near-empty chunks against the same call inline),
+    /// and one thread runs the GEMMs at ≈ 60–120 GFLOP/s there: a chunk
+    /// pays for its wake-up from about 2 MFLOP on.
+    const MIN_FLOPS_PER_CHUNK: usize = 1 << 21;
 
     /// One published job. The erased closure pointer is only dereferenced
     /// between publication and the `pending == 0` barrier, both of which
@@ -1450,25 +1654,27 @@ impl OutPtr {
     }
 }
 
-/// `out[m×n] = a[m×k] · b[k×n]`, row-major: k-tiled, 4-way unrolled,
-/// 8-wide FMA lanes, parallel over output rows.
+/// `out[m×n] = a[m×k] · b[k×n]`, row-major: k-tiled register tiles (8 × 32
+/// on AVX-512, else 4 × 16), parallel over output rows.
 pub fn matmul(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
     debug_assert_eq!(a.len(), m * k);
     debug_assert_eq!(b.len(), k * n);
     let mut out = vec![0.0f32; m * n];
-    let simd = simd_active();
+    let path = path(true);
     let base = OutPtr(out.as_mut_ptr());
-    record("matmul", 2 * (m * k * n) as u64, simd, || {
+    record("matmul", 2 * (m * k * n) as u64, path, || {
         pool::run(m, 2 * k * n, &move |rows: Range<usize>| {
             // SAFETY: disjoint row ranges of a live allocation.
             let o = unsafe { base.window(rows.start * n, rows.len() * n) };
-            #[cfg(target_arch = "x86_64")]
-            if simd {
-                // SAFETY: `simd_active` verified AVX2+FMA on this host.
-                unsafe { avx::matmul_rows(a, b, k, n, rows, o) };
-                return;
+            match path {
+                // SAFETY: `path` verified AVX-512F, AVX2 and FMA on this host.
+                #[cfg(target_arch = "x86_64")]
+                Path::Avx512 => unsafe { avx512::matmul_rows(a, b, k, n, rows, o) },
+                // SAFETY: `path` verified AVX2+FMA on this host.
+                #[cfg(target_arch = "x86_64")]
+                Path::Avx2 => unsafe { avx::matmul_rows(a, b, k, n, rows, o) },
+                _ => body::matmul_rows::<ScalarLanes, 4>(a, b, k, n, rows, o),
             }
-            body::matmul_rows::<ScalarLanes>(a, b, k, n, rows, o);
         });
     });
     out
@@ -1480,15 +1686,15 @@ pub fn matmul_bt(dout: &[f32], b: &[f32], m: usize, n: usize, k: usize) -> Vec<f
     debug_assert_eq!(dout.len(), m * n);
     debug_assert_eq!(b.len(), k * n);
     let mut out = vec![0.0f32; m * k];
-    let simd = simd_active();
+    let path = path(false);
     let base = OutPtr(out.as_mut_ptr());
-    record("matmul_bt", 2 * (m * n * k) as u64, simd, || {
+    record("matmul_bt", 2 * (m * n * k) as u64, path, || {
         pool::run(m, 2 * n * k, &move |rows: Range<usize>| {
             // SAFETY: disjoint row ranges of a live allocation.
             let o = unsafe { base.window(rows.start * k, rows.len() * k) };
             #[cfg(target_arch = "x86_64")]
-            if simd {
-                // SAFETY: `simd_active` verified AVX2+FMA on this host.
+            if path == Path::Avx2 {
+                // SAFETY: `path` verified AVX2+FMA on this host.
                 unsafe { avx::matmul_bt_rows(dout, b, n, k, rows, o) };
                 return;
             }
@@ -1499,25 +1705,28 @@ pub fn matmul_bt(dout: &[f32], b: &[f32], m: usize, n: usize, k: usize) -> Vec<f
 }
 
 /// Accumulate `aᵀ[k×m] · d[m×n]` into `gw[k×n]` (gradient w.r.t. the
-/// right operand of `a·w`): four samples fuse per pass, parallel over the
-/// `k` rows of `gw` — the batch reduction order inside each row is fixed.
+/// right operand of `a·w`): register tiles of `gw` (8 × 32 on AVX-512,
+/// else 4 × 16) held across all samples, parallel over the `k` rows of
+/// `gw` — the batch reduction order inside each row is fixed.
 pub fn acc_matmul_at(a: &[f32], dout: &[f32], m: usize, k: usize, n: usize, gw: &mut [f32]) {
     debug_assert_eq!(a.len(), m * k);
     debug_assert_eq!(dout.len(), m * n);
     debug_assert_eq!(gw.len(), k * n);
-    let simd = simd_active();
+    let path = path(true);
     let base = OutPtr(gw.as_mut_ptr());
-    record("acc_matmul_at", 2 * (m * k * n) as u64, simd, || {
+    record("acc_matmul_at", 2 * (m * k * n) as u64, path, || {
         pool::run(k, 2 * m * n, &move |kks: Range<usize>| {
             // SAFETY: disjoint row ranges of a live allocation.
             let g = unsafe { base.window(kks.start * n, kks.len() * n) };
-            #[cfg(target_arch = "x86_64")]
-            if simd {
-                // SAFETY: `simd_active` verified AVX2+FMA on this host.
-                unsafe { avx::acc_matmul_at_rows(a, dout, m, k, n, kks, g) };
-                return;
+            match path {
+                // SAFETY: `path` verified AVX-512F, AVX2 and FMA on this host.
+                #[cfg(target_arch = "x86_64")]
+                Path::Avx512 => unsafe { avx512::acc_matmul_at_rows(a, dout, m, k, n, kks, g) },
+                // SAFETY: `path` verified AVX2+FMA on this host.
+                #[cfg(target_arch = "x86_64")]
+                Path::Avx2 => unsafe { avx::acc_matmul_at_rows(a, dout, m, k, n, kks, g) },
+                _ => body::acc_matmul_at_rows::<ScalarLanes, 4>(a, dout, m, k, n, kks, g),
             }
-            body::acc_matmul_at_rows::<ScalarLanes>(a, dout, m, k, n, kks, g);
         });
     });
 }
@@ -1529,15 +1738,15 @@ pub fn matvec_bias(w: &[f32], bias: &[f32], x: &[f32], out_dim: usize, in_dim: u
     debug_assert_eq!(bias.len(), out_dim);
     debug_assert_eq!(x.len(), in_dim);
     let mut out = vec![0.0f32; out_dim];
-    let simd = simd_active();
+    let path = path(false);
     let base = OutPtr(out.as_mut_ptr());
-    record("matvec_bias", 2 * (out_dim * in_dim) as u64, simd, || {
+    record("matvec_bias", 2 * (out_dim * in_dim) as u64, path, || {
         pool::run(out_dim, 2 * in_dim, &move |os: Range<usize>| {
             // SAFETY: disjoint ranges of a live allocation.
             let o = unsafe { base.window(os.start, os.len()) };
             #[cfg(target_arch = "x86_64")]
-            if simd {
-                // SAFETY: `simd_active` verified AVX2+FMA on this host.
+            if path == Path::Avx2 {
+                // SAFETY: `path` verified AVX2+FMA on this host.
                 unsafe { avx::matvec_bias_rows(w, bias, x, in_dim, os, o) };
                 return;
             }
@@ -1554,15 +1763,15 @@ pub fn matvec_t(w: &[f32], d: &[f32], out_dim: usize, in_dim: usize) -> Vec<f32>
     debug_assert_eq!(w.len(), out_dim * in_dim);
     debug_assert_eq!(d.len(), out_dim);
     let mut out = vec![0.0f32; in_dim];
-    let simd = simd_active();
+    let path = path(false);
     let base = OutPtr(out.as_mut_ptr());
-    record("matvec_t", 2 * (out_dim * in_dim) as u64, simd, || {
+    record("matvec_t", 2 * (out_dim * in_dim) as u64, path, || {
         pool::run(in_dim, 2 * out_dim, &move |cols: Range<usize>| {
             // SAFETY: disjoint ranges of a live allocation.
             let o = unsafe { base.window(cols.start, cols.len()) };
             #[cfg(target_arch = "x86_64")]
-            if simd {
-                // SAFETY: `simd_active` verified AVX2+FMA on this host.
+            if path == Path::Avx2 {
+                // SAFETY: `path` verified AVX2+FMA on this host.
                 unsafe { avx::matvec_t_cols(w, d, out_dim, in_dim, cols, o) };
                 return;
             }
@@ -1577,15 +1786,15 @@ pub fn matvec_t(w: &[f32], d: &[f32], out_dim: usize, in_dim: usize) -> Vec<f32>
 pub fn acc_outer(d: &[f32], x: &[f32], gw: &mut [f32]) {
     debug_assert_eq!(gw.len(), d.len() * x.len());
     let n = x.len();
-    let simd = simd_active();
+    let path = path(false);
     let base = OutPtr(gw.as_mut_ptr());
-    record("acc_outer", 2 * (d.len() * n) as u64, simd, || {
+    record("acc_outer", 2 * (d.len() * n) as u64, path, || {
         pool::run(d.len(), 2 * n, &move |rows: Range<usize>| {
             // SAFETY: disjoint row ranges of a live allocation.
             let g = unsafe { base.window(rows.start * n, rows.len() * n) };
             #[cfg(target_arch = "x86_64")]
-            if simd {
-                // SAFETY: `simd_active` verified AVX2+FMA on this host.
+            if path == Path::Avx2 {
+                // SAFETY: `path` verified AVX2+FMA on this host.
                 unsafe { avx::acc_outer_rows(d, x, rows, g) };
                 return;
             }
@@ -1600,15 +1809,15 @@ pub fn acc_outer(d: &[f32], x: &[f32], gw: &mut [f32]) {
 pub fn add_bias_rows(xs: &mut [f32], bias: &[f32], m: usize, n: usize) {
     debug_assert_eq!(xs.len(), m * n);
     debug_assert_eq!(bias.len(), n);
-    let simd = simd_active();
+    let path = path(false);
     let base = OutPtr(xs.as_mut_ptr());
-    record("add_bias_rows", (m * n) as u64, simd, || {
+    record("add_bias_rows", (m * n) as u64, path, || {
         pool::run(m, n, &move |rows: Range<usize>| {
             // SAFETY: disjoint row ranges of a live allocation.
             let x = unsafe { base.window(rows.start * n, rows.len() * n) };
             #[cfg(target_arch = "x86_64")]
-            if simd {
-                // SAFETY: `simd_active` verified AVX2+FMA on this host.
+            if path == Path::Avx2 {
+                // SAFETY: `path` verified AVX2+FMA on this host.
                 unsafe { avx::add_bias_chunk(bias, n, rows, x) };
                 return;
             }
@@ -1635,13 +1844,13 @@ pub fn attention_forward(
     let tp = lane_padded(t);
     let (mut att, mut ctx) = (vec![0.0f32; h * t * t], vec![0.0f32; t * d]);
     let (mut kt, mut s) = (vec![0.0f32; d / h * tp], vec![0.0f32; t * tp]);
-    let simd = simd_active();
-    record("attention_forward", 0, simd, || {
+    let path = path(false);
+    record("attention_forward", 0, path, || {
         let outs = [&mut att[..], &mut ctx[..]];
         let scratch = [&mut kt[..], &mut s[..]];
         #[cfg(target_arch = "x86_64")]
-        if simd {
-            // SAFETY: `simd_active` verified AVX2+FMA on this host.
+        if path == Path::Avx2 {
+            // SAFETY: `path` verified AVX2+FMA on this host.
             unsafe { avx::attention_forward(q, k, v, t, d, h, outs, scratch) };
             return;
         }
@@ -1672,13 +1881,13 @@ pub fn attention_backward(
     let (mut d_q, mut d_k, mut d_v) =
         (vec![0.0f32; t * d], vec![0.0f32; t * d], vec![0.0f32; t * d]);
     let (mut vt, mut ds) = (vec![0.0f32; d / h * tp], vec![0.0f32; t * tp]);
-    let simd = simd_active();
-    record("attention_backward", 0, simd, || {
+    let path = path(false);
+    record("attention_backward", 0, path, || {
         let grads = [&mut d_q[..], &mut d_k[..], &mut d_v[..]];
         let scratch = [&mut vt[..], &mut ds[..]];
         #[cfg(target_arch = "x86_64")]
-        if simd {
-            // SAFETY: `simd_active` verified AVX2+FMA on this host.
+        if path == Path::Avx2 {
+            // SAFETY: `path` verified AVX2+FMA on this host.
             unsafe { avx::attention_backward(q, k, v, att, d_ctx, t, d, h, grads, scratch) };
             return;
         }
@@ -1938,6 +2147,134 @@ mod tests {
     /// path, plus one reduction long enough to cross the KC tile boundary.
     const SHAPES: &[(usize, usize, usize)] =
         &[(1, 1, 1), (3, 5, 7), (4, 8, 8), (6, 300, 5), (5, 7, 9), (8, 257, 16)];
+
+    /// `matmul` / `acc_matmul_at` bodies over a row range, as in `body`.
+    type Matmul = fn(&[f32], &[f32], usize, usize, Range<usize>, &mut [f32]);
+    type AccMatmulAt = fn(&[f32], &[f32], usize, usize, usize, Range<usize>, &mut [f32]);
+
+    /// The GEMM bodies' instantiations this host can run: `set_simd` picks
+    /// only the widest, so the narrower SIMD ones are reached here.
+    fn instantiations() -> Vec<(&'static str, Matmul, AccMatmulAt)> {
+        let mut all: Vec<(&'static str, Matmul, AccMatmulAt)> = vec![(
+            "scalar",
+            body::matmul_rows::<ScalarLanes, 4>,
+            body::acc_matmul_at_rows::<ScalarLanes, 4>,
+        )];
+        #[cfg(target_arch = "x86_64")]
+        if simd_available() {
+            fn mm(a: &[f32], b: &[f32], k: usize, n: usize, rows: Range<usize>, o: &mut [f32]) {
+                // SAFETY: listed only after runtime AVX2+FMA detection.
+                unsafe { avx::matmul_rows(a, b, k, n, rows, o) }
+            }
+            fn at(
+                a: &[f32],
+                d: &[f32],
+                m: usize,
+                k: usize,
+                n: usize,
+                r: Range<usize>,
+                g: &mut [f32],
+            ) {
+                // SAFETY: listed only after runtime AVX2+FMA detection.
+                unsafe { avx::acc_matmul_at_rows(a, d, m, k, n, r, g) }
+            }
+            all.push(("avx2", mm, at));
+        }
+        #[cfg(target_arch = "x86_64")]
+        if avx512_available() {
+            fn mm(a: &[f32], b: &[f32], k: usize, n: usize, rows: Range<usize>, o: &mut [f32]) {
+                // SAFETY: listed only after runtime AVX-512F detection.
+                unsafe { avx512::matmul_rows(a, b, k, n, rows, o) }
+            }
+            fn at(
+                a: &[f32],
+                d: &[f32],
+                m: usize,
+                k: usize,
+                n: usize,
+                r: Range<usize>,
+                g: &mut [f32],
+            ) {
+                // SAFETY: listed only after runtime AVX-512F detection.
+                unsafe { avx512::acc_matmul_at_rows(a, d, m, k, n, r, g) }
+            }
+            all.push(("avx512", mm, at));
+        }
+        all
+    }
+
+    /// `tests/kernels_v2.rs`' shapes, then the tails of the 8 × 32 tile:
+    /// m 1..=17 rows against the 8- and 4-row tiles, n around one, two and
+    /// three 16-lane vectors, k around the KC = 256 tile.
+    fn gemm_shapes() -> Vec<(usize, usize, usize)> {
+        let mut shapes = vec![
+            (0, 3, 4),
+            (3, 0, 4),
+            (3, 4, 0),
+            (1, 1, 1),
+            (1, 257, 1),
+            (4, 256, 8),
+            (5, 257, 9),
+            (2, 512, 3),
+            (7, 9, 33),
+            (12, 64, 20),
+            (1, 8, 16),
+            (9, 300, 2),
+            (33, 31, 17),
+            (1, 5, 7),
+            (3, 6, 8),
+            (1, 7, 9),
+            (3, 9, 15),
+            (1, 10, 16),
+            (3, 11, 17),
+            (2, 13, 23),
+            (3, 14, 24),
+            (5, 15, 25),
+        ];
+        let mut s = 0x5eed_u64;
+        let mut next = |lim: u64| {
+            s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (s >> 33) % lim
+        };
+        for i in 0..30 {
+            let k = if i % 5 == 0 { 250 + next(14) as usize } else { 1 + next(40) as usize };
+            shapes.push((1 + next(24) as usize, k, 1 + next(40) as usize));
+        }
+        for m in 1..=17 {
+            for n in [15, 16, 17, 31, 32, 33, 47, 48, 49] {
+                for k in 255..=257 {
+                    shapes.push((m, k, n));
+                }
+            }
+        }
+        shapes
+    }
+
+    /// Every instantiation of the two GEMM bodies gives the scalar one's
+    /// bits, over the whole output and split into two chunks at a row.
+    #[test]
+    fn every_gemm_instantiation_gives_the_same_bits() {
+        let all = instantiations();
+        for (m, k, n) in gemm_shapes() {
+            let (a, b, d) = (buf(m * k, 1), buf(k * n, 2), buf(m * n, 3));
+            let run = |&(_, matmul, acc): &(&str, Matmul, AccMatmulAt)| {
+                let mut out = vec![0.0f32; m * n];
+                let (lo, hi) = out.split_at_mut(m / 2 * n);
+                matmul(&a, &b, k, n, 0..m / 2, lo);
+                matmul(&a, &b, k, n, m / 2..m, hi);
+                let mut gw = buf(k * n, 8);
+                let (lo, hi) = gw.split_at_mut(k / 2 * n);
+                acc(&a, &d, m, k, n, 0..k / 2, lo);
+                acc(&a, &d, m, k, n, k / 2..k, hi);
+                out.extend(gw);
+                out.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
+            };
+            let want = run(&all[0]);
+            for inst in &all[1..] {
+                assert!(run(inst) == want, "{} differs from scalar at {m}x{k}x{n}", inst.0);
+            }
+        }
+    }
 
     #[test]
     fn drift_matmul_is_bounded_reassociation() {

@@ -44,7 +44,7 @@ pub use executor::{
 };
 pub use kernels::{
     flops_total, kernel_stats, kernel_threads, set_kernel_threads, set_simd, simd_active,
-    simd_available,
+    simd_available, simd_level,
 };
 pub use lm::{train_lm, train_lm_on, LmSetup};
 pub use mics_compress::{CompressionConfig, QuantScheme};

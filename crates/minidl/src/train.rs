@@ -113,13 +113,18 @@ pub struct TrainOutcome {
 /// Training results compare on *what was computed*, never on how long it
 /// took: [`TrainOutcome::lane_stats`] carries wall-clock measurements that
 /// differ between two otherwise bit-identical runs, so equality covers
-/// every field except it.
+/// every field except it. Floats compare by their bits, so `-0.0` differs
+/// from `+0.0` and a NaN equals the same NaN: equal outcomes are
+/// bit-identical ones.
 impl PartialEq for TrainOutcome {
     fn eq(&self, other: &Self) -> bool {
-        self.losses == other.losses
-            && self.final_params == other.final_params
+        let same = |a: &[f32], b: &[f32]| {
+            a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+        };
+        same(&self.losses, &other.losses)
+            && same(&self.final_params, &other.final_params)
             && self.skipped_steps == other.skipped_steps
-            && self.final_loss_scale == other.final_loss_scale
+            && self.final_loss_scale.to_bits() == other.final_loss_scale.to_bits()
             && self.wire_ops == other.wire_ops
     }
 }
@@ -698,6 +703,26 @@ mod tests {
             comm_quant: None,
             prefetch_depth: 0,
         }
+    }
+
+    #[test]
+    fn outcomes_compare_floats_by_bits() {
+        let outcome = |x: f32| TrainOutcome {
+            losses: vec![1.0, x],
+            final_params: vec![x],
+            skipped_steps: 0,
+            final_loss_scale: x,
+            wire_ops: vec![0, 1],
+            lane_stats: LaneStats::default(),
+        };
+        assert_eq!(outcome(f32::NAN), outcome(f32::NAN), "a NaN equals the same NaN");
+        assert_ne!(outcome(0.0), outcome(-0.0), "the zeros' signs differ");
+        let mut params = outcome(0.0);
+        params.final_params[0] = -0.0;
+        assert_ne!(params, outcome(0.0), "final_params compare by bits");
+        let mut scale = outcome(0.0);
+        scale.final_loss_scale = -0.0;
+        assert_ne!(scale, outcome(0.0), "final_loss_scale compares by bits");
     }
 
     #[test]

@@ -340,10 +340,14 @@ fn runtime_detection_engages_simd_and_fallback_paths() {
     let b = buf(64 * 64, 2);
 
     let (simd_before, fallback_before) = (stat("kernel.simd_calls"), stat("kernel.fallback_calls"));
+    let avx512_before = stat("kernel.avx512_calls");
     let auto = kernels::matmul(&a, &b, 64, 64, 64);
     if kernels::simd_available() {
         assert!(kernels::simd_active(), "autodetection must engage SIMD where available");
         assert!(stat("kernel.simd_calls") > simd_before, "SIMD path did not run");
+        if kernels::simd_level() == "avx512" {
+            assert!(stat("kernel.avx512_calls") > avx512_before, "AVX-512 path did not run");
+        }
     } else {
         assert!(!kernels::simd_active());
         assert!(stat("kernel.fallback_calls") > fallback_before, "fallback path did not run");
@@ -359,10 +363,11 @@ fn runtime_detection_engages_simd_and_fallback_paths() {
     // The worker pool dispatches when the thread override asks for
     // parallelism and the kernel is large enough to amortize it.
     kernels::set_kernel_threads(Some(5));
+    let (a, b) = (buf(128 * 128, 1), buf(128 * 128, 2));
     let dispatches_before = stat("kernel.pool_dispatches");
-    let _ = kernels::matmul(&a, &b, 64, 64, 64);
+    let _ = kernels::matmul(&a, &b, 128, 128, 128);
     assert!(
         stat("kernel.pool_dispatches") > dispatches_before,
-        "5-thread override on a 64³ matmul must use the pool"
+        "5-thread override on a 128³ matmul must use the pool"
     );
 }

@@ -288,10 +288,13 @@ fn ext_overlap_artifact_matches_its_claims() {
 /// bench itself asserts at generation time: on the SIMD host that produced
 /// it, the v2 dispatch beats the v1 blocked kernels ≥ 2× on both GEMM
 /// shapes of `matmul` and `matmul_bt`, and every variant column carries a
-/// positive best-of-N timing for all six kernels.
+/// positive best-of-N timing for all six kernels. It names the SIMD level
+/// that produced those timings.
 #[test]
 fn bench_kernels_artifact_matches_its_claims() {
     let doc = parse(&results_dir().join("BENCH_kernels.json"));
+    let simd = doc.get("simd").and_then(Json::as_str).expect("the artifact names its SIMD level");
+    assert!(["avx512", "avx2", "scalar"].contains(&simd), "unknown SIMD level {simd}");
     let headers = doc.get("headers").and_then(Json::as_arr).unwrap();
     let col = |name: &str| {
         headers
