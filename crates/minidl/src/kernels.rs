@@ -83,7 +83,7 @@ use std::sync::OnceLock;
 
 /// Register-block height: rows of the reduction dimension fused per pass.
 const UNROLL: usize = 4;
-/// Cache tile for the reduction dimension of [`matmul`].
+/// Cache tile for the reduction steps of [`matmul`] and [`acc_matmul_at`].
 const KC: usize = 256;
 /// Vector width of the 8-lane backends.
 const LANES: usize = 8;
