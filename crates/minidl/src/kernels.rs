@@ -859,6 +859,20 @@ mod body {
         c: &mut [f32],
     ) {
         let rows = c.len().checked_div(n).unwrap_or(0);
+        if rows == 0 || steps == 0 {
+            return;
+        }
+        // What `strip` reads without a check: `y` rows `..steps`, and `x`
+        // up to its last row's last step. `c` holds `rows` rows of `n`.
+        assert!(
+            steps.checked_mul(n).is_some_and(|end| end <= y.len()),
+            "y has fewer than `steps` rows"
+        );
+        let last = (rows - 1).checked_mul(x.row).zip((steps - 1).checked_mul(x.step));
+        assert!(
+            last.and_then(|(r, s)| r.checked_add(s)).is_some_and(|i| i < x.data.len()),
+            "x has fewer than `rows` rows of `steps`"
+        );
         for s0 in (0..steps).step_by(KC) {
             let tile = s0..(s0 + KC).min(steps);
             let mut r0 = row_tiles::<L, R>(x, y, n, &tile, 0, rows, c);
@@ -899,8 +913,7 @@ mod body {
     }
 
     /// One `R`-row × `V`-vector tile at rows `r0..r0 + R`, columns from
-    /// `j`, vector `v` covering `lens[v]` lanes, over the steps of `tile`
-    /// (not empty).
+    /// `j`, vector `v` covering `lens[v]` lanes, over the steps of `tile`.
     #[allow(clippy::too_many_arguments)]
     #[inline(always)]
     fn strip<L: Lanes, const R: usize, const V: usize>(
@@ -913,8 +926,6 @@ mod body {
         lens: [usize; V],
         c: &mut [f32],
     ) {
-        // Every `x` index below is at most this one.
-        assert!((r0 + R - 1) * x.row + (tile.end - 1) * x.step < x.data.len());
         let at = |v: usize| j + v * L::W;
         let mut acc = [[L::zero(); V]; R];
         for (r, row) in acc.iter_mut().enumerate() {
@@ -928,8 +939,8 @@ mod body {
                 *yv = L::ld_n(y, s * n + at(v), lens[v]);
             }
             for (r, row) in acc.iter_mut().enumerate() {
-                // SAFETY: at most the index asserted above, since
-                // `r < R` and `s < tile.end`.
+                // SAFETY: `r0 + r < rows` and `s < steps`, so the index is
+                // at most the last one, which `gemm_tiles` asserted in bounds.
                 let xv = L::splat(unsafe { *x.data.get_unchecked((r0 + r) * x.row + s * x.step) });
                 for (a, &yv) in row.iter_mut().zip(&ys) {
                     *a = L::fma(xv, yv, *a);
@@ -2274,6 +2285,20 @@ mod tests {
                 assert!(run(inst) == want, "{} differs from scalar at {m}x{k}x{n}", inst.0);
             }
         }
+    }
+
+    /// The SIMD bodies read their operands unchecked behind one bounds
+    /// check per call, so a short operand panics, in release too.
+    #[test]
+    #[should_panic]
+    fn matmul_with_a_short_right_operand_panics() {
+        let _ = matmul(&[1.0; 32], &[1.0; 63], 4, 8, 8);
+    }
+
+    #[test]
+    #[should_panic]
+    fn acc_matmul_at_with_a_short_left_operand_panics() {
+        acc_matmul_at(&[1.0; 31], &[1.0; 32], 4, 8, 8, &mut [0.0; 64]);
     }
 
     #[test]
