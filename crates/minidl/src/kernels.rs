@@ -332,10 +332,6 @@ trait Lanes8: Lanes {
     /// Horizontal sum via the fixed tree `(q0+q2) + (q1+q3)` over
     /// `q_l = v_l + v_{l+4}`.
     fn hsum(v: Self::V) -> f32;
-    /// `hsum` of each of eight vectors: the same tree, node for node.
-    fn hsum8(v: [Self::V; 8]) -> [f32; 8] {
-        v.map(Self::hsum)
-    }
 }
 
 /// Portable backend: `[f32; 8]` with per-lane `mul_add`. This is the
@@ -515,42 +511,6 @@ mod avx {
                 let h = _mm_add_ps(q, r); // (q0+q2, q1+q3, ..)
                 let s = _mm_add_ss(h, _mm_shuffle_ps(h, h, 0b01));
                 _mm_cvtss_f32(s)
-            }
-        }
-
-        /// The eight trees side by side: each add below is one level of
-        /// `hsum`'s tree for two, four or eight of the vectors at once,
-        /// with the same operands in the same order.
-        #[inline(always)]
-        fn hsum8(v: [__m256; 8]) -> [f32; 8] {
-            // SAFETY: callers are gated on runtime AVX2+FMA detection.
-            unsafe {
-                // [q(v_a) | q(v_b)] per 128-bit half, q_l = v_l + v_{l+4}.
-                let q = |a: __m256, b: __m256| {
-                    _mm256_add_ps(
-                        _mm256_permute2f128_ps(a, b, 0x20),
-                        _mm256_permute2f128_ps(a, b, 0x31),
-                    )
-                };
-                let (q01, q23, q45, q67) =
-                    (q(v[0], v[1]), q(v[2], v[3]), q(v[4], v[5]), q(v[6], v[7]));
-                // (q0+q2, q1+q3) of two vectors per half.
-                let h = |a: __m256, b: __m256| {
-                    _mm256_add_ps(
-                        _mm256_shuffle_ps(a, b, 0b01_00_01_00),
-                        _mm256_shuffle_ps(a, b, 0b11_10_11_10),
-                    )
-                };
-                let (h0123, h4567) = (h(q01, q23), h(q45, q67));
-                // (q0+q2) + (q1+q3): lanes hold vectors 0, 2, 4, 6 | 1, 3, 5, 7.
-                let s = _mm256_add_ps(
-                    _mm256_shuffle_ps(h0123, h4567, 0b10_00_10_00),
-                    _mm256_shuffle_ps(h0123, h4567, 0b11_01_11_01),
-                );
-                let s = _mm256_permutevar8x32_ps(s, _mm256_setr_epi32(0, 4, 1, 5, 2, 6, 3, 7));
-                let mut out = [0.0f32; 8];
-                _mm256_storeu_ps(out.as_mut_ptr(), s);
-                out
             }
         }
     }
@@ -859,19 +819,11 @@ mod body {
         c: &mut [f32],
     ) {
         let rows = c.len().checked_div(n).unwrap_or(0);
-        if rows == 0 || steps == 0 {
-            return;
-        }
-        // What `strip` reads without a check: `y` rows `..steps`, and `x`
-        // up to its last row's last step. `c` holds `rows` rows of `n`.
+        // `strip`'s whole-vector loads of `y` rows `..steps` are unchecked
+        // in release; `c` holds `rows` rows of `n`.
         assert!(
             steps.checked_mul(n).is_some_and(|end| end <= y.len()),
             "y has fewer than `steps` rows"
-        );
-        let last = (rows - 1).checked_mul(x.row).zip((steps - 1).checked_mul(x.step));
-        assert!(
-            last.and_then(|(r, s)| r.checked_add(s)).is_some_and(|i| i < x.data.len()),
-            "x has fewer than `rows` rows of `steps`"
         );
         for s0 in (0..steps).step_by(KC) {
             let tile = s0..(s0 + KC).min(steps);
@@ -939,9 +891,7 @@ mod body {
                 *yv = L::ld_n(y, s * n + at(v), lens[v]);
             }
             for (r, row) in acc.iter_mut().enumerate() {
-                // SAFETY: `r0 + r < rows` and `s < steps`, so the index is
-                // at most the last one, which `gemm_tiles` asserted in bounds.
-                let xv = L::splat(unsafe { *x.data.get_unchecked((r0 + r) * x.row + s * x.step) });
+                let xv = L::splat(x.data[(r0 + r) * x.row + s * x.step]);
                 for (a, &yv) in row.iter_mut().zip(&ys) {
                     *a = L::fma(xv, yv, *a);
                 }
@@ -1007,8 +957,8 @@ mod body {
                     v13 = L::fma(x1, y3, v13);
                     j += LANES;
                 }
-                let s = L::hsum8([v00, v01, v02, v03, v10, v11, v12, v13]);
-                let (mut s0, mut s1) = ([s[0], s[1], s[2], s[3]], [s[4], s[5], s[6], s[7]]);
+                let mut s0 = [L::hsum(v00), L::hsum(v01), L::hsum(v02), L::hsum(v03)];
+                let mut s1 = [L::hsum(v10), L::hsum(v11), L::hsum(v12), L::hsum(v13)];
                 while j < n {
                     for (r, brow) in [b0, b1, b2, b3].into_iter().enumerate() {
                         s0[r] = d0[j].mul_add(brow[j], s0[r]);
@@ -2287,7 +2237,7 @@ mod tests {
         }
     }
 
-    /// The SIMD bodies read their operands unchecked behind one bounds
+    /// The SIMD bodies load the right operand unchecked behind one bounds
     /// check per call, so a short operand panics, in release too.
     #[test]
     #[should_panic]

@@ -169,6 +169,15 @@ fn bits(xs: &[f32]) -> Vec<u32> {
     xs.iter().map(|x| x.to_bits()).collect()
 }
 
+/// The kernel counter `name`.
+fn stat(name: &str) -> u64 {
+    kernels::kernel_stats()
+        .into_iter()
+        .find(|(n, _)| n == name)
+        .map(|(_, v)| v)
+        .unwrap_or_else(|| panic!("missing counter {name}"))
+}
+
 /// (a) + (b): every shape, every knob configuration — tolerance against the
 /// scalar reference, exact bits against the canonical (scalar, 1-thread)
 /// dispatch. FMA legitimately shifts low bits vs the unfused reference, so
@@ -199,6 +208,59 @@ fn dispatch_matches_reference_and_is_bit_stable_across_knobs() {
             );
             kernels::set_simd(Some(false));
             kernels::set_kernel_threads(Some(1));
+        }
+    }
+}
+
+/// (b) across the pool's split: each public kernel, at a shape whose work
+/// fans out at 2 and at 5 threads (odd row counts, so the chunks are
+/// uneven and split the row pairs and tiles), gives its one-thread bits,
+/// SIMD off and on.
+#[test]
+fn pool_split_kernels_give_the_one_thread_bits() {
+    let _knobs = configure(None, Some(1));
+    type Kernel = fn() -> Vec<f32>;
+    let calls: [(&str, Kernel); 7] = [
+        ("matmul", || kernels::matmul(&buf(37 * 300, 1), &buf(300 * 497, 2), 37, 300, 497)),
+        ("matmul_bt", || kernels::matmul_bt(&buf(37 * 300, 1), &buf(497 * 300, 2), 37, 300, 497)),
+        ("acc_matmul_at", || {
+            let mut gw = buf(37 * 497, 3);
+            kernels::acc_matmul_at(&buf(300 * 37, 1), &buf(300 * 497, 2), 300, 37, 497, &mut gw);
+            gw
+        }),
+        ("matvec_bias", || {
+            kernels::matvec_bias(&buf(1777 * 1783, 1), &buf(1777, 2), &buf(1783, 3), 1777, 1783)
+        }),
+        ("matvec_t", || kernels::matvec_t(&buf(1777 * 1783, 1), &buf(1777, 2), 1777, 1783)),
+        ("acc_outer", || {
+            let mut gw = buf(1777 * 1783, 1);
+            kernels::acc_outer(&buf(1777, 2), &buf(1783, 3), &mut gw);
+            gw
+        }),
+        ("add_bias_rows", || {
+            let mut rows = buf(2531 * 2503, 1);
+            kernels::add_bias_rows(&mut rows, &buf(2503, 2), 2531, 2503);
+            rows
+        }),
+    ];
+    for (name, call) in calls {
+        for simd in [Some(false), Some(true)] {
+            kernels::set_simd(simd);
+            kernels::set_kernel_threads(Some(1));
+            let want = bits(&call());
+            for threads in [2, 5] {
+                kernels::set_kernel_threads(Some(threads));
+                let before = stat("kernel.pool_dispatches");
+                let got = call();
+                assert!(
+                    stat("kernel.pool_dispatches") > before,
+                    "{name} ran inline at {threads} threads"
+                );
+                assert!(
+                    bits(&got) == want,
+                    "{name}: simd={simd:?} threads={threads} drifted from the one-thread bits"
+                );
+            }
         }
     }
 }
@@ -329,13 +391,6 @@ fn lm_training_is_byte_identical_across_simd_and_thread_knobs() {
 fn runtime_detection_engages_simd_and_fallback_paths() {
     let _knobs = configure(None, Some(1));
     kernels::init();
-    let stat = |name: &str| {
-        kernels::kernel_stats()
-            .into_iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, v)| v)
-            .unwrap_or_else(|| panic!("missing counter {name}"))
-    };
     let a = buf(64 * 64, 1);
     let b = buf(64 * 64, 2);
 
