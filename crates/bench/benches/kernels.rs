@@ -219,12 +219,11 @@ fn main() {
         fill(&mut table, "acc_matmul_at", shape, v);
     }
 
-    // MLP-shaped matvec/outer kernels.
+    // The MLP's forward matvec.
     let (out_dim, in_dim) = (256, 256);
     let w = buf(out_dim * in_dim, 4);
     let bias = buf(out_dim, 5);
     let x = buf(in_dim, 6);
-    let dv = buf(out_dim, 7);
     let shape = format!("{out_dim}x{in_dim}");
 
     let v = measure(
@@ -245,38 +244,7 @@ fn main() {
             black_box(kernels::matvec_bias(black_box(&w), &bias, black_box(&x), out_dim, in_dim));
         },
     );
-    fill(&mut table, "matvec_bias", shape.clone(), v);
-
-    let v = measure(
-        50,
-        || {
-            black_box(kernels::reference::matvec_t(black_box(&w), black_box(&dv), out_dim, in_dim));
-        },
-        || {
-            black_box(blocked::matvec_t(black_box(&w), black_box(&dv), out_dim, in_dim));
-        },
-        || {
-            black_box(kernels::matvec_t(black_box(&w), black_box(&dv), out_dim, in_dim));
-        },
-    );
-    fill(&mut table, "matvec_t", shape.clone(), v);
-
-    let mut g1 = buf(out_dim * in_dim, 8);
-    let mut g2 = g1.clone();
-    let mut g3 = g1.clone();
-    let v = measure(
-        50,
-        || {
-            kernels::reference::acc_outer(black_box(&dv), black_box(&x), black_box(&mut g1));
-        },
-        || {
-            blocked::acc_outer(black_box(&dv), black_box(&x), black_box(&mut g2));
-        },
-        || {
-            kernels::acc_outer(black_box(&dv), black_box(&x), black_box(&mut g3));
-        },
-    );
-    fill(&mut table, "acc_outer", shape, v);
+    fill(&mut table, "matvec_bias", shape, v);
 
     for &(t, d, h) in ATTENTION_SHAPES {
         let (q, k, v) = (&buf(t * d, 9), &buf(t * d, 10), &buf(t * d, 11));

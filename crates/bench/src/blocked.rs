@@ -164,45 +164,6 @@ pub fn matvec_bias(w: &[f32], bias: &[f32], x: &[f32], out_dim: usize, in_dim: u
     out
 }
 
-/// Blocked `wᵀ·d`: four weight rows fuse into one pass over the
-/// accumulator stream.
-pub fn matvec_t(w: &[f32], d: &[f32], out_dim: usize, in_dim: usize) -> Vec<f32> {
-    debug_assert_eq!(w.len(), out_dim * in_dim);
-    debug_assert_eq!(d.len(), out_dim);
-    let mut out = vec![0.0f32; in_dim];
-    let mut o = 0;
-    while o + UNROLL <= out_dim {
-        let (d0, d1, d2, d3) = (d[o], d[o + 1], d[o + 2], d[o + 3]);
-        let w0 = &w[o * in_dim..(o + 1) * in_dim];
-        let w1 = &w[(o + 1) * in_dim..(o + 2) * in_dim];
-        let w2 = &w[(o + 2) * in_dim..(o + 3) * in_dim];
-        let w3 = &w[(o + 3) * in_dim..(o + 4) * in_dim];
-        for (i, ov) in out.iter_mut().enumerate() {
-            *ov += d0 * w0[i] + d1 * w1[i] + d2 * w2[i] + d3 * w3[i];
-        }
-        o += UNROLL;
-    }
-    while o < out_dim {
-        let dv = d[o];
-        let row = &w[o * in_dim..(o + 1) * in_dim];
-        for (ov, &wv) in out.iter_mut().zip(row.iter()) {
-            *ov += dv * wv;
-        }
-        o += 1;
-    }
-    out
-}
-
-/// Blocked outer-product accumulation (already unit-stride).
-pub fn acc_outer(d: &[f32], x: &[f32], gw: &mut [f32]) {
-    debug_assert_eq!(gw.len(), d.len() * x.len());
-    for (grow, &dv) in gw.chunks_exact_mut(x.len()).zip(d.iter()) {
-        for (gv, &xv) in grow.iter_mut().zip(x.iter()) {
-            *gv += dv * xv;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -24,11 +24,12 @@
 //! change a bit. They share one register tile, generic over the lane width
 //! and a const tile height: 8 rows × 32 columns (16 accumulators) on
 //! AVX-512, 4 × 16 on AVX2 and the fallback, the last columns in masked
-//! partial vectors. On AVX-512 hosts they run 16 lanes.
+//! partial vectors. On AVX-512 hosts they run 16 lanes. Both models run
+//! them: the MLP's backward is `matmul` and `acc_matmul_at` at one row.
 //!
 //! The other kernels stay at 8 lanes (`Lanes8`, which `Avx512Lanes` does
-//! not implement). `matmul_bt` and the matvecs fix their association with
-//! the 8-lane `hsum` tree, so a wider vector would change their bits;
+//! not implement). `matmul_bt` and `matvec_bias` fix their association
+//! with the 8-lane `hsum` tree, so a wider vector would change their bits;
 //! attention is bound by its scalar `exp`, not by its lanes.
 //!
 //! Because every backend of a kernel runs the *same* generic body — same
@@ -71,7 +72,7 @@
 //! [`mics_trace::Recorder`] is enabled each kernel also emits a span, a
 //! `kernel GFLOP/s` counter track and a `tile queue depth` gauge into the
 //! same merged Perfetto timeline as the executor's lanes and wires. FLOP
-//! accounting is GEMM-only: the matmul and matvec families count
+//! accounting is GEMM-only: the matmuls and `matvec_bias` count
 //! `2·m·k·n`-style FLOPs, while the attention kernels count calls and
 //! their path but add nothing to `kernel.flops`, so the budgets and
 //! per-unit FLOP figures denominated in it do not move with them.
@@ -573,27 +574,6 @@ mod avx {
         out: &mut [f32],
     ) {
         body::matvec_bias_rows::<AvxLanes>(w, bias, x, in_dim, os, out)
-    }
-
-    /// # Safety
-    /// The host must support AVX2 and FMA (checked by [`super::simd_active`]).
-    #[target_feature(enable = "avx2,fma")]
-    pub(super) unsafe fn matvec_t_cols(
-        w: &[f32],
-        d: &[f32],
-        out_dim: usize,
-        in_dim: usize,
-        cols: Range<usize>,
-        out: &mut [f32],
-    ) {
-        body::matvec_t_cols::<AvxLanes>(w, d, out_dim, in_dim, cols, out)
-    }
-
-    /// # Safety
-    /// The host must support AVX2 and FMA (checked by [`super::simd_active`]).
-    #[target_feature(enable = "avx2,fma")]
-    pub(super) unsafe fn acc_outer_rows(d: &[f32], x: &[f32], rows: Range<usize>, gw: &mut [f32]) {
-        body::acc_outer_rows::<AvxLanes>(d, x, rows, gw)
     }
 
     /// # Safety
@@ -1279,94 +1259,6 @@ mod body {
         }
     }
 
-    /// `out[i] = Σₒ w[o][i]·d[o]` for `i ∈ cols`: four weight rows fuse
-    /// into one pass over the accumulator stream, restricted to the
-    /// `cols` slice of the output. `out` covers `cols` and is pre-zeroed.
-    #[inline(always)]
-    pub(super) fn matvec_t_cols<L: Lanes8>(
-        w: &[f32],
-        d: &[f32],
-        out_dim: usize,
-        in_dim: usize,
-        cols: Range<usize>,
-        out: &mut [f32],
-    ) {
-        debug_assert_eq!(out.len(), cols.len());
-        let width = cols.len();
-        let mut o = 0;
-        while o + UNROLL <= out_dim {
-            let (vd0, vd1, vd2, vd3) =
-                (L::splat(d[o]), L::splat(d[o + 1]), L::splat(d[o + 2]), L::splat(d[o + 3]));
-            let w0 = &w[o * in_dim + cols.start..o * in_dim + cols.end];
-            let w1 = &w[(o + 1) * in_dim + cols.start..(o + 1) * in_dim + cols.end];
-            let w2 = &w[(o + 2) * in_dim + cols.start..(o + 2) * in_dim + cols.end];
-            let w3 = &w[(o + 3) * in_dim + cols.start..(o + 3) * in_dim + cols.end];
-            let mut j = 0;
-            while j + LANES <= width {
-                let mut acc = L::ld(out, j);
-                acc = L::fma(vd0, L::ld(w0, j), acc);
-                acc = L::fma(vd1, L::ld(w1, j), acc);
-                acc = L::fma(vd2, L::ld(w2, j), acc);
-                acc = L::fma(vd3, L::ld(w3, j), acc);
-                L::st(out, j, acc);
-                j += LANES;
-            }
-            while j < width {
-                let mut ov = out[j];
-                ov = d[o].mul_add(w0[j], ov);
-                ov = d[o + 1].mul_add(w1[j], ov);
-                ov = d[o + 2].mul_add(w2[j], ov);
-                ov = d[o + 3].mul_add(w3[j], ov);
-                out[j] = ov;
-                j += 1;
-            }
-            o += UNROLL;
-        }
-        while o < out_dim {
-            let dv = d[o];
-            let vd = L::splat(dv);
-            let row = &w[o * in_dim + cols.start..o * in_dim + cols.end];
-            let mut j = 0;
-            while j + LANES <= width {
-                L::st(out, j, L::fma(vd, L::ld(row, j), L::ld(out, j)));
-                j += LANES;
-            }
-            while j < width {
-                out[j] = dv.mul_add(row[j], out[j]);
-                j += 1;
-            }
-            o += 1;
-        }
-    }
-
-    /// Accumulate `d[rows] ⊗ x` into the `rows` slice of `gw`: one
-    /// 8-wide saxpy per output row. `gw` covers `rows`
-    /// (`rows.len() × x.len()`).
-    #[inline(always)]
-    pub(super) fn acc_outer_rows<L: Lanes8>(
-        d: &[f32],
-        x: &[f32],
-        rows: Range<usize>,
-        gw: &mut [f32],
-    ) {
-        let n = x.len();
-        debug_assert_eq!(gw.len(), rows.len() * n);
-        for (ri, o) in rows.clone().enumerate() {
-            let dv = d[o];
-            let vd = L::splat(dv);
-            let grow = &mut gw[ri * n..(ri + 1) * n];
-            let mut j = 0;
-            while j + LANES <= n {
-                L::st(grow, j, L::fma(vd, L::ld(x, j), L::ld(grow, j)));
-                j += LANES;
-            }
-            while j < n {
-                grow[j] = dv.mul_add(x[j], grow[j]);
-                j += 1;
-            }
-        }
-    }
-
     /// `xs[r] += bias` for each row `r ∈ rows`: 8-wide adds plus scalar
     /// tail. `xs` covers `rows` (`rows.len() × n`).
     #[inline(always)]
@@ -1717,53 +1609,6 @@ pub fn matvec_bias(w: &[f32], bias: &[f32], x: &[f32], out_dim: usize, in_dim: u
     out
 }
 
-/// `out[i] = Σₒ w[o][i] · d[o]` (`wᵀ·d`, the backward input gradient):
-/// four weight rows fuse into one pass, parallel over output *columns*
-/// (the reduction over `o` stays whole per element).
-pub fn matvec_t(w: &[f32], d: &[f32], out_dim: usize, in_dim: usize) -> Vec<f32> {
-    debug_assert_eq!(w.len(), out_dim * in_dim);
-    debug_assert_eq!(d.len(), out_dim);
-    let mut out = vec![0.0f32; in_dim];
-    let path = path(false);
-    let base = OutPtr(out.as_mut_ptr());
-    record("matvec_t", 2 * (out_dim * in_dim) as u64, path, || {
-        pool::run(in_dim, 2 * out_dim, &move |cols: Range<usize>| {
-            // SAFETY: disjoint ranges of a live allocation.
-            let o = unsafe { base.window(cols.start, cols.len()) };
-            #[cfg(target_arch = "x86_64")]
-            if path == Path::Avx2 {
-                // SAFETY: `path` verified AVX2+FMA on this host.
-                unsafe { avx::matvec_t_cols(w, d, out_dim, in_dim, cols, o) };
-                return;
-            }
-            body::matvec_t_cols::<ScalarLanes>(w, d, out_dim, in_dim, cols, o);
-        });
-    });
-    out
-}
-
-/// Accumulate the outer product `d ⊗ x` into `gw[out×in]`: one 8-wide
-/// row saxpy per output, parallel over output rows.
-pub fn acc_outer(d: &[f32], x: &[f32], gw: &mut [f32]) {
-    debug_assert_eq!(gw.len(), d.len() * x.len());
-    let n = x.len();
-    let path = path(false);
-    let base = OutPtr(gw.as_mut_ptr());
-    record("acc_outer", 2 * (d.len() * n) as u64, path, || {
-        pool::run(d.len(), 2 * n, &move |rows: Range<usize>| {
-            // SAFETY: disjoint row ranges of a live allocation.
-            let g = unsafe { base.window(rows.start * n, rows.len() * n) };
-            #[cfg(target_arch = "x86_64")]
-            if path == Path::Avx2 {
-                // SAFETY: `path` verified AVX2+FMA on this host.
-                unsafe { avx::acc_outer_rows(d, x, rows, g) };
-                return;
-            }
-            body::acc_outer_rows::<ScalarLanes>(d, x, rows, g);
-        });
-    });
-}
-
 /// `xs[r·n..][..n] += bias` for every row `r < m`: the broadcast bias add
 /// the transformer previously did with scalar double loops, parallel
 /// over rows. Pure per-lane adds, so it is trivially bit-stable.
@@ -1948,28 +1793,6 @@ pub mod reference {
             *ov = s;
         }
         out
-    }
-
-    /// Naive `wᵀ·d`, sequential saxpy over weight rows.
-    pub fn matvec_t(w: &[f32], d: &[f32], out_dim: usize, in_dim: usize) -> Vec<f32> {
-        let mut out = vec![0.0f32; in_dim];
-        for o in 0..out_dim {
-            let row = &w[o * in_dim..(o + 1) * in_dim];
-            for (ov, &wv) in out.iter_mut().zip(row.iter()) {
-                *ov += d[o] * wv;
-            }
-        }
-        out
-    }
-
-    /// Naive outer-product accumulation into `gw[out×in]`.
-    pub fn acc_outer(d: &[f32], x: &[f32], gw: &mut [f32]) {
-        debug_assert_eq!(gw.len(), d.len() * x.len());
-        for (o, &dv) in d.iter().enumerate() {
-            for (i, &xv) in x.iter().enumerate() {
-                gw[o * x.len() + i] += dv * xv;
-            }
-        }
     }
 
     /// Causal multi-head self-attention forward as scalar loops: returns
@@ -2298,18 +2121,11 @@ mod tests {
             let w = buf(out_dim * in_dim, 8);
             let bias = buf(out_dim, 9);
             let x = buf(in_dim, 10);
-            let d = buf(out_dim, 11);
             assert_close(
                 &matvec_bias(&w, &bias, &x, out_dim, in_dim),
                 &reference::matvec_bias(&w, &bias, &x, out_dim, in_dim),
                 1e-5,
                 "matvec_bias",
-            );
-            assert_close(
-                &matvec_t(&w, &d, out_dim, in_dim),
-                &reference::matvec_t(&w, &d, out_dim, in_dim),
-                1e-5,
-                "matvec_t",
             );
         }
     }
@@ -2326,22 +2142,6 @@ mod tests {
         let mut gw = vec![0.0f32; k * n];
         acc_matmul_at(&a, &buf(m * n, 13), m, k, n, &mut gw);
         assert!(gw.iter().all(|&v| v == 0.0));
-    }
-
-    #[test]
-    fn acc_outer_matches_manual_expansion() {
-        // v2 accumulates with fused mul_add, so the expected value uses
-        // the same single-rounding operation.
-        let d = buf(5, 14);
-        let x = buf(7, 15);
-        let mut gw = buf(35, 16);
-        let before = gw.clone();
-        acc_outer(&d, &x, &mut gw);
-        for o in 0..5 {
-            for i in 0..7 {
-                assert_eq!(gw[o * 7 + i], d[o].mul_add(x[i], before[o * 7 + i]));
-            }
-        }
     }
 
     #[test]

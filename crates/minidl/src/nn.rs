@@ -3,8 +3,14 @@
 //! Parameters live in one flat `Vec<f32>` (layer by layer: weight matrix in
 //! row-major `out × in` order, then bias), which makes ZeRO/MiCS-style flat
 //! sharding trivial and keeps every schedule numerically comparable.
+//!
+//! One sample runs through the stage functions: [`Mlp::stage_forward`] and
+//! [`Mlp::stage_backward`] over a layer slice, the whole network being the
+//! slice `0..num_layers`. The forward is `matvec_bias` per layer; the
+//! backward runs on the transformer's GEMMs at one row, `matmul` for
+//! `Wᵀ·δ` and `acc_matmul_at` for `δ ⊗ h`.
 
-use crate::kernels::{acc_outer, matvec_bias, matvec_t};
+use crate::kernels::{acc_matmul_at, matmul, matvec_bias};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -75,7 +81,7 @@ impl Mlp {
     /// the slice's own parameters (layout of [`Mlp::stage_param_range`]).
     /// Activation boundaries follow the *global* layer indices: `tanh`
     /// everywhere except after the network's final layer, so stacking the
-    /// slices reproduces [`Mlp::forward`] bit-for-bit.
+    /// slices reproduces the whole network's forward bit-for-bit.
     pub fn stage_forward(
         &self,
         stage_params: &[f32],
@@ -110,8 +116,8 @@ impl Mlp {
     /// *output*, accumulate the slice's parameter gradients into `grad`
     /// (slice layout) and return the gradient w.r.t. the slice *input* —
     /// the tensor the pipeline sends to the previous stage (empty when
-    /// `lo == 0`; there is no upstream). Identical operation order to
-    /// [`Mlp::backward`] restricted to the slice.
+    /// `lo == 0`; there is no upstream). Stacking the slices backward
+    /// reproduces the whole network's gradient bit-for-bit.
     pub fn stage_backward(
         &self,
         stage_params: &[f32],
@@ -130,26 +136,22 @@ impl Mlp {
             let off = self.layer_offset(l) - base;
             let w = &stage_params[off..off + fan_out * fan_in];
             let h = &acts[l - lo];
+            // tanh' applied to this layer's output (hidden layers only).
             if l + 1 < self.num_layers() {
                 let out = &acts[l + 1 - lo];
                 for (d, o) in delta.iter_mut().zip(out.iter()) {
                     *d *= 1.0 - o * o;
                 }
             }
+            // dW = delta ⊗ h, db = delta.
             let (gw, gb) =
                 grad[off..off + fan_out * fan_in + fan_out].split_at_mut(fan_out * fan_in);
-            acc_outer(&delta, h, gw);
+            acc_matmul_at(&delta, h, 1, fan_out, fan_in, gw);
             for (gbo, &d) in gb.iter_mut().zip(delta.iter()) {
                 *gbo += d;
             }
-            if l > lo {
-                delta = matvec_t(w, &delta, fan_out, fan_in);
-            } else if lo > 0 {
-                // The boundary gradient the previous stage consumes.
-                delta = matvec_t(w, &delta, fan_out, fan_in);
-            } else {
-                delta = Vec::new();
-            }
+            // Propagate: delta_prev = Wᵀ delta.
+            delta = if l > 0 { matmul(&delta, w, 1, fan_out, fan_in) } else { Vec::new() };
         }
         delta
     }
@@ -169,66 +171,9 @@ impl Mlp {
         params
     }
 
-    /// Forward pass for one sample; returns all layer activations (including
-    /// the input) for use by [`Mlp::backward`].
-    pub fn forward(&self, params: &[f32], x: &[f32]) -> Vec<Vec<f32>> {
-        assert_eq!(params.len(), self.num_params(), "parameter length mismatch");
-        assert_eq!(x.len(), self.input_dim(), "input length mismatch");
-        let mut acts = Vec::with_capacity(self.dims.len());
-        acts.push(x.to_vec());
-        for l in 0..self.num_layers() {
-            let (fan_in, fan_out) = (self.dims[l], self.dims[l + 1]);
-            let off = self.layer_offset(l);
-            let (w, b) = params[off..].split_at(fan_out * fan_in);
-            let b = &b[..fan_out];
-            let h = &acts[l];
-            let mut z = matvec_bias(w, b, h, fan_out, fan_in);
-            if l + 1 < self.num_layers() {
-                for zo in z.iter_mut() {
-                    *zo = zo.tanh();
-                }
-            }
-            acts.push(z);
-        }
-        acts
-    }
-
-    /// Network output for one sample (last activation of [`Mlp::forward`]).
+    /// Network output for one sample.
     pub fn predict(&self, params: &[f32], x: &[f32]) -> Vec<f32> {
-        self.forward(params, x).pop().unwrap()
-    }
-
-    /// Backward pass for one sample given its forward activations and the
-    /// loss gradient w.r.t. the output. Accumulates parameter gradients into
-    /// `grad` (same layout as `params`) and returns nothing.
-    pub fn backward(&self, params: &[f32], acts: &[Vec<f32>], dout: &[f32], grad: &mut [f32]) {
-        assert_eq!(grad.len(), self.num_params(), "gradient length mismatch");
-        assert_eq!(dout.len(), self.output_dim(), "output gradient length mismatch");
-        let mut delta = dout.to_vec();
-        for l in (0..self.num_layers()).rev() {
-            let (fan_in, fan_out) = (self.dims[l], self.dims[l + 1]);
-            let off = self.layer_offset(l);
-            let w = &params[off..off + fan_out * fan_in];
-            let h = &acts[l];
-            // tanh' applied to this layer's output (hidden layers only).
-            if l + 1 < self.num_layers() {
-                let out = &acts[l + 1];
-                for (d, o) in delta.iter_mut().zip(out.iter()) {
-                    *d *= 1.0 - o * o;
-                }
-            }
-            // dW = delta ⊗ h, db = delta.
-            let (gw, gb) =
-                grad[off..off + fan_out * fan_in + fan_out].split_at_mut(fan_out * fan_in);
-            acc_outer(&delta, h, gw);
-            for (gbo, &d) in gb.iter_mut().zip(delta.iter()) {
-                *gbo += d;
-            }
-            // Propagate: delta_prev = Wᵀ delta.
-            if l > 0 {
-                delta = matvec_t(w, &delta, fan_out, fan_in);
-            }
-        }
+        self.stage_forward(params, 0, self.num_layers(), x).pop().unwrap()
     }
 
     /// Mean-squared-error loss and parameter gradient over a micro-batch
@@ -242,23 +187,29 @@ impl Mlp {
         assert_eq!(ys.len(), batch * out_dim, "ys shape mismatch");
         assert!(batch > 0, "empty micro-batch");
 
+        let nl = self.num_layers();
         let mut grad = vec![0.0f32; self.num_params()];
         let mut loss = 0.0f32;
         let scale = 1.0 / (batch as f32 * out_dim as f32);
-        for s in 0..batch {
-            let x = &xs[s * in_dim..(s + 1) * in_dim];
-            let y = &ys[s * out_dim..(s + 1) * out_dim];
-            let acts = self.forward(params, x);
-            let out = acts.last().unwrap();
-            let mut dout = vec![0.0f32; out_dim];
-            for o in 0..out_dim {
-                let err = out[o] - y[o];
-                loss += 0.5 * err * err * scale;
-                dout[o] = err * scale;
-            }
-            self.backward(params, &acts, &dout, &mut grad);
+        for (x, y) in xs.chunks(in_dim).zip(ys.chunks(out_dim)) {
+            let acts = self.stage_forward(params, 0, nl, x);
+            let mut dout = Vec::with_capacity(out_dim);
+            mse_head(acts.last().unwrap(), y, scale, &mut loss, &mut dout);
+            self.stage_backward(params, 0, nl, &acts, &dout, &mut grad);
         }
         (loss, grad)
+    }
+}
+
+/// The mean-squared-error head of one sample: adds its share of the loss
+/// to `loss` and appends `∂loss/∂out` to `dout`. `scale` is one over the
+/// micro-batch's element count. [`Mlp::loss_and_grad`] and the pipelined
+/// last stage both run it, so their float-op order is one.
+pub(crate) fn mse_head(out: &[f32], y: &[f32], scale: f32, loss: &mut f32, dout: &mut Vec<f32>) {
+    for (&ov, &yv) in out.iter().zip(y) {
+        let err = ov - yv;
+        *loss += 0.5 * err * err * scale;
+        dout.push(err * scale);
     }
 }
 
@@ -350,7 +301,7 @@ mod tests {
         let m = Mlp::new(&[3, 5, 4, 2]);
         let params = m.init_params(13);
         let x = vec![0.4, -0.2, 0.9];
-        let full = m.forward(&params, &x);
+        let full = m.stage_forward(&params, 0, 3, &x);
         // Split 0..2 | 2..3 and stack the slice forwards.
         let p0 = &params[m.stage_param_range(0, 2)];
         let p1 = &params[m.stage_param_range(2, 3)];
@@ -363,7 +314,8 @@ mod tests {
         let out = full.last().unwrap();
         let dout: Vec<f32> = out.iter().zip(&y).map(|(o, t)| o - t).collect();
         let mut grad = vec![0.0f32; m.num_params()];
-        m.backward(&params, &full, &dout, &mut grad);
+        let none = m.stage_backward(&params, 0, 3, &full, &dout, &mut grad);
+        assert!(none.is_empty(), "the whole network has no upstream");
         let mut g1 = vec![0.0f32; p1.len()];
         let dmid = m.stage_backward(p1, 2, 3, &a1, &dout, &mut g1);
         let mut g0 = vec![0.0f32; p0.len()];
@@ -373,10 +325,10 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "parameter length mismatch")]
+    #[should_panic(expected = "stage params mismatch")]
     fn wrong_param_length_panics() {
         let m = Mlp::new(&[2, 2]);
-        m.forward(&[0.0; 3], &[0.0, 0.0]);
+        m.predict(&[0.0; 3], &[0.0, 0.0]);
     }
 
     #[test]

@@ -16,7 +16,7 @@
 use crate::checkpoint::TrainState;
 use crate::data::TeacherDataset;
 use crate::executor::{Executor, LaneStats, MicroStep, Plan, StageGrad, StepCompute};
-use crate::nn::Mlp;
+use crate::nn::{mse_head, Mlp};
 use crate::scaler::{LossScale, ScalerSnapshot};
 use mics_compress::CompressionConfig;
 use mics_core::config::MicroSync;
@@ -507,9 +507,8 @@ impl StepCompute for MlpStages {
         let out_dim = self.model.boundary_dim(hi);
         let mut loss = 0.0f32;
         let dout = dout.unwrap_or_else(|| {
-            // The loss head, in `Mlp::loss_and_grad`'s float-op order. The
-            // loss folds into a per-micro subtotal first, exactly like
-            // `loss_and_grad` — the iteration total must sum micro
+            // The loss folds into a per-micro subtotal first, exactly like
+            // `Mlp::loss_and_grad` — the iteration total must sum micro
             // subtotals to stay bit-equal.
             assert_eq!(hi, self.model.num_layers(), "backward before boundary recv");
             let ys = ys.unwrap_or_else(|| {
@@ -518,11 +517,7 @@ impl StepCompute for MlpStages {
             let scale = 1.0 / (self.micro_batch as f32 * out_dim as f32);
             let mut buf = Vec::with_capacity(ys.len());
             for (a, y) in acts.iter().zip(ys.chunks(out_dim)) {
-                for (&ov, &yv) in a.last().unwrap().iter().zip(y) {
-                    let err = ov - yv;
-                    loss += 0.5 * err * err * scale;
-                    buf.push(err * scale);
-                }
+                mse_head(a.last().unwrap(), y, scale, &mut loss, &mut buf);
             }
             buf
         });

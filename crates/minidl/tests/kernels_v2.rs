@@ -109,7 +109,7 @@ fn shapes() -> Vec<(usize, usize, usize)> {
     shapes
 }
 
-/// All seven public kernels evaluated at one shape, concatenated in a fixed
+/// All five public kernels evaluated at one shape, concatenated in a fixed
 /// order so one `Vec` captures the whole dispatch surface for comparison.
 /// `m×k` weights/`m`-vectors reuse the matmul operands where shapes align.
 fn dispatch_all(m: usize, k: usize, n: usize) -> Vec<f32> {
@@ -127,10 +127,6 @@ fn dispatch_all(m: usize, k: usize, n: usize) -> Vec<f32> {
     kernels::acc_matmul_at(&a, &dout, m, k, n, &mut gw);
     out.extend(gw);
     out.extend(kernels::matvec_bias(&a, &dvec, &x, m, k));
-    out.extend(kernels::matvec_t(&a, &dvec, m, k));
-    let mut go = buf(m * k, 9);
-    kernels::acc_outer(&dvec, &x, &mut go);
-    out.extend(go);
     let mut rows = buf(m * n, 10);
     kernels::add_bias_rows(&mut rows, &bias_n, m, n);
     out.extend(rows);
@@ -154,10 +150,6 @@ fn reference_all(m: usize, k: usize, n: usize) -> Vec<f32> {
     reference::acc_matmul_at(&a, &dout, m, k, n, &mut gw);
     out.extend(gw);
     out.extend(reference::matvec_bias(&a, &dvec, &x, m, k));
-    out.extend(reference::matvec_t(&a, &dvec, m, k));
-    let mut go = buf(m * k, 9);
-    reference::acc_outer(&dvec, &x, &mut go);
-    out.extend(go);
     let mut rows = buf(m * n, 10);
     reference::add_bias_rows(&mut rows, &bias_n, m, n);
     out.extend(rows);
@@ -220,7 +212,7 @@ fn dispatch_matches_reference_and_is_bit_stable_across_knobs() {
 fn pool_split_kernels_give_the_one_thread_bits() {
     let _knobs = configure(None, Some(1));
     type Kernel = fn() -> Vec<f32>;
-    let calls: [(&str, Kernel); 7] = [
+    let calls: [(&str, Kernel); 5] = [
         ("matmul", || kernels::matmul(&buf(37 * 300, 1), &buf(300 * 497, 2), 37, 300, 497)),
         ("matmul_bt", || kernels::matmul_bt(&buf(37 * 300, 1), &buf(497 * 300, 2), 37, 300, 497)),
         ("acc_matmul_at", || {
@@ -230,12 +222,6 @@ fn pool_split_kernels_give_the_one_thread_bits() {
         }),
         ("matvec_bias", || {
             kernels::matvec_bias(&buf(1777 * 1783, 1), &buf(1777, 2), &buf(1783, 3), 1777, 1783)
-        }),
-        ("matvec_t", || kernels::matvec_t(&buf(1777 * 1783, 1), &buf(1777, 2), 1777, 1783)),
-        ("acc_outer", || {
-            let mut gw = buf(1777 * 1783, 1);
-            kernels::acc_outer(&buf(1777, 2), &buf(1783, 3), &mut gw);
-            gw
         }),
         ("add_bias_rows", || {
             let mut rows = buf(2531 * 2503, 1);

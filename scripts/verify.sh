@@ -126,17 +126,20 @@ trap 'rm -rf results && mv "${RESULTS_SNAPSHOT}" results' EXIT
 # deterministic, so regenerating their artifacts must reproduce the
 # committed files to the byte. Runs first, while the snapshot still equals
 # everything else in results/ (plain diff: the gate also runs from a
-# `git archive` tarball). `ext_elastic` is here too: its real-backend half
-# records continuity flags and losses that the bit-identity contracts fix.
-# It also asserts the spot-trace goodput claims (elastic ≥ static on the
+# `git archive` tarball). Three real-backend benches are here too, because
+# the bit-identity contracts fix what they record: `ext_elastic`'s
+# continuity flags and losses, `fig15_fidelity`'s per-schedule loss curves,
+# and `ext_compress`'s exact and int8 losses and wire sizes. `ext_elastic`
+# also asserts the spot-trace goodput claims (elastic ≥ static on the
 # identical seeded timeline, monotone degradation with churn) and the
-# bit-exact shrink/grow continuity on both transports.
-echo "==> deterministic simulator artifacts regenerate byte-identically"
+# bit-exact shrink/grow continuity on both transports; `ext_compress`
+# asserts its ~4× wire claim and the int8 fidelity envelope.
+echo "==> deterministic simulator and training artifacts regenerate byte-identically"
 for bin in fig01_effective_bandwidth fig06_strong_scaling_bert fig07_strong_scaling_other \
     fig08_tflops fig09_a100_400gbps fig10a_megatron fig10b_wideresnet \
     fig11_partition_group_size fig12a_hierarchical_microbench fig12b_hierarchical_e2e \
     fig13_two_hop fig14_impl_opts table1_models case_study_100b \
-    ext_ablation ext_straggler ext_recovery ext_elastic; do
+    ext_ablation ext_straggler ext_recovery ext_elastic fig15_fidelity ext_compress; do
     cargo run --release -q -p mics-bench --bin "${bin}" >/dev/null
 done
 diff -r "${RESULTS_SNAPSHOT}" results
@@ -159,15 +162,11 @@ target/release/mics-sim fidelity --iterations 2 --trace "${FID_TRACE}" >/dev/nul
 grep -q '"traceEvents"' "${FID_TRACE}"
 rm -f "${FID_TRACE}"
 
-# Smoke-run the extension benches: they carry their own assertions (the
-# compression bench's ~4× wire claim and the int8 fidelity envelope; the
-# ablation's knob deltas already ran with the deterministic artifacts).
-echo "==> ext_compress (smoke)"
-cargo run --release -q -p mics-bench --bin ext_compress >/dev/null
-
-# The overlap bench asserts bit-identity inline vs async, a positive
-# measured overlap fraction, the structural deferral/prefetch counts, and
-# the wall-clock claim for the host's cores against its 8 rank threads.
+# Smoke-run the overlap bench: it asserts bit-identity inline vs async, a
+# positive measured overlap fraction, the structural deferral/prefetch
+# counts, and the wall-clock claim for the host's cores against its 8 rank
+# threads. (The compression and ablation benches, with their own
+# assertions, already ran with the deterministic artifacts.)
 echo "==> ext_overlap (smoke)"
 cargo run --release -q -p mics-bench --bin ext_overlap >/dev/null
 
