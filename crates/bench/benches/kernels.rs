@@ -219,33 +219,6 @@ fn main() {
         fill(&mut table, "acc_matmul_at", shape, v);
     }
 
-    // The MLP's forward matvec.
-    let (out_dim, in_dim) = (256, 256);
-    let w = buf(out_dim * in_dim, 4);
-    let bias = buf(out_dim, 5);
-    let x = buf(in_dim, 6);
-    let shape = format!("{out_dim}x{in_dim}");
-
-    let v = measure(
-        50,
-        || {
-            black_box(kernels::reference::matvec_bias(
-                black_box(&w),
-                &bias,
-                black_box(&x),
-                out_dim,
-                in_dim,
-            ));
-        },
-        || {
-            black_box(blocked::matvec_bias(black_box(&w), &bias, black_box(&x), out_dim, in_dim));
-        },
-        || {
-            black_box(kernels::matvec_bias(black_box(&w), &bias, black_box(&x), out_dim, in_dim));
-        },
-    );
-    fill(&mut table, "matvec_bias", shape, v);
-
     for &(t, d, h) in ATTENTION_SHAPES {
         let (q, k, v) = (&buf(t * d, 9), &buf(t * d, 10), &buf(t * d, 11));
         let d_ctx = &buf(t * d, 12);

@@ -9,13 +9,13 @@
 //! 2. **Cluster size** — BERT 10B with the same 2-node groups as the
 //!    cluster grows from 16 to 128 GPUs: int8-everything vs exact.
 //!
-//! A miniature *real* training run (mics-minidl) closes the loop: the same
-//! int8 block format on real wires moves losses only within a small
-//! relative tolerance of the exact run.
+//! A miniature *real* training run (the mics-minidl transformer LM) closes
+//! the loop: the same int8 block format on real wires moves losses only
+//! within a small relative tolerance of the exact run.
 
 use mics_bench::{accum_steps, f1, run, v100, write_json, Json, Table, ToJson};
 use mics_core::{CompressionConfig, MicsConfig, QuantScheme, RunReport, Strategy};
-use mics_minidl::{train, Mlp, SyncSchedule, TrainSetup};
+use mics_minidl::{train_lm, LmSetup, SyncSchedule, TinyTransformer};
 use mics_model::TransformerConfig;
 
 fn mics(p: usize, compression: Option<CompressionConfig>) -> Strategy {
@@ -115,8 +115,8 @@ fn main() {
     t2.print();
 
     // ── Fidelity: the same int8 block format on *real* wires ────────────
-    let setup = TrainSetup {
-        model: Mlp::new(&[12, 24, 24, 3]),
+    let setup = LmSetup {
+        model: TinyTransformer::new(9, 6, 8, 2, 16, 2),
         world: 8,
         partition_size: 2,
         micro_batch: 8,
@@ -130,10 +130,10 @@ fn main() {
         comm_quant: None,
         prefetch_depth: 0,
     };
-    let exact = train(&setup, SyncSchedule::TwoHop);
+    let exact = train_lm(&setup, SyncSchedule::TwoHop);
     let mut qsetup = setup.clone();
     qsetup.comm_quant = Some(CompressionConfig::both(QuantScheme::int8()));
-    let quantized = train(&qsetup, SyncSchedule::TwoHop);
+    let quantized = train_lm(&qsetup, SyncSchedule::TwoHop);
     let max_dev = exact
         .losses
         .iter()

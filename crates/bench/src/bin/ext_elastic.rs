@@ -15,12 +15,12 @@
 //!   geometry, stalls through every outage, and resumes via checkpoint
 //!   reload. Both policies face the identical seeded timeline.
 //!
-//! * **Real backend** — the minidl thread-rank stack executes actual elastic
-//!   phase chains: a shrink-and-grow-back bounce must land **bit-identical**
-//!   to the uninterrupted run (state round-trips through the foreign
-//!   geometry's sharding untouched), on the in-process *and* the socket
-//!   transport; and a genuine grow (2 → 4 ranks mid-run) must continue the
-//!   loss curve exactly where the small world left it.
+//! * **Real backend** — the minidl thread-rank stack trains the transformer
+//!   LM through actual elastic phase chains: a shrink-and-grow-back bounce
+//!   must land **bit-identical** to the uninterrupted run (state round-trips
+//!   through the foreign geometry's sharding untouched), on the in-process
+//!   *and* the socket transport; and a genuine grow (2 → 4 ranks mid-run)
+//!   must continue the loss curve exactly where the small world left it.
 //!
 //! Enforced claims: same fault fingerprint across policies; elastic goodput
 //! never below static and strictly above under churn; elastic goodput
@@ -31,7 +31,7 @@ use mics_bench::{accum_steps, v100, write_json, Json, Table, ToJson};
 use mics_core::{simulate_elastic, spot_plan, MicsConfig, SpotPolicy, Strategy, TrainingJob};
 use mics_dataplane::TransportKind;
 use mics_minidl::{
-    train, train_elastic_on, ElasticPhase, LossScale, Mlp, SyncSchedule, TrainSetup,
+    train_elastic_on, train_lm, ElasticPhase, LmSetup, LossScale, SyncSchedule, TinyTransformer,
 };
 use mics_model::TransformerConfig;
 use mics_simnet::SimTime;
@@ -108,9 +108,9 @@ fn sim_sweep() -> Json {
     t.to_json()
 }
 
-fn elastic_setup(world: usize, p: usize, iters: usize) -> TrainSetup {
-    TrainSetup {
-        model: Mlp::new(&[6, 10, 2]),
+fn elastic_setup(world: usize, p: usize, iters: usize) -> LmSetup {
+    LmSetup {
+        model: TinyTransformer::new(7, 5, 8, 2, 12, 1),
         world,
         partition_size: p,
         micro_batch: 4,
@@ -133,7 +133,7 @@ fn real_backend() -> Json {
     // round-trip [G t1 | →G′ | →G t2] must be bit-identical to [G t1+t2],
     // in both directions and on both transports.
     let base = elastic_setup(4, 2, 10);
-    let flat = train(&base, SyncSchedule::TwoHop);
+    let flat = train_lm(&base, SyncSchedule::TwoHop);
     let mut bounce_checks = 0usize;
     for (w, p) in [(2usize, 1usize), (8, 4)] {
         let phases = [
@@ -159,7 +159,7 @@ fn real_backend() -> Json {
     // prefix must continue the 2-rank loss curve exactly, and the grown
     // world must keep making progress.
     let small = elastic_setup(2, 1, 10);
-    let uninterrupted = train(&small, SyncSchedule::TwoHop);
+    let uninterrupted = train_lm(&small, SyncSchedule::TwoHop);
     let phases = [
         ElasticPhase { world: 2, partition_size: 1, iterations: 5 },
         ElasticPhase { world: 4, partition_size: 2, iterations: 5 },

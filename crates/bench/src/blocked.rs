@@ -126,44 +126,6 @@ pub fn acc_matmul_at(a: &[f32], dout: &[f32], m: usize, k: usize, n: usize, gw: 
     }
 }
 
-/// Blocked biased matvec: four rows' dot products share each load of
-/// `x`.
-pub fn matvec_bias(w: &[f32], bias: &[f32], x: &[f32], out_dim: usize, in_dim: usize) -> Vec<f32> {
-    debug_assert_eq!(w.len(), out_dim * in_dim);
-    debug_assert_eq!(bias.len(), out_dim);
-    debug_assert_eq!(x.len(), in_dim);
-    let mut out = vec![0.0f32; out_dim];
-    let mut o = 0;
-    while o + UNROLL <= out_dim {
-        let w0 = &w[o * in_dim..(o + 1) * in_dim];
-        let w1 = &w[(o + 1) * in_dim..(o + 2) * in_dim];
-        let w2 = &w[(o + 2) * in_dim..(o + 3) * in_dim];
-        let w3 = &w[(o + 3) * in_dim..(o + 4) * in_dim];
-        let (mut s0, mut s1, mut s2, mut s3) = (bias[o], bias[o + 1], bias[o + 2], bias[o + 3]);
-        for (i, &xv) in x.iter().enumerate() {
-            s0 += xv * w0[i];
-            s1 += xv * w1[i];
-            s2 += xv * w2[i];
-            s3 += xv * w3[i];
-        }
-        out[o] = s0;
-        out[o + 1] = s1;
-        out[o + 2] = s2;
-        out[o + 3] = s3;
-        o += UNROLL;
-    }
-    while o < out_dim {
-        let row = &w[o * in_dim..(o + 1) * in_dim];
-        let mut s = bias[o];
-        for (&wv, &xv) in row.iter().zip(x.iter()) {
-            s += wv * xv;
-        }
-        out[o] = s;
-        o += 1;
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

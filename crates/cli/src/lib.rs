@@ -518,15 +518,7 @@ fn resolve(job: &JobArgs) -> Result<(WorkloadSpec, ClusterSpec, Strategy), CliEr
     let instance = lookup_instance(&job.instance)?;
     let cluster = ClusterSpec::new(instance, job.nodes);
     let strategy = parse_strategy(&job.strategy)?;
-    if let Strategy::Mics(cfg) = &strategy {
-        let n = cluster.total_devices();
-        if cfg.partition_size == 0 || !n.is_multiple_of(cfg.partition_size) {
-            return Err(err(format!(
-                "partition size {} does not divide the cluster size {n}",
-                cfg.partition_size
-            )));
-        }
-    }
+    strategy.check_partition(cluster.total_devices()).map_err(|e| err(e.to_string()))?;
     Ok((workload, cluster, strategy))
 }
 

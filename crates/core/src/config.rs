@@ -204,12 +204,47 @@ pub enum MicroSync {
     PartitionReduceScatter,
 }
 
+/// A MiCS partition size that does not divide the cluster's device count.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PartitionError {
+    /// The partition group size asked for.
+    pub partition_size: usize,
+    /// Devices in the cluster.
+    pub devices: usize,
+}
+
+impl std::fmt::Display for PartitionError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let (p, n) = (self.partition_size, self.devices);
+        write!(f, "partition size {p} does not divide the {n}-device cluster")
+    }
+}
+
+impl std::error::Error for PartitionError {}
+
 impl Strategy {
+    /// The one partition rule: a MiCS partition size must divide the `n`
+    /// devices of the cluster. Every other strategy fits any cluster.
+    pub fn check_partition(&self, n: usize) -> Result<(), PartitionError> {
+        match self {
+            Strategy::Mics(cfg)
+                if cfg.partition_size == 0 || !n.is_multiple_of(cfg.partition_size) =>
+            {
+                Err(PartitionError { partition_size: cfg.partition_size, devices: n })
+            }
+            _ => Ok(()),
+        }
+    }
+
     /// Resolve to execution knobs for a cluster of `n` devices.
     ///
     /// # Panics
-    /// Panics if a MiCS partition size does not divide `n`.
+    /// Panics if a MiCS partition size does not divide `n`
+    /// ([`Strategy::check_partition`]).
     pub fn plan(&self, n: usize) -> DpPlan {
+        if let Err(e) = self.check_partition(n) {
+            panic!("{e}");
+        }
         // Calibrated host-side overheads: DeepSpeed's on-the-fly
         // fetch/release decision making (Python control plane) versus
         // MiCS's precomputed schedule (§4 "precomputing and caching the
@@ -255,29 +290,22 @@ impl Strategy {
                 plan.compression = Some(*c);
                 plan
             }
-            Strategy::Mics(cfg) => {
-                assert!(
-                    cfg.partition_size > 0 && n.is_multiple_of(cfg.partition_size),
-                    "partition size {} must divide cluster size {n}",
-                    cfg.partition_size
-                );
-                DpPlan {
-                    p_params: cfg.partition_size,
-                    p_grads: cfg.partition_size,
-                    p_opt: cfg.partition_size,
-                    micro_sync: if cfg.two_hop_sync {
-                        MicroSync::PartitionReduceScatter
-                    } else {
-                        MicroSync::GlobalAllReduce
-                    },
-                    hierarchical: cfg.hierarchical_allgather,
-                    prefetch_depth: if cfg.fine_grained_sync { 2 } else { 1 },
-                    decision_overhead: if cfg.cached_decisions { fast_host } else { slow_host },
-                    coalesced: cfg.coalesced_comm,
-                    arena_memory: cfg.arena_memory,
-                    compression: cfg.compression,
-                }
-            }
+            Strategy::Mics(cfg) => DpPlan {
+                p_params: cfg.partition_size,
+                p_grads: cfg.partition_size,
+                p_opt: cfg.partition_size,
+                micro_sync: if cfg.two_hop_sync {
+                    MicroSync::PartitionReduceScatter
+                } else {
+                    MicroSync::GlobalAllReduce
+                },
+                hierarchical: cfg.hierarchical_allgather,
+                prefetch_depth: if cfg.fine_grained_sync { 2 } else { 1 },
+                decision_overhead: if cfg.cached_decisions { fast_host } else { slow_host },
+                coalesced: cfg.coalesced_comm,
+                arena_memory: cfg.arena_memory,
+                compression: cfg.compression,
+            },
         }
     }
 
@@ -366,7 +394,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "must divide cluster size")]
+    #[should_panic(expected = "does not divide the 64-device cluster")]
     fn invalid_partition_size_panics() {
         let _ = Strategy::Mics(MicsConfig::paper_defaults(12)).plan(64);
     }

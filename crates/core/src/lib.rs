@@ -57,7 +57,7 @@ pub mod schedule;
 pub mod tuner;
 
 pub use canonical::{Canonical, CanonicalHasher, CanonicalKey};
-pub use config::{MicsConfig, Strategy, ZeroStage};
+pub use config::{MicsConfig, PartitionError, Strategy, ZeroStage};
 pub use dp::{dp_pipeline_program, dp_program, simulate_dp_pipeline, simulate_dp_traced, JobView};
 pub use json::{Json, ToJson};
 pub use megatron::{simulate_megatron, MegatronConfig, MegatronReport};

@@ -310,9 +310,11 @@ pub struct StageGrad {
     pub dinput: Option<Vec<f32>>,
 }
 
-/// The part of a training step that differs per model. A flat model is any
-/// `Fn(params, iteration, micro_step, rank) → (loss, grad)` closure; a
-/// pipelined one splits its parameters with [`StepCompute::stages`].
+/// The part of a training step that differs per model: the transformer's
+/// pipeline stages (`lm::LmStages`) in every training entry point, or any
+/// `Fn(params, iteration, micro_step, rank) → (loss, grad)` closure as a
+/// one-stage model. A pipelined model splits its parameters with
+/// [`StepCompute::stages`].
 pub trait StepCompute: Sync {
     /// Per-rank scratch carried from a micro-step's forward to its backward.
     type Saved: Default;

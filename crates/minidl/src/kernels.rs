@@ -24,12 +24,11 @@
 //! change a bit. They share one register tile, generic over the lane width
 //! and a const tile height: 8 rows × 32 columns (16 accumulators) on
 //! AVX-512, 4 × 16 on AVX2 and the fallback, the last columns in masked
-//! partial vectors. On AVX-512 hosts they run 16 lanes. Both models run
-//! them: the MLP's backward is `matmul` and `acc_matmul_at` at one row.
+//! partial vectors. On AVX-512 hosts they run 16 lanes.
 //!
 //! The other kernels stay at 8 lanes (`Lanes8`, which `Avx512Lanes` does
-//! not implement). `matmul_bt` and `matvec_bias` fix their association
-//! with the 8-lane `hsum` tree, so a wider vector would change their bits;
+//! not implement). `matmul_bt` fixes its association with the 8-lane
+//! `hsum` tree, so a wider vector would change its bits;
 //! attention is bound by its scalar `exp`, not by its lanes.
 //!
 //! Because every backend of a kernel runs the *same* generic body — same
@@ -72,9 +71,8 @@
 //! [`mics_trace::Recorder`] is enabled each kernel also emits a span, a
 //! `kernel GFLOP/s` counter track and a `tile queue depth` gauge into the
 //! same merged Perfetto timeline as the executor's lanes and wires. FLOP
-//! accounting is GEMM-only: the matmuls and `matvec_bias` count
-//! `2·m·k·n`-style FLOPs, while the attention kernels count calls and
-//! their path but add nothing to `kernel.flops`, so the budgets and
+//! accounting is GEMM-only: the matmuls count `2·m·k·n` FLOPs, while
+//! the attention kernels count calls and their path but add nothing to `kernel.flops`, so the budgets and
 //! per-unit FLOP figures denominated in it do not move with them.
 
 use mics_trace::{Arg, Counter, Counters};
@@ -560,20 +558,6 @@ mod avx {
         gw: &mut [f32],
     ) {
         body::acc_matmul_at_rows::<AvxLanes, 4>(a, dout, m, k, n, kks, gw)
-    }
-
-    /// # Safety
-    /// The host must support AVX2 and FMA (checked by [`super::simd_active`]).
-    #[target_feature(enable = "avx2,fma")]
-    pub(super) unsafe fn matvec_bias_rows(
-        w: &[f32],
-        bias: &[f32],
-        x: &[f32],
-        in_dim: usize,
-        os: Range<usize>,
-        out: &mut [f32],
-    ) {
-        body::matvec_bias_rows::<AvxLanes>(w, bias, x, in_dim, os, out)
     }
 
     /// # Safety
@@ -1191,74 +1175,6 @@ mod body {
         }
     }
 
-    /// `out[o] = bias[o] + w[o]·x` for `o ∈ os`: four rows' 8-wide dot
-    /// products share each load of `x`; bias joins the tree sum, the
-    /// scalar tail folds in after. Each row's chain is independent, so
-    /// the 4-row grouping never changes bits. `out` covers `os`.
-    #[inline(always)]
-    pub(super) fn matvec_bias_rows<L: Lanes8>(
-        w: &[f32],
-        bias: &[f32],
-        x: &[f32],
-        in_dim: usize,
-        os: Range<usize>,
-        out: &mut [f32],
-    ) {
-        debug_assert_eq!(out.len(), os.len());
-        let mut o = os.start;
-        while o + UNROLL <= os.end {
-            let w0 = &w[o * in_dim..(o + 1) * in_dim];
-            let w1 = &w[(o + 1) * in_dim..(o + 2) * in_dim];
-            let w2 = &w[(o + 2) * in_dim..(o + 3) * in_dim];
-            let w3 = &w[(o + 3) * in_dim..(o + 4) * in_dim];
-            let (mut v0, mut v1, mut v2, mut v3) = (L::zero(), L::zero(), L::zero(), L::zero());
-            let mut j = 0;
-            while j + LANES <= in_dim {
-                let vx = L::ld(x, j);
-                v0 = L::fma(vx, L::ld(w0, j), v0);
-                v1 = L::fma(vx, L::ld(w1, j), v1);
-                v2 = L::fma(vx, L::ld(w2, j), v2);
-                v3 = L::fma(vx, L::ld(w3, j), v3);
-                j += LANES;
-            }
-            let (mut s0, mut s1, mut s2, mut s3) = (
-                bias[o] + L::hsum(v0),
-                bias[o + 1] + L::hsum(v1),
-                bias[o + 2] + L::hsum(v2),
-                bias[o + 3] + L::hsum(v3),
-            );
-            while j < in_dim {
-                let xv = x[j];
-                s0 = xv.mul_add(w0[j], s0);
-                s1 = xv.mul_add(w1[j], s1);
-                s2 = xv.mul_add(w2[j], s2);
-                s3 = xv.mul_add(w3[j], s3);
-                j += 1;
-            }
-            out[o - os.start] = s0;
-            out[o - os.start + 1] = s1;
-            out[o - os.start + 2] = s2;
-            out[o - os.start + 3] = s3;
-            o += UNROLL;
-        }
-        while o < os.end {
-            let row = &w[o * in_dim..(o + 1) * in_dim];
-            let mut v = L::zero();
-            let mut j = 0;
-            while j + LANES <= in_dim {
-                v = L::fma(L::ld(x, j), L::ld(row, j), v);
-                j += LANES;
-            }
-            let mut s = bias[o] + L::hsum(v);
-            while j < in_dim {
-                s = x[j].mul_add(row[j], s);
-                j += 1;
-            }
-            out[o - os.start] = s;
-            o += 1;
-        }
-    }
-
     /// `xs[r] += bias` for each row `r ∈ rows`: 8-wide adds plus scalar
     /// tail. `xs` covers `rows` (`rows.len() × n`).
     #[inline(always)]
@@ -1584,31 +1500,6 @@ pub fn acc_matmul_at(a: &[f32], dout: &[f32], m: usize, k: usize, n: usize, gw: 
     });
 }
 
-/// `out[o] = bias[o] + Σᵢ w[o×in][o][i] · x[i]`: one 8-wide dot product
-/// per output row, parallel over output rows.
-pub fn matvec_bias(w: &[f32], bias: &[f32], x: &[f32], out_dim: usize, in_dim: usize) -> Vec<f32> {
-    debug_assert_eq!(w.len(), out_dim * in_dim);
-    debug_assert_eq!(bias.len(), out_dim);
-    debug_assert_eq!(x.len(), in_dim);
-    let mut out = vec![0.0f32; out_dim];
-    let path = path(false);
-    let base = OutPtr(out.as_mut_ptr());
-    record("matvec_bias", 2 * (out_dim * in_dim) as u64, path, || {
-        pool::run(out_dim, 2 * in_dim, &move |os: Range<usize>| {
-            // SAFETY: disjoint ranges of a live allocation.
-            let o = unsafe { base.window(os.start, os.len()) };
-            #[cfg(target_arch = "x86_64")]
-            if path == Path::Avx2 {
-                // SAFETY: `path` verified AVX2+FMA on this host.
-                unsafe { avx::matvec_bias_rows(w, bias, x, in_dim, os, o) };
-                return;
-            }
-            body::matvec_bias_rows::<ScalarLanes>(w, bias, x, in_dim, os, o);
-        });
-    });
-    out
-}
-
 /// `xs[r·n..][..n] += bias` for every row `r < m`: the broadcast bias add
 /// the transformer previously did with scalar double loops, parallel
 /// over rows. Pure per-lane adds, so it is trivially bit-stable.
@@ -1773,26 +1664,6 @@ pub mod reference {
                 }
             }
         }
-    }
-
-    /// Naive biased matvec, one sequential dot per output.
-    pub fn matvec_bias(
-        w: &[f32],
-        bias: &[f32],
-        x: &[f32],
-        out_dim: usize,
-        in_dim: usize,
-    ) -> Vec<f32> {
-        let mut out = vec![0.0f32; out_dim];
-        for (o, ov) in out.iter_mut().enumerate() {
-            let row = &w[o * in_dim..(o + 1) * in_dim];
-            let mut s = bias[o];
-            for (&wv, &xv) in row.iter().zip(x.iter()) {
-                s += wv * xv;
-            }
-            *ov = s;
-        }
-        out
     }
 
     /// Causal multi-head self-attention forward as scalar loops: returns
@@ -2112,21 +1983,6 @@ mod tests {
             acc_matmul_at(&a, &d, m, k, n, &mut g1);
             reference::acc_matmul_at(&a, &d, m, k, n, &mut g2);
             assert_close(&g1, &g2, 1e-5, "acc_matmul_at");
-        }
-    }
-
-    #[test]
-    fn drift_matvec_kernels_are_bounded_reassociation() {
-        for &(out_dim, in_dim, _) in SHAPES {
-            let w = buf(out_dim * in_dim, 8);
-            let bias = buf(out_dim, 9);
-            let x = buf(in_dim, 10);
-            assert_close(
-                &matvec_bias(&w, &bias, &x, out_dim, in_dim),
-                &reference::matvec_bias(&w, &bias, &x, out_dim, in_dim),
-                1e-5,
-                "matvec_bias",
-            );
         }
     }
 

@@ -9,15 +9,17 @@
 //! global all-reduce. That algebra needs a real optimizer, real gradients,
 //! and real sharded state — not a GPU. This crate provides:
 //!
-//! * [`Mlp`] — a configurable multi-layer perceptron with hand-written
-//!   forward/backward (no autograd dependency);
+//! * [`TinyTransformer`] — a miniature causal transformer language model
+//!   with hand-written forward/backward (no autograd dependency), whose
+//!   layers split over pipeline stages ([`lm`]);
 //! * [`Adam`] — the optimizer used throughout the paper's experiments,
 //!   operating on an arbitrary shard of the parameter space;
 //! * mixed-precision emulation (fp32 master weights, f16-quantized forward
 //!   copies) via `mics_tensor`'s converters;
-//! * [`train::TrainRun`] / [`train::train`] — data-parallel training over
-//!   the real `mics-dataplane` communicator, one executor walking one
-//!   lowered step program, under three schedules:
+//! * [`train::TrainRun`] / [`train::train_pipeline`] / [`train_lm`] —
+//!   data-parallel (and pipelined) training over the real `mics-dataplane`
+//!   communicator, one executor walking one lowered step program, under
+//!   three schedules:
 //!   [`train::SyncSchedule::Ddp`] (classic data parallelism),
 //!   [`train::SyncSchedule::PerMicroStepAllReduce`] (DeepSpeed ZeRO-3's
 //!   default, the "alternative schedule" of §3.4), and
@@ -27,11 +29,9 @@
 
 pub mod adam;
 pub mod checkpoint;
-pub mod data;
 pub mod executor;
 pub mod kernels;
 pub mod lm;
-pub mod nn;
 pub mod scaler;
 pub mod train;
 pub mod transformer;
@@ -48,10 +48,9 @@ pub use kernels::{
 };
 pub use lm::{train_lm, train_lm_on, LmSetup};
 pub use mics_compress::{CompressionConfig, QuantScheme};
-pub use nn::Mlp;
 pub use scaler::{LossScale, ScalerSnapshot};
 pub use train::{
-    step_program, train, train_elastic_on, train_pipeline, CheckpointSink, ElasticPhase,
-    ScheduleHyper, Start, SyncSchedule, TrainCheckpoint, TrainOutcome, TrainRun, TrainSetup,
+    step_program, train_elastic_on, train_pipeline, CheckpointSink, ElasticPhase, ScheduleHyper,
+    Start, SyncSchedule, TrainCheckpoint, TrainOutcome, TrainRun, TrainSetup,
 };
 pub use transformer::TinyTransformer;

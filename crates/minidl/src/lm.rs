@@ -1,7 +1,9 @@
-//! Data-parallel *language-model* training — the transformer counterpart of
-//! [`crate::train::train`], matching the paper's §5.4 fidelity setup structurally
-//! (a causal transformer trained with cross-entropy under MiCS vs DeepSpeed
-//! schedules).
+//! The transformer language model as a [`StepCompute`], and its synthetic
+//! corpus — matching the paper's §5.4 fidelity setup structurally (a causal
+//! transformer trained with cross-entropy under MiCS vs DeepSpeed
+//! schedules). `LmStages` is the compute behind every run:
+//! [`crate::train::train_pipeline`], [`crate::train::train_elastic_on`] and
+//! [`train_lm_on`], which is the pipeline at one stage.
 //!
 //! The synthetic corpus is an affine token chain: given a seeded start
 //! token, `tokenᵢ₊₁ = (3·tokenᵢ + 5) mod V`. The mapping is a function of
@@ -9,13 +11,16 @@
 //! the cross-entropy toward zero — and any synchronization bug between the
 //! schedules shows up as diverging loss curves.
 
-use crate::train::{Start, SyncSchedule, TrainOutcome, TrainRun, TrainSetup};
+use crate::executor::{MicroStep, StageGrad, StepCompute};
+use crate::train::{train_pipeline, SyncSchedule, TrainOutcome, TrainSetup};
 use crate::transformer::TinyTransformer;
 use mics_dataplane::TransportKind;
+use std::collections::HashMap;
+use std::ops::Range;
 
-/// Configuration of a language-model fidelity run: a [`TrainSetup`] whose
-/// model is the transformer and whose micro-batch counts sequences.
-pub type LmSetup = TrainSetup<TinyTransformer>;
+/// Configuration of a language-model fidelity run; its micro-batch counts
+/// sequences.
+pub type LmSetup = TrainSetup;
 
 /// Deterministic micro-batch of token sequences for
 /// (`iteration`, `micro_step`, `rank`): row-major
@@ -59,21 +64,116 @@ pub fn train_lm(setup: &LmSetup, schedule: SyncSchedule) -> TrainOutcome {
 /// harness, `Socket` routes every collective of the training step through a
 /// framed rendezvous hub. Loss curves and final parameters are bit-identical
 /// between the two — the §5.4 fidelity claim extended down the stack to the
-/// wire.
+/// wire. This is [`train_pipeline`] at one stage.
 pub fn train_lm_on(
     transport: TransportKind,
     setup: &LmSetup,
     schedule: SyncSchedule,
 ) -> TrainOutcome {
-    let model = &setup.model;
-    let seed = setup.seed ^ 0x00c0_ffee_1234_5678;
-    let start = Start::Fresh(model.init_params(setup.seed));
-    TrainRun { transport, hyper: setup.hyper(), schedule, start, checkpoint: None }.run(
-        &|params: &[f32], iter: usize, micro: usize, rank: usize| {
-            let toks = token_batch(model, seed, iter, micro, rank, setup.micro_batch);
-            model.loss_and_grad(params, &toks)
-        },
-    )
+    train_pipeline(transport, setup, 1, schedule)
+}
+
+/// The transformer's layers split contiguously over `pp` pipeline stages,
+/// each rank reading its micro-batches from [`token_batch`]. Every stage
+/// runs [`TinyTransformer::stage_loss_and_grad`] one sequence at a time,
+/// so every `pp` computes the bits of [`TinyTransformer::loss_and_grad`].
+///
+/// The last stage runs its forward and its backward together in the
+/// executor's forward op: the backward op retires in-flight reductions
+/// before it computes, so compute placed there would not overlap them.
+/// Every other stage keeps only its input from forward to backward and
+/// recomputes its forward there.
+pub(crate) struct LmStages<'a> {
+    model: &'a TinyTransformer,
+    /// The corpus seed (derived from the run's seed).
+    seed: u64,
+    micro_batch: usize,
+    pp: usize,
+}
+
+/// A micro-step's state between a stage's forward and its backward.
+pub(crate) enum Stash {
+    /// The last stage's whole result, computed in its forward.
+    Done(StageGrad),
+    /// Any other stage's input (`None` on stage 0), to recompute from.
+    Input(Option<Vec<f32>>),
+}
+
+impl<'a> LmStages<'a> {
+    pub(crate) fn new(setup: &'a LmSetup, pp: usize) -> Self {
+        let layers = setup.model.layers;
+        assert!(pp >= 1, "need at least one pipeline stage");
+        assert!(layers.is_multiple_of(pp), "pp={pp} must evenly split the model's {layers} layers");
+        let seed = setup.seed ^ 0x00c0_ffee_1234_5678;
+        LmStages { model: &setup.model, seed, micro_batch: setup.micro_batch, pp }
+    }
+
+    fn layers(&self, stage: usize) -> Range<usize> {
+        let per = self.model.layers / self.pp;
+        stage * per..(stage + 1) * per
+    }
+
+    fn tokens(&self, at: MicroStep) -> Vec<usize> {
+        token_batch(self.model, self.seed, at.iteration, at.micro, at.rank, self.micro_batch)
+    }
+
+    fn stage_grad(
+        &self,
+        params: &[f32],
+        at: MicroStep,
+        input: Option<&[f32]>,
+        dout: Option<&[f32]>,
+    ) -> StageGrad {
+        let layers = self.layers(at.stage);
+        let first = layers.start == 0;
+        let (loss, grad, dinput) =
+            self.model.stage_loss_and_grad(params, layers, &self.tokens(at), input, dout);
+        StageGrad { loss, grad, dinput: (!first).then_some(dinput) }
+    }
+}
+
+impl StepCompute for LmStages<'_> {
+    type Saved = HashMap<usize, Stash>;
+
+    fn stages(&self, _numel: usize) -> Vec<Range<usize>> {
+        (0..self.pp).map(|s| self.model.stage_params(self.layers(s))).collect()
+    }
+
+    fn act_bytes(&self) -> u64 {
+        let m = self.model;
+        (self.micro_batch * m.seq_len * m.d_model * 4) as u64
+    }
+
+    fn forward(
+        &self,
+        saved: &mut Self::Saved,
+        params: &[f32],
+        at: MicroStep,
+        input: Option<Vec<f32>>,
+    ) -> Option<Vec<f32>> {
+        let layers = self.layers(at.stage);
+        if layers.end == self.model.layers {
+            let done = self.stage_grad(params, at, input.as_deref(), None);
+            saved.insert(at.micro, Stash::Done(done));
+            return None;
+        }
+        let out = self.model.stage_forward(params, layers, &self.tokens(at), input.as_deref());
+        saved.insert(at.micro, Stash::Input(input));
+        Some(out)
+    }
+
+    fn backward(
+        &self,
+        saved: &mut Self::Saved,
+        params: &[f32],
+        at: MicroStep,
+        dout: Option<Vec<f32>>,
+    ) -> StageGrad {
+        match saved.remove(&at.micro).expect("backward before forward") {
+            Stash::Done(done) => done,
+            Stash::Input(input) => self.stage_grad(params, at, input.as_deref(), dout.as_deref()),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -114,36 +214,6 @@ mod tests {
     }
 
     #[test]
-    fn transformer_lm_learns_the_chain_under_two_hop() {
-        let out = train_lm(&setup(), SyncSchedule::TwoHop);
-        let first = out.losses[0];
-        let last = *out.losses.last().unwrap();
-        assert!(
-            last < first * 0.5,
-            "cross-entropy {first} → {last} did not halve over 30 iterations"
-        );
-    }
-
-    #[test]
-    fn lm_schedules_produce_matching_loss_curves() {
-        // The transformer version of Figure 15: MiCS 2-hop vs DDP vs the
-        // ZeRO-3 schedule on the same token stream.
-        let cfg = setup();
-        let ddp = train_lm(&cfg, SyncSchedule::Ddp);
-        let mics = train_lm(&cfg, SyncSchedule::TwoHop);
-        let zero3 = train_lm(&cfg, SyncSchedule::PerMicroStepAllReduce);
-        for i in 0..cfg.iterations {
-            let a = ddp.losses[i];
-            for (name, b) in [("mics", mics.losses[i]), ("zero3", zero3.losses[i])] {
-                assert!(
-                    (a - b).abs() / a.abs().max(1e-9) < 5e-3,
-                    "iteration {i}: ddp {a} vs {name} {b}"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn lm_mixed_precision_with_dynamic_scaling_converges() {
         let mut cfg = setup();
         cfg.quantize = true;
@@ -153,29 +223,5 @@ mod tests {
         assert_eq!(out.skipped_steps, 0);
         assert!(out.final_loss_scale > 4096.0, "scale should have grown");
         assert!(*out.losses.last().unwrap() < out.losses[0] * 0.7);
-    }
-
-    #[test]
-    fn lm_socket_transport_is_bit_identical_to_local() {
-        // The whole training step — sharded gathers, reductions, boundary
-        // collectives, optimizer — over real sockets must reproduce the
-        // shared-memory run bit for bit.
-        let mut cfg = setup();
-        cfg.iterations = 8;
-        let local = train_lm_on(TransportKind::Local, &cfg, SyncSchedule::TwoHop);
-        let socket = train_lm_on(TransportKind::Socket, &cfg, SyncSchedule::TwoHop);
-        assert_eq!(local.losses, socket.losses);
-        assert_eq!(local.final_params, socket.final_params);
-    }
-
-    #[test]
-    fn lm_two_hop_bitwise_equals_zero3_schedule_at_full_partition() {
-        let mut cfg = setup();
-        cfg.partition_size = cfg.world;
-        cfg.iterations = 10;
-        let a = train_lm(&cfg, SyncSchedule::TwoHop);
-        let b = train_lm(&cfg, SyncSchedule::PerMicroStepAllReduce);
-        assert_eq!(a.losses, b.losses);
-        assert_eq!(a.final_params, b.final_params);
     }
 }

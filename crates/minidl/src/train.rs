@@ -10,14 +10,15 @@
 //! structural: the dataplane executes the op sequence the simulator prices.
 //!
 //! [`TrainRun`] is the one way to start a run, for any [`StepCompute`]
-//! model; [`train`], [`train_pipeline`] and [`train_elastic_on`] call it for
-//! the [`Mlp`] fidelity model, [`crate::lm::train_lm_on`] for the transformer.
+//! model; [`train_pipeline`] and [`train_elastic_on`] call it for the
+//! transformer's stages (`lm::LmStages`), and
+//! [`crate::lm::train_lm_on`] is [`train_pipeline`] at one stage.
 
 use crate::checkpoint::TrainState;
-use crate::data::TeacherDataset;
-use crate::executor::{Executor, LaneStats, MicroStep, Plan, StageGrad, StepCompute};
-use crate::nn::{mse_head, Mlp};
+use crate::executor::{Executor, LaneStats, Plan, StepCompute};
+use crate::lm::LmStages;
 use crate::scaler::{LossScale, ScalerSnapshot};
+use crate::transformer::TinyTransformer;
 use mics_compress::CompressionConfig;
 use mics_core::config::MicroSync;
 use mics_core::schedule::{
@@ -26,8 +27,6 @@ use mics_core::schedule::{
 use mics_dataplane::{run_ranks_on, TransportKind};
 use mics_simnet::SimTime;
 use mics_tensor::ShardSpec;
-use std::collections::HashMap;
-use std::ops::Range;
 use std::sync::Mutex;
 
 /// Which gradient-synchronization schedule to run.
@@ -46,18 +45,18 @@ pub enum SyncSchedule {
     TwoHop,
 }
 
-/// Configuration of a fidelity training run of model `M`: the [`Mlp`]
-/// student of [`train`], or the transformer of [`crate::lm::LmSetup`].
+/// Configuration of a fidelity training run of the transformer on the
+/// token chain of [`crate::lm::token_batch`].
 #[derive(Debug, Clone)]
-pub struct TrainSetup<M = Mlp> {
+pub struct TrainSetup {
     /// The model being trained.
-    pub model: M,
+    pub model: TinyTransformer,
     /// Number of data-parallel ranks (`n`).
     pub world: usize,
     /// Partition group size (`p`). Must divide `world`. Ignored by
     /// [`SyncSchedule::Ddp`].
     pub partition_size: usize,
-    /// Samples (sequences, for a language model) per rank per micro-step.
+    /// Sequences per rank per micro-step.
     pub micro_batch: usize,
     /// Micro-steps per iteration (`s`, the gradient-accumulation depth).
     pub accum_steps: usize,
@@ -280,7 +279,7 @@ pub fn step_spec_with_flops(
     }
 }
 
-impl<M> TrainSetup<M> {
+impl TrainSetup {
     /// The schedule-level half: all but the model, data and micro-batch size.
     pub fn hyper(&self) -> ScheduleHyper {
         ScheduleHyper {
@@ -298,7 +297,7 @@ impl<M> TrainSetup<M> {
     }
 }
 
-/// Schedule-level hyper-parameters shared by every model family.
+/// Schedule-level hyper-parameters: a run's all but its model and data.
 #[derive(Debug, Clone, Copy)]
 pub struct ScheduleHyper {
     /// Data-parallel ranks (per pipeline stage).
@@ -359,8 +358,9 @@ impl TrainRun<'_> {
     ///
     /// # Panics
     /// Panics if `partition_size` does not divide `world` (for the sharded
-    /// schedules), a dimension is zero, or the checkpoint or resume point
-    /// lies outside the run.
+    /// schedules), a dimension is zero, the checkpoint or resume point lies
+    /// outside the run, or `compute`'s stages do not cover the starting
+    /// parameters exactly.
     pub fn run<C: StepCompute>(self, compute: &C) -> TrainOutcome {
         let plan = self.plan(compute);
         let mut results = run_ranks_on(self.transport, plan.prog.geo.world(), |comm| {
@@ -415,140 +415,29 @@ impl TrainRun<'_> {
             hp.world
         );
         let stages = compute.stages(init.len());
+        let covered = stages.windows(2).all(|w| w[0].end == w[1].start)
+            && stages.first().is_some_and(|r| r.start == 0)
+            && stages.last().is_some_and(|r| r.end == init.len());
+        assert!(
+            covered,
+            "the model's {} parameters (stages {stages:?}) do not match the {} starting parameters",
+            stages.last().map_or(0, |r| r.end),
+            init.len()
+        );
         let numels: Vec<usize> = stages.iter().map(|r| r.len()).collect();
         let prog = pipeline_step_program(hp, self.schedule, &numels, compute.act_bytes());
         Plan { hp, prog, stages, init, resume, start_iter, checkpoint: self.checkpoint }
     }
 }
 
-/// An [`Mlp`] on the teacher dataset, its layers split contiguously over
-/// `pp` pipeline stages. Per-sample arithmetic and float-op order are those
-/// of [`Mlp::loss_and_grad`] and the stage slices compose bit-exactly (see
-/// [`Mlp::stage_forward`]), so every `pp` trains the same bits.
-struct MlpStages {
-    model: Mlp,
-    dataset: TeacherDataset,
-    micro_batch: usize,
-    pp: usize,
-}
-
-impl MlpStages {
-    fn new(setup: &TrainSetup, pp: usize) -> Self {
-        assert!(pp >= 1, "need at least one pipeline stage");
-        let model = setup.model.clone();
-        let nl = model.num_layers();
-        assert!(nl.is_multiple_of(pp), "pp={pp} must evenly split the model's {nl} layers");
-        let dataset = TeacherDataset::new(
-            &[model.input_dim(), 8, model.output_dim()],
-            setup.seed ^ 0x51ab_0c1d_22ee_9f73,
-        );
-        MlpStages { model, dataset, micro_batch: setup.micro_batch, pp }
-    }
-
-    /// The layer slice `lo..hi` of `stage`.
-    fn layers(&self, stage: usize) -> (usize, usize) {
-        let per = self.model.num_layers() / self.pp;
-        (stage * per, (stage + 1) * per)
-    }
-}
-
-impl StepCompute for MlpStages {
-    /// Per in-flight micro-step: forward activations (per sample, per
-    /// layer), and the targets if this stage read the data.
-    type Saved = HashMap<usize, (Vec<Vec<Vec<f32>>>, Option<Vec<f32>>)>;
-
-    fn stages(&self, _numel: usize) -> Vec<Range<usize>> {
-        (0..self.pp)
-            .map(|s| {
-                let (lo, hi) = self.layers(s);
-                self.model.stage_param_range(lo, hi)
-            })
-            .collect()
-    }
-
-    fn act_bytes(&self) -> u64 {
-        let widest = (1..self.pp).map(|s| self.model.boundary_dim(self.layers(s).0)).max();
-        widest.unwrap_or(0) as u64 * self.micro_batch as u64 * 4
-    }
-
-    fn forward(
-        &self,
-        saved: &mut Self::Saved,
-        params: &[f32],
-        at: MicroStep,
-        input: Option<Vec<f32>>,
-    ) -> Option<Vec<f32>> {
-        let (lo, hi) = self.layers(at.stage);
-        let in_dim = self.model.boundary_dim(lo);
-        let (xs, ys) = input.map(|xs| (xs, None)).unwrap_or_else(|| {
-            assert_eq!(lo, 0, "forward before boundary recv");
-            let (xs, ys) =
-                self.dataset.micro_batch(at.iteration, at.micro, at.rank, self.micro_batch);
-            (xs, Some(ys))
-        });
-        assert_eq!(xs.len(), self.micro_batch * in_dim, "boundary tensor shape");
-        let acts: Vec<Vec<Vec<f32>>> =
-            xs.chunks(in_dim).map(|x| self.model.stage_forward(params, lo, hi, x)).collect();
-        let out = (hi < self.model.num_layers())
-            .then(|| acts.iter().flat_map(|a| a.last().unwrap().iter().copied()).collect());
-        saved.insert(at.micro, (acts, ys));
-        out
-    }
-
-    fn backward(
-        &self,
-        saved: &mut Self::Saved,
-        params: &[f32],
-        at: MicroStep,
-        dout: Option<Vec<f32>>,
-    ) -> StageGrad {
-        let (lo, hi) = self.layers(at.stage);
-        let (acts, ys) = saved.remove(&at.micro).expect("backward before forward");
-        let out_dim = self.model.boundary_dim(hi);
-        let mut loss = 0.0f32;
-        let dout = dout.unwrap_or_else(|| {
-            // The loss folds into a per-micro subtotal first, exactly like
-            // `Mlp::loss_and_grad` — the iteration total must sum micro
-            // subtotals to stay bit-equal.
-            assert_eq!(hi, self.model.num_layers(), "backward before boundary recv");
-            let ys = ys.unwrap_or_else(|| {
-                self.dataset.micro_batch(at.iteration, at.micro, at.rank, self.micro_batch).1
-            });
-            let scale = 1.0 / (self.micro_batch as f32 * out_dim as f32);
-            let mut buf = Vec::with_capacity(ys.len());
-            for (a, y) in acts.iter().zip(ys.chunks(out_dim)) {
-                mse_head(a.last().unwrap(), y, scale, &mut loss, &mut buf);
-            }
-            buf
-        });
-        let mut grad = vec![0.0f32; params.len()];
-        // `stage_backward` returns nothing on stage 0.
-        let mut dinput = Vec::new();
-        for (a, d) in acts.iter().zip(dout.chunks(out_dim)) {
-            dinput.extend(self.model.stage_backward(params, lo, hi, a, d, &mut grad));
-        }
-        StageGrad { loss, grad, dinput: (lo > 0).then_some(dinput) }
-    }
-}
-
-/// Run the configured training job under `schedule` on `setup.world`
-/// thread-ranks and return the (rank-identical) outcome.
-///
-/// # Panics
-/// Panics if `partition_size` does not divide `world` (for the sharded
-/// schedules), or if any dimension is zero.
-pub fn train(setup: &TrainSetup, schedule: SyncSchedule) -> TrainOutcome {
-    train_pipeline(TransportKind::Local, setup, 1, schedule)
-}
-
 /// Run the configured training job as a `dp × pp` 1F1B pipeline on
 /// `setup.world · pp` ranks: the model's layers split contiguously over
 /// `pp` stages, activations and boundary gradients travel as real
 /// point-to-point broadcasts, and gradients synchronize per stage under
-/// `schedule`, sharded over each stage's partition groups. `pp = 1` is
-/// [`train`] on an explicit transport. On the exact wire every `pp` trains
-/// the bits of `pp = 1`; gradient clipping and block-quantized codecs
-/// follow the per-stage shard cut, so they agree only within rounding.
+/// `schedule`, sharded over each stage's partition groups. `pp` must divide
+/// the model's layers. On the exact wire every `pp` trains the bits of
+/// `pp = 1`; gradient clipping and block-quantized codecs follow the
+/// per-stage shard cut, so they agree only within rounding.
 pub fn train_pipeline(
     transport: TransportKind,
     setup: &TrainSetup,
@@ -557,7 +446,7 @@ pub fn train_pipeline(
 ) -> TrainOutcome {
     let start = Start::Fresh(setup.model.init_params(setup.seed));
     TrainRun { transport, hyper: setup.hyper(), schedule, start, checkpoint: None }
-        .run(&MlpStages::new(setup, pp))
+        .run(&LmStages::new(setup, pp))
 }
 
 /// One phase of an elastic run: a flat (pp = 1) geometry and how many
@@ -599,7 +488,7 @@ pub fn train_elastic_on(
     phases: &[ElasticPhase],
 ) -> TrainOutcome {
     assert!(!phases.is_empty(), "an elastic run needs at least one phase");
-    let compute = MlpStages::new(setup, 1);
+    let compute = LmStages::new(setup, 1);
     let numel = setup.model.num_params();
     let hp_at = |ph: &ElasticPhase, end: usize| ScheduleHyper {
         world: ph.world,
@@ -674,6 +563,7 @@ pub fn pipeline_step_program(
 mod tests {
     use super::*;
     use crate::executor::ExecLane;
+    use crate::lm::{token_batch, train_lm};
     use mics_cluster::Rank;
     use mics_core::schedule::OpKind;
     use mics_dataplane::try_run_ranks_on;
@@ -684,10 +574,10 @@ mod tests {
 
     fn setup(world: usize, p: usize, s: usize) -> TrainSetup {
         TrainSetup {
-            model: Mlp::new(&[6, 12, 2]),
+            model: TinyTransformer::new(5, 4, 4, 1, 8, 1),
             world,
             partition_size: p,
-            micro_batch: 4,
+            micro_batch: 2,
             accum_steps: s,
             iterations: 15,
             lr: 0.02,
@@ -725,7 +615,7 @@ mod tests {
         for schedule in
             [SyncSchedule::Ddp, SyncSchedule::PerMicroStepAllReduce, SyncSchedule::TwoHop]
         {
-            let out = train(&setup(4, 2, 2), schedule);
+            let out = train_lm(&setup(4, 2, 2), schedule);
             let first = out.losses[0];
             let last = *out.losses.last().unwrap();
             assert!(last < first * 0.7, "{schedule:?}: loss {first} → {last} did not converge");
@@ -740,7 +630,7 @@ mod tests {
         for schedule in
             [SyncSchedule::Ddp, SyncSchedule::PerMicroStepAllReduce, SyncSchedule::TwoHop]
         {
-            let inline = train(&setup(4, 2, 3), schedule);
+            let inline = train_lm(&setup(4, 2, 3), schedule);
             let mut cfg = setup(4, 2, 3);
             cfg.prefetch_depth = 2;
             for transport in BOTH {
@@ -766,10 +656,10 @@ mod tests {
         // has nothing in flight: neither defers anything.
         let mut cfg = setup(4, 2, 3);
         cfg.prefetch_depth = 1;
-        let out = train(&cfg, SyncSchedule::TwoHop);
+        let out = train_lm(&cfg, SyncSchedule::TwoHop);
         assert_eq!(out.lane_stats.deferred_wire_ops.len(), cfg.accum_steps - 1);
         for schedule in [SyncSchedule::Ddp, SyncSchedule::PerMicroStepAllReduce] {
-            let out = train(&cfg, schedule);
+            let out = train_lm(&cfg, schedule);
             assert!(
                 out.lane_stats.deferred_wire_ops.is_empty(),
                 "{schedule:?} must not defer: {:?}",
@@ -782,10 +672,10 @@ mod tests {
     fn async_executor_prefetches_one_gather_per_remaining_iteration() {
         let mut cfg = setup(4, 2, 2);
         cfg.prefetch_depth = 1;
-        let out = train(&cfg, SyncSchedule::TwoHop);
+        let out = train_lm(&cfg, SyncSchedule::TwoHop);
         assert_eq!(out.lane_stats.prefetched_gathers as usize, cfg.iterations - 1);
         // Inline mode never prefetches and never defers.
-        let inline = train(&setup(4, 2, 2), SyncSchedule::TwoHop);
+        let inline = train_lm(&setup(4, 2, 2), SyncSchedule::TwoHop);
         assert_eq!(inline.lane_stats.prefetched_gathers, 0);
         assert!(inline.lane_stats.deferred_wire_ops.is_empty());
     }
@@ -794,7 +684,7 @@ mod tests {
     fn lane_stats_cover_compute_and_comm() {
         let mut cfg = setup(4, 2, 2);
         cfg.prefetch_depth = 1;
-        let out = train(&cfg, SyncSchedule::TwoHop);
+        let out = train_lm(&cfg, SyncSchedule::TwoHop);
         let stats = &out.lane_stats;
         assert!(stats.busy_ns(ExecLane::Compute) > 0);
         assert!(stats.busy_ns(ExecLane::Gather) > 0);
@@ -812,8 +702,8 @@ mod tests {
         // With p = n, MiCS degenerates to ZeRO-3 and the schedules perform
         // the same sums in the same order → bit-identical training.
         let s = setup(4, 4, 3);
-        let a = train(&s, SyncSchedule::PerMicroStepAllReduce);
-        let b = train(&s, SyncSchedule::TwoHop);
+        let a = train_lm(&s, SyncSchedule::PerMicroStepAllReduce);
+        let b = train_lm(&s, SyncSchedule::TwoHop);
         assert_eq!(a.losses, b.losses);
         assert_eq!(a.final_params, b.final_params);
     }
@@ -823,8 +713,8 @@ mod tests {
         // Figure 15: same convergence behaviour (not necessarily the same
         // floating-point bits — summation orders differ).
         let s = setup(4, 2, 2);
-        let ddp = train(&s, SyncSchedule::Ddp);
-        let mics = train(&s, SyncSchedule::TwoHop);
+        let ddp = train_lm(&s, SyncSchedule::Ddp);
+        let mics = train_lm(&s, SyncSchedule::TwoHop);
         for (i, (a, b)) in ddp.losses.iter().zip(mics.losses.iter()).enumerate() {
             let denom = a.abs().max(1e-6);
             assert!((a - b).abs() / denom < 1e-3, "iteration {i}: DDP {a} vs MiCS {b}");
@@ -837,9 +727,9 @@ mod tests {
         // data, the three schedules stay within a tight tolerance after
         // training.
         let s = setup(8, 2, 2);
-        let ddp = train(&s, SyncSchedule::Ddp);
-        let zero3 = train(&s, SyncSchedule::PerMicroStepAllReduce);
-        let mics = train(&s, SyncSchedule::TwoHop);
+        let ddp = train_lm(&s, SyncSchedule::Ddp);
+        let zero3 = train_lm(&s, SyncSchedule::PerMicroStepAllReduce);
+        let mics = train_lm(&s, SyncSchedule::TwoHop);
         for i in 0..ddp.final_params.len() {
             let a = ddp.final_params[i];
             let b = mics.final_params[i];
@@ -852,8 +742,8 @@ mod tests {
     #[test]
     fn deterministic_across_runs() {
         let s = setup(4, 2, 2);
-        let a = train(&s, SyncSchedule::TwoHop);
-        let b = train(&s, SyncSchedule::TwoHop);
+        let a = train_lm(&s, SyncSchedule::TwoHop);
+        let b = train_lm(&s, SyncSchedule::TwoHop);
         assert_eq!(a, b);
     }
 
@@ -861,22 +751,22 @@ mod tests {
     fn quantized_training_still_converges() {
         let mut s = setup(4, 2, 2);
         s.quantize = true;
-        let out = train(&s, SyncSchedule::TwoHop);
+        let out = train_lm(&s, SyncSchedule::TwoHop);
         assert!(*out.losses.last().unwrap() < out.losses[0] * 0.8);
         // And differs from unquantized (the cast is real).
         let mut s2 = s.clone();
         s2.quantize = false;
-        let exact = train(&s2, SyncSchedule::TwoHop);
+        let exact = train_lm(&s2, SyncSchedule::TwoHop);
         assert_ne!(out.losses, exact.losses);
     }
 
     #[test]
     fn int8_comm_training_tracks_exact_training() {
         use mics_compress::{CompressionConfig, QuantScheme};
-        let exact = train(&setup(4, 2, 2), SyncSchedule::TwoHop);
+        let exact = train_lm(&setup(4, 2, 2), SyncSchedule::TwoHop);
         let mut cfg = setup(4, 2, 2);
         cfg.comm_quant = Some(CompressionConfig::both(QuantScheme::int8()));
-        let q = train(&cfg, SyncSchedule::TwoHop);
+        let q = train_lm(&cfg, SyncSchedule::TwoHop);
         // The quantized wire is real (trajectories differ) ...
         assert_ne!(q.losses, exact.losses);
         // ... but stays within a few percent of the exact loss curve ...
@@ -895,10 +785,10 @@ mod tests {
         // reproduce the uncompressed run exactly.
         let mut base = setup(4, 2, 2);
         base.quantize = true;
-        let exact = train(&base, SyncSchedule::TwoHop);
+        let exact = train_lm(&base, SyncSchedule::TwoHop);
         let mut cfg = base.clone();
         cfg.comm_quant = Some(CompressionConfig::weights_only(QuantScheme::F16));
-        let q = train(&cfg, SyncSchedule::TwoHop);
+        let q = train_lm(&cfg, SyncSchedule::TwoHop);
         assert_eq!(q, exact);
     }
 
@@ -909,7 +799,7 @@ mod tests {
         // discusses at the end of §3.4).
         for s in [1usize, 4] {
             let cfg = setup(4, 2, s);
-            let out = train(&cfg, SyncSchedule::TwoHop);
+            let out = train_lm(&cfg, SyncSchedule::TwoHop);
             assert!(*out.losses.last().unwrap() < out.losses[0], "s={s} failed to improve");
         }
     }
@@ -917,7 +807,7 @@ mod tests {
     #[test]
     fn single_rank_degenerate_case() {
         let cfg = TrainSetup { world: 1, partition_size: 1, ..setup(1, 1, 2) };
-        let out = train(&cfg, SyncSchedule::TwoHop);
+        let out = train_lm(&cfg, SyncSchedule::TwoHop);
         assert_eq!(out.losses.len(), cfg.iterations);
         assert!(*out.losses.last().unwrap() < out.losses[0]);
     }
@@ -926,10 +816,10 @@ mod tests {
     fn loss_scaling_is_numerically_transparent() {
         // Scaling the loss and unscaling the gradients must not change
         // training (up to fp rounding) for any schedule.
-        let base = train(&setup(4, 2, 2), SyncSchedule::TwoHop);
+        let base = train_lm(&setup(4, 2, 2), SyncSchedule::TwoHop);
         let mut cfg = setup(4, 2, 2);
         cfg.loss_scale = LossScale::Dynamic { init: 1024.0, growth_interval: u32::MAX };
-        let scaled = train(&cfg, SyncSchedule::TwoHop);
+        let scaled = train_lm(&cfg, SyncSchedule::TwoHop);
         assert_eq!(scaled.skipped_steps, 0);
         for (i, (a, b)) in base.losses.iter().zip(scaled.losses.iter()).enumerate() {
             assert!((a - b).abs() / a.abs().max(1e-9) < 1e-3, "iter {i}: {a} vs {b}");
@@ -940,7 +830,7 @@ mod tests {
     fn dynamic_scale_grows_over_clean_steps() {
         let mut cfg = setup(4, 2, 2);
         cfg.loss_scale = LossScale::Dynamic { init: 256.0, growth_interval: 5 };
-        let out = train(&cfg, SyncSchedule::TwoHop);
+        let out = train_lm(&cfg, SyncSchedule::TwoHop);
         assert_eq!(out.skipped_steps, 0);
         // 15 iterations, growth every 5 clean steps → 3 doublings.
         assert_eq!(out.final_loss_scale, 256.0 * 8.0);
@@ -953,15 +843,15 @@ mod tests {
         // across schedules (the global-norm all-reduce sees the same sums).
         let mut cfg = setup(4, 2, 2);
         cfg.clip_grad_norm = Some(0.01);
-        let mics = train(&cfg, SyncSchedule::TwoHop);
-        let ddp = train(&cfg, SyncSchedule::Ddp);
+        let mics = train_lm(&cfg, SyncSchedule::TwoHop);
+        let ddp = train_lm(&cfg, SyncSchedule::Ddp);
         for (i, (a, b)) in mics.losses.iter().zip(ddp.losses.iter()).enumerate() {
             assert!((a - b).abs() / a.abs().max(1e-9) < 2e-3, "iter {i}: {a} vs {b}");
         }
         // The cap genuinely binds: the trajectory differs from unclipped
         // training. (Adam's per-element normalization means clipping does
         // not necessarily slow convergence — it just changes the path.)
-        let unclipped = train(&setup(4, 2, 2), SyncSchedule::TwoHop);
+        let unclipped = train_lm(&setup(4, 2, 2), SyncSchedule::TwoHop);
         assert_ne!(mics.losses, unclipped.losses, "clip at 0.01 must bind");
     }
 
@@ -969,8 +859,8 @@ mod tests {
     fn clipping_with_loose_threshold_is_identity() {
         let mut cfg = setup(4, 2, 2);
         cfg.clip_grad_norm = Some(1e6);
-        let clipped = train(&cfg, SyncSchedule::TwoHop);
-        let base = train(&setup(4, 2, 2), SyncSchedule::TwoHop);
+        let clipped = train_lm(&cfg, SyncSchedule::TwoHop);
+        let base = train_lm(&setup(4, 2, 2), SyncSchedule::TwoHop);
         assert_eq!(clipped.losses, base.losses, "a loose clip must never bind");
     }
 
@@ -978,24 +868,23 @@ mod tests {
     #[should_panic(expected = "must divide world")]
     fn bad_partition_size_rejected() {
         let cfg = setup(4, 3, 2);
-        let _ = train(&cfg, SyncSchedule::TwoHop);
+        let _ = train_lm(&cfg, SyncSchedule::TwoHop);
     }
 
     type GradFn = dyn Fn(&[f32], usize, usize, usize) -> (f32, Vec<f32>) + Sync;
 
-    /// Shared scaffolding for the resume tests: an Mlp + teacher dataset
-    /// grad_fn equivalent to the compute [`train`] builds internally.
+    /// Shared scaffolding for the resume tests: the loss and gradient of a
+    /// whole micro-batch as a closure, so a fault can be injected into it.
+    /// At one stage it computes what [`train_lm`]'s stages compute.
     fn resume_rig() -> (ScheduleHyper, Vec<f32>, Box<GradFn>) {
         let cfg = setup(4, 2, 2);
-        let model = Mlp::new(&[6, 12, 2]);
-        let dataset = TeacherDataset::new(&[6, 8, 2], cfg.seed ^ 0x51ab_0c1d_22ee_9f73);
-        let init = model.init_params(cfg.seed);
-        let micro_batch = cfg.micro_batch;
+        let init = cfg.model.init_params(cfg.seed);
         let grad = move |params: &[f32], iter: usize, micro: usize, rank: usize| {
-            let (xs, ys) = dataset.micro_batch(iter, micro, rank, micro_batch);
-            model.loss_and_grad(params, &xs, &ys)
+            let seed = cfg.seed ^ 0x00c0_ffee_1234_5678;
+            let toks = token_batch(&cfg.model, seed, iter, micro, rank, cfg.micro_batch);
+            cfg.model.loss_and_grad(params, &toks)
         };
-        (cfg.hyper(), init, Box::new(grad))
+        (setup(4, 2, 2).hyper(), init, Box::new(grad))
     }
 
     /// A local-transport run from `init`, depositing a snapshot at
@@ -1179,15 +1068,29 @@ mod tests {
         let _ = resume(&hp, SyncSchedule::TwoHop, &ckpt, &grad);
     }
 
+    #[test]
+    #[should_panic(expected = "do not match the")]
+    fn resume_of_another_model_size_rejected() {
+        // The stages come from the model, so a checkpoint of a one-layer
+        // model must not slice into a two-layer one's (or train a prefix).
+        let (hp, init, grad) = resume_rig();
+        let sink = CheckpointSink::new();
+        let _ = run_with_snapshot(&hp, SyncSchedule::TwoHop, init, &grad, 2, &sink);
+        let ckpt = sink.take().unwrap();
+        let mut bigger = setup(4, 2, 2);
+        bigger.model.layers = 2;
+        let _ = resume(&hp, SyncSchedule::TwoHop, &ckpt, &LmStages::new(&bigger, 1));
+    }
+
     /// A 4-layer model so the pipeline has real stage slices to split.
     fn pipe_setup(dp: usize, s: usize) -> TrainSetup {
         TrainSetup {
-            model: Mlp::new(&[6, 10, 8, 7, 2]),
+            model: TinyTransformer::new(5, 4, 4, 1, 8, 4),
             world: dp,
             partition_size: 1,
-            micro_batch: 4,
+            micro_batch: 1,
             accum_steps: s,
-            iterations: 12,
+            iterations: 6,
             lr: 0.02,
             seed: 1234,
             quantize: false,
@@ -1199,11 +1102,24 @@ mod tests {
     }
 
     #[test]
-    fn pipeline_at_pp1_is_bit_identical_to_flat_training() {
-        for schedule in [SyncSchedule::Ddp, SyncSchedule::PerMicroStepAllReduce] {
-            let flat = train(&pipe_setup(2, 3), schedule);
-            let piped = train_pipeline(TransportKind::Local, &pipe_setup(2, 3), 1, schedule);
-            assert_eq!(flat, piped, "{schedule:?}: pp = 1 must be the flat run bit-exactly");
+    fn pipeline_trains_the_flat_bits_on_every_schedule_transport_and_depth() {
+        // The equality the stage split promises: pp ∈ {2, 4} trains the
+        // bits of pp = 1 on the exact wire, for every schedule, on both
+        // transports, inline and overlapped.
+        for schedule in
+            [SyncSchedule::Ddp, SyncSchedule::PerMicroStepAllReduce, SyncSchedule::TwoHop]
+        {
+            for depth in [0, 1] {
+                let cfg =
+                    TrainSetup { partition_size: 2, prefetch_depth: depth, ..pipe_setup(2, 2) };
+                let flat = train_lm(&cfg, schedule);
+                for (pp, transport) in [2, 4].into_iter().flat_map(|pp| BOTH.map(|t| (pp, t))) {
+                    let piped = train_pipeline(transport, &cfg, pp, schedule);
+                    let at = format!("{schedule:?} depth {depth} pp={pp} on {transport}");
+                    assert_eq!(flat.losses, piped.losses, "{at}: losses");
+                    assert_eq!(flat.final_params, piped.final_params, "{at}: parameters");
+                }
+            }
         }
     }
 
@@ -1232,7 +1148,8 @@ mod tests {
     #[test]
     fn pipeline_matches_flat_training_bit_exactly() {
         use mics_compress::{CompressionConfig, QuantScheme};
-        // The stage slices compose bit-exactly (see `nn::stage_forward`),
+        // The stage slices compose bit-exactly (see
+        // `TinyTransformer::stage_loss_and_grad`),
         // per-stage gradient folds run in the same rank order as the flat
         // world, each element's shard owner sums the same ranks in the same
         // order wherever the shard cut falls, and the loss all-reduce only
@@ -1259,7 +1176,7 @@ mod tests {
         for row in rows {
             let (pp, dp, p, _, schedule, _) = row;
             let cfg = pipe_row_setup(&row);
-            let flat = train(&cfg, schedule);
+            let flat = train_lm(&cfg, schedule);
             let piped = train_pipeline(TransportKind::Local, &cfg, pp, schedule);
             let at = format!("{schedule:?} pp={pp} dp={dp} p={p} depth={}", cfg.prefetch_depth);
             assert_eq!(flat.losses, piped.losses, "{at}: pipelined losses diverged");
@@ -1309,12 +1226,12 @@ mod tests {
         let piped = |cfg: &TrainSetup| train_pipeline(TransportKind::Local, cfg, 2, schedule);
 
         let clipped = TrainSetup { clip_grad_norm: Some(0.01), ..base.clone() };
-        let (flat, pipe) = (train(&clipped, schedule), piped(&clipped));
+        let (flat, pipe) = (train_lm(&clipped, schedule), piped(&clipped));
         assert!(rel_diff(&flat.losses, &pipe.losses) <= 1e-6, "clipped losses");
         assert!(rel_diff(&flat.final_params, &pipe.final_params) <= 1e-6, "clipped params");
 
         // int8 against the exact wire, in the band the flat run is held to.
-        let exact = train(&base, schedule);
+        let exact = train_lm(&base, schedule);
         let mut cfg = base.clone();
         int8_wire(&mut cfg);
         let q = piped(&cfg);
@@ -1326,7 +1243,8 @@ mod tests {
 
     #[test]
     fn pipeline_converges() {
-        let out = train_pipeline(TransportKind::Local, &pipe_setup(2, 2), 2, SyncSchedule::Ddp);
+        let cfg = TrainSetup { iterations: 12, ..pipe_setup(2, 2) };
+        let out = train_pipeline(TransportKind::Local, &cfg, 2, SyncSchedule::Ddp);
         let first = out.losses[0];
         let last = *out.losses.last().unwrap();
         assert!(last < first * 0.7, "pipeline loss {first} → {last} did not converge");
@@ -1334,15 +1252,12 @@ mod tests {
 
     #[test]
     fn pipeline_runs_on_the_socket_transport() {
-        // Same schedules, same arithmetic over real framed connections —
-        // the codec and the async executor included.
-        let rows: [PipeRow; 2] = [
-            (2, 2, 1, 2, SyncSchedule::Ddp, |_| {}),
-            (2, 2, 2, 2, SyncSchedule::TwoHop, |c| {
-                int8_wire(c);
-                c.prefetch_depth = 1;
-            }),
-        ];
+        // The int8 codec and the async executor over real framed
+        // connections (the exact wire's rows are in the test above).
+        let rows: [PipeRow; 1] = [(2, 2, 2, 2, SyncSchedule::TwoHop, |c| {
+            int8_wire(c);
+            c.prefetch_depth = 1;
+        })];
         for row in rows {
             let (pp, _, _, _, schedule, _) = row;
             let cfg = pipe_row_setup(&row);
@@ -1357,12 +1272,12 @@ mod tests {
         // state, concurrently with the other stages, so a sink keyed by
         // partition-local rank alone mixes the stages' shards. Many rounds
         // give that race its chances; no round may lose a bit.
-        let cfg = TrainSetup { partition_size: 2, ..pipe_setup(4, 2) };
+        let cfg =
+            TrainSetup { partition_size: 2, micro_batch: 1, iterations: 7, ..pipe_setup(4, 2) };
         let run = |pp: usize, start: Start<'_>, checkpoint: Option<(usize, &CheckpointSink)>| {
             let (transport, hyper) = (TransportKind::Local, cfg.hyper());
             let schedule = SyncSchedule::TwoHop;
-            TrainRun { transport, hyper, schedule, start, checkpoint }
-                .run(&MlpStages::new(&cfg, pp))
+            TrainRun { transport, hyper, schedule, start, checkpoint }.run(&LmStages::new(&cfg, pp))
         };
         let fresh = || Start::Fresh(cfg.model.init_params(cfg.seed));
         let full = run(1, fresh(), None);
@@ -1391,10 +1306,7 @@ mod tests {
         // wire ops `executes_wire` assigns it, in program order.
         let cfg = pipe_setup(2, 3);
         let hp = cfg.hyper();
-        let model = cfg.model.clone();
-        let per = model.num_layers() / 2;
-        let stage_numels =
-            [model.stage_num_params(0, per), model.stage_num_params(per, model.num_layers())];
+        let stage_numels = [0..2, 2..4].map(|layers| cfg.model.stage_params(layers).len());
         let prog = pipeline_step_program(&hp, SyncSchedule::Ddp, &stage_numels, 64);
         let expected: Vec<usize> =
             prog.wire_ops().into_iter().filter(|&id| prog.executes_wire(id, Rank(0))).collect();
@@ -1411,10 +1323,10 @@ mod tests {
 
     fn elastic_setup(world: usize, p: usize, iters: usize) -> TrainSetup {
         TrainSetup {
-            model: Mlp::new(&[6, 10, 2]),
+            model: TinyTransformer::new(5, 4, 4, 1, 8, 1),
             world,
             partition_size: p,
-            micro_batch: 4,
+            micro_batch: 2,
             accum_steps: 2,
             iterations: iters,
             lr: 0.02,
@@ -1433,7 +1345,7 @@ mod tests {
         // through the foreign geometry's sharding untouched, both growing
         // (8 ranks) and shrinking (2 ranks).
         let base = elastic_setup(4, 2, 10);
-        let flat = train(&base, SyncSchedule::TwoHop);
+        let flat = train_lm(&base, SyncSchedule::TwoHop);
         for (w, p) in [(8, 4), (2, 1)] {
             let phases = [
                 ElasticPhase { world: 4, partition_size: 2, iterations: 6 },
@@ -1458,15 +1370,7 @@ mod tests {
         ];
         let el = train_elastic_on(TransportKind::Local, &base, SyncSchedule::TwoHop, &phases);
 
-        let model = base.model.clone();
-        let dataset = TeacherDataset::new(
-            &[model.input_dim(), 8, model.output_dim()],
-            base.seed ^ 0x51ab_0c1d_22ee_9f73,
-        );
-        let grad = |params: &[f32], iter: usize, micro: usize, rank: usize| {
-            let (xs, ys) = dataset.micro_batch(iter, micro, rank, base.micro_batch);
-            model.loss_and_grad(params, &xs, &ys)
-        };
+        let grad = LmStages::new(&base, 1);
         let mut hp = ScheduleHyper { iterations: 5, ..base.hyper() };
         let sink = CheckpointSink::new();
         let init = base.model.init_params(base.seed);
@@ -1519,7 +1423,7 @@ mod tests {
             let world = base_p * base_groups;
             let foreign_world = foreign_p * foreign_groups;
             let base = elastic_setup(world, base_p, t1 + t2);
-            let flat = train(&base, SyncSchedule::TwoHop);
+            let flat = train_lm(&base, SyncSchedule::TwoHop);
             let phases = [
                 ElasticPhase { world, partition_size: base_p, iterations: t1 },
                 ElasticPhase {

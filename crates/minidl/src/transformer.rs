@@ -15,6 +15,7 @@ use crate::kernels::{
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::ops::Range;
 
 /// Configuration of the miniature transformer.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -104,98 +105,168 @@ impl TinyTransformer {
         p
     }
 
+    /// Flat parameter range of the pipeline stage holding `layers`: the
+    /// stage with layer 0 also owns the embeddings, and the stage with the
+    /// last layer the final LayerNorm and the head.
+    pub fn stage_params(&self, layers: Range<usize>) -> Range<usize> {
+        assert!(layers.start < layers.end && layers.end <= self.layers, "bad stage {layers:?}");
+        let emb = (self.vocab + self.seq_len) * self.d_model;
+        let at = |l: usize| emb + l * self.per_layer_params();
+        let start = if layers.start == 0 { 0 } else { at(layers.start) };
+        let end = if layers.end == self.layers { self.num_params() } else { at(layers.end) };
+        start..end
+    }
+
     /// Cross-entropy loss and flat parameter gradient (mean over sequences
     /// and positions) for a micro-batch of sequences.
     ///
     /// `tokens` is row-major `batch × (seq_len + 1)`: positions `0..T` are
     /// inputs, positions `1..T+1` the next-token targets.
     pub fn loss_and_grad(&self, params: &[f32], tokens: &[usize]) -> (f32, Vec<f32>) {
-        assert_eq!(params.len(), self.num_params(), "parameter length mismatch");
-        let t = self.seq_len;
+        let (loss, grad, _) = self.stage_loss_and_grad(params, 0..self.layers, tokens, None, None);
+        (loss, grad)
+    }
+
+    /// The forward pass of the stage holding `layers` over a micro-batch:
+    /// its output, `batch × seq_len × d_model`. `params` is the stage's
+    /// slice (see [`Self::stage_params`]); `input` is the previous stage's
+    /// output, `None` on the first stage, which embeds `tokens` instead.
+    pub fn stage_forward(
+        &self,
+        params: &[f32],
+        layers: Range<usize>,
+        tokens: &[usize],
+        input: Option<&[f32]>,
+    ) -> Vec<f32> {
+        let r = self.stage_ranges(params, layers, tokens, input);
+        let td = self.seq_len * self.d_model;
+        let mut out = Vec::with_capacity(tokens.len() / (self.seq_len + 1) * td);
+        for (b, seq) in tokens.chunks(self.seq_len + 1).enumerate() {
+            let x = input.map(|x| &x[b * td..(b + 1) * td]);
+            out.extend(self.forward(params, &r, seq, x).0);
+        }
+        out
+    }
+
+    /// Forward and backward of the stage holding `layers` over a
+    /// micro-batch: the loss (`0.0` but on the last stage), the gradient of
+    /// the stage's parameters, and the gradient w.r.t. `input` (empty on
+    /// the first stage). `dout` is the next stage's input gradient, `None`
+    /// on the last stage, which computes the loss against `tokens`' targets.
+    /// Over `0..layers` this is [`Self::loss_and_grad`].
+    pub fn stage_loss_and_grad(
+        &self,
+        params: &[f32],
+        layers: Range<usize>,
+        tokens: &[usize],
+        input: Option<&[f32]>,
+        dout: Option<&[f32]>,
+    ) -> (f32, Vec<f32>, Vec<f32>) {
+        let last = layers.end == self.layers;
+        let r = self.stage_ranges(params, layers, tokens, input);
+        assert_eq!(dout.is_none(), last, "the last stage, and only it, starts from the loss");
+        let td = self.seq_len * self.d_model;
+        let batch = tokens.len() / (self.seq_len + 1);
+        let mut grad = vec![0.0f32; params.len()];
+        let mut loss = 0.0f32;
+        let mut dinput = Vec::new();
+        let scale = 1.0 / (batch * self.seq_len) as f32;
+        for (b, seq) in tokens.chunks(self.seq_len + 1).enumerate() {
+            let x = input.map(|x| &x[b * td..(b + 1) * td]);
+            let dy = dout.map(|dy| &dy[b * td..(b + 1) * td]);
+            let (l, dx) = self.sample(params, &r, seq, x, dy, scale, &mut grad);
+            loss += l;
+            dinput.extend(dx);
+        }
+        (loss, grad, dinput)
+    }
+
+    /// Validate a stage call and cut its parameter slice into ranges.
+    fn stage_ranges(
+        &self,
+        params: &[f32],
+        layers: Range<usize>,
+        tokens: &[usize],
+        input: Option<&[f32]>,
+    ) -> StageRanges {
+        let (t, d) = (self.seq_len, self.d_model);
+        assert_eq!(
+            params.len(),
+            self.stage_params(layers.clone()).len(),
+            "parameter length mismatch"
+        );
         assert!(tokens.len().is_multiple_of(t + 1), "tokens not a whole number of sequences");
         let batch = tokens.len() / (t + 1);
         assert!(batch > 0, "empty micro-batch");
         for &tok in tokens {
             assert!(tok < self.vocab, "token id {tok} out of vocabulary");
         }
-        let mut grad = vec![0.0f32; params.len()];
-        let mut loss = 0.0f32;
-        let scale = 1.0 / (batch * t) as f32;
-        for b in 0..batch {
-            let seq = &tokens[b * (t + 1)..(b + 1) * (t + 1)];
-            loss += self.sample(params, seq, scale, &mut grad);
+        assert_eq!(input.is_none(), layers.start == 0, "the first stage, and only it, embeds");
+        if let Some(x) = input {
+            assert_eq!(x.len(), batch * t * d, "stage input shape");
         }
-        (loss, grad)
-    }
 
-    /// Forward+backward for one sequence; returns the (scaled) loss and
-    /// accumulates gradients.
-    fn sample(&self, p: &[f32], seq: &[usize], scale: f32, g: &mut [f32]) -> f32 {
-        let t = self.seq_len;
-        let d = self.d_model;
-        let v = self.vocab;
-        let h = self.heads;
-        let f = self.ffn;
-        let inputs = &seq[..t];
-        let targets = &seq[1..t + 1];
-
-        // ---- parameter slicing helpers (flat offsets) ----
+        let (v, f) = (self.vocab, self.ffn);
         let mut off = 0usize;
         let mut take = |len: usize| {
             let r = off..off + len;
             off += len;
             r
         };
-        let r_tok = take(v * d);
-        let r_pos = take(t * d);
-        let mut r_layers = Vec::with_capacity(self.layers);
-        for _ in 0..self.layers {
-            r_layers.push((
-                take(d),     // ln1 γ
-                take(d),     // ln1 β
-                take(d * d), // wq
-                take(d * d), // wk
-                take(d * d), // wv
-                take(d * d), // wo
-                take(d),     // ln2 γ
-                take(d),     // ln2 β
-                take(d * f), // w1
-                take(f),     // b1
-                take(f * d), // w2
-                take(d),     // b2
-            ));
-        }
-        let r_lnf_g = take(d);
-        let r_lnf_b = take(d);
-        let r_head = take(d * v);
-        let r_head_b = take(v);
-        debug_assert_eq!(off, p.len());
+        let emb = (layers.start == 0).then(|| (take(v * d), take(t * d)));
+        let r_layers = layers
+            .clone()
+            .map(|_| {
+                [
+                    take(d),     // ln1 γ
+                    take(d),     // ln1 β
+                    take(d * d), // wq
+                    take(d * d), // wk
+                    take(d * d), // wv
+                    take(d * d), // wo
+                    take(d),     // ln2 γ
+                    take(d),     // ln2 β
+                    take(d * f), // w1
+                    take(f),     // b1
+                    take(f * d), // w2
+                    take(d),     // b2
+                ]
+            })
+            .collect();
+        // Final LayerNorm γ, β; head weights and bias.
+        let head = (layers.end == self.layers).then(|| [take(d), take(d), take(d * v), take(v)]);
+        debug_assert_eq!(off, params.len());
+        StageRanges { emb, layers: r_layers, head }
+    }
 
-        // ---- forward ----
-        // Embeddings.
-        let mut x = vec![0.0f32; t * d];
-        let (p_tok, p_pos) = (&p[r_tok.clone()], &p[r_pos.clone()]);
-        for (pos, &tok) in inputs.iter().enumerate() {
-            for i in 0..d {
-                x[pos * d + i] = p_tok[tok * d + i] + p_pos[pos * d + i];
+    /// One sequence's forward through the stage's layers: the stage output
+    /// and every layer's cache.
+    fn forward(
+        &self,
+        p: &[f32],
+        r: &StageRanges,
+        seq: &[usize],
+        input: Option<&[f32]>,
+    ) -> (Vec<f32>, Vec<LayerCache>) {
+        let (t, d, h, f) = (self.seq_len, self.d_model, self.heads, self.ffn);
+        let mut x = match (input, &r.emb) {
+            (Some(x), _) => x.to_vec(),
+            (None, Some((r_tok, r_pos))) => {
+                // Embeddings.
+                let mut x = vec![0.0f32; t * d];
+                let (p_tok, p_pos) = (&p[r_tok.clone()], &p[r_pos.clone()]);
+                for (pos, &tok) in seq[..t].iter().enumerate() {
+                    for i in 0..d {
+                        x[pos * d + i] = p_tok[tok * d + i] + p_pos[pos * d + i];
+                    }
+                }
+                x
             }
-        }
-
-        struct LayerCache {
-            ln1: LnCache,
-            q: Vec<f32>,
-            k: Vec<f32>,
-            vv: Vec<f32>,
-            att: Vec<f32>, // h × t × t softmax probabilities
-            ctx: Vec<f32>,
-            ln2: LnCache,
-            z1: Vec<f32>, // pre-activation, t × f
-            a1: Vec<f32>, // post-ReLU
-        }
-        let mut caches: Vec<LayerCache> = Vec::with_capacity(self.layers);
-
-        for lr in &r_layers {
-            let (g1, b1l, wq, wk, wv, wo, g2, b2l, w1, bb1, w2, bb2) = lr;
+            (None, None) => unreachable!("checked by stage_ranges"),
+        };
+        let mut caches = Vec::with_capacity(r.layers.len());
+        for lr in &r.layers {
+            let [g1, b1l, wq, wk, wv, wo, g2, b2l, w1, bb1, w2, bb2] = lr;
             let ln1 = layer_norm(&x, &p[g1.clone()], &p[b1l.clone()], t, d);
             let q = matmul(&ln1.y, &p[wq.clone()], t, d, d);
             let k = matmul(&ln1.y, &p[wk.clone()], t, d, d);
@@ -214,38 +285,64 @@ impl TinyTransformer {
             caches.push(LayerCache { ln1, q, k, vv, att, ctx, ln2, z1, a1 });
             x = x_mid;
         }
-        let lnf = layer_norm(&x, &p[r_lnf_g.clone()], &p[r_lnf_b.clone()], t, d);
-        let mut logits = matmul(&lnf.y, &p[r_head.clone()], t, d, v);
-        add_bias_rows(&mut logits, &p[r_head_b.clone()], t, v);
+        (x, caches)
+    }
 
-        // Cross-entropy + dlogits.
+    /// Forward+backward of one sequence through the stage: returns the
+    /// (scaled) loss and the stage-input gradient, and accumulates the
+    /// parameter gradients into `g`. The last stage starts the backward
+    /// from the cross-entropy, any other from `dout`; the first stage ends
+    /// it in the embeddings and returns an empty input gradient.
+    #[allow(clippy::too_many_arguments)]
+    fn sample(
+        &self,
+        p: &[f32],
+        r: &StageRanges,
+        seq: &[usize],
+        input: Option<&[f32]>,
+        dout: Option<&[f32]>,
+        scale: f32,
+        g: &mut [f32],
+    ) -> (f32, Vec<f32>) {
+        let (t, d, v, h, f) = (self.seq_len, self.d_model, self.vocab, self.heads, self.ffn);
+        let (x, caches) = self.forward(p, r, seq, input);
+
         let mut loss = 0.0f32;
-        let mut dlogits = vec![0.0f32; t * v];
-        for pos in 0..t {
-            let row = &logits[pos * v..(pos + 1) * v];
-            let mx = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
-            let denom: f32 = row.iter().map(|&z| (z - mx).exp()).sum();
-            let target = targets[pos];
-            loss += (denom.ln() + mx - row[target]) * scale;
-            for j in 0..v {
-                let prob = (row[j] - mx).exp() / denom;
-                dlogits[pos * v + j] = (prob - if j == target { 1.0 } else { 0.0 }) * scale;
-            }
-        }
+        let mut dx = match (&r.head, dout) {
+            (Some([r_lnf_g, r_lnf_b, r_head, r_head_b]), _) => {
+                let targets = &seq[1..t + 1];
+                let lnf = layer_norm(&x, &p[r_lnf_g.clone()], &p[r_lnf_b.clone()], t, d);
+                let mut logits = matmul(&lnf.y, &p[r_head.clone()], t, d, v);
+                add_bias_rows(&mut logits, &p[r_head_b.clone()], t, v);
 
-        // ---- backward ----
-        // Head.
-        acc_matmul_at(&lnf.y, &dlogits, t, d, v, &mut g[r_head.clone()]);
-        acc_rows(&mut g[r_head_b.clone()], &dlogits);
-        let d_lnf_y = matmul_bt(&dlogits, &p[r_head.clone()], t, v, d);
-        let mut dx = {
-            let (dg, db) = adjacent_mut(g, r_lnf_g.clone(), r_lnf_b.clone());
-            layer_norm_backward(&lnf, &d_lnf_y, &p[r_lnf_g.clone()], t, d, dg, db)
+                // Cross-entropy + dlogits.
+                let mut dlogits = vec![0.0f32; t * v];
+                for pos in 0..t {
+                    let row = &logits[pos * v..(pos + 1) * v];
+                    let mx = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
+                    let denom: f32 = row.iter().map(|&z| (z - mx).exp()).sum();
+                    let target = targets[pos];
+                    loss += (denom.ln() + mx - row[target]) * scale;
+                    for j in 0..v {
+                        let prob = (row[j] - mx).exp() / denom;
+                        dlogits[pos * v + j] = (prob - if j == target { 1.0 } else { 0.0 }) * scale;
+                    }
+                }
+
+                // ---- backward ----
+                // Head.
+                acc_matmul_at(&lnf.y, &dlogits, t, d, v, &mut g[r_head.clone()]);
+                acc_rows(&mut g[r_head_b.clone()], &dlogits);
+                let d_lnf_y = matmul_bt(&dlogits, &p[r_head.clone()], t, v, d);
+                let (dg, db) = adjacent_mut(g, r_lnf_g.clone(), r_lnf_b.clone());
+                layer_norm_backward(&lnf, &d_lnf_y, &p[r_lnf_g.clone()], t, d, dg, db)
+            }
+            (None, Some(dy)) => dy.to_vec(),
+            (None, None) => unreachable!("checked by stage_loss_and_grad"),
         };
 
-        for (li, lr) in r_layers.iter().enumerate().rev() {
-            let (g1, b1l, wq, wk, wv, wo, g2, b2l, w1, bb1, w2, bb2) = lr;
-            let c = &caches[li];
+        for (lr, c) in r.layers.iter().zip(&caches).rev() {
+            let [g1, b1l, wq, wk, wv, wo, g2, b2l, w1, bb1, w2, bb2] = lr;
             // x_out = x_mid + ffn_out: dx flows to both.
             // FFN backward.
             let d_ffn = &dx;
@@ -287,14 +384,37 @@ impl TinyTransformer {
         }
 
         // Embedding gradients.
-        for (pos, &tok) in inputs.iter().enumerate() {
+        let Some((r_tok, r_pos)) = &r.emb else { return (loss, dx) };
+        for (pos, &tok) in seq[..t].iter().enumerate() {
             for i in 0..d {
                 g[r_tok.start + tok * d + i] += dx[pos * d + i];
                 g[r_pos.start + pos * d + i] += dx[pos * d + i];
             }
         }
-        loss
+        (loss, Vec::new())
     }
+}
+
+/// A stage's parameter slice cut into ranges: the token and position
+/// embeddings on the first stage, each layer's twelve in layout order, and
+/// the final LayerNorm and head on the last.
+struct StageRanges {
+    emb: Option<(Range<usize>, Range<usize>)>,
+    layers: Vec<[Range<usize>; 12]>,
+    head: Option<[Range<usize>; 4]>,
+}
+
+/// One layer's forward activations, kept for its backward.
+struct LayerCache {
+    ln1: LnCache,
+    q: Vec<f32>,
+    k: Vec<f32>,
+    vv: Vec<f32>,
+    att: Vec<f32>, // h × t × t softmax probabilities
+    ctx: Vec<f32>,
+    ln2: LnCache,
+    z1: Vec<f32>, // pre-activation, t × f
+    a1: Vec<f32>, // post-ReLU
 }
 
 /// Salt mixed into user seeds for parameter initialization.
@@ -302,11 +422,7 @@ const INIT_SEED_SALT: u64 = 0x1b5a_92c4_77fe_3d01;
 
 /// Split two *adjacent* parameter ranges of `g` into simultaneous mutable
 /// slices (γ immediately followed by β in the flat layout).
-fn adjacent_mut(
-    g: &mut [f32],
-    a: std::ops::Range<usize>,
-    b: std::ops::Range<usize>,
-) -> (&mut [f32], &mut [f32]) {
+fn adjacent_mut(g: &mut [f32], a: Range<usize>, b: Range<usize>) -> (&mut [f32], &mut [f32]) {
     debug_assert_eq!(a.end, b.start, "ranges must be adjacent");
     let len = a.len();
     g[a.start..b.end].split_at_mut(len)

@@ -109,16 +109,13 @@ fn shapes() -> Vec<(usize, usize, usize)> {
     shapes
 }
 
-/// All five public kernels evaluated at one shape, concatenated in a fixed
+/// All four public kernels evaluated at one shape, concatenated in a fixed
 /// order so one `Vec` captures the whole dispatch surface for comparison.
-/// `m×k` weights/`m`-vectors reuse the matmul operands where shapes align.
 fn dispatch_all(m: usize, k: usize, n: usize) -> Vec<f32> {
     let a = buf(m * k, 1);
     let b = buf(k * n, 2);
     let dout = buf(m * n, 3);
-    let x = buf(k, 4);
     let bias_k = buf(k, 5);
-    let dvec = buf(m, 6);
     let bias_n = buf(n, 7);
 
     let mut out = kernels::matmul(&a, &b, m, k, n);
@@ -126,7 +123,6 @@ fn dispatch_all(m: usize, k: usize, n: usize) -> Vec<f32> {
     let mut gw = buf(k * n, 8);
     kernels::acc_matmul_at(&a, &dout, m, k, n, &mut gw);
     out.extend(gw);
-    out.extend(kernels::matvec_bias(&a, &dvec, &x, m, k));
     let mut rows = buf(m * n, 10);
     kernels::add_bias_rows(&mut rows, &bias_n, m, n);
     out.extend(rows);
@@ -139,9 +135,7 @@ fn reference_all(m: usize, k: usize, n: usize) -> Vec<f32> {
     let a = buf(m * k, 1);
     let b = buf(k * n, 2);
     let dout = buf(m * n, 3);
-    let x = buf(k, 4);
     let bias_k = buf(k, 5);
-    let dvec = buf(m, 6);
     let bias_n = buf(n, 7);
 
     let mut out = reference::matmul(&a, &b, m, k, n);
@@ -149,7 +143,6 @@ fn reference_all(m: usize, k: usize, n: usize) -> Vec<f32> {
     let mut gw = buf(k * n, 8);
     reference::acc_matmul_at(&a, &dout, m, k, n, &mut gw);
     out.extend(gw);
-    out.extend(reference::matvec_bias(&a, &dvec, &x, m, k));
     let mut rows = buf(m * n, 10);
     reference::add_bias_rows(&mut rows, &bias_n, m, n);
     out.extend(rows);
@@ -212,16 +205,13 @@ fn dispatch_matches_reference_and_is_bit_stable_across_knobs() {
 fn pool_split_kernels_give_the_one_thread_bits() {
     let _knobs = configure(None, Some(1));
     type Kernel = fn() -> Vec<f32>;
-    let calls: [(&str, Kernel); 5] = [
+    let calls: [(&str, Kernel); 4] = [
         ("matmul", || kernels::matmul(&buf(37 * 300, 1), &buf(300 * 497, 2), 37, 300, 497)),
         ("matmul_bt", || kernels::matmul_bt(&buf(37 * 300, 1), &buf(497 * 300, 2), 37, 300, 497)),
         ("acc_matmul_at", || {
             let mut gw = buf(37 * 497, 3);
             kernels::acc_matmul_at(&buf(300 * 37, 1), &buf(300 * 497, 2), 300, 37, 497, &mut gw);
             gw
-        }),
-        ("matvec_bias", || {
-            kernels::matvec_bias(&buf(1777 * 1783, 1), &buf(1777, 2), &buf(1783, 3), 1777, 1783)
         }),
         ("add_bias_rows", || {
             let mut rows = buf(2531 * 2503, 1);

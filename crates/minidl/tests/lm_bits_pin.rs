@@ -1,22 +1,15 @@
 //! Pins the exact output bits of `TinyTransformer::loss_and_grad` and of one
-//! short `train_lm` run, and likewise of `Mlp::loss_and_grad` and of one
-//! two-stage pipelined MLP run. The kernels under both models may be
-//! rewritten for speed or sharing only: every loss bit and every gradient
-//! bit must stay what these constants say, with the SIMD path forced on and
-//! forced off.
+//! short `train_lm` run. The kernels under the model may be rewritten for
+//! speed or sharing only: every loss bit and every gradient bit must stay
+//! what these constants say, with the SIMD path forced on and forced off.
 //!
 //! The shapes are the benchmark's LM models plus tail shapes that push the
 //! kernels off their lane and unroll multiples: sequence lengths that are
 //! not a multiple of 8, head widths of 3, 4, 5, 8 and 24, reduction widths
-//! with `k % 4 ≠ 0`, and odd row counts. The MLP shapes put every layer
-//! width class mod 4 on the output side and input widths of 1 to 300 (a
-//! backward reduction of 300 crosses the GEMM cache tile).
+//! with `k % 4 ≠ 0`, and odd row counts.
 
-use mics_dataplane::TransportKind;
 use mics_minidl::kernels;
-use mics_minidl::{
-    train_lm, train_pipeline, LmSetup, LossScale, Mlp, SyncSchedule, TinyTransformer, TrainSetup,
-};
+use mics_minidl::{train_lm, LmSetup, LossScale, SyncSchedule, TinyTransformer};
 use std::sync::Mutex;
 
 /// Serializes the tests of this binary: they flip the process-global SIMD
@@ -122,94 +115,5 @@ fn train_lm_run_bits_are_pinned() {
         got,
         (0xa9c4_cbd4_3dea_04ab, 0xfa99_f798_ee4f_fe5b),
         "train_lm bits moved: (losses, final_params) hashes {got:#018x?}"
-    );
-}
-
-/// `(dims, batch)`, the loss bits and the FNV-1a hash of the gradient bits.
-type MlpPin = ((&'static [usize], usize), u32, u64);
-
-const MLP_PINS: &[MlpPin] = &[
-    // Input width 1; fan-out 4 and 1.
-    ((&[1, 4, 1], 1), 0x3e02_1b74, 0x0d87_0e30_4226_2e3f),
-    // Input width 3; fan-out 5 and 2.
-    ((&[3, 5, 2], 3), 0x3eaf_60b7, 0x70f4_a485_8581_fb3e),
-    // Input widths 6, 12, 8; fan-out 12, 8 and 3.
-    ((&[6, 12, 8, 3], 1), 0x3cf6_6bdb, 0x3ed9_2786_3f45_17ca),
-    // Input width 8 (one whole lane); fan-out 33 and 7.
-    ((&[8, 33, 7], 3), 0x3e23_cb63, 0x592d_a9bc_7ad6_78f2),
-    // Input width 12; fan-out 300 crosses the cache tile on the way back.
-    ((&[12, 6, 300, 2], 1), 0x3d32_eb5b, 0x6832_c8a7_11a7_f009),
-    // Input width 300; fan-out 10 and 1.
-    ((&[300, 10, 1], 3), 0x3db3_9f02, 0xd04c_f731_4213_fcdb),
-    // Input widths 33, 3, 12; fan-out 3, 12 and 6.
-    ((&[33, 3, 12, 6], 1), 0x3e20_83b8, 0xd412_f7e7_d914_457b),
-];
-
-/// A deterministic buffer in roughly [-1, 1].
-fn values(len: usize, salt: usize) -> Vec<f32> {
-    (0..len).map(|i| (((i * 37 + salt * 101) % 199) as f32 / 99.0 - 1.0) * 0.9).collect()
-}
-
-#[test]
-fn mlp_loss_and_grad_bits_are_pinned_with_simd_on_and_off() {
-    let _guard = KNOBS.lock().unwrap_or_else(|p| p.into_inner());
-    let mut got = Vec::new();
-    for (salt, &((dims, batch), _, _)) in MLP_PINS.iter().enumerate() {
-        let model = Mlp::new(dims);
-        let params = model.init_params(2000 + salt as u64);
-        let xs = values(batch * model.input_dim(), salt);
-        let ys = values(batch * model.output_dim(), salt + 50);
-        let mut seen = None;
-        for simd in [Some(true), Some(false)] {
-            kernels::set_simd(simd);
-            let (loss, grad) = model.loss_and_grad(&params, &xs, &ys);
-            let bits = (loss.to_bits(), fnv(&grad));
-            if let Some(first) = seen {
-                assert_eq!(bits, first, "{dims:?} x{batch}: SIMD on and off disagree");
-            }
-            seen = Some(bits);
-        }
-        kernels::set_simd(None);
-        got.push(seen.unwrap());
-    }
-    for (want, got) in MLP_PINS.iter().zip(&got) {
-        assert_eq!(
-            (want.1, want.2),
-            *got,
-            "{:?}: loss / gradient bits moved (loss {:#010x}, gradient hash {:#018x})",
-            want.0,
-            got.0,
-            got.1
-        );
-    }
-}
-
-/// The `losses` and `final_params` of a short two-stage pipelined MLP run
-/// (the stage-boundary gradient included): FNV-1a of each, pinned.
-#[test]
-fn mlp_pipeline_run_bits_are_pinned() {
-    let _guard = KNOBS.lock().unwrap_or_else(|p| p.into_inner());
-    let setup = TrainSetup {
-        model: Mlp::new(&[6, 10, 8, 7, 2]),
-        world: 2,
-        partition_size: 2,
-        micro_batch: 3,
-        accum_steps: 2,
-        iterations: 3,
-        lr: 0.02,
-        seed: 41,
-        quantize: false,
-        loss_scale: LossScale::None,
-        clip_grad_norm: None,
-        comm_quant: None,
-        prefetch_depth: 0,
-    };
-    let out = train_pipeline(TransportKind::Local, &setup, 2, SyncSchedule::TwoHop);
-    assert_eq!(out.losses.len(), 3);
-    let got = (fnv(&out.losses), fnv(&out.final_params));
-    assert_eq!(
-        got,
-        (0xbc8f_aa08_a2b1_307b, 0x9239_bce8_3486_4d14),
-        "pipelined MLP bits moved: (losses, final_params) hashes {got:#018x?}"
     );
 }

@@ -612,15 +612,9 @@ fn resolve_job(spec: JobSpec) -> Result<TrainingJob, PlanError> {
     let (workload, cluster, accum) = resolve_parts(&spec)?;
     let strategy =
         Strategy::parse(&spec.strategy).map_err(|reason| PlanError::BadRequest { reason })?;
-    if let Strategy::Mics(cfg) = &strategy {
-        let n = cluster.total_devices();
-        let p = cfg.partition_size;
-        if p == 0 || p > n || !n.is_multiple_of(p) {
-            return Err(PlanError::BadRequest {
-                reason: format!("partition size {p} does not divide the {n}-device cluster"),
-            });
-        }
-    }
+    strategy
+        .check_partition(cluster.total_devices())
+        .map_err(|e| PlanError::BadRequest { reason: e.to_string() })?;
     Ok(TrainingJob { workload, cluster, strategy, accum_steps: accum })
 }
 

@@ -6,19 +6,19 @@
 
 use mics::dataplane::TransportKind;
 use mics::minidl::checkpoint::{load, save, TrainState};
-use mics::minidl::data::TeacherDataset;
+use mics::minidl::lm::token_batch;
 use mics::minidl::train::ScheduleHyper;
 use mics::minidl::{
-    train, CheckpointSink, LossScale, Mlp, Start, StepCompute, SyncSchedule, TrainCheckpoint,
-    TrainOutcome, TrainRun, TrainSetup,
+    train_lm, CheckpointSink, LmSetup, LossScale, Start, StepCompute, SyncSchedule,
+    TinyTransformer, TrainCheckpoint, TrainOutcome, TrainRun,
 };
 
-fn setup(world: usize, p: usize, s: usize, iters: usize) -> TrainSetup {
-    TrainSetup {
-        model: Mlp::new(&[10, 20, 20, 4]),
+fn setup(world: usize, p: usize, s: usize, iters: usize) -> LmSetup {
+    LmSetup {
+        model: TinyTransformer::new(5, 4, 4, 1, 8, 1),
         world,
         partition_size: p,
-        micro_batch: 6,
+        micro_batch: 2,
         accum_steps: s,
         iterations: iters,
         lr: 0.015,
@@ -36,9 +36,9 @@ fn setup(world: usize, p: usize, s: usize, iters: usize) -> TrainSetup {
 #[test]
 fn long_run_loss_curves_coincide() {
     let cfg = setup(8, 4, 3, 30);
-    let ddp = train(&cfg, SyncSchedule::Ddp);
-    let zero3 = train(&cfg, SyncSchedule::PerMicroStepAllReduce);
-    let mics = train(&cfg, SyncSchedule::TwoHop);
+    let ddp = train_lm(&cfg, SyncSchedule::Ddp);
+    let zero3 = train_lm(&cfg, SyncSchedule::PerMicroStepAllReduce);
+    let mics = train_lm(&cfg, SyncSchedule::TwoHop);
     for i in 0..cfg.iterations {
         let a = ddp.losses[i];
         for (name, b) in [("zero3", zero3.losses[i]), ("mics", mics.losses[i])] {
@@ -55,9 +55,9 @@ fn long_run_loss_curves_coincide() {
 /// only how it communicates. (Partitioning is numerically transparent.)
 #[test]
 fn partition_size_is_numerically_transparent() {
-    let base = train(&setup(8, 1, 2, 12), SyncSchedule::TwoHop);
+    let base = train_lm(&setup(8, 1, 2, 12), SyncSchedule::TwoHop);
     for p in [2usize, 4, 8] {
-        let other = train(&setup(8, p, 2, 12), SyncSchedule::TwoHop);
+        let other = train_lm(&setup(8, p, 2, 12), SyncSchedule::TwoHop);
         for (i, (a, b)) in base.losses.iter().zip(other.losses.iter()).enumerate() {
             assert!((a - b).abs() / a.abs().max(1e-9) < 5e-3, "p={p} iteration {i}: {a} vs {b}");
         }
@@ -71,7 +71,7 @@ fn partition_size_is_numerically_transparent() {
 fn two_hop_converges_at_every_world_size() {
     for world in [1usize, 2, 4, 8] {
         let p = world.min(2);
-        let out = train(&setup(world, p, 2, 15), SyncSchedule::TwoHop);
+        let out = train_lm(&setup(world, p, 2, 15), SyncSchedule::TwoHop);
         assert!(*out.losses.last().unwrap() < out.losses[0], "world={world} did not improve");
     }
 }
@@ -82,7 +82,7 @@ fn two_hop_converges_at_every_world_size() {
 #[test]
 fn accumulation_depths_all_converge() {
     for s in [1usize, 2, 4, 8] {
-        let out = train(&setup(4, 2, s, 12), SyncSchedule::TwoHop);
+        let out = train_lm(&setup(4, 2, s, 12), SyncSchedule::TwoHop);
         assert!(
             *out.losses.last().unwrap() < out.losses[0] * 0.9,
             "s={s}: {:?}",
@@ -91,19 +91,19 @@ fn accumulation_depths_all_converge() {
     }
 }
 
-/// Scaffolding for the kill-and-resume tests: a model + dataset grad_fn
-/// equivalent to what [`train`] builds internally, but visible to the test
-/// so a fault can be injected into it.
+/// Scaffolding for the kill-and-resume tests: the loss and gradient of a
+/// micro-batch as a closure, visible to the test so a fault can be injected
+/// into it.
 struct Rig {
     hp: ScheduleHyper,
     init: Vec<f32>,
-    model: Mlp,
-    dataset: TeacherDataset,
+    model: TinyTransformer,
+    seed: u64,
     micro_batch: usize,
 }
 
 fn rig(world: usize, p: usize, iters: usize) -> Rig {
-    let model = Mlp::new(&[10, 20, 4]);
+    let model = TinyTransformer::new(5, 4, 4, 1, 8, 1);
     let seed = 4242u64;
     Rig {
         hp: ScheduleHyper {
@@ -119,9 +119,9 @@ fn rig(world: usize, p: usize, iters: usize) -> Rig {
             prefetch_depth: 0,
         },
         init: model.init_params(seed),
-        dataset: TeacherDataset::new(&[10, 8, 4], seed ^ 0x51ab_0c1d_22ee_9f73),
         model,
-        micro_batch: 6,
+        seed,
+        micro_batch: 2,
     }
 }
 
@@ -144,8 +144,8 @@ impl Rig {
 
     fn grad(&self) -> impl Fn(&[f32], usize, usize, usize) -> (f32, Vec<f32>) + Sync + '_ {
         move |params, iter, micro, rank| {
-            let (xs, ys) = self.dataset.micro_batch(iter, micro, rank, self.micro_batch);
-            self.model.loss_and_grad(params, &xs, &ys)
+            let toks = token_batch(&self.model, self.seed, iter, micro, rank, self.micro_batch);
+            self.model.loss_and_grad(params, &toks)
         }
     }
 }
@@ -244,10 +244,10 @@ fn resharded_resume_is_bit_exact() {
 fn int8_quantized_two_hop_tracks_exact_baseline() {
     use mics::minidl::{CompressionConfig, QuantScheme};
     let cfg = setup(4, 2, 2, 15);
-    let exact = train(&cfg, SyncSchedule::TwoHop);
+    let exact = train_lm(&cfg, SyncSchedule::TwoHop);
     let mut q = setup(4, 2, 2, 15);
     q.comm_quant = Some(CompressionConfig::both(QuantScheme::int8()));
-    let quantized = train(&q, SyncSchedule::TwoHop);
+    let quantized = train_lm(&q, SyncSchedule::TwoHop);
     for (i, (a, b)) in exact.losses.iter().zip(quantized.losses.iter()).enumerate() {
         assert!((a - b).abs() / a.abs().max(1e-9) < 0.05, "iteration {i}: exact {a} vs int8 {b}");
     }
@@ -266,10 +266,10 @@ fn f16_passthrough_weight_gather_is_bit_exact() {
     use mics::minidl::{CompressionConfig, QuantScheme};
     let mut cfg = setup(4, 2, 2, 10);
     cfg.quantize = true;
-    let exact = train(&cfg, SyncSchedule::TwoHop);
+    let exact = train_lm(&cfg, SyncSchedule::TwoHop);
     let mut f16 = cfg.clone();
     f16.comm_quant = Some(CompressionConfig::weights_only(QuantScheme::F16));
-    let compressed = train(&f16, SyncSchedule::TwoHop);
+    let compressed = train_lm(&f16, SyncSchedule::TwoHop);
     assert_eq!(compressed.losses, exact.losses, "f16 wire must be lossless here");
     assert_eq!(compressed.final_params, exact.final_params);
 }
@@ -280,8 +280,8 @@ fn f16_passthrough_weight_gather_is_bit_exact() {
 fn quantization_commutes_with_sharding() {
     let mut cfg = setup(4, 2, 2, 15);
     cfg.quantize = true;
-    let mics = train(&cfg, SyncSchedule::TwoHop);
-    let zero3 = train(&cfg, SyncSchedule::PerMicroStepAllReduce);
+    let mics = train_lm(&cfg, SyncSchedule::TwoHop);
+    let zero3 = train_lm(&cfg, SyncSchedule::PerMicroStepAllReduce);
     for (i, (a, b)) in mics.losses.iter().zip(zero3.losses.iter()).enumerate() {
         assert!((a - b).abs() / a.abs().max(1e-9) < 5e-3, "iteration {i}: {a} vs {b}");
     }

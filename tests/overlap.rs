@@ -23,10 +23,8 @@ use mics::cluster::{ClusterSpec, InstanceType, Rank};
 use mics::core::ops::SimCluster;
 use mics::core::schedule::execute_on_sim;
 use mics::minidl::scaler::LossScale;
-use mics::minidl::train::{
-    step_program, step_spec_with_flops, train, ScheduleHyper, SyncSchedule, TrainSetup,
-};
-use mics::minidl::{overlappable_wire_ops, Mlp};
+use mics::minidl::train::{step_program, step_spec_with_flops, ScheduleHyper, SyncSchedule};
+use mics::minidl::{overlappable_wire_ops, train_lm, LmSetup, TinyTransformer};
 use std::collections::BTreeSet;
 
 fn hyper(world: usize, p: usize, depth: usize) -> ScheduleHyper {
@@ -44,12 +42,12 @@ fn hyper(world: usize, p: usize, depth: usize) -> ScheduleHyper {
     }
 }
 
-fn setup(world: usize, p: usize, depth: usize) -> TrainSetup {
-    TrainSetup {
-        model: Mlp::new(&[6, 12, 2]),
+fn setup(world: usize, p: usize, depth: usize) -> LmSetup {
+    LmSetup {
+        model: TinyTransformer::new(5, 4, 4, 1, 8, 1),
         world,
         partition_size: p,
-        micro_batch: 4,
+        micro_batch: 2,
         accum_steps: 3,
         iterations: 2,
         lr: 0.02,
@@ -72,13 +70,13 @@ fn executor_defers_exactly_the_statically_overlappable_ops() {
         (SyncSchedule::PerMicroStepAllReduce, 4, 4),
         (SyncSchedule::Ddp, 4, 1),
     ] {
-        let model = Mlp::new(&[6, 12, 2]);
-        let prog = step_program(&hyper(world, p, 2), schedule, model.num_params());
+        let cfg = setup(world, p, 2);
+        let prog = step_program(&hyper(world, p, 2), schedule, cfg.model.num_params());
         let structural: BTreeSet<usize> = overlappable_wire_ops(&prog)
             .into_iter()
             .filter(|&id| prog.executes_wire(id, Rank(0)))
             .collect();
-        let out = train(&setup(world, p, 2), schedule);
+        let out = train_lm(&cfg, schedule);
         let runtime: BTreeSet<usize> = out.lane_stats.deferred_wire_ops.iter().copied().collect();
         assert_eq!(
             runtime, structural,

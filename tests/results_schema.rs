@@ -340,7 +340,7 @@ fn bench_kernels_artifact_matches_its_claims() {
         }
     }
     assert_eq!(attention_rows.len(), 4, "attention is gated at exactly the two LM head shapes");
-    for want in ["matmul", "matmul_bt", "acc_matmul_at", "matvec_bias"] {
+    for want in ["matmul", "matmul_bt", "acc_matmul_at"] {
         assert!(kernels_seen.contains(want), "kernel {want} missing from the bench table");
     }
 }

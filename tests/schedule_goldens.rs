@@ -21,9 +21,9 @@ use mics::dataplane::TransportKind;
 use mics::minidl::scaler::LossScale;
 use mics::minidl::train::{
     pipeline_step_program, step_program, step_spec_with_flops, train_pipeline, ScheduleHyper,
-    SyncSchedule, TrainSetup,
+    SyncSchedule,
 };
-use mics::minidl::Mlp;
+use mics::minidl::{LmSetup, TinyTransformer};
 use mics::model::{LayerSpec, WorkloadSpec};
 use std::path::PathBuf;
 
@@ -209,11 +209,11 @@ fn assert_minidl_executes_the_op_sequence_the_sim_costs(pp: usize) {
         (SyncSchedule::TwoHop, 4, 2),
     ] {
         for (comm_quant, prefetch_depth) in [(None, 0), (None, 1), (int8, 0), (int8, 1)] {
-            let setup = TrainSetup {
-                model: Mlp::new(&[6, 10, 8, 7, 2]),
+            let setup = LmSetup {
+                model: TinyTransformer::new(5, 2, 4, 1, 4, 4),
                 world: dp,
                 partition_size: p,
-                micro_batch: 4,
+                micro_batch: 1,
                 accum_steps: 3,
                 iterations: 2,
                 lr: 0.02,
@@ -225,11 +225,10 @@ fn assert_minidl_executes_the_op_sequence_the_sim_costs(pp: usize) {
                 prefetch_depth,
             };
             let model = &setup.model;
-            let per = model.num_layers() / pp;
+            let per = model.layers / pp;
             let stage_numels: Vec<usize> =
-                (0..pp).map(|s| model.stage_num_params(s * per, (s + 1) * per)).collect();
-            let widest = (1..pp).map(|s| model.boundary_dim(s * per)).max().unwrap_or(0);
-            let act_bytes = (widest * setup.micro_batch * 4) as u64;
+                (0..pp).map(|s| model.stage_params(s * per..(s + 1) * per).len()).collect();
+            let act_bytes = (setup.micro_batch * model.seq_len * model.d_model * 4) as u64;
             let prog = pipeline_step_program(&setup.hyper(), schedule, &stage_numels, act_bytes);
 
             // Sim backend: all thread-ranks sit on one shared-memory "node".
