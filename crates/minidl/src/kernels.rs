@@ -1945,6 +1945,17 @@ mod tests {
         acc_matmul_at(&[1.0; 31], &[1.0; 32], 4, 8, 8, &mut [0.0; 64]);
     }
 
+    /// `matmul_bt` with a `dout` or a `b` one element short panics, in
+    /// release too: each case is caught on its own, so both must panic.
+    #[test]
+    fn matmul_bt_with_a_short_operand_panics() {
+        let (m, n, k) = (8, 16, 8);
+        let short_dout = std::panic::catch_unwind(|| matmul_bt(&[1.0; 127], &[1.0; 128], m, n, k));
+        assert!(short_dout.is_err(), "a short `dout` must panic");
+        let short_b = std::panic::catch_unwind(|| matmul_bt(&[1.0; 128], &[1.0; 127], m, n, k));
+        assert!(short_b.is_err(), "a short `b` must panic");
+    }
+
     #[test]
     fn drift_matmul_is_bounded_reassociation() {
         for &(m, k, n) in SHAPES {
