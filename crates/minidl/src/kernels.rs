@@ -616,7 +616,7 @@ mod avx {
 /// detection ([`avx512_available`]).
 #[cfg(target_arch = "x86_64")]
 mod avx512 {
-    use super::{body, Lanes, Range};
+    use super::{avx::AvxLanes, body, Lanes, Range};
     use std::arch::x86_64::*;
 
     pub(super) struct Avx512Lanes;
@@ -709,6 +709,190 @@ mod avx512 {
         gw: &mut [f32],
     ) {
         body::acc_matmul_at_rows::<Avx512Lanes, 8>(a, dout, m, k, n, kks, gw)
+    }
+
+    /// `out = d[rows] · bᵀ` on tiles of 8, then 4, rows × 4 outputs, bit
+    /// for bit the 8-lane body's. Each zmm holds two rows, row `i` in its
+    /// low 256 bits and row `i + 1` in its high 256 bits, against a `b`
+    /// strip broadcast to both halves, so every lane keeps its 8-wide fused
+    /// chain over `j`; [`reduce_tile`] then runs the
+    /// [`super::Lanes8::hsum`] tree for 4 rows × 4 outputs at once, and the
+    /// scalar tail is folded in after it. Outputs left over (`k % 4`) run
+    /// `body::matmul_bt_one`, and rows left over (`rows.len() % 4`) the
+    /// 8-lane body.
+    ///
+    /// # Safety
+    /// The host must support AVX-512F, AVX2 and FMA (checked by
+    /// [`super::avx512_available`]).
+    #[target_feature(enable = "avx512f,avx2,fma")]
+    pub(super) unsafe fn matmul_bt_rows(
+        dout: &[f32],
+        b: &[f32],
+        n: usize,
+        k: usize,
+        rows: Range<usize>,
+        out: &mut [f32],
+    ) {
+        debug_assert_eq!(out.len(), rows.len() * k);
+        let mut pairs = vec![_mm512_setzero_ps(); if rows.len() >= 4 { n / 8 * 4 } else { 0 }];
+        let ri = row_tiles::<4>(dout, b, n, k, &rows, 0, out, &mut pairs);
+        let ri = row_tiles::<2>(dout, b, n, k, &rows, ri, out, &mut pairs);
+        let rest = rows.start + ri..rows.end;
+        body::matmul_bt_rows::<AvxLanes>(dout, b, n, k, rest, &mut out[ri * k..]);
+    }
+
+    /// [`matmul_bt_rows`]' tiles of `2·P` rows (`P` even) from row `ri` of
+    /// the chunk on, while `2·P` rows remain; returns the first row left.
+    /// A tile's rows are paired once into `pairs`, strip `s` of rows `2p`
+    /// and `2p + 1` at `pairs[P·s + p]`, and reused by all its outputs.
+    #[allow(clippy::too_many_arguments)]
+    #[inline(always)]
+    fn row_tiles<const P: usize>(
+        dout: &[f32],
+        b: &[f32],
+        n: usize,
+        k: usize,
+        rows: &Range<usize>,
+        mut ri: usize,
+        out: &mut [f32],
+        pairs: &mut [__m512],
+    ) -> usize {
+        let n8 = n / 8 * 8;
+        while ri + 2 * P <= rows.len() {
+            let i = rows.start + ri;
+            // Every load below reads inside `d`, `bs` or `pairs`, and every
+            // store inside `o`, so taking them checked is what bounds the
+            // unchecked accesses.
+            let d = &dout[i * n..(i + 2 * P) * n];
+            let o = &mut out[ri * k..(ri + 2 * P) * k];
+            let pairs = &mut pairs[..n8 / 8 * P];
+            for (j, x) in (0..n8).step_by(8).zip(pairs.chunks_exact_mut(P)) {
+                for (p, xp) in x.iter_mut().enumerate() {
+                    *xp = row_pair(d, n, 2 * p, j);
+                }
+            }
+            let mut kk = 0;
+            while kk + 4 <= k {
+                let bs = &b[kk * n..(kk + 4) * n];
+                let acc = tile_chains::<P>(pairs, bs, n);
+                for (r0, acc) in (0..2 * P).step_by(4).zip(acc.chunks_exact(2)) {
+                    let t = reduce_tile([acc[0], acc[1]]);
+                    // SAFETY: row `r0 + 3 < 2·P` of `o` is `k` long, and
+                    // `kk + 4 <= k`.
+                    unsafe {
+                        let at = o.as_mut_ptr().add(r0 * k + kk);
+                        _mm_storeu_ps(at, _mm512_extractf32x4_ps::<0>(t));
+                        _mm_storeu_ps(at.add(k), _mm512_extractf32x4_ps::<1>(t));
+                        _mm_storeu_ps(at.add(2 * k), _mm512_extractf32x4_ps::<2>(t));
+                        _mm_storeu_ps(at.add(3 * k), _mm512_extractf32x4_ps::<3>(t));
+                    }
+                }
+                for j in n8..n {
+                    for r in 0..2 * P {
+                        for c in 0..4 {
+                            let s = &mut o[r * k + kk + c];
+                            *s = d[r * n + j].mul_add(bs[c * n + j], *s);
+                        }
+                    }
+                }
+                kk += 4;
+            }
+            for kk in kk..k {
+                let brow = &b[kk * n..(kk + 1) * n];
+                for r in (0..2 * P).step_by(2) {
+                    let (d0, d1) = d[r * n..(r + 2) * n].split_at(n);
+                    let [s0, s1] = body::matmul_bt_one::<AvxLanes>(d0, d1, brow);
+                    o[r * k + kk] = s0;
+                    o[(r + 1) * k + kk] = s1;
+                }
+            }
+            ri += 2 * P;
+        }
+        ri
+    }
+
+    /// Rows `r` and `r + 1` of `d` (rows of `n`) at columns `j..j + 8`, in
+    /// the low and high 256 bits.
+    #[inline(always)]
+    fn row_pair(d: &[f32], n: usize, r: usize, j: usize) -> __m512 {
+        assert!((r + 1) * n + j + 8 <= d.len());
+        let p = d.as_ptr();
+        // SAFETY: in bounds (asserted above); callers are gated on runtime
+        // AVX-512F detection.
+        unsafe {
+            let lo = _mm256_castps_pd(_mm256_loadu_ps(p.add(r * n + j)));
+            let hi = _mm256_castps_pd(_mm256_loadu_ps(p.add((r + 1) * n + j)));
+            _mm512_castpd_ps(_mm512_insertf64x4::<1>(_mm512_castpd256_pd512(lo), hi))
+        }
+    }
+
+    /// The 8-lane chains of a `2·P`-row × 4-output tile over the whole
+    /// 8-lane strips of `j`: `acc[p][c]` holds rows `2p` (low half) and
+    /// `2p + 1` (high half), paired in `pairs` as [`row_tiles`] lays them
+    /// out, against row `c` of `bs` (4 rows of `n`).
+    #[inline(always)]
+    fn tile_chains<const P: usize>(pairs: &[__m512], bs: &[f32], n: usize) -> [[__m512; 4]; P] {
+        assert!(pairs.len() == n / 8 * P && bs.len() == 4 * n);
+        let bp = bs.as_ptr();
+        // SAFETY: callers are gated on runtime AVX-512F detection, and
+        // `c·n + j + 8 <= 4·n` for `c < 4` and the `n / 8` strips `j` of
+        // `pairs` (asserted above).
+        unsafe {
+            let mut acc = [[_mm512_setzero_ps(); 4]; P];
+            for (j, x) in (0..n).step_by(8).zip(pairs.chunks_exact(P)) {
+                let strip = |c: usize| {
+                    let y = _mm256_castps_pd(_mm256_loadu_ps(bp.add(c * n + j)));
+                    _mm512_castpd_ps(_mm512_broadcast_f64x4(y))
+                };
+                let y = [strip(0), strip(1), strip(2), strip(3)];
+                for (row, &xv) in acc.iter_mut().zip(x) {
+                    for (a, &yv) in row.iter_mut().zip(&y) {
+                        *a = _mm512_fmadd_ps(xv, yv, *a);
+                    }
+                }
+            }
+            acc
+        }
+    }
+
+    /// [`super::Lanes8::hsum`]'s tree `(q0 + q2) + (q1 + q3)` over
+    /// `q_l = v_l + v_{l+4}` for the 16 chains of [`tile_chains`] at once.
+    /// Every add takes the operands `hsum` adds, in the same order; only
+    /// the shuffles that line them up differ. 128-bit lane `r` of the
+    /// result holds row `r`'s four outputs in order.
+    #[inline(always)]
+    fn reduce_tile(acc: [[__m512; 4]; 2]) -> __m512 {
+        let [lo, hi] = acc;
+        // `tree_q(lo[c], hi[c])` holds output `c`'s `q` of rows 0..4, one
+        // row per 128-bit lane.
+        let (q0, q1) = (tree_q(lo[0], hi[0]), tree_q(lo[1], hi[1]));
+        let (q2, q3) = (tree_q(lo[2], hi[2]), tree_q(lo[3], hi[3]));
+        tree_s(tree_h(q0, q1), tree_h(q2, q3))
+    }
+
+    /// The `q` level: lane `l` of each 8-lane half plus lane `l + 4`; the
+    /// halves of `a`, then those of `b`, one per 128-bit lane.
+    #[inline(always)]
+    fn tree_q(a: __m512, b: __m512) -> __m512 {
+        // SAFETY: callers are gated on runtime AVX-512F detection.
+        unsafe {
+            _mm512_add_ps(_mm512_shuffle_f32x4::<0x88>(a, b), _mm512_shuffle_f32x4::<0xdd>(a, b))
+        }
+    }
+
+    /// The first pair level: `(q0 + q2, q1 + q3)` of each 128-bit lane of
+    /// `a`, then of `b`.
+    #[inline(always)]
+    fn tree_h(a: __m512, b: __m512) -> __m512 {
+        // SAFETY: callers are gated on runtime AVX-512F detection.
+        unsafe { _mm512_add_ps(_mm512_shuffle_ps::<0x44>(a, b), _mm512_shuffle_ps::<0xee>(a, b)) }
+    }
+
+    /// The last level: the two sums of each pair of `a`, then of `b`.
+    #[inline(always)]
+    fn tree_s(a: __m512, b: __m512) -> __m512 {
+        // SAFETY: callers are gated on runtime AVX-512F detection.
+        unsafe { _mm512_add_ps(_mm512_shuffle_ps::<0x88>(a, b), _mm512_shuffle_ps::<0xdd>(a, b)) }
     }
 }
 
@@ -934,25 +1118,35 @@ mod body {
                 kk += UNROLL;
             }
             while kk < k {
-                let brow = &b[kk * n..(kk + 1) * n];
-                let (mut v0, mut v1) = (L::zero(), L::zero());
-                let mut j = 0;
-                while j + LANES <= n {
-                    let y = L::ld(brow, j);
-                    v0 = L::fma(L::ld(d0, j), y, v0);
-                    v1 = L::fma(L::ld(d1, j), y, v1);
-                    j += LANES;
-                }
-                let (mut s0, mut s1) = (L::hsum(v0), L::hsum(v1));
-                while j < n {
-                    s0 = d0[j].mul_add(brow[j], s0);
-                    s1 = d1[j].mul_add(brow[j], s1);
-                    j += 1;
-                }
+                let [s0, s1] = matmul_bt_one::<L>(d0, d1, &b[kk * n..(kk + 1) * n]);
                 store(kk, &[s0], &[s1]);
                 kk += 1;
             }
         }
+    }
+
+    /// One output of [`matmul_bt_rows`] for two rows: `d0·brow` and
+    /// `d1·brow`, each an 8-wide fused chain over `j` reduced by the
+    /// [`Lanes8::hsum`] tree, the scalar tail folded in after it. The rows
+    /// are `brow.len()` long.
+    #[inline(always)]
+    pub(super) fn matmul_bt_one<L: Lanes8>(d0: &[f32], d1: &[f32], brow: &[f32]) -> [f32; 2] {
+        let n = brow.len();
+        let (mut v0, mut v1) = (L::zero(), L::zero());
+        let mut j = 0;
+        while j + LANES <= n {
+            let y = L::ld(brow, j);
+            v0 = L::fma(L::ld(d0, j), y, v0);
+            v1 = L::fma(L::ld(d1, j), y, v1);
+            j += LANES;
+        }
+        let (mut s0, mut s1) = (L::hsum(v0), L::hsum(v1));
+        while j < n {
+            s0 = d0[j].mul_add(brow[j], s0);
+            s1 = d1[j].mul_add(brow[j], s1);
+            j += 1;
+        }
+        [s0, s1]
     }
 
     /// Causal multi-head attention forward, all heads. `q`, `k`, `v` and
@@ -1455,19 +1649,21 @@ pub fn matmul_bt(dout: &[f32], b: &[f32], m: usize, n: usize, k: usize) -> Vec<f
     debug_assert_eq!(dout.len(), m * n);
     debug_assert_eq!(b.len(), k * n);
     let mut out = vec![0.0f32; m * k];
-    let path = path(false);
+    let path = path(true);
     let base = OutPtr(out.as_mut_ptr());
     record("matmul_bt", 2 * (m * n * k) as u64, path, || {
         pool::run(m, 2 * n * k, &move |rows: Range<usize>| {
             // SAFETY: disjoint row ranges of a live allocation.
             let o = unsafe { base.window(rows.start * k, rows.len() * k) };
-            #[cfg(target_arch = "x86_64")]
-            if path == Path::Avx2 {
+            match path {
+                // SAFETY: `path` verified AVX-512F, AVX2 and FMA on this host.
+                #[cfg(target_arch = "x86_64")]
+                Path::Avx512 => unsafe { avx512::matmul_bt_rows(dout, b, n, k, rows, o) },
                 // SAFETY: `path` verified AVX2+FMA on this host.
-                unsafe { avx::matmul_bt_rows(dout, b, n, k, rows, o) };
-                return;
+                #[cfg(target_arch = "x86_64")]
+                Path::Avx2 => unsafe { avx::matmul_bt_rows(dout, b, n, k, rows, o) },
+                _ => body::matmul_bt_rows::<ScalarLanes>(dout, b, n, k, rows, o),
             }
-            body::matmul_bt_rows::<ScalarLanes>(dout, b, n, k, rows, o);
         });
     });
     out
@@ -1803,23 +1999,33 @@ mod tests {
     const SHAPES: &[(usize, usize, usize)] =
         &[(1, 1, 1), (3, 5, 7), (4, 8, 8), (6, 300, 5), (5, 7, 9), (8, 257, 16)];
 
-    /// `matmul` / `acc_matmul_at` bodies over a row range, as in `body`.
+    /// `matmul` / `matmul_bt` / `acc_matmul_at` bodies over a row range, as
+    /// in `body` (`matmul_bt`'s takes `n` before `k`).
     type Matmul = fn(&[f32], &[f32], usize, usize, Range<usize>, &mut [f32]);
     type AccMatmulAt = fn(&[f32], &[f32], usize, usize, usize, Range<usize>, &mut [f32]);
 
+    /// One backend's GEMM bodies: name, `matmul`, `acc_matmul_at`,
+    /// `matmul_bt`.
+    type Gemms = (&'static str, Matmul, AccMatmulAt, Matmul);
+
     /// The GEMM bodies' instantiations this host can run: `set_simd` picks
     /// only the widest, so the narrower SIMD ones are reached here.
-    fn instantiations() -> Vec<(&'static str, Matmul, AccMatmulAt)> {
-        let mut all: Vec<(&'static str, Matmul, AccMatmulAt)> = vec![(
+    fn instantiations() -> Vec<Gemms> {
+        let mut all: Vec<Gemms> = vec![(
             "scalar",
             body::matmul_rows::<ScalarLanes, 4>,
             body::acc_matmul_at_rows::<ScalarLanes, 4>,
+            body::matmul_bt_rows::<ScalarLanes>,
         )];
         #[cfg(target_arch = "x86_64")]
         if simd_available() {
             fn mm(a: &[f32], b: &[f32], k: usize, n: usize, rows: Range<usize>, o: &mut [f32]) {
                 // SAFETY: listed only after runtime AVX2+FMA detection.
                 unsafe { avx::matmul_rows(a, b, k, n, rows, o) }
+            }
+            fn bt(d: &[f32], b: &[f32], n: usize, k: usize, rows: Range<usize>, o: &mut [f32]) {
+                // SAFETY: listed only after runtime AVX2+FMA detection.
+                unsafe { avx::matmul_bt_rows(d, b, n, k, rows, o) }
             }
             fn at(
                 a: &[f32],
@@ -1833,13 +2039,17 @@ mod tests {
                 // SAFETY: listed only after runtime AVX2+FMA detection.
                 unsafe { avx::acc_matmul_at_rows(a, d, m, k, n, r, g) }
             }
-            all.push(("avx2", mm, at));
+            all.push(("avx2", mm, at, bt));
         }
         #[cfg(target_arch = "x86_64")]
         if avx512_available() {
             fn mm(a: &[f32], b: &[f32], k: usize, n: usize, rows: Range<usize>, o: &mut [f32]) {
                 // SAFETY: listed only after runtime AVX-512F detection.
                 unsafe { avx512::matmul_rows(a, b, k, n, rows, o) }
+            }
+            fn bt(d: &[f32], b: &[f32], n: usize, k: usize, rows: Range<usize>, o: &mut [f32]) {
+                // SAFETY: listed only after runtime AVX-512F detection.
+                unsafe { avx512::matmul_bt_rows(d, b, n, k, rows, o) }
             }
             fn at(
                 a: &[f32],
@@ -1853,15 +2063,13 @@ mod tests {
                 // SAFETY: listed only after runtime AVX-512F detection.
                 unsafe { avx512::acc_matmul_at_rows(a, d, m, k, n, r, g) }
             }
-            all.push(("avx512", mm, at));
+            all.push(("avx512", mm, at, bt));
         }
         all
     }
 
-    /// `tests/kernels_v2.rs`' shapes, then the tails of the 8 × 32 tile:
-    /// m 1..=17 rows against the 8- and 4-row tiles, n around one, two and
-    /// three 16-lane vectors, k around the KC = 256 tile.
-    fn gemm_shapes() -> Vec<(usize, usize, usize)> {
+    /// `tests/kernels_v2.rs`' shapes, as `(m, k, n)`.
+    fn v2_shapes() -> Vec<(usize, usize, usize)> {
         let mut shapes = vec![
             (0, 3, 4),
             (3, 0, 4),
@@ -1895,6 +2103,14 @@ mod tests {
             let k = if i % 5 == 0 { 250 + next(14) as usize } else { 1 + next(40) as usize };
             shapes.push((1 + next(24) as usize, k, 1 + next(40) as usize));
         }
+        shapes
+    }
+
+    /// [`v2_shapes`], then the tails of the 8 × 32 tile: m 1..=17 rows
+    /// against the 8- and 4-row tiles, n around one, two and three 16-lane
+    /// vectors, k around the KC = 256 tile.
+    fn gemm_shapes() -> Vec<(usize, usize, usize)> {
+        let mut shapes = v2_shapes();
         for m in 1..=17 {
             for n in [15, 16, 17, 31, 32, 33, 47, 48, 49] {
                 for k in 255..=257 {
@@ -1912,7 +2128,7 @@ mod tests {
         let all = instantiations();
         for (m, k, n) in gemm_shapes() {
             let (a, b, d) = (buf(m * k, 1), buf(k * n, 2), buf(m * n, 3));
-            let run = |&(_, matmul, acc): &(&str, Matmul, AccMatmulAt)| {
+            let run = |&(_, matmul, acc, _): &Gemms| {
                 let mut out = vec![0.0f32; m * n];
                 let (lo, hi) = out.split_at_mut(m / 2 * n);
                 matmul(&a, &b, k, n, 0..m / 2, lo);
@@ -1927,6 +2143,46 @@ mod tests {
             let want = run(&all[0]);
             for inst in &all[1..] {
                 assert!(run(inst) == want, "{} differs from scalar at {m}x{k}x{n}", inst.0);
+            }
+        }
+    }
+
+    /// Every instantiation of the `matmul_bt` body gives the scalar one's
+    /// bits, over the whole output and split at an odd row: m 1..=17 covers
+    /// every `m % 4` against the 4-row tile and an odd last row, n lies
+    /// around the 8-lane chains and their scalar tail, k 1..=9 covers every
+    /// `k % 4` against the 4 outputs of a pass; then `kernels_v2.rs`'
+    /// shapes.
+    #[test]
+    fn every_matmul_bt_instantiation_gives_the_same_bits() {
+        let mut shapes = Vec::new();
+        for m in 1..=17 {
+            for n in [1, 7, 8, 9, 15, 16, 17, 64, 65, 300] {
+                for k in (1..=9).chain([64, 67]) {
+                    shapes.push((m, n, k));
+                }
+            }
+        }
+        shapes.extend(v2_shapes().into_iter().map(|(m, k, n)| (m, n, k)));
+        let all = instantiations();
+        for (m, n, k) in shapes {
+            let (d, b) = (buf(m * n, 3), buf(k * n, 2));
+            let run = |bt: Matmul, split: usize| {
+                let mut out = vec![0.0f32; m * k];
+                let (lo, hi) = out.split_at_mut(split * k);
+                bt(&d, &b, n, k, 0..split, lo);
+                bt(&d, &b, n, k, split..m, hi);
+                out.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
+            };
+            let want = run(all[0].3, 0);
+            for &(name, .., bt) in &all {
+                for split in [0, (m / 2) | 1] {
+                    let split = split.min(m);
+                    assert!(
+                        run(bt, split) == want,
+                        "{name} differs from scalar at {m}x{n}x{k} split at {split}"
+                    );
+                }
             }
         }
     }
