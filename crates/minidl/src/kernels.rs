@@ -26,10 +26,13 @@
 //! AVX-512, 4 × 16 on AVX2 and the fallback, the last columns in masked
 //! partial vectors. On AVX-512 hosts they run 16 lanes.
 //!
-//! The other kernels stay at 8 lanes (`Lanes8`, which `Avx512Lanes` does
-//! not implement). `matmul_bt` fixes its association with the 8-lane
-//! `hsum` tree, so a wider vector would change its bits;
-//! attention is bound by its scalar `exp`, not by its lanes.
+//! `matmul_bt` fixes its association at 8 lanes: each element is an 8-wide
+//! fused chain reduced by the `Lanes8::hsum` tree. Its AVX-512 body keeps
+//! both. Each zmm holds two rows' 8-lane chains side by side, and one
+//! transposed tree of shuffles reduces 4 rows × 4 outputs at once, every
+//! add pairing the operands `hsum` pairs. The other kernels stay at 8
+//! lanes (`Lanes8`, which `Avx512Lanes` does not implement): attention is
+//! bound by its scalar `exp`, not by its lanes.
 //!
 //! Because every backend of a kernel runs the *same* generic body — same
 //! fused chains, same reduction tree — the SIMD paths and the scalar
@@ -138,8 +141,8 @@ fn avx512_available() -> bool {
 
 /// Force the SIMD path on/off (`Some`), or restore autodetection (`None`).
 /// Forcing *on* still requires [`simd_available`]; on hosts without
-/// AVX2+FMA the fallback always runs, and on hosts with AVX-512F `matmul`
-/// and `acc_matmul_at` take their AVX-512 bodies. Outputs are
+/// AVX2+FMA the fallback always runs, and on hosts with AVX-512F the three
+/// GEMMs take their AVX-512 bodies. Outputs are
 /// byte-identical either way — this knob exists for tests and
 /// benchmarking, not correctness.
 pub fn set_simd(on: Option<bool>) {
@@ -159,9 +162,9 @@ pub fn simd_active() -> bool {
     }
 }
 
-/// The widest backend the next dispatch runs: `"avx512"` (for `matmul`
-/// and `acc_matmul_at`; the other kernels run AVX2), `"avx2"` or
-/// `"scalar"`.
+/// The widest backend the next dispatch runs: `"avx512"` (for the 16-lane
+/// kernels `matmul`, `matmul_bt` and `acc_matmul_at`; the other kernels
+/// run AVX2), `"avx2"` or `"scalar"`.
 pub fn simd_level() -> &'static str {
     match path(true) {
         Path::Avx512 => "avx512",
@@ -610,14 +613,15 @@ mod avx {
 }
 
 /// AVX-512 backend: 16 lanes, used by the two GEMMs whose elements are
-/// single fused chains (`matmul`, `acc_matmul_at`), on an 8-row × 32-column
-/// tile. Only instantiated inside `#[target_feature(enable =
-/// "avx512f,avx2,fma")]` functions reached exclusively after runtime
-/// detection ([`avx512_available`]).
+/// single fused chains (`matmul`, `acc_matmul_at`) on an 8-row × 32-column
+/// tile, and by `matmul_bt`'s two-rows-per-zmm tile. Only instantiated
+/// inside `#[target_feature(enable = "avx512f,avx2,fma")]` functions
+/// reached exclusively after runtime detection ([`avx512_available`]).
 #[cfg(target_arch = "x86_64")]
 mod avx512 {
     use super::{avx::AvxLanes, body, Lanes, Range};
     use std::arch::x86_64::*;
+    use std::cell::Cell;
 
     pub(super) struct Avx512Lanes;
 
@@ -734,11 +738,22 @@ mod avx512 {
         out: &mut [f32],
     ) {
         debug_assert_eq!(out.len(), rows.len() * k);
-        let mut pairs = vec![_mm512_setzero_ps(); if rows.len() >= 4 { n / 8 * 4 } else { 0 }];
+        let mut pairs = PAIRS.take();
+        if rows.len() >= 4 && pairs.len() < n / 8 * 4 {
+            pairs.resize(n / 8 * 4, _mm512_setzero_ps());
+        }
         let ri = row_tiles::<4>(dout, b, n, k, &rows, 0, out, &mut pairs);
         let ri = row_tiles::<2>(dout, b, n, k, &rows, ri, out, &mut pairs);
+        PAIRS.set(pairs);
         let rest = rows.start + ri..rows.end;
         body::matmul_bt_rows::<AvxLanes>(dout, b, n, k, rest, &mut out[ri * k..]);
+    }
+
+    thread_local! {
+        /// The calling thread's paired rows of its current [`matmul_bt_rows`]
+        /// tile. Kept across calls: a 64-byte-aligned buffer allocated per
+        /// call raised `lm_compute_local`'s peak RSS by ≈ 0.7 MB.
+        static PAIRS: Cell<Vec<__m512>> = const { Cell::new(Vec::new()) };
     }
 
     /// [`matmul_bt_rows`]' tiles of `2·P` rows (`P` even) from row `ri` of
@@ -1643,8 +1658,10 @@ pub fn matmul(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
     out
 }
 
-/// `out[m×k] = d[m×n] · bᵀ[n×k]` (gradient w.r.t. the left operand):
-/// four simultaneous 8-wide dot products per pass, parallel over rows.
+/// `out[m×k] = d[m×n] · bᵀ[n×k]` (gradient w.r.t. the left operand): each
+/// element an 8-wide fused dot product reduced by one fixed tree, on tiles
+/// of 8 or 4 rows × 4 outputs, two rows per zmm, on AVX-512 (else 2 × 4),
+/// parallel over rows.
 pub fn matmul_bt(dout: &[f32], b: &[f32], m: usize, n: usize, k: usize) -> Vec<f32> {
     debug_assert_eq!(dout.len(), m * n);
     debug_assert_eq!(b.len(), k * n);
@@ -2149,7 +2166,7 @@ mod tests {
 
     /// Every instantiation of the `matmul_bt` body gives the scalar one's
     /// bits, over the whole output and split at an odd row: m 1..=17 covers
-    /// every `m % 4` against the 4-row tile and an odd last row, n lies
+    /// every `m % 8` against the 8- and 4-row tiles and an odd last row, n lies
     /// around the 8-lane chains and their scalar tail, k 1..=9 covers every
     /// `k % 4` against the 4 outputs of a pass; then `kernels_v2.rs`'
     /// shapes.

@@ -402,3 +402,16 @@ fn runtime_detection_engages_simd_and_fallback_paths() {
         "5-thread override on a 128³ matmul must use the pool"
     );
 }
+
+/// `matmul_bt` runs on AVX-512 where the host has it: one call adds exactly
+/// one to `kernel.avx512_calls` there, and nothing elsewhere.
+#[test]
+fn matmul_bt_counts_one_avx512_call_on_an_avx512_host() {
+    let _knobs = configure(None, Some(1));
+    let (m, n, k) = (8, 16, 8);
+    let (d, b) = (buf(m * n, 3), buf(k * n, 2));
+    let before = stat("kernel.avx512_calls");
+    let _ = kernels::matmul_bt(&d, &b, m, n, k);
+    let want = u64::from(kernels::simd_level() == "avx512");
+    assert_eq!(stat("kernel.avx512_calls") - before, want, "simd level {}", kernels::simd_level());
+}
