@@ -621,7 +621,7 @@ mod avx {
 mod avx512 {
     use super::{avx::AvxLanes, body, Lanes, Range};
     use std::arch::x86_64::*;
-    use std::cell::Cell;
+    use std::mem::MaybeUninit;
 
     pub(super) struct Avx512Lanes;
 
@@ -738,28 +738,25 @@ mod avx512 {
         out: &mut [f32],
     ) {
         debug_assert_eq!(out.len(), rows.len() * k);
-        let mut pairs = PAIRS.take();
-        if rows.len() >= 4 && pairs.len() < n / 8 * 4 {
-            pairs.resize(n / 8 * 4, _mm512_setzero_ps());
-        }
+        // On the stack: a 64-byte-aligned heap buffer, per call or per
+        // thread, raised `lm_compute_local`'s peak RSS by 0.5–0.7 MB.
+        let mut pairs = [MaybeUninit::uninit(); PAIRED];
         let ri = row_tiles::<4>(dout, b, n, k, &rows, 0, out, &mut pairs);
         let ri = row_tiles::<2>(dout, b, n, k, &rows, ri, out, &mut pairs);
-        PAIRS.set(pairs);
         let rest = rows.start + ri..rows.end;
         body::matmul_bt_rows::<AvxLanes>(dout, b, n, k, rest, &mut out[ri * k..]);
     }
 
-    thread_local! {
-        /// The calling thread's paired rows of its current [`matmul_bt_rows`]
-        /// tile. Kept across calls: a 64-byte-aligned buffer allocated per
-        /// call raised `lm_compute_local`'s peak RSS by ≈ 0.7 MB.
-        static PAIRS: Cell<Vec<__m512>> = const { Cell::new(Vec::new()) };
-    }
+    /// Row-pair strips a [`matmul_bt_rows`] tile can hold: 8-row tiles up
+    /// to `n = 512`, 4-row tiles up to `n = 1024`. Wider rows run the
+    /// 8-lane body.
+    const PAIRED: usize = 256;
 
     /// [`matmul_bt_rows`]' tiles of `2·P` rows (`P` even) from row `ri` of
-    /// the chunk on, while `2·P` rows remain; returns the first row left.
-    /// A tile's rows are paired once into `pairs`, strip `s` of rows `2p`
-    /// and `2p + 1` at `pairs[P·s + p]`, and reused by all its outputs.
+    /// the chunk on, while `2·P` rows remain and their strips fit `buf`;
+    /// returns the first row left. A tile's rows are paired once into
+    /// `buf`, strip `s` of rows `2p` and `2p + 1` at `buf[P·s + p]`, and
+    /// reused by all its outputs.
     #[allow(clippy::too_many_arguments)]
     #[inline(always)]
     fn row_tiles<const P: usize>(
@@ -770,9 +767,12 @@ mod avx512 {
         rows: &Range<usize>,
         mut ri: usize,
         out: &mut [f32],
-        pairs: &mut [__m512],
+        buf: &mut [MaybeUninit<__m512>],
     ) -> usize {
         let n8 = n / 8 * 8;
+        if n8 / 8 * P > buf.len() {
+            return ri;
+        }
         while ri + 2 * P <= rows.len() {
             let i = rows.start + ri;
             // Every load below reads inside `d`, `bs` or `pairs`, and every
@@ -780,12 +780,15 @@ mod avx512 {
             // unchecked accesses.
             let d = &dout[i * n..(i + 2 * P) * n];
             let o = &mut out[ri * k..(ri + 2 * P) * k];
-            let pairs = &mut pairs[..n8 / 8 * P];
+            let pairs = &mut buf[..n8 / 8 * P];
             for (j, x) in (0..n8).step_by(8).zip(pairs.chunks_exact_mut(P)) {
                 for (p, xp) in x.iter_mut().enumerate() {
-                    *xp = row_pair(d, n, 2 * p, j);
+                    xp.write(row_pair(d, n, 2 * p, j));
                 }
             }
+            // SAFETY: the loop above wrote every slot of `pairs`, and
+            // `MaybeUninit<T>` has `T`'s layout.
+            let pairs = unsafe { &*(pairs as *const [MaybeUninit<__m512>] as *const [__m512]) };
             let mut kk = 0;
             while kk + 4 <= k {
                 let bs = &b[kk * n..(kk + 4) * n];
@@ -2166,10 +2169,10 @@ mod tests {
 
     /// Every instantiation of the `matmul_bt` body gives the scalar one's
     /// bits, over the whole output and split at an odd row: m 1..=17 covers
-    /// every `m % 8` against the 8- and 4-row tiles and an odd last row, n lies
-    /// around the 8-lane chains and their scalar tail, k 1..=9 covers every
-    /// `k % 4` against the 4 outputs of a pass; then `kernels_v2.rs`'
-    /// shapes.
+    /// every `m % 8` against the 8- and 4-row tiles and an odd last row, n
+    /// lies around the 8-lane chains and their scalar tail, k 1..=9 covers
+    /// every `k % 4` against the 4 outputs of a pass; then rows past the
+    /// tiles' strip buffer, and `kernels_v2.rs`' shapes.
     #[test]
     fn every_matmul_bt_instantiation_gives_the_same_bits() {
         let mut shapes = Vec::new();
@@ -2179,6 +2182,10 @@ mod tests {
                     shapes.push((m, n, k));
                 }
             }
+        }
+        // Rows too wide for the 8-row tile's strips, then for the 4-row one's.
+        for n in [520, 1032] {
+            shapes.extend([(8, n, 5), (13, n, 5)]);
         }
         shapes.extend(v2_shapes().into_iter().map(|(m, k, n)| (m, n, k)));
         let all = instantiations();
