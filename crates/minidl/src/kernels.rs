@@ -747,9 +747,9 @@ mod avx512 {
         body::matmul_bt_rows::<AvxLanes>(dout, b, n, k, rest, &mut out[ri * k..]);
     }
 
-    /// Row-pair strips a [`matmul_bt_rows`] tile can hold: 8-row tiles up
-    /// to `n = 512`, 4-row tiles up to `n = 1024`. Wider rows run the
-    /// 8-lane body.
+    /// Row-pair strips a [`matmul_bt_rows`] tile can hold: 8-row tiles of
+    /// rows up to `n = 519`, 4-row tiles up to `n = 1031`. Wider rows run
+    /// the 8-lane body.
     const PAIRED: usize = 256;
 
     /// [`matmul_bt_rows`]' tiles of `2·P` rows (`P` even) from row `ri` of
