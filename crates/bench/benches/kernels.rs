@@ -1,14 +1,14 @@
 //! Microbenchmarks of the mini-DL kernels across three generations: the
 //! naive scalar `mics_minidl::kernels::reference`, the cache-blocked
 //! autovectorized v1 (`mics_bench::blocked`), and the v2 SIMD
-//! dispatch in `mics_minidl::kernels` (AVX-512 or AVX2+FMA lanes,
-//! single-threaded and with the worker pool at the host's parallelism). Causal attention has
+//! dispatch in `mics_minidl::kernels` (AVX-512 or AVX2+FMA lanes, on the
+//! calling thread). Causal attention has
 //! no v1: its v1 is the scalar reference loop, so the `blocked_ns` cell of
 //! its rows times that loop again.
 //!
 //! Besides the criterion registrations, `main` takes its own best-of-N
 //! measurements (the vendored criterion shim prints but cannot persist),
-//! writes the four-way table to `results/BENCH_kernels.json` with the SIMD
+//! writes the three-way table to `results/BENCH_kernels.json` with the SIMD
 //! level that produced it (`avx512`, `avx2` or `scalar`), and
 //! *asserts* the acceptance claims inline: SIMD ≥ 2× over the blocked
 //! kernels on matmul and matmul_bt at both bench shapes, and SIMD ≥ 2×
@@ -74,14 +74,12 @@ fn sample_ns(iters: u32, f: &mut impl FnMut()) -> u64 {
     (start.elapsed().as_nanos() as u64 / iters as u64).max(1)
 }
 
-/// The four timing variants of one kernel at one shape. The `dispatch`
-/// closure runs the public v2 entry point, measured twice: pinned to one
-/// thread (`simd_ns`) and at the host's parallelism (`simd_mt_ns`).
+/// The three timing variants of one kernel at one shape. The `dispatch`
+/// closure runs the public v2 entry point (`simd_ns`).
 struct Variants {
     reference_ns: u64,
     blocked_ns: u64,
     simd_ns: u64,
-    simd_mt_ns: u64,
 }
 
 /// Best of 7 samples per variant. The variants' samples interleave, so a
@@ -97,17 +95,14 @@ fn measure(
     reference();
     blocked();
     dispatch();
-    let mut best = [u64::MAX; 4];
+    let mut best = [u64::MAX; 3];
     for _ in 0..7 {
         best[0] = best[0].min(sample_ns(iters, &mut reference));
         best[1] = best[1].min(sample_ns(iters, &mut blocked));
-        kernels::set_kernel_threads(Some(1));
         best[2] = best[2].min(sample_ns(iters, &mut dispatch));
-        kernels::set_kernel_threads(None);
-        best[3] = best[3].min(sample_ns(iters, &mut dispatch));
     }
-    let [reference_ns, blocked_ns, simd_ns, simd_mt_ns] = best;
-    Variants { reference_ns, blocked_ns, simd_ns, simd_mt_ns }
+    let [reference_ns, blocked_ns, simd_ns] = best;
+    Variants { reference_ns, blocked_ns, simd_ns }
 }
 
 fn main() {
@@ -127,15 +122,14 @@ fn main() {
 
     let mut table = Table::new(
         "kernel microbenchmarks: scalar reference vs blocked (v1) vs SIMD dispatch \
-         (v2, 1 thread and host parallelism), best-of-7 ns/iter; attention has no \
-         blocked v1, so its blocked_ns times the scalar reference loop",
+         (v2), best-of-7 ns/iter; attention has no blocked v1, so its blocked_ns \
+         times the scalar reference loop",
         &[
             "kernel",
             "shape",
             "reference_ns",
             "blocked_ns",
             "simd_ns",
-            "simd_mt_ns",
             "speedup_simd_vs_blocked",
             "speedup_simd_vs_reference",
         ],
@@ -144,9 +138,8 @@ fn main() {
     // simd-vs-reference) checked after the table fills.
     let mut gated: Vec<(String, String, f64, f64)> = Vec::new();
     let mut fill = |table: &mut Table, kernel: &str, shape: String, v: Variants| {
-        let best_simd = v.simd_ns.min(v.simd_mt_ns);
-        let vs_blocked = v.blocked_ns as f64 / best_simd as f64;
-        let vs_reference = v.reference_ns as f64 / best_simd as f64;
+        let vs_blocked = v.blocked_ns as f64 / v.simd_ns as f64;
+        let vs_reference = v.reference_ns as f64 / v.simd_ns as f64;
         gated.push((kernel.to_string(), shape.clone(), vs_blocked, vs_reference));
         table.row(vec![
             kernel.to_string(),
@@ -154,7 +147,6 @@ fn main() {
             v.reference_ns.to_string(),
             v.blocked_ns.to_string(),
             v.simd_ns.to_string(),
-            v.simd_mt_ns.to_string(),
             format!("{vs_blocked:.2}"),
             format!("{vs_reference:.2}"),
         ]);

@@ -1,5 +1,5 @@
-//! SIMD + multicore f32 kernels for the real backend's forward/backward
-//! passes (Kernels v2), plus the naive [`mod@reference`] implementations
+//! SIMD f32 kernels for the real backend's forward/backward passes
+//! (Kernels v2), plus the naive [`mod@reference`] implementations
 //! they are checked against.
 //!
 //! # Lane discipline (bit-identity by construction)
@@ -52,35 +52,30 @@
 //! context and `d_q`, `d_k`, `d_v` run across the head's columns. Each lane
 //! keeps the scalar loop's chain in its original order, and the softmax,
 //! `dot` and `ds` steps stay scalar, so the outputs equal the reference
-//! bit for bit, not within a drift bound. Attention runs on the calling
-//! thread.
+//! bit for bit, not within a drift bound.
 //!
-//! # Deterministic multithreading
+//! # One thread per call
 //!
-//! Kernels fan out over a persistent worker pool (the private `pool`
-//! module) using the
-//! per-rank progress-thread idiom from `mics-dataplane`: workers park on a
-//! condvar and are handed `(items, parts)` jobs by epoch. The partition
-//! splits **output** rows/columns only — never a reduction axis — so every
-//! output element is computed by exactly one thread in exactly the
-//! program order a single thread would use. Results are therefore
-//! bit-stable at any thread count (the host's parallelism by default, or
-//! [`set_kernel_threads`]).
+//! Every kernel runs on the calling thread, over all of its rows, in the
+//! caller's output slice. Parallelism comes from the data-parallel ranks,
+//! one OS thread per simulated device, as it comes from the devices in
+//! MiCS. The bodies still take a row range and the output rows it covers,
+//! so this module's tests run them split at a row and hold the halves to
+//! the whole call's bits.
 //!
 //! # Observability
 //!
 //! Always-on [`mics_trace::Counters`] cells tally calls, FLOPs and which
 //! path (SIMD, AVX-512 among it, or fallback) ran ([`kernel_stats`]); when the global
-//! [`mics_trace::Recorder`] is enabled each kernel also emits a span, a
-//! `kernel GFLOP/s` counter track and a `tile queue depth` gauge into the
-//! same merged Perfetto timeline as the executor's lanes and wires. FLOP
+//! [`mics_trace::Recorder`] is enabled each kernel also emits a span and a
+//! `kernel GFLOP/s` counter track into the same merged Perfetto timeline as the executor's lanes and wires. FLOP
 //! accounting is GEMM-only: the matmuls count `2·m·k·n` FLOPs, while
 //! the attention kernels count calls and their path but add nothing to `kernel.flops`, so the budgets and
 //! per-unit FLOP figures denominated in it do not move with them.
 
 use mics_trace::{Arg, Counter, Counters};
 use std::ops::Range;
-use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
 
 /// Register-block height: rows of the reduction dimension fused per pass.
@@ -92,20 +87,9 @@ const LANES: usize = 8;
 
 // ---- configuration ---------------------------------------------------------
 
-/// Runtime knobs. `threads == 0` / `simd == 0` mean "unset": the host's
-/// parallelism and SIMD autodetection; the setters below override both.
-struct Knobs {
-    threads: AtomicUsize,
-    simd: AtomicU8,
-}
-
-static KNOBS: Knobs = Knobs { threads: AtomicUsize::new(0), simd: AtomicU8::new(0) };
-
-/// The host's available parallelism, read once.
-fn host_threads() -> usize {
-    static HOST: OnceLock<usize> = OnceLock::new();
-    *HOST.get_or_init(|| std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1))
-}
+/// The [`set_simd`] override: 0 autodetects, 1 forces the fallback, 2
+/// asks for SIMD.
+static SIMD: AtomicU8 = AtomicU8::new(0);
 
 /// Whether this host can run the AVX2+FMA path at all (detected once).
 pub fn simd_available() -> bool {
@@ -151,12 +135,12 @@ pub fn set_simd(on: Option<bool>) {
         Some(false) => 1,
         Some(true) => 2,
     };
-    KNOBS.simd.store(v, Ordering::Relaxed);
+    SIMD.store(v, Ordering::Relaxed);
 }
 
 /// Whether the next kernel dispatch will take the SIMD path.
 pub fn simd_active() -> bool {
-    match KNOBS.simd.load(Ordering::Relaxed) {
+    match SIMD.load(Ordering::Relaxed) {
         1 => false,
         _ => simd_available(),
     }
@@ -194,32 +178,17 @@ fn path(wide: bool) -> Path {
     }
 }
 
-/// Override the kernel thread count (`Some(n)`), or restore the
-/// `available_parallelism` default (`None` or `Some(0)`). The partition is
-/// over output elements only, so any value produces bit-identical results.
-pub fn set_kernel_threads(n: Option<usize>) {
-    KNOBS.threads.store(n.unwrap_or(0).min(MAX_THREADS), Ordering::Relaxed);
-}
+/// Does nothing, whatever `n` is: kernels always run on the calling
+/// thread. The repo benchmark (`benchmark/src/lm.rs`) pins this name, so
+/// it goes in the same benchmark-side commit as the panicking dataplane
+/// twins of ROADMAP item 9(c).
+pub fn set_kernel_threads(_n: Option<usize>) {}
 
-/// Hard cap on pool width, far above any host this stack targets.
-const MAX_THREADS: usize = 64;
-
-/// The resolved kernel thread count: the override, else
-/// `available_parallelism()`, clamped to `1..=64`.
-pub fn kernel_threads() -> usize {
-    let o = KNOBS.threads.load(Ordering::Relaxed);
-    let t = if o != 0 { o } else { host_threads() };
-    t.clamp(1, MAX_THREADS)
-}
-
-/// Resolve every lazy knob (host parallelism, feature detection, counter
-/// cells) and warm the worker pool, so the first hot-path kernel call pays
-/// no first-use cost. Called by the training engine before ranks spawn;
-/// idempotent.
+/// Resolve the lazy state (feature detection, counter cells), so the first
+/// hot-path kernel call pays no first-use cost. Called by the training
+/// engine before ranks spawn; idempotent.
 pub fn init() {
-    let _ = (host_threads(), avx512_available());
-    let _ = cells();
-    pool::warm(kernel_threads());
+    let _ = (avx512_available(), cells());
 }
 
 // ---- counters + trace ------------------------------------------------------
@@ -232,7 +201,6 @@ struct Cells {
     simd_calls: Counter,
     avx512_calls: Counter,
     fallback_calls: Counter,
-    pool_dispatches: Counter,
 }
 
 fn cells() -> &'static Cells {
@@ -245,7 +213,6 @@ fn cells() -> &'static Cells {
             simd_calls: registry.counter("kernel.simd_calls"),
             avx512_calls: registry.counter("kernel.avx512_calls"),
             fallback_calls: registry.counter("kernel.fallback_calls"),
-            pool_dispatches: registry.counter("kernel.pool_dispatches"),
             registry,
         }
     })
@@ -254,8 +221,7 @@ fn cells() -> &'static Cells {
 /// Snapshot of the always-on kernel counters, in registration order:
 /// `kernel.calls`, `kernel.flops` (2·m·k·n-style accounting),
 /// `kernel.simd_calls` (AVX2 or AVX-512), `kernel.avx512_calls` (the
-/// AVX-512 ones among them), `kernel.fallback_calls`,
-/// `kernel.pool_dispatches`.
+/// AVX-512 ones among them), `kernel.fallback_calls`.
 pub fn kernel_stats() -> Vec<(String, u64)> {
     cells().registry.snapshot()
 }
@@ -602,13 +568,8 @@ mod avx {
     /// # Safety
     /// The host must support AVX2 and FMA (checked by [`super::simd_active`]).
     #[target_feature(enable = "avx2,fma")]
-    pub(super) unsafe fn add_bias_chunk(
-        bias: &[f32],
-        n: usize,
-        rows: Range<usize>,
-        xs: &mut [f32],
-    ) {
-        body::add_bias_chunk::<AvxLanes>(bias, n, rows, xs)
+    pub(super) unsafe fn add_bias_rows(bias: &[f32], n: usize, rows: Range<usize>, xs: &mut [f32]) {
+        body::add_bias_rows::<AvxLanes>(bias, n, rows, xs)
     }
 }
 
@@ -753,7 +714,7 @@ mod avx512 {
     const PAIRED: usize = 256;
 
     /// [`matmul_bt_rows`]' tiles of `2·P` rows (`P` even) from row `ri` of
-    /// the chunk on, while `2·P` rows remain and their strips fit `buf`;
+    /// `rows` on, while `2·P` rows remain and their strips fit `buf`;
     /// returns the first row left. A tile's rows are paired once into
     /// `buf`, strip `s` of rows `2p` and `2p + 1` at `buf[P·s + p]`, and
     /// reused by all its outputs.
@@ -917,9 +878,9 @@ mod avx512 {
 // ---- generic kernel bodies -------------------------------------------------
 
 /// The single source of truth for every kernel's arithmetic, generic over
-/// the lane backend. Each body operates on a *chunk*: a range of output
-/// rows (or columns) plus the output subslice covering exactly that
-/// range, so the pool can hand disjoint chunks to different threads.
+/// the lane backend. Each body takes a range of output rows (or columns)
+/// plus the output subslice covering exactly that range; the public
+/// kernels pass every row, and the tests split them at a row.
 mod body {
     use super::{Lanes, Lanes8, Range, KC, LANES, UNROLL};
 
@@ -1075,7 +1036,7 @@ mod body {
     /// chain over `j`, reduced by the fixed [`Lanes8::hsum`] tree, with the
     /// scalar tail folded in *after* the tree. An odd last row pairs with
     /// itself and is stored once. The pairing never changes an element's
-    /// chain, so any row count and thread split give the same bits. `out`
+    /// chain, so any row count and row split give the same bits. `out`
     /// covers `rows` (`rows.len() × k`).
     #[inline(always)]
     pub(super) fn matmul_bt_rows<L: Lanes8>(
@@ -1388,9 +1349,9 @@ mod body {
     }
 
     /// `xs[r] += bias` for each row `r ∈ rows`: 8-wide adds plus scalar
-    /// tail. `xs` covers `rows` (`rows.len() × n`).
+    /// tail. `xs` covers `rows` (`rows.len() × n`), and `bias` is `n` long.
     #[inline(always)]
-    pub(super) fn add_bias_chunk<L: Lanes8>(
+    pub(super) fn add_bias_rows<L: Lanes8>(
         bias: &[f32],
         n: usize,
         rows: Range<usize>,
@@ -1413,329 +1374,82 @@ mod body {
     }
 }
 
-// ---- persistent worker pool ------------------------------------------------
-
-/// Persistent worker pool for intra-op parallelism, built on the same
-/// park-on-a-condvar progress-thread idiom as `mics-dataplane`'s
-/// nonblocking engine. Workers are spawned lazily, keyed by a fixed id,
-/// and handed `(items, parts)` jobs by epoch; worker `w` always runs
-/// chunk `w` of the deterministic `chunk()` partition, the dispatching
-/// thread runs chunk 0, and the dispatch blocks until every chunk
-/// reports done. Concurrent dispatches (e.g. several rank threads) do
-/// not queue: whoever loses the `try_lock` simply runs its kernel
-/// inline, which is both deadlock-free and faster than serializing.
-mod pool {
-    use std::ops::Range;
-    use std::sync::{Arc, Condvar, Mutex, OnceLock};
-
-    /// Below this much work (FLOPs) per chunk, fan-out costs more than it
-    /// saves and the kernel runs inline. Waking a parked worker and
-    /// joining it measured 20–25 µs on a 2-vCPU Sapphire Rapids guest (a
-    /// dispatch of two near-empty chunks against the same call inline),
-    /// and one thread runs the GEMMs at ≈ 60–120 GFLOP/s there: a chunk
-    /// pays for its wake-up from about 2 MFLOP on.
-    const MIN_FLOPS_PER_CHUNK: usize = 1 << 21;
-
-    /// One published job. The erased closure pointer is only dereferenced
-    /// between publication and the `pending == 0` barrier, both of which
-    /// happen inside the caller's borrow of the original closure.
-    #[derive(Clone, Copy)]
-    struct Job {
-        body: *const (dyn Fn(Range<usize>) + Sync),
-        items: usize,
-        parts: usize,
-    }
-
-    // SAFETY: see `Job` — the pointee outlives every dereference because
-    // `dispatch` does not return until all participating workers have
-    // decremented `pending`.
-    unsafe impl Send for Job {}
-
-    struct State {
-        epoch: u64,
-        job: Option<Job>,
-        pending: usize,
-    }
-
-    struct Shared {
-        state: Mutex<State>,
-        work: Condvar,
-        done: Condvar,
-    }
-
-    struct Pool {
-        shared: Arc<Shared>,
-        workers: usize,
-    }
-
-    static POOL: OnceLock<Mutex<Pool>> = OnceLock::new();
-
-    /// The deterministic partition: chunk `w` of `parts` over `items`,
-    /// remainder spread over the leading chunks. Depends only on the
-    /// arguments, so a given `(items, parts)` always maps the same output
-    /// rows to the same worker.
-    fn chunk(items: usize, parts: usize, w: usize) -> Range<usize> {
-        let base = items / parts;
-        let rem = items % parts;
-        let start = w * base + w.min(rem);
-        let len = base + usize::from(w < rem);
-        start..start + len
-    }
-
-    /// Ensure `threads - 1` workers exist so the first hot kernel call
-    /// doesn't pay thread spawn cost.
-    pub(super) fn warm(threads: usize) {
-        if threads <= 1 {
-            return;
-        }
-        let pool = POOL.get_or_init(|| Mutex::new(Pool::new()));
-        if let Ok(mut pool) = pool.lock() {
-            pool.ensure_workers(threads - 1);
-        }
-    }
-
-    /// Run `body` over `0..items`, split into at most
-    /// [`super::kernel_threads`] chunks when the total work justifies it.
-    /// Chunks are ranges of *output* elements, so any split is
-    /// bit-identical to the single-threaded order.
-    pub(super) fn run(items: usize, flops_per_item: usize, body: &(dyn Fn(Range<usize>) + Sync)) {
-        let mut parts = super::kernel_threads().min(items);
-        if parts > 1 {
-            let quanta = items.saturating_mul(flops_per_item.max(1)) / MIN_FLOPS_PER_CHUNK;
-            parts = parts.min(quanta.max(1));
-        }
-        if parts <= 1 {
-            body(0..items);
-            return;
-        }
-        let pool = POOL.get_or_init(|| Mutex::new(Pool::new()));
-        match pool.try_lock() {
-            Ok(mut pool) => pool.dispatch(items, parts, body),
-            // Another thread owns the pool: run inline rather than queue.
-            Err(_) => body(0..items),
-        }
-    }
-
-    impl Pool {
-        fn new() -> Pool {
-            Pool {
-                shared: Arc::new(Shared {
-                    state: Mutex::new(State { epoch: 0, job: None, pending: 0 }),
-                    work: Condvar::new(),
-                    done: Condvar::new(),
-                }),
-                workers: 0,
-            }
-        }
-
-        fn ensure_workers(&mut self, want: usize) {
-            while self.workers < want {
-                let id = self.workers + 1; // worker ids 1.. (0 = the caller)
-                let shared = Arc::clone(&self.shared);
-                std::thread::Builder::new()
-                    .name(format!("mics-kernel-{id}"))
-                    .spawn(move || worker_loop(shared, id))
-                    .expect("spawn kernel pool worker");
-                self.workers += 1;
-            }
-        }
-
-        fn dispatch(&mut self, items: usize, parts: usize, body: &(dyn Fn(Range<usize>) + Sync)) {
-            super::cells().pool_dispatches.incr();
-            self.ensure_workers(parts - 1);
-            // SAFETY: lifetime erasure only — the pointer is dereferenced
-            // exclusively between the publication below and the
-            // `pending == 0` barrier, and `dispatch` (which holds the
-            // real `&body` borrow) does not return until that barrier.
-            let erased: *const (dyn Fn(Range<usize>) + Sync) = unsafe { std::mem::transmute(body) };
-            {
-                let mut st = self.shared.state.lock().unwrap();
-                st.job = Some(Job { body: erased, items, parts });
-                st.pending = parts - 1;
-                st.epoch += 1;
-            }
-            self.shared.work.notify_all();
-            let rec = mics_trace::global();
-            if rec.is_enabled() {
-                rec.counter("kernels", "pool", "tile queue depth", parts as f64);
-            }
-            body(chunk(items, parts, 0));
-            let mut st = self.shared.state.lock().unwrap();
-            while st.pending > 0 {
-                st = self.shared.done.wait(st).unwrap();
-            }
-            st.job = None;
-            drop(st);
-            if rec.is_enabled() {
-                rec.counter("kernels", "pool", "tile queue depth", 0.0);
-            }
-        }
-    }
-
-    fn worker_loop(shared: Arc<Shared>, id: usize) {
-        let mut seen = 0u64;
-        loop {
-            let job = {
-                let mut st = shared.state.lock().unwrap();
-                loop {
-                    if st.epoch != seen {
-                        seen = st.epoch;
-                        // Workers beyond `parts` sit this epoch out (and
-                        // a worker spawned mid-life skips the epochs it
-                        // was not counted into).
-                        if let Some(job) = st.job {
-                            if id < job.parts && st.pending > 0 {
-                                break job;
-                            }
-                        }
-                    }
-                    st = shared.work.wait(st).unwrap();
-                }
-            };
-            // SAFETY: the dispatcher blocks on `pending` until after this
-            // worker's decrement below, so the closure is still live.
-            let body = unsafe { &*job.body };
-            body(chunk(job.items, job.parts, id));
-            let left = {
-                let mut st = shared.state.lock().unwrap();
-                st.pending -= 1;
-                if st.pending == 0 {
-                    shared.done.notify_all();
-                }
-                st.pending
-            };
-            let rec = mics_trace::global();
-            if rec.is_enabled() {
-                rec.counter("kernels", "pool", "tile queue depth", (left + 1) as f64);
-            }
-        }
-    }
-}
-
 // ---- public kernels --------------------------------------------------------
 
-/// Raw output pointer smuggled into the pool closure. Each chunk writes a
-/// disjoint row range, so aliasing is impossible.
-#[derive(Clone, Copy)]
-struct OutPtr(*mut f32);
-
-// SAFETY: chunks index disjoint ranges of the allocation; the allocation
-// outlives the dispatch (the caller owns it across the blocking `run`).
-unsafe impl Send for OutPtr {}
-unsafe impl Sync for OutPtr {}
-
-impl OutPtr {
-    /// The chunk's disjoint window `[off, off + len)` of the output.
-    ///
-    /// # Safety
-    /// The allocation must be live for the duration of the dispatch and
-    /// no two concurrent chunks may request overlapping windows.
-    unsafe fn window<'a>(self, off: usize, len: usize) -> &'a mut [f32] {
-        std::slice::from_raw_parts_mut(self.0.add(off), len)
-    }
-}
-
 /// `out[m×n] = a[m×k] · b[k×n]`, row-major: k-tiled register tiles (8 × 32
-/// on AVX-512, else 4 × 16), parallel over output rows.
+/// on AVX-512, else 4 × 16).
 pub fn matmul(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
     debug_assert_eq!(a.len(), m * k);
     debug_assert_eq!(b.len(), k * n);
     let mut out = vec![0.0f32; m * n];
     let path = path(true);
-    let base = OutPtr(out.as_mut_ptr());
-    record("matmul", 2 * (m * k * n) as u64, path, || {
-        pool::run(m, 2 * k * n, &move |rows: Range<usize>| {
-            // SAFETY: disjoint row ranges of a live allocation.
-            let o = unsafe { base.window(rows.start * n, rows.len() * n) };
-            match path {
-                // SAFETY: `path` verified AVX-512F, AVX2 and FMA on this host.
-                #[cfg(target_arch = "x86_64")]
-                Path::Avx512 => unsafe { avx512::matmul_rows(a, b, k, n, rows, o) },
-                // SAFETY: `path` verified AVX2+FMA on this host.
-                #[cfg(target_arch = "x86_64")]
-                Path::Avx2 => unsafe { avx::matmul_rows(a, b, k, n, rows, o) },
-                _ => body::matmul_rows::<ScalarLanes, 4>(a, b, k, n, rows, o),
-            }
-        });
+    record("matmul", 2 * (m * k * n) as u64, path, || match path {
+        // SAFETY: `path` verified AVX-512F, AVX2 and FMA on this host.
+        #[cfg(target_arch = "x86_64")]
+        Path::Avx512 => unsafe { avx512::matmul_rows(a, b, k, n, 0..m, &mut out) },
+        // SAFETY: `path` verified AVX2+FMA on this host.
+        #[cfg(target_arch = "x86_64")]
+        Path::Avx2 => unsafe { avx::matmul_rows(a, b, k, n, 0..m, &mut out) },
+        _ => body::matmul_rows::<ScalarLanes, 4>(a, b, k, n, 0..m, &mut out),
     });
     out
 }
 
 /// `out[m×k] = d[m×n] · bᵀ[n×k]` (gradient w.r.t. the left operand): each
 /// element an 8-wide fused dot product reduced by one fixed tree, on tiles
-/// of 8 or 4 rows × 4 outputs, two rows per zmm, on AVX-512 (else 2 × 4),
-/// parallel over rows.
+/// of 8 or 4 rows × 4 outputs, two rows per zmm, on AVX-512 (else 2 × 4).
 pub fn matmul_bt(dout: &[f32], b: &[f32], m: usize, n: usize, k: usize) -> Vec<f32> {
     debug_assert_eq!(dout.len(), m * n);
     debug_assert_eq!(b.len(), k * n);
     let mut out = vec![0.0f32; m * k];
     let path = path(true);
-    let base = OutPtr(out.as_mut_ptr());
-    record("matmul_bt", 2 * (m * n * k) as u64, path, || {
-        pool::run(m, 2 * n * k, &move |rows: Range<usize>| {
-            // SAFETY: disjoint row ranges of a live allocation.
-            let o = unsafe { base.window(rows.start * k, rows.len() * k) };
-            match path {
-                // SAFETY: `path` verified AVX-512F, AVX2 and FMA on this host.
-                #[cfg(target_arch = "x86_64")]
-                Path::Avx512 => unsafe { avx512::matmul_bt_rows(dout, b, n, k, rows, o) },
-                // SAFETY: `path` verified AVX2+FMA on this host.
-                #[cfg(target_arch = "x86_64")]
-                Path::Avx2 => unsafe { avx::matmul_bt_rows(dout, b, n, k, rows, o) },
-                _ => body::matmul_bt_rows::<ScalarLanes>(dout, b, n, k, rows, o),
-            }
-        });
+    record("matmul_bt", 2 * (m * n * k) as u64, path, || match path {
+        // SAFETY: `path` verified AVX-512F, AVX2 and FMA on this host.
+        #[cfg(target_arch = "x86_64")]
+        Path::Avx512 => unsafe { avx512::matmul_bt_rows(dout, b, n, k, 0..m, &mut out) },
+        // SAFETY: `path` verified AVX2+FMA on this host.
+        #[cfg(target_arch = "x86_64")]
+        Path::Avx2 => unsafe { avx::matmul_bt_rows(dout, b, n, k, 0..m, &mut out) },
+        _ => body::matmul_bt_rows::<ScalarLanes>(dout, b, n, k, 0..m, &mut out),
     });
     out
 }
 
 /// Accumulate `aᵀ[k×m] · d[m×n]` into `gw[k×n]` (gradient w.r.t. the
 /// right operand of `a·w`): register tiles of `gw` (8 × 32 on AVX-512,
-/// else 4 × 16) held across all samples, parallel over the `k` rows of
-/// `gw` — the batch reduction order inside each row is fixed.
+/// else 4 × 16) held across all samples, so the batch reduction order of
+/// each element is fixed. Panics unless `gw` is `k × n`.
 pub fn acc_matmul_at(a: &[f32], dout: &[f32], m: usize, k: usize, n: usize, gw: &mut [f32]) {
     debug_assert_eq!(a.len(), m * k);
     debug_assert_eq!(dout.len(), m * n);
-    debug_assert_eq!(gw.len(), k * n);
+    assert!(k.checked_mul(n) == Some(gw.len()), "gw is not k × n");
     let path = path(true);
-    let base = OutPtr(gw.as_mut_ptr());
-    record("acc_matmul_at", 2 * (m * k * n) as u64, path, || {
-        pool::run(k, 2 * m * n, &move |kks: Range<usize>| {
-            // SAFETY: disjoint row ranges of a live allocation.
-            let g = unsafe { base.window(kks.start * n, kks.len() * n) };
-            match path {
-                // SAFETY: `path` verified AVX-512F, AVX2 and FMA on this host.
-                #[cfg(target_arch = "x86_64")]
-                Path::Avx512 => unsafe { avx512::acc_matmul_at_rows(a, dout, m, k, n, kks, g) },
-                // SAFETY: `path` verified AVX2+FMA on this host.
-                #[cfg(target_arch = "x86_64")]
-                Path::Avx2 => unsafe { avx::acc_matmul_at_rows(a, dout, m, k, n, kks, g) },
-                _ => body::acc_matmul_at_rows::<ScalarLanes, 4>(a, dout, m, k, n, kks, g),
-            }
-        });
+    record("acc_matmul_at", 2 * (m * k * n) as u64, path, || match path {
+        // SAFETY: `path` verified AVX-512F, AVX2 and FMA on this host.
+        #[cfg(target_arch = "x86_64")]
+        Path::Avx512 => unsafe { avx512::acc_matmul_at_rows(a, dout, m, k, n, 0..k, gw) },
+        // SAFETY: `path` verified AVX2+FMA on this host.
+        #[cfg(target_arch = "x86_64")]
+        Path::Avx2 => unsafe { avx::acc_matmul_at_rows(a, dout, m, k, n, 0..k, gw) },
+        _ => body::acc_matmul_at_rows::<ScalarLanes, 4>(a, dout, m, k, n, 0..k, gw),
     });
 }
 
 /// `xs[r·n..][..n] += bias` for every row `r < m`: the broadcast bias add
-/// the transformer previously did with scalar double loops, parallel
-/// over rows. Pure per-lane adds, so it is trivially bit-stable.
+/// the transformer previously did with scalar double loops. Pure per-lane
+/// adds, so it is trivially bit-stable. Panics unless `xs` is `m × n` and
+/// `bias` is `n` long: the AVX2 body loads `bias` unchecked.
 pub fn add_bias_rows(xs: &mut [f32], bias: &[f32], m: usize, n: usize) {
-    debug_assert_eq!(xs.len(), m * n);
-    debug_assert_eq!(bias.len(), n);
+    assert!(bias.len() == n && m.checked_mul(n) == Some(xs.len()), "xs is not m × n or bias not n");
     let path = path(false);
-    let base = OutPtr(xs.as_mut_ptr());
     record("add_bias_rows", (m * n) as u64, path, || {
-        pool::run(m, n, &move |rows: Range<usize>| {
-            // SAFETY: disjoint row ranges of a live allocation.
-            let x = unsafe { base.window(rows.start * n, rows.len() * n) };
-            #[cfg(target_arch = "x86_64")]
-            if path == Path::Avx2 {
-                // SAFETY: `path` verified AVX2+FMA on this host.
-                unsafe { avx::add_bias_chunk(bias, n, rows, x) };
-                return;
-            }
-            body::add_bias_chunk::<ScalarLanes>(bias, n, rows, x);
-        });
+        #[cfg(target_arch = "x86_64")]
+        if path == Path::Avx2 {
+            // SAFETY: `path` verified AVX2+FMA on this host.
+            unsafe { avx::add_bias_rows(bias, n, 0..m, xs) };
+            return;
+        }
+        body::add_bias_rows::<ScalarLanes>(bias, n, 0..m, xs);
     });
 }
 
@@ -2142,7 +1856,7 @@ mod tests {
     }
 
     /// Every instantiation of the two GEMM bodies gives the scalar one's
-    /// bits, over the whole output and split into two chunks at a row.
+    /// bits, over the whole output and split in two at a row.
     #[test]
     fn every_gemm_instantiation_gives_the_same_bits() {
         let all = instantiations();
@@ -2234,6 +1948,28 @@ mod tests {
         assert!(short_dout.is_err(), "a short `dout` must panic");
         let short_b = std::panic::catch_unwind(|| matmul_bt(&[1.0; 128], &[1.0; 127], m, n, k));
         assert!(short_b.is_err(), "a short `b` must panic");
+    }
+
+    /// `acc_matmul_at` into a `gw` one row short panics, in release too.
+    #[test]
+    #[should_panic]
+    fn acc_matmul_at_with_a_short_gradient_panics() {
+        acc_matmul_at(&[1.0; 32], &[1.0; 32], 4, 8, 8, &mut [0.0; 56]);
+    }
+
+    /// `add_bias_rows` with `xs` one row short or `bias` one 8-lane strip
+    /// short panics, in release too: each case is caught on its own.
+    #[test]
+    fn add_bias_rows_with_a_short_operand_panics() {
+        let (m, n) = (4, 16);
+        let short_xs = std::panic::catch_unwind(|| {
+            add_bias_rows(&mut [0.0; 48], &[1.0; 16], m, n);
+        });
+        assert!(short_xs.is_err(), "a short `xs` must panic");
+        let short_bias = std::panic::catch_unwind(|| {
+            add_bias_rows(&mut [0.0; 64], &[1.0; 8], m, n);
+        });
+        assert!(short_bias.is_err(), "a short `bias` must panic");
     }
 
     #[test]

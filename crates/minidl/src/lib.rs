@@ -43,8 +43,8 @@ pub use executor::{
     StepCompute,
 };
 pub use kernels::{
-    flops_total, kernel_stats, kernel_threads, set_kernel_threads, set_simd, simd_active,
-    simd_available, simd_level,
+    flops_total, kernel_stats, set_kernel_threads, set_simd, simd_active, simd_available,
+    simd_level,
 };
 pub use lm::{train_lm, train_lm_on, LmSetup};
 pub use mics_compress::{CompressionConfig, QuantScheme};

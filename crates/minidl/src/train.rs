@@ -378,9 +378,8 @@ impl TrainRun<'_> {
     pub(crate) fn plan<C: StepCompute>(&self, compute: &C) -> Plan<'_> {
         let hp = &self.hyper;
         assert!(hp.world > 0 && hp.accum_steps > 0);
-        // Resolve the kernel knobs and warm the worker pool before rank
-        // threads spawn: they contend for the pool via try-lock and fall
-        // back to inline execution, so it must not be built mid-step.
+        // Resolve the kernels' feature detection and counters before rank
+        // threads spawn, so no rank pays for them mid-step.
         crate::kernels::init();
         let (init, resume) = match &self.start {
             Start::Fresh(init) => (&init[..], None),

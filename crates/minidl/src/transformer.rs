@@ -364,9 +364,9 @@ impl TinyTransformer {
             add_into(&mut d_xmid, &d_from_ln2);
 
             // x_mid = x_in + attn_out.
-            let d_attn = d_xmid.clone();
-            acc_matmul_at(&c.ctx, &d_attn, t, d, d, &mut g[wo.clone()]);
-            let d_ctx = matmul_bt(&d_attn, &p[wo.clone()], t, d, d);
+            let d_attn = &d_xmid;
+            acc_matmul_at(&c.ctx, d_attn, t, d, d, &mut g[wo.clone()]);
+            let d_ctx = matmul_bt(d_attn, &p[wo.clone()], t, d, d);
             let (d_q, d_k, d_v) = attention_backward(&c.q, &c.k, &c.vv, &c.att, &d_ctx, t, d, h);
             acc_matmul_at(&c.ln1.y, &d_q, t, d, d, &mut g[wq.clone()]);
             acc_matmul_at(&c.ln1.y, &d_k, t, d, d, &mut g[wk.clone()]);

@@ -1,15 +1,14 @@
 //! Kernels-v2 contract tests: the SIMD dispatch layer must (a) stay within
 //! float tolerance of the scalar `kernels::reference` drift oracle for the
 //! GEMM family, and equal the reference attention loops **bit for bit**,
-//! (b) be **bit-identical** across every knob configuration — SIMD
-//! on/off/auto × any worker-pool thread count — on adversarial shapes,
+//! (b) be **bit-identical** across every SIMD setting — on, off and
+//! autodetected — on adversarial shapes,
 //! (c) keep whole LM training runs byte-stable across those knobs, and
 //! (d) actually exercise both the SIMD and the scalar-fallback paths at
 //! runtime.
 //!
 //! The bit-identity claims are structural (one generic lane body per
-//! kernel, fused multiply-add in both instantiations, reduction axes never
-//! split across threads); these tests are the empirical check that the
+//! kernel, fused multiply-add in both instantiations); these tests are the empirical check that the
 //! structure holds on real shapes, including lane tails, unit and empty
 //! dimensions, and reductions straddling the KC cache tile.
 
@@ -17,37 +16,26 @@ use mics_minidl::kernels::{self, reference};
 use mics_minidl::{train_lm, LmSetup, LossScale, SyncSchedule, TinyTransformer, TrainOutcome};
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
-/// The knob matrix exercised by every bit-identity check: SIMD forced off,
+/// The SIMD settings exercised by every bit-identity check: forced off,
 /// forced on (a no-op downgrade on hosts without AVX2+FMA), and
-/// autodetected, each at 1, 2, and 5 worker threads.
-const CONFIGS: &[(Option<bool>, usize)] = &[
-    (Some(false), 1),
-    (Some(false), 2),
-    (Some(false), 5),
-    (Some(true), 1),
-    (Some(true), 2),
-    (Some(true), 5),
-    (None, 1),
-    (None, 5),
-];
+/// autodetected.
+const CONFIGS: &[Option<bool>] = &[Some(false), Some(true), None];
 
-/// Serializes every test that touches the process-global kernel knobs and
+/// Serializes every test that touches the process-global SIMD knob and
 /// restores autodetection when dropped.
 struct Knobs(#[allow(dead_code)] MutexGuard<'static, ()>);
 
-fn configure(simd: Option<bool>, threads: Option<usize>) -> Knobs {
+fn configure(simd: Option<bool>) -> Knobs {
     static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
     let guard =
         LOCK.get_or_init(Default::default).lock().unwrap_or_else(|poisoned| poisoned.into_inner());
     kernels::set_simd(simd);
-    kernels::set_kernel_threads(threads);
     Knobs(guard)
 }
 
 impl Drop for Knobs {
     fn drop(&mut self) {
         kernels::set_simd(None);
-        kernels::set_kernel_threads(None);
     }
 }
 
@@ -163,13 +151,12 @@ fn stat(name: &str) -> u64 {
         .unwrap_or_else(|| panic!("missing counter {name}"))
 }
 
-/// (a) + (b): every shape, every knob configuration — tolerance against the
-/// scalar reference, exact bits against the canonical (scalar, 1-thread)
-/// dispatch. FMA legitimately shifts low bits vs the unfused reference, so
+/// (a) + (b): every shape, every SIMD setting — tolerance against the
+/// scalar reference, exact bits against the canonical (scalar) dispatch. FMA legitimately shifts low bits vs the unfused reference, so
 /// the oracle check is a tolerance, never an equality.
 #[test]
 fn dispatch_matches_reference_and_is_bit_stable_across_knobs() {
-    let _knobs = configure(Some(false), Some(1));
+    let _knobs = configure(Some(false));
     for (m, k, n) in shapes() {
         let canonical = dispatch_all(m, k, n);
         let oracle = reference_all(m, k, n);
@@ -181,62 +168,15 @@ fn dispatch_matches_reference_and_is_bit_stable_across_knobs() {
                 "{m}x{k}x{n} element {i}: dispatch {got} vs reference {want}"
             );
         }
-        for &(simd, threads) in CONFIGS {
+        for &simd in CONFIGS {
             kernels::set_simd(simd);
-            kernels::set_kernel_threads(Some(threads));
             let got = dispatch_all(m, k, n);
             assert_eq!(
                 bits(&got),
                 bits(&canonical),
-                "{m}x{k}x{n}: simd={simd:?} threads={threads} drifted from the \
-                 scalar single-threaded bits"
+                "{m}x{k}x{n}: simd={simd:?} drifted from the scalar bits"
             );
             kernels::set_simd(Some(false));
-            kernels::set_kernel_threads(Some(1));
-        }
-    }
-}
-
-/// (b) across the pool's split: each public kernel, at a shape whose work
-/// fans out at 2 and at 5 threads (odd row counts, so the chunks are
-/// uneven and split the row pairs and tiles), gives its one-thread bits,
-/// SIMD off and on.
-#[test]
-fn pool_split_kernels_give_the_one_thread_bits() {
-    let _knobs = configure(None, Some(1));
-    type Kernel = fn() -> Vec<f32>;
-    let calls: [(&str, Kernel); 4] = [
-        ("matmul", || kernels::matmul(&buf(37 * 300, 1), &buf(300 * 497, 2), 37, 300, 497)),
-        ("matmul_bt", || kernels::matmul_bt(&buf(37 * 300, 1), &buf(497 * 300, 2), 37, 300, 497)),
-        ("acc_matmul_at", || {
-            let mut gw = buf(37 * 497, 3);
-            kernels::acc_matmul_at(&buf(300 * 37, 1), &buf(300 * 497, 2), 300, 37, 497, &mut gw);
-            gw
-        }),
-        ("add_bias_rows", || {
-            let mut rows = buf(2531 * 2503, 1);
-            kernels::add_bias_rows(&mut rows, &buf(2503, 2), 2531, 2503);
-            rows
-        }),
-    ];
-    for (name, call) in calls {
-        for simd in [Some(false), Some(true)] {
-            kernels::set_simd(simd);
-            kernels::set_kernel_threads(Some(1));
-            let want = bits(&call());
-            for threads in [2, 5] {
-                kernels::set_kernel_threads(Some(threads));
-                let before = stat("kernel.pool_dispatches");
-                let got = call();
-                assert!(
-                    stat("kernel.pool_dispatches") > before,
-                    "{name} ran inline at {threads} threads"
-                );
-                assert!(
-                    bits(&got) == want,
-                    "{name}: simd={simd:?} threads={threads} drifted from the one-thread bits"
-                );
-            }
         }
     }
 }
@@ -288,24 +228,22 @@ fn attention_all(
     [att, ctx, d_q, d_k, d_v].concat()
 }
 
-/// (a) + (b) for attention: at every shape and knob configuration the
+/// (a) + (b) for attention: at every shape and SIMD setting the
 /// dispatch equals the scalar reference loops bit for bit.
 #[test]
 fn attention_dispatch_equals_the_reference_bit_for_bit() {
-    let _knobs = configure(Some(false), Some(1));
+    let _knobs = configure(Some(false));
     for (t, dk, h) in attention_shapes() {
         let oracle =
             attention_all(t, dk, h, reference::attention_forward, reference::attention_backward);
-        for &(simd, threads) in CONFIGS {
+        for &simd in CONFIGS {
             kernels::set_simd(simd);
-            kernels::set_kernel_threads(Some(threads));
             let got =
                 attention_all(t, dk, h, kernels::attention_forward, kernels::attention_backward);
             assert_eq!(
                 bits(&got),
                 bits(&oracle),
-                "t={t} dk={dk} h={h}: simd={simd:?} threads={threads} differs from the \
-                 reference attention loops"
+                "t={t} dk={dk} h={h}: simd={simd:?} differs from the reference attention loops"
             );
         }
     }
@@ -332,27 +270,22 @@ fn lm_run() -> TrainOutcome {
 
 /// (c) The fig15-style LM training run — transformer forward/backward,
 /// gradient synchronization, Adam — is **byte-identical** whether the
-/// kernels run scalar or SIMD, on one thread or several. This is the
+/// kernels run scalar or SIMD. This is the
 /// end-to-end version of the per-kernel bit checks: if any kernel's
-/// reduction order depended on a knob, six optimizer steps would amplify
-/// the drift into visibly different losses.
+/// reduction order depended on the SIMD setting, six optimizer steps would
+/// amplify the drift into visibly different losses.
 #[test]
-fn lm_training_is_byte_identical_across_simd_and_thread_knobs() {
-    let _knobs = configure(Some(false), Some(1));
+fn lm_training_is_byte_identical_across_simd_knobs() {
+    let _knobs = configure(Some(false));
     let base = lm_run();
-    for (simd, threads) in [(Some(false), 4), (None, 1), (None, 3), (Some(true), 2)] {
+    for simd in [None, Some(true)] {
         kernels::set_simd(simd);
-        kernels::set_kernel_threads(Some(threads));
         let got = lm_run();
-        assert_eq!(
-            bits(&got.losses),
-            bits(&base.losses),
-            "losses drifted at simd={simd:?} threads={threads}"
-        );
+        assert_eq!(bits(&got.losses), bits(&base.losses), "losses drifted at simd={simd:?}");
         assert_eq!(
             bits(&got.final_params),
             bits(&base.final_params),
-            "final parameters drifted at simd={simd:?} threads={threads}"
+            "final parameters drifted at simd={simd:?}"
         );
     }
 }
@@ -365,7 +298,7 @@ fn lm_training_is_byte_identical_across_simd_and_thread_knobs() {
 /// SIMD-capable CI box would otherwise never get.
 #[test]
 fn runtime_detection_engages_simd_and_fallback_paths() {
-    let _knobs = configure(None, Some(1));
+    let _knobs = configure(None);
     kernels::init();
     let a = buf(64 * 64, 1);
     let b = buf(64 * 64, 2);
@@ -390,24 +323,13 @@ fn runtime_detection_engages_simd_and_fallback_paths() {
     assert!(!kernels::simd_active(), "forced-off must win over detection");
     assert!(stat("kernel.fallback_calls") > fallback_before, "forced fallback did not run");
     assert_eq!(bits(&auto), bits(&forced), "SIMD and fallback paths disagree");
-
-    // The worker pool dispatches when the thread override asks for
-    // parallelism and the kernel is large enough to amortize it.
-    kernels::set_kernel_threads(Some(5));
-    let (a, b) = (buf(128 * 128, 1), buf(128 * 128, 2));
-    let dispatches_before = stat("kernel.pool_dispatches");
-    let _ = kernels::matmul(&a, &b, 128, 128, 128);
-    assert!(
-        stat("kernel.pool_dispatches") > dispatches_before,
-        "5-thread override on a 128³ matmul must use the pool"
-    );
 }
 
 /// `matmul_bt` runs on AVX-512 where the host has it: one call adds exactly
 /// one to `kernel.avx512_calls` there, and nothing elsewhere.
 #[test]
 fn matmul_bt_counts_one_avx512_call_on_an_avx512_host() {
-    let _knobs = configure(None, Some(1));
+    let _knobs = configure(None);
     let (m, n, k) = (8, 16, 8);
     let (d, b) = (buf(m * n, 3), buf(k * n, 2));
     let before = stat("kernel.avx512_calls");

@@ -305,7 +305,7 @@ fn bench_kernels_artifact_matches_its_claims() {
     let (k_col, shape_col) = (col("kernel"), col("shape"));
     let (blocked_col, reference_col) =
         (col("speedup_simd_vs_blocked"), col("speedup_simd_vs_reference"));
-    let timing_cols = [col("reference_ns"), col("blocked_ns"), col("simd_ns"), col("simd_mt_ns")];
+    let timing_cols = [col("reference_ns"), col("blocked_ns"), col("simd_ns")];
 
     let rows = doc.get("rows").and_then(Json::as_arr).unwrap();
     let mut kernels_seen = std::collections::BTreeSet::new();
