@@ -1435,10 +1435,9 @@ pub fn acc_matmul_at(a: &[f32], dout: &[f32], m: usize, k: usize, n: usize, gw: 
     });
 }
 
-/// `xs[r·n..][..n] += bias` for every row `r < m`: the broadcast bias add
-/// the transformer previously did with scalar double loops. Pure per-lane
-/// adds, so it is trivially bit-stable. Panics unless `xs` is `m × n` and
-/// `bias` is `n` long: the AVX2 body loads `bias` unchecked.
+/// `xs[r·n..][..n] += bias` for every row `r < m`. Pure per-lane adds, so
+/// it is trivially bit-stable. Panics unless `xs` is `m × n` and `bias` is
+/// `n` long: the AVX2 body loads `bias` unchecked.
 pub fn add_bias_rows(xs: &mut [f32], bias: &[f32], m: usize, n: usize) {
     assert!(bias.len() == n && m.checked_mul(n) == Some(xs.len()), "xs is not m × n or bias not n");
     let path = path(false);
