@@ -66,12 +66,14 @@
 //! # Observability
 //!
 //! Always-on [`mics_trace::Counters`] cells tally calls, FLOPs and which
-//! path (SIMD, AVX-512 among it, or fallback) ran ([`kernel_stats`]); when the global
-//! [`mics_trace::Recorder`] is enabled each kernel also emits a span and a
-//! `kernel GFLOP/s` counter track into the same merged Perfetto timeline as the executor's lanes and wires. FLOP
-//! accounting is GEMM-only: the matmuls count `2·m·k·n` FLOPs, while
-//! the attention kernels count calls and their path but add nothing to `kernel.flops`, so the budgets and
-//! per-unit FLOP figures denominated in it do not move with them.
+//! path (SIMD, AVX-512 among it, or fallback) ran ([`kernel_stats`]); when
+//! the global [`mics_trace::Recorder`] is enabled each kernel also emits a
+//! span and a `kernel GFLOP/s` counter track into the same merged Perfetto
+//! timeline as the executor's lanes and wires. FLOP accounting is
+//! GEMM-only: the matmuls count `2·m·k·n` FLOPs, while the attention
+//! kernels count calls and their path but add nothing to `kernel.flops`,
+//! so the budgets and per-unit FLOP figures denominated in it do not move
+//! with them.
 
 use mics_trace::{Arg, Counter, Counters};
 use std::ops::Range;
