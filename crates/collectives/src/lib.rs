@@ -2,7 +2,9 @@
 //! models, and the Figure 1 effective-bandwidth model.
 //!
 //! The cost models are ring algorithms plus the §3.3 hierarchical
-//! all-gather, with or without a wire codec ([`compress`]). Tree all-reduce
+//! all-gather. [`WireCollective::cost`] prices any of them exact or on a
+//! compressed wire (the codec's payload size comes from `mics-compress`,
+//! which the schedule emitter in `mics-core` asks). Tree all-reduce
 //! (the paper's footnote 1) is not modelled: no MiCS schedule selects it.
 //!
 //! This crate is the shared brain behind both halves of the reproduction:
@@ -21,13 +23,11 @@
 #![warn(missing_docs)]
 
 pub mod bandwidth;
-pub mod compress;
 pub mod cost;
 pub mod dispatch;
 pub mod layout;
 
 pub use bandwidth::NetParams;
-pub use compress::CompressionModel;
 pub use cost::{CollectiveCost, LinkClass, Phase};
 pub use dispatch::{WireCollective, WireKind};
 pub use layout::HierarchicalLayout;

@@ -3,8 +3,9 @@
 //!
 //! MiCS minimizes communication *scale*; this crate minimizes communication
 //! *volume*. It provides the quantization kernels the quantized collectives
-//! in `mics-dataplane` execute and the cost models in
-//! `mics-collectives::compress` price:
+//! in `mics-dataplane` execute, and [`QuantScheme::wire_bytes`], the one
+//! compressed-size formula the simulator prices them by (the schedule
+//! emitter hands it to `mics_collectives::WireCollective::cost`):
 //!
 //! * **fp32 → int8 / int4** affine quantization with a per-block scale and
 //!   zero-point (qwZ-style block quantization): each block of
@@ -159,16 +160,6 @@ impl QuantScheme {
     pub fn stream_len(self, words: &[f32]) -> Option<usize> {
         let len = words.first()?.to_bits() as usize;
         (words.len() == self.encoded_words(len)).then_some(len)
-    }
-
-    /// The α–β cost-model view of this scheme.
-    pub fn cost_model(self) -> mics_collectives::compress::CompressionModel {
-        use mics_collectives::compress::CompressionModel;
-        match self {
-            QuantScheme::F16 => CompressionModel::f16(),
-            QuantScheme::Int8 { block } => CompressionModel::int8(block),
-            QuantScheme::Int4 { block } => CompressionModel::int4(block),
-        }
     }
 
     /// Short human-readable label (`"f16"`, `"int8/128"`, …).
@@ -1075,22 +1066,6 @@ mod tests {
         assert_eq!(QuantScheme::int8().label(), "int8/128");
         assert_eq!(CompressionConfig::both(QuantScheme::int8()).label(), "int8/128·wg");
         assert_eq!(CompressionConfig::grads_only(QuantScheme::int4()).label(), "int4/128·g");
-    }
-
-    #[test]
-    fn cost_model_agrees_with_kernel_accounting() {
-        // The α–β model's compressed_bytes must equal the kernels' real
-        // wire_bytes whenever the element count is whole.
-        for scheme in SCHEMES {
-            let cm = scheme.cost_model();
-            for len in [128usize, 1000, 1 << 16] {
-                assert_eq!(
-                    cm.compressed_bytes(4 * len as u64),
-                    scheme.wire_bytes(len),
-                    "{scheme:?} len={len}"
-                );
-            }
-        }
     }
 
     proptest! {

@@ -316,7 +316,7 @@ mod tests {
     }
 
     #[test]
-    fn intra_node_collective_takes_cost_model_time() {
+    fn intra_node_collective_takes_its_alpha_beta_time() {
         let mut sc = cluster(1);
         let m = 256u64 << 20;
         let c = cost::all_gather_flat(8, 8, m, &sc.net);

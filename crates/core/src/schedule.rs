@@ -216,7 +216,8 @@ pub struct WireOp {
     /// ([`WireCollective::cost`]).
     pub wire: WireCollective,
     /// Quantized-wire scheme for the real dataplane (`None` = exact wire).
-    /// The wire-byte model of the same codec lives in `wire.codec`.
+    /// `wire.codec` holds the payload's size under the same scheme
+    /// ([`QuantScheme::wire_bytes`]), which is what the simulator charges.
     pub scheme: Option<QuantScheme>,
     /// Whether the op pays the plan's host-side decision overhead before
     /// launching (the 2-hop boundary all-reduce does not: its schedule is
@@ -584,7 +585,7 @@ impl Emit<'_> {
 
     /// A scheduled collective's wire annotation. `codec` is the compression
     /// that applies to this op, if any: the dataplane gets its scheme, the
-    /// cost model the same scheme at the spec's element width.
+    /// cost model the size of the payload's elements under that scheme.
     fn wire(
         &self,
         group: GroupRef,
@@ -594,11 +595,6 @@ impl Emit<'_> {
         bytes: u64,
         codec: Option<CompressionConfig>,
     ) -> WireOp {
-        let model = |c: CompressionConfig| {
-            let mut cm = c.scheme.cost_model();
-            cm.elem_bytes = self.spec.elem_bytes;
-            cm
-        };
         WireOp {
             group,
             lane,
@@ -607,7 +603,7 @@ impl Emit<'_> {
                 participants,
                 devices_per_node: self.geo.k,
                 bytes,
-                codec: codec.map(model),
+                codec: codec.map(|c| c.scheme.wire_bytes((bytes / self.spec.elem_bytes) as usize)),
             },
             scheme: codec.map(|c| c.scheme),
             overhead: true,
@@ -1760,5 +1756,75 @@ mod tests {
         assert_eq!(exec.wire_ops, prog.wire_ops());
         let (makespan, _, _) = sc.run();
         assert!(makespan > SimTime::ZERO);
+    }
+
+    /// A flat all-gather of an `m`-byte fp32 payload over `p` ranks on
+    /// 8-GPU nodes with a 100 Gbps NIC, on the wire `scheme` gives it as
+    /// [`Emit::wire`] sizes it.
+    fn gather_time(p: usize, m: u64, scheme: Option<QuantScheme>) -> SimTime {
+        let net = NetParams {
+            nic_bw: 12.5e9,
+            nvlink_bw: 8.0 * 135e9,
+            memcpy_bw: 700e9,
+            alpha_intra: SimTime::from_micros(4),
+            alpha_inter: SimTime::from_micros(22),
+            launch: SimTime::from_micros(12),
+            coalesced_call: SimTime::from_micros(2),
+        };
+        let wire = WireCollective {
+            kind: WireKind::AllGather { hierarchical: false, coalesced: false },
+            participants: p,
+            devices_per_node: 8,
+            bytes: m,
+            codec: scheme.map(|s| s.wire_bytes(m as usize / 4)),
+        };
+        wire.cost(&net).serial_time(&net)
+    }
+
+    /// The smallest payload in 1 KiB..=1 GiB (bisection) at which `scheme`'s
+    /// compressed gather beats the exact one, or `None` if it never does:
+    /// below it the two kernel launches dominate, above it the wire saving.
+    fn payoff_bytes(p: usize, scheme: QuantScheme) -> Option<u64> {
+        let wins = |m| gather_time(p, m, Some(scheme)) < gather_time(p, m, None);
+        let (mut lo, mut hi) = (1u64 << 10, 1u64 << 30);
+        if !wins(hi) {
+            return None;
+        }
+        if wins(lo) {
+            return Some(lo);
+        }
+        while hi - lo > 1 {
+            let mid = lo + (hi - lo) / 2;
+            if wins(mid) {
+                hi = mid;
+            } else {
+                lo = mid;
+            }
+        }
+        Some(hi)
+    }
+
+    #[test]
+    fn int8_gathers_win_large_messages_on_the_nic_and_lose_small_ones() {
+        for m in [16 << 20, 64 << 20, 256 << 20] {
+            let (q, f) = (gather_time(16, m, Some(QuantScheme::int8())), gather_time(16, m, None));
+            assert!(q.as_secs_f64() < 0.5 * f.as_secs_f64(), "m={m}: int8 {q} vs exact {f}");
+        }
+        let (q, f) =
+            (gather_time(16, 4096, Some(QuantScheme::int8())), gather_time(16, 4096, None));
+        assert!(q > f, "int8 {q} vs exact {f}");
+    }
+
+    #[test]
+    fn compression_pays_off_earlier_at_fewer_bits_and_later_inside_a_node() {
+        let c8 = payoff_bytes(16, QuantScheme::int8()).expect("int8 wins on a 100 Gbps NIC");
+        let c4 = payoff_bytes(16, QuantScheme::int4()).expect("int4 wins on a 100 Gbps NIC");
+        assert!((16 << 10..16 << 20).contains(&c8), "int8 crossover {c8}");
+        assert!(c4 <= c8, "int4 {c4} vs int8 {c8}");
+        // NVLink is ~86× faster than the NIC, so the wire saving is worth
+        // that much less; fp32 winning everywhere is also acceptable.
+        if let Some(intra) = payoff_bytes(8, QuantScheme::int8()) {
+            assert!(intra > 4 * c8, "intra {intra} vs inter {c8}");
+        }
     }
 }

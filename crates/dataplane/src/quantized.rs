@@ -1,6 +1,6 @@
 //! The wire codec of the collectives — the execution half of the
 //! compressed-communication subsystem (`mics-compress` provides the
-//! kernels, `mics-collectives::compress` the α–β prices).
+//! kernels, `mics_collectives::WireCollective::cost` the α–β prices).
 //!
 //! A collective given `Some(scheme)` moves *encoded word streams* (see
 //! `mics_compress::encode_words`: a count word, the block metadata, then the
