@@ -57,6 +57,13 @@ cargo clippy --workspace --all-targets -- -D warnings
 # benchmark/ is a workspace of its own that pins public names of crates/*
 # (BENCHMARK.json's pipeline builds it from source): its tests type-check
 # every pinned call, so an API break fails here and not only there.
+# benchmark/run.sh builds without --locked, so a crates/* change that moves
+# the dependency graph (say, dropping a crate's dependency) would rewrite
+# benchmark/Cargo.lock at benchmark time. Resolving it --locked first, before
+# any benchmark build below can refresh it, makes such a change fail here.
+echo "==> benchmark/Cargo.lock is current"
+cargo metadata --locked --offline --format-version 1 --manifest-path benchmark/Cargo.toml >/dev/null
+
 echo "==> benchmark package: cargo test"
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
 
