@@ -69,11 +69,12 @@
 //! path (SIMD, AVX-512 among it, or fallback) ran ([`kernel_stats`]); when
 //! the global [`mics_trace::Recorder`] is enabled each kernel also emits a
 //! span and a `kernel GFLOP/s` counter track into the same merged Perfetto
-//! timeline as the executor's lanes and wires. FLOP accounting is
-//! GEMM-only: the matmuls count `2·m·k·n` FLOPs, while the attention
-//! kernels count calls and their path but add nothing to `kernel.flops`,
-//! so the budgets and per-unit FLOP figures denominated in it do not move
-//! with them.
+//! timeline as the executor's lanes and wires. FLOP accounting counts the
+//! GEMMs and the bias add: the matmuls count `2·m·k·n` FLOPs and
+//! [`add_bias_rows`] `m·n`, one add per element. The attention kernels
+//! count calls and their path but add nothing to `kernel.flops`, so the
+//! budgets and per-unit FLOP figures denominated in it do not move with
+//! them.
 
 use mics_trace::{Arg, Counter, Counters};
 use std::ops::Range;
@@ -221,9 +222,10 @@ fn cells() -> &'static Cells {
 }
 
 /// Snapshot of the always-on kernel counters, in registration order:
-/// `kernel.calls`, `kernel.flops` (2·m·k·n-style accounting),
-/// `kernel.simd_calls` (AVX2 or AVX-512), `kernel.avx512_calls` (the
-/// AVX-512 ones among them), `kernel.fallback_calls`.
+/// `kernel.calls`, `kernel.flops` (`2·m·k·n` per matmul plus `m·n` per
+/// bias add; attention adds none), `kernel.simd_calls` (AVX2 or AVX-512),
+/// `kernel.avx512_calls` (the AVX-512 ones among them),
+/// `kernel.fallback_calls`.
 pub fn kernel_stats() -> Vec<(String, u64)> {
     cells().registry.snapshot()
 }
