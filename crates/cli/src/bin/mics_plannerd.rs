@@ -53,9 +53,10 @@ fn main() {
     }
 }
 
-/// This tool's flags: every one takes a value except the bare `--tune`.
-fn parse_flags(args: &[String]) -> Result<Flags, String> {
-    Flags::parse(args, &["tune"], USAGE)
+/// A subcommand's flags, every one among its `known`: each takes a value
+/// except the bare `--tune`.
+fn parse_flags(args: &[String], known: &[&str]) -> Result<Flags, String> {
+    Flags::parse(args, &["tune"], USAGE)?.only(known)
 }
 
 fn config_from(flags: &Flags) -> Result<PlannerConfig, String> {
@@ -78,7 +79,8 @@ fn config_from(flags: &Flags) -> Result<PlannerConfig, String> {
 
 /// Serve until a client asks us to shut down.
 fn run_serve(args: &[String]) -> Result<(), String> {
-    let flags = parse_flags(args)?;
+    let known = ["addr", "workers", "queue-depth", "budget-flops", "deadline-ms"];
+    let flags = parse_flags(args, &known)?;
     let cfg = config_from(&flags)?;
     let server = PlannerServer::start(cfg).map_err(|e| format!("cannot start server: {e}"))?;
     println!("planner listening on {}", server.addr());
@@ -101,7 +103,19 @@ fn job_from(flags: &Flags) -> Result<JobSpec, String> {
 
 /// One query against a running server.
 fn run_query(args: &[String]) -> Result<(), String> {
-    let flags = parse_flags(args)?;
+    let known = [
+        "addr",
+        "model",
+        "nodes",
+        "micro-batch",
+        "instance",
+        "strategy",
+        "accum",
+        "tune",
+        "compression",
+        "deadline-ms",
+    ];
+    let flags = parse_flags(args, &known)?;
     let addr = flags.required("addr")?;
     let job = job_from(&flags)?;
     let deadline = flags.get("deadline-ms").map(|ms| {
@@ -133,7 +147,7 @@ fn run_query(args: &[String]) -> Result<(), String> {
 
 /// Ask a running server to drain and exit.
 fn run_stop(args: &[String]) -> Result<(), String> {
-    let flags = parse_flags(args)?;
+    let flags = parse_flags(args, &["addr"])?;
     let addr = flags.required("addr")?;
     let mut client =
         PlannerClient::connect(addr).map_err(|e| format!("cannot connect to '{addr}': {e}"))?;
@@ -144,7 +158,7 @@ fn run_stop(args: &[String]) -> Result<(), String> {
 
 /// Hammer a server and report throughput/latency/cache behaviour.
 fn run_bench(args: &[String]) -> Result<(), String> {
-    let flags = parse_flags(args)?;
+    let flags = parse_flags(args, &["addr", "clients", "queries", "out"])?;
     let clients = flags.num("clients", 4)?.max(1);
     let queries = flags.num("queries", 64)?.max(1);
 

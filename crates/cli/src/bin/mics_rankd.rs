@@ -58,15 +58,15 @@ fn main() {
     }
 }
 
-/// This tool's flags: every one takes a value.
-fn parse_flags(args: &[String]) -> Result<Flags, String> {
-    Flags::parse(args, &[], USAGE)
+/// A subcommand's flags, every one among its `known` and taking a value.
+fn parse_flags(args: &[String], known: &[&str]) -> Result<Flags, String> {
+    Flags::parse(args, &[], USAGE)?.only(known)
 }
 
 /// Serve the rendezvous hub until killed. The resolved address (useful with
 /// `--addr 127.0.0.1:0`) is printed on stdout.
 fn run_hub(args: &[String]) -> Result<(), String> {
-    let flags = parse_flags(args)?;
+    let flags = parse_flags(args, &["addr"])?;
     let addr = flags.get("addr").unwrap_or("127.0.0.1:0");
     let hub = mics_dataplane::Hub::spawn(addr).map_err(|e| format!("cannot bind '{addr}': {e}"))?;
     println!("hub listening on {}", hub.addr());
@@ -118,7 +118,9 @@ fn run_grow_phase(
 
 /// Join the world and run the role picked by `--victim` / `--role`.
 fn run_worker(args: &[String]) -> Result<(), String> {
-    let flags = parse_flags(args)?;
+    let known =
+        ["addr", "rank", "world", "victim", "iters", "payload", "timeout-ms", "grow-addr", "role"];
+    let flags = parse_flags(args, &known)?;
     let rank = flags.required("rank")?.parse::<usize>().map_err(|e| format!("--rank: {e}"))?;
     let world = flags.required("world")?.parse::<usize>().map_err(|e| format!("--world: {e}"))?;
     let victim =
@@ -241,7 +243,7 @@ const DETECT_DEADLINE_MS: f64 = 5_000.0;
 
 /// Spawn the whole experiment, assert its claims, write the artifact.
 fn run_bench(args: &[String]) -> Result<(), String> {
-    let flags = parse_flags(args)?;
+    let flags = parse_flags(args, &["out", "world", "victim", "grow"])?;
     let out = flags.get("out").unwrap_or("results/ext_multiproc.json").to_string();
     let world = flags.num("world", 4)?;
     let victim = flags.num("victim", 2)?;

@@ -18,6 +18,7 @@ use mics_dataplane::TransportKind;
 use mics_model::WorkloadSpec;
 pub use perf_diff::{perf_diff, PerfDiffArgs};
 use std::fmt;
+use std::str::FromStr;
 
 /// A parsed command line.
 #[derive(Debug, Clone, PartialEq)]
@@ -112,12 +113,18 @@ impl fmt::Display for CliError {
 
 impl std::error::Error for CliError {}
 
+impl From<String> for CliError {
+    fn from(msg: String) -> Self {
+        CliError(msg)
+    }
+}
+
 fn err(msg: impl Into<String>) -> CliError {
     CliError(msg.into())
 }
 
-/// `--flag value` pairs into typed lookups — the argument grammar of the
-/// `mics-rankd` and `mics-plannerd` daemons.
+/// `--flag value` pairs into typed lookups — the argument grammar of
+/// `mics-sim` and of the `mics-rankd` and `mics-plannerd` daemons.
 pub struct Flags {
     pairs: Vec<(String, String)>,
     usage: &'static str,
@@ -144,17 +151,32 @@ impl Flags {
         Ok(Flags { pairs, usage })
     }
 
+    /// Reject any flag outside `known`, the caller's flags (its switches
+    /// included).
+    pub fn only(self, known: &[&str]) -> Result<Flags, String> {
+        match self.pairs.iter().find(|(k, _)| !known.contains(&k.as_str())) {
+            Some((k, _)) => Err(format!("unknown flag '--{k}'\n\n{}", self.usage)),
+            None => Ok(self),
+        }
+    }
+
     /// The value of `--name`, if given.
     pub fn get(&self, name: &str) -> Option<&str> {
         self.pairs.iter().find(|(k, _)| k == name).map(|(_, v)| v.as_str())
     }
 
-    /// `--name` as an integer, or `default` when absent.
-    pub fn num(&self, name: &str, default: usize) -> Result<usize, String> {
+    /// `--name` parsed as a `T`, or `default` when absent; `what` names the
+    /// expected value in the error.
+    pub fn parse_or<T: FromStr>(&self, name: &str, default: T, what: &str) -> Result<T, String> {
         match self.get(name) {
             None => Ok(default),
-            Some(v) => v.parse().map_err(|_| format!("--{name} must be an integer, got '{v}'")),
+            Some(v) => v.parse().map_err(|_| format!("--{name} must be {what}, got '{v}'")),
         }
+    }
+
+    /// `--name` as an integer, or `default` when absent.
+    pub fn num(&self, name: &str, default: usize) -> Result<usize, String> {
+        self.parse_or(name, default, "an integer")
     }
 
     /// The value of `--name`, or a usage error.
@@ -203,105 +225,65 @@ pub fn parse_strategy(spec: &str) -> Result<Strategy, CliError> {
     Strategy::parse(spec).map_err(err)
 }
 
+/// `args` as `--flag value` pairs, every flag among `known`.
+fn flags(args: &[String], known: &[&str]) -> Result<Flags, CliError> {
+    Ok(Flags::parse(args, &[], USAGE)?.only(known)?)
+}
+
 /// Parse argv (excluding the program name).
 pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
-    let mut it = args.iter();
-    let sub = it.next().ok_or_else(|| err(USAGE))?;
-    if sub == "models" {
-        return Ok(Command::Models);
-    }
-    if sub == "fidelity" {
-        let mut fid = FidelityArgs::default();
-        while let Some(flag) = it.next() {
-            let mut value = |name: &str| -> Result<&String, CliError> {
-                it.next().ok_or_else(|| err(format!("{name} requires a value")))
-            };
-            match flag.as_str() {
-                "--iterations" => {
-                    fid.iterations = value("--iterations")?
-                        .parse()
-                        .map_err(|_| err("--iterations must be a positive integer"))?
-                }
-                "--prefetch-depth" => {
-                    fid.prefetch_depth = value("--prefetch-depth")?
-                        .parse()
-                        .map_err(|_| err("--prefetch-depth must be a non-negative integer"))?
-                }
-                "--trace" => fid.trace = Some(value("--trace")?.clone()),
-                "--transport" => {
-                    fid.transport = value("--transport")?
-                        .parse()
-                        .map_err(|_| err("--transport must be 'local' or 'socket'"))?
-                }
-                other => return Err(err(format!("unknown flag '{other}'\n\n{USAGE}"))),
-            }
-        }
-        if fid.iterations == 0 {
-            return Err(err("--iterations must be a positive integer"));
-        }
-        return Ok(Command::Fidelity(fid));
-    }
-    if sub == "perf-diff" {
-        let mut diff = PerfDiffArgs {
-            old_dir: it.next().ok_or_else(|| err("perf-diff: missing <old-dir>"))?.clone(),
-            new_dir: it.next().ok_or_else(|| err("perf-diff: missing <new-dir>"))?.clone(),
-            ..PerfDiffArgs::default()
-        };
-        while let Some(flag) = it.next() {
-            match flag.as_str() {
-                "--threshold" => {
-                    diff.threshold_pct = it
-                        .next()
-                        .ok_or_else(|| err("--threshold requires a value"))?
-                        .parse()
-                        .map_err(|_| err("--threshold must be a number (percent)"))?;
-                }
-                other => return Err(err(format!("unknown flag '{other}'\n\n{USAGE}"))),
-            }
-        }
-        if !diff.threshold_pct.is_finite() || diff.threshold_pct < 0.0 {
-            return Err(err("--threshold must be a non-negative number"));
-        }
-        return Ok(Command::PerfDiff(diff));
-    }
-    if !matches!(sub.as_str(), "estimate" | "simulate" | "tune") {
-        return Err(err(format!("unknown subcommand '{sub}'\n\n{USAGE}")));
-    }
-    let mut job = JobArgs {
-        model: it.next().ok_or_else(|| err(format!("{sub}: missing <model>")))?.clone(),
-        ..JobArgs::default()
+    let (sub, rest) = args.split_first().ok_or_else(|| err(USAGE))?;
+    let positional = |i: usize, name: &str| {
+        rest.get(i).cloned().ok_or_else(|| err(format!("{sub}: missing <{name}>")))
     };
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| -> Result<&String, CliError> {
-            it.next().ok_or_else(|| err(format!("{name} requires a value")))
-        };
-        match flag.as_str() {
-            "--nodes" => {
-                job.nodes = value("--nodes")?
-                    .parse()
-                    .map_err(|_| err("--nodes must be a positive integer"))?
+    match sub.as_str() {
+        "models" => Ok(Command::Models),
+        "fidelity" => {
+            let f = flags(rest, &["iterations", "prefetch-depth", "trace", "transport"])?;
+            let d = FidelityArgs::default();
+            let fid = FidelityArgs {
+                iterations: f.parse_or("iterations", d.iterations, "a positive integer")?,
+                prefetch_depth: f.num("prefetch-depth", d.prefetch_depth)?,
+                trace: f.get("trace").map(String::from),
+                transport: f.parse_or("transport", d.transport, "'local' or 'socket'")?,
+            };
+            if fid.iterations == 0 {
+                return Err(err("--iterations must be a positive integer"));
             }
-            "--instance" => job.instance = value("--instance")?.clone(),
-            "--strategy" => job.strategy = value("--strategy")?.clone(),
-            "--micro-batch" => {
-                job.micro_batch = value("--micro-batch")?
-                    .parse()
-                    .map_err(|_| err("--micro-batch must be a positive integer"))?
-            }
-            "--accum" => {
-                job.accum = value("--accum")?
-                    .parse()
-                    .map_err(|_| err("--accum must be a positive integer"))?
-            }
-            "--trace" => job.trace = Some(value("--trace")?.clone()),
-            other => return Err(err(format!("unknown flag '{other}'\n\n{USAGE}"))),
+            Ok(Command::Fidelity(fid))
         }
+        "perf-diff" => {
+            let (old_dir, new_dir) = (positional(0, "old-dir")?, positional(1, "new-dir")?);
+            let f = flags(&rest[2..], &["threshold"])?;
+            let default = PerfDiffArgs::default().threshold_pct;
+            let threshold_pct = f.parse_or("threshold", default, "a number (percent)")?;
+            if !threshold_pct.is_finite() || threshold_pct < 0.0 {
+                return Err(err("--threshold must be a non-negative number"));
+            }
+            Ok(Command::PerfDiff(PerfDiffArgs { old_dir, new_dir, threshold_pct }))
+        }
+        "estimate" | "simulate" | "tune" => {
+            let model = positional(0, "model")?;
+            let known = ["nodes", "instance", "strategy", "micro-batch", "accum", "trace"];
+            let f = flags(&rest[1..], &known)?;
+            let d = JobArgs::default();
+            let job = JobArgs {
+                model,
+                nodes: f.parse_or("nodes", d.nodes, "a positive integer")?,
+                instance: f.get("instance").map_or(d.instance, String::from),
+                strategy: f.get("strategy").map_or(d.strategy, String::from),
+                micro_batch: f.parse_or("micro-batch", d.micro_batch, "a positive integer")?,
+                accum: f.parse_or("accum", d.accum, "a positive integer")?,
+                trace: f.get("trace").map(String::from),
+            };
+            Ok(match sub.as_str() {
+                "estimate" => Command::Estimate(job),
+                "simulate" => Command::Simulate(job),
+                _ => Command::Tune(job),
+            })
+        }
+        _ => Err(err(format!("unknown subcommand '{sub}'\n\n{USAGE}"))),
     }
-    Ok(match sub.as_str() {
-        "estimate" => Command::Estimate(job),
-        "simulate" => Command::Simulate(job),
-        _ => Command::Tune(job),
-    })
 }
 
 fn gib(x: u64) -> f64 {
@@ -575,6 +557,14 @@ mod tests {
         assert!(Flags::parse(&argv("--tune 2"), &[], "").is_ok(), "not a switch: takes a value");
         assert!(Flags::parse(&argv("--nodes"), &["tune"], "").is_err());
         assert!(Flags::parse(&argv("nodes 2"), &["tune"], "").is_err());
+    }
+
+    #[test]
+    fn flags_outside_the_callers_list_are_rejected() {
+        let flags = || Flags::parse(&argv("--addr a --tune"), &["tune"], "USAGE").unwrap();
+        assert!(flags().only(&["addr", "tune"]).is_ok());
+        let e = flags().only(&["addr"]).err().unwrap();
+        assert!(e.starts_with("unknown flag '--tune'") && e.ends_with("USAGE"), "{e}");
     }
 
     #[test]
