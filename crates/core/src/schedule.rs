@@ -584,8 +584,10 @@ impl Emit<'_> {
     }
 
     /// A scheduled collective's wire annotation. `codec` is the compression
-    /// that applies to this op, if any: the dataplane gets its scheme, the
-    /// cost model the size of the payload's elements under that scheme.
+    /// that applies to this op, if any: when its scheme shrinks the
+    /// payload, the dataplane gets the scheme and the cost model the size
+    /// of the payload's elements under it. A scheme that does not shrink
+    /// it (f16 on fp16 elements) leaves the op exact.
     fn wire(
         &self,
         group: GroupRef,
@@ -595,6 +597,9 @@ impl Emit<'_> {
         bytes: u64,
         codec: Option<CompressionConfig>,
     ) -> WireOp {
+        let elems = (bytes / self.spec.elem_bytes) as usize;
+        let codec =
+            codec.map(|c| (c.scheme, c.scheme.wire_bytes(elems))).filter(|&(_, w)| w < bytes);
         WireOp {
             group,
             lane,
@@ -603,9 +608,9 @@ impl Emit<'_> {
                 participants,
                 devices_per_node: self.geo.k,
                 bytes,
-                codec: codec.map(|c| c.scheme.wire_bytes((bytes / self.spec.elem_bytes) as usize)),
+                codec: codec.map(|(_, w)| w),
             },
-            scheme: codec.map(|c| c.scheme),
+            scheme: codec.map(|(scheme, _)| scheme),
             overhead: true,
         }
     }

@@ -21,8 +21,8 @@ const PINS: &[(&str, u64, u64)] = &[
     ("mics8/exact/1n", 0xcd5262d114e1a21d, 0),
     ("zero3/exact/1n", 0x89efe5b6ffbee952, 0),
     ("ddp/exact/1n", 0xec9ad9e3b95e741a, 0),
-    ("mics8/f16-wg/1n", 0x1da495b861a6d935, 0),
-    ("zero3/f16-wg/1n", 0x871d1cdd687e4a08, 0),
+    ("mics8/f16-wg/1n", 0x7c14f66c1df9cb6e, 0),
+    ("zero3/f16-wg/1n", 0x7ad9e81614fc73b9, 0),
     ("mics8/int8-w/1n", 0x91512ed94fcb06c9, 0),
     ("zero3/int8-w/1n", 0xf45da023652b1bae, 0),
     ("mics8/int8-g/1n", 0x7353b4bac8ea4fcb, 0),
@@ -35,9 +35,9 @@ const PINS: &[(&str, u64, u64)] = &[
     ("mics16-hier/exact/2n", 0xaaf8277ac0ea1b64, 23677700800),
     ("zero3/exact/2n", 0x8e5dc8813751b5ff, 45827808000),
     ("ddp/exact/2n", 0x2b79efa403b74aa8, 11456952000),
-    ("mics8/f16-wg/2n", 0x1e38f0a8b29ae98a, 6110374400),
-    ("mics16-hier/f16-wg/2n", 0xe10ddbbb961c1d5e, 23677700800),
-    ("zero3/f16-wg/2n", 0x45afd170f191b9da, 45827808000),
+    ("mics8/f16-wg/2n", 0x3a088733e38f73b6, 6110374400),
+    ("mics16-hier/f16-wg/2n", 0x3223d9491abc7ef9, 23677700800),
+    ("zero3/f16-wg/2n", 0x2fd3b83d338bf400, 45827808000),
     ("mics8/int8-w/2n", 0x42b355d8d4eab0b3, 6110374400),
     ("mics16-hier/int8-w/2n", 0xc56decdd0174dd79, 17949225568),
     ("zero3/int8-w/2n", 0x3440d10e361f9c3d, 35086916744),
@@ -54,9 +54,9 @@ const PINS: &[(&str, u64, u64)] = &[
     ("mics16-hier/exact/4n", 0x2f0d47b53c99e815, 53465776000),
     ("zero3/exact/4n", 0x597e3bd6d938c325, 94710803200),
     ("ddp/exact/4n", 0xd82494b36d8502be, 23677700800),
-    ("mics8/f16-wg/4n", 0x2e9373bd2777ffe6, 18331123200),
-    ("mics16-hier/f16-wg/4n", 0x8f16b5a9fb4bb951, 53465776000),
-    ("zero3/f16-wg/4n", 0x4e48b440302c114a, 94710803200),
+    ("mics8/f16-wg/4n", 0xad2043cbef696678, 18331123200),
+    ("mics16-hier/f16-wg/4n", 0x3b9ab3268c6ef466, 53465776000),
+    ("zero3/f16-wg/4n", 0x6ba1b2ce21ad8548, 94710803200),
     ("mics8/int8-w/4n", 0xebd18540197f349e, 18331123200),
     ("mics16-hier/int8-w/4n", 0x53f684f2b97ad1b3, 42008825536),
     ("zero3/int8-w/4n", 0x9a2057213edf23ab, 72512961472),
