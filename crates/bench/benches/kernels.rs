@@ -2,7 +2,8 @@
 //! naive scalar `mics_minidl::kernels::reference`, the cache-blocked
 //! autovectorized v1 (`mics_bench::blocked`), and the v2 SIMD
 //! dispatch in `mics_minidl::kernels` (AVX-512 or AVX2+FMA lanes, on the
-//! calling thread). Causal attention has
+//! calling thread, into an output slice allocated once; the reference and
+//! blocked kernels return a fresh `Vec`). Causal attention has
 //! no v1: its v1 is the scalar reference loop, so the `blocked_ns` cell of
 //! its rows times that loop again.
 //!
@@ -50,8 +51,9 @@ fn bench(c: &mut Criterion) {
         let a = buf(m * k, 1);
         let b = buf(k * n, 2);
         let shape = format!("{m}x{k}x{n}");
+        let mut out = vec![0.0f32; m * n];
         g.bench_with_input(BenchmarkId::new("matmul/simd", &shape), &(), |be, ()| {
-            be.iter(|| kernels::matmul(black_box(&a), black_box(&b), m, k, n))
+            be.iter(|| kernels::matmul(black_box(&a), black_box(&b), m, k, n, black_box(&mut out)))
         });
         g.bench_with_input(BenchmarkId::new("matmul/blocked", &shape), &(), |be, ()| {
             be.iter(|| blocked::matmul(black_box(&a), black_box(&b), m, k, n))
@@ -157,6 +159,7 @@ fn main() {
         let b = buf(k * n, 2);
         let d = buf(m * n, 3);
         let shape = format!("{m}x{k}x{n}");
+        let (mut mm, mut bt) = (vec![0.0f32; m * n], vec![0.0f32; m * k]);
 
         let v = measure(
             20,
@@ -167,7 +170,7 @@ fn main() {
                 black_box(blocked::matmul(black_box(&a), black_box(&b), m, k, n));
             },
             || {
-                black_box(kernels::matmul(black_box(&a), black_box(&b), m, k, n));
+                kernels::matmul(black_box(&a), black_box(&b), m, k, n, black_box(&mut mm));
             },
         );
         fill(&mut table, "matmul", shape.clone(), v);
@@ -181,7 +184,7 @@ fn main() {
                 black_box(blocked::matmul_bt(black_box(&d), black_box(&b), m, n, k));
             },
             || {
-                black_box(kernels::matmul_bt(black_box(&d), black_box(&b), m, n, k));
+                kernels::matmul_bt(black_box(&d), black_box(&b), m, n, k, black_box(&mut bt));
             },
         );
         fill(&mut table, "matmul_bt", shape.clone(), v);
@@ -214,13 +217,18 @@ fn main() {
     for &(t, d, h) in ATTENTION_SHAPES {
         let (q, k, v) = (&buf(t * d, 9), &buf(t * d, 10), &buf(t * d, 11));
         let d_ctx = &buf(t * d, 12);
-        let att = &kernels::attention_forward(q, k, v, t, d, h).0;
+        let (mut att, mut ctx) = (vec![0.0f32; h * t * t], vec![0.0f32; t * d]);
+        let [mut d_q, mut d_k, mut d_v] = [(); 3].map(|_| vec![0.0f32; t * d]);
+        let mut scratch = vec![0.0f32; kernels::attention_scratch_len(t, d, h)];
+        kernels::attention_forward(q, k, v, t, d, h, [&mut att, &mut ctx], &mut scratch);
         let shape = format!("t{t}xd{d}xh{h}");
         let r = || {
             black_box(kernels::reference::attention_forward(black_box(q), k, v, t, d, h));
         };
+        let mut att_out = vec![0.0f32; h * t * t];
         let vs = measure(200, r, r, || {
-            black_box(kernels::attention_forward(black_box(q), k, v, t, d, h));
+            let outs = [black_box(&mut att_out[..]), &mut ctx[..]];
+            kernels::attention_forward(black_box(q), k, v, t, d, h, outs, &mut scratch);
         });
         fill(&mut table, "attention_forward", shape.clone(), vs);
         let r = || {
@@ -228,7 +236,7 @@ fn main() {
                 black_box(q),
                 k,
                 v,
-                att,
+                &att,
                 d_ctx,
                 t,
                 d,
@@ -236,7 +244,19 @@ fn main() {
             ));
         };
         let vs = measure(200, r, r, || {
-            black_box(kernels::attention_backward(black_box(q), k, v, att, d_ctx, t, d, h));
+            let grads = [black_box(&mut d_q[..]), &mut d_k[..], &mut d_v[..]];
+            kernels::attention_backward(
+                black_box(q),
+                k,
+                v,
+                &att,
+                d_ctx,
+                t,
+                d,
+                h,
+                grads,
+                &mut scratch,
+            );
         });
         fill(&mut table, "attention_backward", shape, vs);
     }

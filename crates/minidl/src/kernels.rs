@@ -54,10 +54,14 @@
 //! `dot` and `ds` steps stay scalar, so the outputs equal the reference
 //! bit for bit, not within a drift bound.
 //!
-//! # One thread per call
+//! # One thread per call, one form per kernel
 //!
 //! Every kernel runs on the calling thread, over all of its rows, in the
-//! caller's output slice. Parallelism comes from the data-parallel ranks,
+//! caller's output slice, and has that one form: it overwrites every
+//! element of its output whatever the slice held, and the attention
+//! kernels take their scratch from the caller too ([`attention_scratch_len`]),
+//! so a caller can run a whole model in buffers it sized once (the
+//! transformer's `Workspace`). Parallelism comes from the data-parallel ranks,
 //! one OS thread per simulated device, as it comes from the devices in
 //! MiCS. The bodies still take a row range and the output rows it covers,
 //! so this module's tests run them split at a row and hold the halves to
@@ -1134,10 +1138,11 @@ mod body {
 
     /// Causal multi-head attention forward, all heads. `q`, `k`, `v` and
     /// `ctx` are `t × d` with head `h` in columns `h·dk..(h + 1)·dk`.
-    /// `outs = [att, ctx]`: `att` (`heads × t × t`) receives the softmax
-    /// probabilities and `ctx` (pre-zeroed) the context. `scratch =
-    /// [kt, s]` is `dk × tp` and `t × tp`, `tp` being `t` rounded up to
-    /// whole lanes.
+    /// `outs = [att, ctx]`: `att` (`heads × t × t`) is overwritten with the
+    /// softmax probabilities, zero above the diagonal, and `ctx` with the
+    /// context. `scratch = [kt, s]` is `dk × tp` and `t × tp`, `tp` being
+    /// `t` rounded up to whole lanes; every element of it is written before
+    /// it is read.
     ///
     /// Scores run across keys `j`, 8 lanes at a time, against the head's
     /// K copied transposed into `kt`: each lane is the scalar chain
@@ -1180,10 +1185,11 @@ mod body {
                     *rj = (*rj - mx).exp();
                     denom += *rj;
                 }
-                let arow = &mut att[head * t * t + i * t..head * t * t + i * t + n];
+                let arow = &mut att[head * t * t + i * t..(head * t + i + 1) * t];
                 for (a, rj) in arow.iter_mut().zip(row.iter()) {
                     *a = rj / denom;
                 }
+                arow[n..].fill(0.0);
                 let arow = &att[head * t * t + i * t..head * t * t + i * t + n];
                 weighted_rows::<L>(
                     |j| arow[j],
@@ -1199,8 +1205,8 @@ mod body {
 
     /// Causal multi-head attention backward, all heads: from the forward's
     /// `q`, `k`, `v`, `att` and the context gradient `d_ctx`, write
-    /// `grads = [d_q, d_k, d_v]` (each `t × d`, pre-zeroed). `scratch =
-    /// [vt, ds]` is `dk × tp` and `t × tp`.
+    /// `grads = [d_q, d_k, d_v]` (each `t × d`, overwritten). `scratch =
+    /// [vt, ds]` is `dk × tp` and `t × tp`, written before it is read.
     ///
     /// `d_att` runs across keys against the head's V transposed, like the
     /// forward scores. `dot` and every `ds = a·(d_att − dot)·dk⁻¹` stay
@@ -1259,7 +1265,7 @@ mod body {
     }
 
     /// Copy head columns `base..base + dk` of the `t × d` matrix `x` into
-    /// `xt` transposed (`dk × tp`); columns `t..tp` stay zero.
+    /// `xt` transposed (`dk × tp`), and zero its columns `t..tp`.
     #[inline(always)]
     fn transpose_head(x: &[f32], t: usize, d: usize, base: usize, tp: usize, xt: &mut [f32]) {
         let dk = xt.len() / tp;
@@ -1267,6 +1273,9 @@ mod body {
             for (c, &xv) in x[j * d + base..j * d + base + dk].iter().enumerate() {
                 xt[c * tp + j] = xv;
             }
+        }
+        for row in xt.chunks_exact_mut(tp) {
+            row[t..].fill(0.0);
         }
     }
 
@@ -1381,42 +1390,43 @@ mod body {
 // ---- public kernels --------------------------------------------------------
 
 /// `out[m×n] = a[m×k] · b[k×n]`, row-major: k-tiled register tiles (8 × 32
-/// on AVX-512, else 4 × 16).
-pub fn matmul(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
+/// on AVX-512, else 4 × 16). Overwrites `out`; panics unless it is `m × n`.
+pub fn matmul(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, out: &mut [f32]) {
     debug_assert_eq!(a.len(), m * k);
     debug_assert_eq!(b.len(), k * n);
-    let mut out = vec![0.0f32; m * n];
+    assert!(m.checked_mul(n) == Some(out.len()), "out is not m × n");
+    // The tiles accumulate into `out`.
+    out.fill(0.0);
     let path = path(true);
     record("matmul", 2 * (m * k * n) as u64, path, || match path {
         // SAFETY: `path` verified AVX-512F, AVX2 and FMA on this host.
         #[cfg(target_arch = "x86_64")]
-        Path::Avx512 => unsafe { avx512::matmul_rows(a, b, k, n, 0..m, &mut out) },
+        Path::Avx512 => unsafe { avx512::matmul_rows(a, b, k, n, 0..m, out) },
         // SAFETY: `path` verified AVX2+FMA on this host.
         #[cfg(target_arch = "x86_64")]
-        Path::Avx2 => unsafe { avx::matmul_rows(a, b, k, n, 0..m, &mut out) },
-        _ => body::matmul_rows::<ScalarLanes, 4>(a, b, k, n, 0..m, &mut out),
+        Path::Avx2 => unsafe { avx::matmul_rows(a, b, k, n, 0..m, out) },
+        _ => body::matmul_rows::<ScalarLanes, 4>(a, b, k, n, 0..m, out),
     });
-    out
 }
 
 /// `out[m×k] = d[m×n] · bᵀ[n×k]` (gradient w.r.t. the left operand): each
 /// element an 8-wide fused dot product reduced by one fixed tree, on tiles
 /// of 8 or 4 rows × 4 outputs, two rows per zmm, on AVX-512 (else 2 × 4).
-pub fn matmul_bt(dout: &[f32], b: &[f32], m: usize, n: usize, k: usize) -> Vec<f32> {
+/// Overwrites `out`; panics unless it is `m × k`.
+pub fn matmul_bt(dout: &[f32], b: &[f32], m: usize, n: usize, k: usize, out: &mut [f32]) {
     debug_assert_eq!(dout.len(), m * n);
     debug_assert_eq!(b.len(), k * n);
-    let mut out = vec![0.0f32; m * k];
+    assert!(m.checked_mul(k) == Some(out.len()), "out is not m × k");
     let path = path(true);
     record("matmul_bt", 2 * (m * n * k) as u64, path, || match path {
         // SAFETY: `path` verified AVX-512F, AVX2 and FMA on this host.
         #[cfg(target_arch = "x86_64")]
-        Path::Avx512 => unsafe { avx512::matmul_bt_rows(dout, b, n, k, 0..m, &mut out) },
+        Path::Avx512 => unsafe { avx512::matmul_bt_rows(dout, b, n, k, 0..m, out) },
         // SAFETY: `path` verified AVX2+FMA on this host.
         #[cfg(target_arch = "x86_64")]
-        Path::Avx2 => unsafe { avx::matmul_bt_rows(dout, b, n, k, 0..m, &mut out) },
-        _ => body::matmul_bt_rows::<ScalarLanes>(dout, b, n, k, 0..m, &mut out),
+        Path::Avx2 => unsafe { avx::matmul_bt_rows(dout, b, n, k, 0..m, out) },
+        _ => body::matmul_bt_rows::<ScalarLanes>(dout, b, n, k, 0..m, out),
     });
-    out
 }
 
 /// Accumulate `aᵀ[k×m] · d[m×n]` into `gw[k×n]` (gradient w.r.t. the
@@ -1457,10 +1467,13 @@ pub fn add_bias_rows(xs: &mut [f32], bias: &[f32], m: usize, n: usize) {
 }
 
 /// Causal multi-head self-attention forward: `q`, `k` and `v` are `t × d`
-/// row-major with the `h` heads side by side in the columns. Returns the
-/// softmax probabilities (`h × t × t`, zero above the diagonal) and the
-/// context (`t × d`), bit-identical to [`reference::attention_forward`].
-/// Runs on the calling thread and adds nothing to `kernel.flops`.
+/// row-major with the `h` heads side by side in the columns. Overwrites
+/// `outs = [att, ctx]` with the softmax probabilities (`h × t × t`, zero
+/// above the diagonal) and the context (`t × d`), bit-identical to
+/// [`reference::attention_forward`]. `scratch` is
+/// [`attention_scratch_len`] long; what it holds is never read. Runs on the
+/// calling thread and adds nothing to `kernel.flops`.
+#[allow(clippy::too_many_arguments)]
 pub fn attention_forward(
     q: &[f32],
     k: &[f32],
@@ -1468,31 +1481,32 @@ pub fn attention_forward(
     t: usize,
     d: usize,
     h: usize,
-) -> (Vec<f32>, Vec<f32>) {
+    outs: [&mut [f32]; 2],
+    scratch: &mut [f32],
+) {
     assert!(h > 0 && d.is_multiple_of(h), "heads must divide d");
     assert!(q.len() == t * d && k.len() == t * d && v.len() == t * d);
-    let tp = lane_padded(t);
-    let (mut att, mut ctx) = (vec![0.0f32; h * t * t], vec![0.0f32; t * d]);
-    let (mut kt, mut s) = (vec![0.0f32; d / h * tp], vec![0.0f32; t * tp]);
+    let [att, ctx] = outs;
+    assert!(att.len() == h * t * t && ctx.len() == t * d, "outs are not h × t × t and t × d");
+    let scratch = split_scratch(scratch, t, d, h);
     let path = path(false);
     record("attention_forward", 0, path, || {
-        let outs = [&mut att[..], &mut ctx[..]];
-        let scratch = [&mut kt[..], &mut s[..]];
         #[cfg(target_arch = "x86_64")]
         if path == Path::Avx2 {
             // SAFETY: `path` verified AVX2+FMA on this host.
-            unsafe { avx::attention_forward(q, k, v, t, d, h, outs, scratch) };
+            unsafe { avx::attention_forward(q, k, v, t, d, h, [att, ctx], scratch) };
             return;
         }
-        body::attention_forward::<ScalarLanes>(q, k, v, t, d, h, outs, scratch);
+        body::attention_forward::<ScalarLanes>(q, k, v, t, d, h, [att, ctx], scratch);
     });
-    (att, ctx)
 }
 
 /// Causal multi-head self-attention backward: from the forward's `q`, `k`,
-/// `v` and `att` and the context gradient `d_ctx`, returns `(d_q, d_k,
-/// d_v)`, bit-identical to [`reference::attention_backward`]. Runs on the
-/// calling thread and adds nothing to `kernel.flops`.
+/// `v` and `att` and the context gradient `d_ctx`, overwrites `grads =
+/// [d_q, d_k, d_v]` (each `t × d`), bit-identical to
+/// [`reference::attention_backward`]. `scratch` is as in
+/// [`attention_forward`]. Runs on the calling thread and adds nothing to
+/// `kernel.flops`.
 #[allow(clippy::too_many_arguments)]
 pub fn attention_backward(
     q: &[f32],
@@ -1503,18 +1517,16 @@ pub fn attention_backward(
     t: usize,
     d: usize,
     h: usize,
-) -> (Vec<f32>, Vec<f32>, Vec<f32>) {
+    grads: [&mut [f32]; 3],
+    scratch: &mut [f32],
+) {
     assert!(h > 0 && d.is_multiple_of(h), "heads must divide d");
     assert!(q.len() == t * d && k.len() == t * d && v.len() == t * d && d_ctx.len() == t * d);
     assert_eq!(att.len(), h * t * t);
-    let tp = lane_padded(t);
-    let (mut d_q, mut d_k, mut d_v) =
-        (vec![0.0f32; t * d], vec![0.0f32; t * d], vec![0.0f32; t * d]);
-    let (mut vt, mut ds) = (vec![0.0f32; d / h * tp], vec![0.0f32; t * tp]);
+    assert!(grads.iter().all(|g| g.len() == t * d), "grads are not t × d");
+    let scratch = split_scratch(scratch, t, d, h);
     let path = path(false);
     record("attention_backward", 0, path, || {
-        let grads = [&mut d_q[..], &mut d_k[..], &mut d_v[..]];
-        let scratch = [&mut vt[..], &mut ds[..]];
         #[cfg(target_arch = "x86_64")]
         if path == Path::Avx2 {
             // SAFETY: `path` verified AVX2+FMA on this host.
@@ -1523,7 +1535,20 @@ pub fn attention_backward(
         }
         body::attention_backward::<ScalarLanes>(q, k, v, att, d_ctx, t, d, h, grads, scratch);
     });
-    (d_q, d_k, d_v)
+}
+
+/// The scratch length [`attention_forward`] and [`attention_backward`]
+/// take at `t × d` with `h` heads: one head's K (or V) transposed,
+/// `d/h × tp`, and the scores, `t × tp`, `tp` being `t` in whole lanes.
+pub fn attention_scratch_len(t: usize, d: usize, h: usize) -> usize {
+    (d / h + t) * lane_padded(t)
+}
+
+/// Cut an attention scratch into its transposed head and its scores.
+fn split_scratch(scratch: &mut [f32], t: usize, d: usize, h: usize) -> [&mut [f32]; 2] {
+    assert_eq!(scratch.len(), attention_scratch_len(t, d, h), "attention scratch length");
+    let (xt, s) = scratch.split_at_mut(d / h * lane_padded(t));
+    [xt, s]
 }
 
 /// `t` rounded up to a whole number of lanes (at least one strip): the key
@@ -1933,7 +1958,7 @@ mod tests {
     #[test]
     #[should_panic]
     fn matmul_with_a_short_right_operand_panics() {
-        let _ = matmul(&[1.0; 32], &[1.0; 63], 4, 8, 8);
+        matmul(&[1.0; 32], &[1.0; 63], 4, 8, 8, &mut [0.0; 32]);
     }
 
     #[test]
@@ -1947,10 +1972,11 @@ mod tests {
     #[test]
     fn matmul_bt_with_a_short_operand_panics() {
         let (m, n, k) = (8, 16, 8);
-        let short_dout = std::panic::catch_unwind(|| matmul_bt(&[1.0; 127], &[1.0; 128], m, n, k));
-        assert!(short_dout.is_err(), "a short `dout` must panic");
-        let short_b = std::panic::catch_unwind(|| matmul_bt(&[1.0; 128], &[1.0; 127], m, n, k));
-        assert!(short_b.is_err(), "a short `b` must panic");
+        let run = |dout: &[f32], b: &[f32]| {
+            std::panic::catch_unwind(|| matmul_bt(dout, b, m, n, k, &mut [0.0; 64])).is_err()
+        };
+        assert!(run(&[1.0; 127], &[1.0; 128]), "a short `dout` must panic");
+        assert!(run(&[1.0; 128], &[1.0; 127]), "a short `b` must panic");
     }
 
     /// `acc_matmul_at` into a `gw` one row short panics, in release too.
@@ -1980,12 +2006,9 @@ mod tests {
         for &(m, k, n) in SHAPES {
             let a = buf(m * k, 1);
             let b = buf(k * n, 2);
-            assert_close(
-                &matmul(&a, &b, m, k, n),
-                &reference::matmul(&a, &b, m, k, n),
-                1e-5,
-                "matmul",
-            );
+            let mut out = vec![0.0; m * n];
+            matmul(&a, &b, m, k, n, &mut out);
+            assert_close(&out, &reference::matmul(&a, &b, m, k, n), 1e-5, "matmul");
         }
     }
 
@@ -1994,12 +2017,9 @@ mod tests {
         for &(m, n, k) in SHAPES {
             let d = buf(m * n, 3);
             let b = buf(k * n, 4);
-            assert_close(
-                &matmul_bt(&d, &b, m, n, k),
-                &reference::matmul_bt(&d, &b, m, n, k),
-                1e-5,
-                "matmul_bt",
-            );
+            let mut out = vec![0.0; m * k];
+            matmul_bt(&d, &b, m, n, k, &mut out);
+            assert_close(&out, &reference::matmul_bt(&d, &b, m, n, k), 1e-5, "matmul_bt");
         }
     }
 
@@ -2024,7 +2044,9 @@ mod tests {
         let (m, k, n) = (6, 9, 5);
         let a = vec![0.0f32; m * k];
         let b = buf(k * n, 12);
-        assert!(matmul(&a, &b, m, k, n).iter().all(|&v| v == 0.0));
+        let mut out = vec![f32::NAN; m * n];
+        matmul(&a, &b, m, k, n, &mut out);
+        assert!(out.iter().all(|&v| v == 0.0));
         let mut gw = vec![0.0f32; k * n];
         acc_matmul_at(&a, &buf(m * n, 13), m, k, n, &mut gw);
         assert!(gw.iter().all(|&v| v == 0.0));

@@ -53,4 +53,4 @@ pub use train::{
     step_program, train_elastic_on, train_pipeline, CheckpointSink, ElasticPhase, ScheduleHyper,
     Start, SyncSchedule, TrainCheckpoint, TrainOutcome, TrainRun, TrainSetup,
 };
-pub use transformer::TinyTransformer;
+pub use transformer::{TinyTransformer, Workspace};

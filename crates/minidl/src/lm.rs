@@ -13,7 +13,7 @@
 
 use crate::executor::{MicroStep, StageGrad, StepCompute};
 use crate::train::{train_pipeline, SyncSchedule, TrainOutcome, TrainSetup};
-use crate::transformer::TinyTransformer;
+use crate::transformer::{TinyTransformer, Workspace};
 use mics_dataplane::TransportKind;
 use std::collections::HashMap;
 use std::ops::Range;
@@ -91,6 +91,14 @@ pub(crate) struct LmStages<'a> {
     pp: usize,
 }
 
+/// One rank's state across its micro-steps: each in-flight micro-step's
+/// stash, and the workspace every stage call of the rank runs in.
+#[derive(Default)]
+pub(crate) struct RankState {
+    stash: HashMap<usize, Stash>,
+    ws: Workspace,
+}
+
 /// A micro-step's state between a stage's forward and its backward.
 pub(crate) enum Stash {
     /// The last stage's whole result, computed in its forward.
@@ -119,6 +127,7 @@ impl<'a> LmStages<'a> {
 
     fn stage_grad(
         &self,
+        ws: &mut Workspace,
         params: &[f32],
         at: MicroStep,
         input: Option<&[f32]>,
@@ -127,13 +136,13 @@ impl<'a> LmStages<'a> {
         let layers = self.layers(at.stage);
         let first = layers.start == 0;
         let (loss, grad, dinput) =
-            self.model.stage_loss_and_grad(params, layers, &self.tokens(at), input, dout);
+            self.model.stage_loss_and_grad(ws, params, layers, &self.tokens(at), input, dout);
         StageGrad { loss, grad, dinput: (!first).then_some(dinput) }
     }
 }
 
 impl StepCompute for LmStages<'_> {
-    type Saved = HashMap<usize, Stash>;
+    type Saved = RankState;
 
     fn stages(&self, _numel: usize) -> Vec<Range<usize>> {
         (0..self.pp).map(|s| self.model.stage_params(self.layers(s))).collect()
@@ -153,12 +162,14 @@ impl StepCompute for LmStages<'_> {
     ) -> Option<Vec<f32>> {
         let layers = self.layers(at.stage);
         if layers.end == self.model.layers {
-            let done = self.stage_grad(params, at, input.as_deref(), None);
-            saved.insert(at.micro, Stash::Done(done));
+            let done = self.stage_grad(&mut saved.ws, params, at, input.as_deref(), None);
+            saved.stash.insert(at.micro, Stash::Done(done));
             return None;
         }
-        let out = self.model.stage_forward(params, layers, &self.tokens(at), input.as_deref());
-        saved.insert(at.micro, Stash::Input(input));
+        let tokens = self.tokens(at);
+        let out =
+            self.model.stage_forward(&mut saved.ws, params, layers, &tokens, input.as_deref());
+        saved.stash.insert(at.micro, Stash::Input(input));
         Some(out)
     }
 
@@ -169,9 +180,11 @@ impl StepCompute for LmStages<'_> {
         at: MicroStep,
         dout: Option<Vec<f32>>,
     ) -> StageGrad {
-        match saved.remove(&at.micro).expect("backward before forward") {
+        match saved.stash.remove(&at.micro).expect("backward before forward") {
             Stash::Done(done) => done,
-            Stash::Input(input) => self.stage_grad(params, at, input.as_deref(), dout.as_deref()),
+            Stash::Input(input) => {
+                self.stage_grad(&mut saved.ws, params, at, input.as_deref(), dout.as_deref())
+            }
         }
     }
 }

@@ -9,9 +9,17 @@
 //! (untied) vocabulary head trained with mean cross-entropy over next-token
 //! targets. Parameters live in one flat `Vec<f32>` so the ZeRO/MiCS flat
 //! sharding applies unchanged.
+//!
+//! Forward and backward run in a [`Workspace`], the paper's §4
+//! pre-allocated buffers in place of an allocator call per tensor: every
+//! layer's activation cache and all scratch in one flat buffer, sized per
+//! sequence, not per micro-batch. Each rank of a training run keeps one, so
+//! a stage call allocates only the gradients it returns;
+//! [`TinyTransformer::loss_and_grad`] builds one per call.
 
 use crate::kernels::{
-    acc_matmul_at, add_bias_rows, attention_backward, attention_forward, matmul, matmul_bt,
+    acc_matmul_at, add_bias_rows, attention_backward, attention_forward, attention_scratch_len,
+    matmul, matmul_bt,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -118,12 +126,15 @@ impl TinyTransformer {
     }
 
     /// Cross-entropy loss and flat parameter gradient (mean over sequences
-    /// and positions) for a micro-batch of sequences.
+    /// and positions) for a micro-batch of sequences, in a workspace of its
+    /// own.
     ///
     /// `tokens` is row-major `batch × (seq_len + 1)`: positions `0..T` are
     /// inputs, positions `1..T+1` the next-token targets.
     pub fn loss_and_grad(&self, params: &[f32], tokens: &[usize]) -> (f32, Vec<f32>) {
-        let (loss, grad, _) = self.stage_loss_and_grad(params, 0..self.layers, tokens, None, None);
+        let ws = &mut Workspace::default();
+        let (loss, grad, _) =
+            self.stage_loss_and_grad(ws, params, 0..self.layers, tokens, None, None);
         (loss, grad)
     }
 
@@ -133,17 +144,20 @@ impl TinyTransformer {
     /// output, `None` on the first stage, which embeds `tokens` instead.
     pub fn stage_forward(
         &self,
+        ws: &mut Workspace,
         params: &[f32],
         layers: Range<usize>,
         tokens: &[usize],
         input: Option<&[f32]>,
     ) -> Vec<f32> {
         let r = self.stage_ranges(params, layers, tokens, input);
+        let bufs = &mut ws.carve(self, &r);
         let td = self.seq_len * self.d_model;
         let mut out = Vec::with_capacity(tokens.len() / (self.seq_len + 1) * td);
         for (b, seq) in tokens.chunks(self.seq_len + 1).enumerate() {
             let x = input.map(|x| &x[b * td..(b + 1) * td]);
-            out.extend(self.forward(params, &r, seq, x).0);
+            self.forward(params, &r, seq, x, bufs);
+            out.extend_from_slice(bufs.x);
         }
         out
     }
@@ -153,9 +167,11 @@ impl TinyTransformer {
     /// the stage's parameters, and the gradient w.r.t. `input` (empty on
     /// the first stage). `dout` is the next stage's input gradient, `None`
     /// on the last stage, which computes the loss against `tokens`' targets.
-    /// Over `0..layers` this is [`Self::loss_and_grad`].
+    /// Over `0..layers` this is [`Self::loss_and_grad`]. The two gradients
+    /// are the call's only allocations once `ws` has held this stage.
     pub fn stage_loss_and_grad(
         &self,
+        ws: &mut Workspace,
         params: &[f32],
         layers: Range<usize>,
         tokens: &[usize],
@@ -165,18 +181,20 @@ impl TinyTransformer {
         let last = layers.end == self.layers;
         let r = self.stage_ranges(params, layers, tokens, input);
         assert_eq!(dout.is_none(), last, "the last stage, and only it, starts from the loss");
+        let bufs = &mut ws.carve(self, &r);
         let td = self.seq_len * self.d_model;
         let batch = tokens.len() / (self.seq_len + 1);
         let mut grad = vec![0.0f32; params.len()];
         let mut loss = 0.0f32;
-        let mut dinput = Vec::new();
+        let mut dinput = Vec::with_capacity(if r.emb.is_some() { 0 } else { batch * td });
         let scale = 1.0 / (batch * self.seq_len) as f32;
         for (b, seq) in tokens.chunks(self.seq_len + 1).enumerate() {
             let x = input.map(|x| &x[b * td..(b + 1) * td]);
             let dy = dout.map(|dy| &dy[b * td..(b + 1) * td]);
-            let (l, dx) = self.sample(params, &r, seq, x, dy, scale, &mut grad);
-            loss += l;
-            dinput.extend(dx);
+            loss += self.sample(params, &r, seq, x, dy, scale, &mut grad, bufs);
+            if r.emb.is_none() {
+                dinput.extend_from_slice(bufs.dx);
+            }
         }
         (loss, grad, dinput)
     }
@@ -206,7 +224,7 @@ impl TinyTransformer {
             assert_eq!(x.len(), batch * t * d, "stage input shape");
         }
 
-        let (v, f) = (self.vocab, self.ffn);
+        let v = self.vocab;
         let mut off = 0usize;
         let mut take = |len: usize| {
             let r = off..off + len;
@@ -214,85 +232,82 @@ impl TinyTransformer {
             r
         };
         let emb = (layers.start == 0).then(|| (take(v * d), take(t * d)));
-        let r_layers = layers
-            .clone()
-            .map(|_| {
-                [
-                    take(d),     // ln1 γ
-                    take(d),     // ln1 β
-                    take(d * d), // wq
-                    take(d * d), // wk
-                    take(d * d), // wv
-                    take(d * d), // wo
-                    take(d),     // ln2 γ
-                    take(d),     // ln2 β
-                    take(d * f), // w1
-                    take(f),     // b1
-                    take(f * d), // w2
-                    take(d),     // b2
-                ]
-            })
-            .collect();
+        let first_layer = take(layers.len() * self.per_layer_params()).start;
         // Final LayerNorm γ, β; head weights and bias.
         let head = (layers.end == self.layers).then(|| [take(d), take(d), take(d * v), take(v)]);
         debug_assert_eq!(off, params.len());
-        StageRanges { emb, layers: r_layers, head }
+        StageRanges { emb, first_layer, layers: layers.len(), head }
+    }
+
+    /// The twelve parameter ranges of the stage's layer `l`, in layout
+    /// order.
+    fn layer_ranges(&self, r: &StageRanges, l: usize) -> [Range<usize>; 12] {
+        let (d, f) = (self.d_model, self.ffn);
+        let mut off = r.first_layer + l * self.per_layer_params();
+        [d, d, d * d, d * d, d * d, d * d, d, d, d * f, f, f * d, d].map(|len| {
+            off += len;
+            off - len..off
+        })
+    }
+
+    /// The floats one layer's [`LayerCache`] holds.
+    fn layer_cache_len(&self) -> usize {
+        LayerCache::lens(self).map(padded).iter().sum()
     }
 
     /// One sequence's forward through the stage's layers: the stage output
-    /// and every layer's cache.
+    /// in `ws.x`, every layer's cache in `ws.layers`.
     fn forward(
         &self,
         p: &[f32],
         r: &StageRanges,
         seq: &[usize],
         input: Option<&[f32]>,
-    ) -> (Vec<f32>, Vec<LayerCache>) {
+        ws: &mut Bufs,
+    ) {
         let (t, d, h, f) = (self.seq_len, self.d_model, self.heads, self.ffn);
-        let mut x = match (input, &r.emb) {
-            (Some(x), _) => x.to_vec(),
+        let x = &mut *ws.x;
+        match (input, &r.emb) {
+            (Some(input), _) => x.copy_from_slice(input),
             (None, Some((r_tok, r_pos))) => {
                 // Embeddings.
-                let mut x = vec![0.0f32; t * d];
                 let (p_tok, p_pos) = (&p[r_tok.clone()], &p[r_pos.clone()]);
                 for (pos, &tok) in seq[..t].iter().enumerate() {
                     for i in 0..d {
                         x[pos * d + i] = p_tok[tok * d + i] + p_pos[pos * d + i];
                     }
                 }
-                x
             }
             (None, None) => unreachable!("checked by stage_ranges"),
-        };
-        let mut caches = Vec::with_capacity(r.layers.len());
-        for lr in &r.layers {
-            let [g1, b1l, wq, wk, wv, wo, g2, b2l, w1, bb1, w2, bb2] = lr;
-            let ln1 = layer_norm(&x, &p[g1.clone()], &p[b1l.clone()], t, d);
-            let q = matmul(&ln1.y, &p[wq.clone()], t, d, d);
-            let k = matmul(&ln1.y, &p[wk.clone()], t, d, d);
-            let vv = matmul(&ln1.y, &p[wv.clone()], t, d, d);
-            let (att, ctx) = attention_forward(&q, &k, &vv, t, d, h);
-            let attn_out = matmul(&ctx, &p[wo.clone()], t, d, d);
-            let mut x_mid = x;
-            add_into(&mut x_mid, &attn_out);
-            let ln2 = layer_norm(&x_mid, &p[g2.clone()], &p[b2l.clone()], t, d);
-            let mut z1 = matmul(&ln2.y, &p[w1.clone()], t, d, f);
-            add_bias_rows(&mut z1, &p[bb1.clone()], t, f);
-            let a1: Vec<f32> = z1.iter().map(|&z| z.max(0.0)).collect();
-            let mut ffn_out = matmul(&a1, &p[w2.clone()], t, f, d);
-            add_bias_rows(&mut ffn_out, &p[bb2.clone()], t, d);
-            add_into(&mut x_mid, &ffn_out);
-            caches.push(LayerCache { ln1, q, k, vv, att, ctx, ln2, z1, a1 });
-            x = x_mid;
         }
-        (x, caches)
+        for (l, mut buf) in ws.layers.chunks_exact_mut(self.layer_cache_len()).enumerate() {
+            let mut c = LayerCache::carve(&mut buf, self);
+            let [g1, b1l, wq, wk, wv, wo, g2, b2l, w1, bb1, w2, bb2] = self.layer_ranges(r, l);
+            layer_norm(x, &p[g1], &p[b1l], &mut c.ln1);
+            matmul(c.ln1.y, &p[wq], t, d, d, c.q);
+            matmul(c.ln1.y, &p[wk], t, d, d, c.k);
+            matmul(c.ln1.y, &p[wv], t, d, d, c.vv);
+            attention_forward(c.q, c.k, c.vv, t, d, h, [c.att, c.ctx], ws.att_scratch);
+            // x_mid = x + attn_out, in place.
+            matmul(c.ctx, &p[wo], t, d, d, ws.tmp);
+            add_into(x, ws.tmp);
+            layer_norm(x, &p[g2], &p[b2l], &mut c.ln2);
+            matmul(c.ln2.y, &p[w1], t, d, f, c.z1);
+            add_bias_rows(c.z1, &p[bb1], t, f);
+            for (a, &z) in c.a1.iter_mut().zip(c.z1.iter()) {
+                *a = z.max(0.0);
+            }
+            matmul(c.a1, &p[w2], t, f, d, ws.tmp);
+            add_bias_rows(ws.tmp, &p[bb2], t, d);
+            add_into(x, ws.tmp);
+        }
     }
 
     /// Forward+backward of one sequence through the stage: returns the
-    /// (scaled) loss and the stage-input gradient, and accumulates the
-    /// parameter gradients into `g`. The last stage starts the backward
-    /// from the cross-entropy, any other from `dout`; the first stage ends
-    /// it in the embeddings and returns an empty input gradient.
+    /// (scaled) loss, leaves the stage-input gradient in `ws.dx`, and
+    /// accumulates the parameter gradients into `g`. The last stage starts
+    /// the backward from the cross-entropy, any other from `dout`; the
+    /// first stage ends it in the embeddings.
     #[allow(clippy::too_many_arguments)]
     fn sample(
         &self,
@@ -303,130 +318,234 @@ impl TinyTransformer {
         dout: Option<&[f32]>,
         scale: f32,
         g: &mut [f32],
-    ) -> (f32, Vec<f32>) {
+        ws: &mut Bufs,
+    ) -> f32 {
         let (t, d, v, h, f) = (self.seq_len, self.d_model, self.vocab, self.heads, self.ffn);
-        let (x, caches) = self.forward(p, r, seq, input);
+        self.forward(p, r, seq, input, ws);
 
         let mut loss = 0.0f32;
-        let mut dx = match (&r.head, dout) {
-            (Some([r_lnf_g, r_lnf_b, r_head, r_head_b]), _) => {
+        let dx = &mut *ws.dx;
+        match (&r.head, &mut ws.head, dout) {
+            (Some([r_lnf_g, r_lnf_b, r_head, r_head_b]), Some(hb), _) => {
                 let targets = &seq[1..t + 1];
-                let lnf = layer_norm(&x, &p[r_lnf_g.clone()], &p[r_lnf_b.clone()], t, d);
-                let mut logits = matmul(&lnf.y, &p[r_head.clone()], t, d, v);
-                add_bias_rows(&mut logits, &p[r_head_b.clone()], t, v);
+                layer_norm(ws.x, &p[r_lnf_g.clone()], &p[r_lnf_b.clone()], &mut hb.lnf);
+                matmul(hb.lnf.y, &p[r_head.clone()], t, d, v, hb.logits);
+                add_bias_rows(hb.logits, &p[r_head_b.clone()], t, v);
 
-                // Cross-entropy + dlogits.
-                let mut dlogits = vec![0.0f32; t * v];
-                for pos in 0..t {
-                    let row = &logits[pos * v..(pos + 1) * v];
+                // Cross-entropy, then dlogits over the logits in place: each
+                // row's `exp`s once, in the row buffer.
+                for (row, &target) in hb.logits.chunks_exact_mut(v).zip(targets) {
                     let mx = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
-                    let denom: f32 = row.iter().map(|&z| (z - mx).exp()).sum();
-                    let target = targets[pos];
+                    for (e, &z) in hb.exps.iter_mut().zip(row.iter()) {
+                        *e = (z - mx).exp();
+                    }
+                    let denom: f32 = hb.exps.iter().sum();
                     loss += (denom.ln() + mx - row[target]) * scale;
-                    for j in 0..v {
-                        let prob = (row[j] - mx).exp() / denom;
-                        dlogits[pos * v + j] = (prob - if j == target { 1.0 } else { 0.0 }) * scale;
+                    for (j, (dz, &e)) in row.iter_mut().zip(hb.exps.iter()).enumerate() {
+                        *dz = (e / denom - if j == target { 1.0 } else { 0.0 }) * scale;
                     }
                 }
+                let dlogits = &*hb.logits;
 
                 // ---- backward ----
                 // Head.
-                acc_matmul_at(&lnf.y, &dlogits, t, d, v, &mut g[r_head.clone()]);
-                acc_rows(&mut g[r_head_b.clone()], &dlogits);
-                let d_lnf_y = matmul_bt(&dlogits, &p[r_head.clone()], t, v, d);
-                let (dg, db) = adjacent_mut(g, r_lnf_g.clone(), r_lnf_b.clone());
-                layer_norm_backward(&lnf, &d_lnf_y, &p[r_lnf_g.clone()], t, d, dg, db)
+                acc_matmul_at(hb.lnf.y, dlogits, t, d, v, &mut g[r_head.clone()]);
+                acc_rows(&mut g[r_head_b.clone()], dlogits);
+                matmul_bt(dlogits, &p[r_head.clone()], t, v, d, ws.tmp);
+                // −0.0 is the additive identity: the backward's `+=` leaves
+                // its own bits.
+                dx.fill(-0.0);
+                let dgb = &mut g[r_lnf_g.start..r_lnf_b.end];
+                layer_norm_backward(&hb.lnf, ws.tmp, &p[r_lnf_g.clone()], dgb, dx);
             }
-            (None, Some(dy)) => dy.to_vec(),
-            (None, None) => unreachable!("checked by stage_loss_and_grad"),
-        };
+            (None, None, Some(dy)) => dx.copy_from_slice(dy),
+            _ => unreachable!("checked by stage_loss_and_grad"),
+        }
 
-        for (lr, c) in r.layers.iter().zip(&caches).rev() {
-            let [g1, b1l, wq, wk, wv, wo, g2, b2l, w1, bb1, w2, bb2] = lr;
+        let layers = ws.layers.chunks_exact_mut(self.layer_cache_len()).enumerate().rev();
+        for (l, mut buf) in layers {
+            let c = LayerCache::carve(&mut buf, self);
+            let [g1, b1l, wq, wk, wv, wo, g2, b2l, w1, bb1, w2, bb2] = self.layer_ranges(r, l);
             // x_out = x_mid + ffn_out: dx flows to both.
             // FFN backward.
-            let d_ffn = &dx;
-            acc_rows(&mut g[bb2.clone()], d_ffn);
-            acc_matmul_at(&c.a1, d_ffn, t, f, d, &mut g[w2.clone()]);
-            let mut d_a1 = matmul_bt(d_ffn, &p[w2.clone()], t, d, f);
+            acc_rows(&mut g[bb2], dx);
+            acc_matmul_at(c.a1, dx, t, f, d, &mut g[w2.clone()]);
+            let d_a1 = &mut *ws.d_a1;
+            matmul_bt(dx, &p[w2], t, d, f, d_a1);
             for (da, &z) in d_a1.iter_mut().zip(c.z1.iter()) {
                 *da = if z <= 0.0 { 0.0 } else { *da };
             }
-            acc_rows(&mut g[bb1.clone()], &d_a1);
-            acc_matmul_at(&c.ln2.y, &d_a1, t, d, f, &mut g[w1.clone()]);
-            let d_ln2_y = matmul_bt(&d_a1, &p[w1.clone()], t, f, d);
-            let d_from_ln2 = {
-                let (dg, db) = adjacent_mut(g, g2.clone(), b2l.clone());
-                layer_norm_backward(&c.ln2, &d_ln2_y, &p[g2.clone()], t, d, dg, db)
-            };
+            acc_rows(&mut g[bb1], d_a1);
+            acc_matmul_at(c.ln2.y, d_a1, t, d, f, &mut g[w1.clone()]);
+            matmul_bt(d_a1, &p[w1], t, f, d, ws.tmp);
             // d(x_mid) = dx (residual) + LN2 input gradient.
-            let mut d_xmid = dx;
-            add_into(&mut d_xmid, &d_from_ln2);
+            layer_norm_backward(&c.ln2, ws.tmp, &p[g2.clone()], &mut g[g2.start..b2l.end], dx);
 
             // x_mid = x_in + attn_out.
-            let d_attn = &d_xmid;
-            acc_matmul_at(&c.ctx, d_attn, t, d, d, &mut g[wo.clone()]);
-            let d_ctx = matmul_bt(d_attn, &p[wo.clone()], t, d, d);
-            let (d_q, d_k, d_v) = attention_backward(&c.q, &c.k, &c.vv, &c.att, &d_ctx, t, d, h);
-            acc_matmul_at(&c.ln1.y, &d_q, t, d, d, &mut g[wq.clone()]);
-            acc_matmul_at(&c.ln1.y, &d_k, t, d, d, &mut g[wk.clone()]);
-            acc_matmul_at(&c.ln1.y, &d_v, t, d, d, &mut g[wv.clone()]);
-            let mut d_ln1_y = matmul_bt(&d_q, &p[wq.clone()], t, d, d);
-            add_into(&mut d_ln1_y, &matmul_bt(&d_k, &p[wk.clone()], t, d, d));
-            add_into(&mut d_ln1_y, &matmul_bt(&d_v, &p[wv.clone()], t, d, d));
-            let d_from_ln1 = {
-                let (dg, db) = adjacent_mut(g, g1.clone(), b1l.clone());
-                layer_norm_backward(&c.ln1, &d_ln1_y, &p[g1.clone()], t, d, dg, db)
-            };
-            let mut d_xin = d_xmid;
-            add_into(&mut d_xin, &d_from_ln1);
-            dx = d_xin;
+            acc_matmul_at(c.ctx, dx, t, d, d, &mut g[wo.clone()]);
+            matmul_bt(dx, &p[wo], t, d, d, ws.tmp);
+            let [d_q, d_k, d_v] = &mut ws.dqkv;
+            attention_backward(
+                c.q,
+                c.k,
+                c.vv,
+                c.att,
+                ws.tmp,
+                t,
+                d,
+                h,
+                [d_q, d_k, d_v],
+                ws.att_scratch,
+            );
+            acc_matmul_at(c.ln1.y, d_q, t, d, d, &mut g[wq.clone()]);
+            acc_matmul_at(c.ln1.y, d_k, t, d, d, &mut g[wk.clone()]);
+            acc_matmul_at(c.ln1.y, d_v, t, d, d, &mut g[wv.clone()]);
+            // d(ln1.y) = d_q·Wqᵀ + d_k·Wkᵀ + d_v·Wvᵀ, with `d_q` spent and
+            // reused for the last two products.
+            matmul_bt(d_q, &p[wq], t, d, d, ws.tmp);
+            matmul_bt(d_k, &p[wk], t, d, d, d_q);
+            add_into(ws.tmp, d_q);
+            matmul_bt(d_v, &p[wv], t, d, d, d_q);
+            add_into(ws.tmp, d_q);
+            // d(x_in) = d(x_mid) + LN1 input gradient.
+            layer_norm_backward(&c.ln1, ws.tmp, &p[g1.clone()], &mut g[g1.start..b1l.end], dx);
         }
 
         // Embedding gradients.
-        let Some((r_tok, r_pos)) = &r.emb else { return (loss, dx) };
-        for (pos, &tok) in seq[..t].iter().enumerate() {
-            for i in 0..d {
-                g[r_tok.start + tok * d + i] += dx[pos * d + i];
-                g[r_pos.start + pos * d + i] += dx[pos * d + i];
+        if let Some((r_tok, r_pos)) = &r.emb {
+            for (pos, &tok) in seq[..t].iter().enumerate() {
+                for i in 0..d {
+                    g[r_tok.start + tok * d + i] += dx[pos * d + i];
+                    g[r_pos.start + pos * d + i] += dx[pos * d + i];
+                }
             }
         }
-        (loss, Vec::new())
+        loss
     }
 }
 
 /// A stage's parameter slice cut into ranges: the token and position
-/// embeddings on the first stage, each layer's twelve in layout order, and
-/// the final LayerNorm and head on the last.
+/// embeddings on the first stage, where its `layers` layers start (each
+/// cut by [`TinyTransformer::layer_ranges`]), and the final LayerNorm and
+/// head on the last.
 struct StageRanges {
     emb: Option<(Range<usize>, Range<usize>)>,
-    layers: Vec<[Range<usize>; 12]>,
+    first_layer: usize,
+    layers: usize,
     head: Option<[Range<usize>; 4]>,
 }
 
+/// Every buffer one sequence's forward and backward through a stage
+/// writes, sized per sequence (a stage call runs its sequences one at a
+/// time): one flat buffer, grown by the first call that needs more and
+/// carved afresh by each. Nothing in it is read before the call writes
+/// it, so a reused workspace gives a fresh one's bits.
+#[derive(Debug, Default)]
+pub struct Workspace(Vec<f32>);
+
+impl Workspace {
+    /// Grow to the stage `r` of `m` and cut the buffer into its parts,
+    /// the first on a cache line.
+    fn carve(&mut self, m: &TinyTransformer, r: &StageRanges) -> Bufs<'_> {
+        let (t, d, h, f, v) = (m.seq_len, m.d_model, m.heads, m.ffn, m.vocab);
+        let td = t * d;
+        // x, tmp, dx, d_a1, d_q, d_k, d_v, the attention scratch.
+        let stage = [td, td, td, t * f, td, td, td, attention_scratch_len(t, d, h)];
+        // The final LayerNorm's x̂, y and 1/σ, the logits, the CE row.
+        let head = r.head.as_ref().map(|_| [td, td, t, t * v, v]);
+        let layers = r.layers * m.layer_cache_len();
+        let len = layers
+            + stage.map(padded).iter().sum::<usize>()
+            + head.map_or(0, |h| h.map(padded).iter().sum());
+        if self.0.len() < len + LINE {
+            self.0.resize(len + LINE, 0.0);
+        }
+        let skew = self.0.as_ptr().align_offset(LINE * 4);
+        let (layers, mut buf) = self.0[skew..skew + len].split_at_mut(layers);
+        let [x, tmp, dx, d_a1, d_q, d_k, d_v, att_scratch] = stage.map(|len| take(&mut buf, len));
+        let head = head.map(|lens| {
+            let [xhat, y, inv_std, logits, exps] = lens.map(|len| take(&mut buf, len));
+            HeadBufs { lnf: Ln { xhat, y, inv_std }, logits, exps }
+        });
+        debug_assert!(buf.is_empty());
+        Bufs { layers, x, tmp, dx, d_a1, dqkv: [d_q, d_k, d_v], att_scratch, head }
+    }
+}
+
+/// A [`Workspace`] cut into its parts for one stage call.
+struct Bufs<'a> {
+    /// Each layer's [`LayerCache`], `layer_cache_len` apart.
+    layers: &'a mut [f32],
+    x: &'a mut [f32],   // the residual stream, t × d
+    tmp: &'a mut [f32], // a t × d product on its way to `x` or a backward
+    dx: &'a mut [f32],  // the gradient w.r.t. `x`
+    d_a1: &'a mut [f32],
+    dqkv: [&'a mut [f32]; 3],
+    att_scratch: &'a mut [f32],
+    head: Option<HeadBufs<'a>>,
+}
+
+/// The last stage's part of a [`Workspace`].
+struct HeadBufs<'a> {
+    lnf: Ln<'a>,
+    /// The logits, `t × v`, overwritten by their gradient.
+    logits: &'a mut [f32],
+    /// One row's `exp(z − max)`.
+    exps: &'a mut [f32],
+}
+
+/// Floats in a 64-byte cache line.
+const LINE: usize = 16;
+
+/// The floats [`take`] consumes for a `len`-float part: whole cache lines,
+/// plus one more. The extra line keeps parts whose sizes are multiples of
+/// 4 KiB from starting at the same offset within a page, where a store to
+/// one falsely delays the loads of another (4K aliasing).
+fn padded(len: usize) -> usize {
+    len.next_multiple_of(LINE) + LINE
+}
+
+/// Cut the next `len` floats off the front of `buf`, which starts on a
+/// cache line, and leave it starting on one again.
+fn take<'a>(buf: &mut &'a mut [f32], len: usize) -> &'a mut [f32] {
+    let (head, rest) = std::mem::take(buf).split_at_mut(padded(len));
+    *buf = rest;
+    &mut head[..len]
+}
+
 /// One layer's forward activations, kept for its backward.
-struct LayerCache {
-    ln1: LnCache,
-    q: Vec<f32>,
-    k: Vec<f32>,
-    vv: Vec<f32>,
-    att: Vec<f32>, // h × t × t softmax probabilities
-    ctx: Vec<f32>,
-    ln2: LnCache,
-    z1: Vec<f32>, // pre-activation, t × f
-    a1: Vec<f32>, // post-ReLU
+struct LayerCache<'a> {
+    ln1: Ln<'a>,
+    q: &'a mut [f32],
+    k: &'a mut [f32],
+    vv: &'a mut [f32],
+    att: &'a mut [f32], // h × t × t softmax probabilities
+    ctx: &'a mut [f32],
+    ln2: Ln<'a>,
+    z1: &'a mut [f32], // pre-activation, t × f
+    a1: &'a mut [f32], // post-ReLU
+}
+
+impl<'a> LayerCache<'a> {
+    /// The lengths of the parts, in the order [`Self::carve`] cuts them.
+    fn lens(m: &TinyTransformer) -> [usize; 13] {
+        let (t, d, h, f) = (m.seq_len, m.d_model, m.heads, m.ffn);
+        let td = t * d;
+        [td, td, t, td, td, td, h * t * t, td, td, td, t, t * f, t * f]
+    }
+
+    /// Cut one layer's cache off the front of `buf`.
+    fn carve(buf: &mut &'a mut [f32], m: &TinyTransformer) -> Self {
+        let [xh1, y1, inv1, q, k, vv, att, ctx, xh2, y2, inv2, z1, a1] =
+            Self::lens(m).map(|len| take(buf, len));
+        let ln1 = Ln { xhat: xh1, y: y1, inv_std: inv1 };
+        let ln2 = Ln { xhat: xh2, y: y2, inv_std: inv2 };
+        LayerCache { ln1, q, k, vv, att, ctx, ln2, z1, a1 }
+    }
 }
 
 /// Salt mixed into user seeds for parameter initialization.
 const INIT_SEED_SALT: u64 = 0x1b5a_92c4_77fe_3d01;
-
-/// Split two *adjacent* parameter ranges of `g` into simultaneous mutable
-/// slices (γ immediately followed by β in the flat layout).
-fn adjacent_mut(g: &mut [f32], a: Range<usize>, b: Range<usize>) -> (&mut [f32], &mut [f32]) {
-    debug_assert_eq!(a.end, b.start, "ranges must be adjacent");
-    let len = a.len();
-    g[a.start..b.end].split_at_mut(len)
-}
 
 /// `acc[j] += rows[pos·n + j]` for every row `pos`, rows in order: the
 /// bias gradient of a `t × n` output gradient.
@@ -444,63 +563,87 @@ fn add_into(acc: &mut [f32], x: &[f32]) {
 }
 
 /// LayerNorm forward cache.
-struct LnCache {
+struct Ln<'a> {
     /// Normalized inputs x̂ (pre-scale).
-    xhat: Vec<f32>,
-    /// 1/√(σ²+ε) per position.
-    inv_std: Vec<f32>,
+    xhat: &'a mut [f32],
     /// Output y = γ·x̂ + β.
-    y: Vec<f32>,
+    y: &'a mut [f32],
+    /// 1/√(σ²+ε) per position.
+    inv_std: &'a mut [f32],
 }
 
-fn layer_norm(x: &[f32], gamma: &[f32], beta: &[f32], t: usize, d: usize) -> LnCache {
-    let mut xhat = vec![0.0f32; t * d];
-    let mut inv_std = vec![0.0f32; t];
-    let mut y = vec![0.0f32; t * d];
-    for pos in 0..t {
-        let row = &x[pos * d..(pos + 1) * d];
-        let mean: f32 = row.iter().sum::<f32>() / d as f32;
-        let var: f32 = row.iter().map(|&v| (v - mean) * (v - mean)).sum::<f32>() / d as f32;
-        let inv = 1.0 / (var + LN_EPS).sqrt();
-        inv_std[pos] = inv;
-        for i in 0..d {
-            let xh = (row[i] - mean) * inv;
-            xhat[pos * d + i] = xh;
-            y[pos * d + i] = gamma[i] * xh + beta[i];
-        }
-    }
-    LnCache { xhat, inv_std, y }
+/// Rows whose per-row sums run side by side. Each row's sum is one
+/// sequential chain in column order, as the row-at-a-time loop builds it;
+/// the block's chains are independent, so they overlap instead of each
+/// waiting on its own adds.
+const LN_ROWS: usize = 8;
+
+/// The rows of the block from `r0`: the last block's repeat row `t − 1`,
+/// whose sums are computed again and dropped.
+fn row_block(r0: usize, t: usize) -> [usize; LN_ROWS] {
+    std::array::from_fn(|l| (r0 + l).min(t - 1))
 }
 
-/// LayerNorm backward: returns dx and accumulates dγ/dβ.
-fn layer_norm_backward(
-    cache: &LnCache,
-    dy: &[f32],
-    gamma: &[f32],
-    t: usize,
-    d: usize,
-    dgamma: &mut [f32],
-    dbeta: &mut [f32],
-) -> Vec<f32> {
-    let mut dx = vec![0.0f32; t * d];
-    for pos in 0..t {
-        let xh = &cache.xhat[pos * d..(pos + 1) * d];
-        let dyr = &dy[pos * d..(pos + 1) * d];
-        let mut sum_g = 0.0f32; // Σ γ·dy
-        let mut sum_gx = 0.0f32; // Σ γ·dy·x̂
+/// LayerNorm forward of the `t × d` rows of `x` into `ln`.
+fn layer_norm(x: &[f32], gamma: &[f32], beta: &[f32], ln: &mut Ln) {
+    let (t, d) = (ln.inv_std.len(), gamma.len());
+    let (nd, beta) = (d as f32, &beta[..d]);
+    for r0 in (0..t).step_by(LN_ROWS) {
+        let rows = row_block(r0, t).map(|r| &x[r * d..][..d]);
+        // Each chain starts from −0.0, as `Iterator::sum` does.
+        let mut mean = [-0.0f32; LN_ROWS];
         for i in 0..d {
-            dgamma[i] += dyr[i] * xh[i];
-            dbeta[i] += dyr[i];
-            sum_g += gamma[i] * dyr[i];
-            sum_gx += gamma[i] * dyr[i] * xh[i];
+            for (s, row) in mean.iter_mut().zip(&rows) {
+                *s += row[i];
+            }
         }
-        let inv = cache.inv_std[pos];
-        let nd = d as f32;
+        let mean = mean.map(|s| s / nd);
+        let mut var = [-0.0f32; LN_ROWS];
         for i in 0..d {
-            dx[pos * d + i] = (gamma[i] * dyr[i] - sum_g / nd - xh[i] * sum_gx / nd) * inv;
+            for ((s, row), &mu) in var.iter_mut().zip(&rows).zip(&mean) {
+                *s += (row[i] - mu) * (row[i] - mu);
+            }
+        }
+        for l in 0..LN_ROWS.min(t - r0) {
+            let (r, mu, row) = (r0 + l, mean[l], rows[l]);
+            let inv = 1.0 / (var[l] / nd + LN_EPS).sqrt();
+            ln.inv_std[r] = inv;
+            let (xh, y) = (&mut ln.xhat[r * d..][..d], &mut ln.y[r * d..][..d]);
+            for i in 0..d {
+                xh[i] = (row[i] - mu) * inv;
+                y[i] = gamma[i] * xh[i] + beta[i];
+            }
         }
     }
-    dx
+}
+
+/// LayerNorm backward: adds the input gradient into `dx` and accumulates
+/// dγ and dβ, rows in order, into `dgb` (γ's gradient, then β's).
+fn layer_norm_backward(ln: &Ln, dy: &[f32], gamma: &[f32], dgb: &mut [f32], dx: &mut [f32]) {
+    let (t, d) = (ln.inv_std.len(), gamma.len());
+    let (nd, (dgamma, dbeta)) = (d as f32, dgb.split_at_mut(d));
+    for r0 in (0..t).step_by(LN_ROWS) {
+        let rows = row_block(r0, t).map(|r| (&dy[r * d..][..d], &ln.xhat[r * d..][..d]));
+        let mut sum_g = [0.0f32; LN_ROWS]; // Σ γ·dy
+        let mut sum_gx = [0.0f32; LN_ROWS]; // Σ γ·dy·x̂
+        for i in 0..d {
+            for ((sg, sgx), (dyr, xh)) in sum_g.iter_mut().zip(&mut sum_gx).zip(&rows) {
+                let gd = gamma[i] * dyr[i];
+                *sg += gd;
+                *sgx += gd * xh[i];
+            }
+        }
+        for l in 0..LN_ROWS.min(t - r0) {
+            let (r, (dyr, xh)) = (r0 + l, rows[l]);
+            let (inv, mean_g, sgx) = (ln.inv_std[r], sum_g[l] / nd, sum_gx[l]);
+            let dxr = &mut dx[r * d..][..d];
+            for i in 0..d {
+                dgamma[i] += dyr[i] * xh[i];
+                dbeta[i] += dyr[i];
+                dxr[i] += (gamma[i] * dyr[i] - mean_g - xh[i] * sgx / nd) * inv;
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -617,6 +760,57 @@ mod tests {
         let mut toks = sample_tokens(&m, 0, 1);
         toks[0] = m.vocab;
         let _ = m.loss_and_grad(&p, &toks);
+    }
+
+    fn bits(xs: &[f32]) -> Vec<u32> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// One workspace through batches A, B, A (B of another micro-batch)
+    /// gives each call a fresh workspace's bits.
+    #[test]
+    fn a_reused_workspace_gives_a_fresh_ones_bits() {
+        let m = tiny();
+        let p = m.init_params(4);
+        let ws = &mut Workspace::default();
+        for toks in [sample_tokens(&m, 1, 3), sample_tokens(&m, 2, 1), sample_tokens(&m, 1, 3)] {
+            let run = |ws| m.stage_loss_and_grad(ws, &p, 0..m.layers, &toks, None, None);
+            let (l_reused, g_reused, _) = run(ws);
+            let (l_fresh, g_fresh, _) = run(&mut Workspace::default());
+            assert_eq!(l_reused.to_bits(), l_fresh.to_bits());
+            assert_eq!(bits(&g_reused), bits(&g_fresh));
+        }
+    }
+
+    /// A two-stage step through one workspace: stage 0's forward, stage
+    /// 1's forward and backward, stage 0's recomputed forward and its
+    /// backward. Each result has a fresh workspace's bits, and together
+    /// they are `loss_and_grad`'s.
+    #[test]
+    fn one_workspace_runs_a_two_stage_step() {
+        let m = tiny();
+        let p = m.init_params(6);
+        let toks = sample_tokens(&m, 5, 3);
+        let (p0, p1) = (&p[m.stage_params(0..1)], &p[m.stage_params(1..2)]);
+        let step = |ws: &mut Workspace| {
+            let x = m.stage_forward(ws, p0, 0..1, &toks, None);
+            let (loss, g1, dx) = m.stage_loss_and_grad(ws, p1, 1..2, &toks, Some(&x), None);
+            let (_, g0, _) = m.stage_loss_and_grad(ws, p0, 0..1, &toks, None, Some(&dx));
+            (loss, [g0, g1].concat(), x, dx)
+        };
+        let (loss, grad, x, dx) = step(&mut Workspace::default());
+        let fresh = |stage: usize| {
+            let ws = &mut Workspace::default();
+            match stage {
+                0 => m.stage_forward(ws, p0, 0..1, &toks, None),
+                _ => m.stage_loss_and_grad(ws, p1, 1..2, &toks, Some(&x), None).2,
+            }
+        };
+        assert_eq!(bits(&x), bits(&fresh(0)));
+        assert_eq!(bits(&dx), bits(&fresh(1)));
+        let (l_whole, g_whole) = m.loss_and_grad(&p, &toks);
+        assert_eq!(loss.to_bits(), l_whole.to_bits());
+        assert_eq!(bits(&grad), bits(&g_whole));
     }
 
     #[test]

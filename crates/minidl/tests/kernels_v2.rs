@@ -1,6 +1,8 @@
 //! Kernels-v2 contract tests: the SIMD dispatch layer must (a) stay within
 //! float tolerance of the scalar `kernels::reference` drift oracle for the
 //! GEMM family, and equal the reference attention loops **bit for bit**,
+//! whatever the output and scratch slices held (every one is pre-filled
+//! with NaN here),
 //! (b) be **bit-identical** across every SIMD setting — on, off and
 //! autodetected — on adversarial shapes,
 //! (c) keep whole LM training runs byte-stable across those knobs, and
@@ -106,8 +108,10 @@ fn dispatch_all(m: usize, k: usize, n: usize) -> Vec<f32> {
     let bias_k = buf(k, 5);
     let bias_n = buf(n, 7);
 
-    let mut out = kernels::matmul(&a, &b, m, k, n);
-    out.extend(kernels::matmul_bt(&dout, &b, m, n, k));
+    let mut out = vec![f32::NAN; m * n + m * k];
+    let (mm, bt) = out.split_at_mut(m * n);
+    kernels::matmul(&a, &b, m, k, n, mm);
+    kernels::matmul_bt(&dout, &b, m, n, k, bt);
     let mut gw = buf(k * n, 8);
     kernels::acc_matmul_at(&a, &dout, m, k, n, &mut gw);
     out.extend(gw);
@@ -210,6 +214,42 @@ type AttentionBackward = fn(
     usize,
 ) -> (Vec<f32>, Vec<f32>, Vec<f32>);
 
+/// [`kernels::attention_forward`] into outputs and a scratch pre-filled
+/// with NaN.
+fn kernel_forward(
+    q: &[f32],
+    k: &[f32],
+    v: &[f32],
+    t: usize,
+    d: usize,
+    h: usize,
+) -> (Vec<f32>, Vec<f32>) {
+    let (mut att, mut ctx) = (vec![f32::NAN; h * t * t], vec![f32::NAN; t * d]);
+    let mut scratch = vec![f32::NAN; kernels::attention_scratch_len(t, d, h)];
+    kernels::attention_forward(q, k, v, t, d, h, [&mut att, &mut ctx], &mut scratch);
+    (att, ctx)
+}
+
+/// [`kernels::attention_backward`] into gradients and a scratch
+/// pre-filled with NaN.
+#[allow(clippy::too_many_arguments)]
+fn kernel_backward(
+    q: &[f32],
+    k: &[f32],
+    v: &[f32],
+    att: &[f32],
+    d_ctx: &[f32],
+    t: usize,
+    d: usize,
+    h: usize,
+) -> (Vec<f32>, Vec<f32>, Vec<f32>) {
+    let [mut d_q, mut d_k, mut d_v] = [(); 3].map(|_| vec![f32::NAN; t * d]);
+    let mut scratch = vec![f32::NAN; kernels::attention_scratch_len(t, d, h)];
+    let grads = [&mut d_q[..], &mut d_k[..], &mut d_v[..]];
+    kernels::attention_backward(q, k, v, att, d_ctx, t, d, h, grads, &mut scratch);
+    (d_q, d_k, d_v)
+}
+
 /// Forward and backward attention at one shape, concatenated:
 /// `att`, `ctx`, `d_q`, `d_k`, `d_v`. Softmax inputs are scaled up so the
 /// probabilities are far from uniform.
@@ -238,8 +278,7 @@ fn attention_dispatch_equals_the_reference_bit_for_bit() {
             attention_all(t, dk, h, reference::attention_forward, reference::attention_backward);
         for &simd in CONFIGS {
             kernels::set_simd(simd);
-            let got =
-                attention_all(t, dk, h, kernels::attention_forward, kernels::attention_backward);
+            let got = attention_all(t, dk, h, kernel_forward, kernel_backward);
             assert_eq!(
                 bits(&got),
                 bits(&oracle),
@@ -305,7 +344,8 @@ fn runtime_detection_engages_simd_and_fallback_paths() {
 
     let (simd_before, fallback_before) = (stat("kernel.simd_calls"), stat("kernel.fallback_calls"));
     let avx512_before = stat("kernel.avx512_calls");
-    let auto = kernels::matmul(&a, &b, 64, 64, 64);
+    let mut auto = vec![0.0; 64 * 64];
+    kernels::matmul(&a, &b, 64, 64, 64, &mut auto);
     if kernels::simd_available() {
         assert!(kernels::simd_active(), "autodetection must engage SIMD where available");
         assert!(stat("kernel.simd_calls") > simd_before, "SIMD path did not run");
@@ -319,7 +359,8 @@ fn runtime_detection_engages_simd_and_fallback_paths() {
 
     kernels::set_simd(Some(false));
     let fallback_before = stat("kernel.fallback_calls");
-    let forced = kernels::matmul(&a, &b, 64, 64, 64);
+    let mut forced = vec![0.0; 64 * 64];
+    kernels::matmul(&a, &b, 64, 64, 64, &mut forced);
     assert!(!kernels::simd_active(), "forced-off must win over detection");
     assert!(stat("kernel.fallback_calls") > fallback_before, "forced fallback did not run");
     assert_eq!(bits(&auto), bits(&forced), "SIMD and fallback paths disagree");
@@ -333,7 +374,7 @@ fn matmul_bt_counts_one_avx512_call_on_an_avx512_host() {
     let (m, n, k) = (8, 16, 8);
     let (d, b) = (buf(m * n, 3), buf(k * n, 2));
     let before = stat("kernel.avx512_calls");
-    let _ = kernels::matmul_bt(&d, &b, m, n, k);
+    kernels::matmul_bt(&d, &b, m, n, k, &mut vec![0.0; m * k]);
     let want = u64::from(kernels::simd_level() == "avx512");
     assert_eq!(stat("kernel.avx512_calls") - before, want, "simd level {}", kernels::simd_level());
 }
