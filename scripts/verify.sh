@@ -44,6 +44,22 @@ cargo test -q --release -p mics-compress -p mics-dataplane
 echo "==> cargo test -q --release -p mics-minidl"
 cargo test -q --release -p mics-minidl
 
+# The two crates that hold `unsafe` code (the kernels' lane bodies, the
+# codec's SIMD encoder and decoder) once more under AddressSanitizer, in
+# release so the unchecked loads run as shipped: an out-of-bounds load or
+# store that a debug_assert guards only in debug builds fails here. Doctests
+# are left out (rustdoc does not get the sanitizer flags). It needs the
+# nightly toolchain and fails, not skips, without it; its own target dir
+# keeps the instrumented build apart from the others.
+echo "==> AddressSanitizer: cargo +nightly test --release -p mics-minidl -p mics-compress --lib --tests"
+if ! cargo +nightly --version >/dev/null 2>&1; then
+    echo "the AddressSanitizer step needs the nightly toolchain" >&2
+    exit 1
+fi
+RUSTFLAGS=-Zsanitizer=address CARGO_TARGET_DIR=target/asan \
+    cargo +nightly test -q --release --target x86_64-unknown-linux-gnu \
+    -p mics-minidl -p mics-compress --lib --tests
+
 # The simulator's one-node-per-stage walk against the full walk on the
 # whole differential grid (every preset model, instance, node count,
 # strategy, accumulation and pipeline depth, plus every tuner candidate):
