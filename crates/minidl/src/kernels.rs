@@ -549,7 +549,7 @@ mod avx {
         d: usize,
         heads: usize,
         outs: [&mut [f32]; 2],
-        scratch: [&mut [f32]; 2],
+        scratch: &mut [f32],
     ) {
         body::attention_forward::<AvxLanes>(q, k, v, t, d, heads, outs, scratch)
     }
@@ -568,7 +568,7 @@ mod avx {
         d: usize,
         heads: usize,
         grads: [&mut [f32]; 3],
-        scratch: [&mut [f32]; 2],
+        scratch: &mut [f32],
     ) {
         body::attention_backward::<AvxLanes>(q, k, v, att, d_ctx, t, d, heads, grads, scratch)
     }
@@ -1140,9 +1140,9 @@ mod body {
     /// `ctx` are `t × d` with head `h` in columns `h·dk..(h + 1)·dk`.
     /// `outs = [att, ctx]`: `att` (`heads × t × t`) is overwritten with the
     /// softmax probabilities, zero above the diagonal, and `ctx` with the
-    /// context. `scratch = [kt, s]` is `dk × tp` and `t × tp`, `tp` being
-    /// `t` rounded up to whole lanes; every element of it is written before
-    /// it is read.
+    /// context. `scratch` holds `kt` and `s`, `dk × tp` and `t × tp`, `tp`
+    /// being `t` rounded up to whole lanes; every element of it is written
+    /// before it is read.
     ///
     /// Scores run across keys `j`, 8 lanes at a time, against the head's
     /// K copied transposed into `kt`: each lane is the scalar chain
@@ -1161,12 +1161,12 @@ mod body {
         d: usize,
         heads: usize,
         outs: [&mut [f32]; 2],
-        scratch: [&mut [f32]; 2],
+        scratch: &mut [f32],
     ) {
         let [att, ctx] = outs;
-        let [kt, s] = scratch;
         let (dk, tp) = (d / heads, super::lane_padded(t));
-        debug_assert_eq!((kt.len(), s.len()), (dk * tp, t * tp));
+        let (kt, s) = scratch.split_at_mut(dk * tp);
+        debug_assert_eq!(s.len(), t * tp);
         let inv = 1.0 / (dk as f32).sqrt();
         for head in 0..heads {
             let base = head * dk;
@@ -1205,8 +1205,8 @@ mod body {
 
     /// Causal multi-head attention backward, all heads: from the forward's
     /// `q`, `k`, `v`, `att` and the context gradient `d_ctx`, write
-    /// `grads = [d_q, d_k, d_v]` (each `t × d`, overwritten). `scratch =
-    /// [vt, ds]` is `dk × tp` and `t × tp`, written before it is read.
+    /// `grads = [d_q, d_k, d_v]` (each `t × d`, overwritten). `scratch`
+    /// holds `vt` and `ds`, `dk × tp` and `t × tp`, written before read.
     ///
     /// `d_att` runs across keys against the head's V transposed, like the
     /// forward scores. `dot` and every `ds = a·(d_att − dot)·dk⁻¹` stay
@@ -1225,12 +1225,12 @@ mod body {
         d: usize,
         heads: usize,
         grads: [&mut [f32]; 3],
-        scratch: [&mut [f32]; 2],
+        scratch: &mut [f32],
     ) {
         let [d_q, d_k, d_v] = grads;
-        let [vt, ds] = scratch;
         let (dk, tp) = (d / heads, super::lane_padded(t));
-        debug_assert_eq!((vt.len(), ds.len()), (dk * tp, t * tp));
+        let (vt, ds) = scratch.split_at_mut(dk * tp);
+        debug_assert_eq!(ds.len(), t * tp);
         let dk_inv = 1.0 / (dk as f32).sqrt();
         for head in 0..heads {
             let base = head * dk;
@@ -1488,7 +1488,7 @@ pub fn attention_forward(
     assert!(q.len() == t * d && k.len() == t * d && v.len() == t * d);
     let [att, ctx] = outs;
     assert!(att.len() == h * t * t && ctx.len() == t * d, "outs are not h × t × t and t × d");
-    let scratch = split_scratch(scratch, t, d, h);
+    assert_eq!(scratch.len(), attention_scratch_len(t, d, h), "attention scratch length");
     let path = path(false);
     record("attention_forward", 0, path, || {
         #[cfg(target_arch = "x86_64")]
@@ -1524,7 +1524,7 @@ pub fn attention_backward(
     assert!(q.len() == t * d && k.len() == t * d && v.len() == t * d && d_ctx.len() == t * d);
     assert_eq!(att.len(), h * t * t);
     assert!(grads.iter().all(|g| g.len() == t * d), "grads are not t × d");
-    let scratch = split_scratch(scratch, t, d, h);
+    assert_eq!(scratch.len(), attention_scratch_len(t, d, h), "attention scratch length");
     let path = path(false);
     record("attention_backward", 0, path, || {
         #[cfg(target_arch = "x86_64")]
@@ -1542,13 +1542,6 @@ pub fn attention_backward(
 /// `d/h × tp`, and the scores, `t × tp`, `tp` being `t` in whole lanes.
 pub fn attention_scratch_len(t: usize, d: usize, h: usize) -> usize {
     (d / h + t) * lane_padded(t)
-}
-
-/// Cut an attention scratch into its transposed head and its scores.
-fn split_scratch(scratch: &mut [f32], t: usize, d: usize, h: usize) -> [&mut [f32]; 2] {
-    assert_eq!(scratch.len(), attention_scratch_len(t, d, h), "attention scratch length");
-    let (xt, s) = scratch.split_at_mut(d / h * lane_padded(t));
-    [xt, s]
 }
 
 /// `t` rounded up to a whole number of lanes (at least one strip): the key

@@ -91,8 +91,7 @@ pub(crate) struct LmStages<'a> {
     pp: usize,
 }
 
-/// One rank's state across its micro-steps: each in-flight micro-step's
-/// stash, and the workspace every stage call of the rank runs in.
+/// A rank's in-flight stashes, and the workspace its stage calls run in.
 #[derive(Default)]
 pub(crate) struct RankState {
     stash: HashMap<usize, Stash>,

@@ -151,7 +151,7 @@ impl TinyTransformer {
         input: Option<&[f32]>,
     ) -> Vec<f32> {
         let r = self.stage_ranges(params, layers, tokens, input);
-        let bufs = &mut ws.carve(self, &r);
+        let bufs = &mut ws.carve(self, r.layers);
         let td = self.seq_len * self.d_model;
         let mut out = Vec::with_capacity(tokens.len() / (self.seq_len + 1) * td);
         for (b, seq) in tokens.chunks(self.seq_len + 1).enumerate() {
@@ -181,7 +181,7 @@ impl TinyTransformer {
         let last = layers.end == self.layers;
         let r = self.stage_ranges(params, layers, tokens, input);
         assert_eq!(dout.is_none(), last, "the last stage, and only it, starts from the loss");
-        let bufs = &mut ws.carve(self, &r);
+        let bufs = &mut ws.carve(self, r.layers);
         let td = self.seq_len * self.d_model;
         let batch = tokens.len() / (self.seq_len + 1);
         let mut grad = vec![0.0f32; params.len()];
@@ -325,41 +325,41 @@ impl TinyTransformer {
 
         let mut loss = 0.0f32;
         let dx = &mut *ws.dx;
-        match (&r.head, &mut ws.head, dout) {
-            (Some([r_lnf_g, r_lnf_b, r_head, r_head_b]), Some(hb), _) => {
+        match (&r.head, dout) {
+            (Some([r_lnf_g, r_lnf_b, r_head, r_head_b]), _) => {
                 let targets = &seq[1..t + 1];
-                layer_norm(ws.x, &p[r_lnf_g.clone()], &p[r_lnf_b.clone()], &mut hb.lnf);
-                matmul(hb.lnf.y, &p[r_head.clone()], t, d, v, hb.logits);
-                add_bias_rows(hb.logits, &p[r_head_b.clone()], t, v);
+                layer_norm(ws.x, &p[r_lnf_g.clone()], &p[r_lnf_b.clone()], &mut ws.lnf);
+                matmul(ws.lnf.y, &p[r_head.clone()], t, d, v, ws.logits);
+                add_bias_rows(ws.logits, &p[r_head_b.clone()], t, v);
 
                 // Cross-entropy, then dlogits over the logits in place: each
                 // row's `exp`s once, in the row buffer.
-                for (row, &target) in hb.logits.chunks_exact_mut(v).zip(targets) {
+                for (row, &target) in ws.logits.chunks_exact_mut(v).zip(targets) {
                     let mx = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
-                    for (e, &z) in hb.exps.iter_mut().zip(row.iter()) {
+                    for (e, &z) in ws.exps.iter_mut().zip(row.iter()) {
                         *e = (z - mx).exp();
                     }
-                    let denom: f32 = hb.exps.iter().sum();
+                    let denom: f32 = ws.exps.iter().sum();
                     loss += (denom.ln() + mx - row[target]) * scale;
-                    for (j, (dz, &e)) in row.iter_mut().zip(hb.exps.iter()).enumerate() {
+                    for (j, (dz, &e)) in row.iter_mut().zip(ws.exps.iter()).enumerate() {
                         *dz = (e / denom - if j == target { 1.0 } else { 0.0 }) * scale;
                     }
                 }
-                let dlogits = &*hb.logits;
+                let dlogits = &*ws.logits;
 
                 // ---- backward ----
                 // Head.
-                acc_matmul_at(hb.lnf.y, dlogits, t, d, v, &mut g[r_head.clone()]);
+                acc_matmul_at(ws.lnf.y, dlogits, t, d, v, &mut g[r_head.clone()]);
                 acc_rows(&mut g[r_head_b.clone()], dlogits);
                 matmul_bt(dlogits, &p[r_head.clone()], t, v, d, ws.tmp);
                 // −0.0 is the additive identity: the backward's `+=` leaves
                 // its own bits.
                 dx.fill(-0.0);
                 let dgb = &mut g[r_lnf_g.start..r_lnf_b.end];
-                layer_norm_backward(&hb.lnf, ws.tmp, &p[r_lnf_g.clone()], dgb, dx);
+                layer_norm_backward(&ws.lnf, ws.tmp, &p[r_lnf_g.clone()], dgb, dx);
             }
-            (None, None, Some(dy)) => dx.copy_from_slice(dy),
-            _ => unreachable!("checked by stage_loss_and_grad"),
+            (None, Some(dy)) => dx.copy_from_slice(dy),
+            (None, None) => unreachable!("checked by stage_loss_and_grad"),
         }
 
         let layers = ws.layers.chunks_exact_mut(self.layer_cache_len()).enumerate().rev();
@@ -444,31 +444,26 @@ struct StageRanges {
 pub struct Workspace(Vec<f32>);
 
 impl Workspace {
-    /// Grow to the stage `r` of `m` and cut the buffer into its parts,
-    /// the first on a cache line.
-    fn carve(&mut self, m: &TinyTransformer, r: &StageRanges) -> Bufs<'_> {
+    /// Grow to a stage of `layers` layers of `m` and cut the buffer into
+    /// its parts, the first on a cache line.
+    fn carve(&mut self, m: &TinyTransformer, layers: usize) -> Bufs<'_> {
         let (t, d, h, f, v) = (m.seq_len, m.d_model, m.heads, m.ffn, m.vocab);
         let td = t * d;
-        // x, tmp, dx, d_a1, d_q, d_k, d_v, the attention scratch.
-        let stage = [td, td, td, t * f, td, td, td, attention_scratch_len(t, d, h)];
-        // The final LayerNorm's x̂, y and 1/σ, the logits, the CE row.
-        let head = r.head.as_ref().map(|_| [td, td, t, t * v, v]);
-        let layers = r.layers * m.layer_cache_len();
-        let len = layers
-            + stage.map(padded).iter().sum::<usize>()
-            + head.map_or(0, |h| h.map(padded).iter().sum());
+        // x, tmp, dx, d_a1, d_q, d_k, d_v, the attention scratch, the final
+        // LayerNorm's x̂, y and 1/σ, the logits and one CE row.
+        let lens =
+            [td, td, td, t * f, td, td, td, attention_scratch_len(t, d, h), td, td, t, t * v, v];
+        let layers = layers * m.layer_cache_len();
+        let len = layers + lens.map(padded).iter().sum::<usize>();
         if self.0.len() < len + LINE {
             self.0.resize(len + LINE, 0.0);
         }
         let skew = self.0.as_ptr().align_offset(LINE * 4);
         let (layers, mut buf) = self.0[skew..skew + len].split_at_mut(layers);
-        let [x, tmp, dx, d_a1, d_q, d_k, d_v, att_scratch] = stage.map(|len| take(&mut buf, len));
-        let head = head.map(|lens| {
-            let [xhat, y, inv_std, logits, exps] = lens.map(|len| take(&mut buf, len));
-            HeadBufs { lnf: Ln { xhat, y, inv_std }, logits, exps }
-        });
-        debug_assert!(buf.is_empty());
-        Bufs { layers, x, tmp, dx, d_a1, dqkv: [d_q, d_k, d_v], att_scratch, head }
+        let [x, tmp, dx, d_a1, d_q, d_k, d_v, att_scratch, xhat, y, inv_std, logits, exps] =
+            lens.map(|len| take(&mut buf, len));
+        let (dqkv, lnf) = ([d_q, d_k, d_v], Ln { xhat, y, inv_std });
+        Bufs { layers, x, tmp, dx, d_a1, dqkv, att_scratch, lnf, logits, exps }
     }
 }
 
@@ -482,16 +477,9 @@ struct Bufs<'a> {
     d_a1: &'a mut [f32],
     dqkv: [&'a mut [f32]; 3],
     att_scratch: &'a mut [f32],
-    head: Option<HeadBufs<'a>>,
-}
-
-/// The last stage's part of a [`Workspace`].
-struct HeadBufs<'a> {
     lnf: Ln<'a>,
-    /// The logits, `t × v`, overwritten by their gradient.
-    logits: &'a mut [f32],
-    /// One row's `exp(z − max)`.
-    exps: &'a mut [f32],
+    logits: &'a mut [f32], // t × v, overwritten by their gradient
+    exps: &'a mut [f32],   // one row's exp(z − max)
 }
 
 /// Floats in a 64-byte cache line.
