@@ -219,8 +219,8 @@ fn main() {
         let d_ctx = &buf(t * d, 12);
         let (mut att, mut ctx) = (vec![0.0f32; h * t * t], vec![0.0f32; t * d]);
         let [mut d_q, mut d_k, mut d_v] = [(); 3].map(|_| vec![0.0f32; t * d]);
-        let mut scratch = vec![0.0f32; kernels::attention_scratch_len(t, d, h)];
-        kernels::attention_forward(q, k, v, t, d, h, [&mut att, &mut ctx], &mut scratch);
+        let mut s = vec![0.0f32; kernels::attention_scratch_len(t, d, h)];
+        kernels::attention_forward(q, k, v, t, d, h, [&mut att, &mut ctx], &mut s);
         let shape = format!("t{t}xd{d}xh{h}");
         let r = || {
             black_box(kernels::reference::attention_forward(black_box(q), k, v, t, d, h));
@@ -228,7 +228,7 @@ fn main() {
         let mut att_out = vec![0.0f32; h * t * t];
         let vs = measure(200, r, r, || {
             let outs = [black_box(&mut att_out[..]), &mut ctx[..]];
-            kernels::attention_forward(black_box(q), k, v, t, d, h, outs, &mut scratch);
+            kernels::attention_forward(black_box(q), k, v, t, d, h, outs, &mut s);
         });
         fill(&mut table, "attention_forward", shape.clone(), vs);
         let r = || {
@@ -245,18 +245,7 @@ fn main() {
         };
         let vs = measure(200, r, r, || {
             let grads = [black_box(&mut d_q[..]), &mut d_k[..], &mut d_v[..]];
-            kernels::attention_backward(
-                black_box(q),
-                k,
-                v,
-                &att,
-                d_ctx,
-                t,
-                d,
-                h,
-                grads,
-                &mut scratch,
-            );
+            kernels::attention_backward(black_box(q), k, v, &att, d_ctx, t, d, h, grads, &mut s);
         });
         fill(&mut table, "attention_backward", shape, vs);
     }

@@ -287,7 +287,7 @@ impl TinyTransformer {
             matmul(c.ln1.y, &p[wq], t, d, d, c.q);
             matmul(c.ln1.y, &p[wk], t, d, d, c.k);
             matmul(c.ln1.y, &p[wv], t, d, d, c.vv);
-            attention_forward(c.q, c.k, c.vv, t, d, h, [c.att, c.ctx], ws.att_scratch);
+            attention_forward(c.q, c.k, c.vv, t, d, h, [c.att, c.ctx], ws.scratch);
             // x_mid = x + attn_out, in place.
             matmul(c.ctx, &p[wo], t, d, d, ws.tmp);
             add_into(x, ws.tmp);
@@ -384,29 +384,17 @@ impl TinyTransformer {
             // x_mid = x_in + attn_out.
             acc_matmul_at(c.ctx, dx, t, d, d, &mut g[wo.clone()]);
             matmul_bt(dx, &p[wo], t, d, d, ws.tmp);
-            let [d_q, d_k, d_v] = &mut ws.dqkv;
-            attention_backward(
-                c.q,
-                c.k,
-                c.vv,
-                c.att,
-                ws.tmp,
-                t,
-                d,
-                h,
-                [d_q, d_k, d_v],
-                ws.att_scratch,
-            );
-            acc_matmul_at(c.ln1.y, d_q, t, d, d, &mut g[wq.clone()]);
-            acc_matmul_at(c.ln1.y, d_k, t, d, d, &mut g[wk.clone()]);
-            acc_matmul_at(c.ln1.y, d_v, t, d, d, &mut g[wv.clone()]);
-            // d(ln1.y) = d_q·Wqᵀ + d_k·Wkᵀ + d_v·Wvᵀ, with `d_q` spent and
-            // reused for the last two products.
-            matmul_bt(d_q, &p[wq], t, d, d, ws.tmp);
-            matmul_bt(d_k, &p[wk], t, d, d, d_q);
-            add_into(ws.tmp, d_q);
-            matmul_bt(d_v, &p[wv], t, d, d, d_q);
-            add_into(ws.tmp, d_q);
+            let [dq, dk, dv] = &mut ws.dqkv;
+            attention_backward(c.q, c.k, c.vv, c.att, ws.tmp, t, d, h, [dq, dk, dv], ws.scratch);
+            acc_matmul_at(c.ln1.y, dq, t, d, d, &mut g[wq.clone()]);
+            acc_matmul_at(c.ln1.y, dk, t, d, d, &mut g[wk.clone()]);
+            acc_matmul_at(c.ln1.y, dv, t, d, d, &mut g[wv.clone()]);
+            // d(ln1.y) = dq·Wqᵀ + dk·Wkᵀ + dv·Wvᵀ, `dq` reused once spent.
+            matmul_bt(dq, &p[wq], t, d, d, ws.tmp);
+            matmul_bt(dk, &p[wk], t, d, d, dq);
+            add_into(ws.tmp, dq);
+            matmul_bt(dv, &p[wv], t, d, d, dq);
+            add_into(ws.tmp, dq);
             // d(x_in) = d(x_mid) + LN1 input gradient.
             layer_norm_backward(&c.ln1, ws.tmp, &p[g1.clone()], &mut g[g1.start..b1l.end], dx);
         }
@@ -460,10 +448,10 @@ impl Workspace {
         }
         let skew = self.0.as_ptr().align_offset(LINE * 4);
         let (layers, mut buf) = self.0[skew..skew + len].split_at_mut(layers);
-        let [x, tmp, dx, d_a1, d_q, d_k, d_v, att_scratch, xhat, y, inv_std, logits, exps] =
+        let [x, tmp, dx, d_a1, d_q, d_k, d_v, scratch, xhat, y, inv_std, logits, exps] =
             lens.map(|len| take(&mut buf, len));
         let (dqkv, lnf) = ([d_q, d_k, d_v], Ln { xhat, y, inv_std });
-        Bufs { layers, x, tmp, dx, d_a1, dqkv, att_scratch, lnf, logits, exps }
+        Bufs { layers, x, tmp, dx, d_a1, dqkv, scratch, lnf, logits, exps }
     }
 }
 
@@ -476,7 +464,7 @@ struct Bufs<'a> {
     dx: &'a mut [f32],  // the gradient w.r.t. `x`
     d_a1: &'a mut [f32],
     dqkv: [&'a mut [f32]; 3],
-    att_scratch: &'a mut [f32],
+    scratch: &'a mut [f32], // attention's
     lnf: Ln<'a>,
     logits: &'a mut [f32], // t × v, overwritten by their gradient
     exps: &'a mut [f32],   // one row's exp(z − max)
