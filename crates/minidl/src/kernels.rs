@@ -57,11 +57,9 @@
 //! # One thread per call, one form per kernel
 //!
 //! Every kernel runs on the calling thread, over all of its rows, in the
-//! caller's output slice, and has that one form: it overwrites every
-//! element of its output whatever the slice held, and the attention
-//! kernels take their scratch from the caller too ([`attention_scratch_len`]),
-//! so a caller can run a whole model in buffers it sized once (the
-//! transformer's `Workspace`). Parallelism comes from the data-parallel ranks,
+//! caller's output slice, and overwrites all of it whatever it held; the
+//! attention kernels take the caller's scratch too ([`attention_scratch_len`]).
+//! Parallelism comes from the data-parallel ranks,
 //! one OS thread per simulated device, as it comes from the devices in
 //! MiCS. The bodies still take a row range and the output rows it covers,
 //! so this module's tests run them split at a row and hold the halves to
@@ -1470,9 +1468,8 @@ pub fn add_bias_rows(xs: &mut [f32], bias: &[f32], m: usize, n: usize) {
 /// row-major with the `h` heads side by side in the columns. Overwrites
 /// `outs = [att, ctx]` with the softmax probabilities (`h × t × t`, zero
 /// above the diagonal) and the context (`t × d`), bit-identical to
-/// [`reference::attention_forward`]. `scratch` is
-/// [`attention_scratch_len`] long; what it holds is never read. Runs on the
-/// calling thread and adds nothing to `kernel.flops`.
+/// [`reference::attention_forward`], in an [`attention_scratch_len`]
+/// `scratch`. Runs on the calling thread and adds nothing to `kernel.flops`.
 #[allow(clippy::too_many_arguments)]
 pub fn attention_forward(
     q: &[f32],

@@ -159,16 +159,15 @@ impl StepCompute for LmStages<'_> {
         at: MicroStep,
         input: Option<Vec<f32>>,
     ) -> Option<Vec<f32>> {
+        let RankState { stash, ws } = saved;
         let layers = self.layers(at.stage);
         if layers.end == self.model.layers {
-            let done = self.stage_grad(&mut saved.ws, params, at, input.as_deref(), None);
-            saved.stash.insert(at.micro, Stash::Done(done));
+            let done = self.stage_grad(ws, params, at, input.as_deref(), None);
+            stash.insert(at.micro, Stash::Done(done));
             return None;
         }
-        let tokens = self.tokens(at);
-        let out =
-            self.model.stage_forward(&mut saved.ws, params, layers, &tokens, input.as_deref());
-        saved.stash.insert(at.micro, Stash::Input(input));
+        let out = self.model.stage_forward(ws, params, layers, &self.tokens(at), input.as_deref());
+        stash.insert(at.micro, Stash::Input(input));
         Some(out)
     }
 
@@ -179,11 +178,10 @@ impl StepCompute for LmStages<'_> {
         at: MicroStep,
         dout: Option<Vec<f32>>,
     ) -> StageGrad {
-        match saved.stash.remove(&at.micro).expect("backward before forward") {
+        let RankState { stash, ws } = saved;
+        match stash.remove(&at.micro).expect("backward before forward") {
             Stash::Done(done) => done,
-            Stash::Input(input) => {
-                self.stage_grad(&mut saved.ws, params, at, input.as_deref(), dout.as_deref())
-            }
+            Stash::Input(x) => self.stage_grad(ws, params, at, x.as_deref(), dout.as_deref()),
         }
     }
 }
