@@ -2,8 +2,7 @@
 //! naive scalar `mics_minidl::kernels::reference`, the cache-blocked
 //! autovectorized v1 (`mics_bench::blocked`), and the v2 SIMD
 //! dispatch in `mics_minidl::kernels` (AVX-512 or AVX2+FMA lanes, on the
-//! calling thread, into an output slice allocated once; the reference and
-//! blocked kernels return a fresh `Vec`). Causal attention has
+//! calling thread, into output slices allocated once). Causal attention has
 //! no v1: its v1 is the scalar reference loop, so the `blocked_ns` cell of
 //! its rows times that loop again.
 //!
@@ -225,9 +224,8 @@ fn main() {
         let r = || {
             black_box(kernels::reference::attention_forward(black_box(q), k, v, t, d, h));
         };
-        let mut att_out = vec![0.0f32; h * t * t];
         let vs = measure(200, r, r, || {
-            let outs = [black_box(&mut att_out[..]), &mut ctx[..]];
+            let outs = [black_box(&mut att[..]), &mut ctx[..]];
             kernels::attention_forward(black_box(q), k, v, t, d, h, outs, &mut s);
         });
         fill(&mut table, "attention_forward", shape.clone(), vs);

@@ -473,10 +473,9 @@ struct Bufs<'a> {
 /// Floats in a 64-byte cache line.
 const LINE: usize = 16;
 
-/// The floats [`take`] consumes for a `len`-float part: whole cache lines,
-/// plus one more. The extra line keeps parts whose sizes are multiples of
-/// 4 KiB from starting at the same offset within a page, where a store to
-/// one falsely delays the loads of another (4K aliasing).
+/// The floats [`take`] consumes for a `len`-float part: whole cache lines
+/// and one more, so parts whose sizes are multiples of 4 KiB do not start
+/// at one offset within a page (4K aliasing).
 fn padded(len: usize) -> usize {
     len.next_multiple_of(LINE) + LINE
 }
@@ -548,14 +547,11 @@ struct Ln<'a> {
     inv_std: &'a mut [f32],
 }
 
-/// Rows whose per-row sums run side by side. Each row's sum is one
-/// sequential chain in column order, as the row-at-a-time loop builds it;
-/// the block's chains are independent, so they overlap instead of each
-/// waiting on its own adds.
+/// Rows whose LayerNorm sums run side by side: each row's sum is one chain
+/// in column order, and the block's chains overlap instead of waiting.
 const LN_ROWS: usize = 8;
 
-/// The rows of the block from `r0`: the last block's repeat row `t − 1`,
-/// whose sums are computed again and dropped.
+/// The rows of the block from `r0`, the last block's clamped to `t − 1`.
 fn row_block(r0: usize, t: usize) -> [usize; LN_ROWS] {
     std::array::from_fn(|l| (r0 + l).min(t - 1))
 }
