@@ -178,9 +178,8 @@ impl TinyTransformer {
         input: Option<&[f32]>,
         dout: Option<&[f32]>,
     ) -> (f32, Vec<f32>, Vec<f32>) {
-        let last = layers.end == self.layers;
         let r = self.stage_ranges(params, layers, tokens, input);
-        assert_eq!(dout.is_none(), last, "the last stage, and only it, starts from the loss");
+        assert_eq!(dout.is_none(), r.head.is_some(), "the last stage, and only it, has no dout");
         let bufs = &mut ws.carve(self, r.layers);
         let td = self.seq_len * self.d_model;
         let batch = tokens.len() / (self.seq_len + 1);
@@ -327,14 +326,13 @@ impl TinyTransformer {
         let dx = &mut *ws.dx;
         match (&r.head, dout) {
             (Some([r_lnf_g, r_lnf_b, r_head, r_head_b]), _) => {
-                let targets = &seq[1..t + 1];
                 layer_norm(ws.x, &p[r_lnf_g.clone()], &p[r_lnf_b.clone()], &mut ws.lnf);
                 matmul(ws.lnf.y, &p[r_head.clone()], t, d, v, ws.logits);
                 add_bias_rows(ws.logits, &p[r_head_b.clone()], t, v);
 
                 // Cross-entropy, then dlogits over the logits in place: each
                 // row's `exp`s once, in the row buffer.
-                for (row, &target) in ws.logits.chunks_exact_mut(v).zip(targets) {
+                for (row, &target) in ws.logits.chunks_exact_mut(v).zip(&seq[1..t + 1]) {
                     let mx = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
                     for (e, &z) in ws.exps.iter_mut().zip(row.iter()) {
                         *e = (z - mx).exp();
