@@ -271,9 +271,10 @@ impl TinyTransformer {
             (None, Some((r_tok, r_pos))) => {
                 // Embeddings.
                 let (p_tok, p_pos) = (&p[r_tok.clone()], &p[r_pos.clone()]);
-                for (pos, &tok) in seq[..t].iter().enumerate() {
-                    for i in 0..d {
-                        x[pos * d + i] = p_tok[tok * d + i] + p_pos[pos * d + i];
+                let rows = x.chunks_exact_mut(d).zip(p_pos.chunks_exact(d));
+                for (&tok, (xr, pr)) in seq[..t].iter().zip(rows) {
+                    for ((xv, &a), &b) in xr.iter_mut().zip(&p_tok[tok * d..][..d]).zip(pr) {
+                        *xv = a + b;
                     }
                 }
             }
@@ -399,11 +400,9 @@ impl TinyTransformer {
 
         // Embedding gradients.
         if let Some((r_tok, r_pos)) = &r.emb {
-            for (pos, &tok) in seq[..t].iter().enumerate() {
-                for i in 0..d {
-                    g[r_tok.start + tok * d + i] += dx[pos * d + i];
-                    g[r_pos.start + pos * d + i] += dx[pos * d + i];
-                }
+            for (pos, (&tok, dxr)) in seq[..t].iter().zip(dx.chunks_exact(d)).enumerate() {
+                add_into(&mut g[r_tok.start + tok * d..][..d], dxr);
+                add_into(&mut g[r_pos.start + pos * d..][..d], dxr);
             }
         }
         loss
