@@ -1362,8 +1362,8 @@ mod tests {
 
     #[test]
     fn silent_peer_is_expired_by_hub_heartbeat() {
-        // A peer that connects and then wedges (alive, but never pings) is
-        // expired by the hub's heartbeat grace; the healthy rank's
+        // A peer that connects and then wedges (alive, but never answers a
+        // ping) is expired by the hub's heartbeat grace; the healthy rank's
         // collective aborts with PeerDisconnected well before its own
         // (much longer) rendezvous deadline.
         with_deadline(Duration::from_secs(30), || {
@@ -1388,6 +1388,23 @@ mod tests {
                 "heartbeat must beat the 20s logical deadline, took {elapsed:?}"
             );
             drop(wedged);
+        });
+    }
+
+    #[test]
+    fn a_connection_that_never_says_hello_is_closed_within_the_grace() {
+        // A connection that never identifies itself holds no rank, so no
+        // poison and no `Hub::shutdown` reaches it: the grace must.
+        with_deadline(Duration::from_secs(30), || {
+            let grace = Duration::from_millis(200);
+            let hub = Hub::spawn_with_grace("127.0.0.1:0", grace).expect("bind hub");
+            let mut mute = std::net::TcpStream::connect(hub.addr()).expect("connect raw");
+            mute.set_read_timeout(Some(Duration::from_secs(10))).expect("read timeout");
+            let started = Instant::now();
+            let got = std::io::Read::read(&mut mute, &mut [0u8; 1]);
+            let elapsed = started.elapsed();
+            assert!(matches!(got, Ok(0)), "the hub must close the connection, got {got:?}");
+            assert!(elapsed < Duration::from_secs(5), "closed after {elapsed:?}, grace {grace:?}");
         });
     }
 

@@ -31,7 +31,6 @@
 use crate::{CommError, Communicator};
 use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
 
 /// Maximum operations queued per communicator before submission blocks.
 pub const ASYNC_QUEUE_DEPTH: usize = 16;
@@ -70,7 +69,7 @@ impl Engine {
 /// progress whether or not anyone is waiting.
 #[derive(Debug)]
 pub struct CollectiveHandle<T> {
-    rx: Receiver<(Result<T, CommError>, Duration)>,
+    rx: Receiver<Result<T, CommError>>,
     probe: Communicator,
 }
 
@@ -78,22 +77,15 @@ impl<T> CollectiveHandle<T> {
     /// Block until the collective completes and return its result. A rank
     /// failure or rendezvous timeout anywhere in the group surfaces here as
     /// `Err`, exactly as it would from the blocking `try_*` call.
-    pub fn wait(self) -> Result<T, CommError> {
-        self.wait_timed().0
-    }
-
-    /// Like [`CollectiveHandle::wait`], but also reports how long the
-    /// progress thread was busy executing this operation (rendezvous wait
-    /// included) — the comm-lane busy time the overlap metrics aggregate.
     ///
-    /// The wait itself is bounded by the group's
+    /// The wait is bounded by the group's
     /// [`Communicator::set_timeout`] — scaled by the queue depth, since up
     /// to [`ASYNC_QUEUE_DEPTH`] earlier operations may legitimately run
     /// (each with its own rendezvous deadline) before this one. Without
     /// this bound, a timeout configured *after* submission would never
     /// reach an already-blocked wait, and a wedged progress thread would
     /// hang the rank thread forever.
-    pub fn wait_timed(self) -> (Result<T, CommError>, Duration) {
+    pub fn wait(self) -> Result<T, CommError> {
         let budget = self.probe.timeout().saturating_mul(ASYNC_QUEUE_DEPTH as u32 + 2);
         match self.rx.recv_timeout(budget) {
             Ok(done) => done,
@@ -102,15 +94,14 @@ impl<T> CollectiveHandle<T> {
             // If the group is poisoned, deliver that; otherwise propagate
             // the programming error.
             Err(RecvTimeoutError::Disconnected) => match self.probe.failure() {
-                Some(e) => (Err(e), Duration::ZERO),
+                Some(e) => Err(e),
                 None => panic!("comm-progress thread died without a group failure"),
             },
             // The progress thread outlived every deadline that could have
             // saved it (stuck outside the rendezvous machinery): give up
             // with the group failure if one exists, else a timeout.
             Err(RecvTimeoutError::Timeout) => {
-                let err = self.probe.failure().unwrap_or(CommError::Timeout { waited: budget });
-                (Err(err), Duration::ZERO)
+                Err(self.probe.failure().unwrap_or(CommError::Timeout { waited: budget }))
             }
         }
     }
@@ -135,9 +126,7 @@ impl Communicator {
         let probe = self.fork();
         let (txr, rxr) = sync_channel(1);
         let job: Job = Box::new(move |comm| {
-            let started = Instant::now();
-            let result = op(comm);
-            let _ = txr.send((result, started.elapsed()));
+            let _ = txr.send(op(comm));
         });
         // A send can only fail if the worker died, which means a submitted
         // operation panicked; the corresponding handle surfaces that.
@@ -171,6 +160,7 @@ mod tests {
     use mics_collectives::HierarchicalLayout;
     use mics_compress::QuantScheme;
     use proptest::prelude::*;
+    use std::time::{Duration, Instant};
 
     #[test]
     fn async_all_gather_matches_blocking() {
@@ -201,20 +191,6 @@ mod tests {
             let _ = (r, s);
             assert_eq!(s, &[3.0]);
         }
-    }
-
-    #[test]
-    fn wait_timed_reports_comm_lane_busy_time() {
-        let out = run_ranks(2, |mut c| {
-            let data = [c.rank() as f32];
-            let h = c.start_collective(move |c| c.try_all_gather(&data, None));
-            let (r, busy) = h.wait_timed();
-            r.unwrap();
-            busy
-        });
-        // The rendezvous took *some* measurable slice of progress-thread
-        // time on at least one rank (both 0 would mean nothing ran).
-        assert!(out.iter().all(|d| *d < Duration::from_secs(5)));
     }
 
     #[test]

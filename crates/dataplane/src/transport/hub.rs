@@ -21,7 +21,7 @@
 //! What the hub *does* own is failure detection and propagation:
 //!
 //! * a connection that reaches EOF (SIGKILLed process) or goes silent past
-//!   the heartbeat grace without a clean `Bye` poisons the world —
+//!   the grace without a clean `Bye` poisons the world —
 //!   `WorldPoison(PeerDisconnected)` to every surviving rank, every
 //!   existing group poisoned, every held exchange resolved;
 //! * an explicit `Failed { rank }` report (a panicking worker) does the
@@ -33,34 +33,35 @@
 //! survivors shrink with `remove_rank` and keep collectivizing over the
 //! same hub connection.
 //!
-//! Outbound frames go through a **bounded** per-connection queue
-//! ([`SEND_QUEUE_DEPTH`]) drained by a dedicated writer thread: a slow or
-//! wedged receiver exerts backpressure on the hub instead of ballooning
-//! its memory, and the heartbeat sweeper reaps it if it stays silent.
+//! Each connection has two threads, and liveness rides them; there is no
+//! timer thread. The writer drains a **bounded** queue
+//! ([`SEND_QUEUE_DEPTH`]): a slow or wedged receiver exerts backpressure on
+//! the hub instead of ballooning its memory. With nothing queued for
+//! [`HEARTBEAT_INTERVAL`] it sends a `Ping`, which a live rank's reader
+//! answers with a `Pong`. The reader reads under the hub's grace: a
+//! connection that sends nothing for that long (no frame, no `Pong`, no
+//! `Hello` after it opened) is cut, and a registered one poisons the world.
 
 use super::addressed;
 use super::socket::{
     decode_frame, encode_frame, exchange_header, reply_header, ExchangeHeader, Frame, Routes,
-    MAX_FRAME,
+    HEARTBEAT_INTERVAL, MAX_FRAME,
 };
 use super::wire::{self, Listener, Stream};
 use crate::{lock, CommError};
 use std::collections::{BTreeMap, HashMap};
 use std::ops::Range;
-use std::sync::mpsc::{sync_channel, SyncSender, TrySendError};
-use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::sync::mpsc::{sync_channel, RecvTimeoutError, SyncSender, TrySendError};
+use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
 /// Outbound frames queued per connection before the hub considers the
 /// receiver wedged — the bounded send queue that provides backpressure.
 pub const SEND_QUEUE_DEPTH: usize = 64;
 
 /// How long the hub tolerates a silent connection before treating it as
-/// dead (frames and pings both refresh liveness).
+/// dead (any frame from the rank, a `Pong` included, restarts the wait).
 pub const DEFAULT_HUB_GRACE: Duration = Duration::from_secs(5);
-
-/// How often the sweeper looks for connections silent past the grace.
-const SWEEP_INTERVAL: Duration = Duration::from_millis(100);
 
 /// One member's half of a pending exchange: who to answer, the `Exchange`
 /// payload it sent, held as it arrived, and where its pieces lie in it.
@@ -86,7 +87,6 @@ struct Outbound {
 struct ConnHandle {
     tx: SyncSender<Outbound>,
     stream: Stream,
-    last_seen: Mutex<Instant>,
 }
 
 impl ConnHandle {
@@ -122,10 +122,6 @@ struct HubState {
     /// races a crash) is greeted with the poison instead of missing it.
     world_failed: Mutex<Option<CommError>>,
     grace: Duration,
-    /// Set by [`Hub::shutdown`]; the sweeper waits on it between sweeps, so
-    /// shutdown wakes it at once.
-    stopped: Mutex<bool>,
-    stop_signal: Condvar,
 }
 
 impl HubState {
@@ -240,11 +236,6 @@ impl HubState {
             Frame::Failed { rank } => {
                 self.world_failure(CommError::RankFailed { rank: rank as usize });
             }
-            Frame::Ping => {
-                if let Some(conn) = lock(&self.conns).get(&rank) {
-                    conn.send(&Frame::Pong);
-                }
-            }
             Frame::Pong => {}
             other => {
                 return Err(std::io::Error::new(
@@ -255,39 +246,14 @@ impl HubState {
         }
         Ok(true)
     }
-
-    /// Wait out one [`SWEEP_INTERVAL`], or less if shutdown comes first;
-    /// `true` once the hub is shutting down.
-    fn stopped_after_interval(&self) -> bool {
-        let stopped = lock(&self.stopped);
-        *stopped
-            || *self
-                .stop_signal
-                .wait_timeout(stopped, SWEEP_INTERVAL)
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .0
-    }
-
-    /// Expire connections silent past the grace, every [`SWEEP_INTERVAL`]
-    /// until shutdown. (No lock is held across a sweep: `conn_lost` can
-    /// block on a wedged peer's send queue, and shutdown must not queue
-    /// behind that.)
-    fn sweep_loop(&self) {
-        while !self.stopped_after_interval() {
-            let stale: Vec<u64> = lock(&self.conns)
-                .iter()
-                .filter(|(_, c)| lock(&c.last_seen).elapsed() > self.grace)
-                .map(|(&r, _)| r)
-                .collect();
-            for rank in stale {
-                self.conn_lost(rank);
-            }
-        }
-    }
 }
 
 fn conn_loop(state: Arc<HubState>, stream: Stream) {
-    let (Ok(mut out), Ok(reader)) = (stream.try_clone(), stream.try_clone()) else { return };
+    // Every read, the first included, waits at most the grace.
+    let timed = stream.set_read_timeout(Some(state.grace));
+    let (Ok(()), Ok(mut out), Ok(reader)) = (timed, stream.try_clone(), stream.try_clone()) else {
+        return;
+    };
     let mut reader = std::io::BufReader::new(reader);
     // One receive buffer for the life of the connection (an `Exchange`
     // payload is moved out of it into the pending table).
@@ -302,20 +268,28 @@ fn conn_loop(state: Arc<HubState>, stream: Stream) {
         }
     };
     let (tx, rx) = sync_channel::<Outbound>(SEND_QUEUE_DEPTH);
-    let handle = Arc::new(ConnHandle { tx, stream, last_seen: Mutex::new(Instant::now()) });
+    let handle = Arc::new(ConnHandle { tx, stream });
     lock(&state.conns).insert(rank, Arc::clone(&handle));
     // A crash can beat a slow-starting peer's registration: deliver any
     // already-declared world failure to the latecomer explicitly.
     if let Some(err) = *lock(&state.world_failed) {
         handle.send(&Frame::WorldPoison { err });
     }
-    // Writer thread: drains the bounded queue. Keeps draining after a write
+    // Writer thread: drains the bounded queue, and pings the rank after a
+    // heartbeat interval with nothing queued. Keeps draining after a write
     // error so blocked senders are never stranded.
     let writer = std::thread::Builder::new()
         .name(format!("mics-hub-tx-{rank}"))
         .spawn(move || {
             let mut dead = false;
-            while let Ok(frame) = rx.recv() {
+            loop {
+                let frame = match rx.recv_timeout(HEARTBEAT_INTERVAL) {
+                    Ok(frame) => frame,
+                    Err(RecvTimeoutError::Timeout) => {
+                        Outbound { head: encode_frame(&Frame::Ping), held: Vec::new() }
+                    }
+                    Err(RecvTimeoutError::Disconnected) => return,
+                };
                 let slices: Vec<&[u8]> = std::iter::once(&frame.head[..])
                     .chain(frame.held.iter().map(|(payload, range)| &payload[range.clone()]))
                     .collect();
@@ -327,7 +301,6 @@ fn conn_loop(state: Arc<HubState>, stream: Stream) {
         if read(&mut buf).is_err() {
             break false;
         }
-        *lock(&handle.last_seen) = Instant::now();
         match state.on_frame(rank, &mut buf) {
             Ok(true) => {}
             Ok(false) => break true,
@@ -352,8 +325,8 @@ fn conn_loop(state: Arc<HubState>, stream: Stream) {
 pub struct Hub {
     listener: Arc<Listener>,
     state: Arc<HubState>,
-    /// The accept and sweeper threads, until [`Hub::shutdown`] joins them.
-    threads: Vec<std::thread::JoinHandle<()>>,
+    /// The accept thread, until [`Hub::shutdown`] joins it.
+    accept: Option<std::thread::JoinHandle<()>>,
 }
 
 impl std::fmt::Debug for HubState {
@@ -371,7 +344,7 @@ impl Hub {
     }
 
     /// [`Hub::spawn`] with an explicit heartbeat grace — how long a silent
-    /// rank survives before the hub declares it dead.
+    /// connection survives before the hub declares it dead.
     pub fn spawn_with_grace(addr: &str, grace: Duration) -> std::io::Result<Hub> {
         let listener = Arc::new(Listener::bind(addr)?);
         let state = Arc::new(HubState {
@@ -380,8 +353,6 @@ impl Hub {
             groups: Mutex::new(HashMap::new()),
             world_failed: Mutex::new(None),
             grace,
-            stopped: Mutex::new(false),
-            stop_signal: Condvar::new(),
         });
 
         let (accepting, accept_state) = (Arc::clone(&listener), Arc::clone(&state));
@@ -396,14 +367,7 @@ impl Hub {
                 }
             })
             .expect("cannot spawn hub accept thread");
-
-        let sweep_state = Arc::clone(&state);
-        let sweeper = std::thread::Builder::new()
-            .name("mics-hub-sweep".into())
-            .spawn(move || sweep_state.sweep_loop())
-            .expect("cannot spawn hub sweeper thread");
-
-        Ok(Hub { listener, state, threads: vec![accept, sweeper] })
+        Ok(Hub { listener, state, accept: Some(accept) })
     }
 
     /// The bound rendezvous address workers should connect to (`host:port`
@@ -417,17 +381,16 @@ impl Hub {
         lock(&self.state.conns).len()
     }
 
-    /// Stop serving: close every connection and join the service threads.
-    /// Idempotent; called automatically on drop.
+    /// Stop serving: close every registered connection and join the
+    /// accept thread (a connection that never said `Hello` closes within
+    /// the grace). Idempotent; called automatically on drop.
     pub fn shutdown(&mut self) {
         self.listener.shutdown();
-        *lock(&self.state.stopped) = true;
-        self.state.stop_signal.notify_all();
         for conn in lock(&self.state.conns).drain() {
             conn.1.stream.shutdown();
         }
-        for thread in self.threads.drain(..) {
-            let _ = thread.join();
+        if let Some(accept) = self.accept.take() {
+            let _ = accept.join();
         }
     }
 }

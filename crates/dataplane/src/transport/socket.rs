@@ -31,10 +31,14 @@
 //!
 //! * **Teardown** — a SIGKILLed rank's socket closes; the hub sees EOF
 //!   without a `Bye` and broadcasts `WorldPoison(PeerDisconnected)`.
-//! * **Heartbeat** — every connection pings (`HEARTBEAT_INTERVAL`, 100 ms); a
-//!   wedged peer (alive but silent past the grace) is treated as gone, in
-//!   both directions: the hub expires silent ranks, and a rank whose hub
-//!   goes silent fails itself with [`CommError::Io`].
+//! * **Heartbeat** — a wedged peer (alive but silent past the grace) is
+//!   treated as gone, in both directions, by the reader threads that exist
+//!   anyway: each reads under a timeout. The hub's per-connection writer
+//!   pings a rank after [`HEARTBEAT_INTERVAL`] (100 ms) with nothing
+//!   queued, and the rank's reader answers `Pong`. A rank silent past the
+//!   hub's grace is expired by the hub; a rank whose hub sends nothing for
+//!   [`DEFAULT_HEARTBEAT_GRACE`] fails itself with [`CommError::Io`]
+//!   (`TimedOut`).
 //! * **Deadline** — the logical timeout of the local transport, unchanged:
 //!   a member whose exchange outwaits [`crate::Communicator::set_timeout`]
 //!   aborts the group at the hub, which wakes every other waiter with the
@@ -55,7 +59,7 @@ use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, RecvTimeoutError, SyncSender};
 use std::sync::{Arc, Mutex, OnceLock, Weak};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Process name every socket-transport trace event records under.
 pub const DATAPLANE_PROCESS: &str = "dataplane";
@@ -77,13 +81,13 @@ pub(crate) const WORLD_GROUP: u64 = 0;
 /// fail the connection, not attempt a giant allocation.
 pub(crate) const MAX_FRAME: usize = 1 << 28;
 
-/// How often a rank sends its hub a liveness ping (a 5-byte frame, answered
-/// by a 5-byte pong) — once connected, a healthy rank's only traffic
-/// besides its exchanges.
+/// How long a hub connection's writer waits with nothing queued before it
+/// pings the rank (a 5-byte frame, answered by a 5-byte pong) — once
+/// connected, an idle rank's only traffic.
 pub const HEARTBEAT_INTERVAL: Duration = Duration::from_millis(100);
 
-/// How long a rank tolerates a silent hub before declaring the connection
-/// dead (endpoint side of the heartbeat path).
+/// How long a rank's reader waits for a frame from its hub before declaring
+/// the connection dead (rank side of the heartbeat path).
 pub const DEFAULT_HEARTBEAT_GRACE: Duration = Duration::from_secs(10);
 
 // ---- frame codec -----------------------------------------------------------
@@ -124,9 +128,10 @@ pub(crate) enum Frame {
         /// World rank of the failed process.
         rank: u64,
     },
-    /// Liveness probe (both directions use the same pair).
+    /// Hub → rank: liveness probe, after [`HEARTBEAT_INTERVAL`] with
+    /// nothing else to send.
     Ping,
-    /// Liveness answer.
+    /// Rank → hub: the answer to a `Ping`.
     Pong,
     /// Clean goodbye: the peer is leaving on purpose, do not poison.
     Bye,
@@ -519,7 +524,6 @@ pub(crate) struct Endpoint {
     /// The last process-level failure (a rank died) this endpoint reacted
     /// to; the hub can announce one event twice, see [`Endpoint::on_poison`].
     reacted_to: Mutex<Option<CommError>>,
-    last_inbound: Mutex<Instant>,
     /// Cumulative bytes written to the wire (`socket.rank{N}.tx_bytes`).
     tx_bytes: mics_trace::Counter,
     /// Cumulative bytes read off the wire (`socket.rank{N}.rx_bytes`).
@@ -694,6 +698,9 @@ impl Drop for Endpoint {
     }
 }
 
+/// The rank's one transport thread: reads under the heartbeat grace (see
+/// [`connect_world`]), so a hub silent for that long — not even a `Ping` —
+/// fails the connection with `Io { TimedOut }`.
 fn reader_loop(mut stream: Stream, ep: Weak<Endpoint>) {
     // One receive buffer for the life of the connection.
     let mut buf = Vec::new();
@@ -703,14 +710,25 @@ fn reader_loop(mut stream: Stream, ep: Weak<Endpoint>) {
         {
             Ok(f) => f,
             Err(e) => {
-                if let Some(ep) = ep.upgrade() {
-                    ep.fail_connection(CommError::Io { kind: e.kind() });
+                use std::io::ErrorKind::{TimedOut, WouldBlock};
+                let Some(ep) = ep.upgrade() else { return };
+                // A timed-out read is `WouldBlock` on Linux.
+                let silent = matches!(e.kind(), WouldBlock | TimedOut);
+                if silent && ep.failure().is_none() {
+                    mics_trace::global().instant(
+                        DATAPLANE_PROCESS,
+                        &format!("rank{}", ep.world_rank),
+                        "heartbeat missed",
+                        "fault",
+                        vec![("grace_ms", Arg::from(DEFAULT_HEARTBEAT_GRACE.as_millis() as u64))],
+                    );
                 }
+                let kind = if silent { TimedOut } else { e.kind() };
+                ep.fail_connection(CommError::Io { kind });
                 return;
             }
         };
         let Some(ep) = ep.upgrade() else { return };
-        *lock(&ep.last_inbound) = Instant::now();
         let total = ep.rx_bytes.add(buf.len() as u64 + 4);
         let rec = mics_trace::global();
         if rec.is_enabled() {
@@ -728,36 +746,11 @@ fn reader_loop(mut stream: Stream, ep: Weak<Endpoint>) {
             Frame::Ping => {
                 let _ = ep.send(&Frame::Pong);
             }
-            Frame::Pong => {}
             // Rank-bound traffic only; anything else is a protocol error.
             _ => {
                 ep.fail_connection(CommError::Io { kind: std::io::ErrorKind::InvalidData });
                 return;
             }
-        }
-    }
-}
-
-fn heartbeat_loop(ep: Weak<Endpoint>) {
-    loop {
-        std::thread::sleep(HEARTBEAT_INTERVAL);
-        let Some(ep) = ep.upgrade() else { return };
-        if ep.failure().is_some() {
-            return;
-        }
-        if lock(&ep.last_inbound).elapsed() > DEFAULT_HEARTBEAT_GRACE {
-            mics_trace::global().instant(
-                DATAPLANE_PROCESS,
-                &format!("rank{}", ep.world_rank),
-                "heartbeat missed",
-                "fault",
-                vec![("grace_ms", Arg::from(DEFAULT_HEARTBEAT_GRACE.as_millis() as u64))],
-            );
-            ep.fail_connection(CommError::Io { kind: std::io::ErrorKind::TimedOut });
-            return;
-        }
-        if ep.send(&Frame::Ping).is_err() {
-            return;
         }
     }
 }
@@ -981,8 +974,10 @@ pub fn connect_world(cfg: SocketWorldConfig) -> Result<Communicator, CommError> 
         .retry
         .run(|| Stream::connect(&cfg.addr))
         .map_err(|e| CommError::Io { kind: e.kind() })?;
-    let reader = stream.try_clone().map_err(|e| CommError::Io { kind: e.kind() })?;
-    let raw = stream.try_clone().map_err(|e| CommError::Io { kind: e.kind() })?;
+    let io = |e: std::io::Error| CommError::Io { kind: e.kind() };
+    let reader = stream.try_clone().map_err(io)?;
+    reader.set_read_timeout(Some(DEFAULT_HEARTBEAT_GRACE)).map_err(io)?;
+    let raw = stream.try_clone().map_err(io)?;
     let counters = socket_counters();
     let ep = Arc::new(Endpoint {
         writer: Mutex::new(stream),
@@ -992,7 +987,6 @@ pub fn connect_world(cfg: SocketWorldConfig) -> Result<Communicator, CommError> 
         groups: Mutex::new(HashMap::new()),
         failed: Mutex::new(None),
         reacted_to: Mutex::new(None),
-        last_inbound: Mutex::new(Instant::now()),
         tx_bytes: counters.counter(&format!("socket.rank{}.tx_bytes", cfg.rank)),
         rx_bytes: counters.counter(&format!("socket.rank{}.rx_bytes", cfg.rank)),
         pending_depth: counters.counter(&format!("socket.rank{}.pending", cfg.rank)),
@@ -1003,11 +997,6 @@ pub fn connect_world(cfg: SocketWorldConfig) -> Result<Communicator, CommError> 
         .name(format!("mics-sock-rx-{}", cfg.rank))
         .spawn(move || reader_loop(reader, weak))
         .expect("cannot spawn socket reader thread");
-    let weak = Arc::downgrade(&ep);
-    std::thread::Builder::new()
-        .name(format!("mics-sock-hb-{}", cfg.rank))
-        .spawn(move || heartbeat_loop(weak))
-        .expect("cannot spawn heartbeat thread");
     let group = SocketGroup::new(WORLD_GROUP, cfg.world, cfg.timeout, ep);
     Ok(Communicator::from_backend(cfg.rank, Backend::Socket(group)))
 }

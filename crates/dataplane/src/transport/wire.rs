@@ -47,6 +47,17 @@ impl Stream {
         })
     }
 
+    /// Bound every blocking read on this socket, through any of its
+    /// handles: a read that waits `timeout` for a byte fails with
+    /// `WouldBlock` or `TimedOut` (the kind is the platform's). `None`
+    /// waits forever.
+    pub fn set_read_timeout(&self, timeout: Option<Duration>) -> Result<()> {
+        match self {
+            Stream::Tcp(s) => s.set_read_timeout(timeout),
+            Stream::Unix(s) => s.set_read_timeout(timeout),
+        }
+    }
+
     /// Force both directions closed, unblocking any reader.
     pub fn shutdown(&self) {
         let _ = match self {

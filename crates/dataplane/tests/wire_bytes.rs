@@ -31,7 +31,7 @@ const REPLY_HEAD: u64 = 1 + 2 * 8 + 4;
 const ENTRY_HEAD: u64 = 4;
 /// A part before its words: length.
 const PART_HEAD: u64 = 4;
-/// A ping (rank → hub) or its pong (hub → rank).
+/// A ping (hub → rank) or its pong (rank → hub).
 const HEARTBEAT_FRAME: u64 = 5;
 
 /// One rank's side of one collective.
@@ -188,11 +188,12 @@ fn socket_ranks_move_exactly_the_bytes_the_model_charges() {
                 let (charged_tx, charged_rx) =
                     charges.iter().fold((0, 0), |(t, r), c| (t + c.tx(), r + c.rx()));
                 let what = format!("w = {world}, rank {rank}, {}", case.name);
-                // A rank pings every interval; the pong to a ping sent just
-                // before the window opened may still land inside it.
+                // The hub pings an idle rank every interval; the pong to a
+                // ping received just before the window opened may still be
+                // sent inside it.
                 let pings = (elapsed.as_nanos() / HEARTBEAT_INTERVAL.as_nanos()) as u64 + 1;
-                assert_only_heartbeats(&format!("{what}, tx"), tx, charged_tx, pings);
-                assert_only_heartbeats(&format!("{what}, rx"), rx, charged_rx, pings + 1);
+                assert_only_heartbeats(&format!("{what}, tx"), tx, charged_tx, pings + 1);
+                assert_only_heartbeats(&format!("{what}, rx"), rx, charged_rx, pings);
             }
         }
     }
