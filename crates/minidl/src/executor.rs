@@ -48,8 +48,8 @@ use std::time::Instant;
 
 /// Execution lanes of the real backend, mirroring the schedule IR's lane
 /// split: one compute stream plus separate gather/reduce communication
-/// lanes, and a control lane for the collectives that are not part of the
-/// costed program (overflow agreement, loss reporting, clip-norm).
+/// lanes, and a control lane for the one collective per step that is not
+/// part of the costed program.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecLane {
     /// Forward/backward kernels and the optimizer step.
@@ -58,7 +58,8 @@ pub enum ExecLane {
     Gather,
     /// Gradient reduce-scatters and all-reduces.
     Reduce,
-    /// Control-plane collectives (not in the costed program).
+    /// The step's control all-reduce of the loss, the overflow flag and the
+    /// clip norm's sum of squares (not in the costed program).
     Control,
 }
 
@@ -785,7 +786,7 @@ impl<'a, C: StepCompute> Executor<'a, C> {
         // single-virtual-layer program cannot express as an edge. The next
         // forward's parameters exist the moment the optimizer ran: gather
         // them on the partition group's progress thread, into the other
-        // half of the double buffer, while the loss all-reduce runs.
+        // half of the double buffer.
         let ahead = hp.prefetch_depth >= 1 && iter + 1 < hp.iterations;
         if let Some(id) = self.gather_op.filter(|_| ahead) {
             self.gather(id, prog.wire_of(id).expect("a gather op"), "gather-prefetch");
@@ -793,11 +794,6 @@ impl<'a, C: StepCompute> Executor<'a, C> {
             self.rec.stats.prefetched_gathers += 1;
             self.rec.sample("prefetched gathers (cum)", self.rec.stats.prefetched_gathers as f64);
         }
-
-        // Global mean loss; the non-last stages contribute exact zeros.
-        let scale = 1.0 / (hp.accum_steps as f32 * geo.dp as f32);
-        let mean = self.world_sum("loss-sync", self.st.loss, true) * scale;
-        self.losses.push(mean);
 
         // Retire this iteration's gathered parameters into the pool.
         if let Some(buf) = self.st.params.take().filter(|_| self.gather_op.is_some()) {
@@ -828,21 +824,33 @@ impl<'a, C: StepCompute> Executor<'a, C> {
         self.retire();
         // Already the total if no boundary collective ran (solo groups).
         let total = std::mem::take(&mut self.st.accum);
-        // Overflow agreement: every rank checks its portion; the all-reduce
-        // makes all ranks skip (or apply) the step together.
-        let local_flag = if has_overflow(&total) { 1.0 } else { 0.0 };
-        let overflowed = self.world_sum("overflow-sync", local_flag, true) > 0.0;
-        if !self.scaler.update(overflowed) {
+        let scale = 1.0 / (hp.accum_steps as f32 * geo.dp as f32);
+        let inv = scale / cur_scale;
+        let mut scaled: Vec<f32> = total.iter().map(|&g| g * inv).collect();
+        // One control all-reduce over the world, each element folded alone
+        // in rank order (so each sum has a scalar all-reduce's bits): the
+        // loss, to which the non-last stages contribute exact zeros; the
+        // overflow flag, from every rank's check of its portion, so all
+        // ranks skip (or apply) the step together; and the clip norm's sum
+        // of squares.
+        let overflow = if has_overflow(&total) { 1.0 } else { 0.0 };
+        let sumsq: f32 = match hp.clip_grad_norm {
+            Some(_) => scaled.iter().map(|g| g * g).sum(),
+            None => 0.0,
+        };
+        let start_ns = self.rec.now_ns();
+        let sums = (self.world.try_all_reduce(&[self.st.loss, overflow, sumsq], None))
+            .unwrap_or_else(|e| self.abort("control-sync", None, e));
+        self.rec.close(ExecLane::Control, "control-sync", start_ns);
+        self.losses.push(sums[0] * scale);
+        if !self.scaler.update(sums[1] > 0.0) {
             return;
         }
-        let inv = 1.0 / (hp.accum_steps as f32 * geo.dp as f32) / cur_scale;
-        let mut scaled: Vec<f32> = total.iter().map(|&g| g * inv).collect();
         if let Some(max_norm) = hp.clip_grad_norm {
             // Global L2 norm: each gradient shard is held once per partition
             // group of its stage, so divide the world's sum of squares.
             let copies = (geo.dp / geo.p) as f32;
-            let local_sumsq: f32 = scaled.iter().map(|g| g * g).sum();
-            let norm = (self.world_sum("clip-norm", local_sumsq, false) / copies).sqrt();
+            let norm = (sums[2] / copies).sqrt();
             if norm > max_norm {
                 let coef = max_norm / (norm + 1e-6);
                 for g in &mut scaled {
@@ -954,18 +962,6 @@ impl<'a, C: StepCompute> Executor<'a, C> {
             Then::Inbox(pass) => self.st.inbox[dir(pass)] = Some(v),
             Then::Sent => {}
         }
-    }
-
-    /// Sum a scalar across the world on the calling thread: the
-    /// control-plane collectives, outside the costed program, always exact.
-    fn world_sum(&mut self, label: &'static str, x: f32, traced: bool) -> f32 {
-        let start_ns = self.rec.now_ns();
-        let sum =
-            self.world.try_all_reduce(&[x], None).unwrap_or_else(|e| self.abort(label, None, e))[0];
-        if traced {
-            self.rec.close(ExecLane::Control, label, start_ns);
-        }
-        sum
     }
 
     /// Every collective failure ends here, with the ids trace events carry.

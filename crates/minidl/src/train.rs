@@ -75,8 +75,8 @@ pub struct TrainSetup {
     pub clip_grad_norm: Option<f32>,
     /// ZeRO++-style quantized communication: weight gathers and/or gradient
     /// reductions travel block-quantized (`None` = full-precision wire).
-    /// Control-plane collectives (overflow flag, loss, clip norm) and the
-    /// final parameter gather always stay exact.
+    /// The step's one control all-reduce (loss, overflow flag, clip norm's
+    /// sum of squares) and the final parameter gather always stay exact.
     pub comm_quant: Option<CompressionConfig>,
     /// Comm/compute overlap depth (§4). `0` executes every collective on
     /// the rank thread, blocking. At `≥ 1` micro-step gradient reductions
@@ -1151,11 +1151,11 @@ mod tests {
         // `TinyTransformer::stage_loss_and_grad`),
         // per-stage gradient folds run in the same rank order as the flat
         // world, each element's shard owner sums the same ranks in the same
-        // order wherever the shard cut falls, and the loss all-reduce only
-        // adds exact zeros from the non-loss stages — so 1F1B over real
-        // communicators reproduces the non-pipelined run to the bit, not
-        // merely within tolerance, at any partition size, depth and
-        // element-wise codec.
+        // order wherever the shard cut falls, and the control all-reduce's
+        // loss adds only exact zeros from the non-loss stages — so 1F1B
+        // over real communicators reproduces the non-pipelined run to the
+        // bit, not merely within tolerance, at any partition size, depth
+        // and element-wise codec.
         let rows: [PipeRow; 10] = [
             (2, 2, 1, 3, SyncSchedule::Ddp, |_| {}),
             (2, 2, 1, 3, SyncSchedule::PerMicroStepAllReduce, |_| {}),
@@ -1188,7 +1188,7 @@ mod tests {
             // Rank 0 sits on stage 0: it computes, gathers its stage when
             // it is sharded, receives boundary gradients on the reduce lane,
             // reduces its stage's gradients over whichever groups have
-            // peers, and joins both control-plane syncs.
+            // peers, and joins the step's one control all-reduce.
             let labels = |lane: ExecLane| -> BTreeSet<&'static str> {
                 let spans = piped.lane_stats.spans.iter();
                 spans.filter(|s| s.lane == lane).map(|s| s.label).collect()
@@ -1211,7 +1211,7 @@ mod tests {
                 reduce.insert("hop2");
             }
             assert_eq!(labels(ExecLane::Reduce), reduce, "{at}");
-            assert_eq!(labels(ExecLane::Control), BTreeSet::from(["overflow-sync", "loss-sync"]));
+            assert_eq!(labels(ExecLane::Control), BTreeSet::from(["control-sync"]));
         }
     }
 
