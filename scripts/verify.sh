@@ -156,7 +156,9 @@ trap 'rm -rf results && mv "${RESULTS_SNAPSHOT}" results' EXIT
 # also asserts the spot-trace goodput claims (elastic ≥ static on the
 # identical seeded timeline, monotone degradation with churn) and the
 # bit-exact shrink/grow continuity on both transports; `ext_compress`
-# asserts its ~4× wire claim and the int8 fidelity envelope.
+# asserts its ~4× wire claim and the int8 fidelity envelope. The
+# `trace_timeline` example's simulated chrome traces (`mics_timeline.json`,
+# `zero3_timeline.json`) are deterministic too.
 echo "==> deterministic simulator and training artifacts regenerate byte-identically"
 for bin in fig01_effective_bandwidth fig06_strong_scaling_bert fig07_strong_scaling_other \
     fig08_tflops fig09_a100_400gbps fig10a_megatron fig10b_wideresnet \
@@ -165,6 +167,7 @@ for bin in fig01_effective_bandwidth fig06_strong_scaling_bert fig07_strong_scal
     ext_ablation ext_straggler ext_recovery ext_elastic fig15_fidelity ext_compress; do
     cargo run --release -q -p mics-bench --bin "${bin}" >/dev/null
 done
+cargo run --release -q --example trace_timeline >/dev/null
 diff -r "${RESULTS_SNAPSHOT}" results
 
 # Kernels-v2 perf gate: re-run the kernel microbenchmarks. The bench gates
