@@ -839,7 +839,9 @@ impl<'a, C: StepCompute> Executor<'a, C> {
             None => 0.0,
         };
         let start_ns = self.rec.now_ns();
-        let sums = (self.world.try_all_reduce(&[self.st.loss, overflow, sumsq], None))
+        let sums = self
+            .world
+            .try_all_reduce(&[self.st.loss, overflow, sumsq], None)
             .unwrap_or_else(|e| self.abort("control-sync", None, e));
         self.rec.close(ExecLane::Control, "control-sync", start_ns);
         self.losses.push(sums[0] * scale);
