@@ -1,6 +1,6 @@
 //! Microbenchmarks of the planner's per-query hot path: one simulator
-//! call, one tuner search, the canonical-key hash that indexes the memo
-//! cache, and a memoized cache hit.
+//! call (on two nodes, and on one node under ZeRO-3), one tuner search, the
+//! canonical-key hash that indexes the memo cache, and a memoized cache hit.
 //!
 //! These are the unit costs behind `ext_serve`'s throughput numbers: a
 //! cache hit must be orders of magnitude cheaper than the simulation it
@@ -29,11 +29,23 @@ fn job() -> TrainingJob {
     }
 }
 
+/// A one-node query: BERT-1.5B on one p3dn node under ZeRO-3, where every
+/// rank of the node is in one group.
+fn one_node_job() -> TrainingJob {
+    TrainingJob {
+        cluster: ClusterSpec::new(InstanceType::preset("p3dn").unwrap(), 1),
+        strategy: mics_core::Strategy::parse("zero3").unwrap(),
+        ..job()
+    }
+}
+
 fn bench(c: &mut Criterion) {
     let mut g = c.benchmark_group("planner");
     g.sample_size(10);
     let job = job();
     g.bench_function("simulate", |b| b.iter(|| simulate(black_box(&job))));
+    let one_node = one_node_job();
+    g.bench_function("simulate_1node", |b| b.iter(|| simulate(black_box(&one_node))));
     g.bench_function("tune", |b| {
         b.iter(|| tune(black_box(&job.workload), black_box(&job.cluster), job.accum_steps))
     });
@@ -77,6 +89,10 @@ fn main() {
     let sim_ns = best_ns(50, 7, || {
         black_box(simulate(black_box(&job))).ok();
     });
+    let one_node = one_node_job();
+    let sim_1node_ns = best_ns(50, 7, || {
+        black_box(simulate(black_box(&one_node))).ok();
+    });
     let tune_ns = best_ns(10, 7, || {
         black_box(tune(black_box(&job.workload), black_box(&job.cluster), job.accum_steps)).ok();
     });
@@ -92,12 +108,17 @@ fn main() {
     });
 
     let mut table = Table::new(
-        "planner per-query costs, bert-1.5b on 2×p3dn mics:8 (best-of-7, ns/iter)",
+        "planner per-query costs, bert-1.5b on 2×p3dn mics:8 accum 4 (simulate_1node: 1×p3dn \
+         zero3) (best-of-7, ns/iter)",
         &["operation", "ns", "vs cache hit"],
     );
-    for (op, ns) in
-        [("simulate", sim_ns), ("tune", tune_ns), ("canonical_key", key_ns), ("cache_hit", hit_ns)]
-    {
+    for (op, ns) in [
+        ("simulate", sim_ns),
+        ("simulate_1node", sim_1node_ns),
+        ("tune", tune_ns),
+        ("canonical_key", key_ns),
+        ("cache_hit", hit_ns),
+    ] {
         table.row(vec![
             op.to_string(),
             ns.to_string(),

@@ -165,17 +165,18 @@ pub fn simulate_dp_pipeline(
     simulate_stages(job.view(), pp, act_bytes, Walk::Fast).map(|(r, _)| r)
 }
 
-/// Which nodes [`simulate_stages`] walks.
+/// Which ranks [`simulate_stages`] walks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Walk {
-    /// The first node of each stage when the nodes are interchangeable
-    /// (see [`interchangeable_stage_nodes`]), else every node. The report
-    /// is the full walk's, byte for byte.
+    /// One rank per class ([`class_size`]) of the first node of each stage
+    /// when the nodes are interchangeable (see
+    /// [`interchangeable_stage_nodes`]), else every rank. The report is the
+    /// full walk's, byte for byte.
     Fast,
-    /// Every node: the reference a fast walk must equal.
+    /// Every rank: the reference a fast walk must equal.
     #[cfg(test)]
     Full,
-    /// Every node, recording the timeline of every stream.
+    /// Every rank, recording the timeline of every stream.
     Traced,
 }
 
@@ -194,19 +195,7 @@ fn simulate_stages(
     let world = n * pp;
     let s = job.accum_steps;
 
-    // The job's own cluster — its stragglers included —
-    // widened to all `pp` stages: stage 0 sits on the job's nodes, the
-    // added nodes are healthy. At `pp = 1` this is `job.cluster` exactly.
-    let mut full = job.cluster.clone();
-    full.nodes *= pp;
-    let stage_nodes = interchangeable_stage_nodes(&full, &prog.geo).filter(|_| walk == Walk::Fast);
-    let mut sc = match stage_nodes {
-        Some(c) => SimCluster::simulating(full, |node| node.is_multiple_of(c)),
-        None => SimCluster::new(full),
-    };
-    if walk == Walk::Traced {
-        sc.enable_tracing();
-    }
+    let mut sc = stage_cluster(job.cluster, &prog.geo, walk);
     let sustained = if job.workload.param_dtype_bytes == 2 {
         job.cluster.instance.sustained_fp16_flops()
     } else {
@@ -236,10 +225,54 @@ fn simulate_stages(
     Ok((report, sim_trace.to_json()))
 }
 
+/// The cluster [`simulate_stages`] replays a program of geometry `geo` on:
+/// the job's own cluster — its stragglers included — widened to all
+/// `geo.pp` stages (stage 0 sits on the job's nodes, the added nodes are
+/// healthy; at `pp = 1` this is `cluster` exactly), simulating the ranks
+/// `walk` picks.
+fn stage_cluster(cluster: &ClusterSpec, geo: &Geometry, walk: Walk) -> SimCluster {
+    let mut full = cluster.clone();
+    full.nodes *= geo.pp;
+    let k = geo.k;
+    let mut sc = match interchangeable_stage_nodes(&full, geo).filter(|_| walk == Walk::Fast) {
+        Some(c) => SimCluster::simulating(full, |r| {
+            u32::from((r.0 / k).is_multiple_of(c)) * class_size(r.0 % k, geo.p, k)
+        }),
+        None => SimCluster::new(full),
+    };
+    if walk == Walk::Traced {
+        sc.enable_tracing();
+    }
+    sc
+}
+
+/// How many ranks of its node the rank at node-local index `l` simulates
+/// (0: another rank of its class does), for partition groups of `p` on
+/// nodes of `k` where `p` and `k` divide one another. A class is a set of
+/// ranks that lead and join the same collectives, copy for copy:
+/// - `p ≥ k`: `{0}` leads the partition or whole-stage group; `{1..k−1}`
+///   each lead only their own replication group and pipeline pairs.
+/// - `p < k`: `{0}`; the replication leaders `{1..p−1}`; the other
+///   partition leaders `{p, 2p, …}`; and the rest, which lead only their
+///   pairs. Empty classes drop out (`p = 1` gives two).
+///
+/// Each class's first rank represents it, so the sizes sum to `k`.
+fn class_size(l: usize, p: usize, k: usize) -> u32 {
+    let p = p.min(k);
+    let size = match l {
+        0 => 1,
+        _ if l < p => usize::from(l == 1) * (p - 1),
+        _ if l == p => k / p - 1,
+        _ => usize::from(l == p + 1) * (k / p - 1) * (p - 1),
+    };
+    size as u32
+}
+
 /// The nodes of each pipeline stage when they are interchangeable: every
 /// NIC of `cluster` runs at one rate and every group of `geo` lies inside
 /// one node or spans whole nodes. Then each stage's first node stands for
-/// all of them (see [`crate::ops`]); `None` means simulate every node.
+/// all of them (see [`crate::ops`]), one rank per [`class_size`] class;
+/// `None` means simulate every rank.
 fn interchangeable_stage_nodes(cluster: &ClusterSpec, geo: &Geometry) -> Option<usize> {
     let rate = |node| cluster.nic_derate(NodeId(node));
     let homogeneous = (0..cluster.nodes).all(|node| rate(node) == rate(0));
@@ -514,11 +547,14 @@ mod tests {
         let fast = simulate_stages(job, pp, act_bytes, Walk::Fast).map(|(r, _)| r);
         let full = simulate_stages(job, pp, act_bytes, Walk::Full).map(|(r, _)| r);
         let what = || {
+            let c = job.cluster;
+            let derates: Vec<f64> = (0..c.nodes).map(|node| c.nic_derate(NodeId(node))).collect();
             format!(
-                "{} on {}×{} pp={pp}",
+                "{} on {}×{} ({} GPUs/node, NIC derates {derates:?}) pp={pp}",
                 job.strategy.label(),
-                job.cluster.nodes,
-                job.cluster.instance.name
+                c.nodes,
+                c.instance.name,
+                c.instance.gpus_per_node
             )
         };
         match (fast, full) {
@@ -535,42 +571,73 @@ mod tests {
         }
     }
 
-    /// The differential grid: every preset model × preset instance × node
-    /// count × strategy (DDP, ZeRO-1–3, MiCS at every power-of-two
-    /// partition size with hierarchical gathers on and off, and int8) ×
-    /// accumulation depth × pipeline depth, in a fixed order.
-    fn differential_grid() -> Vec<(&'static str, &'static str, usize, Strategy, usize, usize)> {
+    /// One differential-grid cell: a preset model on a cluster under a
+    /// strategy, accumulation depth and pipeline depth.
+    type Cell = (&'static str, ClusterSpec, Strategy, usize, usize);
+
+    /// Push `model` on `cluster` under every strategy (DDP, ZeRO-1–3, MiCS
+    /// at every power-of-two partition size with hierarchical gathers on
+    /// and off, and int8) × `accums` × pipeline depth 1 and, when the
+    /// layers split evenly, 2.
+    fn push_cells(
+        grid: &mut Vec<Cell>,
+        model: &'static str,
+        cluster: &ClusterSpec,
+        accums: &[usize],
+    ) {
         use mics_compress::{CompressionConfig, QuantScheme};
+        let even_layers = mics_model::preset(model, 1).unwrap().layers.len().is_multiple_of(2);
+        let n = cluster.total_devices();
+        let mut strategies = vec![
+            Strategy::Ddp,
+            Strategy::Zero(ZeroStage::One),
+            Strategy::Zero(ZeroStage::Two),
+            Strategy::Zero(ZeroStage::Three),
+        ];
+        for p in (0..).map(|e| 1 << e).take_while(|&p| p <= n) {
+            if !n.is_multiple_of(p) {
+                continue;
+            }
+            for hierarchical in [true, false] {
+                let mut c = MicsConfig::paper_defaults(p);
+                c.hierarchical_allgather = hierarchical;
+                strategies.push(Strategy::Mics(c));
+            }
+            let int8 = CompressionConfig::both(QuantScheme::int8());
+            strategies.push(Strategy::Mics(MicsConfig::compressed(p, int8)));
+        }
+        for strategy in strategies {
+            for &accum in accums {
+                for pp in [1, 2].into_iter().filter(|&pp| pp == 1 || even_layers) {
+                    grid.push((model, cluster.clone(), strategy.clone(), accum, pp));
+                }
+            }
+        }
+    }
+
+    /// The differential grid, in a fixed order: every preset model × preset
+    /// instance × node count, then every preset model on p3dn variants of
+    /// 2, 4, 6, 12 and 16 GPUs per node (the presets all have 8) × 1–4
+    /// nodes, clean and with the last node's NIC at half rate.
+    fn differential_grid() -> Vec<Cell> {
         let mut grid = Vec::new();
         for &model in mics_model::preset_names() {
-            let even_layers = mics_model::preset(model, 1).unwrap().layers.len().is_multiple_of(2);
             for instance in ["p3dn", "p4d", "dgx"] {
                 for nodes in [1, 2, 3, 4, 6, 8, 12, 16] {
-                    let n = nodes * InstanceType::preset(instance).unwrap().gpus_per_node;
-                    let mut strategies = vec![
-                        Strategy::Ddp,
-                        Strategy::Zero(ZeroStage::One),
-                        Strategy::Zero(ZeroStage::Two),
-                        Strategy::Zero(ZeroStage::Three),
-                    ];
-                    for p in (0..).map(|e| 1 << e).take_while(|&p| p <= n) {
-                        if !n.is_multiple_of(p) {
-                            continue;
-                        }
-                        for hierarchical in [true, false] {
-                            let mut c = MicsConfig::paper_defaults(p);
-                            c.hierarchical_allgather = hierarchical;
-                            strategies.push(Strategy::Mics(c));
-                        }
-                        let int8 = CompressionConfig::both(QuantScheme::int8());
-                        strategies.push(Strategy::Mics(MicsConfig::compressed(p, int8)));
-                    }
-                    for strategy in strategies {
-                        for accum in [1, 2, 4] {
-                            for pp in [1, 2].into_iter().filter(|&pp| pp == 1 || even_layers) {
-                                grid.push((model, instance, nodes, strategy.clone(), accum, pp));
-                            }
-                        }
+                    let cluster = ClusterSpec::new(InstanceType::preset(instance).unwrap(), nodes);
+                    push_cells(&mut grid, model, &cluster, &[1, 2, 4]);
+                }
+            }
+        }
+        for &model in mics_model::preset_names() {
+            for k in [2, 4, 6, 12, 16] {
+                let mut instance = InstanceType::p3dn_24xlarge();
+                instance.gpus_per_node = k;
+                for nodes in [1, 2, 3, 4] {
+                    let clean = ClusterSpec::new(instance.clone(), nodes);
+                    let slow = clean.clone().with_slow_node(NodeId(nodes - 1), 0.5);
+                    for cluster in [clean, slow] {
+                        push_cells(&mut grid, model, &cluster, &[1, 2]);
                     }
                 }
             }
@@ -598,11 +665,9 @@ mod tests {
     /// Run every `stride`-th config of the grid through [`equals_full_walk`];
     /// returns how many simulated (did not OOM).
     fn run_differential_grid(stride: usize) -> usize {
-        par_sum(&differential_grid(), stride, |(model, instance, nodes, strategy, accum, pp)| {
+        par_sum(&differential_grid(), stride, |(model, cluster, strategy, accum, pp)| {
             let workload = mics_model::preset(model, 4).unwrap();
-            let cluster = ClusterSpec::new(InstanceType::preset(instance).unwrap(), *nodes);
-            let job =
-                JobView { workload: &workload, cluster: &cluster, strategy, accum_steps: *accum };
+            let job = JobView { workload: &workload, cluster, strategy, accum_steps: *accum };
             usize::from(equals_full_walk(job, *pp).is_some())
         })
     }
@@ -672,6 +737,35 @@ mod tests {
     fn reduced_walk_equals_full_walk_on_the_whole_grid() {
         assert!(run_differential_grid(1) > 0);
         assert!(run_tune_grid(1) > 0);
+    }
+
+    #[test]
+    fn the_class_collapse_engages() {
+        // Report equality cannot see a silent fallback to the full walk:
+        // count the ranks that get streams.
+        let simulated = |j: &TrainingJob, walk: Walk| {
+            let geo = dp_program(j).unwrap().geo;
+            stage_cluster(&j.cluster, &geo, walk).simulated_ranks()
+        };
+        let small = |nodes: usize, strategy: &str| TrainingJob {
+            workload: TransformerConfig::bert_1_5b().workload(8),
+            strategy: Strategy::parse(strategy).unwrap(),
+            ..job(nodes, Strategy::Ddp)
+        };
+        for (strategy, classes) in
+            [("mics:8", 2), ("mics:16", 2), ("zero3", 2), ("ddp", 2), ("mics:2", 4), ("mics:4", 4)]
+        {
+            let j = small(2, strategy);
+            assert_eq!(simulated(&j, Walk::Fast), classes, "{strategy}");
+            assert_eq!(simulated(&j, Walk::Traced), 16, "{strategy} traced");
+            let mut slow = j.clone();
+            slow.cluster = slow.cluster.with_slow_node(NodeId(1), 0.5);
+            assert_eq!(simulated(&slow, Walk::Fast), 16, "{strategy} with a straggler");
+        }
+        // Six GPUs per node under mics:4: partition group 1 straddles.
+        let mut straddle = small(2, "mics:4");
+        straddle.cluster.instance.gpus_per_node = 6;
+        assert_eq!(simulated(&straddle, Walk::Fast), 12);
     }
 
     #[test]

@@ -19,11 +19,22 @@
 //! A cluster built to simulate only some nodes — one per pipeline stage —
 //! then yields the same makespan as the full walk, and its busy sums are
 //! the simulated nodes' sums times the nodes each one stands for.
-//! Collectives push phases and joins on simulated nodes only and hand back
+//!
+//! Inside a simulated node the same holds for a *class* of ranks that lead
+//! and join the same collectives, copy for copy: each copy starts its
+//! flows at the same times, so one representative simulates the class.
+//! A rank's weight is its class size (0: not simulated). A collective led
+//! by a representative pushes its NIC and NVLink phases as `weight`
+//! identical flows ([`Op::transfer_flows`]); its memcpy phases stay one
+//! flow, since every device has its own copy engine. A collective whose
+//! leader on a node is not simulated skips that node: its representative
+//! carries the copy. Busy sums scale by the weights.
+//!
+//! Collectives push phases and joins on simulated ranks only and hand back
 //! placeholder events for members elsewhere, which nothing may wait on.
-//! The DP simulation body (`crate::dp`) picks that reduced set; it walks
-//! every node when the cluster has a straggler, when a group straddles a
-//! node boundary, and when a trace is recorded (a trace pictures every
+//! The DP simulation body (`crate::dp`) picks the weights; it walks every
+//! rank when the cluster has a straggler, when a group straddles a node
+//! boundary, and when a trace is recorded (a trace pictures every
 //! stream).
 
 use mics_cluster::{ClusterSpec, Fabric, Rank};
@@ -50,20 +61,20 @@ pub struct SimCluster {
     pub fabric: Fabric,
     /// Network parameters for the cost models.
     pub net: NetParams,
-    /// Per-rank streams; [`NOT_SIMULATED`] for ranks on nodes this
-    /// cluster does not simulate.
+    /// Per-rank streams; [`NOT_SIMULATED`] for ranks this cluster does not
+    /// simulate.
     compute: Vec<StreamId>,
     gather: Vec<StreamId>,
     reduce: Vec<StreamId>,
-    /// Per node: whether its ranks are simulated.
-    simulated: Vec<bool>,
+    /// Per rank: the ranks it stands for on its node, 0 when not simulated.
+    weight: Vec<u32>,
 }
 
-/// Stream slot of a rank whose node is not simulated: pushing to it panics.
+/// Stream slot of a rank that is not simulated: pushing to it panics.
 const NOT_SIMULATED: StreamId = StreamId(usize::MAX);
 
-/// Completion event handed back for a collective member on a node that is
-/// not simulated. It is never recorded, so it must never be waited on.
+/// Completion event handed back for a collective member that is not
+/// simulated. It is never recorded, so it must never be waited on.
 pub(crate) const PLACEHOLDER_EVENT: EventId = EventId(usize::MAX);
 
 /// Fraction of the NIC's clean-network bandwidth that inter-node collectives
@@ -83,34 +94,42 @@ pub const SIM_TRACE_PROCESS: &str = "simulator (charged)";
 impl SimCluster {
     /// Materialize `spec` into a fresh simulator.
     pub fn new(spec: ClusterSpec) -> Self {
-        Self::simulating(spec, |_| true)
+        Self::simulating(spec, |_| 1)
     }
 
-    /// Materialize `spec`, giving streams only to the ranks of the nodes
-    /// `simulated` selects. Each simulated node must stand for the same
-    /// number of identical nodes (see the module docs): [`SimCluster::run`]
-    /// scales the busy sums by that number.
-    pub(crate) fn simulating(spec: ClusterSpec, simulated: impl Fn(usize) -> bool) -> Self {
+    /// Materialize `spec`, giving streams only to the ranks of weight > 0:
+    /// each one simulates a class of `weight(rank)` identical ranks on its
+    /// node (see the module docs). The weights of each simulated node must
+    /// sum to the node's size, and each simulated node must stand for the
+    /// same number of identical nodes: [`SimCluster::run`] scales the busy
+    /// sums by the weights and by that number.
+    pub(crate) fn simulating(spec: ClusterSpec, weight: impl Fn(Rank) -> u32) -> Self {
         let mut sim = Sim::new();
         let fabric = spec.build_fabric(&mut sim, NIC_TRAINING_DERATE);
         let net = NetParams::from_instance(&spec.instance);
-        let simulated: Vec<bool> = (0..spec.nodes).map(simulated).collect();
         let n = spec.total_devices();
+        let weight: Vec<u32> = (0..n).map(|r| weight(Rank(r))).collect();
         let mut compute = vec![NOT_SIMULATED; n];
         let mut gather = vec![NOT_SIMULATED; n];
         let mut reduce = vec![NOT_SIMULATED; n];
-        for r in (0..n).filter(|&r| simulated[spec.node_of(Rank(r)).0]) {
+        for r in (0..n).filter(|&r| weight[r] > 0) {
             compute[r] = sim.add_stream(format!("compute[{r}]"));
             gather[r] = sim.add_stream(format!("gather[{r}]"));
             reduce[r] = sim.add_stream(format!("reduce[{r}]"));
         }
-        SimCluster { sim, spec, fabric, net, compute, gather, reduce, simulated }
+        SimCluster { sim, spec, fabric, net, compute, gather, reduce, weight }
     }
 
-    /// Whether `rank`'s node is simulated (every rank, unless built by
+    /// Whether `rank` is simulated (every rank, unless built by
     /// [`SimCluster::simulating`]).
     pub(crate) fn simulates(&self, rank: Rank) -> bool {
-        self.simulated[self.spec.node_of(rank).0]
+        self.weight[rank.0] > 0
+    }
+
+    /// How many ranks have streams.
+    #[cfg(test)]
+    pub(crate) fn simulated_ranks(&self) -> usize {
+        self.weight.iter().filter(|&&w| w > 0).count()
     }
 
     fn lane_stream(&self, lane: Lane, rank: Rank) -> StreamId {
@@ -171,7 +190,7 @@ impl SimCluster {
     /// leader's lane before the wire phases.
     ///
     /// Returns the per-member completion events, parallel to `members`
-    /// (a never-recorded placeholder for members on nodes not simulated).
+    /// (a never-recorded placeholder for members not simulated).
     pub fn collective(
         &mut self,
         members: &[Rank],
@@ -203,37 +222,45 @@ impl SimCluster {
         };
 
         // Group members by node; the first member on each node leads and
-        // executes the timed phases on that node's shared links.
-        let mut node_done: Vec<(usize, EventId)> = Vec::new(); // (node, event)
+        // executes the timed phases on that node's shared links, once per
+        // rank of its class. A leader not simulated skips its node.
+        let mut node_done: Vec<EventId> = Vec::new();
+        let mut last_node = usize::MAX;
         for &m in members {
             let node = self.spec.node_of(m).0;
-            if !self.simulated[node] || node_done.iter().any(|&(nd, _)| nd == node) {
+            if node == last_node {
+                continue;
+            }
+            last_node = node;
+            let flows = self.weight[m.0];
+            if flows == 0 {
                 continue;
             }
             let stream = self.lane_stream(lane, m);
             let done = self.sim.add_event();
-            node_done.push((node, done));
+            node_done.push(done);
             if host_overhead > SimTime::ZERO {
                 self.sim.push(stream, Op::compute(host_overhead));
             }
             for ph in &cost.phases {
-                let link = match ph.link {
-                    LinkClass::Nic => self.fabric.nic[node],
-                    LinkClass::NvLink => self.fabric.nvlink[node],
-                    LinkClass::Memcpy => self.fabric.memcpy[m.0],
+                let (link, flows) = match ph.link {
+                    LinkClass::Nic => (self.fabric.nic[node], flows),
+                    LinkClass::NvLink => (self.fabric.nvlink[node], flows),
+                    LinkClass::Memcpy => (self.fabric.memcpy[m.0], 1),
                 };
-                self.sim.push(stream, Op::transfer(link, ph.bytes, ph.latency));
+                self.sim.push(stream, Op::transfer_flows(link, ph.bytes, ph.latency, flows));
             }
             self.sim.push(stream, Op::RecordEvent(done));
         }
+        debug_assert!(!node_done.is_empty(), "a simulated member joins a collective nobody leads");
         // A collective completes only when its *slowest* node finishes —
         // essential once nodes are heterogeneous (stragglers). The first
         // member joins all node completions into one group event.
         let group_done = if node_done.len() == 1 {
-            node_done[0].1
+            node_done[0]
         } else {
             let leader_stream = self.lane_stream(lane, joiner);
-            for &(_, e) in &node_done {
+            for &e in &node_done {
                 self.sim.push(leader_stream, Op::WaitEvent(e));
             }
             let e = self.sim.add_event();
@@ -266,8 +293,8 @@ impl SimCluster {
 
     /// Run the programmed iteration and return `(makespan, compute-busy,
     /// comm-busy)` where the busy numbers are summed across devices — on a
-    /// cluster simulating one node per class, the simulated nodes' sums
-    /// times the nodes each one stands for.
+    /// cluster simulating one rank per class, each simulated rank's busy
+    /// time times its weight and the nodes its node stands for.
     pub fn run(self) -> (SimTime, SimTime, SimTime) {
         let (makespan, compute, comm, _) = self.run_traced();
         (makespan, compute, comm)
@@ -282,11 +309,15 @@ impl SimCluster {
     pub fn run_traced(mut self) -> (SimTime, SimTime, SimTime, mics_trace::Trace) {
         let stats = self.sim.run().expect("iteration program must not deadlock");
         let busy = |streams: &[StreamId]| -> SimTime {
-            streams.iter().filter(|&&s| s != NOT_SIMULATED).map(|s| stats.stream_busy[s.0]).sum()
+            (streams.iter().zip(&self.weight).filter(|&(_, &w)| w > 0))
+                .map(|(s, &w)| stats.stream_busy[s.0] * u64::from(w))
+                .sum()
         };
-        // Exact: every simulated node stands for the same whole number of
-        // nodes, and busy times are integer nanoseconds.
-        let stands_for = (self.spec.nodes / self.simulated.iter().filter(|&&s| s).count()) as u64;
+        // Exact: the weights of a simulated node sum to its size, every
+        // simulated node stands for the same whole number of nodes, and
+        // busy times are integer nanoseconds.
+        let weights: u64 = self.weight.iter().map(|&w| u64::from(w)).sum();
+        let stands_for = self.weight.len() as u64 / weights;
         let compute_busy = busy(&self.compute) * stands_for;
         let comm_busy = (busy(&self.gather) + busy(&self.reduce)) * stands_for;
         let mut trace = stats.trace;

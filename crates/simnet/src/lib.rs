@@ -17,6 +17,11 @@
 //!   NVLink fabric, or a device-local memcpy engine). Concurrent transfers on
 //!   one link share its bandwidth fairly ("fluid flow" model), so two
 //!   collectives overlapping on the same NIC genuinely slow each other down.
+//!   A transfer may stand for several identical concurrent flows
+//!   ([`Op::transfer_flows`]): it takes one fair share per flow, moves its
+//!   bytes once per flow and finishes when any one of them would, so a
+//!   caller simulating one device per class of identical devices pushes one
+//!   transfer where the devices would push one each.
 //!
 //! Determinism: virtual time is integer nanoseconds and the event queue breaks
 //! ties by insertion sequence number, so a given program always produces the
@@ -89,10 +94,13 @@ pub enum Op {
     Transfer {
         /// The shared resource the bytes traverse.
         link: LinkId,
-        /// Payload size in bytes.
+        /// Payload size in bytes, per flow.
         bytes: u64,
         /// Fixed startup latency.
         latency: SimTime,
+        /// Identical concurrent flows this transfer stands for (at least 1):
+        /// each takes a fair share of the link and moves `bytes`.
+        flows: u32,
     },
     /// Record `EventId` as completed at the current stream position.
     RecordEvent(EventId),
@@ -106,9 +114,16 @@ impl Op {
         Op::Compute { duration }
     }
 
-    /// Convenience constructor for an [`Op::Transfer`].
+    /// Convenience constructor for an [`Op::Transfer`] of one flow.
     pub fn transfer(link: LinkId, bytes: u64, latency: SimTime) -> Self {
-        Op::Transfer { link, bytes, latency }
+        Self::transfer_flows(link, bytes, latency, 1)
+    }
+
+    /// An [`Op::Transfer`] standing for `flows` identical concurrent
+    /// transfers of `bytes` each.
+    pub fn transfer_flows(link: LinkId, bytes: u64, latency: SimTime, flows: u32) -> Self {
+        debug_assert!(flows > 0, "a transfer carries at least one flow");
+        Op::Transfer { link, bytes, latency, flows }
     }
 }
 
@@ -143,7 +158,7 @@ pub struct RunStats {
     pub makespan: SimTime,
     /// Per-stream total busy time (Compute + Transfer occupancy).
     pub stream_busy: Vec<SimTime>,
-    /// Per-link total bytes moved.
+    /// Per-link total bytes moved, every flow counted.
     pub link_bytes: Vec<u64>,
     /// Execution spans (only populated after [`Sim::enable_tracing`]),
     /// recorded on the shared `mics-trace` layer under [`SIM_PROCESS`].
@@ -184,7 +199,9 @@ struct EventState {
 #[derive(Debug, Clone)]
 struct ActiveTransfer {
     stream: StreamId,
+    /// Bytes left per flow.
     remaining: f64,
+    flows: u32,
 }
 
 #[derive(Debug)]
@@ -192,6 +209,8 @@ struct LinkState {
     /// Bytes per nanosecond.
     rate: f64,
     active: Vec<ActiveTransfer>,
+    /// Flows of the active transfers: the fair share is `rate / flows`.
+    flows: u32,
     last_update: SimTime,
     /// Invalidates stale completion-check events after membership changes.
     generation: u64,
@@ -208,7 +227,7 @@ impl LinkState {
         }
         let dt = now.as_nanos().saturating_sub(self.last_update.as_nanos()) as f64;
         if dt > 0.0 {
-            let share = self.rate / self.active.len() as f64;
+            let share = self.rate / self.flows as f64;
             for t in &mut self.active {
                 t.remaining -= share * dt;
             }
@@ -221,7 +240,7 @@ impl LinkState {
         if self.active.is_empty() {
             return None;
         }
-        let share = self.rate / self.active.len() as f64;
+        let share = self.rate / self.flows as f64;
         self.active
             .iter()
             .map(|t| (t.remaining.max(0.0)) / share)
@@ -232,7 +251,7 @@ impl LinkState {
 #[derive(Debug, PartialEq, Eq)]
 enum Pending {
     OpComplete { stream: StreamId },
-    TransferLatencyDone { stream: StreamId, link: LinkId, bytes: u64 },
+    TransferLatencyDone { stream: StreamId, link: LinkId, bytes: u64, flows: u32 },
     LinkCheck { link: LinkId, generation: u64 },
 }
 
@@ -311,6 +330,7 @@ impl Sim {
         self.links.push(LinkState {
             rate,
             active: Vec::new(),
+            flows: 0,
             last_update: SimTime::ZERO,
             generation: 0,
             total_bytes: 0,
@@ -346,14 +366,15 @@ impl Sim {
                     self.schedule(at, Pending::OpComplete { stream });
                     return;
                 }
-                Op::Transfer { link, bytes, latency } => {
+                Op::Transfer { link, bytes, latency, flows } => {
                     s.status = StreamStatus::Running;
                     s.op_started = self.now;
                     if latency > SimTime::ZERO {
                         let at = self.now + latency;
-                        self.schedule(at, Pending::TransferLatencyDone { stream, link, bytes });
+                        let what = Pending::TransferLatencyDone { stream, link, bytes, flows };
+                        self.schedule(at, what);
                     } else {
-                        self.join_link(stream, link, bytes);
+                        self.join_link(stream, link, bytes, flows);
                     }
                     return;
                 }
@@ -395,12 +416,13 @@ impl Sim {
         }
     }
 
-    fn join_link(&mut self, stream: StreamId, link: LinkId, bytes: u64) {
+    fn join_link(&mut self, stream: StreamId, link: LinkId, bytes: u64, flows: u32) {
         let now = self.now;
         let l = &mut self.links[link.0];
         l.settle(now);
-        l.total_bytes += bytes;
-        l.active.push(ActiveTransfer { stream, remaining: bytes as f64 });
+        l.total_bytes += bytes * u64::from(flows);
+        l.flows += flows;
+        l.active.push(ActiveTransfer { stream, remaining: bytes as f64, flows });
         l.generation += 1;
         self.reschedule_link(link);
     }
@@ -437,26 +459,28 @@ impl Sim {
     fn handle(&mut self, what: Pending) {
         match what {
             Pending::OpComplete { stream } => self.finish_op(stream),
-            Pending::TransferLatencyDone { stream, link, bytes } => {
-                self.join_link(stream, link, bytes)
+            Pending::TransferLatencyDone { stream, link, bytes, flows } => {
+                self.join_link(stream, link, bytes, flows)
             }
             Pending::LinkCheck { link, generation } => {
                 if self.links[link.0].generation != generation {
                     return; // stale
                 }
                 let now = self.now;
-                self.links[link.0].settle(now);
+                let l = &mut self.links[link.0];
+                l.settle(now);
                 let mut finished = Vec::new();
-                self.links[link.0].active.retain(|t| {
+                l.active.retain(|t| {
                     if t.remaining <= EPS_BYTES {
                         finished.push(t.stream);
+                        l.flows -= t.flows;
                         false
                     } else {
                         true
                     }
                 });
                 if !finished.is_empty() {
-                    self.links[link.0].generation += 1;
+                    l.generation += 1;
                 }
                 self.reschedule_link(link);
                 for stream in finished {
@@ -681,6 +705,45 @@ mod tests {
             }
             let stats = sim.run().unwrap();
             assert_eq!(stats.makespan, SimTime::from_millis(10 * n as u64), "n = {n}");
+        }
+    }
+
+    #[test]
+    fn a_weighted_transfer_is_that_many_copies() {
+        // One transfer of `c` flows against `c` identical transfers, with a
+        // background transfer of another size joining mid-way.
+        let run = |weighted: bool, c: u32| {
+            let mut sim = Sim::new();
+            let l = sim.add_link("nic", bw(10.0));
+            let copies: Vec<StreamId> = if weighted {
+                let s = sim.add_stream("w");
+                sim.push(s, Op::transfer_flows(l, 300_000_000, SimTime::from_micros(7), c));
+                vec![s]
+            } else {
+                (0..c)
+                    .map(|i| {
+                        let s = sim.add_stream(format!("copy{i}"));
+                        sim.push(s, Op::transfer(l, 300_000_000, SimTime::from_micros(7)));
+                        s
+                    })
+                    .collect()
+            };
+            // Never blocked, so its busy time is its completion time.
+            let bg = sim.add_stream("bg");
+            sim.push(bg, Op::compute(SimTime::from_nanos(10_000_003)));
+            sim.push(bg, Op::transfer(l, 123_456_789, SimTime::from_micros(3)));
+            let stats = sim.run().unwrap();
+            let copy_busy = stats.stream_busy[copies[0].0];
+            (stats.makespan, stats.stream_busy[bg.0], copy_busy, stats.link_bytes[0])
+        };
+        for c in [1u32, 2, 3, 7] {
+            let (makespan, bg_done, busy, bytes) = run(true, c);
+            let (full_makespan, full_bg_done, full_busy, full_bytes) = run(false, c);
+            assert_eq!(makespan, full_makespan, "c = {c}");
+            assert_eq!(bg_done, full_bg_done, "c = {c}");
+            assert_eq!(busy, full_busy, "c = {c}");
+            assert_eq!(bytes, u64::from(c) * 300_000_000 + 123_456_789, "c = {c}");
+            assert_eq!(bytes, full_bytes, "c = {c}");
         }
     }
 

@@ -60,10 +60,11 @@ RUSTFLAGS=-Zsanitizer=address CARGO_TARGET_DIR=target/asan \
     cargo +nightly test -q --release --target x86_64-unknown-linux-gnu \
     -p mics-minidl -p mics-compress --lib --tests
 
-# The simulator's one-node-per-stage walk against the full walk on the
+# The simulator's one-rank-per-class walk against the full walk on the
 # whole differential grid (every preset model, instance, node count,
-# strategy, accumulation and pipeline depth, plus every tuner candidate):
-# too slow for a debug run, so the tier-1 suite runs a sample of it.
+# strategy, accumulation and pipeline depth; p3dn variants of 2, 4, 6, 12
+# and 16 GPUs per node, clean and with a straggler; plus every tuner
+# candidate): too slow for a debug run, so the tier-1 suite runs a sample.
 echo "==> cargo test -q --release -p mics-core -- --include-ignored reduced_walk_equals_full_walk_on_the_whole_grid"
 cargo test -q --release -p mics-core -- --include-ignored reduced_walk_equals_full_walk_on_the_whole_grid
 
