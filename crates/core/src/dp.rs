@@ -265,7 +265,7 @@ fn class_size(l: usize, p: usize, k: usize) -> u32 {
         _ if l == p => k / p - 1,
         _ => usize::from(l == p + 1) * (k / p - 1) * (p - 1),
     };
-    size as u32
+    u32::try_from(size).expect("a class fits in a node")
 }
 
 /// The nodes of each pipeline stage when they are interchangeable: every
