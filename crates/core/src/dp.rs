@@ -749,8 +749,9 @@ mod tests {
         };
         let small = |nodes: usize, strategy: &str| TrainingJob {
             workload: TransformerConfig::bert_1_5b().workload(8),
+            cluster: ClusterSpec::new(InstanceType::p3dn_24xlarge(), nodes),
             strategy: Strategy::parse(strategy).unwrap(),
-            ..job(nodes, Strategy::Ddp)
+            accum_steps: 4,
         };
         for (strategy, classes) in
             [("mics:8", 2), ("mics:16", 2), ("zero3", 2), ("ddp", 2), ("mics:2", 4), ("mics:4", 4)]
