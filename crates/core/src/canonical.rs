@@ -408,6 +408,31 @@ mod tests {
     }
 
     #[test]
+    fn keys_of_preset_jobs_are_pinned() {
+        // Both lanes, as literals: a hasher change that moved a digest
+        // would silently split the cache from every key logged before it.
+        let preset = |model: &str, instance: &str, nodes: usize, strategy: &str| TrainingJob {
+            workload: mics_model::preset(model, 8).unwrap(),
+            cluster: ClusterSpec::new(InstanceType::preset(instance).unwrap(), nodes),
+            strategy: Strategy::parse(strategy).unwrap(),
+            accum_steps: 4,
+        };
+        let mut slow = preset("gpt2-20b", "dgx", 8, "mics:16");
+        slow.cluster = slow.cluster.with_slow_node(NodeId(3), 0.5);
+        let keys = [
+            preset("bert-1.5b", "p3dn", 2, "mics:8").canonical_key(),
+            preset("bert-10b", "p4d", 4, "zero3").canonical_key(),
+            slow.canonical_key(),
+        ];
+        let pinned = [
+            [0x188d_0d82_1d61_5eb4, 0x2776_7bbf_abec_05c7],
+            [0xafdb_2b05_c452_0e4c, 0x7624_8967_6e5b_8c65],
+            [0x4deb_5bf9_6cf2_de32, 0xd077_d741_3dae_a973],
+        ];
+        assert_eq!(keys.map(|k| k.0), pinned);
+    }
+
+    #[test]
     fn view_and_owned_job_share_a_key() {
         let j = job(8);
         assert_eq!(j.view().canonical_key(), j.canonical_key());

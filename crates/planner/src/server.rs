@@ -731,6 +731,25 @@ mod tests {
     }
 
     #[test]
+    fn query_keys_are_pinned() {
+        // Both lanes, as literals: the cache must not split from the keys
+        // of a hasher change, and a tune key ignores the strategy.
+        let job = TrainingJob {
+            workload: mics_model::preset("bert-1.5b", 8).unwrap(),
+            cluster: ClusterSpec::new(InstanceType::preset("p3dn").unwrap(), 2),
+            strategy: Strategy::parse("mics:8").unwrap(),
+            accum_steps: 4,
+        };
+        let int8 = Some(CompressionConfig::both(mics_core::QuantScheme::int8()));
+        let tuned = tune_key(&job.workload, &job.cluster, 4, &[None, int8]);
+        let pinned = [
+            [0xc18b_9e15_85b1_0e6f, 0xbffb_093e_2edf_df26],
+            [0xf9bc_ee4d_3497_9cb9, 0xf370_c1f5_a200_2802],
+        ];
+        assert_eq!([simulate_key(&job).0, tuned.0], pinned);
+    }
+
+    #[test]
     fn bad_requests_are_typed_rejections() {
         let server = PlannerServer::start(PlannerConfig::default()).unwrap();
         let mut c = Stream::connect(server.addr()).unwrap();
