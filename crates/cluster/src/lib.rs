@@ -35,16 +35,6 @@ pub fn node_of_rank(rank: Rank, k: usize) -> NodeId {
     NodeId(rank.0 / k)
 }
 
-/// Number of distinct nodes a rank group touches on a cluster with `k`
-/// devices per node. Used for NIC-volume accounting, where per-node wire
-/// bytes must be multiplied by the nodes a collective actually spans.
-pub fn nodes_spanned(group: &[Rank], k: usize) -> u64 {
-    let mut nodes: Vec<usize> = group.iter().map(|&r| node_of_rank(r, k).0).collect();
-    nodes.sort_unstable();
-    nodes.dedup();
-    nodes.len() as u64
-}
-
 /// A homogeneous cluster: `nodes` instances of one [`InstanceType`],
 /// optionally with per-node network degradation (cloud stragglers).
 #[derive(Debug, Clone)]
@@ -183,15 +173,6 @@ mod tests {
         for rank in (0..spec.total_devices()).map(Rank) {
             assert_eq!(node_of_rank(rank, spec.devices_per_node()), spec.node_of(rank));
         }
-        // A partition group of 16 consecutive ranks spans 2 nodes of 8.
-        let group: Vec<Rank> = (0..16).map(Rank).collect();
-        assert_eq!(nodes_spanned(&group, 8), 2);
-        // A replication group strided by 8 touches one node per member.
-        let repl: Vec<Rank> = (0..4).map(|g| Rank(g * 8)).collect();
-        assert_eq!(nodes_spanned(&repl, 8), 4);
-        // Duplicate nodes are counted once.
-        assert_eq!(nodes_spanned(&[Rank(0), Rank(1), Rank(7)], 8), 1);
-        assert_eq!(nodes_spanned(&[], 8), 0);
     }
 
     #[test]

@@ -31,7 +31,7 @@ use crate::memory::{check_memory, MemoryEstimate, OomError, BUCKET_BYTES};
 use crate::ops::SimCluster;
 use crate::report::RunReport;
 use crate::schedule::{
-    execute_on_sim, Geometry, LayerSchedule, PipelineSpec, ScheduleSpec, StepProgram,
+    execute_on_sim, Geometry, LayerSchedule, PipelineSpec, ScheduleSpec, SimExecution, StepProgram,
 };
 use crate::TrainingJob;
 use mics_cluster::{ClusterSpec, NodeId};
@@ -75,13 +75,13 @@ pub fn simulate_dp(job: &TrainingJob) -> Result<RunReport, OomError> {
 
 /// [`simulate_dp`] over a borrowed job — no spec clones on the way in.
 pub fn simulate_dp_view(job: JobView<'_>) -> Result<RunReport, OomError> {
-    simulate_stages(job, 1, 0, Walk::Fast).map(|(r, _)| r)
+    simulate_stages(job, 1, 0, Walk::Fast).map(|(r, ..)| r)
 }
 
 /// Like [`simulate_dp`], additionally returning a chrome-trace JSON
 /// timeline of every stream (loadable in `chrome://tracing` / Perfetto).
 pub fn simulate_dp_traced(job: &TrainingJob) -> Result<(RunReport, String), OomError> {
-    simulate_stages(job.view(), 1, 0, Walk::Traced)
+    simulate_stages(job.view(), 1, 0, Walk::Traced).map(|(r, trace, _)| (r, trace))
 }
 
 /// Build the [`ScheduleSpec`] for a DP job: the strategy's plan plus the
@@ -162,7 +162,7 @@ pub fn simulate_dp_pipeline(
     pp: usize,
     act_bytes: u64,
 ) -> Result<RunReport, OomError> {
-    simulate_stages(job.view(), pp, act_bytes, Walk::Fast).map(|(r, _)| r)
+    simulate_stages(job.view(), pp, act_bytes, Walk::Fast).map(|(r, ..)| r)
 }
 
 /// Which ranks [`simulate_stages`] walks.
@@ -182,13 +182,13 @@ enum Walk {
 
 /// The one simulation body: lower `job` on `pp` stages, replay the program
 /// on the event-driven backend and fill the report (plus the timeline JSON,
-/// empty unless the walk is traced).
+/// empty unless the walk is traced, and what the replay logged).
 fn simulate_stages(
     job: JobView<'_>,
     pp: usize,
     act_bytes: u64,
     walk: Walk,
-) -> Result<(RunReport, String), OomError> {
+) -> Result<(RunReport, String, SimExecution), OomError> {
     let (spec, est) = dp_spec(job)?;
     let (n, k, hierarchical_used) = (spec.n, spec.k, spec.hierarchical);
     let prog = PipelineSpec { inner: spec, pp, act_bytes }.program();
@@ -222,7 +222,7 @@ fn simulate_stages(
         comm_fraction: comm_busy.as_secs_f64() / (world as f64 * secs),
         nic_bytes_per_node: exec.nic_bytes_total / (world / k).max(1) as u64,
     };
-    Ok((report, sim_trace.to_json()))
+    Ok((report, sim_trace.to_json(), exec))
 }
 
 /// The cluster [`simulate_stages`] replays a program of geometry `geo` on:
@@ -544,8 +544,8 @@ mod tests {
     fn equals_full_walk(job: JobView<'_>, pp: usize) -> Option<RunReport> {
         use crate::json::ToJson;
         let act_bytes = 1 << 24;
-        let fast = simulate_stages(job, pp, act_bytes, Walk::Fast).map(|(r, _)| r);
-        let full = simulate_stages(job, pp, act_bytes, Walk::Full).map(|(r, _)| r);
+        let fast = simulate_stages(job, pp, act_bytes, Walk::Fast);
+        let full = simulate_stages(job, pp, act_bytes, Walk::Full);
         let what = || {
             let c = job.cluster;
             let derates: Vec<f64> = (0..c.nodes).map(|node| c.nic_derate(NodeId(node))).collect();
@@ -558,16 +558,21 @@ mod tests {
             )
         };
         match (fast, full) {
-            (Ok(fast), Ok(full)) => {
+            (Ok((fast, _, fast_exec)), Ok((full, _, full_exec))) => {
                 assert_eq!(fast, full, "{}", what());
                 assert_eq!(fast.to_json().emit(), full.to_json().emit(), "{}", what());
+                // A dropped dead op would not move the report: hold the
+                // wire-op log and the NIC volume too.
+                assert_eq!(fast_exec, full_exec, "{}", what());
                 Some(fast)
             }
             (Err(fast), Err(full)) => {
                 assert_eq!(fast, full, "{}", what());
                 None
             }
-            (fast, full) => panic!("{}: {fast:?} vs {full:?}", what()),
+            (fast, full) => {
+                panic!("{}: {:?} vs {:?}", what(), fast.map(|f| f.0), full.map(|f| f.0))
+            }
         }
     }
 
@@ -745,7 +750,7 @@ mod tests {
         // count the ranks that get streams.
         let simulated = |j: &TrainingJob, walk: Walk| {
             let geo = dp_program(j).unwrap().geo;
-            stage_cluster(&j.cluster, &geo, walk).simulated_ranks()
+            stage_cluster(&j.cluster, &geo, walk).simulated().len()
         };
         let small = |nodes: usize, strategy: &str| TrainingJob {
             workload: TransformerConfig::bert_1_5b().workload(8),
@@ -822,7 +827,7 @@ mod tests {
         };
         let geo = dp_program(&j).unwrap().geo;
         let straddler = crate::schedule::GroupRef::Partition { stage: 0, g: 1 }.members(&geo);
-        assert_eq!(mics_cluster::nodes_spanned(&straddler, 6), 2);
+        assert_eq!(straddler.nodes(6), 2);
         assert_eq!(interchangeable_stage_nodes(&j.cluster, &geo), None);
         equals_full_walk(j.view(), 1).unwrap();
     }

@@ -30,8 +30,10 @@
 //! leader on a node is not simulated skips that node: its representative
 //! carries the copy. Busy sums scale by the weights.
 //!
-//! Collectives push phases and joins on simulated ranks only and hand back
-//! placeholder events for members elsewhere, which nothing may wait on.
+//! A collective is addressed by its group's shape ([`Members`]) and visits
+//! only the group's simulated members: it pushes phases and joins on them
+//! and records one completion event each ([`Completion`]), so a member
+//! elsewhere has no event at all. Whether a member leads its node follows from the shape.
 //! The DP simulation body (`crate::dp`) picks the weights; it walks every
 //! rank when the cluster has a straggler, when a group straddles a node
 //! boundary, and when a trace is recorded (a trace pictures every
@@ -68,14 +70,92 @@ pub struct SimCluster {
     reduce: Vec<StreamId>,
     /// Per rank: the ranks it stands for on its node, 0 when not simulated.
     weight: Vec<u32>,
+    /// The simulated ranks, ascending.
+    live: Vec<Rank>,
+    /// Node completions of the collective being pushed (reused).
+    node_done: Vec<EventId>,
 }
 
 /// Stream slot of a rank that is not simulated: pushing to it panics.
 const NOT_SIMULATED: StreamId = StreamId(usize::MAX);
 
-/// Completion event handed back for a collective member that is not
-/// simulated. It is never recorded, so it must never be waited on.
-pub(crate) const PLACEHOLDER_EVENT: EventId = EventId(usize::MAX);
+/// The completion events of a collective's simulated members, ascending by
+/// rank: the first member's is `first`, and the others' are consecutive
+/// event ids from `rest` on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Completion {
+    /// The first simulated member's event.
+    pub first: EventId,
+    /// The second simulated member's event (each later member's is the
+    /// next id).
+    pub rest: EventId,
+}
+
+impl Completion {
+    /// Events recorded back to back from `first` on, one per member.
+    pub fn consecutive(first: EventId) -> Completion {
+        Completion { first, rest: EventId(first.0 + 1) }
+    }
+
+    /// The event of the `i`-th simulated member.
+    pub fn event(&self, i: usize) -> EventId {
+        match i {
+            0 => self.first,
+            _ => EventId(self.rest.0 + i - 1),
+        }
+    }
+}
+
+/// The members of a collective's group: `count` ranks from `first` on,
+/// `stride` apart, ascending. Every group of a step program has this shape
+/// (a pipeline pair is two ranks one stride apart).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Members {
+    /// The lowest-ranked member.
+    pub first: Rank,
+    /// Rank distance between consecutive members (≥ 1).
+    pub stride: usize,
+    /// Number of members (≥ 1).
+    pub count: usize,
+}
+
+impl Members {
+    /// The highest-ranked member.
+    pub fn last(&self) -> Rank {
+        Rank(self.first.0 + (self.count - 1) * self.stride)
+    }
+
+    /// The members, ascending.
+    pub fn iter(&self) -> impl Iterator<Item = Rank> {
+        let Members { first, stride, count } = *self;
+        (0..count).map(move |i| Rank(first.0 + i * stride))
+    }
+
+    /// Whether `rank` is a member.
+    pub fn contains(&self, rank: Rank) -> bool {
+        rank >= self.first
+            && rank <= self.last()
+            && (rank.0 - self.first.0).is_multiple_of(self.stride)
+    }
+
+    /// Whether member `rank` is the group's first member on its node (its
+    /// node leader), on nodes of `k` devices: the member one stride below
+    /// it sits on another node.
+    pub fn leads(&self, rank: Rank, k: usize) -> bool {
+        rank == self.first || rank.0 % k < self.stride
+    }
+
+    /// How many nodes of `k` devices the group touches: one per member when
+    /// members are at least a node apart, else every node from the first
+    /// member's to the last's (a gap under `k` skips none).
+    pub fn nodes(&self, k: usize) -> u64 {
+        if self.stride >= k {
+            self.count as u64
+        } else {
+            (self.last().0 / k - self.first.0 / k + 1) as u64
+        }
+    }
+}
 
 /// Fraction of the NIC's clean-network bandwidth that inter-node collectives
 /// sustain *while training*: host/PCIe/copy-engine contention with busy
@@ -112,12 +192,14 @@ impl SimCluster {
         let mut compute = vec![NOT_SIMULATED; n];
         let mut gather = vec![NOT_SIMULATED; n];
         let mut reduce = vec![NOT_SIMULATED; n];
-        for r in (0..n).filter(|&r| weight[r] > 0) {
+        let live: Vec<Rank> = (0..n).filter(|&r| weight[r] > 0).map(Rank).collect();
+        for &Rank(r) in &live {
             compute[r] = sim.add_stream(format!("compute[{r}]"));
             gather[r] = sim.add_stream(format!("gather[{r}]"));
             reduce[r] = sim.add_stream(format!("reduce[{r}]"));
         }
-        SimCluster { sim, spec, fabric, net, compute, gather, reduce, weight }
+        let node_done = Vec::new();
+        SimCluster { sim, spec, fabric, net, compute, gather, reduce, weight, live, node_done }
     }
 
     /// Whether `rank` is simulated (every rank, unless built by
@@ -126,10 +208,20 @@ impl SimCluster {
         self.weight[rank.0] > 0
     }
 
-    /// How many ranks have streams.
-    #[cfg(test)]
-    pub(crate) fn simulated_ranks(&self) -> usize {
-        self.weight.iter().filter(|&&w| w > 0).count()
+    /// The simulated ranks, ascending.
+    pub(crate) fn simulated(&self) -> &[Rank] {
+        &self.live
+    }
+
+    /// Put the simulated members of `group` into `out`, ascending, visiting
+    /// the fewer of the group's members and the simulated ranks.
+    pub fn simulated_members(&self, group: Members, out: &mut Vec<Rank>) {
+        out.clear();
+        if self.live.len() < group.count {
+            out.extend(self.live.iter().filter(|&&r| group.contains(r)));
+        } else {
+            out.extend(group.iter().filter(|&m| self.simulates(m)));
+        }
     }
 
     fn lane_stream(&self, lane: Lane, rank: Rank) -> StreamId {
@@ -185,57 +277,44 @@ impl SimCluster {
         self.sim.push(self.lane_stream(lane, rank), Op::WaitEvent(event));
     }
 
-    /// Emit one collective over `members` (global ranks, ascending) on
-    /// `lane`, paying `host_overhead` of launch/decision time on each node
-    /// leader's lane before the wire phases.
-    ///
-    /// Returns the per-member completion events, parallel to `members`
-    /// (a never-recorded placeholder for members not simulated).
+    /// Emit one collective over `group` on `lane`, paying `host_overhead`
+    /// of launch/decision time on each node leader's lane before the wire
+    /// phases. `members` are the group's simulated members, ascending
+    /// ([`SimCluster::simulated_members`]). Returns their completion
+    /// events, or `None` (having pushed nothing) when there are none.
     pub fn collective(
         &mut self,
+        group: Members,
         members: &[Rank],
         lane: Lane,
         cost: &CollectiveCost,
         host_overhead: SimTime,
-    ) -> Vec<EventId> {
-        debug_assert!(!members.is_empty());
+    ) -> Option<Completion> {
         debug_assert!(members.windows(2).all(|w| w[0] < w[1]), "members must ascend");
-
+        // The first simulated member joins the node completions.
+        let &joiner = members.first()?;
         // Trivial collective (single member or empty phase list): complete
         // immediately in stream order.
-        if members.len() == 1 || cost.phases.is_empty() {
-            return members
-                .iter()
-                .map(|&m| {
-                    if !self.simulates(m) {
-                        return PLACEHOLDER_EVENT;
-                    }
-                    let e = self.sim.add_event();
-                    self.sim.push(self.lane_stream(lane, m), Op::RecordEvent(e));
-                    e
-                })
-                .collect();
+        if group.count == 1 || cost.phases.is_empty() {
+            let first = self.sim.add_event();
+            self.sim.push(self.lane_stream(lane, joiner), Op::RecordEvent(first));
+            for (i, &m) in members.iter().enumerate().skip(1) {
+                let e = self.sim.add_event();
+                debug_assert_eq!(e.0, first.0 + i, "completion events are consecutive");
+                self.sim.push(self.lane_stream(lane, m), Op::RecordEvent(e));
+            }
+            return Some(Completion::consecutive(first));
         }
-        // The first simulated member joins the node completions.
-        let Some(&joiner) = members.iter().find(|&&m| self.simulates(m)) else {
-            return vec![PLACEHOLDER_EVENT; members.len()];
-        };
 
-        // Group members by node; the first member on each node leads and
-        // executes the timed phases on that node's shared links, once per
-        // rank of its class. A leader not simulated skips its node.
-        let mut node_done: Vec<EventId> = Vec::new();
-        let mut last_node = usize::MAX;
-        for &m in members {
+        // The group's first member on each node leads and executes the
+        // timed phases on that node's shared links, once per rank of its
+        // class. A leader not simulated skips its node.
+        let k = self.spec.devices_per_node();
+        let mut node_done = std::mem::take(&mut self.node_done);
+        node_done.clear();
+        for &m in members.iter().filter(|&&m| group.leads(m, k)) {
             let node = self.spec.node_of(m).0;
-            if node == last_node {
-                continue;
-            }
-            last_node = node;
             let flows = self.weight[m.0];
-            if flows == 0 {
-                continue;
-            }
             let stream = self.lane_stream(lane, m);
             let done = self.sim.add_event();
             node_done.push(done);
@@ -267,23 +346,19 @@ impl SimCluster {
             self.sim.push(leader_stream, Op::RecordEvent(e));
             e
         };
-        let mut events = Vec::with_capacity(members.len());
-        for &m in members {
-            if m == joiner {
-                events.push(group_done);
-                continue;
-            }
-            if !self.simulates(m) {
-                events.push(PLACEHOLDER_EVENT);
-                continue;
-            }
+        self.node_done = node_done;
+        let mut done = Completion { first: group_done, rest: group_done };
+        for (i, &m) in members.iter().enumerate().skip(1) {
             let stream = self.lane_stream(lane, m);
             self.sim.push(stream, Op::WaitEvent(group_done));
             let mine = self.sim.add_event();
+            if i == 1 {
+                done.rest = mine;
+            }
+            debug_assert_eq!(mine, done.event(i), "completion events are consecutive");
             self.sim.push(stream, Op::RecordEvent(mine));
-            events.push(mine);
         }
-        events
+        Some(done)
     }
 
     /// Record execution spans for chrome-trace export.
@@ -336,11 +411,51 @@ mod tests {
         SimCluster::new(ClusterSpec::new(InstanceType::p3dn_24xlarge(), nodes))
     }
 
+    /// `count` ranks from `first` on, `stride` apart.
+    fn ranks(first: usize, stride: usize, count: usize) -> Members {
+        Members { first: Rank(first), stride, count }
+    }
+
+    /// Emit a collective over `group` on `sc` and return its simulated
+    /// members' completion events, ascending.
+    fn collective(
+        sc: &mut SimCluster,
+        group: Members,
+        lane: Lane,
+        cost: &CollectiveCost,
+        host_overhead: SimTime,
+    ) -> Vec<EventId> {
+        let mut members = Vec::new();
+        sc.simulated_members(group, &mut members);
+        let done = sc.collective(group, &members, lane, cost, host_overhead);
+        (0..members.len()).map(|i| done.unwrap().event(i)).collect()
+    }
+
+    #[test]
+    fn members_count_nodes_and_leaders() {
+        // A partition group of 16 consecutive ranks spans 2 nodes of 8,
+        // led by ranks 0 and 8.
+        let part = ranks(0, 1, 16);
+        assert_eq!(part.nodes(8), 2);
+        let leaders: Vec<Rank> = part.iter().filter(|&m| part.leads(m, 8)).collect();
+        assert_eq!(leaders, [Rank(0), Rank(8)]);
+        // A replication group strided by 8 touches one node per member.
+        let repl = ranks(3, 8, 4);
+        assert_eq!(repl.nodes(8), 4);
+        assert!(repl.iter().all(|m| repl.leads(m, 8)));
+        // Three ranks stride 2 on nodes of 6 (3, 5, 7) touch two nodes; a
+        // pair inside one node touches one, led by its lower rank.
+        assert_eq!(ranks(3, 2, 3).nodes(6), 2);
+        assert_eq!(ranks(1, 6, 2).nodes(8), 1);
+        assert!(!ranks(1, 6, 2).leads(Rank(7), 8));
+        assert!(repl.contains(Rank(19)) && !repl.contains(Rank(20)) && !repl.contains(Rank(35)));
+    }
+
     #[test]
     fn single_member_collective_is_free() {
         let mut sc = cluster(1);
         let c = cost::all_gather_flat(1, 8, 1 << 20, &sc.net);
-        let evs = sc.collective(&[Rank(0)], Lane::Gather, &c, SimTime::ZERO);
+        let evs = collective(&mut sc, ranks(0, 1, 1), Lane::Gather, &c, SimTime::ZERO);
         assert_eq!(evs.len(), 1);
         let (makespan, _, _) = sc.run();
         assert_eq!(makespan, SimTime::ZERO);
@@ -352,8 +467,7 @@ mod tests {
         let m = 256u64 << 20;
         let c = cost::all_gather_flat(8, 8, m, &sc.net);
         let expect = c.serial_time(&sc.net);
-        let members: Vec<Rank> = (0..8).map(Rank).collect();
-        sc.collective(&members, Lane::Gather, &c, SimTime::ZERO);
+        collective(&mut sc, ranks(0, 1, 8), Lane::Gather, &c, SimTime::ZERO);
         let (makespan, _, _) = sc.run();
         // The fluid link model rounds completion up to whole nanoseconds.
         assert!(makespan.saturating_sub(expect) <= SimTime::from_nanos(2));
@@ -368,14 +482,14 @@ mod tests {
         let solo = {
             let mut sc = cluster(1);
             let c = cost::all_gather_flat(4, 8, m, &sc.net);
-            sc.collective(&(0..4).map(Rank).collect::<Vec<_>>(), Lane::Gather, &c, SimTime::ZERO);
+            collective(&mut sc, ranks(0, 1, 4), Lane::Gather, &c, SimTime::ZERO);
             sc.run().0
         };
         let contended = {
             let mut sc = cluster(1);
             let c = cost::all_gather_flat(4, 8, m, &sc.net);
-            sc.collective(&(0..4).map(Rank).collect::<Vec<_>>(), Lane::Gather, &c, SimTime::ZERO);
-            sc.collective(&(4..8).map(Rank).collect::<Vec<_>>(), Lane::Gather, &c, SimTime::ZERO);
+            collective(&mut sc, ranks(0, 1, 4), Lane::Gather, &c, SimTime::ZERO);
+            collective(&mut sc, ranks(4, 1, 4), Lane::Gather, &c, SimTime::ZERO);
             sc.run().0
         };
         assert!(contended.as_secs_f64() > 1.8 * solo.as_secs_f64());
@@ -386,12 +500,11 @@ mod tests {
         let mut sc = cluster(2);
         let m = 128u64 << 20;
         let c = cost::all_gather_flat(16, 8, m, &sc.net);
-        let members: Vec<Rank> = (0..16).map(Rank).collect();
         let bytes = c.phases[0].bytes;
         let expect = c.phases[0].latency
             + SimTime::from_secs_f64(bytes as f64 / (sc.net.nic_bw * NIC_TRAINING_DERATE));
         let clean = c.serial_time(&sc.net);
-        sc.collective(&members, Lane::Gather, &c, SimTime::ZERO);
+        collective(&mut sc, ranks(0, 1, 16), Lane::Gather, &c, SimTime::ZERO);
         let (makespan, _, _) = sc.run();
         assert!(makespan.saturating_sub(expect) <= SimTime::from_nanos(2));
         assert!(expect.saturating_sub(makespan) <= SimTime::from_nanos(2));
@@ -402,14 +515,14 @@ mod tests {
     #[test]
     fn host_overhead_delays_completion() {
         let m = 16u64 << 20;
-        let members: Vec<Rank> = (0..8).map(Rank).collect();
+        let members = ranks(0, 1, 8);
         let mut sc = cluster(1);
         let c = cost::all_gather_flat(8, 8, m, &sc.net);
-        sc.collective(&members, Lane::Gather, &c, SimTime::from_micros(500));
+        collective(&mut sc, members, Lane::Gather, &c, SimTime::from_micros(500));
         let (with_overhead, _, _) = sc.run();
         let mut sc = cluster(1);
         let c = cost::all_gather_flat(8, 8, m, &sc.net);
-        sc.collective(&members, Lane::Gather, &c, SimTime::ZERO);
+        collective(&mut sc, members, Lane::Gather, &c, SimTime::ZERO);
         let (without, _, _) = sc.run();
         assert_eq!(with_overhead, without + SimTime::from_micros(500));
     }
@@ -419,12 +532,12 @@ mod tests {
         let mut sc = cluster(1);
         let m = 128u64 << 20;
         let c = cost::all_gather_flat(8, 8, m, &sc.net);
-        let members: Vec<Rank> = (0..8).map(Rank).collect();
+        let members = ranks(0, 1, 8);
         let gather_time = c.serial_time(&sc.net);
-        let evs = sc.collective(&members, Lane::Gather, &c, SimTime::ZERO);
+        let evs = collective(&mut sc, members, Lane::Gather, &c, SimTime::ZERO);
         // Every device computes 2× the gather time concurrently, then a
         // dependent kernel.
-        for (i, &r) in members.iter().enumerate() {
+        for (i, r) in members.iter().enumerate() {
             sc.compute_for(r, gather_time * 2);
             sc.compute_wait(r, evs[i]);
             sc.compute_for(r, SimTime::from_millis(1));
@@ -441,14 +554,14 @@ mod tests {
         let one = {
             let mut sc = cluster(2);
             let c = cost::all_reduce(2, 8, 8, m, &sc.net);
-            sc.collective(&[Rank(0), Rank(8)], Lane::Reduce, &c, SimTime::ZERO);
+            collective(&mut sc, ranks(0, 8, 2), Lane::Reduce, &c, SimTime::ZERO);
             sc.run().0
         };
         let eight = {
             let mut sc = cluster(2);
             let c = cost::all_reduce(2, 8, 8, m, &sc.net);
             for local in 0..8 {
-                sc.collective(&[Rank(local), Rank(8 + local)], Lane::Reduce, &c, SimTime::ZERO);
+                collective(&mut sc, ranks(local, 8, 2), Lane::Reduce, &c, SimTime::ZERO);
             }
             sc.run().0
         };

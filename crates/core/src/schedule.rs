@@ -26,10 +26,10 @@
 //! for the spec's `prefetch_depth`, stage by stage.
 
 use crate::config::MicroSync;
-use crate::ops::{Lane, SimCluster, PLACEHOLDER_EVENT};
-use mics_cluster::{nodes_spanned, Rank};
+use crate::ops::{Completion, Lane, Members, SimCluster};
+use mics_cluster::Rank;
 use mics_collectives::dispatch::{WireCollective, WireKind};
-use mics_collectives::NetParams;
+use mics_collectives::{CollectiveCost, NetParams};
 use mics_compress::{CompressionConfig, QuantScheme};
 use mics_simnet::{EventId, SimTime};
 
@@ -154,19 +154,17 @@ pub enum GroupRef {
 }
 
 impl GroupRef {
-    /// Materialize the member ranks on `geo` — ascending for the
-    /// stage-scoped groups, `[from, to]` for pairs.
-    pub fn members(&self, geo: &Geometry) -> Vec<Rank> {
-        match *self {
-            GroupRef::Partition { stage, g } => {
-                (g * geo.p..(g + 1) * geo.p).map(|d| geo.rank(stage, d)).collect()
-            }
-            GroupRef::All { stage } => (0..geo.dp).map(|d| geo.rank(stage, d)).collect(),
+    /// The member ranks on `geo`, ascending (a pair's lower rank first).
+    pub fn members(&self, geo: &Geometry) -> Members {
+        let (first, stride, count) = match *self {
+            GroupRef::Partition { stage, g } => (geo.rank(stage, g * geo.p), 1, geo.p),
+            GroupRef::All { stage } => (geo.rank(stage, 0), 1, geo.dp),
             GroupRef::Replication { stage, local } => {
-                (0..geo.dp / geo.p).map(|g| geo.rank(stage, g * geo.p + local)).collect()
+                (geo.rank(stage, local), geo.p, geo.dp / geo.p)
             }
-            GroupRef::Pair { from, to } => vec![from, to],
-        }
+            GroupRef::Pair { from, to } => (from.min(to), from.0.abs_diff(to.0), 2),
+        };
+        Members { first, stride, count }
     }
 
     /// This rank's index within the group's member list, or `None` if it
@@ -988,7 +986,7 @@ impl StepProgram {
             .iter()
             .map(|&i| {
                 let w = self.wire_of(i).unwrap();
-                w.wire.cost(net).nic_bytes() * nodes_spanned(&w.group.members(&self.geo), self.k())
+                w.wire.cost(net).nic_bytes() * w.group.members(&self.geo).nodes(self.k())
             })
             .sum()
     }
@@ -1089,7 +1087,7 @@ impl StepProgram {
 }
 
 /// What pushing a program onto the simulator produced.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SimExecution {
     /// Cluster-wide NIC wire bytes accumulated over every emitted
     /// collective (per-node bytes × nodes spanned).
@@ -1103,9 +1101,13 @@ pub struct SimExecution {
 /// The replay reproduces the historical inline lowering exactly — same
 /// per-stream op sequences, same event-allocation order — so a program
 /// emitted from a strategy produces bit-identical simulation results to
-/// the pre-IR code. Only the ranks `sc` simulates are visited (every rank
-/// of a [`SimCluster::new`] cluster); the NIC volume still counts every
-/// node. Call [`SimCluster::run`]/[`SimCluster::run_traced`] afterwards.
+/// the pre-IR code. Its work per op follows the ranks `sc` simulates (every
+/// rank of a [`SimCluster::new`] cluster), not the group or the world: each
+/// distinct [`WireCollective`] is priced once, a wire op visits only its
+/// group's simulated members, and a wire op no simulated rank joins only
+/// adds its NIC volume (price × the nodes its group spans) and its
+/// [`SimExecution::wire_ops`] entry. The NIC volume counts every node.
+/// Call [`SimCluster::run`]/[`SimCluster::run_traced`] afterwards.
 pub fn execute_on_sim(
     prog: &StepProgram,
     sc: &mut SimCluster,
@@ -1115,35 +1117,52 @@ pub fn execute_on_sim(
     let (n, k) = (geo.world(), geo.k);
     let nl = prog.num_layers;
     let memcpy_bw = sc.spec.instance.memcpy_bw;
-    // The simulated ranks, ascending, and each rank's row among them
-    // (`usize::MAX` for the others): the rows of the per-rank tables below.
-    let live: Vec<Rank> = (0..n).map(Rank).filter(|&r| sc.simulates(r)).collect();
+    let live = sc.simulated().to_vec();
+    let every_rank = live.len() == n;
+    // Each simulated rank's row among them (`usize::MAX` for the others).
     let mut row = vec![usize::MAX; n];
     for (i, r) in live.iter().enumerate() {
         row[r.0] = i;
     }
-    // Per-op completion events, parallel to `prog.ops` (wire ops: one per
-    // member; optimizer: one per simulated rank when recorded).
-    let mut op_events: Vec<Option<Vec<EventId>>> = vec![None; prog.ops.len()];
-    // Compute-done event tables of the current (micro, pass) segment,
-    // pre-allocated row-major like the historical lowering so gathers can
-    // reference compute events that have not been pushed yet.
-    let mut fwd_tbl: Vec<Vec<EventId>> = Vec::new();
-    let mut bwd_tbl: Vec<Vec<EventId>> = Vec::new();
+    // The completion events of every op that records any, in one table: a
+    // wire op's simulated members', the optimizer's ranks' when it records.
+    let mut done: Vec<Option<Completion>> = vec![None; prog.ops.len()];
+    // Compute-done events of the current (micro, pass) segment, at
+    // `row · nl + layer`, pre-allocated like the historical lowering so
+    // gathers can reference compute events that have not been pushed yet.
+    let mut fwd_tbl: Vec<EventId> = Vec::new();
+    let mut bwd_tbl: Vec<EventId> = Vec::new();
     let mut segment: Option<(usize, Pass)> = None;
+    // Each distinct collective's price and its per-node NIC bytes.
+    let mut prices: Vec<(WireCollective, CollectiveCost, u64)> = Vec::new();
+    let mut members: Vec<Rank> = Vec::new();
     let mut nic_total: u64 = 0;
     let mut wire_log: Vec<OpId> = Vec::new();
 
     // Resolve `dep` to the completion event the simulated `rank` must wait
     // on, or `None` when the rank does not participate in the dep op.
-    let resolve = |ops: &[ScheduleOp],
-                   op_events: &[Option<Vec<EventId>>],
-                   fwd_tbl: &[Vec<EventId>],
-                   bwd_tbl: &[Vec<EventId>],
+    let resolve = |done: &[Option<Completion>],
+                   fwd_tbl: &[EventId],
+                   bwd_tbl: &[EventId],
                    dep: OpId,
                    rank: Rank|
      -> Option<EventId> {
-        let event = match &ops[dep].kind {
+        // The rank's event among the simulated members of a wire op's
+        // group, which record theirs in ascending rank order.
+        let joined = |op: OpId, wire: &WireOp| {
+            let ix = wire.group.member_index(rank, &geo)?;
+            let slot = match wire.group {
+                _ if !every_rank => {
+                    let group = wire.group.members(&geo);
+                    live[..row[rank.0]].iter().filter(|&&r| group.contains(r)).count()
+                }
+                // A pair indexes its members by direction.
+                GroupRef::Pair { from, to } => usize::from(rank > from.min(to)),
+                _ => ix,
+            };
+            Some(done[op].expect("a simulated member recorded no event").event(slot))
+        };
+        match &prog.ops[dep].kind {
             OpKind::Compute { layer, pass, .. } => {
                 // Only the stage owning the layer records the event; every
                 // other rank (a pair peer, another stage) must not wait on
@@ -1152,37 +1171,26 @@ pub fn execute_on_sim(
                     return None;
                 }
                 let tbl = if *pass == Pass::Forward { fwd_tbl } else { bwd_tbl };
-                Some(tbl[row[rank.0]][*layer])
+                Some(tbl[row[rank.0] * nl + layer])
             }
             OpKind::GatherShards { wire, .. }
             | OpKind::ReduceScatterGrads { wire, .. }
             | OpKind::AllReduceGrads { wire, .. }
             | OpKind::CrossGroupAllReduce { wire, .. }
             | OpKind::ParamRefresh { wire }
-            | OpKind::StageSend { wire, .. } => wire
-                .group
-                .member_index(rank, &geo)
-                .map(|ix| op_events[dep].as_ref().expect("dep op not yet executed")[ix]),
+            | OpKind::StageSend { wire, .. } => joined(dep, wire),
             // A recv holds no event of its own: a dep on it forwards to the
             // matching send's arrival event (the recv's only dep).
             OpKind::StageRecv { .. } => {
-                let send = ops[dep].deps[0];
-                match &ops[send].kind {
-                    OpKind::StageSend { wire, .. } => wire
-                        .group
-                        .member_index(rank, &geo)
-                        .map(|ix| op_events[send].as_ref().expect("send op not yet executed")[ix]),
+                let send = prog.ops[dep].deps[0];
+                match &prog.ops[send].kind {
+                    OpKind::StageSend { wire, .. } => joined(send, wire),
                     _ => None,
                 }
             }
-            OpKind::OptimizerUpdate { .. } => op_events[dep].as_ref().map(|v| v[row[rank.0]]),
+            OpKind::OptimizerUpdate { .. } => done[dep].map(|c| c.event(row[rank.0])),
             OpKind::MicroBarrier | OpKind::AccumGrads { .. } => None,
-        };
-        debug_assert!(
-            event != Some(PLACEHOLDER_EVENT),
-            "rank {rank:?} waits on an unsimulated node"
-        );
-        event
+        }
     };
 
     for (i, op) in prog.ops.iter().enumerate() {
@@ -1191,7 +1199,8 @@ pub fn execute_on_sim(
         if let OpKind::GatherShards { pass, .. } | OpKind::Compute { pass, .. } = op.kind {
             if segment != Some((op.micro, pass)) {
                 let tbl = if pass == Pass::Forward { &mut fwd_tbl } else { &mut bwd_tbl };
-                *tbl = live.iter().map(|_| (0..nl).map(|_| sc.new_event()).collect()).collect();
+                tbl.clear();
+                tbl.extend((0..live.len() * nl).map(|_| sc.new_event()));
                 segment = Some((op.micro, pass));
             }
         }
@@ -1199,7 +1208,7 @@ pub fn execute_on_sim(
             OpKind::MicroBarrier => {
                 for &r in &live {
                     for &d in &op.deps {
-                        if let Some(e) = resolve(&prog.ops, &op_events, &fwd_tbl, &bwd_tbl, d, r) {
+                        if let Some(e) = resolve(&done, &fwd_tbl, &bwd_tbl, d, r) {
                             sc.compute_wait(r, e);
                             sc.lane_wait(Lane::Gather, r, e);
                         }
@@ -1209,17 +1218,17 @@ pub fn execute_on_sim(
             OpKind::Compute { layer, pass, flops } => {
                 let owner = geo.stage_of_layer(*layer, nl);
                 let tbl = if *pass == Pass::Forward { &fwd_tbl } else { &bwd_tbl };
-                for (&r, events) in live.iter().zip(tbl) {
+                for (ix, &r) in live.iter().enumerate() {
                     if geo.stage_of(r) != owner {
                         continue;
                     }
                     for &d in &op.deps {
-                        if let Some(e) = resolve(&prog.ops, &op_events, &fwd_tbl, &bwd_tbl, d, r) {
+                        if let Some(e) = resolve(&done, &fwd_tbl, &bwd_tbl, d, r) {
                             sc.compute_wait(r, e);
                         }
                     }
                     sc.compute_kernel(r, *flops, sustained_flops);
-                    sc.compute_record_into(r, events[*layer]);
+                    sc.compute_record_into(r, tbl[ix * nl + layer]);
                 }
             }
             OpKind::AccumGrads { .. } => {} // local fold: no simulated work
@@ -1228,11 +1237,9 @@ pub fn execute_on_sim(
                 // the transfer, so the receiving endpoint only waits for
                 // the arrival event on its lane.
                 if let GroupRef::Pair { to, .. } = wire.group {
-                    if row[to.0] != usize::MAX {
+                    if sc.simulates(to) {
                         for &d in &op.deps {
-                            if let Some(e) =
-                                resolve(&prog.ops, &op_events, &fwd_tbl, &bwd_tbl, d, to)
-                            {
+                            if let Some(e) = resolve(&done, &fwd_tbl, &bwd_tbl, d, to) {
                                 sc.lane_wait(wire.lane, to, e);
                             }
                         }
@@ -1246,60 +1253,56 @@ pub fn execute_on_sim(
             | OpKind::CrossGroupAllReduce { wire, .. }
             | OpKind::ParamRefresh { wire }
             | OpKind::StageSend { wire, .. } => {
-                let members = wire.group.members(&geo);
+                let group = wire.group.members(&geo);
+                let priced = match prices.iter().position(|(w, ..)| *w == wire.wire) {
+                    Some(ix) => ix,
+                    None => {
+                        let cost = wire.wire.cost(&sc.net);
+                        let nic = cost.nic_bytes();
+                        prices.push((wire.wire, cost, nic));
+                        prices.len() - 1
+                    }
+                };
+                let (_, cost, nic) = &prices[priced];
+                nic_total += nic * group.nodes(k);
+                wire_log.push(i);
+                sc.simulated_members(group, &mut members);
+                if members.is_empty() {
+                    continue;
+                }
+                // A boundary send's deps live on the sender, but the sim
+                // pushes the transfer phases on the lowest-ranked member's
+                // stream — which is the *receiver* for a backward pair — so
+                // every endpoint gates on them.
+                let sender = match (&op.kind, wire.group) {
+                    (OpKind::StageSend { .. }, GroupRef::Pair { from, .. }) => Some(from),
+                    _ => None,
+                };
                 for &d in &op.deps {
-                    for &m in members.iter().filter(|m| row[m.0] != usize::MAX) {
-                        // A boundary send's deps live on the sender, but the
-                        // sim pushes the transfer phases on the lowest-ranked
-                        // member's stream — which is the *receiver* for a
-                        // backward pair — so every endpoint gates on them.
-                        let res_rank = match (&op.kind, wire.group) {
-                            (OpKind::StageSend { .. }, GroupRef::Pair { from, .. }) => from,
-                            _ => m,
-                        };
-                        if let Some(e) =
-                            resolve(&prog.ops, &op_events, &fwd_tbl, &bwd_tbl, d, res_rank)
-                        {
+                    for &m in &members {
+                        let waiter = sender.unwrap_or(m);
+                        if let Some(e) = resolve(&done, &fwd_tbl, &bwd_tbl, d, waiter) {
                             sc.lane_wait(wire.lane, m, e);
                         }
                     }
                 }
-                let cost = wire.wire.cost(&sc.net);
-                nic_total += cost.nic_bytes() * nodes_spanned(&members, k);
                 let overhead = if wire.overhead { prog.decision_overhead } else { SimTime::ZERO };
-                // The sim wants ascending ranks; a backward pair is
-                // [from > to], so sort for the push and permute the events
-                // back into the group's member order.
-                let evs = if members.windows(2).all(|w| w[0] < w[1]) {
-                    sc.collective(&members, wire.lane, &cost, overhead)
-                } else {
-                    let mut sorted = members.clone();
-                    sorted.sort();
-                    let by_sorted = sc.collective(&sorted, wire.lane, &cost, overhead);
-                    members
-                        .iter()
-                        .map(|m| by_sorted[sorted.iter().position(|x| x == m).unwrap()])
-                        .collect()
-                };
-                op_events[i] = Some(evs);
-                wire_log.push(i);
+                done[i] = sc.collective(group, &members, wire.lane, cost, overhead);
             }
             OpKind::OptimizerUpdate { bytes, record } => {
                 let opt_time = SimTime::from_secs_f64(*bytes as f64 / memcpy_bw);
-                let mut evs = Vec::with_capacity(if *record { live.len() } else { 0 });
-                for &r in &live {
+                for (ix, &r) in live.iter().enumerate() {
                     for &d in &op.deps {
-                        if let Some(e) = resolve(&prog.ops, &op_events, &fwd_tbl, &bwd_tbl, d, r) {
+                        if let Some(e) = resolve(&done, &fwd_tbl, &bwd_tbl, d, r) {
                             sc.compute_wait(r, e);
                         }
                     }
                     sc.compute_for(r, opt_time);
                     if *record {
-                        evs.push(sc.compute_record(r));
+                        let e = sc.compute_record(r);
+                        let first = *done[i].get_or_insert(Completion::consecutive(e));
+                        debug_assert_eq!(e, first.event(ix), "completion events are consecutive");
                     }
-                }
-                if *record {
-                    op_events[i] = Some(evs);
                 }
             }
         }
@@ -1338,18 +1341,22 @@ mod tests {
         }
     }
 
+    fn ranks(members: Members) -> Vec<Rank> {
+        members.iter().collect()
+    }
+
     #[test]
     fn group_membership_math() {
         let geo = Geometry::flat(8, 8, 2);
         let part = GroupRef::Partition { stage: 0, g: 1 };
-        assert_eq!(part.members(&geo), vec![Rank(2), Rank(3)]);
+        assert_eq!(ranks(part.members(&geo)), vec![Rank(2), Rank(3)]);
         assert_eq!(part.member_index(Rank(3), &geo), Some(1));
         assert_eq!(part.member_index(Rank(4), &geo), None);
         let repl = GroupRef::Replication { stage: 0, local: 1 };
-        assert_eq!(repl.members(&geo), vec![Rank(1), Rank(3), Rank(5), Rank(7)]);
+        assert_eq!(ranks(repl.members(&geo)), vec![Rank(1), Rank(3), Rank(5), Rank(7)]);
         assert_eq!(repl.member_index(Rank(5), &geo), Some(2));
         assert_eq!(GroupRef::Replication { stage: 0, local: 0 }.member_index(Rank(5), &geo), None);
-        assert_eq!(GroupRef::All { stage: 0 }.members(&geo).len(), 8);
+        assert_eq!(GroupRef::All { stage: 0 }.members(&geo).count, 8);
         assert_eq!(GroupRef::All { stage: 0 }.member_index(Rank(6), &geo), Some(6));
     }
 
@@ -1363,19 +1370,19 @@ mod tests {
         assert_eq!(geo.dp_index(Rank(5)), 1);
         assert_eq!(geo.rank(1, 1), Rank(5));
         let part = GroupRef::Partition { stage: 1, g: 1 };
-        assert_eq!(part.members(&geo), vec![Rank(6), Rank(7)]);
+        assert_eq!(ranks(part.members(&geo)), vec![Rank(6), Rank(7)]);
         assert_eq!(part.member_index(Rank(7), &geo), Some(1));
         assert_eq!(part.member_index(Rank(3), &geo), None, "wrong stage");
         assert_eq!(
-            GroupRef::All { stage: 1 }.members(&geo),
+            ranks(GroupRef::All { stage: 1 }.members(&geo)),
             vec![Rank(4), Rank(5), Rank(6), Rank(7)]
         );
         assert_eq!(
-            GroupRef::Replication { stage: 1, local: 0 }.members(&geo),
+            ranks(GroupRef::Replication { stage: 1, local: 0 }.members(&geo)),
             vec![Rank(4), Rank(6)]
         );
         let pair = GroupRef::Pair { from: Rank(6), to: Rank(2) };
-        assert_eq!(pair.members(&geo), vec![Rank(6), Rank(2)], "pairs keep direction order");
+        assert_eq!(ranks(pair.members(&geo)), vec![Rank(2), Rank(6)], "members ascend");
         assert_eq!(pair.member_index(Rank(6), &geo), Some(0));
         assert_eq!(pair.member_index(Rank(2), &geo), Some(1));
         // Layer ownership: 6 layers over 2 stages.
