@@ -7,9 +7,10 @@
 //! a derate vector spelled `[]` vs `[1.0, 1.0]`). This module defines that
 //! key: a [`Canonical`] trait that folds a value's semantic content into a
 //! [`CanonicalHasher`] (FNV-1a over a fixed field order with normalized
-//! floats), and a 128-bit [`CanonicalKey`] (the same walk under two seeds)
-//! wide enough that accidental collisions — which would silently serve the
-//! wrong plan from cache — are out of the picture.
+//! floats), and a 128-bit [`CanonicalKey`] (two FNV-1a lanes under
+//! different seeds, folded in one walk) wide enough that accidental
+//! collisions — which would silently serve the wrong plan from cache — are
+//! out of the picture.
 
 use crate::config::{MicsConfig, Strategy, ZeroStage};
 use crate::TrainingJob;
@@ -20,13 +21,26 @@ use mics_model::{LayerSpec, WorkloadSpec};
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-/// Streaming FNV-1a hasher with normalizing writers for every scalar a
-/// config can contain. All multi-byte values are folded in a fixed
+/// The second lane's basis: FNV-1a's offset basis with the little-endian
+/// bytes of a seed folded in, which decorrelates the lane from the first.
+const LANE2_BASIS: u64 = {
+    let seed = 0x9e37_79b9_7f4a_7c15_u64.to_le_bytes();
+    let mut h = FNV_OFFSET;
+    let mut i = 0;
+    while i < seed.len() {
+        h = (h ^ seed[i] as u64).wrapping_mul(FNV_PRIME);
+        i += 1;
+    }
+    h
+};
+
+/// Streaming two-lane FNV-1a hasher with normalizing writers for every
+/// scalar a config can contain. All multi-byte values are folded in a fixed
 /// little-endian order, so the digest is stable across platforms and runs
 /// (unlike `std::hash::Hasher` implementations, which are free to change).
 #[derive(Debug, Clone)]
 pub struct CanonicalHasher {
-    state: u64,
+    lanes: [u64; 2],
 }
 
 impl Default for CanonicalHasher {
@@ -36,25 +50,20 @@ impl Default for CanonicalHasher {
 }
 
 impl CanonicalHasher {
-    /// A hasher at the standard FNV-1a offset basis.
+    /// A hasher whose first lane starts at the standard FNV-1a offset
+    /// basis.
     pub fn new() -> Self {
-        CanonicalHasher { state: FNV_OFFSET }
+        CanonicalHasher { lanes: [FNV_OFFSET, LANE2_BASIS] }
     }
 
-    /// A hasher whose digest is decorrelated from [`CanonicalHasher::new`]
-    /// by folding `seed` in first — the second lane of a [`CanonicalKey`].
-    pub fn with_seed(seed: u64) -> Self {
-        let mut h = Self::new();
-        h.write_u64(seed);
-        h
-    }
-
-    /// Fold raw bytes.
+    /// Fold raw bytes into both lanes.
     pub fn write_bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.state ^= b as u64;
-            self.state = self.state.wrapping_mul(FNV_PRIME);
+        let [mut a, mut b] = self.lanes;
+        for &byte in bytes {
+            a = (a ^ byte as u64).wrapping_mul(FNV_PRIME);
+            b = (b ^ byte as u64).wrapping_mul(FNV_PRIME);
         }
+        self.lanes = [a, b];
     }
 
     /// Fold a `u64` (little-endian).
@@ -98,14 +107,19 @@ impl CanonicalHasher {
         self.write_bytes(s.as_bytes());
     }
 
-    /// The digest.
+    /// The first lane's digest.
     pub fn finish(&self) -> u64 {
-        self.state
+        self.lanes[0]
+    }
+
+    /// Both lanes' digests: the cache key.
+    pub fn key(&self) -> CanonicalKey {
+        CanonicalKey(self.lanes)
     }
 }
 
-/// A 128-bit canonical digest: the [`Canonical`] walk hashed under two
-/// independent seeds. 64 bits is enough for a *distribution* key but not
+/// A 128-bit canonical digest: the [`Canonical`] walk hashed into two
+/// lanes under independent seeds. 64 bits is enough for a *distribution* key but not
 /// for a correctness-bearing cache key (a collision silently returns the
 /// wrong plan); two lanes put the birthday bound far beyond any realistic
 /// query volume.
@@ -137,11 +151,9 @@ pub trait Canonical {
 
     /// The two-lane cache key.
     fn canonical_key(&self) -> CanonicalKey {
-        let mut a = CanonicalHasher::new();
-        self.canonicalize(&mut a);
-        let mut b = CanonicalHasher::with_seed(0x9e37_79b9_7f4a_7c15);
-        self.canonicalize(&mut b);
-        CanonicalKey([a.finish(), b.finish()])
+        let mut h = CanonicalHasher::new();
+        self.canonicalize(&mut h);
+        h.key()
     }
 }
 

@@ -19,12 +19,14 @@
 //! Behaviour counters live in a [`mics_trace::Counters`] registry
 //! ([`CacheStats`]), so the same cells back the `stats` request, the
 //! `cache_stats` accessor, and — when the global recorder is enabled —
-//! trace counter tracks. An optional capacity bounds the completed entries
-//! FIFO-style; evictions tick a counter and emit an instant event.
+//! trace counter tracks. An optional capacity bounds the completed entries:
+//! past it the least recently used one goes (a hit, a served waiter or a
+//! completion makes an entry the most recently used); evictions tick a
+//! counter and emit an instant event.
 
 use crate::PLANNER_PROCESS;
 use mics_core::{CanonicalKey, Json};
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
@@ -34,8 +36,8 @@ use crate::protocol::PlanError;
 enum Slot {
     /// Some worker is computing this key; wait on the condvar.
     Running,
-    /// The memoized response payload.
-    Done(Arc<Json>),
+    /// The memoized response payload, and the tick of its last use.
+    Done(Arc<Json>, u64),
 }
 
 /// How a [`PlanCache::get_or_compute`] call was served.
@@ -124,21 +126,35 @@ impl CacheStats {
     }
 }
 
-/// Slot map plus the completed-entry FIFO the capacity bound evicts from,
-/// under one lock so depth checks and insertions are atomic.
+/// Slot map plus the use order the capacity bound evicts by, under one
+/// lock so depth checks and insertions are atomic.
 struct Inner {
     slots: HashMap<CanonicalKey, Slot>,
-    /// Completed keys in completion order (every `Done` key is here exactly
-    /// once; `Running` markers are not).
-    done_order: VecDeque<CanonicalKey>,
+    /// Completed keys by the tick of their last use, least recent first
+    /// (every `Done` key is here exactly once; `Running` markers are not).
+    by_use: BTreeMap<u64, CanonicalKey>,
+    /// The last tick handed out.
+    tick: u64,
+}
+
+impl Inner {
+    /// The completed entry of `key`, which becomes the most recently used.
+    fn hit(&mut self, key: CanonicalKey) -> Option<Arc<Json>> {
+        let Some(Slot::Done(value, used)) = self.slots.get_mut(&key) else { return None };
+        self.tick += 1;
+        self.by_use.remove(used);
+        *used = self.tick;
+        self.by_use.insert(self.tick, key);
+        Some(Arc::clone(value))
+    }
 }
 
 /// The single-flight memo cache.
 pub struct PlanCache {
     inner: Mutex<Inner>,
     ready: Condvar,
-    /// Maximum completed entries kept (0 = unbounded). Oldest-first
-    /// eviction: planning workloads revisit recent configurations.
+    /// Maximum completed entries kept (0 = unbounded). Least recently used
+    /// first out: planning workloads revisit the configurations they use.
     capacity: usize,
     /// Behaviour counters, exposed via the `stats` request.
     pub stats: CacheStats,
@@ -178,10 +194,10 @@ impl PlanCache {
     }
 
     /// An empty cache keeping at most `capacity` completed entries
-    /// (0 = unbounded), evicting oldest-first.
+    /// (0 = unbounded), evicting the least recently used.
     pub fn with_capacity(capacity: usize) -> Self {
         PlanCache {
-            inner: Mutex::new(Inner { slots: HashMap::new(), done_order: VecDeque::new() }),
+            inner: Mutex::new(Inner { slots: HashMap::new(), by_use: BTreeMap::new(), tick: 0 }),
             ready: Condvar::new(),
             capacity,
             stats: CacheStats::new(),
@@ -190,7 +206,7 @@ impl PlanCache {
 
     /// Entries currently memoized (completed only).
     pub fn len(&self) -> usize {
-        self.inner.lock().unwrap().done_order.len()
+        self.inner.lock().unwrap().by_use.len()
     }
 
     /// Whether no results are memoized yet.
@@ -199,21 +215,17 @@ impl PlanCache {
     }
 
     /// Non-blocking lookup of a *completed* entry. A hit counts toward the
-    /// stats; a miss (including an in-flight `Running` slot) counts nothing
+    /// stats and refreshes the entry; a miss (including an in-flight
+    /// `Running` slot) counts nothing
     /// — the caller is expected to follow up with
     /// [`PlanCache::get_or_compute`], which does the accounting. This is
     /// what lets the budget layer serve memoized answers to clients whose
     /// FLOP ledger is already exhausted: cached responses are free.
     pub fn peek(&self, key: CanonicalKey) -> Option<Arc<Json>> {
-        let inner = self.inner.lock().unwrap();
-        match inner.slots.get(&key) {
-            Some(Slot::Done(v)) => {
-                self.stats.queries.incr();
-                self.stats.hits.incr();
-                Some(Arc::clone(v))
-            }
-            _ => None,
-        }
+        let value = self.inner.lock().unwrap().hit(key)?;
+        self.stats.queries.incr();
+        self.stats.hits.incr();
+        Some(value)
     }
 
     /// Look up `key`, or compute it exactly once across all concurrent
@@ -231,11 +243,11 @@ impl PlanCache {
         self.stats.queries.incr();
         let mut inner = self.inner.lock().unwrap();
         loop {
+            if let Some(v) = inner.hit(key) {
+                self.stats.hits.incr();
+                return Ok((v, CacheOutcome::Hit));
+            }
             match inner.slots.get(&key) {
-                Some(Slot::Done(v)) => {
-                    self.stats.hits.incr();
-                    return Ok((Arc::clone(v), CacheOutcome::Hit));
-                }
                 Some(Slot::Running) => {
                     self.stats.dedup_collapsed.incr();
                     let started = Instant::now();
@@ -252,22 +264,22 @@ impl PlanCache {
                         let (guard, timeout) =
                             self.ready.wait_timeout(inner, deadline.duration_since(now)).unwrap();
                         inner = guard;
+                        if let Some(v) = inner.hit(key) {
+                            self.stats.hits.incr();
+                            return Ok((v, CacheOutcome::Waiter));
+                        }
                         match inner.slots.get(&key) {
-                            Some(Slot::Done(v)) => {
-                                self.stats.hits.incr();
-                                return Ok((Arc::clone(v), CacheOutcome::Waiter));
-                            }
                             Some(Slot::Running) if timeout.timed_out() => {
                                 return Err(PlanError::DeadlineExceeded {
                                     waited: Instant::now().duration_since(started),
                                 });
                             }
                             Some(Slot::Running) => continue,
-                            None => break, // leader died; take over
+                            _ => break, // leader died; take over
                         }
                     }
                 }
-                None => {
+                _ => {
                     inner.slots.insert(key, Slot::Running);
                     drop(inner);
                     self.stats.misses.incr();
@@ -276,10 +288,12 @@ impl PlanCache {
                     let value = Arc::new(compute());
                     guard.armed = false;
                     let mut inner = self.inner.lock().unwrap();
-                    inner.slots.insert(key, Slot::Done(Arc::clone(&value)));
-                    inner.done_order.push_back(key);
-                    while self.capacity > 0 && inner.done_order.len() > self.capacity {
-                        let Some(old) = inner.done_order.pop_front() else { break };
+                    inner.tick += 1;
+                    let tick = inner.tick;
+                    inner.slots.insert(key, Slot::Done(Arc::clone(&value), tick));
+                    inner.by_use.insert(tick, key);
+                    while self.capacity > 0 && inner.by_use.len() > self.capacity {
+                        let Some((_, old)) = inner.by_use.pop_first() else { break };
                         inner.slots.remove(&old);
                         self.stats.evictions.incr();
                         mics_trace::global().instant(
@@ -427,6 +441,22 @@ mod tests {
         let (_, outcome) = cache.get_or_compute(key(10), far(), || Json::from("again")).unwrap();
         assert_eq!(outcome, CacheOutcome::Leader);
         assert_eq!(cache.stats.evictions.get(), 2, "re-inserting evicts the next oldest");
+    }
+
+    #[test]
+    fn a_hit_keeps_its_entry_resident() {
+        let cache = PlanCache::with_capacity(2);
+        for n in [30, 31] {
+            cache.get_or_compute(key(n), far(), || Json::Num(n as f64)).unwrap();
+        }
+        let (_, outcome) = cache.get_or_compute(key(30), far(), || unreachable!()).unwrap();
+        assert_eq!(outcome, CacheOutcome::Hit);
+        cache.get_or_compute(key(32), far(), || Json::from("c")).unwrap();
+        // The entry not used since it completed went; the hit one stays.
+        assert!(cache.peek(key(31)).is_none());
+        let (_, outcome) = cache.get_or_compute(key(30), far(), || unreachable!()).unwrap();
+        assert_eq!(outcome, CacheOutcome::Hit);
+        assert_eq!(cache.stats.evictions.get(), 1);
     }
 
     #[test]

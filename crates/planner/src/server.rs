@@ -57,8 +57,9 @@ pub struct PlannerConfig {
     pub default_budget_flops: f64,
     /// Deadline applied to queries that carry no `deadline_ms`.
     pub default_deadline: Duration,
-    /// Maximum completed cache entries kept (0 = unbounded); the cache
-    /// evicts oldest-first past this and counts the evictions.
+    /// Maximum completed cache entries kept (0 = unbounded); past this the
+    /// cache evicts the least recently used entry (a hit refreshes one)
+    /// and counts the evictions.
     pub cache_capacity: usize,
 }
 
@@ -648,15 +649,11 @@ fn compression_options(request: &Json) -> Result<Vec<Option<CompressionConfig>>,
 
 // ---- cache keys -------------------------------------------------------------
 
-/// The second-lane seed of a two-lane key (mirrors `Canonical::canonical_key`).
-const LANE2_SEED: u64 = 0x9e37_79b9_7f4a_7c15;
-
-fn key_of(walk: impl Fn(&mut CanonicalHasher)) -> CanonicalKey {
-    let mut a = CanonicalHasher::new();
-    walk(&mut a);
-    let mut b = CanonicalHasher::with_seed(LANE2_SEED);
-    walk(&mut b);
-    CanonicalKey([a.finish(), b.finish()])
+/// The two-lane key of one canonical walk.
+fn key_of(walk: impl FnOnce(&mut CanonicalHasher)) -> CanonicalKey {
+    let mut h = CanonicalHasher::new();
+    walk(&mut h);
+    h.key()
 }
 
 /// Cache key of a `simulate` query: tag 1 + the job's canonical walk.
