@@ -32,8 +32,8 @@
 //!
 //! A collective is addressed by its group's shape ([`Members`]) and visits
 //! only the group's simulated members: it pushes phases and joins on them
-//! and records one completion event each ([`Completion`]), so a member
-//! elsewhere has no event at all. Whether a member leads its node follows from the shape.
+//! and records one completion event each, consecutive ids in rank order, so
+//! a member elsewhere has no event at all. Whether a member leads its node follows from the shape.
 //! The DP simulation body (`crate::dp`) picks the weights; it walks every
 //! rank when the cluster has a straggler, when a group straddles a node
 //! boundary, and when a trace is recorded (a trace pictures every
@@ -78,33 +78,6 @@ pub struct SimCluster {
 
 /// Stream slot of a rank that is not simulated: pushing to it panics.
 const NOT_SIMULATED: StreamId = StreamId(usize::MAX);
-
-/// The completion events of a collective's simulated members, ascending by
-/// rank: the first member's is `first`, and the others' are consecutive
-/// event ids from `rest` on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Completion {
-    /// The first simulated member's event.
-    pub first: EventId,
-    /// The second simulated member's event (each later member's is the
-    /// next id).
-    pub rest: EventId,
-}
-
-impl Completion {
-    /// Events recorded back to back from `first` on, one per member.
-    pub fn consecutive(first: EventId) -> Completion {
-        Completion { first, rest: EventId(first.0 + 1) }
-    }
-
-    /// The event of the `i`-th simulated member.
-    pub fn event(&self, i: usize) -> EventId {
-        match i {
-            0 => self.first,
-            _ => EventId(self.rest.0 + i - 1),
-        }
-    }
-}
 
 /// The members of a collective's group: `count` ranks from `first` on,
 /// `stride` apart, ascending. Every group of a step program has this shape
@@ -280,8 +253,9 @@ impl SimCluster {
     /// Emit one collective over `group` on `lane`, paying `host_overhead`
     /// of launch/decision time on each node leader's lane before the wire
     /// phases. `members` are the group's simulated members, ascending
-    /// ([`SimCluster::simulated_members`]). Returns their completion
-    /// events, or `None` (having pushed nothing) when there are none.
+    /// ([`SimCluster::simulated_members`]). Returns the first one's
+    /// completion event — the `i`-th one's is `i` ids after it — or `None`
+    /// (having pushed nothing) when there are none.
     pub fn collective(
         &mut self,
         group: Members,
@@ -289,7 +263,7 @@ impl SimCluster {
         lane: Lane,
         cost: &CollectiveCost,
         host_overhead: SimTime,
-    ) -> Option<Completion> {
+    ) -> Option<EventId> {
         debug_assert!(members.windows(2).all(|w| w[0] < w[1]), "members must ascend");
         // The first simulated member joins the node completions.
         let &joiner = members.first()?;
@@ -303,7 +277,7 @@ impl SimCluster {
                 debug_assert_eq!(e.0, first.0 + i, "completion events are consecutive");
                 self.sim.push(self.lane_stream(lane, m), Op::RecordEvent(e));
             }
-            return Some(Completion::consecutive(first));
+            return Some(first);
         }
 
         // The group's first member on each node leads and executes the
@@ -347,18 +321,14 @@ impl SimCluster {
             e
         };
         self.node_done = node_done;
-        let mut done = Completion { first: group_done, rest: group_done };
         for (i, &m) in members.iter().enumerate().skip(1) {
             let stream = self.lane_stream(lane, m);
             self.sim.push(stream, Op::WaitEvent(group_done));
             let mine = self.sim.add_event();
-            if i == 1 {
-                done.rest = mine;
-            }
-            debug_assert_eq!(mine, done.event(i), "completion events are consecutive");
+            debug_assert_eq!(mine.0, group_done.0 + i, "completion events are consecutive");
             self.sim.push(stream, Op::RecordEvent(mine));
         }
-        Some(done)
+        Some(group_done)
     }
 
     /// Record execution spans for chrome-trace export.
@@ -427,8 +397,8 @@ mod tests {
     ) -> Vec<EventId> {
         let mut members = Vec::new();
         sc.simulated_members(group, &mut members);
-        let done = sc.collective(group, &members, lane, cost, host_overhead);
-        (0..members.len()).map(|i| done.unwrap().event(i)).collect()
+        let first = sc.collective(group, &members, lane, cost, host_overhead).unwrap();
+        (0..members.len()).map(|i| EventId(first.0 + i)).collect()
     }
 
     #[test]

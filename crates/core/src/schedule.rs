@@ -26,7 +26,7 @@
 //! for the spec's `prefetch_depth`, stage by stage.
 
 use crate::config::MicroSync;
-use crate::ops::{Completion, Lane, Members, SimCluster};
+use crate::ops::{Lane, Members, SimCluster};
 use mics_cluster::Rank;
 use mics_collectives::dispatch::{WireCollective, WireKind};
 use mics_collectives::{CollectiveCost, NetParams};
@@ -1124,9 +1124,10 @@ pub fn execute_on_sim(
     for (i, r) in live.iter().enumerate() {
         row[r.0] = i;
     }
-    // The completion events of every op that records any, in one table: a
-    // wire op's simulated members', the optimizer's ranks' when it records.
-    let mut done: Vec<Option<Completion>> = vec![None; prog.ops.len()];
+    // Per op, the first of the completion events it records, if any: its
+    // simulated members' (a wire op) or ranks' (a recording optimizer)
+    // events are consecutive ids in rank order.
+    let mut done: Vec<Option<EventId>> = vec![None; prog.ops.len()];
     // Compute-done events of the current (micro, pass) segment, at
     // `row · nl + layer`, pre-allocated like the historical lowering so
     // gathers can reference compute events that have not been pushed yet.
@@ -1141,7 +1142,7 @@ pub fn execute_on_sim(
 
     // Resolve `dep` to the completion event the simulated `rank` must wait
     // on, or `None` when the rank does not participate in the dep op.
-    let resolve = |done: &[Option<Completion>],
+    let resolve = |done: &[Option<EventId>],
                    fwd_tbl: &[EventId],
                    bwd_tbl: &[EventId],
                    dep: OpId,
@@ -1160,7 +1161,8 @@ pub fn execute_on_sim(
                 GroupRef::Pair { from, to } => usize::from(rank > from.min(to)),
                 _ => ix,
             };
-            Some(done[op].expect("a simulated member recorded no event").event(slot))
+            let first = done[op].expect("a simulated member recorded no event");
+            Some(EventId(first.0 + slot))
         };
         match &prog.ops[dep].kind {
             OpKind::Compute { layer, pass, .. } => {
@@ -1188,7 +1190,7 @@ pub fn execute_on_sim(
                     _ => None,
                 }
             }
-            OpKind::OptimizerUpdate { .. } => done[dep].map(|c| c.event(row[rank.0])),
+            OpKind::OptimizerUpdate { .. } => done[dep].map(|first| EventId(first.0 + row[rank.0])),
             OpKind::MicroBarrier | OpKind::AccumGrads { .. } => None,
         }
     };
@@ -1300,8 +1302,8 @@ pub fn execute_on_sim(
                     sc.compute_for(r, opt_time);
                     if *record {
                         let e = sc.compute_record(r);
-                        let first = *done[i].get_or_insert(Completion::consecutive(e));
-                        debug_assert_eq!(e, first.event(ix), "completion events are consecutive");
+                        let first = *done[i].get_or_insert(e);
+                        debug_assert_eq!(e.0, first.0 + ix, "completion events are consecutive");
                     }
                 }
             }
