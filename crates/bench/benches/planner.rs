@@ -1,6 +1,7 @@
 //! Microbenchmarks of the planner's per-query hot path: one simulator
-//! call (on two nodes, and on one node under ZeRO-3), one tuner search, the
-//! canonical-key hash that indexes the memo cache, and a memoized cache hit.
+//! call (on two nodes, and under ZeRO-3 on one node and on sixteen), one
+//! tuner search, the canonical-key hash that indexes the memo cache, and a
+//! memoized cache hit.
 //!
 //! These are the unit costs behind `ext_serve`'s throughput numbers: a
 //! cache hit must be orders of magnitude cheaper than the simulation it
@@ -29,11 +30,11 @@ fn job() -> TrainingJob {
     }
 }
 
-/// A one-node query: BERT-1.5B on one p3dn node under ZeRO-3, where every
-/// rank of the node is in one group.
-fn one_node_job() -> TrainingJob {
+/// BERT-1.5B under ZeRO-3 on `nodes` p3dn nodes, where every group is the
+/// whole cluster (128 members on sixteen nodes).
+fn zero3_job(nodes: usize) -> TrainingJob {
     TrainingJob {
-        cluster: ClusterSpec::new(InstanceType::preset("p3dn").unwrap(), 1),
+        cluster: ClusterSpec::new(InstanceType::preset("p3dn").unwrap(), nodes),
         strategy: mics_core::Strategy::parse("zero3").unwrap(),
         ..job()
     }
@@ -44,8 +45,10 @@ fn bench(c: &mut Criterion) {
     g.sample_size(10);
     let job = job();
     g.bench_function("simulate", |b| b.iter(|| simulate(black_box(&job))));
-    let one_node = one_node_job();
-    g.bench_function("simulate_1node", |b| b.iter(|| simulate(black_box(&one_node))));
+    for (name, nodes) in [("simulate_1node", 1), ("simulate_16node", 16)] {
+        let job = zero3_job(nodes);
+        g.bench_function(name, |b| b.iter(|| simulate(black_box(&job))));
+    }
     g.bench_function("tune", |b| {
         b.iter(|| tune(black_box(&job.workload), black_box(&job.cluster), job.accum_steps))
     });
@@ -89,9 +92,11 @@ fn main() {
     let sim_ns = best_ns(50, 7, || {
         black_box(simulate(black_box(&job))).ok();
     });
-    let one_node = one_node_job();
-    let sim_1node_ns = best_ns(50, 7, || {
-        black_box(simulate(black_box(&one_node))).ok();
+    let [sim_1node_ns, sim_16node_ns] = [1, 16].map(|nodes| {
+        let job = zero3_job(nodes);
+        best_ns(50, 7, || {
+            black_box(simulate(black_box(&job))).ok();
+        })
     });
     let tune_ns = best_ns(10, 7, || {
         black_box(tune(black_box(&job.workload), black_box(&job.cluster), job.accum_steps)).ok();
@@ -108,13 +113,14 @@ fn main() {
     });
 
     let mut table = Table::new(
-        "planner per-query costs, bert-1.5b on 2×p3dn mics:8 accum 4 (simulate_1node: 1×p3dn \
-         zero3) (best-of-7, ns/iter)",
+        "planner per-query costs, bert-1.5b on 2×p3dn mics:8 accum 4 (simulate_1node and \
+         simulate_16node: 1 and 16×p3dn zero3) (best-of-7, ns/iter)",
         &["operation", "ns", "vs cache hit"],
     );
     for (op, ns) in [
         ("simulate", sim_ns),
         ("simulate_1node", sim_1node_ns),
+        ("simulate_16node", sim_16node_ns),
         ("tune", tune_ns),
         ("canonical_key", key_ns),
         ("cache_hit", hit_ns),

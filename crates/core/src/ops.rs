@@ -72,8 +72,6 @@ pub struct SimCluster {
     weight: Vec<u32>,
     /// The simulated ranks, ascending.
     live: Vec<Rank>,
-    /// Node completions of the collective being pushed (reused).
-    node_done: Vec<EventId>,
 }
 
 /// Stream slot of a rank that is not simulated: pushing to it panics.
@@ -171,8 +169,7 @@ impl SimCluster {
             gather[r] = sim.add_stream(format!("gather[{r}]"));
             reduce[r] = sim.add_stream(format!("reduce[{r}]"));
         }
-        let node_done = Vec::new();
-        SimCluster { sim, spec, fabric, net, compute, gather, reduce, weight, live, node_done }
+        SimCluster { sim, spec, fabric, net, compute, gather, reduce, weight, live }
     }
 
     /// Whether `rank` is simulated (every rank, unless built by
@@ -284,8 +281,7 @@ impl SimCluster {
         // timed phases on that node's shared links, once per rank of its
         // class. A leader not simulated skips its node.
         let k = self.spec.devices_per_node();
-        let mut node_done = std::mem::take(&mut self.node_done);
-        node_done.clear();
+        let mut node_done: Vec<EventId> = Vec::new();
         for &m in members.iter().filter(|&&m| group.leads(m, k)) {
             let node = self.spec.node_of(m).0;
             let flows = self.weight[m.0];
@@ -320,7 +316,6 @@ impl SimCluster {
             self.sim.push(leader_stream, Op::RecordEvent(e));
             e
         };
-        self.node_done = node_done;
         for (i, &m) in members.iter().enumerate().skip(1) {
             let stream = self.lane_stream(lane, m);
             self.sim.push(stream, Op::WaitEvent(group_done));
